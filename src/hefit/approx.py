@@ -11,7 +11,9 @@ Every routine here is *carrier polymorphic*: it accepts either an
 tiled) or a plain 2D numpy array of logits.  Both carriers execute the same
 operation order, so the array path is a faithful — on the slots that are
 ever read, bit-faithful — mirror of the encrypted one, cheap enough for
-million-sample error measurement.
+million-sample error measurement.  :func:`a_softmax` evaluates array
+inputs in cache-sized row blocks (128 KiB per work array); every step works
+within a row, so the output is bit-identical to a single pass over all rows.
 
 Encrypted inputs at realistic depths exceed the level budget many times
 over; run them on a context with ``auto_bootstrap=True``.
@@ -27,6 +29,7 @@ import numpy as np
 from ._constants import COMP_ROUND_ERR, EXP_POLY
 from .encoding import EncodedMatrix, col_sums, next_pow2, pattern_matrix
 from .errors import ShapeMismatch
+from .plainref import exact_softmax
 
 # Odd degree-7 pair composed as step(x) ~ sign(x): two passes of the sharp
 # inner polynomial, one smoothing outer pass.  Coefficients are (a1, a3,
@@ -115,6 +118,24 @@ def _log2(n: int) -> int:
     return int(math.log2(n))
 
 
+# Slots per work array of one array-path softmax block: 128 KiB of float64,
+# so the block's intermediates stay in L2 cache.  Every step works within a
+# row, so blocking leaves each output row bit-identical.
+_BLOCK_SLOTS = 16_384
+
+
+def _array_layout(M, classes: int | None, period: int | None):
+    """(float64 array, classes, period) of an array carrier, validated."""
+    arr = np.asarray(M, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"softmax expects a 2D array, got shape {arr.shape}")
+    classes = arr.shape[1] if classes is None else classes
+    period = next_pow2(classes) if period is None else period
+    if period < classes:
+        raise ShapeMismatch(f"period {period} smaller than classes {classes}")
+    return arr, classes, period
+
+
 class _Carrier:
     """Layout facts and layout-dependent steps for one input matrix."""
 
@@ -129,19 +150,15 @@ class _Carrier:
             self.ctx = M.ctx
             self.encrypted = True
             self.matrix = M
+            if self.period < self.classes:
+                raise ShapeMismatch(f"period {self.period} smaller than classes {self.classes}")
         else:
-            arr = np.asarray(M, dtype=np.float64)
-            if arr.ndim != 2:
-                raise ShapeMismatch(f"softmax expects a 2D array, got shape {arr.shape}")
-            self.classes = arr.shape[1] if classes is None else classes
-            self.period = next_pow2(self.classes) if period is None else period
+            arr, self.classes, self.period = _array_layout(M, classes, period)
             self.ctx = None
             self.encrypted = False
             padded = np.zeros((arr.shape[0], self.period))
             padded[:, : self.classes] = arr[:, : self.classes]
             self.matrix = padded
-        if self.period < self.classes:
-            raise ShapeMismatch(f"period {self.period} smaller than classes {self.classes}")
 
     def _pattern(self, row_fn) -> object:
         """Mask whose value depends only on the column index."""
@@ -319,10 +336,25 @@ def a_softmax(
 
     Encrypted in: one-block-column, horizontally tiled logits (the product
     layout); out: the same layout, padded columns zero, later periods exact
-    copies.  Array in: (rows, classes) logits; out: (rows, classes) rows.
+    copies.  Array in: (rows, classes) logits; out: (rows, classes) rows,
+    evaluated in row blocks of ``_BLOCK_SLOTS // period`` rows.
     Inputs must lie within [-max_range, max_range] (mild overshoot from the
     max underestimation is tolerated by the contraction chain).
     """
+    if _enc(M):
+        return _softmax(M, cfg, classes, period)
+    arr, classes, period = _array_layout(M, classes, period)
+    block = _BLOCK_SLOTS // period
+    if arr.shape[0] <= block:
+        return _softmax(arr, cfg, classes, period)
+    out = np.empty((arr.shape[0], classes))
+    for start in range(0, arr.shape[0], block):
+        out[start : start + block] = _softmax(arr[start : start + block], cfg, classes, period)
+    return out
+
+
+def _softmax(M, cfg: SoftmaxConfig, classes: int | None, period: int | None):
+    """One unblocked pass of :func:`a_softmax` over all rows of M."""
     car = _Carrier(M, classes, period)
     work = car.matrix
     best = a_max(work if car.encrypted else work[:, : car.classes], cfg,
@@ -389,13 +421,7 @@ def small_domain_eps(
     if key not in _EPS_CACHE:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-cfg.base_range, cfg.base_range, size=(samples, classes))
-        exact = _exact_softmax_rows(x)
+        exact = exact_softmax(x)
         approx = a_softmax(x, cfg)
         _EPS_CACHE[key] = float(np.max(np.abs(approx - exact)))
     return _EPS_CACHE[key]
-
-
-def _exact_softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)

@@ -92,7 +92,12 @@ def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"{path}: {exc}") from None
     if not feats:
         raise DataError(f"{path}: no data rows")
-    return np.array(feats, dtype=np.float64), np.array(labels, dtype=np.int64)
+    features = np.array(feats, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite)) + 1
+        raise DataError(f"{path}: data row {row} has a NaN or infinite feature")
+    return features, np.array(labels, dtype=np.int64)
 
 
 def ingest(path: str | Path, classes: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emulator import CipherBlock, EmulatorContext
-from .errors import ResidualImaginary, ShapeMismatch, TilingError
+from .errors import DataError, ResidualImaginary, ShapeMismatch, TilingError
 
 IMAG_TOLERANCE = 1e-9
 
@@ -147,11 +147,14 @@ def encode(
     Padding is always zero.  ``tiling="vertical"`` pads the rows up to
     ``c' = next_pow2(rows)`` and replicates them ``grid_rows/c'`` times
     inside a single block row (requires ``rows <= grid_rows``);
-    ``"horizontal"`` does the same along columns.
+    ``"horizontal"`` does the same along columns.  NaN or infinite values
+    raise :class:`~hefit.errors.DataError`.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatch(f"encode expects a non-empty 2D matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError("encode expects finite values, got NaN or infinity")
     rows, cols = arr.shape
     s0, s1 = ctx.grid_rows, ctx.grid_cols
 

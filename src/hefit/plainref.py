@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import SoftmaxConfig, a_softmax
-
 
 def exact_softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, numerically stable."""
@@ -51,11 +49,6 @@ def init_weights(classes: int, dim: int, seed: int) -> np.ndarray:
     """Shared initializer: uniform [-0.01, 0.01], one draw, row-major."""
     rng = np.random.default_rng(seed)
     return rng.uniform(-0.01, 0.01, size=(classes, dim))
-
-
-def softmax_rows(z: np.ndarray, cfg: SoftmaxConfig = SoftmaxConfig()) -> np.ndarray:
-    """Array path of the approximate pipeline (same op order as encrypted)."""
-    return a_softmax(np.asarray(z, dtype=np.float64), cfg)
 
 
 def momentum_schedule(steps: int) -> list[tuple[float, float]]:

@@ -27,12 +27,11 @@ change only.
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
 
-from .emulator import CipherBlock, EmulatorContext
+from .emulator import PLAINTEXT_LEVEL, CipherBlock, EmulatorContext, is_pow2
 from .encoding import EncodedMatrix
 from .errors import ProtocolError
 
@@ -106,6 +105,14 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
             f"context mismatch: message packed for {slots} slots x {block_rows} rows, "
             f"receiver uses {ctx.slot_count} x {ctx.grid_rows}"
         )
+    if gr == 0 or gc == 0:
+        raise ProtocolError(f"empty block grid {gr}x{gc}")
+    if rows > gr * ctx.grid_rows or cols > gc * ctx.grid_cols:
+        raise ProtocolError(
+            f"logical shape {rows}x{cols} exceeds the {gr}x{gc} block grid"
+        )
+    if (tcode or period) and not is_pow2(period):
+        raise ProtocolError(f"tiling period {period} is not a power of two")
     pos = offset + _HEAD.size
     block_bytes = _LEVEL.size + 16 * slots
     need = gr * gc * block_bytes
@@ -116,7 +123,7 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
         row = []
         for _ in range(gc):
             (raw_level,) = _LEVEL.unpack_from(data, pos)
-            level = math.inf if math.isinf(raw_level) else int(raw_level)
+            level = _block_level(ctx, raw_level, bool(enc))
             vals = np.frombuffer(data, dtype="<c16", count=slots, offset=pos + _LEVEL.size)
             row.append(CipherBlock(vals.astype(np.complex128), level, bool(enc)))
             pos += block_bytes
@@ -129,6 +136,17 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
         period=period or None,
     )
     return matrix, pos
+
+
+def _block_level(ctx: EmulatorContext, raw: float, encrypted: bool) -> float:
+    """Validate a wire level: an integer in [0, max_level], +inf for plaintext."""
+    if not encrypted:
+        if raw != PLAINTEXT_LEVEL:
+            raise ProtocolError(f"plaintext block carries level {raw}, expected inf")
+        return PLAINTEXT_LEVEL
+    if not (raw.is_integer() and 0 <= raw <= ctx.max_level):
+        raise ProtocolError(f"encrypted block level {raw} outside 0..{ctx.max_level}")
+    return int(raw)
 
 
 class ChannelEndpoint:

@@ -18,8 +18,10 @@ from hefit._constants import (
     EXP_POLY,
 )
 from hefit.approx import (
+    _BLOCK_SLOTS,
     DEFAULTS,
     SoftmaxConfig,
+    _softmax,
     a_comp,
     a_exp,
     a_inv,
@@ -31,7 +33,7 @@ from hefit.approx import (
     theorem_beta,
 )
 from hefit.emulator import EmulatorContext
-from hefit.encoding import decode, encode
+from hefit.encoding import decode, encode, next_pow2
 from hefit.errors import ShapeMismatch
 from hefit.plainref import exact_softmax
 
@@ -216,6 +218,53 @@ def test_softmax_carrier_rejects_wrong_layout(rng):
         a_softmax(encode(ctx, m, tiling="vertical"), DEFAULTS)
 
 
+# -- row blocking of the array path ---------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    classes=st.integers(2, 16),
+    layout=st.sampled_from(["one", "below", "at", "above", "several"]),
+    seed=st.integers(0, 2**31 - 1),
+    picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3),
+)
+def test_blocked_softmax_rows_equal_single_row_calls(classes, layout, seed, picks):
+    block = _BLOCK_SLOTS // next_pow2(classes)
+    rows = {"one": 1, "below": block - 1, "at": block, "above": block + 1,
+            "several": 3 * block + 17}[layout]
+    x = np.random.default_rng(seed).uniform(-128, 128, size=(rows, classes))
+    got = a_softmax(x, DEFAULTS)
+    assert got.shape == (rows, classes)
+    np.testing.assert_array_equal(got, _softmax(x, DEFAULTS, None, None))
+    edges = {0, block - 1, block, rows - 1}
+    for r in sorted({r for r in edges if r < rows} | {int(p * rows) for p in picks}):
+        np.testing.assert_array_equal(got[r], a_softmax(x[r : r + 1], DEFAULTS)[0])
+
+
+@pytest.mark.parametrize("classes", [2, 10, 16])
+def test_softmax_of_zero_rows_keeps_class_width(classes):
+    assert a_softmax(np.zeros((0, classes)), DEFAULTS).shape == (0, classes)
+
+
+@pytest.mark.parametrize("classes,period", [(3, 8), (5, 32)])
+def test_blocked_softmax_honours_layout_overrides(rng, classes, period):
+    rows = 2 * (_BLOCK_SLOTS // period) + 5
+    x = rng.uniform(-60, 60, size=(rows, 5))
+    got = a_softmax(x, DEFAULTS, classes=classes, period=period)
+    assert got.shape == (rows, classes)
+    np.testing.assert_array_equal(got, _softmax(x, DEFAULTS, classes, period))
+
+
+def test_encrypted_softmax_ledger_is_unchanged(rng):
+    ctx = EmulatorContext(256, 16, max_level=12, auto_bootstrap=True)
+    enc = encode(ctx, rng.uniform(-30, 30, size=(8, 5)), tiling="horizontal")
+    before = ctx.ledger.snapshot()
+    a_softmax(enc, DEFAULTS)
+    assert ctx.ledger.delta(before) == {
+        "Add": 91, "CMult": 29, "Mult": 102, "Rot": 16, "Conj": 0, "Bootstrap": 36,
+    }
+
+
 # -- bounds ---------------------------------------------------------------------------
 
 
@@ -240,6 +289,12 @@ def test_small_domain_eps_is_cached_and_sane():
     assert a == b
     assert 1e-4 <= a <= 2e-3
     assert a == pytest.approx(1.3052e-3, abs=1e-6)
+
+
+def test_small_domain_eps_matches_one_unblocked_pass():
+    x = np.random.default_rng(411).uniform(-8.0, 8.0, size=(100_000, 3))
+    unblocked = np.max(np.abs(_softmax(x, DEFAULTS, None, None) - exact_softmax(x)))
+    assert small_domain_eps(DEFAULTS, 3) == float(unblocked)
 
 
 def test_config_coverage_radius():

@@ -70,6 +70,9 @@ def test_load_csv_handwritten_file(tmp_path):
         ("f0,f1,label\n1.0,2.0,0\n1.0,0\n", r"tiny.csv:3: expected 3 columns, got 2"),
         ("f0,f1,label\n1.0,two,0\n", r"tiny.csv:2: "),
         ("f0,f1,label\n1.0,2.0,1.5\n", r"tiny.csv:2: "),
+        ("f0,label\n1.0,0\nnan,1\n", "data row 2 has a NaN or infinite feature"),
+        ("f0,label\ninf,0\n", "data row 1 has a NaN or infinite feature"),
+        ("f0,label\n-inf,0\n", "data row 1 has a NaN or infinite feature"),
     ],
 )
 def test_load_csv_rejects_malformed_files(tmp_path, content, match):

@@ -20,7 +20,7 @@ from hefit.encoding import (
     rot_up,
     row_sums,
 )
-from hefit.errors import ResidualImaginary, ShapeMismatch, TilingError
+from hefit.errors import DataError, ResidualImaginary, ShapeMismatch, TilingError
 
 
 def test_next_pow2():
@@ -80,6 +80,14 @@ def test_tiling_errors(ctx):
         encode(ctx, np.ones((2, 2)), tiling="diagonal")
     with pytest.raises(ShapeMismatch):
         encode(ctx, np.ones(4))  # 1D
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_non_finite_values(ctx, bad):
+    values = np.ones((3, 2))
+    values[1, 0] = bad
+    with pytest.raises(DataError, match="finite"):
+        encode(ctx, values)
 
 
 def test_encode_level_and_plaintext(ctx):

@@ -1,6 +1,7 @@
 """Wire-format round trips and framing errors on the in-memory channel."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -24,7 +25,17 @@ from hefit.protocol import (
 # Byte offsets into the documented matrix header layout (u8 version at 0,
 # u32 rows/cols, u8 tiling at 9).  The layout is part of the wire contract.
 _VERSION_BYTE = 0
+_SHAPE_OFFSET = 1  # u32 rows, u32 cols
 _TILING_BYTE = 9
+_PERIOD_OFFSET = 10
+_GRID_OFFSET = 14  # u32 grid_rows, u32 grid_cols
+_FIRST_LEVEL_OFFSET = 31  # f64 level of block (0, 0), right after the header
+
+
+def patched(matrix, offset, fmt, *values):
+    data = bytearray(pack_matrix(matrix))
+    struct.pack_into(fmt, data, offset, *values)
+    return bytes(data)
 
 
 def roundtrip(ctx, matrix):
@@ -133,6 +144,41 @@ def test_unpack_rejects_truncated_body(ctx, rng):
     data = pack_matrix(encode(ctx, rng.normal(size=(2, 2))))
     with pytest.raises(ProtocolError, match="truncated matrix body"):
         unpack_matrix(ctx, data[:-8])
+
+
+@pytest.mark.parametrize("level", [math.nan, 99.0, -3.0, 2.5, math.inf])
+def test_unpack_rejects_bad_encrypted_level(ctx, rng, level):
+    data = patched(encode(ctx, rng.normal(size=(2, 2))), _FIRST_LEVEL_OFFSET, "<d", level)
+    with pytest.raises(ProtocolError, match="encrypted block level"):
+        unpack_matrix(ctx, data)
+
+
+def test_unpack_rejects_finite_plaintext_level(ctx, rng):
+    plain = encode(ctx, rng.normal(size=(2, 2)), encrypted=False)
+    data = patched(plain, _FIRST_LEVEL_OFFSET, "<d", 3.0)
+    with pytest.raises(ProtocolError, match="plaintext block carries level 3.0"):
+        unpack_matrix(ctx, data)
+
+
+def test_unpack_rejects_empty_block_grid(ctx, rng):
+    data = patched(encode(ctx, rng.normal(size=(2, 2))), _GRID_OFFSET, "<II", 0, 0)
+    with pytest.raises(ProtocolError, match="empty block grid 0x0"):
+        unpack_matrix(ctx, data)
+
+
+def test_unpack_rejects_shape_beyond_grid(rng):
+    small = EmulatorContext(16, 4, max_level=12)
+    data = patched(encode(small, rng.normal(size=(2, 2))), _SHAPE_OFFSET, "<II", 100, 100)
+    with pytest.raises(ProtocolError, match="100x100 exceeds the 1x1 block grid"):
+        unpack_matrix(small, data)
+
+
+@pytest.mark.parametrize("period", [3, 0])
+def test_unpack_rejects_non_pow2_tiling_period(ctx, rng, period):
+    tiled = encode(ctx, rng.normal(size=(4, 3)), tiling="horizontal")
+    data = patched(tiled, _PERIOD_OFFSET, "<I", period)
+    with pytest.raises(ProtocolError, match=f"tiling period {period} is not a power of two"):
+        unpack_matrix(ctx, data)
 
 
 # -- channel framing -------------------------------------------------------------
