@@ -14,7 +14,9 @@ Two constants are produced:
   rounds * 2 * R_max * COMP_ROUND_ERR.
 
 Run with ``--check-binv`` to additionally re-run the inverse-compensation
-sign A/B measurement (prints a report; decides nothing at runtime).
+sign A/B measurement (prints a report; decides nothing at runtime).  The
+rejected sign is evaluated here, by swapping in a negated copy of
+``hefit.approx._dep_compensation`` for the duration of the check.
 """
 
 from __future__ import annotations
@@ -64,24 +66,46 @@ def comp_round_error():
     return float(loss[i]), float(d[i])
 
 
+def negated_compensation(M, cfg):
+    """The rejected variant of hefit.approx._dep_compensation: the degree-5
+    bracket is subtracted, ``x - (4/27) K (x^3/R^2 - x^5/R^4)``."""
+    L2 = float(cfg.extension_base) ** 2
+    Ln = L2**cfg.extension_steps
+    K = L2 * (Ln - 1.0) / (Ln * (L2 - 1.0))
+    R = cfg.base_range
+    c3 = -(4.0 / 27.0) * K / R**2
+    c5 = -(4.0 / 27.0) * K / R**4
+    square = M * M
+    cube = square * M
+    fifth = cube * square
+    return M + (cube * c3 - fifth * c5)
+
+
 def check_binv(samples: int = 200_000, seed: int = 20240817):
     """A/B the sign of the degree-5 inverse-compensation bracket by MC."""
-    from hefit.approx import SoftmaxConfig, a_softmax
+    from hefit import approx
     from hefit.plainref import exact_softmax
 
     rng = np.random.default_rng(seed)
-    cfg_plus = SoftmaxConfig(precise=True)
-    cfg_minus = SoftmaxConfig(precise=True, _compensation_sign=-1.0)
-    cfg_off = SoftmaxConfig(precise=False)
+    kept = approx._dep_compensation
+    variants = (
+        ("extn", approx.SoftmaxConfig(precise=False), kept),
+        ("prec(+)", approx.SoftmaxConfig(precise=True), kept),
+        ("prec(-)", approx.SoftmaxConfig(precise=True), negated_compensation),
+    )
     classes = 3
-    for box in (4.0, 128.0):
-        x = rng.uniform(-box, box, size=(samples, classes))
-        want = exact_softmax(x)
-        for name, cfg in (("extn", cfg_off), ("prec(+)", cfg_plus), ("prec(-)", cfg_minus)):
-            err = np.max(np.abs(a_softmax(x, cfg) - want), axis=1)
-            print(
-                f"  box {box:6.1f}  {name:8s} max {np.max(err):.3e}  avg {np.mean(err):.3e}"
-            )
+    try:
+        for box in (4.0, 128.0):
+            x = rng.uniform(-box, box, size=(samples, classes))
+            want = exact_softmax(x)
+            for name, cfg, compensation in variants:
+                approx._dep_compensation = compensation
+                err = np.max(np.abs(approx.a_softmax(x, cfg) - want), axis=1)
+                print(
+                    f"  box {box:6.1f}  {name:8s} max {np.max(err):.3e}  avg {np.mean(err):.3e}"
+                )
+    finally:
+        approx._dep_compensation = kept
 
 
 def main() -> int:

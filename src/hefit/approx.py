@@ -6,11 +6,13 @@ cubic contraction chain, optionally compensates the contraction's bias,
 evaluates exp as a fitted polynomial raised to a power-of-two, sums the
 exponentials, and multiplies by an iteratively computed reciprocal.
 
-Every routine here is *carrier polymorphic*: it accepts either an
-:class:`~hefit.encoding.EncodedMatrix` (one block column, horizontally
-tiled) or a plain 2D numpy array of logits.  Both carriers execute the same
-operation order, so the array path is a faithful — on the slots that are
-ever read, bit-faithful — mirror of the encrypted one, cheap enough for
+Every routine here accepts either an :class:`~hefit.encoding.EncodedMatrix`
+(one block column, horizontally tiled) or a plain 2D numpy array of logits.
+The polynomial steps are written once, as ``+``/``-``/``*`` arithmetic that
+both carriers implement; only the layout-dependent steps (masks, rolls,
+column sums, broadcasts) live in ``_Carrier``.  Both carriers execute the
+same operation order, so the array path is a faithful — on the slots that
+are ever read, bit-faithful — mirror of the encrypted one, cheap enough for
 million-sample error measurement.  :func:`a_softmax` evaluates array
 inputs in cache-sized row blocks (128 KiB per work array); every step works
 within a row, so the output is bit-identical to a single pass over all rows.
@@ -58,9 +60,6 @@ class SoftmaxConfig:
     exp_range: int = 8
     inv_range: float = 100.0
     inv_iters: int = 16
-    # Sign of the compensation bracket; kept only so the offline A/B check
-    # can evaluate the rejected variant.
-    _compensation_sign: float = 1.0
 
     @property
     def max_range(self) -> int:
@@ -73,45 +72,6 @@ class SoftmaxConfig:
 
 
 DEFAULTS = SoftmaxConfig()
-
-
-# -- carrier facade -------------------------------------------------------------
-
-
-def _enc(x) -> bool:
-    return isinstance(x, EncodedMatrix)
-
-
-def _add(x, y):
-    if _enc(x):
-        return x.add(y)
-    if _enc(y):
-        return y.add(x)
-    return x + y
-
-
-def _sub(x, y):
-    if _enc(x):
-        return x.sub(y)
-    if _enc(y):
-        return y.rsub(x)
-    return x - y
-
-
-def _mul(x, y):
-    if _enc(x):
-        return x.mul(y)
-    if _enc(y):
-        return y.mul(x)
-    return x * y
-
-
-def _scale(x, t: float):
-    return x.scale(t) if _enc(x) else x * t
-
-
-def _roll_left(x, r: int):
-    return x.lrot(r) if _enc(x) else np.roll(x, -r, axis=1)
 
 
 def _log2(n: int) -> int:
@@ -140,7 +100,7 @@ class _Carrier:
     """Layout facts and layout-dependent steps for one input matrix."""
 
     def __init__(self, M, classes: int | None, period: int | None):
-        if _enc(M):
+        if isinstance(M, EncodedMatrix):
             if M.tiling != "horizontal" or M.grid[1] != 1:
                 raise ShapeMismatch(
                     "softmax expects a horizontally tiled single-block-column matrix"
@@ -179,11 +139,17 @@ class _Carrier:
     def first_col_mask(self):
         return self._pattern(lambda j: np.where(j == 0, 1.0, 0.0))
 
+    def roll_left(self, x, r: int):
+        """Rotate every row left by r slots."""
+        if self.encrypted:
+            return x.lrot(r)
+        return np.roll(x, -r, axis=1)
+
     def broadcast_col0(self, x):
         """Spread column 0 of each row to every column (x is col-0 masked)."""
         if self.encrypted:
             for t in range(_log2(self.ctx.grid_cols)):
-                x = x.add(x.rrot(1 << t))
+                x = x + x.rrot(1 << t)
             return x
         return np.repeat(x[:, :1], self.period, axis=1)
 
@@ -202,7 +168,7 @@ class _Carrier:
             return x
         reps = self.ctx.grid_cols // self.period
         for t in range(_log2(reps)):
-            x = x.add(x.rrot(self.period * (1 << t)))
+            x = x + x.rrot(self.period * (1 << t))
         return x
 
 
@@ -212,11 +178,11 @@ class _Carrier:
 def _odd_poly(x, coeffs):
     """a1 x + a3 x^3 + a5 x^5 + a7 x^7 via Horner in x^2 (4 Mult + 1 CMult)."""
     a1, a3, a5, a7 = coeffs
-    y = _mul(x, x)
-    acc = _add(_scale(y, a7), a5)
-    acc = _add(_mul(acc, y), a3)
-    acc = _add(_mul(acc, y), a1)
-    return _mul(acc, x)
+    y = x * x
+    acc = y * a7 + a5
+    acc = acc * y + a3
+    acc = acc * y + a1
+    return acc * x
 
 
 def a_comp(x, y):
@@ -225,9 +191,9 @@ def a_comp(x, y):
     Returns ~1 where x exceeds y by a clear margin, ~0 in the opposite
     case, exactly 1/2 at equality (odd composition through zero).
     """
-    d = _sub(x, y)
+    d = x - y
     u = _odd_poly(_odd_poly(_odd_poly(d, COMP_G), COMP_G), COMP_F)
-    return _scale(_add(u, 1.0), 0.5)
+    return (u + 1.0) * 0.5
 
 
 def a_max(M, cfg: SoftmaxConfig = DEFAULTS, classes: int | None = None, period: int | None = None):
@@ -242,17 +208,17 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, classes: int | None = None, period: 
     """
     car = _Carrier(M, classes, period)
     two_r = 2.0 * cfg.max_range
-    work = _scale(car.matrix, 1.0 / two_r)
+    work = car.matrix * (1.0 / two_r)
     if car.classes < car.period:
-        work = _sub(work, car.pad_half_pattern())
+        work = work - car.pad_half_pattern()
     best = work
     for t in range(_log2(car.period)):
-        rival = _roll_left(best, 1 << t)
+        rival = car.roll_left(best, 1 << t)
         w = a_comp(best, rival)
-        best = _add(_mul(best, w), _mul(rival, _sub(1.0, w)))
-    best = _mul(best, car.first_col_mask())
+        best = best * w + rival * (1.0 - w)
+    best = best * car.first_col_mask()
     best = car.broadcast_col0(best)
-    return _scale(best, two_r)
+    return best * two_r
 
 
 def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS):
@@ -264,9 +230,9 @@ def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS):
     delta = cfg.dep_delta
     for i in range(cfg.extension_steps - 1, -1, -1):
         delta_i = delta * float(cfg.extension_base) ** (-2 * i)
-        square = _mul(M, M)
-        scaled = _scale(M, delta_i)
-        M = _sub(M, _mul(square, scaled))
+        square = M * M
+        scaled = M * delta_i
+        M = M - square * scaled
     return M
 
 
@@ -281,13 +247,12 @@ def _dep_compensation(M, cfg: SoftmaxConfig):
     Ln = L2**cfg.extension_steps
     K = L2 * (Ln - 1.0) / (Ln * (L2 - 1.0))
     R = cfg.base_range
-    sign = cfg._compensation_sign
-    c3 = sign * (4.0 / 27.0) * K / R**2
-    c5 = sign * (4.0 / 27.0) * K / R**4
-    square = _mul(M, M)
-    cube = _mul(square, M)
-    fifth = _mul(cube, square)
-    return _add(M, _sub(_scale(cube, c3), _scale(fifth, c5)))
+    c3 = (4.0 / 27.0) * K / R**2
+    c5 = (4.0 / 27.0) * K / R**4
+    square = M * M
+    cube = square * M
+    fifth = cube * square
+    return M + (cube * c3 - fifth * c5)
 
 
 def a_exp(M, cfg: SoftmaxConfig = DEFAULTS):
@@ -300,12 +265,12 @@ def a_exp(M, cfg: SoftmaxConfig = DEFAULTS):
     B = cfg.exp_range
     if B < 1 or (B & (B - 1)):
         raise ShapeMismatch(f"exp_range must be a power of two, got {B}")
-    z = _scale(M, 1.0 / B)
-    acc = _add(_scale(z, EXP_POLY[12]), EXP_POLY[11])
+    z = M * (1.0 / B)
+    acc = z * EXP_POLY[12] + EXP_POLY[11]
     for k in range(10, -1, -1):
-        acc = _add(_mul(acc, z), EXP_POLY[k])
+        acc = acc * z + EXP_POLY[k]
     for _ in range(_log2(B)):
-        acc = _mul(acc, acc)
+        acc = acc * acc
     return acc
 
 
@@ -317,13 +282,13 @@ def a_inv(M, cfg: SoftmaxConfig = DEFAULTS):
     x/inv_range approaches 0.  Inputs outside (0, 2*inv_range) make the
     iteration diverge; that is documented, not trapped.
     """
-    y = _scale(M, 1.0 / cfg.inv_range)
-    a = _sub(2.0, y)
-    b = _sub(1.0, y)
+    y = M * (1.0 / cfg.inv_range)
+    a = 2.0 - y
+    b = 1.0 - y
     for _ in range(cfg.inv_iters):
-        b = _mul(b, b)
-        a = _mul(a, _add(b, 1.0))
-    return _scale(a, 1.0 / cfg.inv_range)
+        b = b * b
+        a = a * (b + 1.0)
+    return a * (1.0 / cfg.inv_range)
 
 
 def a_softmax(
@@ -341,7 +306,7 @@ def a_softmax(
     Inputs must lie within [-max_range, max_range] (mild overshoot from the
     max underestimation is tolerated by the contraction chain).
     """
-    if _enc(M):
+    if isinstance(M, EncodedMatrix):
         return _softmax(M, cfg, classes, period)
     arr, classes, period = _array_layout(M, classes, period)
     block = _BLOCK_SLOTS // period
@@ -360,14 +325,14 @@ def _softmax(M, cfg: SoftmaxConfig, classes: int | None, period: int | None):
     best = a_max(work if car.encrypted else work[:, : car.classes], cfg,
                  classes=car.classes, period=car.period)
     keep = car.keep_classes_mask()
-    norm = _mul(_sub(work, best), keep)
+    norm = (work - best) * keep
     norm = domain_extend(norm, cfg)
     if cfg.precise:
         norm = _dep_compensation(norm, cfg)
-    expd = _mul(a_exp(norm, cfg), keep)
+    expd = a_exp(norm, cfg) * keep
     total = car.sum_cols_broadcast(expd)
     recip = a_inv(total, cfg)
-    out = _mul(expd, recip)
+    out = expd * recip
     out = car.retile(out)
     if car.encrypted:
         return out.with_meta(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .approx import DEFAULTS, SoftmaxConfig, a_softmax
 from .datasets import ingest, make_gaussian_mixture, save_csv
-from .emulator import DEFAULT_OP_WEIGHTS_MS, EmulatorContext
+from .emulator import EmulatorContext, OpLedger, is_pow2
 from .encoding import decode, encode, next_pow2
 from .errors import ConfigError, DataError, HefitError
 from .matmul import (
@@ -68,12 +69,63 @@ class RunConfig:
     softmax: SoftmaxConfig = field(default_factory=SoftmaxConfig)
 
 
-_SOFTMAX_KEYS = {
-    f.name for f in dataclasses.fields(SoftmaxConfig) if not f.name.startswith("_")
-}
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string",
+               "bool": "true or false"}
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether a JSON value fits a config field annotated ``kind``."""
+    if isinstance(value, bool) or kind == "bool":
+        return isinstance(value, bool) and kind == "bool"
+    if kind == "int":
+        return isinstance(value, int)
+    if kind == "float":
+        # JSON writes whole numbers as ints; NaN, infinities and ints beyond
+        # the float range all fail the bound
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, str)
+
+
+def _check_types(section, prefix: str = "") -> None:
+    """Every field of a config dataclass holds a value of its annotated type."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if kind not in _TYPE_NAMES or (value is None and optional == "None"):
+            continue
+        if not _fits(value, kind):
+            raise ConfigError(f"{prefix}{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _validate_softmax(soft: SoftmaxConfig) -> None:
+    _check_types(soft, "softmax.")
+    for name in ("base_range", "inv_range"):
+        if getattr(soft, name) <= 0:
+            raise ConfigError(f"softmax.{name} must be positive, got {getattr(soft, name)}")
+    if soft.extension_base <= 1:
+        raise ConfigError(f"softmax.extension_base must exceed 1, got {soft.extension_base}")
+    for name in ("extension_steps", "inv_iters"):
+        if getattr(soft, name) < 0:
+            raise ConfigError(f"softmax.{name} must be non-negative, got {getattr(soft, name)}")
+    if not is_pow2(soft.exp_range):
+        raise ConfigError(f"softmax.exp_range must be a power of two, got {soft.exp_range}")
+    # max_range overflows when the covered box leaves the float range, and
+    # dep_delta (4 / 27 base_range^2) overflows or divides by zero
+    try:
+        finite = soft.max_range >= 1 and math.isfinite(soft.dep_delta)
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ConfigError(
+            "softmax ranges leave the floating-point range: "
+            f"base_range {soft.base_range}, extension_base {soft.extension_base}, "
+            f"extension_steps {soft.extension_steps}"
+        )
 
 
 def validate_config(cfg: RunConfig) -> None:
+    _check_types(cfg)
+    _validate_softmax(cfg.softmax)
     s, s0 = cfg.slot_count, cfg.grid_rows
     if s < 1 or s & (s - 1):
         raise ConfigError(f"slot_count must be a power of two, got {s}")
@@ -99,6 +151,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"patience must be at least 1, got {cfg.patience}")
     if cfg.max_level < 2:
         raise ConfigError(f"max_level must be at least 2, got {cfg.max_level}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -120,20 +174,12 @@ def load_config(path: str | Path) -> RunConfig:
     soft = raw.pop("softmax", {})
     if not isinstance(soft, dict):
         raise ConfigError("softmax section must be a JSON object")
-    bad = sorted(set(soft) - _SOFTMAX_KEYS)
+    bad = sorted(set(soft) - {f.name for f in dataclasses.fields(SoftmaxConfig)})
     if bad:
         raise ConfigError(f"unknown softmax keys: {', '.join(bad)}")
     cfg = RunConfig(softmax=SoftmaxConfig(**soft), **raw)
     validate_config(cfg)
     return cfg
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["softmax"] = {
-        k: v for k, v in out["softmax"].items() if not k.startswith("_")
-    }
-    return out
 
 
 def cmd_train(args) -> int:
@@ -177,7 +223,7 @@ def cmd_train(args) -> int:
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": "train",
-        "config": config_as_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "classes": classes,
         "features": x_tr.shape[1] - 1,
         "epochs_run": result.epochs_run,
@@ -233,10 +279,6 @@ def parse_shapes(text: str) -> list[tuple[int, int, int]]:
     return shapes
 
 
-def _weighted_ms(counts: dict[str, int]) -> float:
-    return sum(n * DEFAULT_OP_WEIGHTS_MS[kind] for kind, n in counts.items())
-
-
 def run_matmul_case(alg: str, shape: tuple[int, int, int], slots: int) -> dict:
     """Execute one kernel (or price a jin_* baseline) and report its costs."""
     a, b, c = shape
@@ -248,7 +290,7 @@ def run_matmul_case(alg: str, shape: tuple[int, int, int], slots: int) -> dict:
         "shape": list(shape),
         "grid": [s0, s1],
         "formula": formula,
-        "formula_ms": _weighted_ms(formula),
+        "formula_ms": OpLedger().estimate_ms(formula),
         "executed": False,
     }
     if alg.startswith("jin"):
@@ -300,7 +342,7 @@ def run_matmul_case(alg: str, shape: tuple[int, int, int], slots: int) -> dict:
     case.update(
         executed=True,
         counts=delta,
-        executed_ms=_weighted_ms(delta),
+        executed_ms=ctx.ledger.estimate_ms(delta),
         rel_error=rel,
         formula_match=all(delta.get(k, 0) == formula[k] for k in formula),
     )

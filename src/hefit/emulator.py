@@ -1,7 +1,11 @@
 """Slot-level emulator for leveled homomorphic arithmetic on packed vectors.
 
 A ciphertext is modeled as a fixed-width vector of complex slots plus a
-remaining multiplicative budget (its *level*).  Arithmetic on slots is exact
+remaining multiplicative budget (its *level*).  A :class:`CipherBlock` may
+hold a whole grid of such vectors, ``slots`` of shape ``(..., slot_count)``
+with one level for all of them: every primitive is then one numpy call that
+broadcasts its operands over the leading axes and ledgers one op per block
+of the result.  Arithmetic on slots is exact
 IEEE double precision — there is no noise model — so a plaintext computation
 that mirrors the same operation order is a bit-exact oracle for the emulated
 one.  What the emulator does track faithfully:
@@ -48,10 +52,12 @@ def is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CipherBlock:
-    """One packed slot vector plus its remaining multiplicative budget.
+    """Packed slot vectors, shape ``(..., slot_count)``, sharing one budget.
 
-    Instances are immutable: the slot array is made read-only on
-    construction and every operation returns a fresh block.
+    The leading axes index the blocks of a grid; a bare ``(slot_count,)``
+    vector is a single block.  The array may be a view, such as a mask
+    broadcast over a grid.  Instances are immutable: the slot array is made
+    read-only on construction and every operation returns a fresh block.
     """
 
     slots: np.ndarray
@@ -59,12 +65,16 @@ class CipherBlock:
     encrypted: bool = True
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.slots, dtype=np.complex128))
+        arr = np.asarray(self.slots, dtype=np.complex128)
         arr.setflags(write=False)
         object.__setattr__(self, "slots", arr)
 
     def __len__(self) -> int:
-        return int(self.slots.shape[0])
+        return int(self.slots.shape[-1])
+
+    def __getitem__(self, index) -> "CipherBlock":
+        """The blocks at ``index`` over the leading axes, at the same level."""
+        return CipherBlock(self.slots[index], self.level, self.encrypted)
 
 
 class OpLedger:
@@ -150,10 +160,10 @@ class EmulatorContext:
     # -- block construction -------------------------------------------------
 
     def _slot_array(self, values) -> np.ndarray:
-        arr = np.asarray(values, dtype=np.complex128).ravel()
-        if arr.shape[0] != self.slot_count:
+        arr = np.asarray(values, dtype=np.complex128)
+        if arr.ndim == 0 or arr.shape[-1] != self.slot_count:
             raise SlotCountMismatch(
-                f"expected {self.slot_count} slots, got {arr.shape[0]}"
+                f"expected {self.slot_count} slots, got shape {arr.shape}"
             )
         return arr
 
@@ -181,33 +191,38 @@ class EmulatorContext:
             return complex(v), False, PLAINTEXT_LEVEL
         return self._slot_array(v), False, PLAINTEXT_LEVEL
 
-    def _depth_ready(self, level: float, encrypted: bool, op: str) -> float:
-        """Check an operand can afford one multiplicative level."""
+    def _depth_ready(self, level: float, encrypted: bool, op: str, blocks: int) -> float:
+        """Check an operand used by ``blocks`` block ops can afford one level."""
         if not encrypted or level >= 1:
             return level
         if self.auto_bootstrap:
-            self.ledger.record("Bootstrap")
+            self.ledger.record("Bootstrap", blocks)
             return self.max_level
         raise DepthExhausted(f"{op}: operand at level {int(level)} cannot be multiplied")
+
+    def _blocks(self, slots: np.ndarray) -> int:
+        return slots.size // self.slot_count
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x, y) -> CipherBlock:
         vx, ex, lx = self._operand(x)
         vy, ey, ly = self._operand(y)
+        out = vx + vy
         encrypted = ex or ey
         if encrypted:
-            self.ledger.record("Add")
-        return CipherBlock(vx + vy, min(lx, ly), encrypted)
+            self.ledger.record("Add", self._blocks(out))
+        return CipherBlock(out, min(lx, ly), encrypted)
 
     def sub(self, x, y) -> CipherBlock:
         """Subtraction; costs one Add (negation is a free sign flip)."""
         vx, ex, lx = self._operand(x)
         vy, ey, ly = self._operand(y)
+        out = vx - vy
         encrypted = ex or ey
         if encrypted:
-            self.ledger.record("Add")
-        return CipherBlock(vx - vy, min(lx, ly), encrypted)
+            self.ledger.record("Add", self._blocks(out))
+        return CipherBlock(out, min(lx, ly), encrypted)
 
     def mult(self, x, y) -> CipherBlock:
         """Elementwise product.  Two ciphertexts cost a Mult, a ciphertext and
@@ -215,18 +230,20 @@ class EmulatorContext:
         of every encrypted operand."""
         vx, ex, lx = self._operand(x)
         vy, ey, ly = self._operand(y)
+        out = vx * vy
+        k = self._blocks(out)
         if ex:
-            lx = self._depth_ready(lx, ex, "mult")
+            lx = self._depth_ready(lx, ex, "mult", k)
         if ey:
-            ly = self._depth_ready(ly, ey, "mult")
+            ly = self._depth_ready(ly, ey, "mult", k)
         if ex and ey:
-            self.ledger.record("Mult")
+            self.ledger.record("Mult", k)
         elif ex or ey:
-            self.ledger.record("CMult")
+            self.ledger.record("CMult", k)
         level = min(lx, ly)
         if ex or ey:
             level = level - 1
-        return CipherBlock(vx * vy, level, ex or ey)
+        return CipherBlock(out, level, ex or ey)
 
     def cmult(self, x, y) -> CipherBlock:
         """Multiply by plaintext (scalar, array, or plaintext block)."""
@@ -244,8 +261,8 @@ class EmulatorContext:
         if r == 0:
             return x if isinstance(x, CipherBlock) else CipherBlock(vx, lx, ex)
         if ex:
-            self.ledger.record("Rot")
-        return CipherBlock(np.roll(vx, -r), lx, ex)
+            self.ledger.record("Rot", self._blocks(vx))
+        return CipherBlock(np.roll(vx, -r, axis=-1), lx, ex)
 
     def rrot(self, x: CipherBlock, r: int) -> CipherBlock:
         return self.lrot(x, -int(r))
@@ -253,7 +270,7 @@ class EmulatorContext:
     def conj(self, x: CipherBlock) -> CipherBlock:
         vx, ex, lx = self._operand(x)
         if ex:
-            self.ledger.record("Conj")
+            self.ledger.record("Conj", self._blocks(vx))
         return CipherBlock(np.conj(vx), lx, ex)
 
     def mul_i(self, x: CipherBlock) -> CipherBlock:
@@ -269,7 +286,7 @@ class EmulatorContext:
         emulator is noise-free); plaintext blocks pass through untouched."""
         if not isinstance(x, CipherBlock) or not x.encrypted:
             return x
-        self.ledger.record("Bootstrap")
+        self.ledger.record("Bootstrap", self._blocks(x.slots))
         return CipherBlock(x.slots, self.max_level, True)
 
     # -- audit ----------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 from .encoding import (
     EncodedMatrix,
     col_sums,
+    fold_columns,
     make_mask,
-    next_pow2,
     pattern_matrix,
     prot_up,
     rot_left,
@@ -46,26 +46,6 @@ def _check_pair(A: EncodedMatrix, B: EncodedMatrix, a_tiling: str, b_tiling: str
             f"{name}: expected tilings ({a_tiling}, {b_tiling}), "
             f"got ({A.tiling}, {B.tiling})"
         )
-
-
-def _rowwise_mul(A: EncodedMatrix, R: EncodedMatrix) -> EncodedMatrix:
-    """A (m x n grid) times a single-block-row matrix R (1 x n), rowwise."""
-    ctx = A.ctx
-    blocks = tuple(
-        tuple(ctx.mult(A.blocks[p][q], R.blocks[0][q]) for q in range(A.grid[1]))
-        for p in range(A.grid[0])
-    )
-    return EncodedMatrix(ctx, blocks, A.shape, "none", None)
-
-
-def _colwise_mul(C: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
-    """C (m x 1 grid) times B (m x n), broadcasting C across block columns."""
-    ctx = B.ctx
-    blocks = tuple(
-        tuple(ctx.mult(C.blocks[p][0], B.blocks[p][q]) for q in range(B.grid[1]))
-        for p in range(B.grid[0])
-    )
-    return EncodedMatrix(ctx, blocks, B.shape, "none", None)
 
 
 # -- diagonal-extraction pair ---------------------------------------------------
@@ -90,23 +70,21 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     m = A.grid[0]
     out_shape = (A.shape[0], B.shape[0])
 
+    # B has one block row, which multiplies every block row of A.
     if c == 1:
-        prod = _rowwise_mul(A, B)
-        sums = col_sums(prod)
+        sums = col_sums(EncodedMatrix(ctx, ctx.mult(A.block, B.block), A.shape))
         ones = make_mask(ctx, 0, 1, grid=(m, 1), scale=scale)
-        return sums.mul(ones).with_meta(shape=out_shape, tiling="horizontal", period=1)
+        return (sums * ones).with_meta(shape=out_shape, tiling="horizontal", period=1)
 
-    rolled = rot_up(B, c // 2)
-    packed = B.add(rolled.map_blocks(ctx.mul_i))
+    packed = B + rot_up(B, c // 2).mul_i()
     acc = None
     for k in range(c // 2):
         shifted = rot_up(packed, k)
-        prod = _rowwise_mul(A, shifted)
-        sums = col_sums(prod)
+        sums = col_sums(EncodedMatrix(ctx, ctx.mult(A.block, shifted.block), A.shape))
         mask = make_mask(ctx, k, c, grid=(m, 1), complexified=True, scale=scale)
-        term = sums.mul(mask)
-        acc = term if acc is None else acc.add(term)
-    out = acc.add(acc.conj())
+        term = sums * mask
+        acc = term if acc is None else acc + term
+    out = acc + acc.conj()
     return out.with_meta(shape=out_shape, tiling="horizontal", period=c)
 
 
@@ -129,28 +107,25 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     n = B.grid[1]
     out_shape = (A.shape[1], B.shape[1])
 
+    # A has one block column, which multiplies every block column of B.
     if c == 1:
-        prod = _colwise_mul(A, B)
-        sums = row_sums(prod)
+        sums = row_sums(EncodedMatrix(ctx, ctx.mult(A.block, B.block), B.shape))
         ones = make_mask(ctx, 0, 1, grid=(1, n), scale=scale)
-        return sums.mul(ones).with_meta(shape=out_shape, tiling="vertical", period=1)
+        return (sums * ones).with_meta(shape=out_shape, tiling="vertical", period=1)
 
     use_partial = A.level < B.level
-    packed = A.add(rot_left(A, c // 2).map_blocks(ctx.mul_i))
+    packed = A + rot_left(A, c // 2).mul_i()
     acc = None
     for k in range(c // 2):
         if use_partial:
-            left = packed.lrot(k)
-            right = prot_up(B, k)
+            prod = ctx.mult(packed.lrot(k).block, prot_up(B, k).block)
         else:
-            left = rot_left(packed, k)
-            right = B
-        prod = _colwise_mul(left, right)
-        sums = row_sums(prod)
+            prod = ctx.mult(rot_left(packed, k).block, B.block)
+        sums = row_sums(EncodedMatrix(ctx, prod, B.shape))
         mask = make_mask(ctx, -k, c, grid=(1, n), complexified=True, scale=scale)
-        term = sums.mul(mask)
-        acc = term if acc is None else acc.add(term)
-    out = acc.add(acc.conj())
+        term = sums * mask
+        acc = term if acc is None else acc + term
+    out = acc + acc.conj()
     return out.with_meta(shape=out_shape, tiling="vertical", period=c)
 
 
@@ -172,7 +147,6 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> Enc
     c = B.shape[0]
     if B.grid[0] != 1 or c > s1:
         raise ShapeMismatch(f"col_major_abt: B rows {c} must fit one block and {s1} columns")
-    m, n = A.grid
 
     col0 = np.zeros((s0, s1))
     col0[:, 0] = scale
@@ -182,23 +156,14 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> Enc
     for j in range(c):
         rowj = np.zeros((s0, s1))
         rowj[j, :] = 1.0
-        picked = B.mul(pattern_matrix(ctx, rowj, grid=B.grid))
+        picked = B * pattern_matrix(ctx, rowj, grid=B.grid)
         for t in range(_log2(s0)):
-            picked = picked.add(picked.lrot((1 << t) * s1))
-        prod = _rowwise_mul(A, picked)
-        folded = []
-        for p in range(m):
-            blk = prod.blocks[p][0]
-            for q in range(1, n):
-                blk = ctx.add(blk, prod.blocks[p][q])
-            for t in range(_log2(s1)):
-                blk = ctx.add(blk, ctx.lrot(blk, 1 << t))
-            blk = ctx.cmult(blk, col0_block)
-            blk = ctx.rrot(blk, j)
-            folded.append((blk,))
-        term = EncodedMatrix(ctx, tuple(folded), (A.shape[0], c), "none", None)
-        acc = term if acc is None else acc.add(term)
-    return acc.with_meta(shape=(A.shape[0], c))
+            picked = picked + picked.lrot((1 << t) * s1)
+        folded = fold_columns(EncodedMatrix(ctx, ctx.mult(A.block, picked.block), A.shape))
+        folded = ctx.rrot(ctx.cmult(folded, col0_block), j)
+        term = EncodedMatrix(ctx, folded, (A.shape[0], c))
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def row_major_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
@@ -220,20 +185,18 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> Enc
 
     col0 = np.zeros((s0, s1))
     col0[:, 0] = 1.0
-    col0_block = ctx.pack(col0.ravel())
+    col0 = pattern_matrix(ctx, col0, grid=A.grid)
 
     acc = None
     for j in range(c):
-        picked = A.lrot(j)
-        picked = picked.map_blocks(lambda b: ctx.cmult(b, col0_block))
+        picked = A.lrot(j) * col0
         for t in range(_log2(s1)):
-            picked = picked.add(picked.rrot(1 << t))
-        prod = _colwise_mul(picked, B)
-        sums = row_sums(prod)
+            picked = picked + picked.rrot(1 << t)
+        sums = row_sums(EncodedMatrix(ctx, ctx.mult(picked.block, B.block), B.shape))
         rowj = np.zeros((s0, s1))
         rowj[j, :] = scale
-        term = sums.mul(pattern_matrix(ctx, rowj, grid=(1, n)))
-        acc = term if acc is None else acc.add(term)
+        term = sums * pattern_matrix(ctx, rowj, grid=(1, n))
+        acc = term if acc is None else acc + term
     return acc.with_meta(shape=(c, B.shape[1]))
 
 
@@ -294,14 +257,3 @@ def count_formula(algorithm: str, shape: tuple[int, int, int], s0: int, s1: int)
     if algorithm == "jin_atb":
         return {"CMult": 0, "Mult": b * c, "Rot": b * c * _log2(s0 * s1)}
     raise ShapeMismatch(f"count_formula: unknown algorithm {algorithm!r}")
-
-
-def tiled_for_abt(ctx, b_matrix, encrypted=True, level=None):
-    """Convenience: encode the (c x b) operand of diag_abt (vertical tiling)."""
-    from .encoding import encode
-
-    return encode(ctx, b_matrix, tiling="vertical", encrypted=encrypted, level=level)
-
-
-def expected_period(c: int) -> int:
-    return next_pow2(c)

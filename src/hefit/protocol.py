@@ -17,8 +17,11 @@ The payload of matrix-bearing messages is one or more serialized
     u32 slot_count, u32 block_rows   (context compatibility check)
     u8  encrypted flag
     then per block, row-major:
-      f64 level (+inf for plaintext blocks)
+      f64 level (+inf for plaintext blocks; equal across the grid)
       slot_count * complex128, little-endian
+
+A grid carries one level, so :func:`unpack_matrix` rejects a body whose
+blocks disagree on it.
 
 The in-process :func:`channel_pair` endpoints speak exactly this format
 over shared byte buffers, so swapping in a socket later is a transport
@@ -58,34 +61,39 @@ _TILING_CODES = {"none": 0, "vertical": 1, "horizontal": 2}
 _TILING_NAMES = {v: k for k, v in _TILING_CODES.items()}
 
 _HEAD = struct.Struct("<BIIBIIIIIB")
-_LEVEL = struct.Struct("<d")
 _FRAME_LEN = struct.Struct("<I")
 
 
+def _body_dtype(slot_count: int) -> np.dtype:
+    """One record per block: its level, then its slots."""
+    return np.dtype([("level", "<f8"), ("slots", "<c16", (slot_count,))])
+
+
 def pack_matrix(matrix: EncodedMatrix) -> bytes:
-    """Serialize an encoded matrix, preserving per-block levels."""
+    """Serialize an encoded matrix; every block record carries the grid's level."""
     ctx = matrix.ctx
     rows, cols = matrix.shape
     gr, gc = matrix.grid
-    parts = [
-        _HEAD.pack(
-            _MATRIX_VERSION,
-            rows,
-            cols,
-            _TILING_CODES[matrix.tiling],
-            matrix.period or 0,
-            gr,
-            gc,
-            ctx.slot_count,
-            ctx.grid_rows,
-            int(matrix.encrypted),
-        )
-    ]
-    for row in matrix.blocks:
-        for block in row:
-            parts.append(_LEVEL.pack(float(block.level)))
-            parts.append(np.asarray(block.slots, dtype="<c16").tobytes())
-    return b"".join(parts)
+    dtype = _body_dtype(ctx.slot_count)
+    frame = bytearray(_HEAD.size + gr * gc * dtype.itemsize)
+    _HEAD.pack_into(
+        frame,
+        0,
+        _MATRIX_VERSION,
+        rows,
+        cols,
+        _TILING_CODES[matrix.tiling],
+        matrix.period or 0,
+        gr,
+        gc,
+        ctx.slot_count,
+        ctx.grid_rows,
+        int(matrix.encrypted),
+    )
+    body = np.frombuffer(frame, dtype=dtype, offset=_HEAD.size)
+    body["level"] = float(matrix.level)
+    body["slots"] = matrix.block.slots.reshape(gr * gc, ctx.slot_count)
+    return bytes(frame)
 
 
 def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[EncodedMatrix, int]:
@@ -100,6 +108,8 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
         raise ProtocolError(f"unsupported matrix format version {version}")
     if tcode not in _TILING_NAMES:
         raise ProtocolError(f"unknown tiling code {tcode}")
+    if enc not in (0, 1):
+        raise ProtocolError(f"encrypted flag {enc} is neither 0 nor 1")
     if slots != ctx.slot_count or block_rows != ctx.grid_rows:
         raise ProtocolError(
             f"context mismatch: message packed for {slots} slots x {block_rows} rows, "
@@ -114,28 +124,25 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
     if (tcode or period) and not is_pow2(period):
         raise ProtocolError(f"tiling period {period} is not a power of two")
     pos = offset + _HEAD.size
-    block_bytes = _LEVEL.size + 16 * slots
-    need = gr * gc * block_bytes
+    dtype = _body_dtype(slots)
+    need = gr * gc * dtype.itemsize
     if len(data) - pos < need:
         raise ProtocolError(f"truncated matrix body: need {need} bytes, have {len(data) - pos}")
-    grid = []
-    for _ in range(gr):
-        row = []
-        for _ in range(gc):
-            (raw_level,) = _LEVEL.unpack_from(data, pos)
-            level = _block_level(ctx, raw_level, bool(enc))
-            vals = np.frombuffer(data, dtype="<c16", count=slots, offset=pos + _LEVEL.size)
-            row.append(CipherBlock(vals.astype(np.complex128), level, bool(enc)))
-            pos += block_bytes
-        grid.append(tuple(row))
+    body = np.frombuffer(data, dtype=dtype, count=gr * gc, offset=pos)
+    levels = body["level"]
+    level = _block_level(ctx, float(levels[0]), bool(enc))
+    odd = levels[levels != levels[0]]
+    if odd.size:
+        raise ProtocolError(f"block levels differ within one grid: {levels[0]} and {odd[0]}")
+    block = CipherBlock(body["slots"].reshape(gr, gc, slots).copy(), level, bool(enc))
     matrix = EncodedMatrix(
         ctx=ctx,
-        blocks=tuple(grid),
+        block=block,
         shape=(rows, cols),
         tiling=_TILING_NAMES[tcode],
         period=period or None,
     )
-    return matrix, pos
+    return matrix, pos + need
 
 
 def _block_level(ctx: EmulatorContext, raw: float, encrypted: bool) -> float:

@@ -57,10 +57,7 @@ class TrainState:
     weights: EncodedMatrix  # W_t, classes x (features+1), vertically tiled
     momentum: EncodedMatrix  # V_t, same layout
     t: int = 1
-    lambda_prev: float = 0.0
     lambda_curr: float = 1.0
-    best_val_loss: float = math.inf
-    epochs_since_improvement: int = 0
 
 
 def nag_step(
@@ -84,19 +81,19 @@ def nag_step(
     if trace_hook is not None:
         trace_hook(logits)
     probs = a_softmax(logits, cfg)
-    resid = probs.sub(labels)
+    resid = probs - labels
     grad = diag_atb(resid, features, scale=lr / batch_rows)
-    w_next = state.momentum.sub(grad)
+    w_next = state.momentum - grad
 
     lam_next = (1.0 + math.sqrt(1.0 + 4.0 * state.lambda_curr**2)) / 2.0
     gamma = (1.0 - state.lambda_curr) / lam_next
-    v_next = w_next.scale(1.0 - gamma).add(state.weights.scale(gamma))
+    v_next = w_next * (1.0 - gamma) + state.weights * gamma
 
     if min(w_next.level, v_next.level) < bootstrap_threshold:
         w_next = w_next.bootstrap()
         v_next = v_next.bootstrap()
     state.weights, state.momentum = w_next, v_next
-    state.lambda_prev, state.lambda_curr = state.lambda_curr, lam_next
+    state.lambda_curr = lam_next
     state.t += 1
 
 
@@ -234,10 +231,7 @@ class Server:
         decision = self.channel.recv_stop_signal()
         if decision == DECISION_IMPROVED:
             self.best_weights = self.state.weights
-            self.state.epochs_since_improvement = 0
-        elif decision == DECISION_CONTINUE:
-            self.state.epochs_since_improvement += 1
-        else:
+        elif decision == DECISION_STOP:
             self.stopped = True
             self.channel.send_weights(self.best_weights)
 

@@ -1,11 +1,22 @@
 """Dataset I/O and the four CLI subcommands, run in-process via main()."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hefit.cli import main, parse_shapes, sampling_boxes, softmax_variants
+from hefit.approx import SoftmaxConfig
+from hefit.cli import (
+    RunConfig,
+    load_config,
+    main,
+    parse_shapes,
+    sampling_boxes,
+    softmax_variants,
+)
 from hefit.datasets import ingest, load_csv, make_gaussian_mixture, save_csv
 from hefit.errors import ConfigError, DataError
 
@@ -230,6 +241,23 @@ def test_train_is_deterministic(tmp_path):
         ({"learning_rate": 0.0}, "must be positive"),
         ({"softmax": {"unknown_knob": 2}}, "unknown softmax keys"),
         ({"classes": 64}, "must lie in 2..grid columns"),
+        ({"batch_size": "16"}, "batch_size must be an integer, got '16'"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"classes": 2.5}, "classes must be an integer, got 2.5"),
+        ({"learning_rate": float("nan")}, "learning_rate must be a finite number, got nan"),
+        ({"learning_rate": "fast"}, "learning_rate must be a finite number"),
+        ({"out_dir": 7}, "out_dir must be a string, got 7"),
+        ({"softmax": {"inv_iters": "x"}}, "softmax.inv_iters must be an integer"),
+        ({"softmax": {"precise": 1}}, "softmax.precise must be true or false, got 1"),
+        ({"softmax": {"base_range": float("inf")}}, "softmax.base_range must be a finite number"),
+        ({"softmax": {"extension_base": 1.0}}, "softmax.extension_base must exceed 1, got 1.0"),
+        ({"softmax": {"exp_range": 3}}, "softmax.exp_range must be a power of two, got 3"),
+        ({"softmax": {"extension_steps": -1}}, "softmax.extension_steps must be non-negative"),
+        ({"softmax": {"inv_iters": -2}}, "softmax.inv_iters must be non-negative"),
+        ({"softmax": {"base_range": 0}}, "softmax.base_range must be positive, got 0"),
+        ({"softmax": {"inv_range": -1.0}}, "softmax.inv_range must be positive, got -1.0"),
+        ({"softmax": {"extension_steps": 5000}}, "softmax ranges leave the floating-point range"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
     ],
 )
 def test_train_config_errors(tmp_path, capsys, overrides, fragment):
@@ -240,6 +268,38 @@ def test_train_config_errors(tmp_path, capsys, overrides, fragment):
     assert rc == 1
     assert err.startswith("hefit: error [cli.config]:")
     assert fragment in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _json_objects(dataclass_type):
+    keys = st.sampled_from([f.name for f in dataclasses.fields(dataclass_type)]) | st.text(max_size=6)
+    return st.dictionaries(keys, _JSON_VALUES, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start_valid=st.booleans(),
+    run=_json_objects(RunConfig),
+    soft=st.none() | _json_objects(SoftmaxConfig),
+)
+def test_any_json_object_loads_or_raises_config_error(tmp_path_factory, start_valid, run, soft):
+    raw = {"train_csv": "t.csv", "val_csv": "v.csv"} if start_valid else {}
+    raw.update(run)
+    if soft is not None:
+        raw["softmax"] = soft
+    path = tmp_path_factory.getbasetemp() / "any-config.json"
+    path.write_text(json.dumps(raw))
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_train_missing_config_keys(tmp_path, capsys):

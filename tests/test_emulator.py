@@ -121,6 +121,20 @@ def test_auto_bootstrap_restores_then_consumes():
     assert ctx.ledger.counts()["Bootstrap"] == 3
 
 
+def test_grid_ops_ledger_one_op_per_block_of_the_result():
+    ctx = fresh(auto_bootstrap=True, max_level=3)
+    grid = ctx.encrypt(np.arange(2 * 3 * 16.0).reshape(2, 3, 16))
+    row = ctx.encrypt(np.ones((1, 3, 16)), level=0)
+    out = ctx.mult(grid, row)  # the one block row broadcasts over both
+    np.testing.assert_array_equal(out.slots.real, grid.slots.real)
+    assert out.slots.shape == (2, 3, 16) and out.level == 2
+    ctx.add(ctx.lrot(grid, 1), 2.0)
+    ctx.conj(grid[:, :1])
+    assert ctx.ledger.counts() == {
+        "Add": 6, "CMult": 0, "Mult": 6, "Rot": 6, "Conj": 2, "Bootstrap": 6,
+    }
+
+
 def test_explicit_bootstrap_keeps_slots():
     ctx = fresh()
     low = ctx.encrypt(np.arange(16.0), level=1)

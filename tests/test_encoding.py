@@ -106,21 +106,33 @@ def test_elementwise_arithmetic_matches_numpy(ctx, rng):
     a = rng.normal(size=(9, 11))
     b = rng.normal(size=(9, 11))
     ea, eb = encode(ctx, a), encode(ctx, b)
-    np.testing.assert_allclose(decode(ea.add(eb)), a + b)
-    np.testing.assert_allclose(decode(ea.sub(eb)), a - b)
-    np.testing.assert_allclose(decode(ea.mul(eb)), a * b)
-    np.testing.assert_allclose(decode(ea.rsub(1.0)), 1.0 - a)
-    np.testing.assert_allclose(decode(ea.scale(-2.5)), -2.5 * a)
-    assert ea.mul(eb).level == ctx.max_level - 1
-    assert ea.scale(2.0).level == ctx.max_level - 1
-    assert ea.add(eb).level == ctx.max_level
+    np.testing.assert_allclose(decode(ea + eb), a + b)
+    np.testing.assert_allclose(decode(ea - eb), a - b)
+    np.testing.assert_allclose(decode(ea * eb), a * b)
+    np.testing.assert_allclose(decode(1.0 - ea), 1.0 - a)
+    np.testing.assert_allclose(decode(ea * -2.5), -2.5 * a)
+    assert (ea * eb).level == ctx.max_level - 1
+    assert (ea * 2.0).level == ctx.max_level - 1
+    assert (ea + eb).level == ctx.max_level
+
+
+def test_reflected_operators_and_numpy_operands(ctx, rng):
+    a = rng.normal(size=(9, 11))
+    ea = encode(ctx, a)
+    before = ctx.ledger.snapshot()
+    np.testing.assert_allclose(decode(3.0 + ea), 3.0 + a)
+    np.testing.assert_allclose(decode(np.float64(-2.5) * ea), -2.5 * a)
+    np.testing.assert_allclose(decode(np.full(ctx.slot_count, 2.0) * ea), 2.0 * a)
+    assert ctx.ledger.delta(before) == {
+        "Add": 1, "CMult": 2, "Mult": 0, "Rot": 0, "Conj": 0, "Bootstrap": 0,
+    }
 
 
 def test_grid_mismatch_raises(ctx):
     small = encode(ctx, np.ones((4, 4)))
     big = encode(ctx, np.ones((20, 4)))
     with pytest.raises(ShapeMismatch):
-        small.add(big)
+        small + big
 
 
 def test_decode_audits_encrypted_reads(ctx):
@@ -133,7 +145,7 @@ def test_decode_audits_encrypted_reads(ctx):
 
 def test_decode_rejects_imaginary_residue(ctx):
     e = encode(ctx, np.ones((2, 2)))
-    rotated = e.map_blocks(ctx.mul_i)
+    rotated = e.mul_i()
     with pytest.raises(ResidualImaginary):
         decode(rotated)
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hefit.emulator import CipherBlock, EmulatorContext
-from hefit.encoding import EncodedMatrix, encode, padded_array
+from hefit.emulator import EmulatorContext
+from hefit.encoding import encode, padded_array
 from hefit.errors import ProtocolError
 from hefit.protocol import (
     DECISION_CONTINUE,
@@ -29,7 +29,9 @@ _SHAPE_OFFSET = 1  # u32 rows, u32 cols
 _TILING_BYTE = 9
 _PERIOD_OFFSET = 10
 _GRID_OFFSET = 14  # u32 grid_rows, u32 grid_cols
+_ENCRYPTED_BYTE = 30
 _FIRST_LEVEL_OFFSET = 31  # f64 level of block (0, 0), right after the header
+_LEVEL_SIZE = 8  # each block record: f64 level, then slot_count complex128 slots
 
 
 def patched(matrix, offset, fmt, *values):
@@ -51,10 +53,8 @@ def assert_same_matrix(got, orig):
     assert got.period == orig.period
     assert got.grid == orig.grid
     assert got.encrypted == orig.encrypted
-    for grow, orow in zip(got.blocks, orig.blocks):
-        for gblk, oblk in zip(grow, orow):
-            assert gblk.level == oblk.level
-            np.testing.assert_array_equal(gblk.slots, oblk.slots)
+    assert got.level == orig.level
+    np.testing.assert_array_equal(got.block.slots, orig.block.slots)
 
 
 # -- matrix serialization ---------------------------------------------------------
@@ -82,25 +82,18 @@ def test_roundtrip_plaintext_keeps_infinite_level(ctx, rng):
     assert_same_matrix(got, orig)
 
 
-def test_roundtrip_preserves_per_block_levels(ctx, rng):
+def test_unpack_rejects_mixed_block_levels(ctx, rng):
     base = encode(ctx, rng.normal(size=(20, 33)))  # grid (2, 3)
-    blocks = [list(row) for row in base.blocks]
-    blk = blocks[1][2]
-    blocks[1][2] = CipherBlock(blk.slots, 3, True)
-    mixed = EncodedMatrix(
-        ctx=ctx, blocks=tuple(tuple(r) for r in blocks), shape=base.shape,
-        tiling=base.tiling, period=base.period,
-    )
-    got = roundtrip(ctx, mixed)
-    levels = [[b.level for b in row] for row in got.blocks]
-    assert levels == [[12, 12, 12], [12, 12, 3]]
-    assert got.level == 3
+    record = _LEVEL_SIZE + 16 * ctx.slot_count
+    data = patched(base, _FIRST_LEVEL_OFFSET + 5 * record, "<d", 3.0)  # block (1, 2)
+    with pytest.raises(ProtocolError, match="block levels differ within one grid: 12.0 and 3.0"):
+        unpack_matrix(ctx, data)
 
 
 def test_roundtrip_level_zero(ctx, rng):
     orig = encode(ctx, rng.normal(size=(3, 3)), level=0)
     got = roundtrip(ctx, orig)
-    assert got.level == 0 and isinstance(got.blocks[0][0].level, int)
+    assert got.level == 0 and isinstance(got.block.level, int)
 
 
 def test_two_matrices_share_one_buffer(ctx, rng):
@@ -151,6 +144,13 @@ def test_unpack_rejects_bad_encrypted_level(ctx, rng, level):
     data = patched(encode(ctx, rng.normal(size=(2, 2))), _FIRST_LEVEL_OFFSET, "<d", level)
     with pytest.raises(ProtocolError, match="encrypted block level"):
         unpack_matrix(ctx, data)
+
+
+def test_unpack_rejects_bad_encrypted_flag(ctx, rng):
+    data = bytearray(pack_matrix(encode(ctx, rng.normal(size=(2, 2)))))
+    data[_ENCRYPTED_BYTE] = 2
+    with pytest.raises(ProtocolError, match="encrypted flag 2 is neither 0 nor 1"):
+        unpack_matrix(ctx, bytes(data))
 
 
 def test_unpack_rejects_finite_plaintext_level(ctx, rng):
@@ -305,3 +305,37 @@ def test_random_matrices_roundtrip(rows, cols, level, seed):
     orig = encode(ctx, vals, level=level)
     got = roundtrip(ctx, orig)
     assert_same_matrix(got, orig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    tiling=st.sampled_from(["none", "vertical", "horizontal"]),
+    level=st.sampled_from([0, 5, 12, None]),
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=3),
+    cut=st.none() | st.integers(0, 2**16),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_damaged_frames_roundtrip_or_raise_protocol_error(
+    rows, cols, tiling, level, edits, cut, seed
+):
+    """Truncated or byte-mutated frames never escape as another exception."""
+    ctx = EmulatorContext(64, 8, max_level=12)
+    vals = np.random.default_rng(seed).normal(size=(rows, cols))
+    encrypted = level is not None
+    orig = encode(ctx, vals, tiling=tiling if max(rows, cols) <= 8 else "none",
+                  encrypted=encrypted, level=level)
+    data = bytearray(pack_matrix(orig))
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    try:
+        got, end = unpack_matrix(ctx, bytes(data))
+    except ProtocolError:
+        return
+    assert end <= len(data)
+    again = roundtrip(ctx, got)
+    assert_same_matrix(again, got)
+
