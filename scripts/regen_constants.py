@@ -13,6 +13,15 @@ Two constants are produced:
   worst per-round accuracy loss in scaled units; the a_max error bound is
   rounds * 2 * R_max * COMP_ROUND_ERR.
 
+By default nothing is written: the script re-derives both constants and
+prints how far the re-derived exp polynomial is from the committed one, as
+a function on [-1, 1] (the least-squares system is ill-conditioned, so the
+coefficients themselves move in their low digits from one numpy build to
+the next), and whether ``COMP_ROUND_ERR`` and its argument match.  Pass
+``--out PATH`` to write the regenerated file; ``--out
+src/hefit/_constants.py`` replaces the committed constants and moves every
+softmax output in its low bits.
+
 Run with ``--check-binv`` to additionally re-run the inverse-compensation
 sign A/B measurement (prints a report; decides nothing at runtime).  The
 rejected sign is evaluated here, by swapping in a negated copy of
@@ -23,12 +32,14 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import runpy
 
 import numpy as np
 import numpy.polynomial.legendre as leg
 import numpy.polynomial.polynomial as poly
 
 DEGREE = 12
+CONSTANTS = pathlib.Path(__file__).resolve().parents[1] / "src" / "hefit" / "_constants.py"
 
 # Step-approximation building blocks (odd degree-7 pair; see hefit.approx,
 # which asserts it agrees with these).
@@ -108,21 +119,19 @@ def check_binv(samples: int = 200_000, seed: int = 20240817):
         approx._dep_compensation = kept
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--check-binv", action="store_true", help="run the sign A/B report")
-    ap.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path(__file__).resolve().parents[1] / "src" / "hefit" / "_constants.py",
-    )
-    args = ap.parse_args()
+def compare_with_committed(coeffs, eta: float, eta_arg: float) -> None:
+    """Print how the re-derived constants differ from the committed ones."""
+    committed = runpy.run_path(str(CONSTANTS))
+    grid = np.linspace(-1.0, 1.0, 200_001)
+    dev = np.max(np.abs(poly.polyval(grid, coeffs) - poly.polyval(grid, committed["EXP_POLY"])))
+    print(f"max |re-derived - committed| EXP_POLY on [-1,1]: {dev:.3e}")
+    for name, value in (("COMP_ROUND_ERR", eta), ("COMP_ROUND_ERR_ARG", eta_arg)):
+        verdict = "matches" if value == committed[name] else f"differs (committed {committed[name]!r})"
+        print(f"{name} {verdict}")
 
-    coeffs, resid = exp_fit()
-    eta, eta_arg = comp_round_error()
-    print(f"exp fit residual on [-1,1]: {resid:.3e}")
-    print(f"comp round error sup: {eta:.6e} at d = {eta_arg:.6f}")
 
+def render(coeffs, resid: float, eta: float, eta_arg: float) -> str:
+    """Text of the constants module for the given values."""
     lines = [
         '"""Frozen numeric constants.',
         "",
@@ -144,8 +153,25 @@ def main() -> int:
         f"COMP_ROUND_ERR_ARG = {eta_arg!r}",
         "",
     ]
-    args.out.write_text("\n".join(lines))
-    print(f"wrote {args.out}")
+    return "\n".join(lines)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--check-binv", action="store_true", help="run the sign A/B report")
+    ap.add_argument("--out", type=pathlib.Path, help="write the regenerated file to OUT")
+    args = ap.parse_args()
+
+    coeffs, resid = exp_fit()
+    eta, eta_arg = comp_round_error()
+    print(f"exp fit residual on [-1,1]: {resid:.3e}")
+    print(f"comp round error sup: {eta:.6e} at d = {eta_arg:.6f}")
+
+    if args.out is None:
+        compare_with_committed(coeffs, eta, eta_arg)
+    else:
+        args.out.write_text(render(coeffs, resid, eta, eta_arg))
+        print(f"wrote {args.out}")
 
     if args.check_binv:
         print("inverse-compensation sign check (criterion: smaller is better):")

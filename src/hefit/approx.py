@@ -17,8 +17,18 @@ million-sample error measurement.  :func:`a_softmax` evaluates array
 inputs in cache-sized row blocks (128 KiB per work array); every step works
 within a row, so the output is bit-identical to a single pass over all rows.
 
-Encrypted inputs at realistic depths exceed the level budget many times
-over; run them on a context with ``auto_bootstrap=True``.
+The pipeline is far deeper than one level budget (124 levels at 10
+classes), so it places its own bootstraps: before each piece of known depth
+it calls :func:`_refresh`, which bootstraps an encrypted input only when its
+level is below what the piece consumes.  The pieces are each odd comparison
+polynomial (5 levels), the tournament's ``best`` before the roll (so its
+rival inherits the fresh level), each contraction step (2) and the
+compensation (4), ``z`` once before the exp Horner loop and ``acc`` inside
+it and before the squarings, the Goldschmidt pair, and the one-level glue
+products.  Each ciphertext is refreshed at most once per piece, a budget
+that already suffices never refreshes, and the array path passes through
+unchanged.  The context's ``auto_bootstrap`` is only needed for budgets
+below a piece's depth (``max_level < 5``).
 """
 
 from __future__ import annotations
@@ -172,11 +182,29 @@ class _Carrier:
         return x
 
 
+# -- refresh points -------------------------------------------------------------
+
+
+def _refresh(x, need: int):
+    """Bootstrap an encrypted matrix whose level is below ``need``.
+
+    ``need`` is the depth of the piece about to consume ``x``, capped at the
+    context's ``max_level``.  A matrix that already has it, a plaintext
+    matrix and a numpy array come back unchanged, so both carriers run the
+    same pipeline code and a deep enough budget never refreshes.
+    """
+    if isinstance(x, EncodedMatrix) and x.level < min(need, x.ctx.max_level):
+        return x.bootstrap()
+    return x
+
+
 # -- polynomial pieces ----------------------------------------------------------
 
 
 def _odd_poly(x, coeffs):
-    """a1 x + a3 x^3 + a5 x^5 + a7 x^7 via Horner in x^2 (4 Mult + 1 CMult)."""
+    """a1 x + a3 x^3 + a5 x^5 + a7 x^7 via Horner in x^2 (4 Mult + 1 CMult,
+    5 levels)."""
+    x = _refresh(x, 5)
     a1, a3, a5, a7 = coeffs
     y = x * x
     acc = y * a7 + a5
@@ -193,7 +221,7 @@ def a_comp(x, y):
     """
     d = x - y
     u = _odd_poly(_odd_poly(_odd_poly(d, COMP_G), COMP_G), COMP_F)
-    return (u + 1.0) * 0.5
+    return (_refresh(u, 1) + 1.0) * 0.5
 
 
 def a_max(M, cfg: SoftmaxConfig = DEFAULTS, classes: int | None = None, period: int | None = None):
@@ -205,18 +233,22 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, classes: int | None = None, period: 
     rotated partner through :func:`a_comp`; column 0 of each row then holds
     the winner, which is isolated, broadcast, and unscaled.  The result
     never exceeds the true maximum (the blends are convex).
+
+    Each round refreshes ``best`` for the first comparison polynomial before
+    the roll, so ``rival`` inherits the fresh level.
     """
     car = _Carrier(M, classes, period)
     two_r = 2.0 * cfg.max_range
-    work = car.matrix * (1.0 / two_r)
+    work = _refresh(car.matrix, 1) * (1.0 / two_r)
     if car.classes < car.period:
         work = work - car.pad_half_pattern()
     best = work
     for t in range(_log2(car.period)):
+        best = _refresh(best, 5)
         rival = car.roll_left(best, 1 << t)
-        w = a_comp(best, rival)
+        w = _refresh(a_comp(best, rival), 1)
         best = best * w + rival * (1.0 - w)
-    best = best * car.first_col_mask()
+    best = _refresh(best, 2) * car.first_col_mask()
     best = car.broadcast_col0(best)
     return best * two_r
 
@@ -230,6 +262,7 @@ def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS):
     delta = cfg.dep_delta
     for i in range(cfg.extension_steps - 1, -1, -1):
         delta_i = delta * float(cfg.extension_base) ** (-2 * i)
+        M = _refresh(M, 2)
         square = M * M
         scaled = M * delta_i
         M = M - square * scaled
@@ -265,10 +298,11 @@ def a_exp(M, cfg: SoftmaxConfig = DEFAULTS):
     B = cfg.exp_range
     if B < 1 or (B & (B - 1)):
         raise ShapeMismatch(f"exp_range must be a power of two, got {B}")
-    z = M * (1.0 / B)
+    z = _refresh(_refresh(M, 1) * (1.0 / B), len(EXP_POLY) - 1)
     acc = z * EXP_POLY[12] + EXP_POLY[11]
     for k in range(10, -1, -1):
-        acc = acc * z + EXP_POLY[k]
+        acc = _refresh(acc, 1) * z + EXP_POLY[k]
+    acc = _refresh(acc, _log2(B))
     for _ in range(_log2(B)):
         acc = acc * acc
     return acc
@@ -282,13 +316,14 @@ def a_inv(M, cfg: SoftmaxConfig = DEFAULTS):
     x/inv_range approaches 0.  Inputs outside (0, 2*inv_range) make the
     iteration diverge; that is documented, not trapped.
     """
-    y = M * (1.0 / cfg.inv_range)
+    y = _refresh(M, 1) * (1.0 / cfg.inv_range)
     a = 2.0 - y
     b = 1.0 - y
     for _ in range(cfg.inv_iters):
+        a, b = _refresh(a, 1), _refresh(b, 2)
         b = b * b
         a = a * (b + 1.0)
-    return a * (1.0 / cfg.inv_range)
+    return _refresh(a, 1) * (1.0 / cfg.inv_range)
 
 
 def a_softmax(
@@ -325,14 +360,14 @@ def _softmax(M, cfg: SoftmaxConfig, classes: int | None, period: int | None):
     best = a_max(work if car.encrypted else work[:, : car.classes], cfg,
                  classes=car.classes, period=car.period)
     keep = car.keep_classes_mask()
-    norm = (work - best) * keep
+    norm = _refresh(work - best, 1) * keep
     norm = domain_extend(norm, cfg)
     if cfg.precise:
-        norm = _dep_compensation(norm, cfg)
-    expd = a_exp(norm, cfg) * keep
+        norm = _dep_compensation(_refresh(norm, 4), cfg)
+    expd = _refresh(_refresh(a_exp(norm, cfg), 1) * keep, 1)
     total = car.sum_cols_broadcast(expd)
     recip = a_inv(total, cfg)
-    out = expd * recip
+    out = expd * _refresh(recip, 1)
     out = car.retile(out)
     if car.encrypted:
         return out.with_meta(

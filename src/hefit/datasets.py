@@ -61,11 +61,17 @@ def save_csv(path: str | Path, features: np.ndarray, labels: np.ndarray) -> None
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a feature CSV back into (features, integer labels)."""
+    """Read a UTF-8 feature CSV back into (features, int64 labels).
+
+    Any file that is not such a CSV raises :class:`~hefit.errors.DataError`.
+    """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -88,7 +94,11 @@ def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                     labels.append(int(row[-1]))
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
+                if not _INT64.min <= labels[-1] <= _INT64.max:
+                    raise DataError(f"{path}:{lineno}: label {row[-1]} does not fit in int64")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    except (OSError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from None
     if not feats:
         raise DataError(f"{path}: no data rows")

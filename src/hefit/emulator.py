@@ -11,7 +11,9 @@ that mirrors the same operation order is a bit-exact oracle for the emulated
 one.  What the emulator does track faithfully:
 
 * level bookkeeping (multiplications consume one level; a multiply at level 0
-  raises :class:`~hefit.errors.DepthExhausted` unless auto-bootstrap is on),
+  raises :class:`~hefit.errors.DepthExhausted` unless auto-bootstrap is on;
+  the pipelines refresh explicitly, so auto-bootstrap is only a fallback for
+  level budgets below what their refresh plan needs),
 * an operation ledger with per-op cost weights, giving a latency estimate for
   the sequence of homomorphic ops that a real backend would execute.
 
@@ -126,9 +128,12 @@ class EmulatorContext:
     are cyclic over the flat slot vector.
 
     ``auto_bootstrap=False`` means a multiplicative op on a level-0 operand
-    raises; with ``True`` the operand is first restored to ``max_level`` and
-    the Bootstrap counter ticks.  Training pipelines switch it on; count
-    benchmarks leave it off so ledgers stay pure.
+    raises; with ``True`` the operand is restored to ``max_level`` for that
+    op only, charged one Bootstrap per block of the operand (``mult(x, x)``
+    charges once).  The pipelines place their own refreshes, so this is
+    only a fallback for budgets below the depth of their pieces (a
+    comparison polynomial needs 5 levels; a run config accepts
+    ``max_level >= 2``).  Count benchmarks leave it off so ledgers stay pure.
     """
 
     def __init__(
@@ -191,12 +196,18 @@ class EmulatorContext:
             return complex(v), False, PLAINTEXT_LEVEL
         return self._slot_array(v), False, PLAINTEXT_LEVEL
 
-    def _depth_ready(self, level: float, encrypted: bool, op: str, blocks: int) -> float:
-        """Check an operand used by ``blocks`` block ops can afford one level."""
-        if not encrypted or level >= 1:
+    def _depth_ready(self, slots: np.ndarray, level: float, op: str) -> float:
+        """Check an encrypted operand can afford one level.
+
+        A level-0 operand is refreshed only as a fallback (``auto_bootstrap``),
+        charged one Bootstrap per block of the operand itself, not of the
+        broadcast result.  The refreshed value is not kept, so the pipelines
+        place their refreshes explicitly instead of relying on this.
+        """
+        if level >= 1:
             return level
         if self.auto_bootstrap:
-            self.ledger.record("Bootstrap", blocks)
+            self.ledger.record("Bootstrap", self._blocks(slots))
             return self.max_level
         raise DepthExhausted(f"{op}: operand at level {int(level)} cannot be multiplied")
 
@@ -233,9 +244,10 @@ class EmulatorContext:
         out = vx * vy
         k = self._blocks(out)
         if ex:
-            lx = self._depth_ready(lx, ex, "mult", k)
+            lx = self._depth_ready(vx, lx, "mult")
         if ey:
-            ly = self._depth_ready(ly, ey, "mult", k)
+            # mult(x, x) refreshes its one operand once
+            ly = lx if y is x else self._depth_ready(vy, ly, "mult")
         if ex and ey:
             self.ledger.record("Mult", k)
         elif ex or ey:

@@ -5,6 +5,8 @@ here is deterministic (fixed seeds), so the pins are tight.
 """
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,16 @@ from hefit.plainref import exact_softmax
 
 
 # -- frozen constants have independent recomputations ---------------------------
+
+
+def test_exp_poly_matches_a_rederived_fit():
+    # the least-squares fit is ill-conditioned, so compare functions, not
+    # coefficients: a re-derivation moves the low digits of every one
+    script = Path(__file__).resolve().parents[1] / "scripts" / "regen_constants.py"
+    coeffs, _ = runpy.run_path(str(script))["exp_fit"]()
+    x = np.linspace(-1, 1, 200001)
+    polyval = np.polynomial.polynomial.polyval
+    assert np.abs(polyval(x, coeffs) - polyval(x, EXP_POLY)).max() <= 1e-12
 
 
 def test_exp_poly_tracks_exp_on_unit_interval():
@@ -260,9 +272,63 @@ def test_encrypted_softmax_ledger_is_unchanged(rng):
     enc = encode(ctx, rng.uniform(-30, 30, size=(8, 5)), tiling="horizontal")
     before = ctx.ledger.snapshot()
     a_softmax(enc, DEFAULTS)
+    # the explicit refresh points bootstrap each ciphertext once per piece
     assert ctx.ledger.delta(before) == {
-        "Add": 91, "CMult": 29, "Mult": 102, "Rot": 16, "Conj": 0, "Bootstrap": 36,
+        "Add": 91, "CMult": 29, "Mult": 102, "Rot": 16, "Conj": 0, "Bootstrap": 11,
     }
+
+
+# -- refresh plan ---------------------------------------------------------------------
+
+
+def _encrypted_softmax(ctx, logits, level=None):
+    enc = encode(ctx, logits, tiling="horizontal", level=level)
+    before = ctx.ledger.snapshot()
+    out = a_softmax(enc, DEFAULTS)
+    return out, ctx.ledger.delta(before)
+
+
+def test_paper_shaped_softmax_needs_no_fallback_bootstrap(rng):
+    # one 32768-slot block of 128 x 10 logits, three levels down as diag_abt
+    # leaves them: every refresh is placed by the pipeline itself
+    logits = rng.uniform(-8, 8, size=(128, 10))
+    outs = {}
+    for auto in (False, True):
+        ctx = EmulatorContext(32768, 128, max_level=12, auto_bootstrap=auto)
+        out, delta = _encrypted_softmax(ctx, logits, level=9)
+        outs[auto] = out.block.slots
+        assert delta["Bootstrap"] == 13
+    np.testing.assert_array_equal(outs[False], outs[True])
+    np.testing.assert_array_equal(decode(out), a_softmax(logits, DEFAULTS))
+
+
+class _GainingContext(EmulatorContext):
+    """A context whose every bootstrap must lift its operand's level."""
+
+    def bootstrap(self, x):
+        assert x.level < self.max_level, "refreshed a ciphertext already at max_level"
+        return super().bootstrap(x)
+
+
+@pytest.mark.parametrize("max_level", [3, 5, 6, 7, 12])
+@pytest.mark.parametrize("classes", [2, 3, 5, 16])
+def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes):
+    # budgets of at least 5 levels (one comparison polynomial) run on the
+    # plan alone; a smaller one also needs the fallback
+    logits = rng.uniform(-30, 30, size=(8, classes))
+    want = a_softmax(logits, DEFAULTS)
+    for level in range(max_level + 1):
+        ctx = _GainingContext(256, 16, max_level=max_level, auto_bootstrap=max_level < 5)
+        out, _ = _encrypted_softmax(ctx, logits, level=level)
+        np.testing.assert_array_equal(decode(out), want)
+
+
+@pytest.mark.parametrize("classes,depth", [(10, 124), (3, 90)])
+def test_deep_budget_never_refreshes(rng, classes, depth):
+    ctx = EmulatorContext(4096, 64, max_level=10**6)
+    out, delta = _encrypted_softmax(ctx, rng.uniform(-8, 8, size=(64, classes)))
+    assert delta["Bootstrap"] == 0
+    assert ctx.max_level - out.level == depth
 
 
 # -- bounds ---------------------------------------------------------------------------

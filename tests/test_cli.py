@@ -84,13 +84,42 @@ def test_load_csv_handwritten_file(tmp_path):
         ("f0,label\n1.0,0\nnan,1\n", "data row 2 has a NaN or infinite feature"),
         ("f0,label\ninf,0\n", "data row 1 has a NaN or infinite feature"),
         ("f0,label\n-inf,0\n", "data row 1 has a NaN or infinite feature"),
+        (b"f0,label\n1.0,\xff\n", "not UTF-8 text"),
+        ("f0,label\n1.0,99999999999999999999999\n", r"tiny.csv:2: label .* int64"),
     ],
 )
 def test_load_csv_rejects_malformed_files(tmp_path, content, match):
     path = tmp_path / "tiny.csv"
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     with pytest.raises(DataError, match=match):
         load_csv(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.lists(
+            st.lists(st.sampled_from(["", "0", "-1", "2.5", "nan", "inf", "1e400", "x",
+                                      "99999999999999999999999", "\udcff", '"', "label"]),
+                     min_size=1, max_size=4),
+            max_size=4,
+        ).map(lambda rows: "\n".join(",".join(r) for r in rows).encode("utf-8", "surrogateescape")),
+    )
+)
+def test_any_bytes_load_or_raise_data_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "any.csv"
+    path.write_bytes(data)
+    try:
+        x, y = load_csv(path)
+    except DataError:
+        return
+    assert x.ndim == 2 and x.shape[0] == y.shape[0] >= 1
+    assert np.isfinite(x).all()
+    assert y.dtype == np.int64
 
 
 def test_load_csv_missing_file(tmp_path):

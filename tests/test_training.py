@@ -144,6 +144,20 @@ def test_encrypted_steps_walk_in_lockstep_with_reference(rng):
     assert worst < 1e-9
 
 
+def test_test_scale_fit_needs_no_fallback_bootstrap():
+    # 4096 slots, 3 classes, 17 columns, batch 64: the softmax and the W/V
+    # refresh place every bootstrap, so the fallback never fires
+    x, y = make_gaussian_mixture(320, 3, 16, seed=21)
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    runs = {}
+    for auto in (False, True):
+        ctx = EmulatorContext(4096, 64, max_level=12, auto_bootstrap=auto)
+        runs[auto] = fit(x[:256], y[:256], x[256:], y[256:], 3, ctx=ctx, lr=0.03,
+                         batch_size=64, epochs=2, patience=3, seed=1)
+    np.testing.assert_array_equal(runs[False].weights, runs[True].weights)
+    assert runs[False].ledger_counts == runs[True].ledger_counts
+
+
 def test_bootstrap_keeps_low_depth_runs_exact(rng):
     # the softmax pipeline burns through any realistic level budget, so the
     # run must refresh mid-flight and still match the plaintext twin
