@@ -41,8 +41,9 @@ import numpy.polynomial.polynomial as poly
 DEGREE = 12
 CONSTANTS = pathlib.Path(__file__).resolve().parents[1] / "src" / "hefit" / "_constants.py"
 
-# Step-approximation building blocks (odd degree-7 pair; see hefit.approx,
-# which asserts it agrees with these).
+# Step-approximation building blocks (odd degree-7 pair; equal to
+# hefit.approx's, which tests/test_approx.py::test_comp_pair_matches_the_script
+# checks).
 COMP_F = (35 / 16, -35 / 16, 21 / 16, -5 / 16)
 COMP_G = (4589 / 1024, -16577 / 1024, 25614 / 1024, -12860 / 1024)
 

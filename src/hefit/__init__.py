@@ -70,7 +70,7 @@ from .matmul import (
     diag_atb,
     row_major_atb,
 )
-from .plainref import exact_softmax, momentum_schedule, reference_fit
+from .plainref import exact_softmax, reference_fit
 from .protocol import ChannelEndpoint, channel_pair, pack_matrix, unpack_matrix
 from .training import FitResult, TrainState, fit, nag_step, run_steps
 
@@ -124,7 +124,6 @@ __all__ = [
     "row_major_atb",
     "count_formula",
     "exact_softmax",
-    "momentum_schedule",
     "reference_fit",
     "channel_pair",
     "pack_matrix",

@@ -94,40 +94,37 @@ def _log2(n: int) -> int:
 _BLOCK_SLOTS = 16_384
 
 
-def _array_layout(M, classes: int | None, period: int | None):
+def _array_layout(M):
     """(float64 array, classes, period) of an array carrier, validated."""
     arr = np.asarray(M, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatch(f"softmax expects a 2D array, got shape {arr.shape}")
-    classes = arr.shape[1] if classes is None else classes
-    period = next_pow2(classes) if period is None else period
-    if period < classes:
-        raise ShapeMismatch(f"period {period} smaller than classes {classes}")
-    return arr, classes, period
+    return arr, arr.shape[1], next_pow2(arr.shape[1])
 
 
 class _Carrier:
     """Layout facts and layout-dependent steps for one input matrix."""
 
-    def __init__(self, M, classes: int | None, period: int | None):
+    def __init__(self, M):
         if isinstance(M, EncodedMatrix):
             if M.tiling != "horizontal" or M.grid[1] != 1:
                 raise ShapeMismatch(
                     "softmax expects a horizontally tiled single-block-column matrix"
                 )
-            self.classes = M.shape[1] if classes is None else classes
-            self.period = M.period if period is None else period
+            self.classes = M.shape[1]
+            self.period = M.period
             self.ctx = M.ctx
             self.encrypted = True
             self.matrix = M
+            # an encoded matrix may come off the wire with any period
             if self.period < self.classes:
                 raise ShapeMismatch(f"period {self.period} smaller than classes {self.classes}")
         else:
-            arr, self.classes, self.period = _array_layout(M, classes, period)
+            arr, self.classes, self.period = _array_layout(M)
             self.ctx = None
             self.encrypted = False
             padded = np.zeros((arr.shape[0], self.period))
-            padded[:, : self.classes] = arr[:, : self.classes]
+            padded[:, : self.classes] = arr
             self.matrix = padded
 
     def _pattern(self, row_fn) -> object:
@@ -224,7 +221,7 @@ def a_comp(x, y):
     return (_refresh(u, 1) + 1.0) * 0.5
 
 
-def a_max(M, cfg: SoftmaxConfig = DEFAULTS, classes: int | None = None, period: int | None = None):
+def a_max(M, cfg: SoftmaxConfig = DEFAULTS):
     """Row-wise approximate maximum, broadcast into every slot of the row.
 
     Inputs are scaled into [-1/2, 1/2]; padded columns are pushed to -1/2
@@ -237,7 +234,7 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, classes: int | None = None, period: 
     Each round refreshes ``best`` for the first comparison polynomial before
     the roll, so ``rival`` inherits the fresh level.
     """
-    car = _Carrier(M, classes, period)
+    car = _Carrier(M)
     two_r = 2.0 * cfg.max_range
     work = _refresh(car.matrix, 1) * (1.0 / two_r)
     if car.classes < car.period:
@@ -326,12 +323,7 @@ def a_inv(M, cfg: SoftmaxConfig = DEFAULTS):
     return _refresh(a, 1) * (1.0 / cfg.inv_range)
 
 
-def a_softmax(
-    M,
-    cfg: SoftmaxConfig = DEFAULTS,
-    classes: int | None = None,
-    period: int | None = None,
-):
+def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS):
     """Row-wise approximate softmax.
 
     Encrypted in: one-block-column, horizontally tiled logits (the product
@@ -342,23 +334,22 @@ def a_softmax(
     max underestimation is tolerated by the contraction chain).
     """
     if isinstance(M, EncodedMatrix):
-        return _softmax(M, cfg, classes, period)
-    arr, classes, period = _array_layout(M, classes, period)
+        return _softmax(M, cfg)
+    arr, classes, period = _array_layout(M)
     block = _BLOCK_SLOTS // period
     if arr.shape[0] <= block:
-        return _softmax(arr, cfg, classes, period)
+        return _softmax(arr, cfg)
     out = np.empty((arr.shape[0], classes))
     for start in range(0, arr.shape[0], block):
-        out[start : start + block] = _softmax(arr[start : start + block], cfg, classes, period)
+        out[start : start + block] = _softmax(arr[start : start + block], cfg)
     return out
 
 
-def _softmax(M, cfg: SoftmaxConfig, classes: int | None, period: int | None):
+def _softmax(M, cfg: SoftmaxConfig):
     """One unblocked pass of :func:`a_softmax` over all rows of M."""
-    car = _Carrier(M, classes, period)
+    car = _Carrier(M)
     work = car.matrix
-    best = a_max(work if car.encrypted else work[:, : car.classes], cfg,
-                 classes=car.classes, period=car.period)
+    best = a_max(work if car.encrypted else work[:, : car.classes], cfg)
     keep = car.keep_classes_mask()
     norm = _refresh(work - best, 1) * keep
     norm = domain_extend(norm, cfg)
@@ -410,17 +401,16 @@ def theorem_beta(cfg: SoftmaxConfig, classes: int, r: float | None = None) -> fl
 _EPS_CACHE: dict[tuple, float] = {}
 
 
-def small_domain_eps(
-    cfg: SoftmaxConfig, classes: int, samples: int = 100_000, seed: int = 411
-) -> float:
+def small_domain_eps(cfg: SoftmaxConfig, classes: int) -> float:
     """Measured max error of the full pipeline on [-base_range, base_range]^c.
 
     This is the empirical stand-in for the polynomial approximation's
-    small-domain minimax error; cached per (config, classes)."""
-    key = (cfg, classes, samples, seed)
+    small-domain minimax error, over 100 000 uniform rows (seed 411);
+    cached per (config, classes)."""
+    key = (cfg, classes)
     if key not in _EPS_CACHE:
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-cfg.base_range, cfg.base_range, size=(samples, classes))
+        rng = np.random.default_rng(411)
+        x = rng.uniform(-cfg.base_range, cfg.base_range, size=(100_000, classes))
         exact = exact_softmax(x)
         approx = a_softmax(x, cfg)
         _EPS_CACHE[key] = float(np.max(np.abs(approx - exact)))

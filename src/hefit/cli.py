@@ -45,6 +45,9 @@ TABLE_SHAPES = "128,128,4;256,256,8;512,769,4;1024,769,8;2048,769,16"
 # small-gap regime that dominates worst-case error.
 CANONICAL_BOXES = (4, 8, 32, 128)
 
+# Rows per a_softmax call in a Monte Carlo cell, bounding its peak memory.
+SOFTMAX_CHUNK = 250_000
+
 
 # -- train ------------------------------------------------------------------
 
@@ -413,7 +416,6 @@ def softmax_error_cell(
     samples: int,
     cfg: SoftmaxConfig,
     seed_base: int,
-    chunk: int = 250_000,
 ) -> tuple[float, float]:
     """Max and mean |a_softmax - softmax| over rows drawn from nested boxes.
 
@@ -430,7 +432,7 @@ def softmax_error_cell(
         rng = np.random.default_rng(seed_base + idx)
         done = 0
         while done < rows:
-            take = min(chunk, rows - done)
+            take = min(SOFTMAX_CHUNK, rows - done)
             x = rng.uniform(-float(r), float(r), size=(take, classes))
             err = np.abs(a_softmax(x, cfg) - exact_softmax(x))
             worst = max(worst, float(err.max()))

@@ -67,7 +67,10 @@ _INT64 = np.iinfo(np.int64)
 def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a UTF-8 feature CSV back into (features, int64 labels).
 
-    Any file that is not such a CSV raises :class:`~hefit.errors.DataError`.
+    Any file that is not such a CSV raises :class:`~hefit.errors.DataError`,
+    including a field with an underscore, which Python's number parsers
+    would silently drop (``1_0.5`` reads as 10.5).  Spaces around a field
+    are accepted, since they do not change its value.
     """
     path = Path(path)
     try:
@@ -89,6 +92,8 @@ def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                     raise DataError(
                         f"{path}:{lineno}: expected {width} columns, got {len(row)}"
                     )
+                if any("_" in v for v in row):
+                    raise DataError(f"{path}:{lineno}: underscore in a number field")
                 try:
                     feats.append([float(v) for v in row[:-1]])
                     labels.append(int(row[-1]))

@@ -14,8 +14,9 @@ one.  What the emulator does track faithfully:
   raises :class:`~hefit.errors.DepthExhausted` unless auto-bootstrap is on;
   the pipelines refresh explicitly, so auto-bootstrap is only a fallback for
   level budgets below what their refresh plan needs),
-* an operation ledger with per-op cost weights, giving a latency estimate for
-  the sequence of homomorphic ops that a real backend would execute.
+* an operation ledger priced with fixed per-op cost weights, giving a latency
+  estimate for the sequence of homomorphic ops that a real backend would
+  execute.
 
 Plaintext blocks (``encrypted=False``) flow through the same code paths with
 an infinite level and are never ledgered, which lets any pipeline double as
@@ -82,10 +83,7 @@ class CipherBlock:
 class OpLedger:
     """Thread-safe counters for every homomorphic operation executed."""
 
-    def __init__(self, weights: dict[str, float] | None = None):
-        self.weights = dict(DEFAULT_OP_WEIGHTS_MS)
-        if weights:
-            self.weights.update(weights)
+    def __init__(self):
         self._counts = {kind: 0 for kind in OP_KINDS}
         self._lock = threading.Lock()
 
@@ -108,16 +106,11 @@ class OpLedger:
 
     @property
     def estimated_ms(self) -> float:
-        counts = self.counts()
-        return float(sum(counts[k] * self.weights.get(k, 0.0) for k in OP_KINDS))
+        return self.estimate_ms(self.counts())
 
     def estimate_ms(self, counts: dict[str, int]) -> float:
-        return float(sum(counts.get(k, 0) * self.weights.get(k, 0.0) for k in OP_KINDS))
-
-    def reset(self) -> None:
-        with self._lock:
-            for kind in OP_KINDS:
-                self._counts[kind] = 0
+        """Latency of ``counts`` priced with :data:`DEFAULT_OP_WEIGHTS_MS`."""
+        return float(sum(counts.get(k, 0) * DEFAULT_OP_WEIGHTS_MS[k] for k in OP_KINDS))
 
 
 class EmulatorContext:
@@ -142,7 +135,6 @@ class EmulatorContext:
         grid_rows: int = 64,
         *,
         max_level: int = 12,
-        op_weights: dict[str, float] | None = None,
         auto_bootstrap: bool = False,
     ):
         if not is_pow2(slot_count):
@@ -158,7 +150,7 @@ class EmulatorContext:
         self.grid_cols = slot_count // grid_rows
         self.max_level = max_level
         self.auto_bootstrap = auto_bootstrap
-        self.ledger = OpLedger(op_weights)
+        self.ledger = OpLedger()
         # (role, tag) pairs recorded for every decode of encrypted data.
         self.decode_events: list[tuple[str, str | None]] = []
 

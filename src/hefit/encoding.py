@@ -66,25 +66,12 @@ class EncodedMatrix:
         return self.block.slots.shape[:2]
 
     @property
-    def padded_shape(self) -> tuple[int, int]:
-        gr, gc = self.grid
-        return gr * self.ctx.grid_rows, gc * self.ctx.grid_cols
-
-    @property
     def encrypted(self) -> bool:
         return self.block.encrypted
 
     @property
     def level(self) -> float:
         return self.block.level
-
-    @property
-    def copies(self) -> int:
-        if self.tiling == "vertical":
-            return self.ctx.grid_rows // self.period
-        if self.tiling == "horizontal":
-            return self.ctx.grid_cols // self.period
-        return 1
 
     # -- grid-wide operations ------------------------------------------------
 
@@ -271,10 +258,9 @@ def make_mask(
     return pattern_matrix(ctx, pattern * scale, grid)
 
 
-def col_range_mask(ctx: EmulatorContext, stop: int, grid=(1, 1), start: int = 0) -> EncodedMatrix:
-    """Plaintext mask keeping block columns ``start <= j < stop``."""
-    j = np.arange(ctx.grid_cols)
-    pattern = np.where((j >= start) & (j < stop), 1.0, 0.0)
+def col_range_mask(ctx: EmulatorContext, stop: int, grid=(1, 1)) -> EncodedMatrix:
+    """Plaintext mask keeping block columns ``j < stop``."""
+    pattern = np.where(np.arange(ctx.grid_cols) < stop, 1.0, 0.0)
     return pattern_matrix(ctx, np.broadcast_to(pattern, (ctx.grid_rows, ctx.grid_cols)), grid)
 
 
@@ -328,10 +314,7 @@ def col_sums(E: EncodedMatrix) -> EncodedMatrix:
     """
     ctx = E.ctx
     s1 = ctx.grid_cols
-    acc = fold_columns(E)
-    col0 = np.zeros((ctx.grid_rows, s1))
-    col0[:, 0] = 1.0
-    acc = ctx.cmult(acc, ctx.pack(col0.ravel()))
+    acc = ctx.cmult(fold_columns(E), col_range_mask(ctx, 1).block)
     for t in range(_log2(s1)):
         acc = ctx.add(acc, ctx.rrot(acc, 1 << t))
     return EncodedMatrix(ctx, acc, (E.shape[0], s1))

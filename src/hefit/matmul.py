@@ -22,6 +22,7 @@ import numpy as np
 
 from .encoding import (
     EncodedMatrix,
+    col_range_mask,
     col_sums,
     fold_columns,
     make_mask,
@@ -51,8 +52,8 @@ def _check_pair(A: EncodedMatrix, B: EncodedMatrix, a_tiling: str, b_tiling: str
 # -- diagonal-extraction pair ---------------------------------------------------
 
 
-def diag_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
-    """``scale * A B^T`` for A (a x b) untiled, B (c x b) vertically tiled.
+def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
+    """``A B^T`` for A (a x b) untiled, B (c x b) vertically tiled.
 
     The tiled B is complex-packed (rows k and k+c/2 share a slot), so only
     c/2 rotated copies are needed; each pass multiplies, sums columns, and
@@ -73,7 +74,7 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     # B has one block row, which multiplies every block row of A.
     if c == 1:
         sums = col_sums(EncodedMatrix(ctx, ctx.mult(A.block, B.block), A.shape))
-        ones = make_mask(ctx, 0, 1, grid=(m, 1), scale=scale)
+        ones = make_mask(ctx, 0, 1, grid=(m, 1))
         return (sums * ones).with_meta(shape=out_shape, tiling="horizontal", period=1)
 
     packed = B + rot_up(B, c // 2).mul_i()
@@ -81,7 +82,7 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     for k in range(c // 2):
         shifted = rot_up(packed, k)
         sums = col_sums(EncodedMatrix(ctx, ctx.mult(A.block, shifted.block), A.shape))
-        mask = make_mask(ctx, k, c, grid=(m, 1), complexified=True, scale=scale)
+        mask = make_mask(ctx, k, c, grid=(m, 1), complexified=True)
         term = sums * mask
         acc = term if acc is None else acc + term
     out = acc + acc.conj()
@@ -90,6 +91,8 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
 
 def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
     """``scale * A^T B`` for A (a x c) horizontally tiled, B (a x b) untiled.
+
+    ``scale`` rides the diagonal masks for free; the trainer folds lr/N into it.
 
     A is complex-packed via a columnwise rotation; each diagonal pass aligns
     operands either by rotating A cleanly (costs a level per pass) or, when
@@ -132,8 +135,8 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
 # -- mask-replicate-reduce pair -------------------------------------------------
 
 
-def col_major_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
-    """``scale * A B^T`` with both operands untiled; one pass per row of B.
+def col_major_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
+    """``A B^T`` with both operands untiled; one pass per row of B.
 
     Row j of B is isolated, replicated to every block row, multiplied into
     A, and the row sums are parked in output column j.  Output: (a x c)
@@ -148,9 +151,7 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> Enc
     if B.grid[0] != 1 or c > s1:
         raise ShapeMismatch(f"col_major_abt: B rows {c} must fit one block and {s1} columns")
 
-    col0 = np.zeros((s0, s1))
-    col0[:, 0] = scale
-    col0_block = ctx.pack(col0.ravel())
+    col0 = col_range_mask(ctx, 1).block
 
     acc = None
     for j in range(c):
@@ -160,14 +161,14 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> Enc
         for t in range(_log2(s0)):
             picked = picked + picked.lrot((1 << t) * s1)
         folded = fold_columns(EncodedMatrix(ctx, ctx.mult(A.block, picked.block), A.shape))
-        folded = ctx.rrot(ctx.cmult(folded, col0_block), j)
+        folded = ctx.rrot(ctx.cmult(folded, col0), j)
         term = EncodedMatrix(ctx, folded, (A.shape[0], c))
         acc = term if acc is None else acc + term
     return acc
 
 
-def row_major_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
-    """``scale * A^T B`` with both operands untiled; one pass per column of A.
+def row_major_atb(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
+    """``A^T B`` with both operands untiled; one pass per column of A.
 
     Column j of A is pulled into column 0, broadcast across each row,
     multiplied into B, and the column totals are masked into output row j.
@@ -183,9 +184,7 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> Enc
         raise ShapeMismatch(f"row_major_atb: A columns {c} must fit one block and {s0} rows")
     n = B.grid[1]
 
-    col0 = np.zeros((s0, s1))
-    col0[:, 0] = 1.0
-    col0 = pattern_matrix(ctx, col0, grid=A.grid)
+    col0 = col_range_mask(ctx, 1, A.grid)
 
     acc = None
     for j in range(c):
@@ -194,7 +193,7 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> Enc
             picked = picked + picked.rrot(1 << t)
         sums = row_sums(EncodedMatrix(ctx, ctx.mult(picked.block, B.block), B.shape))
         rowj = np.zeros((s0, s1))
-        rowj[j, :] = scale
+        rowj[j, :] = 1.0
         term = sums * pattern_matrix(ctx, rowj, grid=(1, n))
         acc = term if acc is None else acc + term
     return acc.with_meta(shape=(c, B.shape[1]))

@@ -51,17 +51,6 @@ def init_weights(classes: int, dim: int, seed: int) -> np.ndarray:
     return rng.uniform(-0.01, 0.01, size=(classes, dim))
 
 
-def momentum_schedule(steps: int) -> list[tuple[float, float]]:
-    """(lambda_t, gamma_t) pairs for t = 1..steps of the accelerated method."""
-    out = []
-    lam = 1.0
-    for _ in range(steps):
-        lam_next = (1.0 + math.sqrt(1.0 + 4.0 * lam * lam)) / 2.0
-        out.append((lam, (1.0 - lam) / lam_next))
-        lam = lam_next
-    return out
-
-
 def batch_slices(n: int, batch_size: int) -> list[slice]:
     """Consecutive batches in fixed order; the trailing one may be short."""
     return [slice(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]

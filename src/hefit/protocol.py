@@ -184,9 +184,6 @@ class ChannelEndpoint:
             raise ProtocolError(f"unknown message type {msg_type}")
         return msg_type, payload
 
-    def pending(self) -> bool:
-        return len(self._rx) >= _FRAME_LEN.size
-
     # Typed helpers so call sites read like the protocol description.
 
     def send_batch(self, features: EncodedMatrix, labels: EncodedMatrix) -> None:

@@ -47,7 +47,8 @@ from .protocol import (
     channel_pair,
 )
 
-DEFAULT_BOOTSTRAP_THRESHOLD = 5
+# W and V are refreshed together once either falls below this level.
+BOOTSTRAP_THRESHOLD = 5
 
 
 @dataclass
@@ -56,7 +57,6 @@ class TrainState:
 
     weights: EncodedMatrix  # W_t, classes x (features+1), vertically tiled
     momentum: EncodedMatrix  # V_t, same layout
-    t: int = 1
     lambda_curr: float = 1.0
 
 
@@ -68,7 +68,6 @@ def nag_step(
     batch_rows: int,
     cfg: SoftmaxConfig = DEFAULTS,
     trace_hook=None,
-    bootstrap_threshold: int = DEFAULT_BOOTSTRAP_THRESHOLD,
 ) -> None:
     """One accelerated-gradient step, evaluated at the lookahead point.
 
@@ -89,12 +88,11 @@ def nag_step(
     gamma = (1.0 - state.lambda_curr) / lam_next
     v_next = w_next * (1.0 - gamma) + state.weights * gamma
 
-    if min(w_next.level, v_next.level) < bootstrap_threshold:
+    if min(w_next.level, v_next.level) < BOOTSTRAP_THRESHOLD:
         w_next = w_next.bootstrap()
         v_next = v_next.bootstrap()
     state.weights, state.momentum = w_next, v_next
     state.lambda_curr = lam_next
-    state.t += 1
 
 
 class Client:
@@ -190,14 +188,12 @@ class Server:
         *,
         lr: float,
         cfg: SoftmaxConfig = DEFAULTS,
-        bootstrap_threshold: int = DEFAULT_BOOTSTRAP_THRESHOLD,
         trace_hook=None,
     ):
         self.ctx = ctx
         self.channel = channel
         self.lr = lr
         self.cfg = cfg
-        self.bootstrap_threshold = bootstrap_threshold
         self.trace_hook = trace_hook
         self.state: TrainState | None = None
         self.val_features: EncodedMatrix | None = None
@@ -220,7 +216,6 @@ class Server:
             batch_rows,
             self.cfg,
             trace_hook=self.trace_hook,
-            bootstrap_threshold=self.bootstrap_threshold,
         )
 
     def send_validation_logits(self) -> None:
@@ -265,8 +260,6 @@ def fit(
     epochs: int = 40,
     patience: int = 3,
     seed: int = 0,
-    bootstrap_threshold: int = DEFAULT_BOOTSTRAP_THRESHOLD,
-    collect_train_loss: bool = True,
 ) -> FitResult:
     """Run the full protocol on an in-process channel and return the outcome.
 
@@ -287,10 +280,7 @@ def fit(
         ctx, client_end, x_train, y_train, x_val, y_val, classes,
         patience=patience, seed=seed,
     )
-    server = Server(
-        ctx, server_end, lr=lr, cfg=cfg,
-        bootstrap_threshold=bootstrap_threshold, trace_hook=observe_logits,
-    )
+    server = Server(ctx, server_end, lr=lr, cfg=cfg, trace_hook=observe_logits)
 
     client.send_setup()
     server.receive_setup()
@@ -303,9 +293,8 @@ def fit(
             n = client.send_training_batch(rows)
             server.process_training_batch(n)
         epochs_run += 1
-        if collect_train_loss:
-            w_now = decode(server.state.weights, role="observer", tag="train-loss")
-            train_losses.append(log_loss(x_train @ w_now.T, y_train))
+        w_now = decode(server.state.weights, role="observer", tag="train-loss")
+        train_losses.append(log_loss(x_train @ w_now.T, y_train))
         server.send_validation_logits()
         client.evaluate_validation()
         server.receive_decision()

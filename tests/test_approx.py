@@ -21,6 +21,8 @@ from hefit._constants import (
 )
 from hefit.approx import (
     _BLOCK_SLOTS,
+    COMP_F,
+    COMP_G,
     DEFAULTS,
     SoftmaxConfig,
     _softmax,
@@ -51,6 +53,14 @@ def test_exp_poly_matches_a_rederived_fit():
     x = np.linspace(-1, 1, 200001)
     polyval = np.polynomial.polynomial.polyval
     assert np.abs(polyval(x, coeffs) - polyval(x, EXP_POLY)).max() <= 1e-12
+
+
+def test_comp_pair_matches_the_script():
+    # the script keeps its own copy of the comparison pair to re-derive
+    # COMP_ROUND_ERR; both copies must stay exactly equal
+    script = Path(__file__).resolve().parents[1] / "scripts" / "regen_constants.py"
+    names = runpy.run_path(str(script))
+    assert (names["COMP_F"], names["COMP_G"]) == (COMP_F, COMP_G)
 
 
 def test_exp_poly_tracks_exp_on_unit_interval():
@@ -247,7 +257,7 @@ def test_blocked_softmax_rows_equal_single_row_calls(classes, layout, seed, pick
     x = np.random.default_rng(seed).uniform(-128, 128, size=(rows, classes))
     got = a_softmax(x, DEFAULTS)
     assert got.shape == (rows, classes)
-    np.testing.assert_array_equal(got, _softmax(x, DEFAULTS, None, None))
+    np.testing.assert_array_equal(got, _softmax(x, DEFAULTS))
     edges = {0, block - 1, block, rows - 1}
     for r in sorted({r for r in edges if r < rows} | {int(p * rows) for p in picks}):
         np.testing.assert_array_equal(got[r], a_softmax(x[r : r + 1], DEFAULTS)[0])
@@ -256,15 +266,6 @@ def test_blocked_softmax_rows_equal_single_row_calls(classes, layout, seed, pick
 @pytest.mark.parametrize("classes", [2, 10, 16])
 def test_softmax_of_zero_rows_keeps_class_width(classes):
     assert a_softmax(np.zeros((0, classes)), DEFAULTS).shape == (0, classes)
-
-
-@pytest.mark.parametrize("classes,period", [(3, 8), (5, 32)])
-def test_blocked_softmax_honours_layout_overrides(rng, classes, period):
-    rows = 2 * (_BLOCK_SLOTS // period) + 5
-    x = rng.uniform(-60, 60, size=(rows, 5))
-    got = a_softmax(x, DEFAULTS, classes=classes, period=period)
-    assert got.shape == (rows, classes)
-    np.testing.assert_array_equal(got, _softmax(x, DEFAULTS, classes, period))
 
 
 def test_encrypted_softmax_ledger_is_unchanged(rng):
@@ -359,7 +360,7 @@ def test_small_domain_eps_is_cached_and_sane():
 
 def test_small_domain_eps_matches_one_unblocked_pass():
     x = np.random.default_rng(411).uniform(-8.0, 8.0, size=(100_000, 3))
-    unblocked = np.max(np.abs(_softmax(x, DEFAULTS, None, None) - exact_softmax(x)))
+    unblocked = np.max(np.abs(_softmax(x, DEFAULTS) - exact_softmax(x)))
     assert small_domain_eps(DEFAULTS, 3) == float(unblocked)
 
 

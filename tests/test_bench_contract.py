@@ -6,6 +6,7 @@ the test suite first.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -13,7 +14,12 @@ import pytest
 
 import hefit
 import hefit.cli  # noqa: F401  (the tracer rebinds names in every loaded hefit module)
+from hefit import training
+from hefit.approx import a_softmax
+from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext, OpLedger
+from hefit.encoding import encode
+from hefit.plainref import reference_fit
 from hefit.training import Client
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
@@ -36,6 +42,28 @@ def test_span_functions_resolve(module, name, _span):
 def test_traced_methods_resolve(owner, names):
     for name in names:
         assert callable(getattr(owner, name)), f"{owner.__name__}.{name}"
+
+
+# Every call shape ``benchmark/workloads.py`` uses, as (callable, args, kwargs);
+# the values are placeholders, only the parameter names and positions count.
+_ = None
+BENCH_CALLS = [
+    (EmulatorContext, (_, _), dict(max_level=_, auto_bootstrap=_)),
+    (training.fit, (_,) * 5,
+     dict(ctx=_, lr=_, batch_size=_, epochs=_, patience=_, seed=_)),
+    (hefit.cli.softmax_error_cell, (_,) * 4, dict(seed_base=_)),
+    (encode, (_, _), dict(tiling=_, level=_)),
+    (OpLedger, (), {}),
+    (reference_fit, (_,) * 5,
+     dict(lr=_, batch_size=_, epochs=_, patience=_, softmax_fn=_, seed=_)),
+    (make_gaussian_mixture, (_,) * 4, dict(mean_scale=_)),
+    (a_softmax, (_, _), {}),
+]
+
+
+@pytest.mark.parametrize("fn,args,kwargs", BENCH_CALLS, ids=[c[0].__name__ for c in BENCH_CALLS])
+def test_benchmark_calls_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
 
 
 def _bindings() -> dict:

@@ -86,6 +86,8 @@ def test_load_csv_handwritten_file(tmp_path):
         ("f0,label\n-inf,0\n", "data row 1 has a NaN or infinite feature"),
         (b"f0,label\n1.0,\xff\n", "not UTF-8 text"),
         ("f0,label\n1.0,99999999999999999999999\n", r"tiny.csv:2: label .* int64"),
+        ("f0,label\n1_0.5,0\n", r"tiny.csv:2: underscore"),
+        ("f0,label\n1.0,2_0\n", r"tiny.csv:2: underscore"),
     ],
 )
 def test_load_csv_rejects_malformed_files(tmp_path, content, match):
@@ -120,6 +122,14 @@ def test_any_bytes_load_or_raise_data_error(tmp_path_factory, data):
     assert x.ndim == 2 and x.shape[0] == y.shape[0] >= 1
     assert np.isfinite(x).all()
     assert y.dtype == np.int64
+
+
+def test_load_csv_accepts_spaces_around_fields(tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text("f0,f1,label\n 1.5 ,-2.0, 2\n")
+    x, y = load_csv(path)
+    np.testing.assert_array_equal(x, [[1.5, -2.0]])
+    np.testing.assert_array_equal(y, [2])
 
 
 def test_load_csv_missing_file(tmp_path):

@@ -163,14 +163,6 @@ def test_estimated_ms_default_weights():
     assert ledger.estimated_ms == pytest.approx(2 * 1.6 + 3 * 1.2 + 159.0)
 
 
-def test_custom_op_weights_override():
-    ctx = fresh(op_weights={"Mult": 10.0})
-    a = ctx.encrypt(np.ones(16))
-    ctx.mult(a, a)
-    ctx.add(a, a)
-    assert ctx.ledger.estimated_ms == pytest.approx(10.0 + 0.085)
-
-
 def test_snapshot_delta_isolates_a_region():
     ctx = fresh()
     a = ctx.encrypt(np.ones(16))
@@ -181,13 +173,6 @@ def test_snapshot_delta_isolates_a_region():
     delta = ctx.ledger.delta(before)
     assert delta == {"Add": 0, "CMult": 0, "Mult": 1, "Rot": 1, "Conj": 0, "Bootstrap": 0}
     assert ctx.ledger.estimate_ms(delta) == pytest.approx(1.6 + 1.2)
-
-
-def test_reset_zeroes_counts():
-    ledger = OpLedger()
-    ledger.record("Add", 7)
-    ledger.reset()
-    assert all(v == 0 for v in ledger.counts().values())
 
 
 def test_geometry_validation():

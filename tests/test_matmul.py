@@ -18,10 +18,10 @@ from hefit.matmul import (
 )
 
 
-def run_abt(ctx, A, B, kernel, scale=1.0, tiled=True):
+def run_abt(ctx, A, B, kernel, tiled=True):
     ea = encode(ctx, A)
     eb = encode(ctx, B, tiling="vertical") if tiled else encode(ctx, B)
-    return kernel(ea, eb, scale=scale)
+    return kernel(ea, eb)
 
 
 def test_diag_abt_matches_dense(ctx, rng):
@@ -33,20 +33,6 @@ def test_diag_abt_matches_dense(ctx, rng):
     assert out.tiling == "horizontal"
     assert out.period == 4
     assert out.level == ctx.max_level - 3
-
-
-def test_diag_abt_scale_rides_free(ctx, rng):
-    A = rng.normal(size=(6, 9))
-    B = rng.normal(size=(3, 9))
-    before = ctx.ledger.snapshot()
-    plain = run_abt(ctx, A, B, diag_abt)
-    unscaled_delta = ctx.ledger.delta(before)
-    before = ctx.ledger.snapshot()
-    scaled = run_abt(ctx, A, B, diag_abt, scale=0.25)
-    np.testing.assert_allclose(decode(scaled), 0.25 * (A @ B.T), atol=1e-12)
-    # folding the factor into the masks costs no extra ops and no depth
-    assert ctx.ledger.delta(before) == unscaled_delta
-    assert scaled.level == plain.level
 
 
 def test_diag_atb_matches_dense(ctx, rng):
@@ -65,8 +51,8 @@ def test_diag_atb_matches_dense(ctx, rng):
 def test_col_major_matches_dense(ctx, rng):
     A = rng.normal(size=(11, 18))
     B = rng.normal(size=(5, 18))
-    out = col_major_abt(encode(ctx, A), encode(ctx, B), scale=-1.0)
-    np.testing.assert_allclose(decode(out), -(A @ B.T), atol=1e-12)
+    out = col_major_abt(encode(ctx, A), encode(ctx, B))
+    np.testing.assert_allclose(decode(out), A @ B.T, atol=1e-12)
     assert out.tiling == "none"
     assert out.level == ctx.max_level - 3
 

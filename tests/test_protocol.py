@@ -201,16 +201,8 @@ def test_channel_is_fifo(ctx, rng):
     a.send_stop_signal(DECISION_STOP)
     assert_same_matrix(b.recv_val_logits(ctx), first)
     assert b.recv_stop_signal() == DECISION_STOP
-    assert not b.pending()
-
-
-def test_pending_tracks_buffer_state(ctx):
-    a, b = channel_pair()
-    assert not b.pending()
-    a.send_stop_signal(DECISION_CONTINUE)
-    assert b.pending()
-    b.recv_stop_signal()
-    assert not b.pending()
+    with pytest.raises(ProtocolError):
+        b.recv()
 
 
 def test_recv_on_empty_channel_raises():

@@ -16,7 +16,6 @@ from hefit.plainref import (
     exact_softmax,
     init_weights,
     log_loss,
-    momentum_schedule,
     one_hot,
     reference_fit,
     reference_step,
@@ -41,35 +40,6 @@ def encode_state(ctx, w0):
     return TrainState(weights=e, momentum=e)
 
 
-# -- schedule ---------------------------------------------------------------------
-
-
-def test_momentum_schedule_first_terms():
-    sched = momentum_schedule(3)
-    lams = [lam for lam, _ in sched]
-    gammas = [g for _, g in sched]
-    assert lams[0] == 1.0
-    assert gammas[0] == 0.0  # the first combination step is the identity mix
-    assert lams[1] == pytest.approx(1.6180339887498949)
-    assert gammas[1] == pytest.approx(-0.28175352512532087)
-    assert lams[2] == pytest.approx(2.193527085331054)
-
-
-def test_momentum_schedule_recurrence_holds_long():
-    sched = momentum_schedule(1000)
-    lam_prev = 0.0
-    for t, (lam, gamma) in enumerate(sched):
-        lam_next = (1.0 + math.sqrt(1.0 + 4.0 * lam * lam)) / 2.0
-        assert abs(gamma - (1.0 - lam) / lam_next) <= 1e-12
-        assert lam > lam_prev
-        lam_prev = lam
-        if t + 1 < len(sched):
-            assert abs(sched[t + 1][0] - lam_next) <= 1e-12
-    # lambda grows ~ t/2, so gamma tends to -1 from above
-    assert sched[-1][0] == pytest.approx(500, rel=0.01)
-    assert -1.0 < sched[-1][1] < -0.99
-
-
 # -- single steps -------------------------------------------------------------------
 
 
@@ -79,11 +49,13 @@ def test_nag_step_zero_lr_keeps_momentum(rng):
     state = encode_state(ctx, w0)
     x = rng.normal(size=(4, 5))
     y = one_hot(np.array([0, 1, 2, 0]), 3)
-    nag_step(state, encode(ctx, x), encode(ctx, y, tiling="horizontal"), lr=0.0, batch_rows=4)
+    features, labels = encode(ctx, x), encode(ctx, y, tiling="horizontal")
+    nag_step(state, features, labels, lr=0.0, batch_rows=4)
     # W_{t+1} = V_t - 0 * grad = V_t = W_0
     np.testing.assert_array_equal(decode(state.weights), w0)
-    assert state.t == 2
     assert state.lambda_curr == pytest.approx(1.6180339887498949)
+    nag_step(state, features, labels, lr=0.0, batch_rows=4)
+    assert state.lambda_curr == pytest.approx(2.193527085331054)
 
 
 def test_nag_step_matches_hand_computed_gradient(rng):
