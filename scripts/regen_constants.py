@@ -81,10 +81,12 @@ def comp_round_error():
 def negated_compensation(M, cfg):
     """The rejected variant of hefit.approx._dep_compensation: the degree-5
     bracket is subtracted, ``x - (4/27) K (x^3/R^2 - x^5/R^4)``."""
-    L2 = float(cfg.extension_base) ** 2
+    from hefit.approx import BASE_RANGE, EXTENSION_BASE
+
+    L2 = EXTENSION_BASE**2
     Ln = L2**cfg.extension_steps
     K = L2 * (Ln - 1.0) / (Ln * (L2 - 1.0))
-    R = cfg.base_range
+    R = BASE_RANGE
     c3 = -(4.0 / 27.0) * K / R**2
     c5 = -(4.0 / 27.0) * K / R**4
     square = M * M

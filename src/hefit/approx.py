@@ -27,8 +27,12 @@ compensation (4), ``z`` once before the exp Horner loop and ``acc`` inside
 it and before the squarings, the Goldschmidt pair, and the one-level glue
 products.  Each ciphertext is refreshed at most once per piece, a budget
 that already suffices never refreshes, and the array path passes through
-unchanged.  The context's ``auto_bootstrap`` is only needed for budgets
-below a piece's depth (``max_level < 5``).
+unchanged.  The deepest piece needs 5 levels, so any budget of at least 5
+runs the whole pipeline without the context's ``auto_bootstrap`` fallback.
+
+Only two knobs are configurable (:class:`SoftmaxConfig`): the number of
+extension steps and the compensation.  The exp and reciprocal parameters
+and the contraction base are module constants.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._constants import COMP_ROUND_ERR, EXP_POLY
+from .emulator import log2
 from .encoding import EncodedMatrix, col_sums, next_pow2, pattern_matrix
 from .errors import ShapeMismatch
 from .plainref import exact_softmax
@@ -49,43 +54,40 @@ from .plainref import exact_softmax
 COMP_F = (35 / 16, -35 / 16, 21 / 16, -5 / 16)
 COMP_G = (4589 / 1024, -16577 / 1024, 25614 / 1024, -12860 / 1024)
 
+# Half-width the exponential is accurate on, and the ratio of each
+# contraction step of the domain extension.
+BASE_RANGE = 8.0
+EXTENSION_BASE = 2.0
+# Strength of the widest contraction step, 4 / (27 BASE_RANGE^2).
+DEP_DELTA = 4.0 / (27.0 * BASE_RANGE**2)
+# a_exp evaluates its fit at x / EXP_RANGE and squares log2(EXP_RANGE) times.
+EXP_RANGE = 8
+# a_inv normalizes by INV_RANGE and runs INV_ITERS Goldschmidt iterations.
+INV_RANGE = 100.0
+INV_ITERS = 16
+
 
 @dataclass(frozen=True)
 class SoftmaxConfig:
-    """Knobs of the approximate softmax pipeline.
+    """The two knobs of the approximate softmax pipeline.
 
-    ``base_range`` is the half-width the exponential is accurate on;
-    ``extension_steps`` contractions of ratio ``extension_base`` widen the
-    covered input box to ``max_range = ceil(base_range * base**steps / 2)``
+    ``extension_steps`` contractions of ratio ``EXTENSION_BASE`` widen the
+    covered input box to ``max_range = BASE_RANGE * EXTENSION_BASE**steps / 2``
     per coordinate (the contraction chain itself absorbs twice that, which
     is exactly what normalization produces: values in [-2*max_range, 0]).
     ``precise`` turns on the degree-5 compensation of the contraction bias.
-    The reciprocal is Goldschmidt iteration normalized by ``inv_range``.
     """
 
-    base_range: float = 8.0
-    extension_base: float = 2.0
     extension_steps: int = 5
     precise: bool = True
-    exp_range: int = 8
-    inv_range: float = 100.0
-    inv_iters: int = 16
 
     @property
     def max_range(self) -> int:
-        full = self.base_range * self.extension_base**self.extension_steps
+        full = BASE_RANGE * EXTENSION_BASE**self.extension_steps
         return int(math.ceil(full / 2))
-
-    @property
-    def dep_delta(self) -> float:
-        return 4.0 / (27.0 * self.base_range**2)
 
 
 DEFAULTS = SoftmaxConfig()
-
-
-def _log2(n: int) -> int:
-    return int(math.log2(n))
 
 
 # Slots per work array of one array-path softmax block: 128 KiB of float64,
@@ -155,7 +157,7 @@ class _Carrier:
     def broadcast_col0(self, x):
         """Spread column 0 of each row to every column (x is col-0 masked)."""
         if self.encrypted:
-            for t in range(_log2(self.ctx.grid_cols)):
+            for t in range(log2(self.ctx.grid_cols)):
                 x = x + x.rrot(1 << t)
             return x
         return np.repeat(x[:, :1], self.period, axis=1)
@@ -165,7 +167,7 @@ class _Carrier:
         if self.encrypted:
             return col_sums(x)
         s = x
-        for t in range(_log2(self.period)):
+        for t in range(log2(self.period)):
             s = s + np.roll(s, -(1 << t), axis=1)
         return np.repeat(s[:, :1], self.period, axis=1)
 
@@ -174,7 +176,7 @@ class _Carrier:
         if not self.encrypted:
             return x
         reps = self.ctx.grid_cols // self.period
-        for t in range(_log2(reps)):
+        for t in range(log2(reps)):
             x = x + x.rrot(self.period * (1 << t))
         return x
 
@@ -240,7 +242,7 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS):
     if car.classes < car.period:
         work = work - car.pad_half_pattern()
     best = work
-    for t in range(_log2(car.period)):
+    for t in range(log2(car.period)):
         best = _refresh(best, 5)
         rival = car.roll_left(best, 1 << t)
         w = _refresh(a_comp(best, rival), 1)
@@ -251,14 +253,13 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS):
 
 
 def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS):
-    """Contract [-max_range, max_range] into [-base_range, base_range].
+    """Contract [-max_range, max_range] into [-BASE_RANGE, BASE_RANGE].
 
     Applies the cubic x - delta_i x^3 from the widest scale inward; each
     iteration costs one CMult and two Mults (two levels).
     """
-    delta = cfg.dep_delta
     for i in range(cfg.extension_steps - 1, -1, -1):
-        delta_i = delta * float(cfg.extension_base) ** (-2 * i)
+        delta_i = DEP_DELTA * EXTENSION_BASE ** (-2 * i)
         M = _refresh(M, 2)
         square = M * M
         scaled = M * delta_i
@@ -273,10 +274,10 @@ def _dep_compensation(M, cfg: SoftmaxConfig):
     per-step contraction strengths; adds back the cubic shrinkage and trims
     the fifth-order overshoot.
     """
-    L2 = float(cfg.extension_base) ** 2
+    L2 = EXTENSION_BASE**2
     Ln = L2**cfg.extension_steps
     K = L2 * (Ln - 1.0) / (Ln * (L2 - 1.0))
-    R = cfg.base_range
+    R = BASE_RANGE
     c3 = (4.0 / 27.0) * K / R**2
     c5 = (4.0 / 27.0) * K / R**4
     square = M * M
@@ -285,42 +286,40 @@ def _dep_compensation(M, cfg: SoftmaxConfig):
     return M + (cube * c3 - fifth * c5)
 
 
-def a_exp(M, cfg: SoftmaxConfig = DEFAULTS):
-    """exp on [-exp_range, exp_range]: fitted polynomial at x/B, squared log2(B) times.
+def a_exp(M):
+    """exp on [-EXP_RANGE, EXP_RANGE]: fitted polynomial at x/B, squared log2(B) times.
 
     The degree-12 fit carries ~3e-13 of error on [-1, 1]; squaring preserves
     the relative error, so accuracy is near machine precision across the
     whole base range.
     """
-    B = cfg.exp_range
-    if B < 1 or (B & (B - 1)):
-        raise ShapeMismatch(f"exp_range must be a power of two, got {B}")
+    B = EXP_RANGE
     z = _refresh(_refresh(M, 1) * (1.0 / B), len(EXP_POLY) - 1)
     acc = z * EXP_POLY[12] + EXP_POLY[11]
     for k in range(10, -1, -1):
         acc = _refresh(acc, 1) * z + EXP_POLY[k]
-    acc = _refresh(acc, _log2(B))
-    for _ in range(_log2(B)):
+    acc = _refresh(acc, log2(B))
+    for _ in range(log2(B)):
         acc = acc * acc
     return acc
 
 
-def a_inv(M, cfg: SoftmaxConfig = DEFAULTS):
-    """Reciprocal via Goldschmidt iteration, normalized by inv_range.
+def a_inv(M):
+    """Reciprocal via Goldschmidt iteration, normalized by INV_RANGE.
 
-    Relative error after k iterations is (1 - x/inv_range)^(2^(k+1)): below
-    1e-3 uniformly on [0.01, 100] at the default 16 iterations, degrading as
-    x/inv_range approaches 0.  Inputs outside (0, 2*inv_range) make the
+    Relative error after k iterations is (1 - x/INV_RANGE)^(2^(k+1)): below
+    1e-3 uniformly on [0.01, 100] at the INV_ITERS = 16 iterations, degrading
+    as x/INV_RANGE approaches 0.  Inputs outside (0, 2*INV_RANGE) make the
     iteration diverge; that is documented, not trapped.
     """
-    y = _refresh(M, 1) * (1.0 / cfg.inv_range)
+    y = _refresh(M, 1) * (1.0 / INV_RANGE)
     a = 2.0 - y
     b = 1.0 - y
-    for _ in range(cfg.inv_iters):
+    for _ in range(INV_ITERS):
         a, b = _refresh(a, 1), _refresh(b, 2)
         b = b * b
         a = a * (b + 1.0)
-    return _refresh(a, 1) * (1.0 / cfg.inv_range)
+    return _refresh(a, 1) * (1.0 / INV_RANGE)
 
 
 def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS):
@@ -355,9 +354,9 @@ def _softmax(M, cfg: SoftmaxConfig):
     norm = domain_extend(norm, cfg)
     if cfg.precise:
         norm = _dep_compensation(_refresh(norm, 4), cfg)
-    expd = _refresh(_refresh(a_exp(norm, cfg), 1) * keep, 1)
+    expd = _refresh(_refresh(a_exp(norm), 1) * keep, 1)
     total = car.sum_cols_broadcast(expd)
-    recip = a_inv(total, cfg)
+    recip = a_inv(total)
     out = expd * _refresh(recip, 1)
     out = car.retile(out)
     if car.encrypted:
@@ -373,7 +372,7 @@ def _softmax(M, cfg: SoftmaxConfig):
 def amax_error_bound(cfg: SoftmaxConfig, classes: int) -> float:
     """Worst-case a_max underestimation: per-round comparison loss (measured
     supremum, unscaled by 2*max_range) summed over the tournament rounds."""
-    rounds = _log2(next_pow2(classes))
+    rounds = log2(next_pow2(classes))
     return rounds * 2.0 * cfg.max_range * COMP_ROUND_ERR
 
 
@@ -389,12 +388,11 @@ def theorem_beta(cfg: SoftmaxConfig, classes: int, r: float | None = None) -> fl
         raise ShapeMismatch("theorem_beta needs at least two classes")
     if r is None:
         r = amax_error_bound(cfg, classes)
-    delta = cfg.dep_delta
-    L2 = float(cfg.extension_base) ** 2
-    shrink = delta * L2 / (L2 - 1.0)
+    L2 = EXTENSION_BASE**2
+    shrink = DEP_DELTA * L2 / (L2 - 1.0)
     t1 = 1.0 / (1.0 + math.exp(min(r, 700.0)) / (classes - 1))
     t2 = 1.0 / (1.0 + math.exp(min(r - shrink * r**3, 700.0)) / (classes - 1))
-    t3 = delta * r**3 * L2 / (2.0 * (L2 - 1.0))
+    t3 = DEP_DELTA * r**3 * L2 / (2.0 * (L2 - 1.0))
     return t1 + t2 + t3
 
 
@@ -402,7 +400,7 @@ _EPS_CACHE: dict[tuple, float] = {}
 
 
 def small_domain_eps(cfg: SoftmaxConfig, classes: int) -> float:
-    """Measured max error of the full pipeline on [-base_range, base_range]^c.
+    """Measured max error of the full pipeline on [-BASE_RANGE, BASE_RANGE]^c.
 
     This is the empirical stand-in for the polynomial approximation's
     small-domain minimax error, over 100 000 uniform rows (seed 411);
@@ -410,7 +408,7 @@ def small_domain_eps(cfg: SoftmaxConfig, classes: int) -> float:
     key = (cfg, classes)
     if key not in _EPS_CACHE:
         rng = np.random.default_rng(411)
-        x = rng.uniform(-cfg.base_range, cfg.base_range, size=(100_000, classes))
+        x = rng.uniform(-BASE_RANGE, BASE_RANGE, size=(100_000, classes))
         exact = exact_softmax(x)
         approx = a_softmax(x, cfg)
         _EPS_CACHE[key] = float(np.max(np.abs(approx - exact)))

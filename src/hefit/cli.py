@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .approx import DEFAULTS, SoftmaxConfig, a_softmax
+from .approx import BASE_RANGE, DEFAULTS, SoftmaxConfig, a_softmax
 from .datasets import ingest, make_gaussian_mixture, save_csv
 from .emulator import EmulatorContext, OpLedger, is_pow2
 from .encoding import decode, encode, next_pow2
@@ -102,37 +101,27 @@ def _check_types(section, prefix: str = "") -> None:
 
 def _validate_softmax(soft: SoftmaxConfig) -> None:
     _check_types(soft, "softmax.")
-    for name in ("base_range", "inv_range"):
-        if getattr(soft, name) <= 0:
-            raise ConfigError(f"softmax.{name} must be positive, got {getattr(soft, name)}")
-    if soft.extension_base <= 1:
-        raise ConfigError(f"softmax.extension_base must exceed 1, got {soft.extension_base}")
-    for name in ("extension_steps", "inv_iters"):
-        if getattr(soft, name) < 0:
-            raise ConfigError(f"softmax.{name} must be non-negative, got {getattr(soft, name)}")
-    if not is_pow2(soft.exp_range):
-        raise ConfigError(f"softmax.exp_range must be a power of two, got {soft.exp_range}")
-    # max_range overflows when the covered box leaves the float range, and
-    # dep_delta (4 / 27 base_range^2) overflows or divides by zero
+    if soft.extension_steps < 0:
+        raise ConfigError(
+            f"softmax.extension_steps must be non-negative, got {soft.extension_steps}"
+        )
+    # max_range overflows when the covered box leaves the float range
     try:
-        finite = soft.max_range >= 1 and math.isfinite(soft.dep_delta)
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
+        soft.max_range
+    except OverflowError:
         raise ConfigError(
             "softmax ranges leave the floating-point range: "
-            f"base_range {soft.base_range}, extension_base {soft.extension_base}, "
             f"extension_steps {soft.extension_steps}"
-        )
+        ) from None
 
 
 def validate_config(cfg: RunConfig) -> None:
     _check_types(cfg)
     _validate_softmax(cfg.softmax)
     s, s0 = cfg.slot_count, cfg.grid_rows
-    if s < 1 or s & (s - 1):
+    if not is_pow2(s):
         raise ConfigError(f"slot_count must be a power of two, got {s}")
-    if s0 < 1 or s0 & (s0 - 1) or s0 > s:
+    if not is_pow2(s0) or s0 > s:
         raise ConfigError(
             f"grid_rows must be a power of two dividing slot_count, got {s0}"
         )
@@ -152,8 +141,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"epochs must be at least 1, got {cfg.epochs}")
     if cfg.patience < 1:
         raise ConfigError(f"patience must be at least 1, got {cfg.patience}")
-    if cfg.max_level < 2:
-        raise ConfigError(f"max_level must be at least 2, got {cfg.max_level}")
+    # the deepest piece of the pipeline, an odd comparison polynomial
+    if cfg.max_level < 5:
+        raise ConfigError(f"max_level must be at least 5, got {cfg.max_level}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
 
@@ -208,9 +198,7 @@ def cmd_train(args) -> int:
             )
         test = (x_te, y_te)
 
-    ctx = EmulatorContext(
-        cfg.slot_count, cfg.grid_rows, max_level=cfg.max_level, auto_bootstrap=True
-    )
+    ctx = EmulatorContext(cfg.slot_count, cfg.grid_rows, max_level=cfg.max_level)
     result = fit(
         x_tr, y_tr, x_val, y_val, classes,
         ctx=ctx, cfg=cfg.softmax,
@@ -364,7 +352,7 @@ def cmd_bench_matmul(args) -> int:
                 f"unknown algorithms: {', '.join(bad)} "
                 f"(choose from {', '.join(ALGORITHMS)})"
             )
-    if args.slots < 2 or args.slots & (args.slots - 1):
+    if args.slots < 2 or not is_pow2(args.slots):
         raise ConfigError(f"--slots must be a power of two, got {args.slots}")
 
     cases = []
@@ -453,7 +441,7 @@ def softmax_variants(target_range: int) -> dict[str, SoftmaxConfig]:
     while SoftmaxConfig(extension_steps=steps).max_range < target_range:
         steps += 1
     variants: dict[str, SoftmaxConfig] = {}
-    if target_range <= DEFAULTS.base_range / 2:
+    if target_range <= BASE_RANGE / 2:
         variants["norm"] = SoftmaxConfig(extension_steps=0, precise=False)
     variants["extn"] = SoftmaxConfig(extension_steps=steps, precise=False)
     variants["prec"] = SoftmaxConfig(extension_steps=steps, precise=True)

@@ -12,8 +12,8 @@ one.  What the emulator does track faithfully:
 
 * level bookkeeping (multiplications consume one level; a multiply at level 0
   raises :class:`~hefit.errors.DepthExhausted` unless auto-bootstrap is on;
-  the pipelines refresh explicitly, so auto-bootstrap is only a fallback for
-  level budgets below what their refresh plan needs),
+  the pipelines refresh explicitly and complete without it at every budget
+  of at least 5 levels),
 * an operation ledger priced with fixed per-op cost weights, giving a latency
   estimate for the sequence of homomorphic ops that a real backend would
   execute.
@@ -51,6 +51,10 @@ PLAINTEXT_LEVEL = math.inf
 
 def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def log2(n: int) -> int:
+    return int(math.log2(n))
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,10 @@ class EmulatorContext:
     ``auto_bootstrap=False`` means a multiplicative op on a level-0 operand
     raises; with ``True`` the operand is restored to ``max_level`` for that
     op only, charged one Bootstrap per block of the operand (``mult(x, x)``
-    charges once).  The pipelines place their own refreshes, so this is
-    only a fallback for budgets below the depth of their pieces (a
-    comparison polynomial needs 5 levels; a run config accepts
-    ``max_level >= 2``).  Count benchmarks leave it off so ledgers stay pure.
+    charges once).  The softmax and the trainer place their own refreshes
+    and complete without it at every ``max_level >= 5`` (a comparison
+    polynomial needs 5 levels, and a run config requires that many), so
+    nothing in the package turns it on.
     """
 
     def __init__(

@@ -16,12 +16,11 @@ per-row/per-column sums, and the diagonal mask family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emulator import CipherBlock, EmulatorContext
+from .emulator import CipherBlock, EmulatorContext, log2
 from .errors import DataError, ResidualImaginary, ShapeMismatch, TilingError
 
 IMAG_TOLERANCE = 1e-9
@@ -31,10 +30,6 @@ def next_pow2(n: int) -> int:
     if n < 1:
         raise ValueError(f"next_pow2 needs n >= 1, got {n}")
     return 1 << (n - 1).bit_length()
-
-
-def _log2(n: int) -> int:
-    return int(math.log2(n))
 
 
 @dataclass(frozen=True)
@@ -315,7 +310,7 @@ def col_sums(E: EncodedMatrix) -> EncodedMatrix:
     ctx = E.ctx
     s1 = ctx.grid_cols
     acc = ctx.cmult(fold_columns(E), col_range_mask(ctx, 1).block)
-    for t in range(_log2(s1)):
+    for t in range(log2(s1)):
         acc = ctx.add(acc, ctx.rrot(acc, 1 << t))
     return EncodedMatrix(ctx, acc, (E.shape[0], s1))
 
@@ -331,7 +326,7 @@ def fold_columns(E: EncodedMatrix) -> CipherBlock:
     acc = E.block[:, :1]
     for q in range(1, E.grid[1]):
         acc = ctx.add(acc, E.block[:, q : q + 1])
-    for t in range(_log2(ctx.grid_cols)):
+    for t in range(log2(ctx.grid_cols)):
         acc = ctx.add(acc, ctx.lrot(acc, 1 << t))
     return acc
 
@@ -355,7 +350,7 @@ def row_sums(E: EncodedMatrix) -> EncodedMatrix:
     cols = []
     for q in range(E.grid[1]):
         col = acc[:, q : q + 1]
-        for t in range(_log2(s0)):
+        for t in range(log2(s0)):
             col = ctx.add(col, ctx.lrot(col, (1 << t) * s1))
         cols.append(col.slots)
     out = CipherBlock(np.concatenate(cols, axis=1), col.level, col.encrypted)

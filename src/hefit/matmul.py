@@ -16,16 +16,16 @@ tolerance.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .emulator import log2
 from .encoding import (
     EncodedMatrix,
     col_range_mask,
     col_sums,
     fold_columns,
     make_mask,
+    next_pow2,
     pattern_matrix,
     prot_up,
     rot_left,
@@ -33,10 +33,6 @@ from .encoding import (
     row_sums,
 )
 from .errors import ShapeMismatch
-
-
-def _log2(n: int) -> int:
-    return int(math.log2(n))
 
 
 def _check_pair(A: EncodedMatrix, B: EncodedMatrix, a_tiling: str, b_tiling: str, name: str):
@@ -158,7 +154,7 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
         rowj = np.zeros((s0, s1))
         rowj[j, :] = 1.0
         picked = B * pattern_matrix(ctx, rowj, grid=B.grid)
-        for t in range(_log2(s0)):
+        for t in range(log2(s0)):
             picked = picked + picked.lrot((1 << t) * s1)
         folded = fold_columns(EncodedMatrix(ctx, ctx.mult(A.block, picked.block), A.shape))
         folded = ctx.rrot(ctx.cmult(folded, col0), j)
@@ -189,7 +185,7 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     acc = None
     for j in range(c):
         picked = A.lrot(j) * col0
-        for t in range(_log2(s1)):
+        for t in range(log2(s1)):
             picked = picked + picked.rrot(1 << t)
         sums = row_sums(EncodedMatrix(ctx, ctx.mult(picked.block, B.block), B.shape))
         rowj = np.zeros((s0, s1))
@@ -215,8 +211,9 @@ ALGORITHMS = (
 def count_formula(algorithm: str, shape: tuple[int, int, int], s0: int, s1: int) -> dict[str, int]:
     """Exact {CMult, Mult, Rot} cost of one product on an (s0, s1) slot grid.
 
-    ``shape = (a, b, c)`` with the small dimension c (classes).  The
-    ``diag_atb_*`` variants name the two alignment branches.  ``jin_*`` are
+    ``shape = (a, b, c)`` with the small dimension c (classes).  The diagonal
+    kernels run at the padded period ``next_pow2(c)`` and are priced there.
+    The ``diag_atb_*`` variants name the two alignment branches.  ``jin_*`` are
     the per-sample-packing baseline estimates (never executed here): ABᵀ
     needs b*c plain products and no rotations; AᵀB rotates every product
     down its block, log2(s0*s1) steps each.
@@ -226,13 +223,14 @@ def count_formula(algorithm: str, shape: tuple[int, int, int], s0: int, s1: int)
         raise ShapeMismatch(f"count_formula: bad shape {shape}")
     m = -(-a // s0)
     n = -(-b // s1)
-    ls0, ls1 = _log2(s0), _log2(s1)
-    h = c // 2
+    ls0, ls1 = log2(s0), log2(s1)
+    cp = next_pow2(c)
+    h = cp // 2
 
     if algorithm == "diag_abt":
         if c == 1:
             return {"CMult": 2 * m, "Mult": m * n, "Rot": 2 * m * ls1}
-        return {"CMult": c * m, "Mult": h * m * n, "Rot": h * (n + 2 * m * ls1)}
+        return {"CMult": cp * m, "Mult": h * m * n, "Rot": h * (n + 2 * m * ls1)}
     if algorithm == "diag_atb_rl":
         if c == 1:
             return {"CMult": n, "Mult": m * n, "Rot": n * ls0}
@@ -254,5 +252,5 @@ def count_formula(algorithm: str, shape: tuple[int, int, int], s0: int, s1: int)
     if algorithm == "jin_abt":
         return {"CMult": 0, "Mult": b * c, "Rot": 0}
     if algorithm == "jin_atb":
-        return {"CMult": 0, "Mult": b * c, "Rot": b * c * _log2(s0 * s1)}
+        return {"CMult": 0, "Mult": b * c, "Rot": b * c * log2(s0 * s1)}
     raise ShapeMismatch(f"count_formula: unknown algorithm {algorithm!r}")

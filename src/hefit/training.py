@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import DEFAULTS, SoftmaxConfig, a_softmax
+from .approx import DEFAULTS, SoftmaxConfig, _refresh, a_softmax
 from .emulator import EmulatorContext
 from .encoding import EncodedMatrix, decode, encode
 from .errors import ShapeMismatch
@@ -80,7 +80,9 @@ def nag_step(
     if trace_hook is not None:
         trace_hook(logits)
     probs = a_softmax(logits, cfg)
-    resid = probs - labels
+    # diag_atb's partial-rotation branch spends 3 levels of the residual and
+    # the momentum product one more
+    resid = _refresh(probs - labels, 4)
     grad = diag_atb(resid, features, scale=lr / batch_rows)
     w_next = state.momentum - grad
 
@@ -268,7 +270,7 @@ def fit(
     ``observer`` role); neither party of the protocol computes them.
     """
     if ctx is None:
-        ctx = EmulatorContext(4096, 64, max_level=12, auto_bootstrap=True)
+        ctx = EmulatorContext(4096, 64, max_level=12)
     trace: list[tuple[float, float]] = []
 
     def observe_logits(logits: EncodedMatrix) -> None:
@@ -340,7 +342,7 @@ def run_steps(
     step.
     """
     if ctx is None:
-        ctx = EmulatorContext(4096, 64, max_level=12, auto_bootstrap=True)
+        ctx = EmulatorContext(4096, 64, max_level=12)
     x_train = np.asarray(x_train, dtype=np.float64)
     onehot = one_hot(y_train, classes)
     w0 = init_weights(classes, x_train.shape[1], seed)

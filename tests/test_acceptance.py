@@ -12,7 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from hefit.approx import DEFAULTS, SoftmaxConfig, a_softmax, small_domain_eps, theorem_beta
+from hefit.approx import (
+    BASE_RANGE,
+    DEFAULTS,
+    DEP_DELTA,
+    EXTENSION_BASE,
+    SoftmaxConfig,
+    a_softmax,
+    small_domain_eps,
+    theorem_beta,
+)
 from hefit.cli import run_matmul_case, sampling_boxes, softmax_error_cell, softmax_variants
 from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext
@@ -268,7 +277,7 @@ def test_criterion_4_error_bound_consistency(capsys):
 
 
 def test_criterion_5_softmax_inequalities(capsys):
-    r = DEFAULTS.base_range
+    r = BASE_RANGE
     tol = 1e-12
     failures = []
 
@@ -304,8 +313,8 @@ def test_criterion_5_softmax_inequalities(capsys):
 
     # ... and the cubic lower bound on [0, r]
     pos = np.linspace(0.0, r, 100_001)
-    L2 = float(DEFAULTS.extension_base) ** 2
-    lower = pos - DEFAULTS.dep_delta * L2 / (L2 - 1.0) * pos**3
+    L2 = EXTENSION_BASE**2
+    lower = pos - DEP_DELTA * L2 / (L2 - 1.0) * pos**3
     gap = (domain_extend(pos, DEFAULTS) - lower).min()
     if gap < -tol:
         failures.append(f"lower bound violated by {-gap:.2e}")

@@ -4,7 +4,6 @@ Expected values are frozen from direct dense-grid measurements; everything
 here is deterministic (fixed seeds), so the pins are tight.
 """
 
-import math
 import runpy
 from pathlib import Path
 
@@ -21,9 +20,11 @@ from hefit._constants import (
 )
 from hefit.approx import (
     _BLOCK_SLOTS,
+    BASE_RANGE,
     COMP_F,
     COMP_G,
     DEFAULTS,
+    DEP_DELTA,
     SoftmaxConfig,
     _softmax,
     a_comp,
@@ -154,11 +155,11 @@ def test_domain_extend_is_odd_and_clipping():
     assert abs(domain_extend(np.zeros((1, 1)), cfg)[0, 0]) == 0.0
     assert np.all(d[x >= 0] <= x[x >= 0] + 1e-12)  # never amplifies, anywhere
     # the composition lands in the core interval (up to the shrink slack)
-    assert np.abs(d).max() <= cfg.base_range
+    assert np.abs(d).max() <= BASE_RANGE
     # on the core interval itself, the slope stays inside [0, 1]; outside it
     # each cubic step is allowed to fold (its turning point sits at 1.5x the
     # step's core radius), so no global monotonicity is claimed
-    core = np.linspace(-cfg.base_range, cfg.base_range, 40001).reshape(-1, 1)
+    core = np.linspace(-BASE_RANGE, BASE_RANGE, 40001).reshape(-1, 1)
     steps = np.diff(domain_extend(core, cfg)[:, 0])
     h = core[1, 0] - core[0, 0]
     assert steps.min() >= -1e-12
@@ -170,18 +171,13 @@ def test_domain_extend_is_odd_and_clipping():
 
 def test_a_exp_accurate_on_core_interval():
     g = np.linspace(-8.0, 0.0, 100001).reshape(-1, 1)
-    err = np.abs(a_exp(g, DEFAULTS) - np.exp(g)).max()
+    err = np.abs(a_exp(g) - np.exp(g)).max()
     assert err <= 5e-13
-
-
-def test_a_exp_rejects_non_pow2_range():
-    with pytest.raises(ShapeMismatch):
-        a_exp(np.zeros((1, 1)), SoftmaxConfig(exp_range=6))
 
 
 def test_a_inv_reciprocal_accuracy():
     v = np.linspace(0.5, 150.0, 100001).reshape(-1, 1)
-    assert np.abs(a_inv(v, DEFAULTS) * v - 1.0).max() <= 1e-12
+    assert np.abs(a_inv(v) * v - 1.0).max() <= 1e-12
 
 
 # -- assembled softmax ---------------------------------------------------------------
@@ -337,13 +333,9 @@ def test_deep_budget_never_refreshes(rng, classes, depth):
 
 def test_theorem_beta_pinned_and_limiting():
     assert theorem_beta(DEFAULTS, 10) == pytest.approx(0.3361975, abs=1e-6)
-    # the delta term vanishes for a huge core range, leaving the two
-    # logistic terms, which coincide at 2/(1 + e^r/(c-1))
-    wide = SoftmaxConfig(base_range=1e9)
-    r = 2.0
-    assert theorem_beta(wide, 10, r=r) == pytest.approx(
-        2.0 / (1.0 + math.exp(r) / 9.0), rel=1e-12
-    )
+    # with no normalization error the delta term vanishes, leaving the two
+    # logistic terms, which coincide at 2/(1 + 1/(c-1))
+    assert theorem_beta(DEFAULTS, 10, r=0.0) == 2 / (1 + 1 / 9)
     # decreasing in r: a wider clipping radius suppresses dropped tails harder
     assert theorem_beta(DEFAULTS, 10, r=1.0) > theorem_beta(DEFAULTS, 10, r=3.0)
     with pytest.raises(ShapeMismatch):
@@ -367,4 +359,4 @@ def test_small_domain_eps_matches_one_unblocked_pass():
 def test_config_coverage_radius():
     assert DEFAULTS.max_range == 128
     assert SoftmaxConfig(extension_steps=0).max_range == 4
-    assert DEFAULTS.dep_delta == pytest.approx(4.0 / (27.0 * 64.0))
+    assert DEP_DELTA == pytest.approx(4.0 / (27.0 * 64.0))

@@ -15,7 +15,7 @@ import pytest
 import hefit
 import hefit.cli  # noqa: F401  (the tracer rebinds names in every loaded hefit module)
 from hefit import training
-from hefit.approx import a_softmax
+from hefit.approx import DEFAULTS, a_softmax
 from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext, OpLedger
 from hefit.encoding import encode
@@ -52,6 +52,8 @@ BENCH_CALLS = [
     (training.fit, (_,) * 5,
      dict(ctx=_, lr=_, batch_size=_, epochs=_, patience=_, seed=_)),
     (hefit.cli.softmax_error_cell, (_,) * 4, dict(seed_base=_)),
+    (hefit.cli.softmax_variants, (_,), {}),
+    (hefit.cli.sampling_boxes, (_,), {}),
     (encode, (_, _), dict(tiling=_, level=_)),
     (OpLedger, (), {}),
     (reference_fit, (_,) * 5,
@@ -64,6 +66,13 @@ BENCH_CALLS = [
 @pytest.mark.parametrize("fn,args,kwargs", BENCH_CALLS, ids=[c[0].__name__ for c in BENCH_CALLS])
 def test_benchmark_calls_bind(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_benchmark_softmax_ranges():
+    # the benchmark probes DEFAULTS over its full box and the "prec" variant
+    # over R = 128, and divides input margins by each one's max_range
+    assert DEFAULTS.max_range == 128
+    assert hefit.cli.softmax_variants(128)["prec"].max_range == 128
 
 
 def _bindings() -> dict:

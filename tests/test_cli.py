@@ -286,17 +286,20 @@ def test_train_is_deterministic(tmp_path):
         ({"learning_rate": float("nan")}, "learning_rate must be a finite number, got nan"),
         ({"learning_rate": "fast"}, "learning_rate must be a finite number"),
         ({"out_dir": 7}, "out_dir must be a string, got 7"),
-        ({"softmax": {"inv_iters": "x"}}, "softmax.inv_iters must be an integer"),
+        ({"softmax": {"inv_iters": 16}}, "unknown softmax keys: inv_iters"),
         ({"softmax": {"precise": 1}}, "softmax.precise must be true or false, got 1"),
-        ({"softmax": {"base_range": float("inf")}}, "softmax.base_range must be a finite number"),
-        ({"softmax": {"extension_base": 1.0}}, "softmax.extension_base must exceed 1, got 1.0"),
-        ({"softmax": {"exp_range": 3}}, "softmax.exp_range must be a power of two, got 3"),
+        ({"softmax": {"base_range": 8.0}}, "unknown softmax keys: base_range"),
+        ({"softmax": {"extension_base": 2.0}}, "unknown softmax keys: extension_base"),
+        ({"softmax": {"exp_range": 8192}}, "unknown softmax keys: exp_range"),
         ({"softmax": {"extension_steps": -1}}, "softmax.extension_steps must be non-negative"),
-        ({"softmax": {"inv_iters": -2}}, "softmax.inv_iters must be non-negative"),
-        ({"softmax": {"base_range": 0}}, "softmax.base_range must be positive, got 0"),
-        ({"softmax": {"inv_range": -1.0}}, "softmax.inv_range must be positive, got -1.0"),
+        ({"softmax": {"inv_range": 100.0}}, "unknown softmax keys: inv_range"),
+        # every removed key is named, and a valid key beside one does not help
+        ({"softmax": {"inv_range": 1.0, "base_range": 0}},
+         "unknown softmax keys: base_range, inv_range"),
+        ({"softmax": {"extension_steps": 3, "exp_range": 3}}, "unknown softmax keys: exp_range"),
         ({"softmax": {"extension_steps": 5000}}, "softmax ranges leave the floating-point range"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"max_level": 4}, "max_level must be at least 5, got 4"),
     ],
 )
 def test_train_config_errors(tmp_path, capsys, overrides, fragment):
@@ -376,6 +379,11 @@ def test_bench_matmul_small_grid(tmp_path, capsys):
             assert case["rel_error"] < 1e-9
         else:
             assert case["algorithm"].startswith("jin")
+
+
+def test_bench_matmul_prices_padded_class_count():
+    # the diagonal kernels run 5 classes at period 8, and are priced there
+    assert main(["bench-matmul", "--shapes", "64,100,5", "--slots", "4096"]) == 0
 
 
 def test_bench_matmul_rejects_unknown_algorithm(capsys):

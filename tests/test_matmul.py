@@ -67,12 +67,15 @@ def test_row_major_matches_dense(ctx, rng):
 
 
 CASES = [
-    # (a, b, c): multi-block both ways, plus tight c = s1 and c = 1 corners
+    # (a, b, c): multi-block both ways, plus tight c = s1 and c = 1 corners,
+    # and class counts the diagonal kernels pad to the next power of two
     (16, 16, 4),
     (10, 40, 8),
     (33, 20, 2),
     (16, 20, 16),
     (5, 5, 1),
+    (33, 20, 3),
+    (16, 20, 10),
 ]
 
 

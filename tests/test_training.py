@@ -130,6 +130,19 @@ def test_test_scale_fit_needs_no_fallback_bootstrap():
     assert runs[False].ledger_counts == runs[True].ledger_counts
 
 
+def test_test_scale_steps_complete_at_every_accepted_budget():
+    # every max_level a run config accepts (at least 5) runs on the placed
+    # refreshes alone; bootstraps are value-exact, so the weights agree
+    x, y = make_gaussian_mixture(1024, 3, 16, 3, mean_scale=0.1)
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    final = {}
+    for max_level in range(5, 25):
+        ctx = EmulatorContext(4096, 64, max_level=max_level)
+        final[max_level] = run_steps(x, y, 3, 8, ctx=ctx, lr=0.1, batch_size=64)[-1]
+    for w in final.values():
+        np.testing.assert_allclose(w, final[24], rtol=0, atol=1e-15)
+
+
 def test_bootstrap_keeps_low_depth_runs_exact(rng):
     # the softmax pipeline burns through any realistic level budget, so the
     # run must refresh mid-flight and still match the plaintext twin
