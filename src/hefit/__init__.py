@@ -5,7 +5,8 @@ The package is organized bottom-up:
 - :mod:`hefit.emulator` — slot-vector ciphertext emulation with an
   operation ledger and level tracking;
 - :mod:`hefit.encoding` — matrices packed onto slot grids, tilings,
-  masks, and the rotation/fold helpers;
+  masks, the rotation/fold helpers, and the packed refresh of tiled
+  matrices;
 - :mod:`hefit.matmul` — the depth-3 diagonal matmul kernels, the
   column/row-major baselines, and their closed-form op counts;
 - :mod:`hefit.approx` — polynomial max / exp / reciprocal pipelines and
@@ -39,10 +40,12 @@ from .emulator import (
 )
 from .encoding import (
     EncodedMatrix,
+    bootstrap_tiled,
     col_range_mask,
     col_sums,
     decode,
     encode,
+    first_period,
     make_mask,
     next_pow2,
     pattern_matrix,
@@ -118,6 +121,8 @@ __all__ = [
     "prot_up",
     "col_sums",
     "row_sums",
+    "first_period",
+    "bootstrap_tiled",
     "diag_abt",
     "diag_atb",
     "col_major_abt",

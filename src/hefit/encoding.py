@@ -11,7 +11,9 @@ rotation-based algorithms treat indices cyclically.
 
 This module also provides the structural slot operations the matrix-product
 routines are built from: block-cyclic row/column rotations, the masked
-per-row/per-column sums, and the diagonal mask family.
+per-row/per-column sums, and the diagonal mask family; and the packed
+refresh of vertically tiled matrices, which bootstraps only their distinct
+slots (:func:`bootstrap_tiled`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emulator import CipherBlock, EmulatorContext, log2
-from .errors import DataError, ResidualImaginary, ShapeMismatch, TilingError
+from .errors import DataError, DepthExhausted, ResidualImaginary, ShapeMismatch, TilingError
 
 IMAG_TOLERANCE = 1e-9
 
@@ -207,6 +209,97 @@ def decode(E: EncodedMatrix, role: str = "observer", tag: str | None = None) -> 
     return np.array(logical.real, dtype=np.float64)
 
 
+# -- packed refresh of vertically tiled matrices ------------------------------
+
+
+def _period_mask(ctx: EmulatorContext, period: int, grid, scale: float = 1.0) -> EncodedMatrix:
+    pattern = np.zeros((ctx.grid_rows, ctx.grid_cols))
+    pattern[:period] = scale
+    return pattern_matrix(ctx, pattern, grid)
+
+
+def first_period(E: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
+    """Untile a vertically tiled matrix: its first period of rows, times ``scale``.
+
+    The result is laid out as an untiled :func:`encode` would lay it out.
+    Costs 1 CMult per block and one level, so an encrypted input needs level
+    1.
+    """
+    if E.tiling != "vertical":
+        raise TilingError(f"first_period needs a vertically tiled matrix, got {E.tiling!r}")
+    if E.encrypted and E.level < 1:
+        raise DepthExhausted(f"first_period: mask needs level 1, operand at {E.level}")
+    cut = E * _period_mask(E.ctx, E.period, E.grid, scale)
+    return EncodedMatrix(E.ctx, cut.block, E.shape)
+
+
+def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
+    """Bootstrap vertically tiled matrices through packed ciphertexts.
+
+    A tiled block repeats one period of rows ``k = grid_rows / period``
+    times, so only ``period * grid_cols`` of its slots are distinct.  Each
+    block is cut to its first period (:func:`first_period`; an untiled input
+    is taken as that cut already), the pieces are rotated to disjoint
+    offsets and summed, ``k`` to a ciphertext, and each sum is bootstrapped
+    once.  Unpacking rotates every piece back, masks it, and re-tiles it with
+    ``log2(k)`` rotate-add doublings, block by block.  This is how
+    sparse-slot bootstrapping is used: compact the distinct slots, refresh,
+    expand.
+
+    The inputs share one period and have one block row.  With ``B`` blocks
+    in ``P = ceil(B / k)`` packed ciphertexts the refresh costs ``P``
+    Bootstrap, ``2B`` CMult (one less per block of an untiled input),
+    ``2(B - P) + B log2(k)`` Rot and ``(B - P) + B log2(k)`` Add, and returns
+    the matrices tiled at level ``max_level - 1``.  One-copy matrices
+    (``k = 1``) have nothing to pack and are bootstrapped directly.
+    Plaintext inputs come back unchanged.
+    """
+    if not any(m.encrypted for m in mats):
+        return list(mats)
+    ctx = mats[0].ctx
+    periods = {next_pow2(m.shape[0]) for m in mats}
+    if (
+        len(periods) != 1
+        or any(m.tiling not in ("vertical", "none") or m.grid[0] != 1 for m in mats)
+    ):
+        raise TilingError(
+            f"bootstrap_tiled needs vertically tiled or untiled matrices with one "
+            f"block row and one period, got {[(m.tiling, m.shape, m.grid) for m in mats]}"
+        )
+    period = periods.pop()
+    k = ctx.grid_rows // period
+    if k == 1:
+        return [EncodedMatrix(ctx, ctx.bootstrap(m.block), m.shape, "vertical", period)
+                for m in mats]
+
+    heads = [m if m.tiling == "none" else first_period(m) for m in mats]
+    width = period * ctx.grid_cols  # slots of one piece
+    packed: list[CipherBlock] = []
+    for j, piece in enumerate(h.block[0, q] for h in heads for q in range(h.grid[1])):
+        piece = ctx.rrot(piece, (j % k) * width)
+        if j % k:
+            packed[-1] = ctx.add(packed[-1], piece)
+        else:
+            packed.append(piece)
+    packed = [ctx.bootstrap(p) for p in packed]
+
+    # unpacked and re-tiled block by block: over a whole grid the ladder's
+    # temporaries raised a paper-scale fit's peak RSS by 5 MiB
+    mask = _period_mask(ctx, period, (1, 1)).block[0, 0]
+    out, j = [], 0
+    for h in heads:
+        blocks = []
+        for _ in range(h.grid[1]):
+            piece = ctx.cmult(ctx.lrot(packed[j // k], (j % k) * width), mask)
+            for t in range(log2(k)):
+                piece = ctx.add(piece, ctx.rrot(piece, width << t))
+            blocks.append(piece.slots)
+            j += 1
+        block = CipherBlock(np.stack(blocks)[None], piece.level, True)
+        out.append(EncodedMatrix(ctx, block, h.shape, "vertical", period))
+    return out
+
+
 # -- mask builders -------------------------------------------------------------
 
 
@@ -242,15 +335,16 @@ def make_mask(
     if modulus < 1 or s0 % modulus or s1 % modulus:
         raise ShapeMismatch(f"mask modulus {modulus} must divide grid dims {(s0, s1)}")
     shift = int(shift) % modulus
-    i = np.arange(s0)[:, None]
-    j = np.arange(s1)[None, :]
-    main = ((j - i - shift) % modulus == 0).astype(np.complex128)
+    # column j = t * modulus + r sits on the diagonal of row i when r = i + shift
+    pattern = np.zeros((s0, s1 // modulus, modulus), dtype=np.complex128)
+    rows = np.arange(s0)
     if complexified:
-        twin = ((j - i - shift - modulus // 2) % modulus == 0).astype(np.complex128)
-        pattern = 0.5 * main - 0.5j * twin
+        pattern[rows, :, (rows + shift) % modulus] = 0.5 * scale
+        # += keeps the real zero positive (-0.5j * scale may carry -0.0)
+        pattern[rows, :, (rows + shift + modulus // 2) % modulus] += -0.5j * scale
     else:
-        pattern = main
-    return pattern_matrix(ctx, pattern * scale, grid)
+        pattern[rows, :, (rows + shift) % modulus] = scale
+    return pattern_matrix(ctx, pattern.reshape(s0, s1), grid)
 
 
 def col_range_mask(ctx: EmulatorContext, stop: int, grid=(1, 1)) -> EncodedMatrix:

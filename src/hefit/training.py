@@ -24,6 +24,17 @@ The momentum schedule starts from lambda_0 = 0, so lambda_1 = 1 and the
 first combination step has gamma_1 = 0; the combination is still executed
 (two constant multiplications and an addition) to keep per-step operation
 counts uniform.
+
+W and V are vertically tiled, so each block repeats one period of rows.
+When V would fall below :data:`BOOTSTRAP_THRESHOLD`, the step refreshes both
+through packed ciphertexts (:func:`~hefit.encoding.bootstrap_tiled`): only
+their first periods are bootstrapped, together, then re-tiled.  At paper
+scale (32768 slots, 10 classes, 769 columns) that is one bootstrap instead
+of eight.  V's cut to its first period rides the momentum multipliers, so
+the refresh spends no level of V, and W and V come back at ``max_level - 1``.
+Re-tiling copies the first period over the others; the copies a step leaves
+behind differ by ulps (``row_sums`` sums each row in its own order), so the
+weights track an unpacked refresh to within 1e-15, not bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import numpy as np
 
 from .approx import DEFAULTS, SoftmaxConfig, _refresh, a_softmax
 from .emulator import EmulatorContext
-from .encoding import EncodedMatrix, decode, encode
+from .encoding import EncodedMatrix, bootstrap_tiled, decode, encode, first_period
 from .errors import ShapeMismatch
 from .matmul import diag_abt, diag_atb
 from .plainref import batch_slices, init_weights, log_loss, one_hot
@@ -47,7 +58,7 @@ from .protocol import (
     channel_pair,
 )
 
-# W and V are refreshed together once either falls below this level.
+# W and V are refreshed together once V would fall below this level.
 BOOTSTRAP_THRESHOLD = 5
 
 
@@ -88,11 +99,14 @@ def nag_step(
 
     lam_next = (1.0 + math.sqrt(1.0 + 4.0 * state.lambda_curr**2)) / 2.0
     gamma = (1.0 - state.lambda_curr) / lam_next
-    v_next = w_next * (1.0 - gamma) + state.weights * gamma
-
-    if min(w_next.level, v_next.level) < BOOTSTRAP_THRESHOLD:
-        w_next = w_next.bootstrap()
-        v_next = v_next.bootstrap()
+    # V_{t+1} lands one level below W_t and W_{t+1}
+    if min(w_next.level, state.weights.level) - 1 < BOOTSTRAP_THRESHOLD:
+        # V's first-period mask rides the momentum multipliers, so packing
+        # spends no level of V
+        v_head = first_period(w_next, 1.0 - gamma) + first_period(state.weights, gamma)
+        w_next, v_next = bootstrap_tiled(w_next, v_head)
+    else:
+        v_next = w_next * (1.0 - gamma) + state.weights * gamma
     state.weights, state.momentum = w_next, v_next
     state.lambda_curr = lam_next
 

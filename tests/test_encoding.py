@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from hefit.emulator import EmulatorContext
 from hefit.encoding import (
+    bootstrap_tiled,
     col_range_mask,
     col_sums,
     decode,
     encode,
+    first_period,
     make_mask,
     next_pow2,
     padded_array,
@@ -20,7 +22,13 @@ from hefit.encoding import (
     rot_up,
     row_sums,
 )
-from hefit.errors import DataError, ResidualImaginary, ShapeMismatch, TilingError
+from hefit.errors import (
+    DataError,
+    DepthExhausted,
+    ResidualImaginary,
+    ShapeMismatch,
+    TilingError,
+)
 
 
 def test_next_pow2():
@@ -172,6 +180,28 @@ def test_pattern_matrix_and_masks(ctx):
     assert np.all(full[:, :3] == 1.0) and np.all(full[:, 3:] == 0.0)
 
 
+@pytest.mark.parametrize("slots,rows", [(256, 16), (4096, 64), (32768, 128)])
+def test_make_mask_matches_its_index_grid_definition(slots, rows):
+    # the pattern is written by index; these are the selector's defining
+    # index grids, and the slot bytes must agree exactly
+    ctx = EmulatorContext(slots, rows)
+    i = np.arange(ctx.grid_rows)[:, None]
+    j = np.arange(ctx.grid_cols)[None, :]
+    for shift, modulus, complexified, scale in (
+        (0, 1, False, 0.1 / 128),
+        (2, 4, False, 2.0),
+        (1, 2, True, 0.0),  # a zero learning rate: zeros keep their sign
+        (-3, 8, True, 0.03 / 64),
+        (5, 16, True, 1.0),
+    ):
+        main = ((j - i - shift) % modulus == 0).astype(np.complex128)
+        if complexified:
+            twin = ((j - i - shift - modulus // 2) % modulus == 0).astype(np.complex128)
+            main = 0.5 * main - 0.5j * twin
+        got = make_mask(ctx, shift, modulus, complexified=complexified, scale=scale)
+        assert got.block.slots.tobytes() == (main * scale).tobytes()
+
+
 def test_rot_up_rolls_block_rows(ctx, rng):
     m = rng.normal(size=(16, 16))  # fill the block so the roll is visible
     e = encode(ctx, m)
@@ -273,3 +303,89 @@ def test_roundtrip_tiled(rows, cols, tiling, seed):
     e = encode(ctx, m, tiling=tiling)
     np.testing.assert_array_equal(decode(e), m)
     assert e.period == next_pow2(rows if tiling == "vertical" else cols)
+
+
+# -- packed refresh of tiled matrices --------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_period=st.integers(0, 3),
+    mats=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 12), st.booleans()), min_size=1, max_size=3
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_packed_refresh_returns_tiled_slots_exactly(log_period, mats, seed):
+    # (block columns, entry level, handed over already cut) per matrix
+    ctx = EmulatorContext(256, 16, max_level=12)
+    rng = np.random.default_rng(seed)
+    period = 1 << log_period
+    rows = period // 2 + 1  # pads up to the period
+    tiled = [
+        encode(ctx, rng.normal(size=(rows, 16 * cols - 3)), tiling="vertical", level=level)
+        for cols, level, _ in mats
+    ]
+    ins = [first_period(e) if cut else e for e, (_, _, cut) in zip(tiled, mats)]
+
+    before = ctx.ledger.snapshot()
+    outs = bootstrap_tiled(*ins)
+    delta = ctx.ledger.delta(before)
+
+    # B blocks, k copies per block, P = ceil(B / k) packed ciphertexts: a cut
+    # (CMult) per block not handed over cut, B - P rotate-adds to pack, P
+    # bootstraps, B - P rotations and B masks to unpack, log2(k) rotate-add
+    # doublings per block to re-tile
+    k = 16 // period
+    blocks = sum(cols for cols, _, _ in mats)
+    uncut = sum(cols for cols, _, cut in mats if not cut)
+    packs = -(-blocks // k)
+    ladder = blocks * (4 - log_period)
+    assert delta == {
+        "Add": blocks - packs + ladder,
+        "CMult": uncut + blocks,
+        "Mult": 0,
+        "Rot": 2 * (blocks - packs) + ladder,
+        "Conj": 0,
+        "Bootstrap": packs,
+    }
+    for e, out in zip(tiled, outs):
+        np.testing.assert_array_equal(out.block.slots, e.block.slots)
+        assert (out.shape, out.tiling, out.period) == (e.shape, "vertical", period)
+        assert out.level == ctx.max_level - 1
+
+
+def test_packed_refresh_bootstraps_one_copy_matrices_directly(ctx, rng):
+    # a 9-row matrix tiles at period 16 = grid rows: one copy, nothing to pack
+    mats = [encode(ctx, rng.normal(size=(9, 20)), tiling="vertical", level=0) for _ in range(2)]
+    before = ctx.ledger.snapshot()
+    outs = bootstrap_tiled(*mats)
+    assert ctx.ledger.delta(before) == {
+        "Add": 0, "CMult": 0, "Mult": 0, "Rot": 0, "Conj": 0, "Bootstrap": 4,
+    }
+    for e, out in zip(mats, outs):
+        np.testing.assert_array_equal(out.block.slots, e.block.slots)
+        assert (out.tiling, out.period, out.level) == ("vertical", 16, ctx.max_level)
+
+
+def test_packed_refresh_passes_plaintext_through(ctx, rng):
+    e = encode(ctx, rng.normal(size=(3, 20)), tiling="vertical", encrypted=False)
+    before = ctx.ledger.snapshot()
+    (out,) = bootstrap_tiled(e)
+    assert out is e
+    assert ctx.ledger.counts() == before
+
+
+def test_packed_refresh_needs_a_level_and_one_period(boot_ctx, rng):
+    # the cut is part of the refresh: no fallback bootstrap stands in for it
+    low = encode(boot_ctx, rng.normal(size=(3, 5)), tiling="vertical", level=0)
+    with pytest.raises(DepthExhausted):
+        bootstrap_tiled(low)
+    assert boot_ctx.ledger.counts()["Bootstrap"] == 0
+
+    four = encode(boot_ctx, rng.normal(size=(3, 5)), tiling="vertical")
+    eight = encode(boot_ctx, rng.normal(size=(5, 5)), tiling="vertical")
+    with pytest.raises(TilingError):
+        bootstrap_tiled(four, eight)
+    with pytest.raises(TilingError):
+        bootstrap_tiled(encode(boot_ctx, rng.normal(size=(3, 5)), tiling="horizontal"))

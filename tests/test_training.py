@@ -130,17 +130,48 @@ def test_test_scale_fit_needs_no_fallback_bootstrap():
     assert runs[False].ledger_counts == runs[True].ledger_counts
 
 
-def test_test_scale_steps_complete_at_every_accepted_budget():
-    # every max_level a run config accepts (at least 5) runs on the placed
-    # refreshes alone; bootstraps are value-exact, so the weights agree
-    x, y = make_gaussian_mixture(1024, 3, 16, 3, mean_scale=0.1)
+def final_weights_by_budget(slots, grid_rows, features, classes, batch, budgets, steps):
+    x, y = make_gaussian_mixture(1024, classes, features, 3, mean_scale=0.1)
     x = np.hstack([x, np.ones((x.shape[0], 1))])
     final = {}
-    for max_level in range(5, 25):
-        ctx = EmulatorContext(4096, 64, max_level=max_level)
-        final[max_level] = run_steps(x, y, 3, 8, ctx=ctx, lr=0.1, batch_size=64)[-1]
+    for max_level in budgets:
+        ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
+        final[max_level] = run_steps(x, y, classes, steps, ctx=ctx, lr=0.1, batch_size=batch)[-1]
+    return final
+
+
+def test_test_scale_steps_complete_at_every_accepted_budget():
+    # every max_level a run config accepts (at least 5) runs on the placed
+    # refreshes alone; bootstraps are value-exact, so the weights agree up to
+    # the ulps by which row_sums leaves the tiled copies of W apart (a packed
+    # refresh keeps copy 0 only, and budgets refresh at different steps)
+    final = final_weights_by_budget(4096, 64, 16, 3, 64, range(5, 25), 8)
     for w in final.values():
         np.testing.assert_allclose(w, final[24], rtol=0, atol=1e-15)
+
+
+def test_paper_scale_steps_complete_at_accepted_budgets():
+    # 32768 slots, 769 columns on 1x4 grids, 10 classes, batch 128
+    final = final_weights_by_budget(32768, 128, 768, 10, 128, (5, 12, 21), 3)
+    for w in final.values():
+        np.testing.assert_allclose(w, final[21], rtol=0, atol=1e-15)
+
+
+def test_paper_scale_step_bootstraps_at_budget_12():
+    # train-paper's shape and budget: 13 softmax and residual refreshes plus
+    # one packed ciphertext for W and V (their eight blocks hold 16 x 256
+    # distinct slots each, one 32768-slot block together)
+    ctx = EmulatorContext(32768, 128, max_level=12)
+    x, y = make_gaussian_mixture(256, 10, 768, 3, mean_scale=0.1)
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    state = encode_state(ctx, init_weights(10, 769, 0))
+    onehot = one_hot(y, 10)
+    for rows in batch_slices(256, 128):
+        before = ctx.ledger.snapshot()
+        nag_step(state, encode(ctx, x[rows]), encode(ctx, onehot[rows], tiling="horizontal"),
+                 lr=0.1, batch_rows=128)
+        assert ctx.ledger.delta(before)["Bootstrap"] == 14
+        assert state.weights.level == state.momentum.level == ctx.max_level - 1
 
 
 def test_bootstrap_keeps_low_depth_runs_exact(rng):
