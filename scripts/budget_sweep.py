@@ -4,7 +4,9 @@
 For every ``max_level`` from 5 (the smallest a run config accepts) to 24,
 runs 8 ``run_steps`` steps at the two north-star scales, with the
 auto-bootstrap fallback off, and prints the ledger's bootstraps and
-estimated milliseconds per step:
+estimated milliseconds per step, then the bootstraps per step of each
+stage that places them: the softmax (``sm``), the residual refresh before
+``diag_atb`` (``res``) and the packed W/V refresh (``wv``):
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
@@ -23,6 +25,10 @@ Run from the repository root::
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+from unittest import mock
+
+from hefit import training
 from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext
 from hefit.training import run_steps
@@ -36,26 +42,48 @@ SCALES = {
 }
 
 
-def sweep_point(scale: str, max_level: int) -> tuple[float, float]:
-    """(bootstraps, estimated ms) per step at one budget."""
+# column label: the training module's name for the stage
+STAGES = {"sm": "a_softmax", "res": "_refresh", "wv": "bootstrap_tiled"}
+
+
+def sweep_point(scale: str, max_level: int) -> tuple[float, float, dict[str, float]]:
+    """(bootstraps, estimated ms, bootstraps by stage) per step at one budget."""
     slots, grid_rows, features, classes, batch = SCALES[scale]
     x, y = make_gaussian_mixture(1024, classes, features + 1, 3, mean_scale=0.1)
     x[:, features] = 1.0  # bias column
     ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
-    run_steps(x, y, classes, STEPS, ctx=ctx, lr=0.1, batch_size=batch)
-    return ctx.ledger.counts()["Bootstrap"] / STEPS, ctx.ledger.estimated_ms / STEPS
+    stage_boots = dict.fromkeys(STAGES, 0)
+
+    def counted(label, fn):
+        def run(*args, **kwargs):
+            before = ctx.ledger.counts()["Bootstrap"]
+            out = fn(*args, **kwargs)
+            stage_boots[label] += ctx.ledger.counts()["Bootstrap"] - before
+            return out
+
+        return run
+
+    with ExitStack() as stack:
+        for label, name in STAGES.items():
+            stage = counted(label, getattr(training, name))
+            stack.enter_context(mock.patch.object(training, name, stage))
+        run_steps(x, y, classes, STEPS, ctx=ctx, lr=0.1, batch_size=batch)
+    per_stage = {label: n / STEPS for label, n in stage_boots.items()}
+    return ctx.ledger.counts()["Bootstrap"] / STEPS, ctx.ledger.estimated_ms / STEPS, per_stage
 
 
 def main() -> None:
     header = "max_level"
     for scale in SCALES:
         header += f"  {scale + ' boots':>12}  {scale + ' ms':>12}"
+        header += "".join(f"  {label:>6}" for label in STAGES)
     print(header)
     for max_level in BUDGETS:
         line = f"{max_level:>9}"
         for scale in SCALES:
-            boots, ms = sweep_point(scale, max_level)
+            boots, ms, per_stage = sweep_point(scale, max_level)
             line += f"  {boots:>12.3f}  {ms:>12.3f}"
+            line += "".join(f"  {per_stage[label]:>6.3f}" for label in STAGES)
         print(line, flush=True)
 
 

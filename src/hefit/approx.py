@@ -17,18 +17,21 @@ million-sample error measurement.  :func:`a_softmax` evaluates array
 inputs in cache-sized row blocks (128 KiB per work array); every step works
 within a row, so the output is bit-identical to a single pass over all rows.
 
-The pipeline is far deeper than one level budget (124 levels at 10
+The pipeline is far deeper than one level budget (88 levels at 10
 classes), so it places its own bootstraps: before each piece of known depth
 it calls :func:`_refresh`, which bootstraps an encrypted input only when its
-level is below what the piece consumes.  The pieces are each odd comparison
-polynomial (5 levels), the tournament's ``best`` before the roll (so its
-rival inherits the fresh level), each contraction step (2) and the
-compensation (4), ``z`` once before the exp Horner loop and ``acc`` inside
-it and before the squarings, the Goldschmidt pair, and the one-level glue
-products.  Each ciphertext is refreshed at most once per piece, a budget
-that already suffices never refreshes, and the array path passes through
-unchanged.  The deepest piece needs 5 levels, so any budget of at least 5
-runs the whole pipeline without the context's ``auto_bootstrap`` fallback.
+level is below what the piece consumes.  Each piece's depth is a named
+constant next to its evaluator: each odd comparison polynomial
+(``ODD_POLY_DEPTH``, 3 levels, factored), the tournament's ``best`` before
+the roll (the same need, so its rival inherits the fresh level), each
+contraction step (``CONTRACTION_DEPTH``, 2), the compensation
+(``COMPENSATION_DEPTH``, 4), the baby-step/giant-step exp fit
+(``EXP_FIT_DEPTH``, 4) and the squarings after it (``log2(EXP_RANGE)``),
+the Goldschmidt pair, and the one-level glue products.  Each ciphertext is
+refreshed at most once per piece, a budget that already suffices never
+refreshes, and the array path passes through unchanged.  The deepest pieces
+need 4 levels, so any budget of at least 4 runs the whole pipeline without
+the context's ``auto_bootstrap`` fallback.
 
 Only two knobs are configurable (:class:`SoftmaxConfig`): the number of
 extension steps and the compensation.  The exp and reciprocal parameters
@@ -64,7 +67,7 @@ DEP_DELTA = 4.0 / (27.0 * BASE_RANGE**2)
 EXP_RANGE = 8
 # a_inv normalizes by INV_RANGE and runs INV_ITERS Goldschmidt iterations.
 INV_RANGE = 100.0
-INV_ITERS = 16
+INV_ITERS = 12
 
 
 @dataclass(frozen=True)
@@ -200,16 +203,26 @@ def _refresh(x, need: int):
 # -- polynomial pieces ----------------------------------------------------------
 
 
+# Levels one comparison polynomial consumes.
+ODD_POLY_DEPTH = 3
+
+
 def _odd_poly(x, coeffs):
-    """a1 x + a3 x^3 + a5 x^5 + a7 x^7 via Horner in x^2 (4 Mult + 1 CMult,
-    5 levels)."""
-    x = _refresh(x, 5)
+    """a1 x + a3 x^3 + a5 x^5 + a7 x^7 in ODD_POLY_DEPTH levels (4 Mult +
+    2 CMult).
+
+    Uses the monic factorisation (a7 x)(y + alpha)(y^2 + beta) + (a7 gamma) x
+    with y = x^2, alpha = a5/a7, beta = a3/a7 and gamma = a1/a7 - alpha beta,
+    so the deepest product is three levels below x instead of Horner's five.
+    """
+    x = _refresh(x, ODD_POLY_DEPTH)
     a1, a3, a5, a7 = coeffs
+    alpha, beta = a5 / a7, a3 / a7
+    gamma = a1 / a7 - alpha * beta
     y = x * x
-    acc = y * a7 + a5
-    acc = acc * y + a3
-    acc = acc * y + a1
-    return acc * x
+    y2 = y * y
+    lead = (x * a7) * (y + alpha)
+    return lead * (y2 + beta) + x * (a7 * gamma)
 
 
 def a_comp(x, y):
@@ -243,13 +256,17 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS):
         work = work - car.pad_half_pattern()
     best = work
     for t in range(log2(car.period)):
-        best = _refresh(best, 5)
+        best = _refresh(best, ODD_POLY_DEPTH)
         rival = car.roll_left(best, 1 << t)
         w = _refresh(a_comp(best, rival), 1)
         best = best * w + rival * (1.0 - w)
     best = _refresh(best, 2) * car.first_col_mask()
     best = car.broadcast_col0(best)
     return best * two_r
+
+
+# Levels one contraction step consumes.
+CONTRACTION_DEPTH = 2
 
 
 def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS):
@@ -260,11 +277,15 @@ def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS):
     """
     for i in range(cfg.extension_steps - 1, -1, -1):
         delta_i = DEP_DELTA * EXTENSION_BASE ** (-2 * i)
-        M = _refresh(M, 2)
+        M = _refresh(M, CONTRACTION_DEPTH)
         square = M * M
         scaled = M * delta_i
         M = M - square * scaled
     return M
+
+
+# Levels the contraction-bias compensation consumes.
+COMPENSATION_DEPTH = 4
 
 
 def _dep_compensation(M, cfg: SoftmaxConfig):
@@ -280,10 +301,37 @@ def _dep_compensation(M, cfg: SoftmaxConfig):
     R = BASE_RANGE
     c3 = (4.0 / 27.0) * K / R**2
     c5 = (4.0 / 27.0) * K / R**4
+    M = _refresh(M, COMPENSATION_DEPTH)
     square = M * M
     cube = square * M
     fifth = cube * square
     return M + (cube * c3 - fifth * c5)
+
+
+# Levels the baby-step/giant-step evaluation of EXP_POLY consumes.
+EXP_FIT_DEPTH = 4
+
+
+def _exp_fit(z):
+    """EXP_POLY at z in EXP_FIT_DEPTH levels (6 Mult + 10 CMult).
+
+    Baby steps z, z^2, z^3 build three degree-3 chunks q0, q1, q2; giant
+    steps z^4, z^8 combine them as q0 + z^4 q1 + z^8 (q2 + c12 z^4)
+    (Paterson-Stockmeyer), so the fit costs four levels instead of Horner's
+    twelve.
+    """
+    z = _refresh(z, EXP_FIT_DEPTH)
+    c = EXP_POLY
+    z2 = z * z
+    z3 = z2 * z
+    z4 = z2 * z2
+
+    def chunk(k):
+        return z * c[k + 1] + c[k] + z2 * c[k + 2] + z3 * c[k + 3]
+
+    # the top term first, so fewer chunks and powers are alive at once
+    top = (z4 * z4) * (chunk(8) + z4 * c[12])
+    return chunk(0) + z4 * chunk(4) + top
 
 
 def a_exp(M):
@@ -294,10 +342,7 @@ def a_exp(M):
     whole base range.
     """
     B = EXP_RANGE
-    z = _refresh(_refresh(M, 1) * (1.0 / B), len(EXP_POLY) - 1)
-    acc = z * EXP_POLY[12] + EXP_POLY[11]
-    for k in range(10, -1, -1):
-        acc = _refresh(acc, 1) * z + EXP_POLY[k]
+    acc = _exp_fit(_refresh(M, 1) * (1.0 / B))
     acc = _refresh(acc, log2(B))
     for _ in range(log2(B)):
         acc = acc * acc
@@ -307,10 +352,14 @@ def a_exp(M):
 def a_inv(M):
     """Reciprocal via Goldschmidt iteration, normalized by INV_RANGE.
 
-    Relative error after k iterations is (1 - x/INV_RANGE)^(2^(k+1)): below
-    1e-3 uniformly on [0.01, 100] at the INV_ITERS = 16 iterations, degrading
-    as x/INV_RANGE approaches 0.  Inputs outside (0, 2*INV_RANGE) make the
-    iteration diverge; that is documented, not trapped.
+    Relative error after k iterations is (1 - x/INV_RANGE)^(2^(k+1)),
+    degrading as x/INV_RANGE approaches 0; inputs outside (0, 2*INV_RANGE)
+    make the iteration diverge, which is documented, not trapped.  In the
+    softmax the input is a row total of exps, and the row's largest term is
+    exp(>= 0) because :func:`a_max` never exceeds the true maximum, so the
+    total is at least 1 (uniform logits within +-128 at 3 to 16 classes
+    read up to 89).  On [1, 199] the INV_ITERS = 12 iterations leave at
+    most 0.99^8192 ~ e^-82 of relative error, below rounding.
     """
     y = _refresh(M, 1) * (1.0 / INV_RANGE)
     a = 2.0 - y
@@ -353,7 +402,7 @@ def _softmax(M, cfg: SoftmaxConfig):
     norm = _refresh(work - best, 1) * keep
     norm = domain_extend(norm, cfg)
     if cfg.precise:
-        norm = _dep_compensation(_refresh(norm, 4), cfg)
+        norm = _dep_compensation(norm, cfg)
     expd = _refresh(_refresh(a_exp(norm), 1) * keep, 1)
     total = car.sum_cols_broadcast(expd)
     recip = a_inv(total)

@@ -141,7 +141,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"epochs must be at least 1, got {cfg.epochs}")
     if cfg.patience < 1:
         raise ConfigError(f"patience must be at least 1, got {cfg.patience}")
-    # the deepest piece of the pipeline, an odd comparison polynomial
+    # the smallest budget a training step completes on: at 4, the cut of W
+    # and V before their packed refresh runs out of levels
     if cfg.max_level < 5:
         raise ConfigError(f"max_level must be at least 5, got {cfg.max_level}")
     if cfg.seed < 0:

@@ -12,8 +12,8 @@ one.  What the emulator does track faithfully:
 
 * level bookkeeping (multiplications consume one level; a multiply at level 0
   raises :class:`~hefit.errors.DepthExhausted` unless auto-bootstrap is on;
-  the pipelines refresh explicitly and complete without it at every budget
-  of at least 5 levels),
+  the pipelines refresh explicitly and complete without it: the softmax at
+  every budget of at least 4 levels, training at every budget of at least 5),
 * an operation ledger priced with fixed per-op cost weights, giving a latency
   estimate for the sequence of homomorphic ops that a real backend would
   execute.
@@ -128,8 +128,9 @@ class EmulatorContext:
     raises; with ``True`` the operand is restored to ``max_level`` for that
     op only, charged one Bootstrap per block of the operand (``mult(x, x)``
     charges once).  The softmax and the trainer place their own refreshes
-    and complete without it at every ``max_level >= 5`` (a comparison
-    polynomial needs 5 levels, and a run config requires that many), so
+    and complete without it at every ``max_level >= 5`` (the softmax's
+    deepest pieces need 4 levels, a training step 5, and a run config
+    requires that many), so
     nothing in the package turns it on.
     """
 

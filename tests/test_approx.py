@@ -6,12 +6,14 @@ here is deterministic (fixed seeds), so the pins are tight.
 
 import runpy
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hefit import approx
 from hefit._constants import (
     COMP_ROUND_ERR,
     COMP_ROUND_ERR_ARG,
@@ -23,9 +25,16 @@ from hefit.approx import (
     BASE_RANGE,
     COMP_F,
     COMP_G,
+    COMPENSATION_DEPTH,
+    CONTRACTION_DEPTH,
     DEFAULTS,
     DEP_DELTA,
+    EXP_FIT_DEPTH,
+    ODD_POLY_DEPTH,
     SoftmaxConfig,
+    _dep_compensation,
+    _exp_fit,
+    _odd_poly,
     _softmax,
     a_comp,
     a_exp,
@@ -180,6 +189,71 @@ def test_a_inv_reciprocal_accuracy():
     assert np.abs(a_inv(v) * v - 1.0).max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    classes=st.integers(2, 16),
+    cfg=st.builds(SoftmaxConfig, st.integers(0, 5), st.booleans()),
+    data=st.data(),
+)
+def test_row_total_fed_to_a_inv_is_at_least_one(classes, cfg, data):
+    # a_max never exceeds a row's maximum, so that entry's exp is exp(>= 0):
+    # the reciprocal's input stays >= 1, where INV_ITERS is rounding-exact
+    r = cfg.max_range
+    row = st.lists(st.floats(-r, r), min_size=classes, max_size=classes)
+    logits = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
+    totals = []
+
+    def recording_inv(total):
+        totals.append(total)
+        return a_inv(total)
+
+    with mock.patch.object(approx, "a_inv", recording_inv):
+        a_softmax(logits, cfg)
+    assert len(totals) == 1
+    assert totals[0].min() >= 1.0 - 1e-9
+
+
+# -- evaluation orders ----------------------------------------------------------------
+
+
+_polyval = np.polynomial.polynomial.polyval
+
+
+@pytest.mark.parametrize(
+    "coeffs,tol", [(COMP_F, 1e-14), (COMP_G, 2e-14)], ids=["COMP_F", "COMP_G"]
+)
+def test_factored_odd_poly_equals_its_power_form(coeffs, tol):
+    # COMP_G's factored form sums a product and an x term that each reach
+    # about 28 near |x| = 1 and cancel to below 1, so its rounding is a few
+    # ulps of 28 (measured 1.5e-14); COMP_F's terms stay below 3 (2.8e-15)
+    x = np.linspace(-1.0, 1.0, 200001)
+    a1, a3, a5, a7 = coeffs
+    want = _polyval(x, [0.0, a1, 0.0, a3, 0.0, a5, 0.0, a7])
+    assert np.abs(_odd_poly(x, coeffs) - want).max() <= tol
+
+
+def test_exp_fit_equals_horner_of_the_fit():
+    x = np.linspace(-1.0, 1.0, 200001)
+    assert np.abs(_exp_fit(x) - _polyval(x, EXP_POLY)).max() <= 1e-14
+
+
+def test_named_depths_are_what_the_pieces_consume():
+    # on a budget no piece exhausts, every named depth is measured, not
+    # refreshed: the refresh plan reads these names
+    ctx = EmulatorContext(256, 16, max_level=10**6)
+    x = encode(ctx, np.full((8, 16), 0.25), tiling="horizontal")
+    before = ctx.ledger.snapshot()
+    measured = {
+        "odd poly": (_odd_poly(x, COMP_G), ODD_POLY_DEPTH),
+        "exp fit": (_exp_fit(x), EXP_FIT_DEPTH),
+        "contraction": (domain_extend(x, SoftmaxConfig(extension_steps=1)), CONTRACTION_DEPTH),
+        "compensation": (_dep_compensation(x, DEFAULTS), COMPENSATION_DEPTH),
+    }
+    assert ctx.ledger.delta(before)["Bootstrap"] == 0
+    for name, (out, depth) in measured.items():
+        assert ctx.max_level - out.level == depth, name
+
+
 # -- assembled softmax ---------------------------------------------------------------
 
 
@@ -271,7 +345,7 @@ def test_encrypted_softmax_ledger_is_unchanged(rng):
     a_softmax(enc, DEFAULTS)
     # the explicit refresh points bootstrap each ciphertext once per piece
     assert ctx.ledger.delta(before) == {
-        "Add": 91, "CMult": 29, "Mult": 102, "Rot": 16, "Conj": 0, "Bootstrap": 11,
+        "Add": 87, "CMult": 47, "Mult": 89, "Rot": 16, "Conj": 0, "Bootstrap": 7,
     }
 
 
@@ -294,7 +368,7 @@ def test_paper_shaped_softmax_needs_no_fallback_bootstrap(rng):
         ctx = EmulatorContext(32768, 128, max_level=12, auto_bootstrap=auto)
         out, delta = _encrypted_softmax(ctx, logits, level=9)
         outs[auto] = out.block.slots
-        assert delta["Bootstrap"] == 13
+        assert delta["Bootstrap"] == 9
     np.testing.assert_array_equal(outs[False], outs[True])
     np.testing.assert_array_equal(decode(out), a_softmax(logits, DEFAULTS))
 
@@ -307,25 +381,43 @@ class _GainingContext(EmulatorContext):
         return super().bootstrap(x)
 
 
-@pytest.mark.parametrize("max_level", [3, 5, 6, 7, 12])
+@pytest.mark.parametrize("max_level", [3, 4, 5, 6, 7, 12])
 @pytest.mark.parametrize("classes", [2, 3, 5, 16])
 def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes):
-    # budgets of at least 5 levels (one comparison polynomial) run on the
-    # plan alone; a smaller one also needs the fallback
+    # budgets of at least 4 levels (the exp fit or the compensation, the
+    # deepest pieces) run on the plan alone; a smaller one also needs the
+    # fallback
     logits = rng.uniform(-30, 30, size=(8, classes))
     want = a_softmax(logits, DEFAULTS)
     for level in range(max_level + 1):
-        ctx = _GainingContext(256, 16, max_level=max_level, auto_bootstrap=max_level < 5)
+        ctx = _GainingContext(256, 16, max_level=max_level, auto_bootstrap=max_level < 4)
         out, _ = _encrypted_softmax(ctx, logits, level=level)
         np.testing.assert_array_equal(decode(out), want)
 
 
-@pytest.mark.parametrize("classes,depth", [(10, 124), (3, 90)])
+@pytest.mark.parametrize("classes,depth", [(10, 88), (3, 66)])
 def test_deep_budget_never_refreshes(rng, classes, depth):
     ctx = EmulatorContext(4096, 64, max_level=10**6)
     out, delta = _encrypted_softmax(ctx, rng.uniform(-8, 8, size=(64, classes)))
     assert delta["Bootstrap"] == 0
     assert ctx.max_level - out.level == depth
+
+
+def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
+    # 10-class logits three levels down, as diag_abt leaves them: the plan's
+    # bootstraps per call at every budget from the softmax's minimum of 4.
+    # A refresh need set below its piece's depth moves a count here or
+    # exhausts a level (budgets 6 and 9 for a_max's unscale at need 1).
+    logits = rng.uniform(-30, 30, size=(8, 10))
+    counts = {}
+    for max_level in range(4, 17):
+        ctx = EmulatorContext(256, 16, max_level=max_level)
+        _, delta = _encrypted_softmax(ctx, logits, level=max_level - 3)
+        counts[max_level] = delta["Bootstrap"]
+    assert counts == {
+        4: 31, 5: 26, 6: 19, 7: 17, 8: 13, 9: 13, 10: 10,
+        11: 9, 12: 9, 13: 8, 14: 8, 15: 7, 16: 7,
+    }
 
 
 # -- bounds ---------------------------------------------------------------------------
