@@ -17,17 +17,21 @@ million-sample error measurement.  :func:`a_softmax` evaluates array
 inputs in cache-sized row blocks (128 KiB per work array); every step works
 within a row, so the output is bit-identical to a single pass over all rows.
 
-The pipeline is far deeper than one level budget (88 levels at 10
-classes), so it places its own bootstraps: before each piece of known depth
-it calls :func:`_refresh`, which bootstraps an encrypted input only when its
-level is below what the piece consumes.  Each piece's depth is a named
-constant next to its evaluator: each odd comparison polynomial
-(``ODD_POLY_DEPTH``, 3 levels, factored), the tournament's ``best`` before
-the roll (the same need, so its rival inherits the fresh level), each
-contraction step (``CONTRACTION_DEPTH``, 2), the compensation
-(``COMPENSATION_DEPTH``, 4), the baby-step/giant-step exp fit
-(``EXP_FIT_DEPTH``, 4) and the squarings after it (``log2(EXP_RANGE)``),
-the Goldschmidt pair, and the one-level glue products.  Each ciphertext is
+Constant scalings spend no level of their own: the comparison's
+(u + 1) / 2, the tournament's 1/(2 max_range) and the exp's 1/EXP_RANGE
+live in polynomial coefficients, and the reciprocal's 1/INV_RANGE in the
+mask that keeps the classes.  The pipeline is still far deeper than one
+level budget (79 levels at 10 classes), so it places its own bootstraps:
+before each piece of known depth it calls :func:`_refresh`, which
+bootstraps an encrypted input only when its level is below what the piece
+consumes.  Each piece's depth is a named constant next to its evaluator:
+each odd comparison polynomial (``ODD_POLY_DEPTH``, 3 levels, factored;
+three per comparison), the tournament's ``best`` before the roll (the
+same need, so its rival inherits the fresh level), each contraction step
+(``CONTRACTION_DEPTH``, 2), the compensation (``COMPENSATION_DEPTH``, 4),
+the baby-step/giant-step exp fit (``EXP_FIT_DEPTH``, 4) and the squarings
+after it (``log2(EXP_RANGE)``), the Goldschmidt pair, and the one-level
+glue products.  Each ciphertext is
 refreshed at most once per piece, a budget that already suffices never
 refreshes, and the array path passes through unchanged.  The deepest pieces
 need 4 levels, so any budget of at least 4 runs the whole pipeline without
@@ -56,6 +60,9 @@ from .plainref import exact_softmax
 # a5, a7) of a1*x + a3*x^3 + a5*x^5 + a7*x^7.
 COMP_F = (35 / 16, -35 / 16, 21 / 16, -5 / 16)
 COMP_G = (4589 / 1024, -16577 / 1024, 25614 / 1024, -12860 / 1024)
+# COMP_F halved: a_comp's last pass absorbs the 1/2 of its (u + 1) / 2 map,
+# exactly, since halving commutes with rounding.
+COMP_F_HALF = tuple(a / 2 for a in COMP_F)
 
 # Half-width the exponential is accurate on, and the ratio of each
 # contraction step of the domain extension.
@@ -65,7 +72,11 @@ EXTENSION_BASE = 2.0
 DEP_DELTA = 4.0 / (27.0 * BASE_RANGE**2)
 # a_exp evaluates its fit at x / EXP_RANGE and squares log2(EXP_RANGE) times.
 EXP_RANGE = 8
-# a_inv normalizes by INV_RANGE and runs INV_ITERS Goldschmidt iterations.
+# EXP_POLY with coefficient k divided by EXP_RANGE^k: the fit at x / EXP_RANGE
+# as a polynomial in x, exact term by term since EXP_RANGE is a power of two.
+EXP_POLY_UNSCALED = tuple(c / EXP_RANGE**k for k, c in enumerate(EXP_POLY))
+# The softmax divides its exps by INV_RANGE, so a_inv receives a normalized
+# row total, and runs INV_ITERS Goldschmidt iterations on it.
 INV_RANGE = 100.0
 INV_ITERS = 12
 
@@ -140,13 +151,13 @@ class _Carrier:
             return pattern_matrix(self.ctx, block, grid=self.matrix.grid)
         return row_fn(np.arange(self.period))[None, :]
 
-    def keep_classes_mask(self):
+    def keep_classes_mask(self, value: float = 1.0):
         c = self.classes
-        return self._pattern(lambda j: np.where(j < c, 1.0, 0.0))
+        return self._pattern(lambda j: np.where(j < c, value, 0.0))
 
-    def pad_half_pattern(self):
+    def pad_pattern(self, value: float):
         c, cp = self.classes, self.period
-        return self._pattern(lambda j: np.where((j % cp) >= c, 0.5, 0.0))
+        return self._pattern(lambda j: np.where((j % cp) >= c, value, 0.0))
 
     def first_col_mask(self):
         return self._pattern(lambda j: np.where(j == 0, 1.0, 0.0))
@@ -225,44 +236,57 @@ def _odd_poly(x, coeffs):
     return lead * (y2 + beta) + x * (a7 * gamma)
 
 
+def _comp(d, first):
+    """Soft comparison of a difference d, its first pass through ``first``.
+
+    ``(u + 1) / 2`` of the composition u is ``u / 2 + 1/2``, with the half
+    folded into :data:`COMP_F_HALF`, so the map costs no level:
+    3 * ODD_POLY_DEPTH in all.
+    """
+    u = _odd_poly(_odd_poly(_odd_poly(d, first), COMP_G), COMP_F_HALF)
+    return u + 0.5
+
+
 def a_comp(x, y):
     """Soft comparison of two slot values scaled to [-1/2, 1/2].
 
     Returns ~1 where x exceeds y by a clear margin, ~0 in the opposite
     case, exactly 1/2 at equality (odd composition through zero).
     """
-    d = x - y
-    u = _odd_poly(_odd_poly(_odd_poly(d, COMP_G), COMP_G), COMP_F)
-    return (_refresh(u, 1) + 1.0) * 0.5
+    return _comp(x - y, COMP_G)
 
 
 def a_max(M, cfg: SoftmaxConfig = DEFAULTS):
     """Row-wise approximate maximum, broadcast into every slot of the row.
 
-    Inputs are scaled into [-1/2, 1/2]; padded columns are pushed to -1/2
-    (periodically with the tiling, so every copy behaves alike) and can
-    never win.  log2(period) knockout rounds blend each slot with its
-    rotated partner through :func:`a_comp`; column 0 of each row then holds
-    the winner, which is isolated, broadcast, and unscaled.  The result
-    never exceeds the true maximum (the blends are convex).
+    The comparison sees each difference scaled into [-1, 1] by 1/(2R),
+    R = max_range, but the tournament itself runs unscaled: the scale lives
+    in the first comparison pass's coefficients (a_k / (2R)^k for the odd
+    power k), which is exact because 2R is a power of two.  Padded columns
+    are pushed down by R (periodically with the tiling, so every copy
+    behaves alike) and can never win.  log2(period) knockout rounds blend
+    each slot with its rotated partner through the comparison; column 0 of
+    each row then holds the winner, which is isolated and broadcast.  The
+    result never exceeds the true maximum (the blends are convex), and it
+    equals, bit for bit, a tournament on inputs scaled by 1/(2R) whose
+    winner is scaled back by 2R.
 
     Each round refreshes ``best`` for the first comparison polynomial before
     the roll, so ``rival`` inherits the fresh level.
     """
     car = _Carrier(M)
-    two_r = 2.0 * cfg.max_range
-    work = _refresh(car.matrix, 1) * (1.0 / two_r)
+    r = cfg.max_range
+    first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_G))
+    best = car.matrix
     if car.classes < car.period:
-        work = work - car.pad_half_pattern()
-    best = work
+        best = best - car.pad_pattern(r)
     for t in range(log2(car.period)):
         best = _refresh(best, ODD_POLY_DEPTH)
         rival = car.roll_left(best, 1 << t)
-        w = _refresh(a_comp(best, rival), 1)
+        w = _refresh(_comp(best - rival, first), 1)
         best = best * w + rival * (1.0 - w)
-    best = _refresh(best, 2) * car.first_col_mask()
-    best = car.broadcast_col0(best)
-    return best * two_r
+    best = _refresh(best, 1) * car.first_col_mask()
+    return car.broadcast_col0(best)
 
 
 # Levels one contraction step consumes.
@@ -308,12 +332,13 @@ def _dep_compensation(M, cfg: SoftmaxConfig):
     return M + (cube * c3 - fifth * c5)
 
 
-# Levels the baby-step/giant-step evaluation of EXP_POLY consumes.
+# Levels the baby-step/giant-step evaluation of the exp fit consumes.
 EXP_FIT_DEPTH = 4
 
 
-def _exp_fit(z):
-    """EXP_POLY at z in EXP_FIT_DEPTH levels (6 Mult + 10 CMult).
+def _exp_fit(z, c):
+    """Degree-12 polynomial of coefficients c (c[k] of z^k) at z in
+    EXP_FIT_DEPTH levels (6 Mult + 10 CMult).
 
     Baby steps z, z^2, z^3 build three degree-3 chunks q0, q1, q2; giant
     steps z^4, z^8 combine them as q0 + z^4 q1 + z^8 (q2 + c12 z^4)
@@ -321,7 +346,6 @@ def _exp_fit(z):
     twelve.
     """
     z = _refresh(z, EXP_FIT_DEPTH)
-    c = EXP_POLY
     z2 = z * z
     z3 = z2 * z
     z4 = z2 * z2
@@ -337,38 +361,42 @@ def _exp_fit(z):
 def a_exp(M):
     """exp on [-EXP_RANGE, EXP_RANGE]: fitted polynomial at x/B, squared log2(B) times.
 
-    The degree-12 fit carries ~3e-13 of error on [-1, 1]; squaring preserves
-    the relative error, so accuracy is near machine precision across the
-    whole base range.
+    The 1/B lives in the coefficients (:data:`EXP_POLY_UNSCALED`), so the
+    fit reads x itself and a_exp costs EXP_FIT_DEPTH + log2(B) levels, bit
+    for bit the value of EXP_POLY at x/B.  The degree-12 fit carries ~3e-13
+    of error on [-1, 1]; squaring preserves the relative error, so accuracy
+    is near machine precision across the whole base range.
     """
     B = EXP_RANGE
-    acc = _exp_fit(_refresh(M, 1) * (1.0 / B))
+    acc = _exp_fit(M, EXP_POLY_UNSCALED)
     acc = _refresh(acc, log2(B))
     for _ in range(log2(B)):
         acc = acc * acc
     return acc
 
 
-def a_inv(M):
-    """Reciprocal via Goldschmidt iteration, normalized by INV_RANGE.
+def a_inv(y):
+    """Goldschmidt reciprocal 1/y of an input already divided by INV_RANGE.
 
-    Relative error after k iterations is (1 - x/INV_RANGE)^(2^(k+1)),
-    degrading as x/INV_RANGE approaches 0; inputs outside (0, 2*INV_RANGE)
-    make the iteration diverge, which is documented, not trapped.  In the
-    softmax the input is a row total of exps, and the row's largest term is
-    exp(>= 0) because :func:`a_max` never exceeds the true maximum, so the
-    total is at least 1 (uniform logits within +-128 at 3 to 16 classes
-    read up to 89).  On [1, 199] the INV_ITERS = 12 iterations leave at
-    most 0.99^8192 ~ e^-82 of relative error, below rounding.
+    Relative error after k iterations is (1 - y)^(2^(k+1)), degrading as y
+    approaches 0; inputs outside (0, 2) make the iteration diverge, which
+    is documented, not trapped.  The normalization is the caller's: the
+    softmax divides its exps by INV_RANGE in the mask that keeps the
+    classes, so their row total is already y and the reciprocal multiplies
+    them back to the softmax without a further scaling.  The row's largest
+    exp is exp(>= 0) because :func:`a_max` never exceeds the true maximum,
+    so y is at least 1/INV_RANGE (uniform logits within +-128 at 3 to 16
+    classes read up to 0.89).  On [0.01, 1.99] the INV_ITERS = 12
+    iterations leave at most 0.99^8192 ~ e^-82 of relative error, below
+    rounding.
     """
-    y = _refresh(M, 1) * (1.0 / INV_RANGE)
     a = 2.0 - y
     b = 1.0 - y
     for _ in range(INV_ITERS):
         a, b = _refresh(a, 1), _refresh(b, 2)
         b = b * b
         a = a * (b + 1.0)
-    return _refresh(a, 1) * (1.0 / INV_RANGE)
+    return a
 
 
 def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS):
@@ -398,12 +426,13 @@ def _softmax(M, cfg: SoftmaxConfig):
     car = _Carrier(M)
     work = car.matrix
     best = a_max(work if car.encrypted else work[:, : car.classes], cfg)
-    keep = car.keep_classes_mask()
-    norm = _refresh(work - best, 1) * keep
+    norm = _refresh(work - best, 1) * car.keep_classes_mask()
     norm = domain_extend(norm, cfg)
     if cfg.precise:
         norm = _dep_compensation(norm, cfg)
-    expd = _refresh(_refresh(a_exp(norm), 1) * keep, 1)
+    # exps / INV_RANGE: their row total is a_inv's normalized input
+    keep_scaled = car.keep_classes_mask(1.0 / INV_RANGE)
+    expd = _refresh(_refresh(a_exp(norm), 1) * keep_scaled, 1)
     total = car.sum_cols_broadcast(expd)
     recip = a_inv(total)
     out = expd * _refresh(recip, 1)

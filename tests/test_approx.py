@@ -30,6 +30,9 @@ from hefit.approx import (
     DEFAULTS,
     DEP_DELTA,
     EXP_FIT_DEPTH,
+    EXP_RANGE,
+    INV_ITERS,
+    INV_RANGE,
     ODD_POLY_DEPTH,
     SoftmaxConfig,
     _dep_compensation,
@@ -46,7 +49,7 @@ from hefit.approx import (
     small_domain_eps,
     theorem_beta,
 )
-from hefit.emulator import EmulatorContext
+from hefit.emulator import EmulatorContext, log2
 from hefit.encoding import decode, encode, next_pow2
 from hefit.errors import ShapeMismatch
 from hefit.plainref import exact_softmax
@@ -185,8 +188,9 @@ def test_a_exp_accurate_on_core_interval():
 
 
 def test_a_inv_reciprocal_accuracy():
-    v = np.linspace(0.5, 150.0, 100001).reshape(-1, 1)
-    assert np.abs(a_inv(v) * v - 1.0).max() <= 1e-12
+    # a_inv takes its input already divided by INV_RANGE
+    y = np.linspace(0.5, 150.0, 100001).reshape(-1, 1) / INV_RANGE
+    assert np.abs(a_inv(y) * y - 1.0).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +201,8 @@ def test_a_inv_reciprocal_accuracy():
 )
 def test_row_total_fed_to_a_inv_is_at_least_one(classes, cfg, data):
     # a_max never exceeds a row's maximum, so that entry's exp is exp(>= 0):
-    # the reciprocal's input stays >= 1, where INV_ITERS is rounding-exact
+    # the row total stays >= 1, so the reciprocal's input (that total divided
+    # by INV_RANGE) stays >= 1 / INV_RANGE, where INV_ITERS is rounding-exact
     r = cfg.max_range
     row = st.lists(st.floats(-r, r), min_size=classes, max_size=classes)
     logits = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
@@ -210,7 +215,7 @@ def test_row_total_fed_to_a_inv_is_at_least_one(classes, cfg, data):
     with mock.patch.object(approx, "a_inv", recording_inv):
         a_softmax(logits, cfg)
     assert len(totals) == 1
-    assert totals[0].min() >= 1.0 - 1e-9
+    assert totals[0].min() >= (1.0 - 1e-9) / INV_RANGE
 
 
 # -- evaluation orders ----------------------------------------------------------------
@@ -234,7 +239,83 @@ def test_factored_odd_poly_equals_its_power_form(coeffs, tol):
 
 def test_exp_fit_equals_horner_of_the_fit():
     x = np.linspace(-1.0, 1.0, 200001)
-    assert np.abs(_exp_fit(x) - _polyval(x, EXP_POLY)).max() <= 1e-14
+    assert np.abs(_exp_fit(x, EXP_POLY) - _polyval(x, EXP_POLY)).max() <= 1e-14
+
+
+# The pipeline with every constant scaling as a separate op, in the order the
+# folds replaced: x 1/(2R) into the tournament, (u + 1) * 1/2 after each
+# comparison, x 2R out of it, x 1/B into the exp fit, x 1/INV_RANGE into and
+# out of the reciprocal.
+
+
+def _explicit_comp(x, y):
+    u = _odd_poly(_odd_poly(_odd_poly(x - y, COMP_G), COMP_G), COMP_F)
+    return (u + 1.0) * 0.5
+
+
+def _explicit_max(m, cfg):
+    rows, classes = m.shape
+    period = next_pow2(classes)
+    two_r = 2.0 * cfg.max_range
+    best = np.zeros((rows, period))
+    best[:, :classes] = m
+    best = best * (1.0 / two_r)
+    best[:, classes:] -= 0.5
+    for t in range(log2(period)):
+        rival = np.roll(best, -(1 << t), axis=1)
+        w = _explicit_comp(best, rival)
+        best = best * w + rival * (1.0 - w)
+    return np.repeat(best[:, :1], period, axis=1) * two_r
+
+
+def _explicit_exp(m):
+    acc = _exp_fit(m * (1.0 / EXP_RANGE), EXP_POLY)
+    for _ in range(log2(EXP_RANGE)):
+        acc = acc * acc
+    return acc
+
+
+def _explicit_softmax(m, cfg):
+    classes = m.shape[1]
+    period = next_pow2(classes)
+    work = np.zeros((m.shape[0], period))
+    work[:, :classes] = m
+    keep = np.where(np.arange(period) < classes, 1.0, 0.0)[None, :]
+    norm = domain_extend((work - _explicit_max(m, cfg)) * keep, cfg)
+    if cfg.precise:
+        norm = _dep_compensation(norm, cfg)
+    expd = _explicit_exp(norm) * keep
+    total = expd
+    for t in range(log2(period)):
+        total = total + np.roll(total, -(1 << t), axis=1)
+    y = total[:, :1] * (1.0 / INV_RANGE)
+    a, b = 2.0 - y, 1.0 - y
+    for _ in range(INV_ITERS):
+        b = b * b
+        a = a * (b + 1.0)
+    return (expd * (a * (1.0 / INV_RANGE)))[:, :classes]
+
+
+@pytest.mark.parametrize("steps", [0, 5])
+@pytest.mark.parametrize("classes", [2, 3, 10, 16])
+def test_folded_scalings_match_the_explicit_order(steps, classes):
+    # every folded constant but 1/INV_RANGE is a power of two, so the folds
+    # are bit-exact; 1/100 is not, which moves the softmax by ulps
+    cfg = SoftmaxConfig(extension_steps=steps)
+    r = cfg.max_range
+    rng = np.random.default_rng(100 * steps + classes)
+    m = rng.uniform(-r, r, size=(2000, classes))
+    d = rng.uniform(-0.5, 0.5, size=(2, 2000))
+    np.testing.assert_array_equal(a_comp(d[0], d[1]), _explicit_comp(d[0], d[1]))
+    np.testing.assert_array_equal(a_max(m, cfg), _explicit_max(m, cfg))
+    g = rng.uniform(-EXP_RANGE, EXP_RANGE, size=(2000, classes))
+    np.testing.assert_array_equal(a_exp(g), _explicit_exp(g))
+    want = _explicit_softmax(m, cfg)
+    assert np.abs(a_softmax(m, cfg) - want).max() <= 2e-14
+    ctx = EmulatorContext(256, 16, max_level=12)
+    enc = encode(ctx, m[:8], tiling="horizontal")
+    got = decode(a_softmax(enc, cfg), role="observer", tag="test")
+    assert np.abs(got - want[:8]).max() <= 2e-14
 
 
 def test_named_depths_are_what_the_pieces_consume():
@@ -245,7 +326,9 @@ def test_named_depths_are_what_the_pieces_consume():
     before = ctx.ledger.snapshot()
     measured = {
         "odd poly": (_odd_poly(x, COMP_G), ODD_POLY_DEPTH),
-        "exp fit": (_exp_fit(x), EXP_FIT_DEPTH),
+        "comparison": (a_comp(x, 0.125), 3 * ODD_POLY_DEPTH),
+        "exp": (a_exp(x), EXP_FIT_DEPTH + log2(EXP_RANGE)),
+        "exp fit": (_exp_fit(x, EXP_POLY), EXP_FIT_DEPTH),
         "contraction": (domain_extend(x, SoftmaxConfig(extension_steps=1)), CONTRACTION_DEPTH),
         "compensation": (_dep_compensation(x, DEFAULTS), COMPENSATION_DEPTH),
     }
@@ -345,7 +428,7 @@ def test_encrypted_softmax_ledger_is_unchanged(rng):
     a_softmax(enc, DEFAULTS)
     # the explicit refresh points bootstrap each ciphertext once per piece
     assert ctx.ledger.delta(before) == {
-        "Add": 87, "CMult": 47, "Mult": 89, "Rot": 16, "Conj": 0, "Bootstrap": 7,
+        "Add": 87, "CMult": 39, "Mult": 89, "Rot": 16, "Conj": 0, "Bootstrap": 7,
     }
 
 
@@ -368,7 +451,7 @@ def test_paper_shaped_softmax_needs_no_fallback_bootstrap(rng):
         ctx = EmulatorContext(32768, 128, max_level=12, auto_bootstrap=auto)
         out, delta = _encrypted_softmax(ctx, logits, level=9)
         outs[auto] = out.block.slots
-        assert delta["Bootstrap"] == 9
+        assert delta["Bootstrap"] == 8
     np.testing.assert_array_equal(outs[False], outs[True])
     np.testing.assert_array_equal(decode(out), a_softmax(logits, DEFAULTS))
 
@@ -395,7 +478,7 @@ def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes):
         np.testing.assert_array_equal(decode(out), want)
 
 
-@pytest.mark.parametrize("classes,depth", [(10, 88), (3, 66)])
+@pytest.mark.parametrize("classes,depth", [(10, 79), (3, 59)])
 def test_deep_budget_never_refreshes(rng, classes, depth):
     ctx = EmulatorContext(4096, 64, max_level=10**6)
     out, delta = _encrypted_softmax(ctx, rng.uniform(-8, 8, size=(64, classes)))
@@ -407,7 +490,8 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
     # 10-class logits three levels down, as diag_abt leaves them: the plan's
     # bootstraps per call at every budget from the softmax's minimum of 4.
     # A refresh need set below its piece's depth moves a count here or
-    # exhausts a level (budgets 6 and 9 for a_max's unscale at need 1).
+    # exhausts a level: best's need at 1 moves budgets 5, 8 and 9, and the
+    # first-column mask's need at 0 exhausts budget 4.
     logits = rng.uniform(-30, 30, size=(8, 10))
     counts = {}
     for max_level in range(4, 17):
@@ -415,8 +499,8 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
         _, delta = _encrypted_softmax(ctx, logits, level=max_level - 3)
         counts[max_level] = delta["Bootstrap"]
     assert counts == {
-        4: 31, 5: 26, 6: 19, 7: 17, 8: 13, 9: 13, 10: 10,
-        11: 9, 12: 9, 13: 8, 14: 8, 15: 7, 16: 7,
+        4: 28, 5: 25, 6: 19, 7: 15, 8: 13, 9: 12, 10: 9,
+        11: 9, 12: 8, 13: 8, 14: 7, 15: 7, 16: 7,
     }
 
 
