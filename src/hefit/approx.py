@@ -171,9 +171,7 @@ class _Carrier:
     def broadcast_col0(self, x):
         """Spread column 0 of each row to every column (x is col-0 masked)."""
         if self.encrypted:
-            for t in range(log2(self.ctx.grid_cols)):
-                x = x + x.rrot(1 << t)
-            return x
+            return x.rot_sum([-(1 << t) for t in range(log2(self.ctx.grid_cols))])
         return np.repeat(x[:, :1], self.period, axis=1)
 
     def sum_cols_broadcast(self, x):
@@ -190,9 +188,7 @@ class _Carrier:
         if not self.encrypted:
             return x
         reps = self.ctx.grid_cols // self.period
-        for t in range(log2(reps)):
-            x = x + x.rrot(self.period * (1 << t))
-        return x
+        return x.rot_sum([-self.period * (1 << t) for t in range(log2(reps))])
 
 
 # -- refresh points -------------------------------------------------------------

@@ -5,10 +5,13 @@ remaining multiplicative budget (its *level*).  A :class:`CipherBlock` may
 hold a whole grid of such vectors, ``slots`` of shape ``(..., slot_count)``
 with one level for all of them: every primitive is then one numpy call that
 broadcasts its operands over the leading axes and ledgers one op per block
-of the result.  Arithmetic on slots is exact
-IEEE double precision — there is no noise model — so a plaintext computation
-that mirrors the same operation order is a bit-exact oracle for the emulated
-one.  What the emulator does track faithfully:
+of the result.  The rotate-and-sum ladders the matrix products and the
+softmax are built from (``acc = acc + lrot(acc, s)`` per step) run as one
+primitive, :meth:`EmulatorContext.rot_sum`, which ledgers the same ops as
+that loop but writes each step into a preallocated buffer.  Arithmetic on
+slots is exact IEEE double precision — there is no noise model — so a
+plaintext computation that mirrors the same operation order is a bit-exact
+oracle for the emulated one.  What the emulator does track faithfully:
 
 * level bookkeeping (multiplications consume one level; a multiply at level 0
   raises :class:`~hefit.errors.DepthExhausted` unless auto-bootstrap is on;
@@ -275,6 +278,36 @@ class EmulatorContext:
 
     def rrot(self, x: CipherBlock, r: int) -> CipherBlock:
         return self.lrot(x, -int(r))
+
+    def rot_sum(self, x: CipherBlock, shifts) -> CipherBlock:
+        """Rotate-and-sum ladder: ``acc = acc + lrot(acc, s)`` for each s.
+
+        Ledgers what that loop of :meth:`add` and :meth:`lrot` would: one
+        Add per block per step, plus one Rot unless s is 0 (mod
+        slot_count); negative s rotates right, and the level is kept.  Each
+        step is two sliced additions into one of two preallocated buffers,
+        so the ladder makes no rolled copy.
+        """
+        vx, ex, lx = self._operand(x)
+        n = self.slot_count
+        shifts = [int(s) % n for s in shifts]
+        if not shifts:
+            return x if isinstance(x, CipherBlock) else CipherBlock(vx, lx, ex)
+        if ex:
+            k = self._blocks(vx)
+            self.ledger.record("Add", k * len(shifts))
+            self.ledger.record("Rot", k * sum(1 for s in shifts if s))
+        # the second buffer only when a step reads the first
+        bufs = [np.empty(vx.shape, np.complex128)]
+        if len(shifts) > 1:
+            bufs.append(np.empty_like(bufs[0]))
+        acc = vx
+        for i, s in enumerate(shifts):
+            out = bufs[i % 2]
+            np.add(acc[..., : n - s], acc[..., s:], out=out[..., : n - s])
+            np.add(acc[..., n - s :], acc[..., :s], out=out[..., n - s :])
+            acc = out
+        return CipherBlock(acc, lx, ex)
 
     def conj(self, x: CipherBlock) -> CipherBlock:
         vx, ex, lx = self._operand(x)

@@ -107,6 +107,9 @@ class EncodedMatrix:
     def rrot(self, r: int) -> "EncodedMatrix":
         return self._with(self.ctx.rrot(self.block, r))
 
+    def rot_sum(self, shifts) -> "EncodedMatrix":
+        return self._with(self.ctx.rot_sum(self.block, shifts))
+
     def conj(self) -> "EncodedMatrix":
         return self._with(self.ctx.conj(self.block))
 
@@ -291,8 +294,7 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
         blocks = []
         for _ in range(h.grid[1]):
             piece = ctx.cmult(ctx.lrot(packed[j // k], (j % k) * width), mask)
-            for t in range(log2(k)):
-                piece = ctx.add(piece, ctx.rrot(piece, width << t))
+            piece = ctx.rot_sum(piece, [-(width << t) for t in range(log2(k))])
             blocks.append(piece.slots)
             j += 1
         block = CipherBlock(np.stack(blocks)[None], piece.level, True)
@@ -404,8 +406,7 @@ def col_sums(E: EncodedMatrix) -> EncodedMatrix:
     ctx = E.ctx
     s1 = ctx.grid_cols
     acc = ctx.cmult(fold_columns(E), col_range_mask(ctx, 1).block)
-    for t in range(log2(s1)):
-        acc = ctx.add(acc, ctx.rrot(acc, 1 << t))
+    acc = ctx.rot_sum(acc, [-(1 << t) for t in range(log2(s1))])
     return EncodedMatrix(ctx, acc, (E.shape[0], s1))
 
 
@@ -420,9 +421,7 @@ def fold_columns(E: EncodedMatrix) -> CipherBlock:
     acc = E.block[:, :1]
     for q in range(1, E.grid[1]):
         acc = ctx.add(acc, E.block[:, q : q + 1])
-    for t in range(log2(ctx.grid_cols)):
-        acc = ctx.add(acc, ctx.lrot(acc, 1 << t))
-    return acc
+    return ctx.rot_sum(acc, [1 << t for t in range(log2(ctx.grid_cols))])
 
 
 def row_sums(E: EncodedMatrix) -> EncodedMatrix:
@@ -433,19 +432,19 @@ def row_sums(E: EncodedMatrix) -> EncodedMatrix:
     Costs ``log2(s0)`` Rot per surviving block.
 
     The ladder runs one block column at a time, so its log2(s0) dependent
-    passes stay in cache: over a whole multi-block grid of 32768-slot
-    blocks it made a paper-scale training step about 8% slower.
+    passes stay in cache: one ``rot_sum`` over a whole 1x4 grid of
+    32768-slot blocks made ``row_sums`` about a third slower in a
+    paper-scale training step (``scripts/stage_times.py``).
     """
     ctx = E.ctx
     s0, s1 = ctx.grid_rows, ctx.grid_cols
     acc = E.block[:1]
     for p in range(1, E.grid[0]):
         acc = ctx.add(acc, E.block[p : p + 1])
+    shifts = [(1 << t) * s1 for t in range(log2(s0))]
     cols = []
     for q in range(E.grid[1]):
-        col = acc[:, q : q + 1]
-        for t in range(log2(s0)):
-            col = ctx.add(col, ctx.lrot(col, (1 << t) * s1))
+        col = ctx.rot_sum(acc[:, q : q + 1], shifts)
         cols.append(col.slots)
     out = CipherBlock(np.concatenate(cols, axis=1), col.level, col.encrypted)
     return EncodedMatrix(ctx, out, (s0, E.shape[1]))

@@ -154,8 +154,7 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
         rowj = np.zeros((s0, s1))
         rowj[j, :] = 1.0
         picked = B * pattern_matrix(ctx, rowj, grid=B.grid)
-        for t in range(log2(s0)):
-            picked = picked + picked.lrot((1 << t) * s1)
+        picked = picked.rot_sum([(1 << t) * s1 for t in range(log2(s0))])
         folded = fold_columns(EncodedMatrix(ctx, ctx.mult(A.block, picked.block), A.shape))
         folded = ctx.rrot(ctx.cmult(folded, col0), j)
         term = EncodedMatrix(ctx, folded, (A.shape[0], c))
@@ -184,9 +183,7 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
 
     acc = None
     for j in range(c):
-        picked = A.lrot(j) * col0
-        for t in range(log2(s1)):
-            picked = picked + picked.rrot(1 << t)
+        picked = (A.lrot(j) * col0).rot_sum([-(1 << t) for t in range(log2(s1))])
         sums = row_sums(EncodedMatrix(ctx, ctx.mult(picked.block, B.block), B.shape))
         rowj = np.zeros((s0, s1))
         rowj[j, :] = 1.0

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hefit.emulator import (
@@ -234,3 +234,42 @@ def test_estimate_is_weighted_count_sum(counts):
         ledger.record(kind, n)
     expected = sum(n * DEFAULT_OP_WEIGHTS_MS[k] for k, n in counts.items())
     assert ledger.estimated_ms == pytest.approx(expected)
+
+
+# shifts within +-2 slot_count, multiples of slot_count among them
+LADDER_SHIFTS = st.lists(
+    st.one_of(st.integers(-32, 32), st.sampled_from([0, 16, -16, 32, -32])), max_size=5
+)
+
+
+@given(
+    shape=st.sampled_from([(16,), (1, 3, 16), (2, 2, 16)]),
+    shifts=LADDER_SHIFTS,
+    encrypted=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(shape=(2, 2, 16), shifts=[], encrypted=True, seed=0)
+@example(shape=(16,), shifts=[16], encrypted=True, seed=0)
+@example(shape=(1, 3, 16), shifts=[-3], encrypted=True, seed=0)
+@example(shape=(2, 2, 16), shifts=[1, 0, -32, 7], encrypted=True, seed=0)
+@example(shape=(2, 2, 16), shifts=[4, 8], encrypted=False, seed=0)
+def test_rot_sum_matches_the_add_lrot_loop(shape, shifts, encrypted, seed):
+    ctx = fresh()
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x = ctx.encrypt(values, level=5) if encrypted else ctx.pack(values)
+
+    before = ctx.ledger.snapshot()
+    acc = x
+    for s in shifts:
+        acc = ctx.add(acc, ctx.lrot(acc, s))
+    loop_ops = ctx.ledger.delta(before)
+
+    before = ctx.ledger.snapshot()
+    got = ctx.rot_sum(x, shifts)
+    assert ctx.ledger.delta(before) == loop_ops
+    assert got.slots.tobytes() == acc.slots.tobytes()
+    assert got.slots.shape == shape
+    assert (got.level, got.encrypted) == (acc.level, acc.encrypted)
+    assert not got.slots.flags.writeable
+    assert x.slots.tobytes() == values.astype(np.complex128).tobytes()
