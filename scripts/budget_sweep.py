@@ -6,7 +6,9 @@ runs 8 ``run_steps`` steps at the two north-star scales, with the
 auto-bootstrap fallback off, and prints the ledger's bootstraps and
 estimated milliseconds per step, then the bootstraps per step of each
 stage that places them: the softmax (``sm``), the residual refresh before
-``diag_atb`` (``res``) and the packed W/V refresh (``wv``):
+``diag_atb`` (``res``) and the packed W/V refresh (``wv``).  The last
+column, ``inv``, is the share of ``sm`` spent in the softmax's reciprocal
+``a_inv``, so it is not added to the step total again.  The scales:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
@@ -28,7 +30,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 from unittest import mock
 
-from hefit import training
+from hefit import approx, training
 from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext
 from hefit.training import run_steps
@@ -42,8 +44,13 @@ SCALES = {
 }
 
 
-# column label: the training module's name for the stage
-STAGES = {"sm": "a_softmax", "res": "_refresh", "wv": "bootstrap_tiled"}
+# column label: (module, the module's name for the stage)
+STAGES = {
+    "sm": (training, "a_softmax"),
+    "res": (training, "_refresh"),
+    "wv": (training, "bootstrap_tiled"),
+    "inv": (approx, "a_inv"),
+}
 
 
 def sweep_point(scale: str, max_level: int) -> tuple[float, float, dict[str, float]]:
@@ -64,9 +71,9 @@ def sweep_point(scale: str, max_level: int) -> tuple[float, float, dict[str, flo
         return run
 
     with ExitStack() as stack:
-        for label, name in STAGES.items():
-            stage = counted(label, getattr(training, name))
-            stack.enter_context(mock.patch.object(training, name, stage))
+        for label, (module, name) in STAGES.items():
+            stage = counted(label, getattr(module, name))
+            stack.enter_context(mock.patch.object(module, name, stage))
         run_steps(x, y, classes, STEPS, ctx=ctx, lr=0.1, batch_size=batch)
     per_stage = {label: n / STEPS for label, n in stage_boots.items()}
     return ctx.ledger.counts()["Bootstrap"] / STEPS, ctx.ledger.estimated_ms / STEPS, per_stage

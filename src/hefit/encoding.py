@@ -12,8 +12,9 @@ rotation-based algorithms treat indices cyclically.
 This module also provides the structural slot operations the matrix-product
 routines are built from: block-cyclic row/column rotations, the masked
 per-row/per-column sums, and the diagonal mask family; and the packed
-refresh of vertically tiled matrices, which bootstraps only their distinct
-slots (:func:`bootstrap_tiled`).
+refreshes: of vertically tiled matrices, which bootstraps only their
+distinct slots (:func:`bootstrap_tiled`), and of two real matrices as the
+real and imaginary parts of one ciphertext (:func:`bootstrap_pair`).
 """
 
 from __future__ import annotations
@@ -300,6 +301,26 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
         block = CipherBlock(np.stack(blocks)[None], piece.level, True)
         out.append(EncodedMatrix(ctx, block, h.shape, "vertical", period))
     return out
+
+
+def bootstrap_pair(a, b):
+    """Bootstrap two real matrices on one grid as one complex ciphertext.
+
+    Bootstrapping refreshes complex slots, so ``p = a + i b`` carries both:
+    after one bootstrap, ``(p + conj p) / 2`` is ``a`` and
+    ``(p - conj p) / (2i)`` is ``b``.  Multiplying by ``i`` is depth-free,
+    so either input may be at level 0.  Costs 1 Bootstrap, 1 Conj, 3 Add
+    and 2 CMult per block and returns both, with their own metadata, at
+    ``max_level - 1``.  Slots must be real: an imaginary part of ``b``
+    leaks into ``a`` (and one of ``a`` into ``b``).  Plaintext matrices and
+    numpy arrays come back unchanged; matrices on different grids raise
+    :class:`~hefit.errors.ShapeMismatch`.
+    """
+    if not any(isinstance(m, EncodedMatrix) and m.encrypted for m in (a, b)):
+        return a, b
+    p = (a + b.mul_i()).bootstrap()
+    pc = p.conj()
+    return (p + pc) * 0.5, b._with(((p - pc) * -0.5j).block)
 
 
 # -- mask builders -------------------------------------------------------------

@@ -38,6 +38,7 @@ from hefit.approx import (
     _dep_compensation,
     _exp_fit,
     _odd_poly,
+    _refresh,
     _softmax,
     a_comp,
     a_exp,
@@ -50,7 +51,7 @@ from hefit.approx import (
     theorem_beta,
 )
 from hefit.emulator import EmulatorContext, log2
-from hefit.encoding import decode, encode, next_pow2
+from hefit.encoding import decode, encode, next_pow2, padded_array
 from hefit.errors import ShapeMismatch
 from hefit.plainref import exact_softmax
 
@@ -216,6 +217,66 @@ def test_row_total_fed_to_a_inv_is_at_least_one(classes, cfg, data):
         a_softmax(logits, cfg)
     assert len(totals) == 1
     assert totals[0].min() >= (1.0 - 1e-9) / INV_RANGE
+
+
+# A search over 10-class rows within +-128 for the largest reciprocal input
+# found this row: its normalized row total is 0.94625.
+SEARCHED_ROW = (57.408, -26.088, -3.063, -110.166, -72.234,
+                -74.395, -72.37, 101.734, -126.046, 107.649)
+
+
+def test_searched_row_stays_in_the_reciprocal_domain():
+    logits = np.array([SEARCHED_ROW])
+    totals = []
+
+    def recording_inv(total):
+        totals.append(total)
+        return a_inv(total)
+
+    with mock.patch.object(approx, "a_inv", recording_inv):
+        want = a_softmax(logits, DEFAULTS)
+    (total,) = totals
+    assert 1.0 / INV_RANGE <= total.min() and total.max() < 2.0
+    assert total[0, 0] == pytest.approx(0.94625, abs=5e-6)
+    ctx = EmulatorContext(256, 16, max_level=12)
+    got = decode(a_softmax(encode(ctx, logits, tiling="horizontal"), DEFAULTS))
+    np.testing.assert_array_equal(got, want)
+
+
+def _two_ciphertext_inv(y):
+    """The Goldschmidt loop refreshing a and b one ciphertext at a time:
+    (1/y, whether some iteration refreshed both)."""
+    a = 2.0 - y
+    b = 1.0 - y
+    both = False
+    for _ in range(INV_ITERS):
+        both |= a.level < 1 and b.level < min(2, b.ctx.max_level)
+        a, b = _refresh(a, 1), _refresh(b, 2)
+        b = b * b
+        a = a * (b + 1.0)
+    return a, both
+
+
+@pytest.mark.parametrize("classes", [3, 10])
+def test_packed_a_inv_never_costs_more_than_two_ciphertexts(classes):
+    # every budget the softmax accepts up to 16, at every entry level: the
+    # pair refresh pays one bootstrap where the reference refreshes both
+    y = np.random.default_rng(classes).uniform(1 / INV_RANGE, 2.0, size=(16, classes))
+    for max_level in range(4, 17):
+        for level in range(max_level + 1):
+            ctx = EmulatorContext(256, 16, max_level=max_level)
+            enc = encode(ctx, y, tiling="horizontal", level=level)
+            before = ctx.ledger.snapshot()
+            out = a_inv(enc)
+            boots = ctx.ledger.delta(before)["Bootstrap"]
+            before = ctx.ledger.snapshot()
+            ref, both = _two_ciphertext_inv(enc)
+            ref_boots = ctx.ledger.delta(before)["Bootstrap"]
+
+            want = a_inv(padded_array(enc).real)
+            assert padded_array(out).real.tobytes() == want.tobytes()
+            assert out.level >= ref.level
+            assert boots < ref_boots if both else boots <= ref_boots
 
 
 # -- evaluation orders ----------------------------------------------------------------
@@ -428,7 +489,7 @@ def test_encrypted_softmax_ledger_is_unchanged(rng):
     a_softmax(enc, DEFAULTS)
     # the explicit refresh points bootstrap each ciphertext once per piece
     assert ctx.ledger.delta(before) == {
-        "Add": 87, "CMult": 39, "Mult": 89, "Rot": 16, "Conj": 0, "Bootstrap": 7,
+        "Add": 90, "CMult": 41, "Mult": 89, "Rot": 16, "Conj": 1, "Bootstrap": 6,
     }
 
 
@@ -451,7 +512,7 @@ def test_paper_shaped_softmax_needs_no_fallback_bootstrap(rng):
         ctx = EmulatorContext(32768, 128, max_level=12, auto_bootstrap=auto)
         out, delta = _encrypted_softmax(ctx, logits, level=9)
         outs[auto] = out.block.slots
-        assert delta["Bootstrap"] == 8
+        assert delta["Bootstrap"] == 7
     np.testing.assert_array_equal(outs[False], outs[True])
     np.testing.assert_array_equal(decode(out), a_softmax(logits, DEFAULTS))
 
@@ -490,8 +551,10 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
     # 10-class logits three levels down, as diag_abt leaves them: the plan's
     # bootstraps per call at every budget from the softmax's minimum of 4.
     # A refresh need set below its piece's depth moves a count here or
-    # exhausts a level: best's need at 1 moves budgets 5, 8 and 9, and the
-    # first-column mask's need at 0 exhausts budget 4.
+    # exhausts a level: best's need at 1 moves budgets 5 and 9, the
+    # first-column mask's need at 0 exhausts budget 4, a_inv's entry need
+    # at 0 exhausts budgets 5 and 13, and its pair's need at 0 every budget
+    # but 13.
     logits = rng.uniform(-30, 30, size=(8, 10))
     counts = {}
     for max_level in range(4, 17):
@@ -499,8 +562,8 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
         _, delta = _encrypted_softmax(ctx, logits, level=max_level - 3)
         counts[max_level] = delta["Bootstrap"]
     assert counts == {
-        4: 28, 5: 25, 6: 19, 7: 15, 8: 13, 9: 12, 10: 9,
-        11: 9, 12: 8, 13: 8, 14: 7, 15: 7, 16: 7,
+        4: 24, 5: 22, 6: 16, 7: 13, 8: 11, 9: 10, 10: 8,
+        11: 8, 12: 7, 13: 7, 14: 6, 15: 6, 16: 6,
     }
 
 

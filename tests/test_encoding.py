@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from hefit.emulator import EmulatorContext
 from hefit.encoding import (
+    EncodedMatrix,
+    bootstrap_pair,
     bootstrap_tiled,
     col_range_mask,
     col_sums,
@@ -389,3 +391,59 @@ def test_packed_refresh_needs_a_level_and_one_period(boot_ctx, rng):
         bootstrap_tiled(four, eight)
     with pytest.raises(TilingError):
         bootstrap_tiled(encode(boot_ctx, rng.normal(size=(3, 5)), tiling="horizontal"))
+
+
+# -- complex-packed refresh of a real pair -------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from([(1, 1), (1, 3), (2, 2)]),
+    levels=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    seed=st.integers(0, 2**16),
+)
+def test_pair_refresh_returns_both_real_slots_exactly(grid, levels, seed):
+    ctx = EmulatorContext(256, 16, max_level=12)
+    rng = np.random.default_rng(seed)
+    shape = (16 * grid[0] - 3, 16 * grid[1] - 5)
+    a, b = (encode(ctx, rng.normal(size=shape), tiling="none", level=lv) for lv in levels)
+
+    before = ctx.ledger.snapshot()
+    out_a, out_b = bootstrap_pair(a, b)
+    blocks = grid[0] * grid[1]
+    # pack a + i b (1 Add), bootstrap, conjugate, then (p + conj p) * 1/2 and
+    # (p - conj p) * (-i/2): 2 Add and 2 CMult
+    assert ctx.ledger.delta(before) == {
+        "Add": 3 * blocks, "CMult": 2 * blocks, "Mult": 0, "Rot": 0,
+        "Conj": blocks, "Bootstrap": blocks,
+    }
+    for e, out in ((a, out_a), (b, out_b)):
+        assert out.block.slots.real.tobytes() == e.block.slots.real.tobytes()
+        assert not out.block.slots.imag.any()
+        assert (out.shape, out.tiling, out.encrypted) == (e.shape, e.tiling, True)
+        assert out.level == ctx.max_level - 1
+
+
+def test_pair_refresh_passes_plaintext_through_and_checks_grids(ctx, rng):
+    plain = [encode(ctx, rng.normal(size=(5, 20)), encrypted=False) for _ in range(2)]
+    arrays = [rng.normal(size=(5, 20)) for _ in range(2)]
+    before = ctx.ledger.snapshot()
+    for pair in (plain, arrays):
+        out = bootstrap_pair(*pair)
+        assert out[0] is pair[0] and out[1] is pair[1]
+    assert ctx.ledger.counts() == before
+
+    one = encode(ctx, rng.normal(size=(5, 20)), level=0)
+    two = encode(ctx, rng.normal(size=(5, 40)), level=0)
+    with pytest.raises(ShapeMismatch):
+        bootstrap_pair(one, two)
+
+
+def test_pair_refresh_leaks_an_imaginary_residue_of_b_into_a(ctx):
+    # the contract is real slots: p = a + i (b_re + i b_im) = (a - b_im) + i b_re,
+    # so an imaginary residue of b is subtracted from a, and b keeps its real part
+    a = EncodedMatrix(ctx, ctx.encrypt(np.full((1, 1, 256), 2.0), level=0), (16, 16))
+    b = EncodedMatrix(ctx, ctx.encrypt(np.full((1, 1, 256), 1.0 + 0.25j), level=0), (16, 16))
+    out_a, out_b = bootstrap_pair(a, b)
+    np.testing.assert_array_equal(out_a.block.slots, np.full((1, 1, 256), 1.75))
+    np.testing.assert_array_equal(out_b.block.slots, np.full((1, 1, 256), 1.0))

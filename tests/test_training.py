@@ -158,8 +158,8 @@ def test_paper_scale_steps_complete_at_accepted_budgets():
 
 
 def test_paper_scale_step_bootstraps_at_budget_12():
-    # train-paper's shape and budget.  Step 1: 8 softmax refreshes plus the
-    # residual refresh, and W and V stay above the threshold.  Step 2: 9
+    # train-paper's shape and budget.  Step 1: 7 softmax refreshes plus the
+    # residual refresh, and W and V stay above the threshold.  Step 2: 8
     # softmax refreshes plus one packed ciphertext for W and V (their eight
     # blocks hold 16 x 256 distinct slots each, one 32768-slot block
     # together), which returns both at max_level - 1
@@ -175,7 +175,7 @@ def test_paper_scale_step_bootstraps_at_budget_12():
                  lr=0.1, batch_rows=128)
         steps.append((ctx.ledger.delta(before)["Bootstrap"], state.weights.level,
                       state.momentum.level))
-    assert steps == [(9, 8, 7), (10, ctx.max_level - 1, ctx.max_level - 1)]
+    assert steps == [(8, 8, 7), (9, ctx.max_level - 1, ctx.max_level - 1)]
 
 
 def test_bootstrap_keeps_low_depth_runs_exact(rng):
