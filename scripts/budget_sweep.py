@@ -6,9 +6,10 @@ runs 8 ``run_steps`` steps at the two north-star scales, with the
 auto-bootstrap fallback off, and prints the ledger's bootstraps and
 estimated milliseconds per step, then the bootstraps per step of each
 stage that places them: the softmax (``sm``), the residual refresh before
-``diag_atb`` (``res``) and the packed W/V refresh (``wv``).  The last
-column, ``inv``, is the share of ``sm`` spent in the softmax's reciprocal
-``a_inv``, so it is not added to the step total again.  The scales:
+``diag_atb`` (``res``) and the packed W/V refresh (``wv``).  The last two
+columns are shares of ``sm``, so they are not added to the step total
+again: ``amax``, spent in the softmax's tournament ``a_max``, and ``inv``,
+in its reciprocal ``a_inv``.  The scales:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
@@ -49,6 +50,7 @@ STAGES = {
     "sm": (training, "a_softmax"),
     "res": (training, "_refresh"),
     "wv": (training, "bootstrap_tiled"),
+    "amax": (approx, "a_max"),
     "inv": (approx, "a_inv"),
 }
 

@@ -38,6 +38,20 @@ passes through unchanged.  The deepest pieces need 4 levels, so any
 budget of at least 4 runs the whole pipeline without the context's
 ``auto_bootstrap`` fallback.
 
+The tournament is the one place with two live values: the running
+maximum ``best`` and its comparison chain.  Where the chain needs a
+refresh, :func:`a_max` may refresh it alone or together with ``best`` as
+one complex-packed ciphertext, which also lifts ``best`` and so every
+piece after it.  :func:`softmax_plan` picks these choices by a dynamic
+program over levels, pricing the pieces after the tournament from the
+named depths (the same refresh rule, run on levels alone).  It minimises
+bootstraps, then emulated ms; given the levels the output's consumer
+needs, it counts the consumer's refresh too and prefers the highest level
+handed on before ms.  The pieces after the tournament form a chain of one
+value each, where refreshing only below the next piece's need is already
+optimal, so they keep :func:`_refresh`.  Every bootstrap is value-exact,
+so the plan moves levels and the ledger, never a slot.
+
 Only two knobs are configurable (:class:`SoftmaxConfig`): the number of
 extension steps and the compensation.  The exp and reciprocal parameters
 and the contraction base are module constants.
@@ -45,13 +59,14 @@ and the contraction base are module constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._constants import COMP_ROUND_ERR, EXP_POLY
-from .emulator import log2
+from .emulator import DEFAULT_OP_WEIGHTS_MS, log2
 from .encoding import EncodedMatrix, bootstrap_pair, col_sums, next_pow2, pattern_matrix
 from .errors import ShapeMismatch
 from .plainref import exact_softmax
@@ -267,7 +282,7 @@ def a_comp(x, y):
     return _comp(x - y, COMP_G)
 
 
-def a_max(M, cfg: SoftmaxConfig = DEFAULTS):
+def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     """Row-wise approximate maximum, broadcast into every slot of the row.
 
     The comparison sees each difference scaled into [-1, 1] by 1/(2R),
@@ -283,7 +298,17 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS):
     winner is scaled back by 2R.
 
     Each round refreshes ``best`` for the first comparison polynomial before
-    the roll, so ``rival`` inherits the fresh level.
+    the roll, so ``rival`` inherits the fresh level.  Each round has two
+    live values: ``best`` loses one level per round, at the blend, and the
+    comparison chain ``best - rival`` three passes of ``ODD_POLY_DEPTH``.
+    ``pairs`` holds one ``(pass 1, pass 2, pass 3, blend)`` flag tuple per
+    round (:attr:`SoftmaxPlan.pairs`).  Where a flag is set, the chain is
+    refreshed together with ``best`` as one complex-packed ciphertext
+    (:func:`_refresh_pair`) instead of alone, and the round re-rolls
+    ``rival`` from the refreshed ``best`` (one Rot) so the blend sees both
+    at the fresh level.  Without ``pairs`` every refresh is the chain's own,
+    and a bootstrap is value-exact either way, so the flags move levels and
+    the ledger, never a slot.
     """
     car = _Carrier(M)
     r = cfg.max_range
@@ -291,10 +316,21 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS):
     best = car.matrix
     if car.classes < car.period:
         best = best - car.pad_pattern(r)
-    for t in range(log2(car.period)):
+    for t, flags in enumerate(pairs or ((False,) * 4,) * log2(car.period)):
         best = _refresh(best, ODD_POLY_DEPTH)
         rival = car.roll_left(best, 1 << t)
-        w = _refresh(_comp(best - rival, first), 1)
+        chain = best - rival
+        for coeffs, packed in zip((first, COMP_G, COMP_F_HALF), flags):
+            if packed:
+                chain, best = _refresh_pair(chain, best, ODD_POLY_DEPTH)
+            chain = _odd_poly(chain, coeffs)
+        w = chain + 0.5
+        if flags[3]:
+            w, best = _refresh_pair(w, best, 1)
+        else:
+            w = _refresh(w, 1)
+        if any(flags):
+            rival = car.roll_left(best, 1 << t)
         best = best * w + rival * (1.0 - w)
     best = _refresh(best, 1) * car.first_col_mask()
     return car.broadcast_col0(best)
@@ -419,18 +455,152 @@ def a_inv(y):
     return a
 
 
-def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS):
+# -- refresh plan ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SoftmaxPlan:
+    """Where one encrypted softmax refreshes, and what that predicts.
+
+    ``pairs`` holds :func:`a_max`'s choices, one ``(pass 1, pass 2, pass 3,
+    blend)`` flag tuple per tournament round: a set flag refreshes the
+    comparison chain together with ``best`` (one packed bootstrap), a clear
+    one the chain alone.  ``bootstraps`` (per block) and ``level`` are what
+    the softmax executes and hands on, on any budget of at least 4 levels.
+    """
+
+    pairs: tuple[tuple[bool, bool, bool, bool], ...]
+    bootstraps: int
+    level: int
+
+
+# Emulated ms per block of one refresh, one packed refresh (bootstrap_pair's
+# Conj, 3 Add and 2 CMult on top) and one re-rolled rival.
+_BOOT_MS = DEFAULT_OP_WEIGHTS_MS["Bootstrap"]
+_PAIR_MS = _BOOT_MS + sum(
+    n * DEFAULT_OP_WEIGHTS_MS[kind] for kind, n in (("Conj", 1), ("Add", 3), ("CMult", 2))
+)
+_ROLL_MS = DEFAULT_OP_WEIGHTS_MS["Rot"]
+# (need, levels spent) at a round's refresh points: the three comparison
+# passes, then the blend, whose weight w must have a level to multiply.
+_ROUND_POINTS = ((ODD_POLY_DEPTH, ODD_POLY_DEPTH),) * 3 + ((1, 0),)
+
+
+def _round_options(best: int, top: int):
+    """Each way one tournament round can refresh, from ``best``'s level.
+
+    Yields ``(flags, best's level after, bootstraps, ms)`` for a budget of
+    ``top`` levels.  A point whose chain already has its need refreshes
+    nothing, so only points that refresh branch, and a pair is offered only
+    where its ``top - 1`` levels meet the need.
+    """
+    boots = 0
+    if best < min(ODD_POLY_DEPTH, top):
+        best, boots = top, 1
+    ways = [((), best, best, boots, boots * _BOOT_MS)]
+    for need, spent in _ROUND_POINTS:
+        grown = []
+        for flags, chain, b, k, ms in ways:
+            if chain >= min(need, top):
+                grown.append((flags + (False,), chain - spent, b, k, ms))
+                continue
+            grown.append((flags + (False,), top - spent, b, k + 1, ms + _BOOT_MS))
+            if top - 1 >= need:
+                grown.append((flags + (True,), top - 1 - spent, top - 1, k + 1, ms + _PAIR_MS))
+        ways = grown
+    for flags, w, b, k, ms in ways:
+        yield flags, min(b, w) - 1, k, ms + (_ROLL_MS if any(flags) else 0.0)
+
+
+def _tail(best: int, entry: int, top: int, cfg: SoftmaxConfig):
+    """(bootstraps, ms, output level) of the softmax after the tournament
+    rounds, from ``best``'s level: :func:`_refresh`'s rule run on levels
+    and the named depths alone, in :func:`_softmax`'s order."""
+    boots = pairs = 0
+
+    def lift(level, need):
+        nonlocal boots
+        if level < min(need, top):
+            boots += 1
+            return top
+        return level
+
+    level = lift(best, 1) - 1  # a_max's first-column mask
+    level = lift(min(entry, level), 1) - 1  # the keep-classes mask
+    for _ in range(cfg.extension_steps):
+        level = lift(level, CONTRACTION_DEPTH) - CONTRACTION_DEPTH
+    if cfg.precise:
+        level = lift(level, COMPENSATION_DEPTH) - COMPENSATION_DEPTH
+    level = lift(level, EXP_FIT_DEPTH) - EXP_FIT_DEPTH
+    level = lift(level, log2(EXP_RANGE)) - log2(EXP_RANGE)
+    expd = lift(lift(level, 1) - 1, 1)
+    a = b = lift(expd - 1, 1)  # col_sums' column-0 mask
+    for _ in range(INV_ITERS):
+        b -= 1
+        if min(a, b) < min(1, top):
+            a = b = top - 1
+            pairs += 1
+        a = min(a, b) - 1
+    out = min(expd, lift(a, 1)) - 1
+    return boots + pairs, boots * _BOOT_MS + pairs * _PAIR_MS, out
+
+
+@functools.lru_cache(maxsize=1024)
+def softmax_plan(
+    entry_level: int, max_level: int, classes: int, cfg: SoftmaxConfig = DEFAULTS,
+    need: int | None = None,
+) -> SoftmaxPlan:
+    """The refresh plan of one encrypted softmax entering at ``entry_level``.
+
+    A dynamic program over ``best``'s level between tournament rounds keeps,
+    for each level, the cheapest choices (fewest bootstraps, then least
+    emulated ms) that reach it; the pieces after the tournament are priced
+    by :func:`_tail`.  Without ``need`` the plan has the fewest bootstraps,
+    then the least ms, so it never costs more than refreshing every chain
+    alone.  ``need`` is the levels the consumer of the output will need: an
+    output below it counts the consumer's refresh, then the plan hands on
+    the highest level (``max_level`` where the consumer refreshes), then the
+    least ms.  Cached per key; planning reads levels only, never slots.
+    """
+    top = max_level
+    frontier = {entry_level: ((), 0, 0.0)}
+    for _ in range(log2(next_pow2(classes))):
+        reached = {}
+        for best, (pairs, boots, ms) in frontier.items():
+            for flags, after, k, cost in _round_options(best, top):
+                way = (pairs + (flags,), boots + k, ms + cost)
+                held = reached.get(after)
+                if held is None or way[1:] < held[1:]:
+                    reached[after] = way
+        frontier = reached
+
+    ranked = []
+    for best, (pairs, boots, ms) in frontier.items():
+        k, cost, out = _tail(best, entry_level, top, cfg)
+        plan = SoftmaxPlan(pairs, boots + k, out)
+        if need is None:
+            ranked.append(((plan.bootstraps, ms + cost), plan))
+        else:
+            refreshed = out < min(need, top)
+            handed = top if refreshed else out
+            ranked.append(((plan.bootstraps + refreshed, -handed, ms + cost), plan))
+    return min(ranked, key=lambda item: item[0])[1]
+
+
+def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
     """Row-wise approximate softmax.
 
     Encrypted in: one-block-column, horizontally tiled logits (the product
     layout); out: the same layout, padded columns zero, later periods exact
-    copies.  Array in: (rows, classes) logits; out: (rows, classes) rows,
-    evaluated in row blocks of ``_BLOCK_SLOTS // period`` rows.
+    copies, refreshed by :func:`softmax_plan` for a consumer that needs
+    ``need`` levels of the output (none by default).  Array in: (rows,
+    classes) logits; out: (rows, classes) rows, evaluated in row blocks of
+    ``_BLOCK_SLOTS // period`` rows.
     Inputs must lie within [-max_range, max_range] (mild overshoot from the
     max underestimation is tolerated by the contraction chain).
     """
     if isinstance(M, EncodedMatrix):
-        return _softmax(M, cfg)
+        return _softmax(M, cfg, need)
     arr, classes, period = _array_layout(M)
     block = _BLOCK_SLOTS // period
     if arr.shape[0] <= block:
@@ -441,11 +611,14 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS):
     return out
 
 
-def _softmax(M, cfg: SoftmaxConfig):
+def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
     """One unblocked pass of :func:`a_softmax` over all rows of M."""
     car = _Carrier(M)
     work = car.matrix
-    best = a_max(work if car.encrypted else work[:, : car.classes], cfg)
+    pairs = None
+    if car.encrypted and M.encrypted:
+        pairs = softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need).pairs
+    best = a_max(work if car.encrypted else work[:, : car.classes], cfg, pairs)
     norm = _refresh(work - best, 1) * car.keep_classes_mask()
     norm = domain_extend(norm, cfg)
     if cfg.precise:

@@ -60,6 +60,10 @@ from .protocol import (
 
 # W and V are refreshed together once V would fall below this level.
 BOOTSTRAP_THRESHOLD = 5
+# Levels the residual P - Y needs: diag_atb's partial-rotation branch
+# spends 3, the momentum product 1.  The residual refresh and the softmax's
+# refresh plan both read it.
+RESIDUAL_NEED = 4
 
 
 @dataclass
@@ -90,10 +94,8 @@ def nag_step(
     logits = diag_abt(features, state.momentum)
     if trace_hook is not None:
         trace_hook(logits)
-    probs = a_softmax(logits, cfg)
-    # diag_atb's partial-rotation branch spends 3 levels of the residual and
-    # the momentum product one more
-    resid = _refresh(probs - labels, 4)
+    probs = a_softmax(logits, cfg, need=RESIDUAL_NEED)
+    resid = _refresh(probs - labels, RESIDUAL_NEED)
     grad = diag_atb(resid, features, scale=lr / batch_rows)
     w_next = state.momentum - grad
 

@@ -48,6 +48,7 @@ from hefit.approx import (
     amax_error_bound,
     domain_extend,
     small_domain_eps,
+    softmax_plan,
     theorem_beta,
 )
 from hefit.emulator import EmulatorContext, log2
@@ -496,10 +497,10 @@ def test_encrypted_softmax_ledger_is_unchanged(rng):
 # -- refresh plan ---------------------------------------------------------------------
 
 
-def _encrypted_softmax(ctx, logits, level=None):
+def _encrypted_softmax(ctx, logits, level=None, need=None):
     enc = encode(ctx, logits, tiling="horizontal", level=level)
     before = ctx.ledger.snapshot()
-    out = a_softmax(enc, DEFAULTS)
+    out = a_softmax(enc, DEFAULTS, need)
     return out, ctx.ledger.delta(before)
 
 
@@ -525,9 +526,15 @@ class _GainingContext(EmulatorContext):
         return super().bootstrap(x)
 
 
-@pytest.mark.parametrize("max_level", [3, 4, 5, 6, 7, 12])
+_BUDGETS_AND_NEEDS = [(m, n) for n in (None, 4) for m in (3, 4, 5, 6, 7, 12)]
+
+
+@pytest.mark.parametrize(
+    "max_level,need", _BUDGETS_AND_NEEDS,
+    ids=[f"{m}" if n is None else f"{m}-need{n}" for m, n in _BUDGETS_AND_NEEDS],
+)
 @pytest.mark.parametrize("classes", [2, 3, 5, 16])
-def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes):
+def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes, need):
     # budgets of at least 4 levels (the exp fit or the compensation, the
     # deepest pieces) run on the plan alone; a smaller one also needs the
     # fallback
@@ -535,7 +542,7 @@ def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes):
     want = a_softmax(logits, DEFAULTS)
     for level in range(max_level + 1):
         ctx = _GainingContext(256, 16, max_level=max_level, auto_bootstrap=max_level < 4)
-        out, _ = _encrypted_softmax(ctx, logits, level=level)
+        out, _ = _encrypted_softmax(ctx, logits, level=level, need=need)
         np.testing.assert_array_equal(decode(out), want)
 
 
@@ -551,10 +558,10 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
     # 10-class logits three levels down, as diag_abt leaves them: the plan's
     # bootstraps per call at every budget from the softmax's minimum of 4.
     # A refresh need set below its piece's depth moves a count here or
-    # exhausts a level: best's need at 1 moves budgets 5 and 9, the
+    # exhausts a level: best's need at 1 moves budgets 5, 9, 15 and 16, the
     # first-column mask's need at 0 exhausts budget 4, a_inv's entry need
-    # at 0 exhausts budgets 5 and 13, and its pair's need at 0 every budget
-    # but 13.
+    # at 0 exhausts budgets 5 and 15, its pair's need at 0 every budget but
+    # 15, and the tournament pair's need at the blend at 0 budget 6.
     logits = rng.uniform(-30, 30, size=(8, 10))
     counts = {}
     for max_level in range(4, 17):
@@ -562,9 +569,71 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
         _, delta = _encrypted_softmax(ctx, logits, level=max_level - 3)
         counts[max_level] = delta["Bootstrap"]
     assert counts == {
-        4: 24, 5: 22, 6: 16, 7: 13, 8: 11, 9: 10, 10: 8,
-        11: 8, 12: 7, 13: 7, 14: 6, 15: 6, 16: 6,
+        4: 24, 5: 22, 6: 15, 7: 13, 8: 11, 9: 10, 10: 8,
+        11: 8, 12: 7, 13: 6, 14: 6, 15: 5, 16: 5,
     }
+
+
+def _greedy_a_max(M, cfg, pairs=None):
+    """a_max refreshing every value alone, for its own next piece: ``best``
+    before the roll, the comparison chain before each pass (inside
+    ``_odd_poly``) and ``w`` before the blend.  ``pairs`` is ignored."""
+    car = approx._Carrier(M)
+    r = cfg.max_range
+    first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_G))
+    best = car.matrix
+    if car.classes < car.period:
+        best = best - car.pad_pattern(r)
+    for t in range(log2(car.period)):
+        best = _refresh(best, ODD_POLY_DEPTH)
+        rival = car.roll_left(best, 1 << t)
+        w = _refresh(approx._comp(best - rival, first), 1)
+        best = best * w + rival * (1.0 - w)
+    best = _refresh(best, 1) * car.first_col_mask()
+    return car.broadcast_col0(best)
+
+
+def _with_consumer(out, delta, need):
+    """Bootstraps of a softmax call plus its consumer's refresh, if any."""
+    refresh = need is not None and out.level < min(need, out.ctx.max_level)
+    return delta["Bootstrap"] + refresh
+
+
+@pytest.mark.parametrize("need", [None, 4])
+@pytest.mark.parametrize("classes", [2, 3, 10, 16])
+def test_softmax_plan_predicts_the_ledger_and_never_costs_more(classes, need):
+    # every budget from the softmax's minimum of 4 to 24, at every entry
+    # level: the plan's prediction is what executes, the output slots are
+    # the array path's, and the bootstraps (with the consumer's refresh of
+    # an output below ``need``) never exceed refreshing every value alone
+    logits = np.random.default_rng(classes).uniform(-30, 30, size=(8, classes))
+    want = a_softmax(logits, DEFAULTS)
+    for max_level in range(4, 25):
+        for level in range(max_level + 1):
+            plan = softmax_plan(level, max_level, classes, DEFAULTS, need)
+            ctx = EmulatorContext(256, 16, max_level=max_level)
+            out, delta = _encrypted_softmax(ctx, logits, level, need)
+            assert (delta["Bootstrap"], out.level) == (plan.bootstraps, plan.level)
+            np.testing.assert_array_equal(decode(out), want)
+            with mock.patch.object(approx, "a_max", _greedy_a_max):
+                ref, ref_delta = _encrypted_softmax(ctx, logits, level, need)
+            assert _with_consumer(out, delta, need) <= _with_consumer(ref, ref_delta, need)
+
+
+def test_softmax_plan_spares_the_paper_step_a_refresh():
+    # train-paper's softmax: 10 classes entering at level 9 of 12, the
+    # residual needing 4.  Refreshing every value alone hands on level 0,
+    # so the residual refresh fires; the plan packs best with the first
+    # round's blend weight and hands on level 8 for the same 7 bootstraps
+    logits = np.random.default_rng(9).uniform(-30, 30, size=(8, 10))
+    ctx = EmulatorContext(256, 16, max_level=12)
+    out, delta = _encrypted_softmax(ctx, logits, 9, need=4)
+    with mock.patch.object(approx, "a_max", _greedy_a_max):
+        ref, ref_delta = _encrypted_softmax(ctx, logits, 9, need=4)
+    assert (delta["Bootstrap"], out.level) == (7, 8)
+    assert (ref_delta["Bootstrap"], ref.level) == (7, 0)
+    assert _with_consumer(out, delta, 4) < _with_consumer(ref, ref_delta, 4)
+    assert softmax_plan(9, 12, 10, DEFAULTS, 4).pairs[0] == (False, False, False, True)
 
 
 # -- bounds ---------------------------------------------------------------------------

@@ -131,38 +131,56 @@ def test_test_scale_fit_needs_no_fallback_bootstrap():
 
 
 def final_weights_by_budget(slots, grid_rows, features, classes, batch, budgets, steps):
+    """Final weights and bootstraps per step of ``steps`` steps at each budget."""
     x, y = make_gaussian_mixture(1024, classes, features, 3, mean_scale=0.1)
     x = np.hstack([x, np.ones((x.shape[0], 1))])
-    final = {}
+    final, boots = {}, {}
     for max_level in budgets:
         ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
         final[max_level] = run_steps(x, y, classes, steps, ctx=ctx, lr=0.1, batch_size=batch)[-1]
-    return final
+        boots[max_level] = ctx.ledger.counts()["Bootstrap"] / steps
+    return final, boots
+
+
+# Bootstraps per test-scale step with every tournament value refreshed alone.
+GREEDY_STEP_BOOTSTRAPS = {
+    5: 18, 6: 14, 7: 12, 8: 10, 9: 9, 10: 8, 11: 7, 12: 6.5, 13: 6.875, 14: 5,
+    15: 5, 16: 4.875, 17: 5, 18: 4.875, 19: 4.625, 20: 4, 21: 4, 22: 4, 23: 3.875, 24: 4,
+}
 
 
 def test_test_scale_steps_complete_at_every_accepted_budget():
     # every max_level a run config accepts (at least 5) runs on the placed
     # refreshes alone; bootstraps are value-exact, so the weights agree up to
     # the ulps by which row_sums leaves the tiled copies of W apart (a packed
-    # refresh keeps copy 0 only, and budgets refresh at different steps)
-    final = final_weights_by_budget(4096, 64, 16, 3, 64, range(5, 25), 8)
+    # refresh keeps copy 0 only, and budgets refresh at different steps).
+    # The softmax's refresh plan never costs a step more than refreshing
+    # every tournament value alone
+    final, boots = final_weights_by_budget(4096, 64, 16, 3, 64, range(5, 25), 8)
     for w in final.values():
         np.testing.assert_allclose(w, final[24], rtol=0, atol=1e-15)
+    assert boots == {
+        5: 18, 6: 13.875, 7: 12, 8: 10, 9: 9, 10: 8, 11: 7, 12: 6.125, 13: 6.25, 14: 5,
+        15: 5, 16: 4.75, 17: 4.625, 18: 4.375, 19: 4, 20: 4, 21: 3.5, 22: 3.625, 23: 3,
+        24: 3.5,
+    }
+    assert all(boots[b] <= GREEDY_STEP_BOOTSTRAPS[b] for b in boots)
 
 
 def test_paper_scale_steps_complete_at_accepted_budgets():
     # 32768 slots, 769 columns on 1x4 grids, 10 classes, batch 128
-    final = final_weights_by_budget(32768, 128, 768, 10, 128, (5, 12, 21), 3)
+    final, _ = final_weights_by_budget(32768, 128, 768, 10, 128, (5, 12, 21), 3)
     for w in final.values():
         np.testing.assert_allclose(w, final[21], rtol=0, atol=1e-15)
 
 
 def test_paper_scale_step_bootstraps_at_budget_12():
-    # train-paper's shape and budget.  Step 1: 7 softmax refreshes plus the
-    # residual refresh, and W and V stay above the threshold.  Step 2: 8
-    # softmax refreshes plus one packed ciphertext for W and V (their eight
+    # train-paper's shape and budget.  Step 1: 7 softmax refreshes, planned
+    # to hand the residual level 8, so it needs no refresh; W falls below
+    # the threshold, and one packed ciphertext for W and V (their eight
     # blocks hold 16 x 256 distinct slots each, one 32768-slot block
-    # together), which returns both at max_level - 1
+    # together) returns both at max_level - 1.  Step 2: 7 softmax refreshes
+    # plus the residual refresh, and W and V stay above the threshold
     ctx = EmulatorContext(32768, 128, max_level=12)
     x, y = make_gaussian_mixture(256, 10, 768, 3, mean_scale=0.1)
     x = np.hstack([x, np.ones((x.shape[0], 1))])
@@ -175,7 +193,7 @@ def test_paper_scale_step_bootstraps_at_budget_12():
                  lr=0.1, batch_rows=128)
         steps.append((ctx.ledger.delta(before)["Bootstrap"], state.weights.level,
                       state.momentum.level))
-    assert steps == [(8, 8, 7), (9, ctx.max_level - 1, ctx.max_level - 1)]
+    assert steps == [(8, ctx.max_level - 1, ctx.max_level - 1), (8, 8, 7)]
 
 
 def test_bootstrap_keeps_low_depth_runs_exact(rng):
