@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Bootstraps and emulated cost per training step across level budgets.
 
-For every ``max_level`` from 5 (the smallest a run config accepts) to 24,
-runs 8 ``run_steps`` steps at the two north-star scales, with the
-auto-bootstrap fallback off, and prints the ledger's bootstraps and
-estimated milliseconds per step, then the bootstraps per step of each
-stage that places them: the softmax (``sm``), the residual refresh before
-``diag_atb`` (``res``) and the packed W/V refresh (``wv``).  The last two
-columns are shares of ``sm``, so they are not added to the step total
-again: ``amax``, spent in the softmax's tournament ``a_max``, and ``inv``,
-in its reciprocal ``a_inv``.  The scales:
+For every ``max_level`` from 5 (``training.MIN_MAX_LEVEL``, the smallest a
+run config accepts) to 24, runs 8 ``run_steps`` steps at the two
+north-star scales, with the auto-bootstrap fallback off, and prints the
+ledger's bootstraps and estimated milliseconds per step, then the
+bootstraps per step of each stage that places them: the softmax (``sm``),
+the residual refresh before ``diag_atb`` (``res``) and the packed W/V
+refresh (``wv``).  The last two columns are shares of ``sm``, so they are
+not added to the step total again: ``amax``, spent in the softmax's
+tournament ``a_max``, and ``inv``, in its reciprocal ``a_inv``.  The
+scales:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
@@ -36,7 +37,7 @@ from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext
 from hefit.training import run_steps
 
-BUDGETS = range(5, 25)
+BUDGETS = range(training.MIN_MAX_LEVEL, 25)
 STEPS = 8
 # name: (slot_count, grid_rows, features, classes, batch)
 SCALES = {

@@ -4,9 +4,9 @@ The package is organized bottom-up:
 
 - :mod:`hefit.emulator` — slot-vector ciphertext emulation with an
   operation ledger and level tracking;
-- :mod:`hefit.encoding` — matrices packed onto slot grids, tilings,
-  masks, the rotation/fold helpers, and the packed refresh of tiled
-  matrices;
+- :mod:`hefit.encoding` — matrices packed onto slot grids whose
+  arithmetic broadcasts a one-block axis, tilings, one-block masks, the
+  rotation/fold helpers, and the packed refresh of tiled matrices;
 - :mod:`hefit.matmul` — the depth-3 diagonal matmul kernels, the
   column/row-major baselines, and their closed-form op counts;
 - :mod:`hefit.approx` — polynomial max / exp / reciprocal pipelines and

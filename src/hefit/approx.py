@@ -148,7 +148,7 @@ class _Carrier:
             self.ctx = M.ctx
             self.encrypted = True
             self.matrix = M
-            # an encoded matrix may come off the wire with any period
+            # the wire delivers period next_pow2(classes); with_meta sets any
             if self.period < self.classes:
                 raise ShapeMismatch(f"period {self.period} smaller than classes {self.classes}")
         else:
@@ -162,9 +162,7 @@ class _Carrier:
     def _pattern(self, row_fn) -> object:
         """Mask whose value depends only on the column index."""
         if self.encrypted:
-            cols = row_fn(np.arange(self.ctx.grid_cols))
-            block = np.broadcast_to(cols, (self.ctx.grid_rows, self.ctx.grid_cols))
-            return pattern_matrix(self.ctx, block, grid=self.matrix.grid)
+            return pattern_matrix(self.ctx, row_fn(np.arange(self.ctx.grid_cols)))
         return row_fn(np.arange(self.period))[None, :]
 
     def keep_classes_mask(self, value: float = 1.0):

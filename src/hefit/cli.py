@@ -33,7 +33,7 @@ from .matmul import (
     row_major_atb,
 )
 from .plainref import accuracy, exact_softmax
-from .training import fit
+from .training import MIN_MAX_LEVEL, fit
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -141,10 +141,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"epochs must be at least 1, got {cfg.epochs}")
     if cfg.patience < 1:
         raise ConfigError(f"patience must be at least 1, got {cfg.patience}")
-    # the smallest budget a training step completes on: at 4, the cut of W
-    # and V before their packed refresh runs out of levels
-    if cfg.max_level < 5:
-        raise ConfigError(f"max_level must be at least 5, got {cfg.max_level}")
+    if cfg.max_level < MIN_MAX_LEVEL:
+        raise ConfigError(f"max_level must be at least {MIN_MAX_LEVEL}, got {cfg.max_level}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
 

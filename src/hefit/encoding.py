@@ -3,11 +3,14 @@
 A matrix is carved into ``grid_rows x grid_cols`` blocks (zero padded), each
 block packed row-major into one slot vector; the whole grid is one
 :class:`~hefit.emulator.CipherBlock` of shape ``(gr, gc, slot_count)``, so
-every grid operation is a single emulator call over all blocks.  Small
-matrices can be *tiled*: replicated vertically (each block holds ``s0/c'``
-copies of the rows, period ``c'``) or horizontally (``s1/c'`` copies of the
-columns).  Tiling periods are powers of two, which is what lets the
-rotation-based algorithms treat indices cyclically.
+every grid operation is a single emulator call over all blocks.  Grids
+broadcast: an operand with one block on an axis spreads over the other
+operand's grid, so a mask is one block and the matrix kernels combine
+grids with ``+``, ``-`` and ``*`` alone.  Small matrices can be *tiled*:
+replicated vertically (each block holds ``s0/c'`` copies of the rows,
+period ``c'``) or horizontally (``s1/c'`` copies of the columns).  Tiling
+periods are powers of two, which is what lets the rotation-based
+algorithms treat indices cyclically.
 
 This module also provides the structural slot operations the matrix-product
 routines are built from: block-cyclic row/column rotations, the masked
@@ -46,9 +49,12 @@ class EncodedMatrix:
     period ``c'`` (power of two) when tiled.
 
     ``+``, ``-`` and ``*`` apply the homomorphic op to every block at once.
-    The other operand is a scalar, or a matrix on the same grid whose
-    metadata is dropped.  numpy arrays defer to these operators, so
-    arithmetic written once runs on both an encoded matrix and a plain array.
+    The other operand is a scalar or a matrix whose grid broadcasts: a
+    one-block axis spreads over the other's.  The result keeps the metadata
+    of the operand whose grid it has (the left one on equal grids); other
+    grid pairs raise :class:`~hefit.errors.ShapeMismatch`.  numpy arrays
+    defer to these operators, so arithmetic written once runs on both an
+    encoded matrix and a plain array.
     """
 
     ctx: EmulatorContext
@@ -73,31 +79,35 @@ class EncodedMatrix:
 
     # -- grid-wide operations ------------------------------------------------
 
-    def _block_of(self, other):
-        if isinstance(other, EncodedMatrix):
-            if other.grid != self.grid:
-                raise ShapeMismatch(f"grid mismatch: {self.grid} vs {other.grid}")
-            return other.block
-        return other
-
     def _with(self, block: CipherBlock) -> "EncodedMatrix":
         return EncodedMatrix(self.ctx, block, self.shape, self.tiling, self.period)
 
+    def _binary(self, op, other) -> "EncodedMatrix":
+        """``op(self, other)`` over the broadcast grid, operand order kept."""
+        if not isinstance(other, EncodedMatrix):
+            return self._with(op(self.block, other))
+        (p0, p1), (q0, q1) = self.grid, other.grid
+        if q0 in (p0, 1) and q1 in (p1, 1):
+            return self._with(op(self.block, other.block))
+        if p0 in (q0, 1) and p1 in (q1, 1):
+            return other._with(op(self.block, other.block))
+        raise ShapeMismatch(f"grids {self.grid} and {other.grid} do not broadcast")
+
     def __add__(self, other) -> "EncodedMatrix":
-        return self._with(self.ctx.add(self.block, self._block_of(other)))
+        return self._binary(self.ctx.add, other)
 
     def __radd__(self, other) -> "EncodedMatrix":
         return self._with(self.ctx.add(other, self.block))
 
     def __sub__(self, other) -> "EncodedMatrix":
-        return self._with(self.ctx.sub(self.block, self._block_of(other)))
+        return self._binary(self.ctx.sub, other)
 
     def __rsub__(self, other) -> "EncodedMatrix":
         return self._with(self.ctx.sub(other, self.block))
 
     def __mul__(self, other) -> "EncodedMatrix":
         """Elementwise product; a scalar multiplier costs one CMult per block."""
-        return self._with(self.ctx.mult(self.block, self._block_of(other)))
+        return self._binary(self.ctx.mult, other)
 
     def __rmul__(self, other) -> "EncodedMatrix":
         return self._with(self.ctx.mult(other, self.block))
@@ -154,36 +164,38 @@ def encode(
         raise DataError("encode expects finite values, got NaN or infinity")
     rows, cols = arr.shape
     s0, s1 = ctx.grid_rows, ctx.grid_cols
+    period, (gr, gc) = layout(ctx, rows, cols, tiling)
+    padded = np.zeros((gr * s0, gc * s1))
+    # a copy at every period of the tiled axis, one copy otherwise
+    row_step = period if tiling == "vertical" else gr * s0
+    col_step = period if tiling == "horizontal" else gc * s1
+    for r in range(0, gr * s0, row_step):
+        for c in range(0, gc * s1, col_step):
+            padded[r : r + rows, c : c + cols] = arr
+    slots = padded.reshape(gr, s0, gc, s1).swapaxes(1, 2).reshape(gr, gc, s0 * s1)
 
+    block = ctx.encrypt(slots, level) if encrypted else ctx.pack(slots)
+    return EncodedMatrix(ctx, block, (rows, cols), tiling, period)
+
+
+def layout(ctx: EmulatorContext, rows: int, cols: int, tiling: str = "none"):
+    """``(period, grid)`` that :func:`encode` gives a ``rows x cols`` matrix;
+    a tiling that does not fit the block raises :class:`~hefit.errors.TilingError`."""
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
     period = None
     if tiling == "vertical":
         period = next_pow2(rows)
         if period > s0:
             raise TilingError(f"cannot tile {rows} rows vertically in a {s0}-row grid")
-        tile = np.zeros((period, cols))
-        tile[:rows] = arr
-        arr = np.tile(tile, (s0 // period, 1))
         rows = s0
     elif tiling == "horizontal":
         period = next_pow2(cols)
         if period > s1:
             raise TilingError(f"cannot tile {cols} columns horizontally in a {s1}-column grid")
-        tile = np.zeros((rows, period))
-        tile[:, :cols] = arr
-        arr = np.tile(tile, (1, s1 // period))
         cols = s1
     elif tiling != "none":
         raise TilingError(f"unknown tiling {tiling!r}")
-
-    gr = -(-rows // s0)
-    gc = -(-cols // s1)
-    padded = np.zeros((gr * s0, gc * s1))
-    padded[:rows, :cols] = arr
-    slots = padded.reshape(gr, s0, gc, s1).swapaxes(1, 2).reshape(gr, gc, s0 * s1)
-
-    block = ctx.encrypt(slots, level) if encrypted else ctx.pack(slots)
-    shape = np.asarray(values).shape
-    return EncodedMatrix(ctx, block, (int(shape[0]), int(shape[1])), tiling, period)
+    return period, (-(-rows // s0), -(-cols // s1))
 
 
 def padded_array(E: EncodedMatrix) -> np.ndarray:
@@ -216,10 +228,8 @@ def decode(E: EncodedMatrix, role: str = "observer", tag: str | None = None) -> 
 # -- packed refresh of vertically tiled matrices ------------------------------
 
 
-def _period_mask(ctx: EmulatorContext, period: int, grid, scale: float = 1.0) -> EncodedMatrix:
-    pattern = np.zeros((ctx.grid_rows, ctx.grid_cols))
-    pattern[:period] = scale
-    return pattern_matrix(ctx, pattern, grid)
+def _period_mask(ctx: EmulatorContext, period: int, scale: float = 1.0) -> EncodedMatrix:
+    return pattern_matrix(ctx, np.where(np.arange(ctx.grid_rows)[:, None] < period, scale, 0.0))
 
 
 def first_period(E: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
@@ -233,7 +243,7 @@ def first_period(E: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
         raise TilingError(f"first_period needs a vertically tiled matrix, got {E.tiling!r}")
     if E.encrypted and E.level < 1:
         raise DepthExhausted(f"first_period: mask needs level 1, operand at {E.level}")
-    cut = E * _period_mask(E.ctx, E.period, E.grid, scale)
+    cut = E * _period_mask(E.ctx, E.period, scale)
     return EncodedMatrix(E.ctx, cut.block, E.shape)
 
 
@@ -273,8 +283,7 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
     period = periods.pop()
     k = ctx.grid_rows // period
     if k == 1:
-        return [EncodedMatrix(ctx, ctx.bootstrap(m.block), m.shape, "vertical", period)
-                for m in mats]
+        return [m.bootstrap().with_meta(tiling="vertical", period=period) for m in mats]
 
     heads = [m if m.tiling == "none" else first_period(m) for m in mats]
     width = period * ctx.grid_cols  # slots of one piece
@@ -289,7 +298,7 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
 
     # unpacked and re-tiled block by block: over a whole grid the ladder's
     # temporaries raised a paper-scale fit's peak RSS by 5 MiB
-    mask = _period_mask(ctx, period, (1, 1)).block[0, 0]
+    mask = _period_mask(ctx, period).block[0, 0]
     out, j = [], 0
     for h in heads:
         blocks = []
@@ -314,10 +323,12 @@ def bootstrap_pair(a, b):
     ``max_level - 1``.  Slots must be real: an imaginary part of ``b``
     leaks into ``a`` (and one of ``a`` into ``b``).  Plaintext matrices and
     numpy arrays come back unchanged; matrices on different grids raise
-    :class:`~hefit.errors.ShapeMismatch`.
+    :class:`~hefit.errors.ShapeMismatch`, even where one would broadcast.
     """
     if not any(isinstance(m, EncodedMatrix) and m.encrypted for m in (a, b)):
         return a, b
+    if a.grid != b.grid:
+        raise ShapeMismatch(f"bootstrap_pair: grids differ, {a.grid} vs {b.grid}")
     p = (a + b.mul_i()).bootstrap()
     pc = p.conj()
     return (p + pc) * 0.5, b._with(((p - pc) * -0.5j).block)
@@ -326,24 +337,24 @@ def bootstrap_pair(a, b):
 # -- mask builders -------------------------------------------------------------
 
 
-def pattern_matrix(ctx: EmulatorContext, pattern: np.ndarray, grid=(1, 1)) -> EncodedMatrix:
-    """Replicate one s0 x s1 plaintext block pattern across a grid."""
-    pattern = np.asarray(pattern)
-    if pattern.shape != (ctx.grid_rows, ctx.grid_cols):
+def pattern_matrix(ctx: EmulatorContext, pattern: np.ndarray) -> EncodedMatrix:
+    """One plaintext block holding an s0 x s1 pattern; its grid broadcasts
+    over any other.  The pattern may be any array that broadcasts to
+    s0 x s1, such as one row of s1 values or one column of s0."""
+    try:
+        pattern = np.broadcast_to(pattern, (ctx.grid_rows, ctx.grid_cols))
+    except ValueError:
         raise ShapeMismatch(
-            f"pattern must be {(ctx.grid_rows, ctx.grid_cols)}, got {pattern.shape}"
-        )
-    gr, gc = grid
-    flat = pattern.astype(np.complex128).ravel()
-    block = ctx.pack(np.broadcast_to(flat, (gr, gc, ctx.slot_count)))
-    return EncodedMatrix(ctx, block, (gr * ctx.grid_rows, gc * ctx.grid_cols))
+            f"pattern must broadcast to {(ctx.grid_rows, ctx.grid_cols)}, got {np.shape(pattern)}"
+        ) from None
+    block = ctx.pack(pattern.astype(np.complex128).reshape(1, 1, ctx.slot_count))
+    return EncodedMatrix(ctx, block, (ctx.grid_rows, ctx.grid_cols))
 
 
 def make_mask(
     ctx: EmulatorContext,
     shift: int,
     modulus: int,
-    grid=(1, 1),
     complexified: bool = False,
     scale: float = 1.0,
 ) -> EncodedMatrix:
@@ -367,13 +378,12 @@ def make_mask(
         pattern[rows, :, (rows + shift + modulus // 2) % modulus] += -0.5j * scale
     else:
         pattern[rows, :, (rows + shift) % modulus] = scale
-    return pattern_matrix(ctx, pattern.reshape(s0, s1), grid)
+    return pattern_matrix(ctx, pattern.reshape(s0, s1))
 
 
-def col_range_mask(ctx: EmulatorContext, stop: int, grid=(1, 1)) -> EncodedMatrix:
+def col_range_mask(ctx: EmulatorContext, stop: int) -> EncodedMatrix:
     """Plaintext mask keeping block columns ``j < stop``."""
-    pattern = np.where(np.arange(ctx.grid_cols) < stop, 1.0, 0.0)
-    return pattern_matrix(ctx, np.broadcast_to(pattern, (ctx.grid_rows, ctx.grid_cols)), grid)
+    return pattern_matrix(ctx, np.where(np.arange(ctx.grid_cols) < stop, 1.0, 0.0))
 
 
 # -- structural rotations -------------------------------------------------------
@@ -398,7 +408,7 @@ def rot_left(E: EncodedMatrix, k: int) -> EncodedMatrix:
     if k == 0:
         return E
     a1 = E.lrot(k)
-    head = a1 * col_range_mask(E.ctx, s1 - k, E.grid)
+    head = a1 * col_range_mask(E.ctx, s1 - k)
     return head + (a1 - head).rrot(s1)
 
 
@@ -412,7 +422,7 @@ def prot_up(E: EncodedMatrix, k: int) -> EncodedMatrix:
     k = int(k) % s1
     if k == 0:
         return E
-    head = E * col_range_mask(E.ctx, s1 - k, E.grid)
+    head = E * col_range_mask(E.ctx, s1 - k)
     return head + (E - head).lrot(s1)
 
 
@@ -424,25 +434,25 @@ def col_sums(E: EncodedMatrix) -> EncodedMatrix:
     it, and a right-rotation ladder broadcasts it.  Costs
     ``2*log2(s1)`` Rot + 1 CMult per surviving block and one level.
     """
-    ctx = E.ctx
-    s1 = ctx.grid_cols
-    acc = ctx.cmult(fold_columns(E), col_range_mask(ctx, 1).block)
-    acc = ctx.rot_sum(acc, [-(1 << t) for t in range(log2(s1))])
-    return EncodedMatrix(ctx, acc, (E.shape[0], s1))
+    s1 = E.ctx.grid_cols
+    acc = fold_columns(E) * col_range_mask(E.ctx, 1)
+    acc = acc.rot_sum([-(1 << t) for t in range(log2(s1))])
+    return acc.with_meta(shape=(E.shape[0], s1))
 
 
-def fold_columns(E: EncodedMatrix) -> CipherBlock:
+def fold_columns(E: EncodedMatrix) -> EncodedMatrix:
     """Each row's slot total in column 0 (other columns hold partial sums).
 
     Block columns are added left to right, then a left-rotation doubling
-    ladder folds each row.  Returns a one-block-column grid; costs
-    ``log2(s1)`` Rot per block row and no level.
+    ladder folds each row.  Returns an untiled ``(rows, 1)`` matrix on one
+    block column; costs ``log2(s1)`` Rot per block row and no level.
     """
     ctx = E.ctx
     acc = E.block[:, :1]
     for q in range(1, E.grid[1]):
         acc = ctx.add(acc, E.block[:, q : q + 1])
-    return ctx.rot_sum(acc, [1 << t for t in range(log2(ctx.grid_cols))])
+    acc = ctx.rot_sum(acc, [1 << t for t in range(log2(ctx.grid_cols))])
+    return EncodedMatrix(ctx, acc, (E.shape[0], 1))
 
 
 def row_sums(E: EncodedMatrix) -> EncodedMatrix:

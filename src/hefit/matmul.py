@@ -8,6 +8,9 @@ Four routines, two packings each of ``A B^T`` (shapes ``(a,b) x (c,b)``) and
 * :func:`col_major_abt` / :func:`row_major_atb` — one mask-replicate-reduce
   pass per row/column of the small dimension; simpler, rotation-heavier.
 
+All four are written in :class:`~hefit.encoding.EncodedMatrix` operators,
+which broadcast the one-block masks and a one-block row or column.
+
 :func:`count_formula` gives the exact closed-form ledger cost (CMult, Mult,
 Rot) of each routine for a given shape and slot grid; the executed ledgers
 match it operation for operation, which the test suite pins with zero
@@ -54,8 +57,9 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     The tiled B is complex-packed (rows k and k+c/2 share a slot), so only
     c/2 rotated copies are needed; each pass multiplies, sums columns, and
     masks the pair of diagonals it contributes.  A final conjugation doubles
-    the real part.  Output: (a x c) horizontally tiled, period c; consumes
-    3 levels.
+    the real part; at c = 1 the one diagonal needs neither packing nor
+    conjugation.  Output: (a x c) horizontally tiled, period c; consumes 3
+    levels.
     """
     _check_pair(A, B, "none", "vertical", "diag_abt")
     if A.shape[1] != B.shape[1]:
@@ -64,25 +68,15 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     c = B.period
     if c > ctx.grid_cols:
         raise ShapeMismatch(f"diag_abt: period {c} exceeds block columns {ctx.grid_cols}")
-    m = A.grid[0]
-    out_shape = (A.shape[0], B.shape[0])
 
-    # B has one block row, which multiplies every block row of A.
-    if c == 1:
-        sums = col_sums(EncodedMatrix(ctx, ctx.mult(A.block, B.block), A.shape))
-        ones = make_mask(ctx, 0, 1, grid=(m, 1))
-        return (sums * ones).with_meta(shape=out_shape, tiling="horizontal", period=1)
-
-    packed = B + rot_up(B, c // 2).mul_i()
+    # B has one block row, which multiplies every block row of A
+    packed = B if c == 1 else B + rot_up(B, c // 2).mul_i()
     acc = None
-    for k in range(c // 2):
-        shifted = rot_up(packed, k)
-        sums = col_sums(EncodedMatrix(ctx, ctx.mult(A.block, shifted.block), A.shape))
-        mask = make_mask(ctx, k, c, grid=(m, 1), complexified=True)
-        term = sums * mask
+    for k in range(max(c // 2, 1)):
+        term = col_sums(A * rot_up(packed, k)) * make_mask(ctx, k, c, complexified=c > 1)
         acc = term if acc is None else acc + term
-    out = acc + acc.conj()
-    return out.with_meta(shape=out_shape, tiling="horizontal", period=c)
+    out = acc if c == 1 else acc + acc.conj()
+    return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal", period=c)
 
 
 def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
@@ -93,7 +87,8 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     A is complex-packed via a columnwise rotation; each diagonal pass aligns
     operands either by rotating A cleanly (costs a level per pass) or, when
     A sits at the lower level, by flat-rotating A and partially row-rotating
-    B instead (the rotation-heavy branch saves A's budget).  Output:
+    B instead (the rotation-heavy branch saves A's budget).  As in
+    :func:`diag_abt`, c = 1 skips the packing and the conjugation.  Output:
     (c x b) vertically tiled, period c.
     """
     _check_pair(A, B, "horizontal", "none", "diag_atb")
@@ -103,29 +98,21 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     c = A.period
     if c > ctx.grid_rows or ctx.grid_rows % c:
         raise ShapeMismatch(f"diag_atb: period {c} incompatible with block rows {ctx.grid_rows}")
-    n = B.grid[1]
-    out_shape = (A.shape[1], B.shape[1])
 
-    # A has one block column, which multiplies every block column of B.
-    if c == 1:
-        sums = row_sums(EncodedMatrix(ctx, ctx.mult(A.block, B.block), B.shape))
-        ones = make_mask(ctx, 0, 1, grid=(1, n), scale=scale)
-        return (sums * ones).with_meta(shape=out_shape, tiling="vertical", period=1)
-
+    # A has one block column, which multiplies every block column of B
     use_partial = A.level < B.level
-    packed = A + rot_left(A, c // 2).mul_i()
+    packed = A if c == 1 else A + rot_left(A, c // 2).mul_i()
     acc = None
-    for k in range(c // 2):
+    for k in range(max(c // 2, 1)):
         if use_partial:
-            prod = ctx.mult(packed.lrot(k).block, prot_up(B, k).block)
+            prod = packed.lrot(k) * prot_up(B, k)
         else:
-            prod = ctx.mult(rot_left(packed, k).block, B.block)
-        sums = row_sums(EncodedMatrix(ctx, prod, B.shape))
-        mask = make_mask(ctx, -k, c, grid=(1, n), complexified=True, scale=scale)
-        term = sums * mask
+            prod = rot_left(packed, k) * B
+        mask = make_mask(ctx, -k, c, complexified=c > 1, scale=scale)
+        term = row_sums(prod) * mask
         acc = term if acc is None else acc + term
-    out = acc + acc.conj()
-    return out.with_meta(shape=out_shape, tiling="vertical", period=c)
+    out = acc if c == 1 else acc + acc.conj()
+    return out.with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical", period=c)
 
 
 # -- mask-replicate-reduce pair -------------------------------------------------
@@ -147,19 +134,15 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     if B.grid[0] != 1 or c > s1:
         raise ShapeMismatch(f"col_major_abt: B rows {c} must fit one block and {s1} columns")
 
-    col0 = col_range_mask(ctx, 1).block
+    col0 = col_range_mask(ctx, 1)
 
     acc = None
     for j in range(c):
-        rowj = np.zeros((s0, s1))
-        rowj[j, :] = 1.0
-        picked = B * pattern_matrix(ctx, rowj, grid=B.grid)
+        picked = B * pattern_matrix(ctx, np.arange(s0)[:, None] == j)
         picked = picked.rot_sum([(1 << t) * s1 for t in range(log2(s0))])
-        folded = fold_columns(EncodedMatrix(ctx, ctx.mult(A.block, picked.block), A.shape))
-        folded = ctx.rrot(ctx.cmult(folded, col0), j)
-        term = EncodedMatrix(ctx, folded, (A.shape[0], c))
+        term = (fold_columns(A * picked) * col0).rrot(j)
         acc = term if acc is None else acc + term
-    return acc
+    return acc.with_meta(shape=(A.shape[0], c))
 
 
 def row_major_atb(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
@@ -177,17 +160,14 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     c = A.shape[1]
     if A.grid[1] != 1 or c > s0:
         raise ShapeMismatch(f"row_major_atb: A columns {c} must fit one block and {s0} rows")
-    n = B.grid[1]
 
-    col0 = col_range_mask(ctx, 1, A.grid)
+    col0 = col_range_mask(ctx, 1)
 
     acc = None
     for j in range(c):
         picked = (A.lrot(j) * col0).rot_sum([-(1 << t) for t in range(log2(s1))])
-        sums = row_sums(EncodedMatrix(ctx, ctx.mult(picked.block, B.block), B.shape))
-        rowj = np.zeros((s0, s1))
-        rowj[j, :] = 1.0
-        term = sums * pattern_matrix(ctx, rowj, grid=(1, n))
+        sums = row_sums(picked * B)
+        term = sums * pattern_matrix(ctx, np.arange(s0)[:, None] == j)
         acc = term if acc is None else acc + term
     return acc.with_meta(shape=(c, B.shape[1]))
 

@@ -21,7 +21,9 @@ The payload of matrix-bearing messages is one or more serialized
       slot_count * complex128, little-endian
 
 A grid carries one level, so :func:`unpack_matrix` rejects a body whose
-blocks disagree on it.
+blocks disagree on it, and a header :func:`~hefit.encoding.encode` could not
+have written: an empty shape, or a period or grid other than its
+:func:`~hefit.encoding.layout`.
 
 The in-process :func:`channel_pair` endpoints speak exactly this format
 over shared byte buffers, so swapping in a socket later is a transport
@@ -34,9 +36,9 @@ import struct
 
 import numpy as np
 
-from .emulator import PLAINTEXT_LEVEL, CipherBlock, EmulatorContext, is_pow2
-from .encoding import EncodedMatrix
-from .errors import ProtocolError
+from .emulator import PLAINTEXT_LEVEL, CipherBlock, EmulatorContext
+from .encoding import EncodedMatrix, layout
+from .errors import ProtocolError, TilingError
 
 # Message types.
 MSG_BATCH = 1  # EncryptedBatch: features matrix + one-hot labels matrix
@@ -115,14 +117,20 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
             f"context mismatch: message packed for {slots} slots x {block_rows} rows, "
             f"receiver uses {ctx.slot_count} x {ctx.grid_rows}"
         )
-    if gr == 0 or gc == 0:
-        raise ProtocolError(f"empty block grid {gr}x{gc}")
-    if rows > gr * ctx.grid_rows or cols > gc * ctx.grid_cols:
+    if rows == 0 or cols == 0:
+        raise ProtocolError(f"empty logical shape {rows}x{cols}")
+    # a period below the tiled dimension would decode fine and then feed
+    # the kernels wrong products: take only the layout encode writes
+    tiling = _TILING_NAMES[tcode]
+    try:
+        want_period, (want_gr, want_gc) = layout(ctx, rows, cols, tiling)
+    except TilingError as exc:
+        raise ProtocolError(str(exc)) from None
+    if (period, gr, gc) != (want_period or 0, want_gr, want_gc):
         raise ProtocolError(
-            f"logical shape {rows}x{cols} exceeds the {gr}x{gc} block grid"
+            f"a {rows}x{cols} matrix tiled {tiling!r} has period {want_period or 0} on a "
+            f"{want_gr}x{want_gc} grid, frame says {period} on {gr}x{gc}"
         )
-    if (tcode or period) and not is_pow2(period):
-        raise ProtocolError(f"tiling period {period} is not a power of two")
     pos = offset + _HEAD.size
     dtype = _body_dtype(slots)
     need = gr * gc * dtype.itemsize
@@ -139,7 +147,7 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
         ctx=ctx,
         block=block,
         shape=(rows, cols),
-        tiling=_TILING_NAMES[tcode],
+        tiling=tiling,
         period=period or None,
     )
     return matrix, pos + need

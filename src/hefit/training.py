@@ -60,6 +60,9 @@ from .protocol import (
 
 # W and V are refreshed together once V would fall below this level.
 BOOTSTRAP_THRESHOLD = 5
+# The smallest max_level a training step completes on: diag_atb's
+# rotate-left branch spends 4 levels, the first-period cut of W 1 more.
+MIN_MAX_LEVEL = 5
 # Levels the residual P - Y needs: diag_atb's partial-rotation branch
 # spends 3, the momentum product 1.  The residual refresh and the softmax's
 # refresh plan both read it.

@@ -163,7 +163,7 @@ def parity_run():
     x_val, y_val = x[500:600], y[500:600]
     x_te, y_te = x[600:], y[600:]
 
-    ctx = EmulatorContext(4096, 64, max_level=12, auto_bootstrap=True)
+    ctx = EmulatorContext(4096, 64, max_level=12)
     enc = fit(
         x_tr, y_tr, x_val, y_val, classes=3,
         ctx=ctx, cfg=DEFAULTS, lr=0.3, batch_size=64,
@@ -334,7 +334,7 @@ def test_criterion_6_training_parity(parity_run, capsys):
 
     # lockstep: same approximate softmax on both sides, 50 steps
     x_tr, y_tr = parity_run["train"]
-    ctx = EmulatorContext(4096, 64, max_level=12, auto_bootstrap=True)
+    ctx = EmulatorContext(4096, 64, max_level=12)
     tracks = run_steps(
         x_tr, y_tr, 3, steps=LOCKSTEP_STEPS, ctx=ctx, cfg=DEFAULTS,
         lr=0.3, batch_size=64, seed=0,

@@ -437,7 +437,7 @@ def test_softmax_small_domain_without_extension(rng):
 
 
 def test_softmax_encrypted_matches_array_bit_exactly(rng):
-    ctx = EmulatorContext(256, 16, max_level=12, auto_bootstrap=True)
+    ctx = EmulatorContext(256, 16, max_level=12)
     logits = rng.uniform(-30, 30, size=(8, 5))
     enc = encode(ctx, logits, tiling="horizontal")
     got = decode(a_softmax(enc, DEFAULTS), role="observer", tag="test")
@@ -447,7 +447,7 @@ def test_softmax_encrypted_matches_array_bit_exactly(rng):
 
 
 def test_softmax_carrier_rejects_wrong_layout(rng):
-    ctx = EmulatorContext(256, 16, max_level=12, auto_bootstrap=True)
+    ctx = EmulatorContext(256, 16, max_level=12)
     m = rng.uniform(-1, 1, size=(8, 5))
     with pytest.raises(ShapeMismatch):
         a_softmax(encode(ctx, m), DEFAULTS)  # untiled
@@ -484,7 +484,7 @@ def test_softmax_of_zero_rows_keeps_class_width(classes):
 
 
 def test_encrypted_softmax_ledger_is_unchanged(rng):
-    ctx = EmulatorContext(256, 16, max_level=12, auto_bootstrap=True)
+    ctx = EmulatorContext(256, 16, max_level=12)
     enc = encode(ctx, rng.uniform(-30, 30, size=(8, 5)), tiling="horizontal")
     before = ctx.ledger.snapshot()
     a_softmax(enc, DEFAULTS)

@@ -1,5 +1,7 @@
 """Packing, tilings, masks, and the structural rotation/fold helpers."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,10 +138,64 @@ def test_reflected_operators_and_numpy_operands(ctx, rng):
 
 
 def test_grid_mismatch_raises(ctx):
-    small = encode(ctx, np.ones((4, 4)))
-    big = encode(ctx, np.ones((20, 4)))
-    with pytest.raises(ShapeMismatch):
-        small + big
+    # (2, 1) with (1, 2) would need a (2, 2) grid neither operand has, and
+    # 2 block rows with 3 do not broadcast at all
+    tall = encode(ctx, np.ones((20, 4)))
+    wide = encode(ctx, np.ones((4, 20)))
+    taller = encode(ctx, np.ones((40, 4)))
+    assert (tall.grid, wide.grid, taller.grid) == ((2, 1), (1, 2), (3, 1))
+    for a, b in ((tall, wide), (wide, tall), (tall, taller), (taller, tall)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ShapeMismatch):
+                op(a, b)
+
+
+GRIDS = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
+OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    grids=st.tuples(st.sampled_from(GRIDS), st.sampled_from(GRIDS)),
+    op=st.sampled_from(sorted(OPS)),
+    encrypted=st.tuples(st.booleans(), st.booleans()),
+    levels=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    seed=st.integers(0, 2**16),
+)
+def test_grids_broadcast_a_one_block_axis(grids, op, encrypted, levels, seed):
+    ctx = EmulatorContext(64, 8, max_level=12)
+    rng = np.random.default_rng(seed)
+    (ga, gb), fn = grids, OPS[op]
+    # distinct shapes on each grid, so the kept metadata names its operand
+    a, b = (
+        encode(ctx, rng.normal(size=(8 * g[0] - k, 8 * g[1] - k - 1)), encrypted=enc, level=lv)
+        for g, k, enc, lv in zip(grids, (1, 3), encrypted, levels)
+    )
+    assert (a.grid, b.grid) == grids
+    out_grid = (max(ga[0], gb[0]), max(ga[1], gb[1]))
+    if out_grid not in grids or any(p != q and 1 not in (p, q) for p, q in zip(ga, gb)):
+        with pytest.raises(ShapeMismatch):
+            fn(a, b)
+        return
+
+    before = ctx.ledger.snapshot()
+    out = fn(a, b)
+    want = fn(a.block.slots, b.block.slots)
+    assert out.block.slots.shape == want.shape == (*out_grid, ctx.slot_count)
+    assert out.block.slots.tobytes() == want.tobytes()
+
+    blocks = out_grid[0] * out_grid[1]
+    kind = "Add" if op != "mul" else "Mult" if all(encrypted) else "CMult"
+    want_delta = {k: 0 for k in ("Add", "CMult", "Mult", "Rot", "Conj", "Bootstrap")}
+    if any(encrypted):
+        want_delta[kind] = blocks
+    assert ctx.ledger.delta(before) == want_delta
+
+    keep = a if out_grid == ga else b
+    assert (out.shape, out.tiling, out.period) == (keep.shape, keep.tiling, keep.period)
+    assert out.encrypted == any(encrypted)
+    level = min(lv if enc else np.inf for lv, enc in zip(levels, encrypted))
+    assert out.level == level - (op == "mul" and any(encrypted))
 
 
 def test_decode_audits_encrypted_reads(ctx):
@@ -180,6 +236,14 @@ def test_pattern_matrix_and_masks(ctx):
     cr = col_range_mask(ctx, 3)
     full = padded_array(cr).real
     assert np.all(full[:, :3] == 1.0) and np.all(full[:, 3:] == 0.0)
+
+    # masks are one block, whatever grid they will multiply; a pattern may
+    # be one row or one column that repeats over the block
+    assert mask.grid == twin.grid == cr.grid == (1, 1)
+    row = pattern_matrix(ctx, np.arange(16.0))
+    col = pattern_matrix(ctx, np.arange(16.0)[:, None])
+    np.testing.assert_array_equal(padded_array(row).real, np.tile(np.arange(16.0), (16, 1)))
+    np.testing.assert_array_equal(padded_array(col).real, padded_array(row).real.T)
 
 
 @pytest.mark.parametrize("slots,rows", [(256, 16), (4096, 64), (32768, 128)])
@@ -435,8 +499,12 @@ def test_pair_refresh_passes_plaintext_through_and_checks_grids(ctx, rng):
 
     one = encode(ctx, rng.normal(size=(5, 20)), level=0)
     two = encode(ctx, rng.normal(size=(5, 40)), level=0)
-    with pytest.raises(ShapeMismatch):
-        bootstrap_pair(one, two)
+    # a one-block grid broadcasts in + and *, but a pair shares one grid
+    single = encode(ctx, rng.normal(size=(5, 10)), level=0)
+    assert (one.grid, two.grid, single.grid) == ((1, 2), (1, 3), (1, 1))
+    for pair in ((one, two), (one, single), (single, one)):
+        with pytest.raises(ShapeMismatch):
+            bootstrap_pair(*pair)
 
 
 def test_pair_refresh_leaks_an_imaginary_residue_of_b_into_a(ctx):

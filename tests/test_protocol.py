@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hefit.emulator import EmulatorContext
-from hefit.encoding import encode, padded_array
+from hefit.encoding import decode, encode, padded_array
 from hefit.errors import ProtocolError
+from hefit.matmul import diag_abt
 from hefit.protocol import (
     DECISION_CONTINUE,
     DECISION_IMPROVED,
@@ -162,14 +163,15 @@ def test_unpack_rejects_finite_plaintext_level(ctx, rng):
 
 def test_unpack_rejects_empty_block_grid(ctx, rng):
     data = patched(encode(ctx, rng.normal(size=(2, 2))), _GRID_OFFSET, "<II", 0, 0)
-    with pytest.raises(ProtocolError, match="empty block grid 0x0"):
+    with pytest.raises(ProtocolError, match="on a 1x1 grid, frame says 0 on 0x0"):
         unpack_matrix(ctx, data)
 
 
 def test_unpack_rejects_shape_beyond_grid(rng):
     small = EmulatorContext(16, 4, max_level=12)
     data = patched(encode(small, rng.normal(size=(2, 2))), _SHAPE_OFFSET, "<II", 100, 100)
-    with pytest.raises(ProtocolError, match="100x100 exceeds the 1x1 block grid"):
+    with pytest.raises(ProtocolError, match="100x100 matrix tiled 'none' has period 0 on a 25x25 "
+                                            "grid, frame says 0 on 1x1"):
         unpack_matrix(small, data)
 
 
@@ -177,7 +179,53 @@ def test_unpack_rejects_shape_beyond_grid(rng):
 def test_unpack_rejects_non_pow2_tiling_period(ctx, rng, period):
     tiled = encode(ctx, rng.normal(size=(4, 3)), tiling="horizontal")
     data = patched(tiled, _PERIOD_OFFSET, "<I", period)
-    with pytest.raises(ProtocolError, match=f"tiling period {period} is not a power of two"):
+    with pytest.raises(ProtocolError, match=f"has period 4 on a 1x1 grid, frame says {period} on"):
+        unpack_matrix(ctx, data)
+
+
+# One case per header field that encode derives from the shape and tiling:
+# (tiling of an encoded 3x5 matrix, header patches (offset, format, values),
+# message).
+_UNENCODABLE = {
+    "empty shape": ("vertical", [(_SHAPE_OFFSET, "<II", (0, 5))], "empty logical shape 0x5"),
+    "period untiled": ("none", [(_PERIOD_OFFSET, "<I", (4,))],
+                       "tiled 'none' has period 0 on a 1x1 grid, frame says 4 on 1x1"),
+    "period beyond block": ("vertical", [(_PERIOD_OFFSET, "<I", (32,))], "frame says 32 on"),
+    "period above next pow2": ("vertical", [(_PERIOD_OFFSET, "<I", (8,))], "frame says 8 on"),
+    "period below rows": ("vertical", [(_PERIOD_OFFSET, "<I", (2,))],
+                          "tiled 'vertical' has period 4 on a 1x1 grid, frame says 2 on 1x1"),
+    "rows beyond block": (
+        "none",
+        [(_SHAPE_OFFSET, "<II", (20, 5)), (_TILING_BYTE, "<B", (1,)),
+         (_PERIOD_OFFSET, "<I", (32,)), (_GRID_OFFSET, "<II", (2, 1))],
+        "cannot tile 20 rows vertically in a 16-row grid",
+    ),
+    "grid rows": ("vertical", [(_GRID_OFFSET, "<II", (2, 1))], "frame says 4 on 2x1"),
+    "grid cols": ("none", [(_GRID_OFFSET, "<II", (1, 2))], "frame says 0 on 1x2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNENCODABLE))
+def test_unpack_rejects_headers_encode_never_writes(ctx, rng, case):
+    tiling, patches, match = _UNENCODABLE[case]
+    data = bytearray(pack_matrix(encode(ctx, rng.normal(size=(3, 5)), tiling=tiling)))
+    for offset, fmt, values in patches:
+        struct.pack_into(fmt, data, offset, *values)
+    with pytest.raises(ProtocolError, match=match):
+        unpack_matrix(ctx, bytes(data))
+
+
+def test_reframed_period_would_have_fed_a_wrong_product(ctx, rng):
+    # the same slots under period 2 decode to the same W, but diag_abt then
+    # pairs the wrong rows: the wire rejects the frame before that
+    x, w = rng.normal(size=(6, 5)), rng.normal(size=(3, 5))
+    honest = encode(ctx, w, tiling="vertical")
+    data = patched(honest, _PERIOD_OFFSET, "<I", 2)
+    reframed = honest.with_meta(period=2)
+    np.testing.assert_array_equal(decode(reframed), w)
+    np.testing.assert_allclose(decode(diag_abt(encode(ctx, x), honest)), x @ w.T, atol=1e-12)
+    assert not np.allclose(decode(diag_abt(encode(ctx, x), reframed)), x @ w.T, atol=1e-3)
+    with pytest.raises(ProtocolError, match="frame says 2"):
         unpack_matrix(ctx, data)
 
 

@@ -9,6 +9,7 @@ from hefit.approx import DEFAULTS, SoftmaxConfig, a_softmax
 from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext
 from hefit.encoding import decode, encode
+from hefit.errors import DepthExhausted
 from hefit.plainref import (
     ReferenceState,
     accuracy,
@@ -26,12 +27,11 @@ from hefit.protocol import (
     DECISION_STOP,
     channel_pair,
 )
-from hefit.training import Client, TrainState, fit, nag_step, run_steps
+from hefit.training import MIN_MAX_LEVEL, Client, TrainState, fit, nag_step, run_steps
 
 
 def make_ctx(**kw):
     kw.setdefault("max_level", 12)
-    kw.setdefault("auto_bootstrap", True)
     return EmulatorContext(256, 16, **kw)
 
 
@@ -167,6 +167,29 @@ def test_test_scale_steps_complete_at_every_accepted_budget():
     assert all(boots[b] <= GREEDY_STEP_BOOTSTRAPS[b] for b in boots)
 
 
+@pytest.mark.parametrize(
+    "slots,grid_rows,features,classes,batch",
+    [(4096, 64, 16, 3, 64), (32768, 128, 768, 10, 128)],
+    ids=["test-scale", "paper-scale"],
+)
+def test_min_max_level_is_the_smallest_budget_a_step_completes_on(
+    slots, grid_rows, features, classes, batch
+):
+    # one level less and the first-period cut of W before its packed
+    # refresh finds W at level 0
+    assert MIN_MAX_LEVEL == 5
+    x, y = make_gaussian_mixture(256, classes, features, 3, mean_scale=0.1)
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+
+    def one_step(max_level):
+        ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
+        run_steps(x, y, classes, 1, ctx=ctx, lr=0.1, batch_size=batch)
+
+    with pytest.raises(DepthExhausted, match="first_period"):
+        one_step(MIN_MAX_LEVEL - 1)
+    one_step(MIN_MAX_LEVEL)
+
+
 def test_paper_scale_steps_complete_at_accepted_budgets():
     # 32768 slots, 769 columns on 1x4 grids, 10 classes, batch 128
     final, _ = final_weights_by_budget(32768, 128, 768, 10, 128, (5, 12, 21), 3)
@@ -200,7 +223,7 @@ def test_bootstrap_keeps_low_depth_runs_exact(rng):
     # the softmax pipeline burns through any realistic level budget, so the
     # run must refresh mid-flight and still match the plaintext twin
     # (bootstrapping is value-exact here)
-    ctx = EmulatorContext(256, 16, max_level=30, auto_bootstrap=True)
+    ctx = EmulatorContext(256, 16, max_level=30)
     x, y = make_gaussian_mixture(32, 3, 5, seed=12)
     x = np.hstack([x, np.ones((x.shape[0], 1))])
     tracks = run_steps(x, y, 3, steps=6, ctx=ctx, cfg=DEFAULTS, lr=0.3, batch_size=16, seed=0)
