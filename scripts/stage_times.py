@@ -16,8 +16,12 @@ softmax's column sums, and ``row_sums`` and ``prot_up`` are inside
 
 Both draw ``make_gaussian_mixture(2048, classes, features + 1, 3,
 mean_scale=0.1)`` and set the last column to 1 as the bias; learning rate
-0.1, budget 12.  CPU time counts only this process, so a busy machine slows
-the numbers less than it slows the wall clock; repeat and compare medians.
+0.1, budget 12.  A last row, ``array``, times the softmax's numpy array
+path as ``softmax-mc`` runs it: one ``a_softmax`` call (its "step") on a
+seeded 250 000 x 10 uniform input within +-128 under ``DEFAULTS``, median
+over ARRAY_CALLS calls; the stages it never calls print ``-``.  CPU time
+counts only this process, so a busy machine slows the numbers less than it
+slows the wall clock; repeat and compare medians.
 
 Run from the repository root::
 
@@ -32,7 +36,10 @@ from contextlib import ExitStack
 from statistics import median
 from unittest import mock
 
-from hefit import training
+import numpy as np
+
+from hefit import approx, training
+from hefit.approx import DEFAULTS
 from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext
 from hefit.training import run_steps
@@ -58,6 +65,9 @@ STAGES = {
     "prot_up": ("hefit.encoding", "prot_up"),
     "boot_tiled": ("hefit.encoding", "bootstrap_tiled"),
 }
+# the array row: softmax-mc's chunk shape, and the stages it runs
+ARRAY_SHAPE, ARRAY_CALLS = (250_000, 10), 5
+ARRAY_STAGES = ("step", "a_softmax", "a_max", "extend", "compens", "a_exp", "a_inv")
 
 
 def rebind_everywhere(stack: ExitStack, original, wrapper) -> None:
@@ -70,13 +80,9 @@ def rebind_everywhere(stack: ExitStack, original, wrapper) -> None:
                 stack.enter_context(mock.patch.object(mod, attr, wrapper))
 
 
-def stage_times(scale: str) -> dict[str, float]:
-    """Median CPU ms per step of each stage and of the whole step ("step")."""
-    slots, grid_rows, features, classes, batch = SCALES[scale]
-    x, y = make_gaussian_mixture(2048, classes, features + 1, 3, mean_scale=0.1)
-    x[:, features] = 1.0  # bias column
-    ctx = EmulatorContext(slots, grid_rows, max_level=12)
-    steps: list[dict[str, float]] = []
+def timed_stages(stack: ExitStack, steps: list[dict[str, float]]):
+    """Rebind every stage to a wrapper that adds its CPU time to ``steps[-1]``;
+    returns the wrapper factory, for the caller's own "step"."""
 
     def timed(label, fn):
         def run(*args, **kwargs):
@@ -88,18 +94,50 @@ def stage_times(scale: str) -> dict[str, float]:
 
         return run
 
-    def step(*args, **kwargs):
-        steps.append(dict.fromkeys(["step", *STAGES], 0.0))
-        return timed("step", nag_step)(*args, **kwargs)
+    for label, (mod_name, name) in STAGES.items():
+        original = getattr(sys.modules[mod_name], name)
+        rebind_everywhere(stack, original, timed(label, original))
+    return timed
 
+
+def medians_ms(steps: list[dict[str, float]]) -> dict[str, float]:
+    return {label: median(s[label] for s in steps) * 1e3 for label in steps[0]}
+
+
+def new_step(steps: list[dict[str, float]]) -> None:
+    steps.append(dict.fromkeys(["step", *STAGES], 0.0))
+
+
+def stage_times(scale: str) -> dict[str, float]:
+    """Median CPU ms per step of each stage and of the whole step ("step")."""
+    slots, grid_rows, features, classes, batch = SCALES[scale]
+    x, y = make_gaussian_mixture(2048, classes, features + 1, 3, mean_scale=0.1)
+    x[:, features] = 1.0  # bias column
+    ctx = EmulatorContext(slots, grid_rows, max_level=12)
+    steps: list[dict[str, float]] = []
     nag_step = training.nag_step
     with ExitStack() as stack:
-        for label, (mod_name, name) in STAGES.items():
-            original = getattr(sys.modules[mod_name], name)
-            rebind_everywhere(stack, original, timed(label, original))
+        timed = timed_stages(stack, steps)
+
+        def step(*args, **kwargs):
+            new_step(steps)
+            return timed("step", nag_step)(*args, **kwargs)
+
         stack.enter_context(mock.patch.object(training, "nag_step", step))
         run_steps(x, y, classes, STEPS, ctx=ctx, lr=0.1, batch_size=batch)
-    return {label: median(s[label] for s in steps) * 1e3 for label in steps[0]}
+    return medians_ms(steps)
+
+
+def array_stage_times() -> dict[str, float]:
+    """Median CPU ms per array-path ``a_softmax`` call of each stage."""
+    x = np.random.default_rng(1).uniform(-128.0, 128.0, size=ARRAY_SHAPE)
+    steps: list[dict[str, float]] = []
+    with ExitStack() as stack:
+        timed = timed_stages(stack, steps)
+        for _ in range(ARRAY_CALLS):
+            new_step(steps)
+            timed("step", approx.a_softmax)(x, DEFAULTS)
+    return medians_ms(steps)
 
 
 def main() -> None:
@@ -108,6 +146,10 @@ def main() -> None:
     for scale in SCALES:
         ms = stage_times(scale)
         print(f"{scale:>5}" + "".join(f"  {ms[label]:>10.3f}" for label in labels), flush=True)
+    ms = array_stage_times()
+    print(f"{'array':>5}" + "".join(
+        f"  {ms[label]:>10.3f}" if label in ARRAY_STAGES else f"  {'-':>10}" for label in labels
+    ))
 
 
 if __name__ == "__main__":

@@ -9,12 +9,15 @@ exponentials, and multiplies by an iteratively computed reciprocal.
 Every routine here accepts either an :class:`~hefit.encoding.EncodedMatrix`
 (one block column, horizontally tiled) or a plain 2D numpy array of logits.
 The polynomial steps are written once, as ``+``/``-``/``*`` arithmetic that
-both carriers implement; only the layout-dependent steps (masks, rolls,
-column sums, broadcasts) live in ``_Carrier``.  Both carriers execute the
-same operation order, so the array path is a faithful — on the slots that
-are ever read, bit-faithful — mirror of the encrypted one, cheap enough for
+both carriers implement; only the layout-dependent steps (masks, the
+tournament's operand pairs, column sums, broadcasts) live in ``_Carrier``.
+The array carrier runs the same arithmetic, in the same order, on every
+slot the encrypted path reads, and only on those: the tournament keeps only
+the columns a later round reads, the tail runs on the class columns, and
+the row total and the reciprocal on one column per row.  So the array path
+is a bit-faithful mirror of the encrypted one, cheap enough for
 million-sample error measurement.  :func:`a_softmax` evaluates array
-inputs in cache-sized row blocks (128 KiB per work array); every step works
+inputs in cache-sized row blocks (``_BLOCK_SLOTS``); every step works
 within a row, so the output is bit-identical to a single pass over all rows.
 
 Constant scalings spend no level of their own: the comparison's
@@ -120,10 +123,13 @@ class SoftmaxConfig:
 DEFAULTS = SoftmaxConfig()
 
 
-# Slots per work array of one array-path softmax block: 128 KiB of float64,
-# so the block's intermediates stay in L2 cache.  Every step works within a
-# row, so blocking leaves each output row bit-identical.
-_BLOCK_SLOTS = 16_384
+# Slots per row block of the array-path softmax, counted in the padded
+# tournament input (65 536 float64 slots, 512 KiB: 4096 rows at 10 classes);
+# every later work array is narrower, holding only the slots the encrypted
+# path reads.  Of 8192 to 131 072 slots, this ran a 250k x 10 softmax
+# fastest on a 2-vCPU Xeon with 2 MiB of L2 per core.  Every step works
+# within a row, so blocking leaves each output row bit-identical.
+_BLOCK_SLOTS = 65_536
 
 
 def _array_layout(M):
@@ -135,7 +141,15 @@ def _array_layout(M):
 
 
 class _Carrier:
-    """Layout facts and layout-dependent steps for one input matrix."""
+    """Layout facts and layout-dependent steps for one input matrix.
+
+    The encrypted carrier works on whole slot grids.  The array carrier
+    holds the unpadded ``(rows, classes)`` logits and computes only the
+    slots the encrypted path reads: its masks are scalars, the tournament
+    keeps only the columns a later round reads, and the row total leaves
+    one ``(rows, 1)`` column, which numpy broadcasts over the row.  Padding
+    exists only inside the tournament and the row total.
+    """
 
     def __init__(self, M):
         if isinstance(M, EncodedMatrix):
@@ -152,50 +166,71 @@ class _Carrier:
             if self.period < self.classes:
                 raise ShapeMismatch(f"period {self.period} smaller than classes {self.classes}")
         else:
-            arr, self.classes, self.period = _array_layout(M)
+            self.matrix, self.classes, self.period = _array_layout(M)
             self.ctx = None
             self.encrypted = False
-            padded = np.zeros((arr.shape[0], self.period))
-            padded[:, : self.classes] = arr
-            self.matrix = padded
 
-    def _pattern(self, row_fn) -> object:
+    def _pattern(self, row_fn) -> EncodedMatrix:
         """Mask whose value depends only on the column index."""
-        if self.encrypted:
-            return pattern_matrix(self.ctx, row_fn(np.arange(self.ctx.grid_cols)))
-        return row_fn(np.arange(self.period))[None, :]
+        return pattern_matrix(self.ctx, row_fn(np.arange(self.ctx.grid_cols)))
+
+    def _padded(self, x, fill: float):
+        """An array widened to the period, its padded columns set to ``fill``."""
+        if self.classes == self.period:
+            return x
+        out = np.full((x.shape[0], self.period), fill)
+        out[:, : self.classes] = x
+        return out
 
     def keep_classes_mask(self, value: float = 1.0):
+        """``value`` on the class columns, 0 on the padded ones; an array
+        has no padded columns, so there it is the scalar ``value``."""
+        if not self.encrypted:
+            return value
         c = self.classes
         return self._pattern(lambda j: np.where(j < c, value, 0.0))
 
-    def pad_pattern(self, value: float):
+    def pushed_down(self, r: float):
+        """The logits with every padded column lowered by r."""
+        if self.classes == self.period:
+            return self.matrix
+        if not self.encrypted:
+            return self._padded(self.matrix, -float(r))
         c, cp = self.classes, self.period
-        return self._pattern(lambda j: np.where((j % cp) >= c, value, 0.0))
+        return self.matrix - self._pattern(lambda j: np.where((j % cp) >= c, r, 0.0))
+
+    def knockout_pair(self, best, t: int):
+        """``(best, rival)`` of tournament round t: each slot and the slot
+        ``1 << t`` to its right.  An array keeps only the columns whose
+        results a later round reads, the multiples of ``2 << t``, so each
+        round halves ``best`` and pairs adjacent columns; after the last
+        round ``best`` is column 0 alone."""
+        if self.encrypted:
+            return best, best.lrot(1 << t)
+        return best[:, 0::2], best[:, 1::2]
 
     def first_col_mask(self):
+        if not self.encrypted:
+            return 1.0
         return self._pattern(lambda j: np.where(j == 0, 1.0, 0.0))
 
-    def roll_left(self, x, r: int):
-        """Rotate every row left by r slots."""
-        if self.encrypted:
-            return x.lrot(r)
-        return np.roll(x, -r, axis=1)
-
     def broadcast_col0(self, x):
-        """Spread column 0 of each row to every column (x is col-0 masked)."""
+        """Spread column 0 of each row to every column (x is col-0 masked);
+        an array's tournament already left column 0 alone."""
         if self.encrypted:
             return x.rot_sum([-(1 << t) for t in range(log2(self.ctx.grid_cols))])
-        return np.repeat(x[:, :1], self.period, axis=1)
+        return x
 
-    def sum_cols_broadcast(self, x):
-        """Every slot of a row becomes that row's column total (tree order)."""
+    def row_total(self, x):
+        """Each row's column total, summed in the encrypted tree order: in
+        every slot of the row when encrypted, as a ``(rows, 1)`` column for
+        an array, whose zero pads keep the tree's order."""
         if self.encrypted:
             return col_sums(x)
-        s = x
-        for t in range(log2(self.period)):
-            s = s + np.roll(s, -(1 << t), axis=1)
-        return np.repeat(s[:, :1], self.period, axis=1)
+        s = self._padded(x, 0.0)
+        for _ in range(log2(self.period)):
+            s = s[:, 0::2] + s[:, 1::2]
+        return s
 
     def retile(self, x):
         """Fill the remaining block width with copies of the first period."""
@@ -289,11 +324,11 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     power k), which is exact because 2R is a power of two.  Padded columns
     are pushed down by R (periodically with the tiling, so every copy
     behaves alike) and can never win.  log2(period) knockout rounds blend
-    each slot with its rotated partner through the comparison; column 0 of
-    each row then holds the winner, which is isolated and broadcast.  The
-    result never exceeds the true maximum (the blends are convex), and it
-    equals, bit for bit, a tournament on inputs scaled by 1/(2R) whose
-    winner is scaled back by 2R.
+    each slot with its partner ``1 << t`` to the right through the
+    comparison; column 0 of each row then holds the winner, which is
+    isolated and broadcast.  The result never exceeds the true maximum (the
+    blends are convex), and it equals, bit for bit, a tournament on inputs
+    scaled by 1/(2R) whose winner is scaled back by 2R.
 
     Each round refreshes ``best`` for the first comparison polynomial before
     the roll, so ``rival`` inherits the fresh level.  Each round has two
@@ -306,17 +341,23 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     ``rival`` from the refreshed ``best`` (one Rot) so the blend sees both
     at the fresh level.  Without ``pairs`` every refresh is the chain's own,
     and a bootstrap is value-exact either way, so the flags move levels and
-    the ledger, never a slot.
+    the ledger, never a slot; an array has neither and ignores them.
+
+    An array carrier evaluates each round only on the columns a later round
+    reads (:meth:`_Carrier.knockout_pair`), 2^k - 1 column evaluations for
+    a period of 2^k instead of k 2^k.  An array input returns a ``(rows,
+    period)`` array; :func:`_softmax` passes its own carrier and gets the
+    ``(rows, 1)`` column its tail reads.
     """
-    car = _Carrier(M)
+    car = M if isinstance(M, _Carrier) else _Carrier(M)
     r = cfg.max_range
     first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_G))
-    best = car.matrix
-    if car.classes < car.period:
-        best = best - car.pad_pattern(r)
-    for t, flags in enumerate(pairs or ((False,) * 4,) * log2(car.period)):
+    if pairs is None or not car.encrypted:
+        pairs = ((False,) * 4,) * log2(car.period)
+    best = car.pushed_down(r)
+    for t, flags in enumerate(pairs):
         best = _refresh(best, ODD_POLY_DEPTH)
-        rival = car.roll_left(best, 1 << t)
+        best, rival = car.knockout_pair(best, t)
         chain = best - rival
         for coeffs, packed in zip((first, COMP_G, COMP_F_HALF), flags):
             if packed:
@@ -328,10 +369,12 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
         else:
             w = _refresh(w, 1)
         if any(flags):
-            rival = car.roll_left(best, 1 << t)
+            best, rival = car.knockout_pair(best, t)
         best = best * w + rival * (1.0 - w)
-    best = _refresh(best, 1) * car.first_col_mask()
-    return car.broadcast_col0(best)
+    best = car.broadcast_col0(_refresh(best, 1) * car.first_col_mask())
+    if car.encrypted or M is car:
+        return best
+    return np.repeat(best, car.period, axis=1)
 
 
 # Levels one contraction step consumes.
@@ -616,7 +659,7 @@ def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
     pairs = None
     if car.encrypted and M.encrypted:
         pairs = softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need).pairs
-    best = a_max(work if car.encrypted else work[:, : car.classes], cfg, pairs)
+    best = a_max(car, cfg, pairs)
     norm = _refresh(work - best, 1) * car.keep_classes_mask()
     norm = domain_extend(norm, cfg)
     if cfg.precise:
@@ -624,15 +667,13 @@ def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
     # exps / INV_RANGE: their row total is a_inv's normalized input
     keep_scaled = car.keep_classes_mask(1.0 / INV_RANGE)
     expd = _refresh(_refresh(a_exp(norm), 1) * keep_scaled, 1)
-    total = car.sum_cols_broadcast(expd)
-    recip = a_inv(total)
-    out = expd * _refresh(recip, 1)
-    out = car.retile(out)
+    recip = a_inv(car.row_total(expd))
+    out = car.retile(expd * _refresh(recip, 1))
     if car.encrypted:
         return out.with_meta(
             shape=(M.shape[0], car.classes), tiling="horizontal", period=car.period
         )
-    return out[:, : car.classes]
+    return out
 
 
 # -- bounds and measured constants ----------------------------------------------

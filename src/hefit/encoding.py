@@ -52,7 +52,8 @@ class EncodedMatrix:
     The other operand is a scalar or a matrix whose grid broadcasts: a
     one-block axis spreads over the other's.  The result keeps the metadata
     of the operand whose grid it has (the left one on equal grids); other
-    grid pairs raise :class:`~hefit.errors.ShapeMismatch`.  numpy arrays
+    grid pairs, and operands from two contexts, raise
+    :class:`~hefit.errors.ShapeMismatch`.  numpy arrays
     defer to these operators, so arithmetic written once runs on both an
     encoded matrix and a plain array.
     """
@@ -86,6 +87,8 @@ class EncodedMatrix:
         """``op(self, other)`` over the broadcast grid, operand order kept."""
         if not isinstance(other, EncodedMatrix):
             return self._with(op(self.block, other))
+        if other.ctx is not self.ctx:
+            raise ShapeMismatch("operands from different contexts")
         (p0, p1), (q0, q1) = self.grid, other.grid
         if q0 in (p0, 1) and q1 in (p1, 1):
             return self._with(op(self.block, other.block))

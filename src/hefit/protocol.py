@@ -71,11 +71,35 @@ def _body_dtype(slot_count: int) -> np.dtype:
     return np.dtype([("level", "<f8"), ("slots", "<c16", (slot_count,))])
 
 
+def _check_layout(ctx: EmulatorContext, rows: int, cols: int, tiling: str, period: int, grid):
+    """Raise :class:`ProtocolError` unless a ``rows x cols`` matrix tiled
+    ``tiling`` has the period (0 for none) and grid that
+    :func:`~hefit.encoding.encode` writes (:func:`~hefit.encoding.layout`)."""
+    if rows == 0 or cols == 0:
+        raise ProtocolError(f"empty logical shape {rows}x{cols}")
+    # a period below the tiled dimension would decode fine and then feed
+    # the kernels wrong products: take only the layout encode writes
+    try:
+        want_period, want_grid = layout(ctx, rows, cols, tiling)
+    except TilingError as exc:
+        raise ProtocolError(str(exc)) from None
+    if (period, grid) != (want_period or 0, want_grid):
+        raise ProtocolError(
+            f"a {rows}x{cols} matrix tiled {tiling!r} has period {want_period or 0} on a "
+            f"{want_grid[0]}x{want_grid[1]} grid, frame says {period} on {grid[0]}x{grid[1]}"
+        )
+
+
 def pack_matrix(matrix: EncodedMatrix) -> bytes:
-    """Serialize an encoded matrix; every block record carries the grid's level."""
+    """Serialize an encoded matrix; every block record carries the grid's level.
+
+    A matrix whose layout :func:`unpack_matrix` would reject raises
+    :class:`ProtocolError` before any byte is written.
+    """
     ctx = matrix.ctx
     rows, cols = matrix.shape
     gr, gc = matrix.grid
+    _check_layout(ctx, rows, cols, matrix.tiling, matrix.period or 0, matrix.grid)
     dtype = _body_dtype(ctx.slot_count)
     frame = bytearray(_HEAD.size + gr * gc * dtype.itemsize)
     _HEAD.pack_into(
@@ -117,20 +141,8 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
             f"context mismatch: message packed for {slots} slots x {block_rows} rows, "
             f"receiver uses {ctx.slot_count} x {ctx.grid_rows}"
         )
-    if rows == 0 or cols == 0:
-        raise ProtocolError(f"empty logical shape {rows}x{cols}")
-    # a period below the tiled dimension would decode fine and then feed
-    # the kernels wrong products: take only the layout encode writes
     tiling = _TILING_NAMES[tcode]
-    try:
-        want_period, (want_gr, want_gc) = layout(ctx, rows, cols, tiling)
-    except TilingError as exc:
-        raise ProtocolError(str(exc)) from None
-    if (period, gr, gc) != (want_period or 0, want_gr, want_gc):
-        raise ProtocolError(
-            f"a {rows}x{cols} matrix tiled {tiling!r} has period {want_period or 0} on a "
-            f"{want_gr}x{want_gc} grid, frame says {period} on {gr}x{gc}"
-        )
+    _check_layout(ctx, rows, cols, tiling, period, (gr, gc))
     pos = offset + _HEAD.size
     dtype = _body_dtype(slots)
     need = gr * gc * dtype.itemsize

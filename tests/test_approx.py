@@ -4,6 +4,7 @@ Expected values are frozen from direct dense-grid measurements; everything
 here is deterministic (fixed seeds), so the pins are tight.
 """
 
+import itertools
 import runpy
 from pathlib import Path
 from unittest import mock
@@ -436,14 +437,34 @@ def test_softmax_small_domain_without_extension(rng):
     assert err <= 1e-5
 
 
-def test_softmax_encrypted_matches_array_bit_exactly(rng):
-    ctx = EmulatorContext(256, 16, max_level=12)
-    logits = rng.uniform(-30, 30, size=(8, 5))
-    enc = encode(ctx, logits, tiling="horizontal")
-    got = decode(a_softmax(enc, DEFAULTS), role="observer", tag="test")
-    ref = a_softmax(logits, DEFAULTS)
-    np.testing.assert_array_equal(got, ref)
-    assert ctx.ledger.counts()["Mult"] > 0  # it really ran under encryption
+def _edge_rows(classes, r, rng):
+    """8 random rows within [-r, r], a tied row, rows at +r and at -r, and a
+    row alternating between the two."""
+    return np.vstack([
+        rng.uniform(-r, r, size=(8, classes)),
+        np.full((1, classes), 0.375 * r),
+        np.full((1, classes), float(r)),
+        np.full((1, classes), -float(r)),
+        np.where(np.arange(classes) % 2, -float(r), float(r))[None, :],
+    ])
+
+
+def test_softmax_encrypted_matches_array_bit_exactly():
+    # the array carrier computes only the slots the encrypted path reads,
+    # with the same arithmetic in the same order: a_softmax and a_max agree
+    # bit for bit, the max on every column of the period
+    for classes, steps, precise in itertools.product(range(1, 17), (0, 2, 5), (False, True)):
+        cfg = SoftmaxConfig(extension_steps=steps, precise=precise)
+        logits = _edge_rows(classes, cfg.max_range, np.random.default_rng(classes))
+        ctx = EmulatorContext(256, 16, max_level=12)
+        enc = encode(ctx, logits, tiling="horizontal")
+        got = decode(a_softmax(enc, cfg), role="observer", tag="test")
+        np.testing.assert_array_equal(got, a_softmax(logits, cfg))
+        wide = a_max(enc, cfg).with_meta(shape=(len(logits), next_pow2(classes)))
+        np.testing.assert_array_equal(
+            decode(wide, role="observer", tag="test"), a_max(logits, cfg)
+        )
+        assert ctx.ledger.counts()["Mult"] > 0  # it really ran under encryption
 
 
 def test_softmax_carrier_rejects_wrong_layout(rng):
@@ -574,19 +595,16 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
     }
 
 
-def _greedy_a_max(M, cfg, pairs=None):
+def _greedy_a_max(car, cfg, pairs=None):
     """a_max refreshing every value alone, for its own next piece: ``best``
     before the roll, the comparison chain before each pass (inside
-    ``_odd_poly``) and ``w`` before the blend.  ``pairs`` is ignored."""
-    car = approx._Carrier(M)
+    ``_odd_poly``) and ``w`` before the blend.  ``pairs`` is ignored; the
+    softmax passes its own carrier."""
     r = cfg.max_range
     first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_G))
-    best = car.matrix
-    if car.classes < car.period:
-        best = best - car.pad_pattern(r)
+    best = car.pushed_down(r)
     for t in range(log2(car.period)):
-        best = _refresh(best, ODD_POLY_DEPTH)
-        rival = car.roll_left(best, 1 << t)
+        best, rival = car.knockout_pair(_refresh(best, ODD_POLY_DEPTH), t)
         w = _refresh(approx._comp(best - rival, first), 1)
         best = best * w + rival * (1.0 - w)
     best = _refresh(best, 1) * car.first_col_mask()

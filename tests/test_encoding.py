@@ -150,6 +150,23 @@ def test_grid_mismatch_raises(ctx):
                 op(a, b)
 
 
+def test_operands_from_two_contexts_raise_before_any_op(rng):
+    # same geometry at two budgets, and two block geometries of one slot
+    # count: no pair mixes, and neither ledger records an op
+    base = EmulatorContext(256, 16, max_level=12)
+    shallow = EmulatorContext(256, 16, max_level=3)
+    tall = EmulatorContext(256, 32, max_level=12)
+    a = encode(base, rng.normal(size=(4, 4)))
+    for other_ctx in (shallow, tall):
+        b = encode(other_ctx, rng.normal(size=(4, 4)))
+        for x, y in ((a, b), (b, a)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(ShapeMismatch, match="different contexts"):
+                    op(x, y)
+        assert sum(other_ctx.ledger.counts().values()) == 0
+    assert sum(base.ledger.counts().values()) == 0
+
+
 GRIDS = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
 OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 

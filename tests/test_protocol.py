@@ -229,6 +229,19 @@ def test_reframed_period_would_have_fed_a_wrong_product(ctx, rng):
         unpack_matrix(ctx, data)
 
 
+def test_pack_rejects_a_layout_unpack_would_reject(ctx, rng):
+    # the reframed W of the case above: the sender refuses it before any
+    # byte reaches the channel
+    reframed = encode(ctx, rng.normal(size=(3, 5)), tiling="vertical").with_meta(period=2)
+    with pytest.raises(ProtocolError, match="has period 4 on a 1x1 grid, frame says 2 on 1x1"):
+        pack_matrix(reframed)
+    a, b = channel_pair()
+    with pytest.raises(ProtocolError, match="frame says 2"):
+        a.send_weights(reframed)
+    with pytest.raises(ProtocolError, match="no message pending"):
+        b.recv()
+
+
 # -- channel framing -------------------------------------------------------------
 
 
