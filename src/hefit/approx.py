@@ -162,9 +162,6 @@ class _Carrier:
             self.ctx = M.ctx
             self.encrypted = True
             self.matrix = M
-            # the wire delivers period next_pow2(classes); with_meta sets any
-            if self.period < self.classes:
-                raise ShapeMismatch(f"period {self.period} smaller than classes {self.classes}")
         else:
             self.matrix, self.classes, self.period = _array_layout(M)
             self.ctx = None
@@ -670,9 +667,7 @@ def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
     recip = a_inv(car.row_total(expd))
     out = car.retile(expd * _refresh(recip, 1))
     if car.encrypted:
-        return out.with_meta(
-            shape=(M.shape[0], car.classes), tiling="horizontal", period=car.period
-        )
+        return out.with_meta(shape=(M.shape[0], car.classes), tiling="horizontal")
     return out
 
 

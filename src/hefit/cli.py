@@ -174,6 +174,17 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
+def _ingest_like(path, classes: int, x_tr, split: str):
+    """``(x, y)`` of a split whose feature columns must match the training split's."""
+    x, y, _ = ingest(path, classes)
+    if x.shape[1] != x_tr.shape[1]:
+        raise DataError(
+            f"{split} features ({x.shape[1] - 1}) do not match "
+            f"training features ({x_tr.shape[1] - 1})"
+        )
+    return x, y
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     x_tr, y_tr, classes = ingest(cfg.train_csv, cfg.classes)
@@ -181,21 +192,10 @@ def cmd_train(args) -> int:
         # re-check the inferred class count against the grid
         probe = dataclasses.replace(cfg, classes=classes)
         validate_config(probe)
-    x_val, y_val, _ = ingest(cfg.val_csv, classes)
-    if x_val.shape[1] != x_tr.shape[1]:
-        raise DataError(
-            f"validation features ({x_val.shape[1] - 1}) do not match "
-            f"training features ({x_tr.shape[1] - 1})"
-        )
+    x_val, y_val = _ingest_like(cfg.val_csv, classes, x_tr, "validation")
     test = None
     if cfg.test_csv is not None:
-        x_te, y_te, _ = ingest(cfg.test_csv, classes)
-        if x_te.shape[1] != x_tr.shape[1]:
-            raise DataError(
-                f"test features ({x_te.shape[1] - 1}) do not match "
-                f"training features ({x_tr.shape[1] - 1})"
-            )
-        test = (x_te, y_te)
+        test = _ingest_like(cfg.test_csv, classes, x_tr, "test")
 
     ctx = EmulatorContext(cfg.slot_count, cfg.grid_rows, max_level=cfg.max_level)
     result = fit(

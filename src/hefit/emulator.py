@@ -131,10 +131,9 @@ class EmulatorContext:
     raises; with ``True`` the operand is restored to ``max_level`` for that
     op only, charged one Bootstrap per block of the operand (``mult(x, x)``
     charges once).  The softmax and the trainer place their own refreshes
-    and complete without it at every ``max_level >= 5`` (the softmax's
+    and complete without it at every ``max_level >= 5``: the softmax's
     deepest pieces need 4 levels, a training step 5, and a run config
-    requires that many), so
-    nothing in the package turns it on.
+    requires that many.  Nothing in the package turns it on.
     """
 
     def __init__(

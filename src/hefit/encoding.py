@@ -45,8 +45,9 @@ class EncodedMatrix:
     ``block`` holds the whole grid as one :class:`~hefit.emulator.CipherBlock`
     of shape ``(grid_rows, grid_cols, slot_count)``.  ``shape`` is the true
     (unpadded, untiled) matrix shape; ``tiling`` is one of
-    ``"none" | "vertical" | "horizontal"`` and ``period`` the replication
-    period ``c'`` (power of two) when tiled.
+    ``"none" | "vertical" | "horizontal"``.  ``period``, the replication
+    period ``c'`` of a tiled matrix, follows from those two as it does in
+    :func:`layout`: ``next_pow2`` of the tiled dimension, None untiled.
 
     ``+``, ``-`` and ``*`` apply the homomorphic op to every block at once.
     The other operand is a scalar or a matrix whose grid broadcasts: a
@@ -62,9 +63,12 @@ class EncodedMatrix:
     block: CipherBlock
     shape: tuple[int, int]
     tiling: str = "none"
-    period: int | None = None
 
     __array_ufunc__ = None
+
+    @property
+    def period(self) -> int | None:
+        return _tiling_period(self.shape, self.tiling)
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -81,7 +85,7 @@ class EncodedMatrix:
     # -- grid-wide operations ------------------------------------------------
 
     def _with(self, block: CipherBlock) -> "EncodedMatrix":
-        return EncodedMatrix(self.ctx, block, self.shape, self.tiling, self.period)
+        return EncodedMatrix(self.ctx, block, self.shape, self.tiling)
 
     def _binary(self, op, other) -> "EncodedMatrix":
         """``op(self, other)`` over the broadcast grid, operand order kept."""
@@ -133,12 +137,11 @@ class EncodedMatrix:
     def bootstrap(self) -> "EncodedMatrix":
         return self._with(self.ctx.bootstrap(self.block))
 
-    def with_meta(self, shape=None, tiling=None, period=None) -> "EncodedMatrix":
+    def with_meta(self, shape=None, tiling=None) -> "EncodedMatrix":
         return replace(
             self,
             shape=self.shape if shape is None else tuple(shape),
             tiling=self.tiling if tiling is None else tiling,
-            period=self.period if period is None else period,
         )
 
 
@@ -178,21 +181,26 @@ def encode(
     slots = padded.reshape(gr, s0, gc, s1).swapaxes(1, 2).reshape(gr, gc, s0 * s1)
 
     block = ctx.encrypt(slots, level) if encrypted else ctx.pack(slots)
-    return EncodedMatrix(ctx, block, (rows, cols), tiling, period)
+    return EncodedMatrix(ctx, block, (rows, cols), tiling)
+
+
+def _tiling_period(shape: tuple[int, int], tiling: str) -> int | None:
+    """The replication period ``c'`` of a ``shape`` matrix tiled ``tiling``:
+    ``next_pow2`` of its tiled dimension, None untiled."""
+    axis = {"vertical": 0, "horizontal": 1}.get(tiling)
+    return None if axis is None else next_pow2(shape[axis])
 
 
 def layout(ctx: EmulatorContext, rows: int, cols: int, tiling: str = "none"):
     """``(period, grid)`` that :func:`encode` gives a ``rows x cols`` matrix;
     a tiling that does not fit the block raises :class:`~hefit.errors.TilingError`."""
     s0, s1 = ctx.grid_rows, ctx.grid_cols
-    period = None
+    period = _tiling_period((rows, cols), tiling)
     if tiling == "vertical":
-        period = next_pow2(rows)
         if period > s0:
             raise TilingError(f"cannot tile {rows} rows vertically in a {s0}-row grid")
         rows = s0
     elif tiling == "horizontal":
-        period = next_pow2(cols)
         if period > s1:
             raise TilingError(f"cannot tile {cols} columns horizontally in a {s1}-column grid")
         cols = s1
@@ -221,7 +229,7 @@ def decode(E: EncodedMatrix, role: str = "observer", tag: str | None = None) -> 
     full = padded_array(E)
     logical = full[: E.shape[0], : E.shape[1]]
     worst = float(np.max(np.abs(logical.imag))) if logical.size else 0.0
-    if worst >= IMAG_TOLERANCE:
+    if not worst < IMAG_TOLERANCE:
         raise ResidualImaginary(
             f"imaginary residue {worst:.3e} in decoded {E.shape} matrix"
         )
@@ -286,7 +294,7 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
     period = periods.pop()
     k = ctx.grid_rows // period
     if k == 1:
-        return [m.bootstrap().with_meta(tiling="vertical", period=period) for m in mats]
+        return [m.bootstrap().with_meta(tiling="vertical") for m in mats]
 
     heads = [m if m.tiling == "none" else first_period(m) for m in mats]
     width = period * ctx.grid_cols  # slots of one piece
@@ -311,7 +319,7 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
             blocks.append(piece.slots)
             j += 1
         block = CipherBlock(np.stack(blocks)[None], piece.level, True)
-        out.append(EncodedMatrix(ctx, block, h.shape, "vertical", period))
+        out.append(EncodedMatrix(ctx, block, h.shape, "vertical"))
     return out
 
 

@@ -76,7 +76,7 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
         term = col_sums(A * rot_up(packed, k)) * make_mask(ctx, k, c, complexified=c > 1)
         acc = term if acc is None else acc + term
     out = acc if c == 1 else acc + acc.conj()
-    return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal", period=c)
+    return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal")
 
 
 def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
@@ -96,8 +96,8 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
         raise ShapeMismatch(f"diag_atb: outer dims differ, {A.shape} vs {B.shape}")
     ctx = A.ctx
     c = A.period
-    if c > ctx.grid_rows or ctx.grid_rows % c:
-        raise ShapeMismatch(f"diag_atb: period {c} incompatible with block rows {ctx.grid_rows}")
+    if c > ctx.grid_rows:
+        raise ShapeMismatch(f"diag_atb: period {c} exceeds block rows {ctx.grid_rows}")
 
     # A has one block column, which multiplies every block column of B
     use_partial = A.level < B.level
@@ -112,7 +112,7 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
         term = row_sums(prod) * mask
         acc = term if acc is None else acc + term
     out = acc if c == 1 else acc + acc.conj()
-    return out.with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical", period=c)
+    return out.with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")
 
 
 # -- mask-replicate-reduce pair -------------------------------------------------

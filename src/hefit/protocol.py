@@ -9,21 +9,20 @@ Every record on the wire is::
 The payload of matrix-bearing messages is one or more serialized
 :class:`~hefit.encoding.EncodedMatrix` values, each self-describing:
 
-    u8  format version (1)
+    u8  format version (2)
     u32 rows, u32 cols            logical shape
     u8  tiling (0 none / 1 vertical / 2 horizontal)
-    u32 period
-    u32 grid_rows, u32 grid_cols  block-grid dimensions
     u32 slot_count, u32 block_rows   (context compatibility check)
     u8  encrypted flag
-    then per block, row-major:
-      f64 level (+inf for plaintext blocks; equal across the grid)
+    f64 level (+inf for plaintext; one level for the whole grid)
+    then the grid's blocks, row-major:
       slot_count * complex128, little-endian
 
-A grid carries one level, so :func:`unpack_matrix` rejects a body whose
-blocks disagree on it, and a header :func:`~hefit.encoding.encode` could not
-have written: an empty shape, or a period or grid other than its
-:func:`~hefit.encoding.layout`.
+The tiling period and the block grid are not sent: the receiver derives
+both from the shape and tiling (:func:`~hefit.encoding.layout`), so a frame
+cannot state a layout :func:`~hefit.encoding.encode` would not write.
+:func:`unpack_matrix` rejects an empty shape, a tiling the block cannot
+hold, a body shorter than the derived grid, and any NaN or infinite slot.
 
 The in-process :func:`channel_pair` endpoints speak exactly this format
 over shared byte buffers, so swapping in a socket later is a transport
@@ -58,74 +57,60 @@ DECISION_CONTINUE = 0  # validation loss did not improve; keep training
 DECISION_IMPROVED = 1  # improved; server should snapshot current weights
 DECISION_STOP = 2  # patience exhausted; send the best snapshot back
 
-_MATRIX_VERSION = 1
+_MATRIX_VERSION = 2
 _TILING_CODES = {"none": 0, "vertical": 1, "horizontal": 2}
 _TILING_NAMES = {v: k for k, v in _TILING_CODES.items()}
 
-_HEAD = struct.Struct("<BIIBIIIIIB")
+_HEAD = struct.Struct("<BIIBIIBd")
+_SLOT = np.dtype("<c16")
 _FRAME_LEN = struct.Struct("<I")
 
 
-def _body_dtype(slot_count: int) -> np.dtype:
-    """One record per block: its level, then its slots."""
-    return np.dtype([("level", "<f8"), ("slots", "<c16", (slot_count,))])
-
-
-def _check_layout(ctx: EmulatorContext, rows: int, cols: int, tiling: str, period: int, grid):
-    """Raise :class:`ProtocolError` unless a ``rows x cols`` matrix tiled
-    ``tiling`` has the period (0 for none) and grid that
-    :func:`~hefit.encoding.encode` writes (:func:`~hefit.encoding.layout`)."""
+def _grid(ctx: EmulatorContext, rows: int, cols: int, tiling: str) -> tuple[int, int]:
+    """The block grid :func:`~hefit.encoding.layout` gives a ``rows x cols``
+    matrix tiled ``tiling``; :class:`ProtocolError` where
+    :func:`~hefit.encoding.encode` could not write one."""
     if rows == 0 or cols == 0:
         raise ProtocolError(f"empty logical shape {rows}x{cols}")
-    # a period below the tiled dimension would decode fine and then feed
-    # the kernels wrong products: take only the layout encode writes
     try:
-        want_period, want_grid = layout(ctx, rows, cols, tiling)
+        return layout(ctx, rows, cols, tiling)[1]
     except TilingError as exc:
         raise ProtocolError(str(exc)) from None
-    if (period, grid) != (want_period or 0, want_grid):
-        raise ProtocolError(
-            f"a {rows}x{cols} matrix tiled {tiling!r} has period {want_period or 0} on a "
-            f"{want_grid[0]}x{want_grid[1]} grid, frame says {period} on {grid[0]}x{grid[1]}"
-        )
 
 
 def pack_matrix(matrix: EncodedMatrix) -> bytes:
-    """Serialize an encoded matrix; every block record carries the grid's level.
+    """Serialize an encoded matrix: its header, then its grid's slots.
 
-    A matrix whose layout :func:`unpack_matrix` would reject raises
-    :class:`ProtocolError` before any byte is written.
+    A matrix whose block grid is not the one its shape and tiling give
+    would be misread, so it raises :class:`ProtocolError` before any byte
+    is written.
     """
     ctx = matrix.ctx
     rows, cols = matrix.shape
-    gr, gc = matrix.grid
-    _check_layout(ctx, rows, cols, matrix.tiling, matrix.period or 0, matrix.grid)
-    dtype = _body_dtype(ctx.slot_count)
-    frame = bytearray(_HEAD.size + gr * gc * dtype.itemsize)
-    _HEAD.pack_into(
-        frame,
-        0,
+    grid = _grid(ctx, rows, cols, matrix.tiling)
+    if matrix.grid != grid:
+        raise ProtocolError(
+            f"a {rows}x{cols} matrix tiled {matrix.tiling!r} has a {grid[0]}x{grid[1]} grid, "
+            f"not {matrix.grid[0]}x{matrix.grid[1]}"
+        )
+    head = _HEAD.pack(
         _MATRIX_VERSION,
         rows,
         cols,
         _TILING_CODES[matrix.tiling],
-        matrix.period or 0,
-        gr,
-        gc,
         ctx.slot_count,
         ctx.grid_rows,
         int(matrix.encrypted),
+        float(matrix.level),
     )
-    body = np.frombuffer(frame, dtype=dtype, offset=_HEAD.size)
-    body["level"] = float(matrix.level)
-    body["slots"] = matrix.block.slots.reshape(gr * gc, ctx.slot_count)
-    return bytes(frame)
+    # one copy of the slots, straight into the frame
+    return b"".join((head, memoryview(np.ascontiguousarray(matrix.block.slots, dtype=_SLOT))))
 
 
 def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[EncodedMatrix, int]:
     """Rebuild a matrix from :func:`pack_matrix` bytes; returns (matrix, next offset)."""
     try:
-        (version, rows, cols, tcode, period, gr, gc, slots, block_rows, enc) = _HEAD.unpack_from(
+        (version, rows, cols, tcode, slots, block_rows, enc, raw_level) = _HEAD.unpack_from(
             data, offset
         )
     except struct.error as exc:
@@ -142,27 +127,23 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
             f"receiver uses {ctx.slot_count} x {ctx.grid_rows}"
         )
     tiling = _TILING_NAMES[tcode]
-    _check_layout(ctx, rows, cols, tiling, period, (gr, gc))
+    gr, gc = _grid(ctx, rows, cols, tiling)
+    level = _block_level(ctx, raw_level, bool(enc))
     pos = offset + _HEAD.size
-    dtype = _body_dtype(slots)
-    need = gr * gc * dtype.itemsize
+    count = gr * gc * slots
+    need = count * _SLOT.itemsize
     if len(data) - pos < need:
         raise ProtocolError(f"truncated matrix body: need {need} bytes, have {len(data) - pos}")
-    body = np.frombuffer(data, dtype=dtype, count=gr * gc, offset=pos)
-    levels = body["level"]
-    level = _block_level(ctx, float(levels[0]), bool(enc))
-    odd = levels[levels != levels[0]]
-    if odd.size:
-        raise ProtocolError(f"block levels differ within one grid: {levels[0]} and {odd[0]}")
-    block = CipherBlock(body["slots"].reshape(gr, gc, slots).copy(), level, bool(enc))
-    matrix = EncodedMatrix(
-        ctx=ctx,
-        block=block,
-        shape=(rows, cols),
-        tiling=tiling,
-        period=period or None,
-    )
-    return matrix, pos + need
+    body = np.frombuffer(data, dtype=_SLOT, count=count, offset=pos).reshape(gr, gc, slots).copy()
+    # the sum is finite when every slot is, and needs no slot-sized mask
+    # (a paper-scale batch's mask raised train-paper's peak RSS by 0.3 MiB);
+    # only a sum that overflowed needs the slot-wise scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = body.sum()
+    if not (np.isfinite(total) or np.isfinite(body.view(np.float64)).all()):
+        raise ProtocolError("matrix body carries a NaN or infinite slot")
+    block = CipherBlock(body, level, bool(enc))
+    return EncodedMatrix(ctx=ctx, block=block, shape=(rows, cols), tiling=tiling), pos + need
 
 
 def _block_level(ctx: EmulatorContext, raw: float, encrypted: bool) -> float:

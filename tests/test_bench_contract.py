@@ -10,6 +10,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hefit
@@ -66,6 +67,22 @@ BENCH_CALLS = [
 @pytest.mark.parametrize("fn,args,kwargs", BENCH_CALLS, ids=[c[0].__name__ for c in BENCH_CALLS])
 def test_benchmark_calls_bind(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+@pytest.mark.parametrize("a_level,algorithm", [(12, "diag_atb_rl"), (5, "diag_atb_pru")])
+def test_matmul_span_attrs_read_live_operands(a_level, algorithm):
+    # 3 classes run at period 4, which is what the attributes report
+    ctx = EmulatorContext(256, 16, max_level=12)
+    x = encode(ctx, np.ones((6, 5)))
+    w = encode(ctx, np.ones((3, 5)), tiling="vertical")
+    residual = encode(ctx, np.ones((6, 3)), tiling="horizontal", level=a_level)
+    grid = (16, 16)
+    assert tracer.SPAN_ATTRS["matmul.diag_abt"]((x, w), {}) == {
+        "algorithm": "diag_abt", "shape": (6, 5, 4), "grid": grid,
+    }
+    assert tracer.SPAN_ATTRS["matmul.diag_atb"]((residual, x), {}) == {
+        "algorithm": algorithm, "shape": (6, 5, 4), "grid": grid,
+    }
 
 
 def test_benchmark_softmax_ranges():

@@ -351,17 +351,17 @@ def test_train_missing_config_keys(tmp_path, capsys):
     assert "missing required keys: train_csv, val_csv" in capsys.readouterr().err
 
 
-def test_train_feature_mismatch_is_a_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("key,split", [("val_csv", "validation"), ("test_csv", "test")])
+def test_train_feature_mismatch_is_a_data_error(tmp_path, capsys, key, split):
     paths = write_split(tmp_path)
     narrow = make_gaussian_mixture(20, 3, 2, seed=1)
-    save_csv(tmp_path / "val2.csv", *narrow)
-    paths["val"] = str(tmp_path / "val2.csv")
-    cfg_path = write_config(tmp_path, paths)
+    save_csv(tmp_path / "narrow.csv", *narrow)
+    cfg_path = write_config(tmp_path, paths, **{key: str(tmp_path / "narrow.csv")})
     rc = main(["train", "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("hefit: error [cli.data]:")
-    assert "do not match training features" in err
+    assert f"{split} features (2) do not match training features (5)" in err
 
 
 def test_bench_matmul_small_grid(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hefit.emulator import EmulatorContext
+from hefit.emulator import CipherBlock, EmulatorContext
 from hefit.encoding import (
     EncodedMatrix,
     bootstrap_pair,
@@ -228,6 +228,14 @@ def test_decode_rejects_imaginary_residue(ctx):
     rotated = e.mul_i()
     with pytest.raises(ResidualImaginary):
         decode(rotated)
+
+
+def test_decode_rejects_nan_residue(ctx):
+    e = encode(ctx, np.ones((2, 2)))
+    slots = e.block.slots.copy()
+    slots[0, 0, 0] = complex(1.0, np.nan)
+    with pytest.raises(ResidualImaginary, match="imaginary residue nan"):
+        decode(EncodedMatrix(ctx, CipherBlock(slots, e.level, True), e.shape))
 
 
 def test_pattern_matrix_and_masks(ctx):

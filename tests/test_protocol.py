@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hefit.emulator import EmulatorContext
-from hefit.encoding import decode, encode, padded_array
+from hefit.encoding import encode, padded_array
 from hefit.errors import ProtocolError
-from hefit.matmul import diag_abt
 from hefit.protocol import (
     DECISION_CONTINUE,
     DECISION_IMPROVED,
@@ -28,11 +27,9 @@ from hefit.protocol import (
 _VERSION_BYTE = 0
 _SHAPE_OFFSET = 1  # u32 rows, u32 cols
 _TILING_BYTE = 9
-_PERIOD_OFFSET = 10
-_GRID_OFFSET = 14  # u32 grid_rows, u32 grid_cols
-_ENCRYPTED_BYTE = 30
-_FIRST_LEVEL_OFFSET = 31  # f64 level of block (0, 0), right after the header
-_LEVEL_SIZE = 8  # each block record: f64 level, then slot_count complex128 slots
+_ENCRYPTED_BYTE = 18
+_LEVEL_OFFSET = 19  # f64 level of the whole grid
+_HEADER_SIZE = 27  # then slot_count complex128 slots per block, row-major
 
 
 def patched(matrix, offset, fmt, *values):
@@ -45,6 +42,7 @@ def roundtrip(ctx, matrix):
     data = pack_matrix(matrix)
     got, pos = unpack_matrix(ctx, data)
     assert pos == len(data)
+    assert len(data) == _HEADER_SIZE + 16 * ctx.slot_count * got.grid[0] * got.grid[1]
     return got
 
 
@@ -81,14 +79,6 @@ def test_roundtrip_plaintext_keeps_infinite_level(ctx, rng):
     assert not got.encrypted
     assert got.level == math.inf
     assert_same_matrix(got, orig)
-
-
-def test_unpack_rejects_mixed_block_levels(ctx, rng):
-    base = encode(ctx, rng.normal(size=(20, 33)))  # grid (2, 3)
-    record = _LEVEL_SIZE + 16 * ctx.slot_count
-    data = patched(base, _FIRST_LEVEL_OFFSET + 5 * record, "<d", 3.0)  # block (1, 2)
-    with pytest.raises(ProtocolError, match="block levels differ within one grid: 12.0 and 3.0"):
-        unpack_matrix(ctx, data)
 
 
 def test_roundtrip_level_zero(ctx, rng):
@@ -142,7 +132,7 @@ def test_unpack_rejects_truncated_body(ctx, rng):
 
 @pytest.mark.parametrize("level", [math.nan, 99.0, -3.0, 2.5, math.inf])
 def test_unpack_rejects_bad_encrypted_level(ctx, rng, level):
-    data = patched(encode(ctx, rng.normal(size=(2, 2))), _FIRST_LEVEL_OFFSET, "<d", level)
+    data = patched(encode(ctx, rng.normal(size=(2, 2))), _LEVEL_OFFSET, "<d", level)
     with pytest.raises(ProtocolError, match="encrypted block level"):
         unpack_matrix(ctx, data)
 
@@ -156,52 +146,47 @@ def test_unpack_rejects_bad_encrypted_flag(ctx, rng):
 
 def test_unpack_rejects_finite_plaintext_level(ctx, rng):
     plain = encode(ctx, rng.normal(size=(2, 2)), encrypted=False)
-    data = patched(plain, _FIRST_LEVEL_OFFSET, "<d", 3.0)
+    data = patched(plain, _LEVEL_OFFSET, "<d", 3.0)
     with pytest.raises(ProtocolError, match="plaintext block carries level 3.0"):
         unpack_matrix(ctx, data)
 
 
-def test_unpack_rejects_empty_block_grid(ctx, rng):
-    data = patched(encode(ctx, rng.normal(size=(2, 2))), _GRID_OFFSET, "<II", 0, 0)
-    with pytest.raises(ProtocolError, match="on a 1x1 grid, frame says 0 on 0x0"):
-        unpack_matrix(ctx, data)
-
-
 def test_unpack_rejects_shape_beyond_grid(rng):
+    # the receiver derives a 25x25 grid from the shape; the body holds one block
     small = EmulatorContext(16, 4, max_level=12)
     data = patched(encode(small, rng.normal(size=(2, 2))), _SHAPE_OFFSET, "<II", 100, 100)
-    with pytest.raises(ProtocolError, match="100x100 matrix tiled 'none' has period 0 on a 25x25 "
-                                            "grid, frame says 0 on 1x1"):
+    with pytest.raises(ProtocolError, match="truncated matrix body: need 160000 bytes, have 256"):
         unpack_matrix(small, data)
 
 
-@pytest.mark.parametrize("period", [3, 0])
-def test_unpack_rejects_non_pow2_tiling_period(ctx, rng, period):
-    tiled = encode(ctx, rng.normal(size=(4, 3)), tiling="horizontal")
-    data = patched(tiled, _PERIOD_OFFSET, "<I", period)
-    with pytest.raises(ProtocolError, match=f"has period 4 on a 1x1 grid, frame says {period} on"):
+@pytest.mark.parametrize("part", [0, 8])  # real, imaginary half of slot 0
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_unpack_rejects_non_finite_slots(ctx, rng, part, value):
+    data = patched(encode(ctx, rng.normal(size=(3, 5))), _HEADER_SIZE + part, "<d", value)
+    with pytest.raises(ProtocolError, match="NaN or infinite slot"):
         unpack_matrix(ctx, data)
 
 
-# One case per header field that encode derives from the shape and tiling:
+def test_unpack_accepts_finite_slots_whose_sum_overflows(ctx):
+    huge = encode(ctx, np.full((3, 5), 1e308))
+    assert_same_matrix(roundtrip(ctx, huge), huge)
+
+
+# Headers encode never writes, set through the shape and tiling fields:
 # (tiling of an encoded 3x5 matrix, header patches (offset, format, values),
 # message).
 _UNENCODABLE = {
     "empty shape": ("vertical", [(_SHAPE_OFFSET, "<II", (0, 5))], "empty logical shape 0x5"),
-    "period untiled": ("none", [(_PERIOD_OFFSET, "<I", (4,))],
-                       "tiled 'none' has period 0 on a 1x1 grid, frame says 4 on 1x1"),
-    "period beyond block": ("vertical", [(_PERIOD_OFFSET, "<I", (32,))], "frame says 32 on"),
-    "period above next pow2": ("vertical", [(_PERIOD_OFFSET, "<I", (8,))], "frame says 8 on"),
-    "period below rows": ("vertical", [(_PERIOD_OFFSET, "<I", (2,))],
-                          "tiled 'vertical' has period 4 on a 1x1 grid, frame says 2 on 1x1"),
     "rows beyond block": (
         "none",
-        [(_SHAPE_OFFSET, "<II", (20, 5)), (_TILING_BYTE, "<B", (1,)),
-         (_PERIOD_OFFSET, "<I", (32,)), (_GRID_OFFSET, "<II", (2, 1))],
+        [(_SHAPE_OFFSET, "<II", (20, 5)), (_TILING_BYTE, "<B", (1,))],
         "cannot tile 20 rows vertically in a 16-row grid",
     ),
-    "grid rows": ("vertical", [(_GRID_OFFSET, "<II", (2, 1))], "frame says 4 on 2x1"),
-    "grid cols": ("none", [(_GRID_OFFSET, "<II", (1, 2))], "frame says 0 on 1x2"),
+    "columns beyond block": (
+        "none",
+        [(_SHAPE_OFFSET, "<II", (3, 17)), (_TILING_BYTE, "<B", (2,))],
+        "cannot tile 17 columns horizontally in a 16-column grid",
+    ),
 }
 
 
@@ -215,29 +200,16 @@ def test_unpack_rejects_headers_encode_never_writes(ctx, rng, case):
         unpack_matrix(ctx, bytes(data))
 
 
-def test_reframed_period_would_have_fed_a_wrong_product(ctx, rng):
-    # the same slots under period 2 decode to the same W, but diag_abt then
-    # pairs the wrong rows: the wire rejects the frame before that
-    x, w = rng.normal(size=(6, 5)), rng.normal(size=(3, 5))
-    honest = encode(ctx, w, tiling="vertical")
-    data = patched(honest, _PERIOD_OFFSET, "<I", 2)
-    reframed = honest.with_meta(period=2)
-    np.testing.assert_array_equal(decode(reframed), w)
-    np.testing.assert_allclose(decode(diag_abt(encode(ctx, x), honest)), x @ w.T, atol=1e-12)
-    assert not np.allclose(decode(diag_abt(encode(ctx, x), reframed)), x @ w.T, atol=1e-3)
-    with pytest.raises(ProtocolError, match="frame says 2"):
-        unpack_matrix(ctx, data)
-
-
 def test_pack_rejects_a_layout_unpack_would_reject(ctx, rng):
-    # the reframed W of the case above: the sender refuses it before any
-    # byte reaches the channel
-    reframed = encode(ctx, rng.normal(size=(3, 5)), tiling="vertical").with_meta(period=2)
-    with pytest.raises(ProtocolError, match="has period 4 on a 1x1 grid, frame says 2 on 1x1"):
-        pack_matrix(reframed)
+    # a 3x5 matrix relabelled 40x5 still sits on one block, where the shape
+    # says 3x1: the receiver would read three blocks, so the sender refuses
+    # it before any byte reaches the channel
+    relabelled = encode(ctx, rng.normal(size=(3, 5))).with_meta(shape=(40, 5))
+    with pytest.raises(ProtocolError, match="a 40x5 matrix tiled 'none' has a 3x1 grid, not 1x1"):
+        pack_matrix(relabelled)
     a, b = channel_pair()
-    with pytest.raises(ProtocolError, match="frame says 2"):
-        a.send_weights(reframed)
+    with pytest.raises(ProtocolError, match="has a 3x1 grid"):
+        a.send_weights(relabelled)
     with pytest.raises(ProtocolError, match="no message pending"):
         b.recv()
 
@@ -349,13 +321,14 @@ def test_single_matrix_stray_byte_detection(ctx, rng):
 @given(
     rows=st.integers(1, 40),
     cols=st.integers(1, 40),
+    tiling=st.sampled_from(["none", "vertical", "horizontal"]),
     level=st.sampled_from([0, 1, 7, 12]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_random_matrices_roundtrip(rows, cols, level, seed):
+def test_random_matrices_roundtrip(rows, cols, tiling, level, seed):
     ctx = EmulatorContext(256, 16, max_level=12)
     vals = np.random.default_rng(seed).normal(size=(rows, cols))
-    orig = encode(ctx, vals, level=level)
+    orig = encode(ctx, vals, tiling=tiling if max(rows, cols) <= 16 else "none", level=level)
     got = roundtrip(ctx, orig)
     assert_same_matrix(got, orig)
 
