@@ -5,9 +5,13 @@ Runs ``run_steps`` with every stage function rebound to a wrapper that adds
 its CPU time (``time.process_time``) to the current step, and prints the
 median over the steps, in milliseconds, of each stage and of the whole
 step.  A stage's time includes everything it calls, so the softmax pieces
-are inside ``a_softmax``, ``col_sums`` is inside ``diag_abt`` and the
-softmax's column sums, and ``row_sums`` and ``prot_up`` are inside
-``diag_atb``.  The two scales are those of ``scripts/budget_sweep.py``:
+are inside ``a_softmax``, ``col_sums`` is inside ``diag_abt`` (once per
+pass) and the softmax's column sums, and ``row_sums`` and ``prot_up`` are
+inside ``diag_atb`` (once per block column and pass).  ``col_sums`` runs
+the emulator's closed form of its ladder (``EmulatorContext.sum_spread``),
+and the re-tiling inside ``boot_tiled`` that of a masked copy
+(``EmulatorContext.spread``); ``row_sums`` still runs its ladder.  The two
+scales are those of ``scripts/budget_sweep.py``:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;

@@ -59,6 +59,7 @@ from .errors import (
     DataError,
     DepthExhausted,
     HefitError,
+    LevelError,
     ProtocolError,
     ResidualImaginary,
     ShapeMismatch,
@@ -94,6 +95,7 @@ __all__ = [
     "ChannelEndpoint",
     "HefitError",
     "DepthExhausted",
+    "LevelError",
     "SlotCountMismatch",
     "ShapeMismatch",
     "TilingError",

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._constants import COMP_ROUND_ERR, EXP_POLY
-from .emulator import DEFAULT_OP_WEIGHTS_MS, log2
+from .emulator import DEFAULT_OP_WEIGHTS_MS, log2, tree_sum
 from .encoding import EncodedMatrix, bootstrap_pair, col_sums, next_pow2, pattern_matrix
 from .errors import ShapeMismatch
 from .plainref import exact_softmax
@@ -206,28 +206,24 @@ class _Carrier:
             return best, best.lrot(1 << t)
         return best[:, 0::2], best[:, 1::2]
 
-    def first_col_mask(self):
-        if not self.encrypted:
-            return 1.0
-        return self._pattern(lambda j: np.where(j == 0, 1.0, 0.0))
-
     def broadcast_col0(self, x):
-        """Spread column 0 of each row to every column (x is col-0 masked);
-        an array's tournament already left column 0 alone."""
-        if self.encrypted:
-            return x.rot_sum([-(1 << t) for t in range(log2(self.ctx.grid_cols))])
-        return x
+        """Column 0 of each row in every column: a first-column mask and
+        the right-rotation ladder that spreads it, in closed form
+        (:meth:`EncodedMatrix.spread`); one level.  An array's tournament
+        already left column 0 alone."""
+        if not self.encrypted:
+            return x
+        first_col = self._pattern(lambda j: np.where(j == 0, 1.0, 0.0))
+        return x.spread(first_col, 1, self.ctx.grid_cols)
 
     def row_total(self, x):
-        """Each row's column total, summed in the encrypted tree order: in
-        every slot of the row when encrypted, as a ``(rows, 1)`` column for
-        an array, whose zero pads keep the tree's order."""
+        """Each row's column total, summed in the encrypted tree order
+        (:func:`~hefit.emulator.tree_sum`): in every slot of the row when
+        encrypted, as a ``(rows, 1)`` column for an array, whose zero pads
+        keep the tree's order."""
         if self.encrypted:
             return col_sums(x)
-        s = self._padded(x, 0.0)
-        for _ in range(log2(self.period)):
-            s = s[:, 0::2] + s[:, 1::2]
-        return s
+        return tree_sum(self._padded(x, 0.0))
 
     def retile(self, x):
         """Fill the remaining block width with copies of the first period."""
@@ -368,7 +364,7 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
         if any(flags):
             best, rival = car.knockout_pair(best, t)
         best = best * w + rival * (1.0 - w)
-    best = car.broadcast_col0(_refresh(best, 1) * car.first_col_mask())
+    best = car.broadcast_col0(_refresh(best, 1))
     if car.encrypted or M is car:
         return best
     return np.repeat(best, car.period, axis=1)

@@ -8,7 +8,10 @@ broadcasts its operands over the leading axes and ledgers one op per block
 of the result.  The rotate-and-sum ladders the matrix products and the
 softmax are built from (``acc = acc + lrot(acc, s)`` per step) run as one
 primitive, :meth:`EmulatorContext.rot_sum`, which ledgers the same ops as
-that loop but writes each step into a preallocated buffer.  Arithmetic on
+that loop but writes each step into a preallocated buffer.  Where a mask
+leaves the ladder nothing to add but zeros, :meth:`EmulatorContext.spread`
+and :meth:`EmulatorContext.sum_spread` compute its result in closed form
+and ledger it op for op as the ladder.  Arithmetic on
 slots is exact IEEE double precision — there is no noise model — so a
 plaintext computation that mirrors the same operation order is a bit-exact
 oracle for the emulated one.  What the emulator does track faithfully:
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthExhausted, SlotCountMismatch
+from .errors import DepthExhausted, LevelError, SlotCountMismatch
 
 OP_KINDS = ("Add", "CMult", "Mult", "Rot", "Conj", "Bootstrap")
 
@@ -58,6 +61,25 @@ def is_pow2(n: int) -> bool:
 
 def log2(n: int) -> int:
     return int(math.log2(n))
+
+
+def tree_sum(a: np.ndarray) -> np.ndarray:
+    """Totals over the last axis, a power of two wide, as shape ``(..., 1)``.
+
+    Adjacent pairs are added, then adjacent pairs of those, and so on: the
+    order in which a doubling ladder ``rot_sum(x, [1, 2, 4, ...])`` sums its
+    first slot, so the totals equal that slot bit for bit.
+    """
+    while a.shape[-1] > 1:
+        a = a[..., 0::2] + a[..., 1::2]
+    return a
+
+
+def _integer_level(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integer raises :class:`LevelError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise LevelError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -150,12 +172,12 @@ class EmulatorContext:
             raise SlotCountMismatch(
                 f"grid_rows must be a power of two <= slot_count, got {grid_rows}"
             )
-        if max_level < 1:
-            raise ValueError(f"max_level must be >= 1, got {max_level}")
+        if _integer_level(max_level, "max_level") < 1:
+            raise LevelError(f"max_level must be >= 1, got {max_level}")
         self.slot_count = slot_count
         self.grid_rows = grid_rows
         self.grid_cols = slot_count // grid_rows
-        self.max_level = max_level
+        self.max_level = int(max_level)
         self.auto_bootstrap = auto_bootstrap
         self.ledger = OpLedger()
         # (role, tag) pairs recorded for every decode of encrypted data.
@@ -172,9 +194,14 @@ class EmulatorContext:
         return arr
 
     def encrypt(self, values, level: int | None = None) -> CipherBlock:
-        lvl = self.max_level if level is None else level
+        """An encrypted block at ``level`` (``max_level`` by default).
+
+        A level that is not an integer (a bool included) or lies outside
+        ``[0, max_level]`` raises :class:`~hefit.errors.LevelError`.
+        """
+        lvl = self.max_level if level is None else _integer_level(level, "level")
         if not (0 <= lvl <= self.max_level):
-            raise ValueError(f"level must be in [0, {self.max_level}], got {lvl}")
+            raise LevelError(f"level must be in [0, {self.max_level}], got {lvl}")
         return CipherBlock(self._slot_array(values), lvl, True)
 
     def pack(self, values) -> CipherBlock:
@@ -241,20 +268,24 @@ class EmulatorContext:
         vx, ex, lx = self._operand(x)
         vy, ey, ly = self._operand(y)
         out = vx * vy
-        k = self._blocks(out)
+        # mult(x, x) refreshes its one operand once
+        level = self._charge_product((vx, ex, lx), (vy, ey, ly), self._blocks(out), y is x)
+        return CipherBlock(out, level, ex or ey)
+
+    def _charge_product(self, x, y, k: int, same: bool = False) -> float:
+        """Ledger a product of ``k`` blocks of the operands ``(values,
+        encrypted, level)`` and return its level (see :meth:`mult`)."""
+        (vx, ex, lx), (vy, ey, ly) = x, y
         if ex:
             lx = self._depth_ready(vx, lx, "mult")
         if ey:
-            # mult(x, x) refreshes its one operand once
-            ly = lx if y is x else self._depth_ready(vy, ly, "mult")
+            ly = lx if same else self._depth_ready(vy, ly, "mult")
         if ex and ey:
             self.ledger.record("Mult", k)
         elif ex or ey:
             self.ledger.record("CMult", k)
         level = min(lx, ly)
-        if ex or ey:
-            level = level - 1
-        return CipherBlock(out, level, ex or ey)
+        return level - 1 if ex or ey else level
 
     def cmult(self, x, y) -> CipherBlock:
         """Multiply by plaintext (scalar, array, or plaintext block)."""
@@ -273,7 +304,10 @@ class EmulatorContext:
             return x if isinstance(x, CipherBlock) else CipherBlock(vx, lx, ex)
         if ex:
             self.ledger.record("Rot", self._blocks(vx))
-        return CipherBlock(np.roll(vx, -r, axis=-1), lx, ex)
+        out = np.empty(vx.shape, np.complex128)
+        out[..., : self.slot_count - r] = vx[..., r:]
+        out[..., self.slot_count - r :] = vx[..., :r]
+        return CipherBlock(out, lx, ex)
 
     def rrot(self, x: CipherBlock, r: int) -> CipherBlock:
         return self.lrot(x, -int(r))
@@ -285,7 +319,10 @@ class EmulatorContext:
         Add per block per step, plus one Rot unless s is 0 (mod
         slot_count); negative s rotates right, and the level is kept.  Each
         step is two sliced additions into one of two preallocated buffers,
-        so the ladder makes no rolled copy.
+        so the ladder makes no rolled copy.  This is the general ladder, for
+        dense reductions such as ``row_sums`` and ``fold_columns``; a ladder
+        right after a mask that leaves it only zeros to add runs in closed
+        form as :meth:`spread` or :meth:`sum_spread`.
         """
         vx, ex, lx = self._operand(x)
         n = self.slot_count
@@ -307,6 +344,83 @@ class EmulatorContext:
             np.add(acc[..., n - s :], acc[..., :s], out=out[..., n - s :])
             acc = out
         return CipherBlock(acc, lx, ex)
+
+    def spread(self, x, mask, step: int, copies: int) -> CipherBlock:
+        """``rot_sum(mult(x, mask), [-(step << t) for t < log2(copies)])`` in
+        closed form, for a mask that keeps one window.
+
+        The slots split into segments of ``copies`` windows of ``step``
+        slots, and the ladder adds to each slot the ``copies - 1`` slots at
+        multiples of ``step`` before it.  When the mask's nonzero slots lie
+        in the first window of each segment, or in any one window where a
+        segment is the whole vector (the ladder wraps around it), every such
+        sum is one masked value plus zeros: the ladder copies the window
+        across its segment.  This multiplies the window alone and writes the
+        copies; a mask with nonzero slots elsewhere raises ``ValueError``.
+
+        Ledgers what the composition would: the product's CMult (Mult for an
+        encrypted mask) and level, then one Add and one Rot per block of the
+        product per ladder step.  For finite slots the result is the
+        ladder's bit for bit, except that where a masked window slot is a
+        negative zero the ladder may add a positive zero to it.
+        """
+        vx, ex, lx = self._operand(x)
+        vm, em, lm = self._operand(mask)
+        n, span = self.slot_count, step * copies
+        if not (is_pow2(step) and is_pow2(copies) and span <= n):
+            raise ValueError(f"spread: {copies} windows of {step} slots do not tile {n}")
+        held = np.flatnonzero(_windows(vm, n // span, copies, step).any(axis=-1))
+        windows = np.unique(held % copies)
+        if len(windows) > 1 or (span < n and windows.any()):
+            raise ValueError(f"spread: the mask keeps window(s) {list(windows)}, not one")
+        w = int(windows[0]) if len(windows) else 0
+        kept = _windows(vx, n // span, copies, step)[..., w, :]
+        kept = kept * _windows(vm, n // span, copies, step)[..., w, :]
+        return self._copies(kept, (vx, ex, lx), (vm, em, lm), copies)
+
+    def sum_spread(self, x, mask, width: int) -> CipherBlock:
+        """Each ``width``-slot segment's total in all of its slots: in closed
+        form, ``rot_sum(mult(rot_sum(x, [1, 2, ..., width/2]), mask),
+        [-1, -2, ..., -width/2])`` for a mask nonzero only at the first slot
+        of each segment.
+
+        The first ladder leaves in each segment's first slot the total that
+        :func:`tree_sum` computes, bit for bit; the mask keeps only that
+        slot, and the second ladder copies it across the segment (see
+        :meth:`spread`).  Ledgers both ladders and the product as the
+        composition does, in its order: an encrypted ``x`` at level 0 has
+        its first ladder charged before the product raises.  A mask with a
+        nonzero slot elsewhere raises ``ValueError``.
+        """
+        vx, ex, lx = self._operand(x)
+        vm, em, lm = self._operand(mask)
+        n = self.slot_count
+        if not (is_pow2(width) and width <= n):
+            raise ValueError(f"sum_spread: width {width} does not tile {n}")
+        mask_rows = _windows(vm, n // width, width, 1)
+        if mask_rows[..., 1:, :].any():
+            raise ValueError("sum_spread: the mask has nonzero slots past a segment's first")
+        if ex:
+            k = self._blocks(vx)
+            self.ledger.record("Add", k * log2(width))
+            self.ledger.record("Rot", k * log2(width))
+        totals = tree_sum(vx.reshape(*vx.shape[:-1], n // width, width))
+        kept = totals * mask_rows[..., 0, :]
+        return self._copies(kept, (vx, ex, lx), (vm, em, lm), width)
+
+    def _copies(self, kept: np.ndarray, x, mask, copies: int) -> CipherBlock:
+        """Ledger the product of ``x`` and ``mask`` and a ``copies``-step
+        spreading ladder over it; return ``kept``, shape ``(..., segments,
+        window)``, copied ``copies`` times across each segment."""
+        (vx, ex, _), (vm, em, _) = x, mask
+        k = math.prod(np.broadcast_shapes(vx.shape[:-1], vm.shape[:-1]))
+        level = self._charge_product(x, mask, k)
+        if ex or em:
+            self.ledger.record("Add", k * log2(copies))
+            self.ledger.record("Rot", k * log2(copies))
+        *lead, segments, width = kept.shape
+        out = np.broadcast_to(kept[..., None, :], (*lead, segments, copies, width))
+        return CipherBlock(out.reshape(*lead, self.slot_count), level, ex or em)
 
     def conj(self, x: CipherBlock) -> CipherBlock:
         vx, ex, lx = self._operand(x)
@@ -337,3 +451,9 @@ class EmulatorContext:
 
     def decodes_by(self, role: str) -> list[tuple[str, str | None]]:
         return [ev for ev in self.decode_events if ev[0] == role]
+
+
+def _windows(slots: np.ndarray, segments: int, copies: int, step: int) -> np.ndarray:
+    """``slots`` viewed as ``(..., segments, copies, step)``: the windows of
+    :meth:`EmulatorContext.spread`."""
+    return np.reshape(slots, (*np.shape(slots)[:-1], segments, copies, step))

@@ -128,6 +128,15 @@ class EncodedMatrix:
     def rot_sum(self, shifts) -> "EncodedMatrix":
         return self._with(self.ctx.rot_sum(self.block, shifts))
 
+    def spread(self, mask: "EncodedMatrix", step: int, copies: int) -> "EncodedMatrix":
+        """The masked window copied over its segment
+        (:meth:`~hefit.emulator.EmulatorContext.spread`)."""
+        return self._with(self.ctx.spread(self.block, mask.block, step, copies))
+
+    def block_column(self, q: int) -> "EncodedMatrix":
+        """Block column ``q`` as a one-column grid, with this matrix's metadata."""
+        return self._with(self.block[:, q : q + 1])
+
     def conj(self) -> "EncodedMatrix":
         return self._with(self.ctx.conj(self.block))
 
@@ -267,7 +276,9 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
     is taken as that cut already), the pieces are rotated to disjoint
     offsets and summed, ``k`` to a ciphertext, and each sum is bootstrapped
     once.  Unpacking rotates every piece back, masks it, and re-tiles it with
-    ``log2(k)`` rotate-add doublings, block by block.  This is how
+    ``log2(k)`` rotate-add doublings, block by block; the emulator computes
+    the mask and the doublings as one copy of the piece
+    (:meth:`~hefit.emulator.EmulatorContext.spread`).  This is how
     sparse-slot bootstrapping is used: compact the distinct slots, refresh,
     expand.
 
@@ -307,15 +318,13 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
             packed.append(piece)
     packed = [ctx.bootstrap(p) for p in packed]
 
-    # unpacked and re-tiled block by block: over a whole grid the ladder's
-    # temporaries raised a paper-scale fit's peak RSS by 5 MiB
+    # unpacked and re-tiled block by block, each piece from its own rotation
     mask = _period_mask(ctx, period).block[0, 0]
     out, j = [], 0
     for h in heads:
         blocks = []
         for _ in range(h.grid[1]):
-            piece = ctx.cmult(ctx.lrot(packed[j // k], (j % k) * width), mask)
-            piece = ctx.rot_sum(piece, [-(width << t) for t in range(log2(k))])
+            piece = ctx.spread(ctx.lrot(packed[j // k], (j % k) * width), mask, width, k)
             blocks.append(piece.slots)
             j += 1
         block = CipherBlock(np.stack(blocks)[None], piece.level, True)
@@ -358,7 +367,9 @@ def pattern_matrix(ctx: EmulatorContext, pattern: np.ndarray) -> EncodedMatrix:
         raise ShapeMismatch(
             f"pattern must broadcast to {(ctx.grid_rows, ctx.grid_cols)}, got {np.shape(pattern)}"
         ) from None
-    block = ctx.pack(pattern.astype(np.complex128).reshape(1, 1, ctx.slot_count))
+    # one C-order copy, none if the pattern already is one: astype keeps a
+    # broadcast row's layout, and the reshape then copies it again
+    block = ctx.pack(np.ascontiguousarray(pattern, np.complex128).reshape(1, 1, ctx.slot_count))
     return EncodedMatrix(ctx, block, (ctx.grid_rows, ctx.grid_cols))
 
 
@@ -440,53 +451,70 @@ def prot_up(E: EncodedMatrix, k: int) -> EncodedMatrix:
 def col_sums(E: EncodedMatrix) -> EncodedMatrix:
     """Broadcast each row's slot sum to every column of that row.
 
-    Block columns are pre-added, then per block: a left-rotation doubling
-    ladder accumulates the row total into column 0, a column-0 mask isolates
-    it, and a right-rotation ladder broadcasts it.  Costs
+    Block columns are added left to right.  Then, per block, the ladder a
+    backend runs: a left-rotation doubling ladder accumulates the row total
+    into column 0, a column-0 mask isolates it, and a right-rotation ladder
+    broadcasts it.  The emulator computes that in closed form
+    (:meth:`~hefit.emulator.EmulatorContext.sum_spread`): each row's total
+    by the fold's halving tree, masked, written to every column.  Costs
     ``2*log2(s1)`` Rot + 1 CMult per surviving block and one level.
     """
-    s1 = E.ctx.grid_cols
-    acc = fold_columns(E) * col_range_mask(E.ctx, 1)
-    acc = acc.rot_sum([-(1 << t) for t in range(log2(s1))])
-    return acc.with_meta(shape=(E.shape[0], s1))
+    ctx = E.ctx
+    acc = ctx.sum_spread(_add_block_columns(E), col_range_mask(ctx, 1).block, ctx.grid_cols)
+    return EncodedMatrix(ctx, acc, (E.shape[0], ctx.grid_cols))
 
 
 def fold_columns(E: EncodedMatrix) -> EncodedMatrix:
     """Each row's slot total in column 0 (other columns hold partial sums).
 
     Block columns are added left to right, then a left-rotation doubling
-    ladder folds each row.  Returns an untiled ``(rows, 1)`` matrix on one
-    block column; costs ``log2(s1)`` Rot per block row and no level.
+    ladder (``rot_sum``) folds each row.  Returns an untiled ``(rows, 1)``
+    matrix on one block column; costs ``log2(s1)`` Rot per block row and no
+    level.
     """
     ctx = E.ctx
+    acc = ctx.rot_sum(_add_block_columns(E), [1 << t for t in range(log2(ctx.grid_cols))])
+    return EncodedMatrix(ctx, acc, (E.shape[0], 1))
+
+
+def _add_block_columns(E: EncodedMatrix) -> CipherBlock:
+    """The sum of E's block columns, added left to right: one block column."""
     acc = E.block[:, :1]
     for q in range(1, E.grid[1]):
-        acc = ctx.add(acc, E.block[:, q : q + 1])
-    acc = ctx.rot_sum(acc, [1 << t for t in range(log2(ctx.grid_cols))])
-    return EncodedMatrix(ctx, acc, (E.shape[0], 1))
+        acc = E.ctx.add(acc, E.block[:, q : q + 1])
+    return acc
 
 
 def row_sums(E: EncodedMatrix) -> EncodedMatrix:
     """Broadcast each column's total to every row (maskless, depth-free).
 
-    Block rows are pre-added, then a row-rotation doubling ladder sums the
-    s0 rows of each block; every row ends up holding the column totals.
-    Costs ``log2(s0)`` Rot per surviving block.
+    Block rows are pre-added, then a row-rotation doubling ladder
+    (``rot_sum``) sums the s0 rows of each block; every row ends up holding
+    the column totals.  Costs ``log2(s0)`` Rot per surviving block.
 
     The ladder runs one block column at a time, so its log2(s0) dependent
-    passes stay in cache: one ``rot_sum`` over a whole 1x4 grid of
-    32768-slot blocks made ``row_sums`` about a third slower in a
-    paper-scale training step (``scripts/stage_times.py``).
+    passes stay in cache.  ``diag_atb`` hands it one block column at a
+    time already; on the 1 x 13 grid of 32768-slot blocks that
+    ``row_major_atb`` sums at the benchmark shape, one ``rot_sum`` over the
+    whole grid took about three times as long.
     """
     ctx = E.ctx
-    s0, s1 = ctx.grid_rows, ctx.grid_cols
     acc = E.block[:1]
     for p in range(1, E.grid[0]):
         acc = ctx.add(acc, E.block[p : p + 1])
-    shifts = [(1 << t) * s1 for t in range(log2(s0))]
-    cols = []
-    for q in range(E.grid[1]):
-        col = ctx.rot_sum(acc[:, q : q + 1], shifts)
-        cols.append(col.slots)
-    out = CipherBlock(np.concatenate(cols, axis=1), col.level, col.encrypted)
-    return EncodedMatrix(ctx, out, (s0, E.shape[1]))
+    shifts = [(1 << t) * ctx.grid_cols for t in range(log2(ctx.grid_rows))]
+    shape = (ctx.grid_rows, E.shape[1])
+    return join_columns(
+        [EncodedMatrix(ctx, ctx.rot_sum(acc[:, q : q + 1], shifts), shape) for q in range(E.grid[1])]
+    )
+
+
+def join_columns(cols: list[EncodedMatrix]) -> EncodedMatrix:
+    """One grid of one-block-column matrices, left to right, at the lowest
+    of their levels; it keeps the first one's metadata."""
+    block = CipherBlock(
+        np.concatenate([m.block.slots for m in cols], axis=1),
+        min(m.level for m in cols),
+        cols[0].encrypted,
+    )
+    return cols[0]._with(block)

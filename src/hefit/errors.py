@@ -17,6 +17,15 @@ class DepthExhausted(HefitError):
     code = "emulator.depth"
 
 
+class LevelError(HefitError, ValueError):
+    """A level outside the context's budget, or not an integer.
+
+    Also a ``ValueError``, the type a bad level raised before it was typed.
+    """
+
+    code = "emulator.level"
+
+
 class SlotCountMismatch(HefitError):
     """Operands packed for different slot widths were combined."""
 

@@ -27,6 +27,7 @@ from .encoding import (
     col_range_mask,
     col_sums,
     fold_columns,
+    join_columns,
     make_mask,
     next_pow2,
     pattern_matrix,
@@ -73,7 +74,13 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     packed = B if c == 1 else B + rot_up(B, c // 2).mul_i()
     acc = None
     for k in range(max(c // 2, 1)):
-        term = col_sums(A * rot_up(packed, k)) * make_mask(ctx, k, c, complexified=c > 1)
+        # the pass's product, one block column at a time, added into the
+        # fold left to right as col_sums would add its block columns
+        fold = None
+        for q in range(A.grid[1]):
+            prod = A.block_column(q) * rot_up(packed.block_column(q), k)
+            fold = prod if fold is None else fold + prod
+        term = col_sums(fold) * make_mask(ctx, k, c, complexified=c > 1)
         acc = term if acc is None else acc + term
     out = acc if c == 1 else acc + acc.conj()
     return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal")
@@ -99,20 +106,23 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     if c > ctx.grid_rows:
         raise ShapeMismatch(f"diag_atb: period {c} exceeds block rows {ctx.grid_rows}")
 
-    # A has one block column, which multiplies every block column of B
+    # A has one block column, which multiplies every block column of B: its
+    # aligned copy and the mask of each pass are built once, then B is
+    # taken one block column at a time through every pass
     use_partial = A.level < B.level
     packed = A if c == 1 else A + rot_left(A, c // 2).mul_i()
-    acc = None
-    for k in range(max(c // 2, 1)):
-        if use_partial:
-            prod = packed.lrot(k) * prot_up(B, k)
-        else:
-            prod = rot_left(packed, k) * B
-        mask = make_mask(ctx, -k, c, complexified=c > 1, scale=scale)
-        term = row_sums(prod) * mask
-        acc = term if acc is None else acc + term
-    out = acc if c == 1 else acc + acc.conj()
-    return out.with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")
+    passes = range(max(c // 2, 1))
+    aligned = [packed.lrot(k) if use_partial else rot_left(packed, k) for k in passes]
+    masks = [make_mask(ctx, -k, c, complexified=c > 1, scale=scale) for k in passes]
+    cols = []
+    for q in range(B.grid[1]):
+        col = B.block_column(q)
+        acc = None
+        for k in passes:
+            term = row_sums(aligned[k] * (prot_up(col, k) if use_partial else col)) * masks[k]
+            acc = term if acc is None else acc + term
+        cols.append(acc if c == 1 else acc + acc.conj())
+    return join_columns(cols).with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")
 
 
 # -- mask-replicate-reduce pair -------------------------------------------------
@@ -138,8 +148,7 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
 
     acc = None
     for j in range(c):
-        picked = B * pattern_matrix(ctx, np.arange(s0)[:, None] == j)
-        picked = picked.rot_sum([(1 << t) * s1 for t in range(log2(s0))])
+        picked = B.spread(pattern_matrix(ctx, np.arange(s0)[:, None] == j), s1, s0)
         term = (fold_columns(A * picked) * col0).rrot(j)
         acc = term if acc is None else acc + term
     return acc.with_meta(shape=(A.shape[0], c))
@@ -165,7 +174,7 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
 
     acc = None
     for j in range(c):
-        picked = (A.lrot(j) * col0).rot_sum([-(1 << t) for t in range(log2(s1))])
+        picked = A.lrot(j).spread(col0, 1, s1)
         sums = row_sums(picked * B)
         term = sums * pattern_matrix(ctx, np.arange(s0)[:, None] == j)
         acc = term if acc is None else acc + term

@@ -607,8 +607,7 @@ def _greedy_a_max(car, cfg, pairs=None):
         best, rival = car.knockout_pair(_refresh(best, ODD_POLY_DEPTH), t)
         w = _refresh(approx._comp(best - rival, first), 1)
         best = best * w + rival * (1.0 - w)
-    best = _refresh(best, 1) * car.first_col_mask()
-    return car.broadcast_col0(best)
+    return car.broadcast_col0(_refresh(best, 1))
 
 
 def _with_consumer(out, delta, need):

@@ -15,7 +15,8 @@ from hefit.emulator import (
     EmulatorContext,
     OpLedger,
 )
-from hefit.errors import DepthExhausted, SlotCountMismatch
+from hefit.encoding import encode
+from hefit.errors import DepthExhausted, HefitError, LevelError, SlotCountMismatch
 
 
 def fresh(**kw):
@@ -187,6 +188,28 @@ def test_geometry_validation():
         ctx.encrypt(np.ones(8))
     with pytest.raises(ValueError):
         ctx.encrypt(np.ones(16), level=99)
+
+
+@pytest.mark.parametrize("level", [-1, 5, 2.5, 4.0, True, False, "3", math.nan])
+def test_encode_rejects_levels_outside_the_budget_or_not_integers(level):
+    ctx = EmulatorContext(16, 4, max_level=4)
+    for make in (lambda: ctx.encrypt(np.ones(16), level), lambda: encode(ctx, np.ones((2, 2)), level=level)):
+        with pytest.raises(LevelError) as err:
+            make()
+        assert isinstance(err.value, HefitError) and isinstance(err.value, ValueError)
+        assert err.value.code == "emulator.level"
+
+
+@pytest.mark.parametrize("max_level", [0, 2.5, True, np.float64(4.0)])
+def test_context_rejects_a_budget_that_is_not_a_positive_integer(max_level):
+    with pytest.raises(LevelError):
+        EmulatorContext(16, 4, max_level=max_level)
+
+
+@pytest.mark.parametrize("level", [0, 4, np.int64(2)])
+def test_encode_keeps_integer_levels(level):
+    e = encode(EmulatorContext(16, 4, max_level=4), np.ones((2, 2)), level=level)
+    assert e.level == level and type(e.level) is int
 
 
 def test_foreign_width_blocks_rejected():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hefit.emulator import CipherBlock, EmulatorContext
+from hefit.emulator import CipherBlock, EmulatorContext, log2, tree_sum
 from hefit.encoding import (
     EncodedMatrix,
+    _period_mask,
     bootstrap_pair,
     bootstrap_tiled,
     col_range_mask,
@@ -354,6 +355,133 @@ def test_col_sums_broadcasts_row_totals(ctx, rng):
     np.testing.assert_allclose(got, np.tile(m.sum(axis=1, keepdims=True), (1, 16)))
     assert delta["Rot"] == 2 * 4 and delta["CMult"] == 1  # 2*log2(s1) per block row
     assert out.level == e.level - 1
+
+
+def _ladder_sum_spread(ctx, x, mask, width):
+    """col_sums' ladder as a backend runs it: fold, mask, broadcast."""
+    folded = ctx.rot_sum(x, [1 << t for t in range(log2(width))])
+    return ctx.rot_sum(ctx.mult(folded, mask), [-(1 << t) for t in range(log2(width))])
+
+
+def _ladder_spread(ctx, x, mask, shifts):
+    """A replication as a backend runs it: the window mask, then the ladder."""
+    return ctx.rot_sum(ctx.mult(x, mask), shifts)
+
+
+def _replication_sites(ctx, period=4):
+    """(site, mask, step, copies, the ladder's shifts) of every replication
+    that runs in closed form, with the mask and the shifts it ran before."""
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
+    first_col = col_range_mask(ctx, 1).block
+    width, k = period * s1, s0 // period
+    return [
+        ("broadcast_col0", first_col, 1, s1, [-(1 << t) for t in range(log2(s1))]),
+        ("row_major_atb", first_col, 1, s1, [-(1 << t) for t in range(log2(s1))]),
+        (
+            "bootstrap_tiled",
+            _period_mask(ctx, period).block[0, 0],
+            width, k, [-(width << t) for t in range(log2(k))],
+        ),
+        (
+            "col_major_abt",
+            pattern_matrix(ctx, np.arange(s0)[:, None] == 3).block,
+            s1, s0, [(1 << t) * s1 for t in range(log2(s0))],
+        ),
+    ]
+
+
+def _slots(ctx, rng, grid, encrypted, level):
+    values = rng.normal(size=(*grid, ctx.slot_count)) + 1j * rng.normal(size=(*grid, ctx.slot_count))
+    values[..., : ctx.grid_cols] = 0.0  # a zero row, as padding leaves
+    return ctx.encrypt(values, level) if encrypted else ctx.pack(values)
+
+
+def _same_run(ctx, closed, ladder):
+    """Run both; assert equal slot bytes, level, flag and ledger delta."""
+    before = ctx.ledger.snapshot()
+    want = ladder()
+    want_ops = ctx.ledger.delta(before)
+    before = ctx.ledger.snapshot()
+    got = closed()
+    assert ctx.ledger.delta(before) == want_ops
+    assert got.slots.tobytes() == want.slots.tobytes()
+    assert (got.slots.shape, got.level, got.encrypted) == (want.slots.shape, want.level, want.encrypted)
+    assert not got.slots.flags.writeable
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("encrypted", [True, False])
+@pytest.mark.parametrize("level", [1, 12])
+def test_closed_forms_equal_their_ladders(ctx, rng, grid, encrypted, level):
+    x = _slots(ctx, rng, grid, encrypted, level)
+    mask = col_range_mask(ctx, 1).block
+    _same_run(
+        ctx,
+        lambda: ctx.sum_spread(x, mask, ctx.grid_cols),
+        lambda: _ladder_sum_spread(ctx, x, mask, ctx.grid_cols),
+    )
+    for _, mask, step, copies, shifts in _replication_sites(ctx):
+        _same_run(
+            ctx,
+            lambda: ctx.spread(x, mask, step, copies),
+            lambda: _ladder_spread(ctx, x, mask, shifts),
+        )
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("encrypted", [True, False])
+def test_col_sums_equals_the_block_column_fold_and_its_ladder(ctx, rng, grid, encrypted):
+    e = encode(ctx, rng.normal(size=(16 * grid[0] - 3, 16 * grid[1] - 5)), encrypted=encrypted)
+
+    def ladder():
+        acc = e.block[:, :1]
+        for q in range(1, e.grid[1]):
+            acc = ctx.add(acc, e.block[:, q : q + 1])
+        return _ladder_sum_spread(ctx, acc, col_range_mask(ctx, 1).block, ctx.grid_cols)
+
+    _same_run(ctx, lambda: col_sums(e).block, ladder)
+
+
+def test_closed_forms_at_level_zero_raise_as_their_ladders(ctx, rng):
+    x = _slots(ctx, rng, (2, 3), True, 0)
+    mask = col_range_mask(ctx, 1).block
+    for run in (
+        lambda: _ladder_sum_spread(ctx, x, mask, ctx.grid_cols),
+        lambda: ctx.sum_spread(x, mask, ctx.grid_cols),
+    ):
+        with pytest.raises(DepthExhausted):
+            run()
+    for _, mask, step, copies, shifts in _replication_sites(ctx):
+        with pytest.raises(DepthExhausted):
+            _ladder_spread(ctx, x, mask, shifts)
+        with pytest.raises(DepthExhausted):
+            ctx.spread(x, mask, step, copies)
+
+
+def test_closed_forms_reject_a_mask_outside_their_window(ctx, rng):
+    x = _slots(ctx, rng, (1, 1), True, 5)
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
+    two_cols = col_range_mask(ctx, 2).block
+    with pytest.raises(ValueError):
+        ctx.sum_spread(x, two_cols, s1)
+    with pytest.raises(ValueError):
+        ctx.spread(x, two_cols, 1, s1)
+    # a window other than the first is fine only where the ladder wraps
+    # around the whole vector
+    row3 = pattern_matrix(ctx, np.arange(s0)[:, None] == 3).block
+    ctx.spread(x, row3, s1, s0)
+    with pytest.raises(ValueError):
+        ctx.spread(x, row3, s1, s0 // 2)
+    with pytest.raises(ValueError):
+        ctx.spread(x, row3, 3, 4)
+
+
+def test_tree_sum_is_the_doubling_ladders_first_slot(ctx, rng):
+    x = ctx.pack(rng.normal(size=(2, ctx.slot_count)) * 10.0 ** rng.integers(-8, 8, size=ctx.slot_count))
+    folded = ctx.rot_sum(x, [1 << t for t in range(log2(ctx.grid_cols))]).slots
+    rows = folded.reshape(2, ctx.grid_rows, ctx.grid_cols)[..., :1]
+    got = tree_sum(x.slots.reshape(2, ctx.grid_rows, ctx.grid_cols))
+    assert got.tobytes() == rows.tobytes()
 
 
 def test_row_sums_is_maskless_and_depth_free(ctx, rng):

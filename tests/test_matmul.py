@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hefit.emulator import EmulatorContext
-from hefit.encoding import decode, encode, next_pow2
+from hefit.encoding import (
+    col_sums,
+    decode,
+    encode,
+    make_mask,
+    next_pow2,
+    prot_up,
+    rot_left,
+    rot_up,
+    row_sums,
+)
 from hefit.errors import ShapeMismatch
 from hefit.matmul import (
     ALGORITHMS,
@@ -216,3 +226,64 @@ def test_random_shapes_match_oracle_and_formula(a, b, cpow, seed):
     assert {k: delta[k] for k in ("CMult", "Mult", "Rot")} == count_formula(
         "diag_abt", (a, b, c), 16, 16
     )
+
+
+def _grid_diag_abt(A, B):
+    """diag_abt with each pass's product formed over the whole grid at once."""
+    ctx, c = A.ctx, B.period
+    packed = B if c == 1 else B + rot_up(B, c // 2).mul_i()
+    acc = None
+    for k in range(max(c // 2, 1)):
+        term = col_sums(A * rot_up(packed, k)) * make_mask(ctx, k, c, complexified=c > 1)
+        acc = term if acc is None else acc + term
+    out = acc if c == 1 else acc + acc.conj()
+    return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal")
+
+
+def _grid_diag_atb(A, B, scale=1.0):
+    """diag_atb with each pass run over the whole grid of B at once."""
+    ctx, c = A.ctx, A.period
+    use_partial = A.level < B.level
+    packed = A if c == 1 else A + rot_left(A, c // 2).mul_i()
+    acc = None
+    for k in range(max(c // 2, 1)):
+        if use_partial:
+            prod = packed.lrot(k) * prot_up(B, k)
+        else:
+            prod = rot_left(packed, k) * B
+        mask = make_mask(ctx, -k, c, complexified=c > 1, scale=scale)
+        term = row_sums(prod) * mask
+        acc = term if acc is None else acc + term
+    out = acc if c == 1 else acc + acc.conj()
+    return out.with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")
+
+
+def _same_product(ctx, kernel, oracle):
+    before = ctx.ledger.snapshot()
+    want = oracle()
+    want_ops = ctx.ledger.delta(before)
+    before = ctx.ledger.snapshot()
+    got = kernel()
+    assert ctx.ledger.delta(before) == want_ops
+    assert got.block.slots.tobytes() == want.block.slots.tobytes()
+    assert (got.shape, got.tiling, got.grid, got.level) == (want.shape, want.tiling, want.grid, want.level)
+    return want_ops
+
+
+@pytest.mark.parametrize("c", [1, 3, 10])
+def test_block_column_kernels_equal_their_grid_wide_form(rng, c):
+    # 2 block rows and 3 block columns on 16 x 16 blocks
+    ctx = EmulatorContext(256, 16, max_level=12)
+    a, b = 29, 37
+    A, B = encode(ctx, rng.normal(size=(a, b))), encode(ctx, rng.normal(size=(c, b)), tiling="vertical")
+    assert A.grid == (2, 3)
+    ops = _same_product(ctx, lambda: diag_abt(A, B), lambda: _grid_diag_abt(A, B))
+    assert {k: ops[k] for k in ("CMult", "Mult", "Rot")} == count_formula("diag_abt", (a, b, c), 16, 16)
+
+    Bt = encode(ctx, rng.normal(size=(a, b)))
+    for branch, level in (("diag_atb_rl", 12), ("diag_atb_pru", 11)):
+        At = encode(ctx, rng.normal(size=(a, c)), tiling="horizontal", level=level)
+        ops = _same_product(
+            ctx, lambda: diag_atb(At, Bt, scale=0.25), lambda: _grid_diag_atb(At, Bt, scale=0.25)
+        )
+        assert {k: ops[k] for k in ("CMult", "Mult", "Rot")} == count_formula(branch, (a, b, c), 16, 16)
