@@ -3,21 +3,24 @@
 
 For every ``max_level`` from 5 (``training.MIN_MAX_LEVEL``, the smallest a
 run config accepts) to 24, runs 8 ``run_steps`` steps at the two
-north-star scales, with the auto-bootstrap fallback off, and prints the
-ledger's bootstraps and estimated milliseconds per step, then the
-bootstraps per step of each stage that places them: the softmax (``sm``),
-the residual refresh before ``diag_atb`` (``res``) and the packed W/V
-refresh (``wv``).  The last two columns are shares of ``sm``, so they are
-not added to the step total again: ``amax``, spent in the softmax's
-tournament ``a_max``, and ``inv``, in its reciprocal ``a_inv``.  The
-scales:
+north-star scales and at a third with 7 classes, with the auto-bootstrap
+fallback off, and prints the ledger's bootstraps and estimated
+milliseconds per step, then the bootstraps per step of each stage that
+places them: the softmax (``sm``), the residual refresh before
+``diag_atb`` (``res``) and the packed W/V refresh (``wv``).  The last two
+columns are shares of ``sm``, so they are not added to the step total
+again: ``amax``, spent in the softmax's tournament ``a_max``, and
+``inv``, in its reciprocal ``a_inv``.  The scales:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
+* c7 scale: the test scale with 7 classes, a period of 8, so the
+  softmax's tournament runs three rounds (two at test scale, four at
+  paper scale);
 * paper scale: 32768 slots (128 x 256 blocks), 10 classes, 768 features
   plus a bias column, batch 128.
 
-Both draw ``make_gaussian_mixture(1024, classes, features + 1, 3,
+All three draw ``make_gaussian_mixture(1024, classes, features + 1, 3,
 mean_scale=0.1)`` and set the last column to 1 as the bias; learning rate
 0.1.  Every refresh decision depends on levels and shapes only, so the
 counts do not depend on the data values.
@@ -42,6 +45,7 @@ STEPS = 8
 # name: (slot_count, grid_rows, features, classes, batch)
 SCALES = {
     "test": (4096, 64, 16, 3, 64),
+    "c7": (4096, 64, 16, 7, 64),
     "paper": (32768, 128, 768, 10, 128),
 }
 

@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
 """Host time per training step, stage by stage, at the two north-star scales.
 
-Runs ``run_steps`` with every stage function rebound to a wrapper that adds
-its CPU time (``time.process_time``) to the current step, and prints the
-median over the steps, in milliseconds, of each stage and of the whole
-step.  A stage's time includes everything it calls, so the softmax pieces
-are inside ``a_softmax``, ``col_sums`` is inside ``diag_abt`` (once per
-pass) and the softmax's column sums, and ``row_sums`` and ``prot_up`` are
-inside ``diag_atb`` (once per block column and pass).  ``col_sums`` runs
-the emulator's closed form of its ladder (``EmulatorContext.sum_spread``),
-and the re-tiling inside ``boot_tiled`` that of a masked copy
-(``EmulatorContext.spread``); ``row_sums`` still runs its ladder.  The two
-scales are those of ``scripts/budget_sweep.py``:
+Runs ``run_steps`` with every stage function rebound to a wrapper that
+adds its CPU time (``time.process_time``) to the current step, and prints,
+for each stage and for the whole step, two rows per scale: ``ms``, the
+median in milliseconds over the steps in which the stage ran (``-`` if it
+never ran), and ``n``, the number of the ``STEPS`` steps it ran in.  Some
+stages run in few steps: at budget 12 the packed W/V refresh
+(``boot_tiled``) and ``diag_atb``'s partial-rotation branch (``prot_up``)
+each run in 4 of the 16 steps at both scales, so a median over all steps
+would read 0 for them.  A stage's time includes everything it calls, so the
+softmax pieces are inside ``a_softmax``, ``col_sums`` is inside
+``diag_abt`` (once per pass) and the softmax's column sums, and
+``row_sums`` and ``prot_up`` are inside ``diag_atb`` (once per block
+column and pass).  ``col_sums`` runs the emulator's closed form of its
+ladder (``EmulatorContext.sum_spread``), and the re-tiling inside
+``boot_tiled`` that of a masked copy (``EmulatorContext.spread``);
+``row_sums`` still runs its ladder.  The two scales are the test and paper
+scales of ``scripts/budget_sweep.py``:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
@@ -20,10 +26,12 @@ scales are those of ``scripts/budget_sweep.py``:
 
 Both draw ``make_gaussian_mixture(2048, classes, features + 1, 3,
 mean_scale=0.1)`` and set the last column to 1 as the bias; learning rate
-0.1, budget 12.  A last row, ``array``, times the softmax's numpy array
-path as ``softmax-mc`` runs it: one ``a_softmax`` call (its "step") on a
-seeded 250 000 x 10 uniform input within +-128 under ``DEFAULTS``, median
-over ARRAY_CALLS calls; the stages it never calls print ``-``.  CPU time
+0.1, budget 12.  The last rows, ``array``, time the softmax's numpy
+array path as ``softmax-mc`` runs it: one ``a_softmax`` call (its "step")
+on a seeded 250 000 x 10 uniform input within +-128 under ``DEFAULTS``,
+over ARRAY_CALLS calls.  The first step of a process also plans the
+encrypted softmax's refreshes (``approx.softmax_plan``, cached), whose dry
+runs call the softmax pieces, so medians, not means, are shown.  CPU time
 counts only this process, so a busy machine slows the numbers less than it
 slows the wall clock; repeat and compare medians.
 
@@ -69,9 +77,8 @@ STAGES = {
     "prot_up": ("hefit.encoding", "prot_up"),
     "boot_tiled": ("hefit.encoding", "bootstrap_tiled"),
 }
-# the array row: softmax-mc's chunk shape, and the stages it runs
+# the array rows: softmax-mc's chunk shape
 ARRAY_SHAPE, ARRAY_CALLS = (250_000, 10), 5
-ARRAY_STAGES = ("step", "a_softmax", "a_max", "extend", "compens", "a_exp", "a_inv")
 
 
 def rebind_everywhere(stack: ExitStack, original, wrapper) -> None:
@@ -85,8 +92,9 @@ def rebind_everywhere(stack: ExitStack, original, wrapper) -> None:
 
 
 def timed_stages(stack: ExitStack, steps: list[dict[str, float]]):
-    """Rebind every stage to a wrapper that adds its CPU time to ``steps[-1]``;
-    returns the wrapper factory, for the caller's own "step"."""
+    """Rebind every stage to a wrapper that adds its CPU time to ``steps[-1]``,
+    a stage's key present once it has run; returns the wrapper factory, for
+    the caller's own "step"."""
 
     def timed(label, fn):
         def run(*args, **kwargs):
@@ -94,7 +102,8 @@ def timed_stages(stack: ExitStack, steps: list[dict[str, float]]):
             try:
                 return fn(*args, **kwargs)
             finally:
-                steps[-1][label] += time.process_time() - start
+                step = steps[-1]
+                step[label] = step.get(label, 0.0) + time.process_time() - start
 
         return run
 
@@ -104,16 +113,23 @@ def timed_stages(stack: ExitStack, steps: list[dict[str, float]]):
     return timed
 
 
-def medians_ms(steps: list[dict[str, float]]) -> dict[str, float]:
-    return {label: median(s[label] for s in steps) * 1e3 for label in steps[0]}
+def medians_ms(steps: list[dict[str, float]]) -> dict[str, tuple[float | None, int]]:
+    """Per label: the median ms over the steps it ran in (None if none), and
+    how many steps that is."""
+    out = {}
+    for label in ["step", *STAGES]:
+        ran = [s[label] for s in steps if label in s]
+        out[label] = (median(ran) * 1e3 if ran else None, len(ran))
+    return out
 
 
 def new_step(steps: list[dict[str, float]]) -> None:
-    steps.append(dict.fromkeys(["step", *STAGES], 0.0))
+    steps.append({})
 
 
-def stage_times(scale: str) -> dict[str, float]:
-    """Median CPU ms per step of each stage and of the whole step ("step")."""
+def stage_times(scale: str) -> dict[str, tuple[float | None, int]]:
+    """Median CPU ms of each stage and of the whole step ("step") over the
+    steps each ran in, and how many steps that is."""
     slots, grid_rows, features, classes, batch = SCALES[scale]
     x, y = make_gaussian_mixture(2048, classes, features + 1, 3, mean_scale=0.1)
     x[:, features] = 1.0  # bias column
@@ -132,8 +148,8 @@ def stage_times(scale: str) -> dict[str, float]:
     return medians_ms(steps)
 
 
-def array_stage_times() -> dict[str, float]:
-    """Median CPU ms per array-path ``a_softmax`` call of each stage."""
+def array_stage_times() -> dict[str, tuple[float | None, int]]:
+    """:func:`stage_times` of array-path ``a_softmax`` calls."""
     x = np.random.default_rng(1).uniform(-128.0, 128.0, size=ARRAY_SHAPE)
     steps: list[dict[str, float]] = []
     with ExitStack() as stack:
@@ -144,16 +160,18 @@ def array_stage_times() -> dict[str, float]:
     return medians_ms(steps)
 
 
+def print_rows(name: str, times: dict[str, tuple[float | None, int]]) -> None:
+    """The ``ms`` and ``n`` rows of one scale."""
+    ms = "".join(f"  {'-' if t is None else f'{t:.3f}':>10}" for t, _ in times.values())
+    print(f"{name + ' ms':>8}{ms}")
+    print(f"{name + ' n':>8}" + "".join(f"  {n:>10}" for _, n in times.values()), flush=True)
+
+
 def main() -> None:
-    labels = ["step", *STAGES]
-    print(f"{'scale':>5}" + "".join(f"  {label:>10}" for label in labels))
+    print(f"{'scale':>8}" + "".join(f"  {label:>10}" for label in ["step", *STAGES]))
     for scale in SCALES:
-        ms = stage_times(scale)
-        print(f"{scale:>5}" + "".join(f"  {ms[label]:>10.3f}" for label in labels), flush=True)
-    ms = array_stage_times()
-    print(f"{'array':>5}" + "".join(
-        f"  {ms[label]:>10.3f}" if label in ARRAY_STAGES else f"  {'-':>10}" for label in labels
-    ))
+        print_rows(scale, stage_times(scale))
+    print_rows("array", array_stage_times())
 
 
 if __name__ == "__main__":

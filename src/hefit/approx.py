@@ -46,8 +46,9 @@ maximum ``best`` and its comparison chain.  Where the chain needs a
 refresh, :func:`a_max` may refresh it alone or together with ``best`` as
 one complex-packed ciphertext, which also lifts ``best`` and so every
 piece after it.  :func:`softmax_plan` picks these choices by a dynamic
-program over levels, pricing the pieces after the tournament from the
-named depths (the same refresh rule, run on levels alone).  It minimises
+program over levels that prices each move by a dry run of the pipeline's
+own code (:func:`_round`, :func:`_tail`) on a two-slot context, so the
+refresh rule and the depths live in the pipeline alone.  It minimises
 bootstraps, then emulated ms; given the levels the output's consumer
 needs, it counts the consumer's refresh too and prefers the highest level
 handed on before ms.  The pieces after the tournament form a chain of one
@@ -63,14 +64,17 @@ and the contraction base are module constants.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._constants import COMP_ROUND_ERR, EXP_POLY
-from .emulator import DEFAULT_OP_WEIGHTS_MS, log2, tree_sum
-from .encoding import EncodedMatrix, bootstrap_pair, col_sums, next_pow2, pattern_matrix
+from .emulator import OP_KINDS, EmulatorContext, OpLedger, log2, tree_sum
+from .encoding import (
+    EncodedMatrix, bootstrap_pair, col_sums, encode, next_pow2, pattern_matrix,
+)
 from .errors import ShapeMismatch
 from .plainref import exact_softmax
 
@@ -209,12 +213,12 @@ class _Carrier:
     def broadcast_col0(self, x):
         """Column 0 of each row in every column: a first-column mask and
         the right-rotation ladder that spreads it, in closed form
-        (:meth:`EncodedMatrix.spread`); one level.  An array's tournament
-        already left column 0 alone."""
+        (:meth:`EncodedMatrix.spread`); one level, refreshed for the mask.
+        An array's tournament already left column 0 alone."""
         if not self.encrypted:
             return x
         first_col = self._pattern(lambda j: np.where(j == 0, 1.0, 0.0))
-        return x.spread(first_col, 1, self.ctx.grid_cols)
+        return _refresh(x, 1).spread(first_col, 1, self.ctx.grid_cols)
 
     def row_total(self, x):
         """Each row's column total, summed in the encrypted tree order
@@ -321,20 +325,10 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     comparison; column 0 of each row then holds the winner, which is
     isolated and broadcast.  The result never exceeds the true maximum (the
     blends are convex), and it equals, bit for bit, a tournament on inputs
-    scaled by 1/(2R) whose winner is scaled back by 2R.
-
-    Each round refreshes ``best`` for the first comparison polynomial before
-    the roll, so ``rival`` inherits the fresh level.  Each round has two
-    live values: ``best`` loses one level per round, at the blend, and the
-    comparison chain ``best - rival`` three passes of ``ODD_POLY_DEPTH``.
-    ``pairs`` holds one ``(pass 1, pass 2, pass 3, blend)`` flag tuple per
-    round (:attr:`SoftmaxPlan.pairs`).  Where a flag is set, the chain is
-    refreshed together with ``best`` as one complex-packed ciphertext
-    (:func:`_refresh_pair`) instead of alone, and the round re-rolls
-    ``rival`` from the refreshed ``best`` (one Rot) so the blend sees both
-    at the fresh level.  Without ``pairs`` every refresh is the chain's own,
-    and a bootstrap is value-exact either way, so the flags move levels and
-    the ledger, never a slot; an array has neither and ignores them.
+    scaled by 1/(2R) whose winner is scaled back by 2R.  ``pairs`` holds
+    one flag tuple per round (:func:`_round`, :attr:`SoftmaxPlan.pairs`);
+    without it every refresh is the comparison chain's own, and an array
+    ignores it.
 
     An array carrier evaluates each round only on the columns a later round
     reads (:meth:`_Carrier.knockout_pair`), 2^k - 1 column evaluations for
@@ -349,25 +343,43 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
         pairs = ((False,) * 4,) * log2(car.period)
     best = car.pushed_down(r)
     for t, flags in enumerate(pairs):
-        best = _refresh(best, ODD_POLY_DEPTH)
-        best, rival = car.knockout_pair(best, t)
-        chain = best - rival
-        for coeffs, packed in zip((first, COMP_G, COMP_F_HALF), flags):
-            if packed:
-                chain, best = _refresh_pair(chain, best, ODD_POLY_DEPTH)
-            chain = _odd_poly(chain, coeffs)
-        w = chain + 0.5
-        if flags[3]:
-            w, best = _refresh_pair(w, best, 1)
-        else:
-            w = _refresh(w, 1)
-        if any(flags):
-            best, rival = car.knockout_pair(best, t)
-        best = best * w + rival * (1.0 - w)
-    best = car.broadcast_col0(_refresh(best, 1))
+        best = _round(car, best, t, first, flags)
+    best = car.broadcast_col0(best)
     if car.encrypted or M is car:
         return best
     return np.repeat(best, car.period, axis=1)
+
+
+def _round(car: _Carrier, best, t: int, first, flags):
+    """Knockout round t of :func:`a_max`, its first comparison pass through
+    ``first``.
+
+    ``best`` is refreshed for the first comparison polynomial before the
+    roll, so ``rival`` inherits the fresh level.  A round has two live
+    values: ``best`` loses one level, at the blend, and the comparison chain
+    ``best - rival`` three passes of ``ODD_POLY_DEPTH``.  ``flags`` is
+    ``(pass 1, pass 2, pass 3, blend)``: where one is set, the chain is
+    refreshed together with ``best`` as one complex-packed ciphertext
+    (:func:`_refresh_pair`) instead of alone, and the round re-rolls
+    ``rival`` from the refreshed ``best`` (one Rot) so the blend sees both
+    at the fresh level.  A bootstrap is value-exact either way, so the flags
+    move levels and the ledger, never a slot; an array has no levels.
+    """
+    best = _refresh(best, ODD_POLY_DEPTH)
+    best, rival = car.knockout_pair(best, t)
+    chain = best - rival
+    for coeffs, packed in zip((first, COMP_G, COMP_F_HALF), flags):
+        if packed:
+            chain, best = _refresh_pair(chain, best, ODD_POLY_DEPTH)
+        chain = _odd_poly(chain, coeffs)
+    w = chain + 0.5
+    if flags[3]:
+        w, best = _refresh_pair(w, best, 1)
+    else:
+        w = _refresh(w, 1)
+    if any(flags):
+        best, rival = car.knockout_pair(best, t)
+    return best * w + rival * (1.0 - w)
 
 
 # Levels one contraction step consumes.
@@ -508,75 +520,41 @@ class SoftmaxPlan:
     level: int
 
 
-# Emulated ms per block of one refresh, one packed refresh (bootstrap_pair's
-# Conj, 3 Add and 2 CMult on top) and one re-rolled rival.
-_BOOT_MS = DEFAULT_OP_WEIGHTS_MS["Bootstrap"]
-_PAIR_MS = _BOOT_MS + sum(
-    n * DEFAULT_OP_WEIGHTS_MS[kind] for kind, n in (("Conj", 1), ("Add", 3), ("CMult", 2))
-)
-_ROLL_MS = DEFAULT_OP_WEIGHTS_MS["Rot"]
-# (need, levels spent) at a round's refresh points: the three comparison
-# passes, then the blend, whose weight w must have a level to multiply.
-_ROUND_POINTS = ((ODD_POLY_DEPTH, ODD_POLY_DEPTH),) * 3 + ((1, 0),)
+# Every flag tuple of one round, in order with unset before set: of
+# equal-cost choices the plan keeps the first, so a flag that changes
+# nothing stays unset.
+_ROUND_FLAGS = tuple(itertools.product((False, True), repeat=4))
+_price = OpLedger().estimate_ms
 
 
-def _round_options(best: int, top: int):
-    """Each way one tournament round can refresh, from ``best``'s level.
-
-    Yields ``(flags, best's level after, bootstraps, ms)`` for a budget of
-    ``top`` levels.  A point whose chain already has its need refreshes
-    nothing, so only points that refresh branch, and a pair is offered only
-    where its ``top - 1`` levels meet the need.
-    """
-    boots = 0
-    if best < min(ODD_POLY_DEPTH, top):
-        best, boots = top, 1
-    ways = [((), best, best, boots, boots * _BOOT_MS)]
-    for need, spent in _ROUND_POINTS:
-        grown = []
-        for flags, chain, b, k, ms in ways:
-            if chain >= min(need, top):
-                grown.append((flags + (False,), chain - spent, b, k, ms))
-                continue
-            grown.append((flags + (False,), top - spent, b, k + 1, ms + _BOOT_MS))
-            if top - 1 >= need:
-                grown.append((flags + (True,), top - 1 - spent, top - 1, k + 1, ms + _PAIR_MS))
-        ways = grown
-    for flags, w, b, k, ms in ways:
-        yield flags, min(b, w) - 1, k, ms + (_ROLL_MS if any(flags) else 0.0)
+def _dry_run(top: int, step, *levels: int):
+    """Per-block op counts and output level of ``step`` on carriers of zeros
+    encrypted at ``levels`` in a two-slot context of budget ``top``: on any
+    grid, the same but for grid-wide ladders, which every plan shares.  The
+    fallback is on, so a budget below the deepest piece still prices."""
+    ctx = EmulatorContext(2, 1, max_level=top, auto_bootstrap=True)
+    zeros = np.zeros((1, 2))
+    out = step(*(_Carrier(encode(ctx, zeros, "horizontal", level=lv)) for lv in levels))
+    return ctx.ledger.counts(), out.level
 
 
-def _tail(best: int, entry: int, top: int, cfg: SoftmaxConfig):
-    """(bootstraps, ms, output level) of the softmax after the tournament
-    rounds, from ``best``'s level: :func:`_refresh`'s rule run on levels
-    and the named depths alone, in :func:`_softmax`'s order."""
-    boots = pairs = 0
+@functools.lru_cache(maxsize=None)
+def _round_run(best: int, top: int, flags):
+    """:func:`_round` from ``best``'s level, dry; its ledger depends on
+    neither the round's index nor its coefficients."""
+    return _dry_run(top, lambda car: _round(car, car.matrix, 0, COMP_G, flags), best)
 
-    def lift(level, need):
-        nonlocal boots
-        if level < min(need, top):
-            boots += 1
-            return top
-        return level
 
-    level = lift(best, 1) - 1  # a_max's first-column mask
-    level = lift(min(entry, level), 1) - 1  # the keep-classes mask
-    for _ in range(cfg.extension_steps):
-        level = lift(level, CONTRACTION_DEPTH) - CONTRACTION_DEPTH
-    if cfg.precise:
-        level = lift(level, COMPENSATION_DEPTH) - COMPENSATION_DEPTH
-    level = lift(level, EXP_FIT_DEPTH) - EXP_FIT_DEPTH
-    level = lift(level, log2(EXP_RANGE)) - log2(EXP_RANGE)
-    expd = lift(lift(level, 1) - 1, 1)
-    a = b = lift(expd - 1, 1)  # col_sums' column-0 mask
-    for _ in range(INV_ITERS):
-        b -= 1
-        if min(a, b) < min(1, top):
-            a = b = top - 1
-            pairs += 1
-        a = min(a, b) - 1
-    out = min(expd, lift(a, 1)) - 1
-    return boots + pairs, boots * _BOOT_MS + pairs * _PAIR_MS, out
+@functools.lru_cache(maxsize=None)
+def _norm_run(best: int, entry: int, top: int):
+    """The tournament's winner broadcast and subtracted from the logits, dry."""
+    return _dry_run(top, lambda x, car: x.matrix - car.broadcast_col0(car.matrix), entry, best)
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_run(norm: int, top: int, cfg: SoftmaxConfig):
+    """:func:`_tail` from the normalized logits' level, dry."""
+    return _dry_run(top, lambda car: _tail(car, car.matrix, cfg), norm)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -588,37 +566,48 @@ def softmax_plan(
 
     A dynamic program over ``best``'s level between tournament rounds keeps,
     for each level, the cheapest choices (fewest bootstraps, then least
-    emulated ms) that reach it; the pieces after the tournament are priced
-    by :func:`_tail`.  Without ``need`` the plan has the fewest bootstraps,
+    emulated ms) that reach it.  Each move is priced by a dry run
+    (:func:`_dry_run`), and :meth:`~hefit.emulator.OpLedger.estimate_ms`
+    prices each plan's summed op counts, so equal counts tie exactly.
+    Without ``need`` the plan has the fewest bootstraps,
     then the least ms, so it never costs more than refreshing every chain
     alone.  ``need`` is the levels the consumer of the output will need: an
     output below it counts the consumer's refresh, then the plan hands on
     the highest level (``max_level`` where the consumer refreshes), then the
-    least ms.  Cached per key; planning reads levels only, never slots.
+    least ms.  Cached per key, as are the dry runs; planning reads levels
+    only, never slots.
     """
     top = max_level
-    frontier = {entry_level: ((), 0, 0.0)}
+    frontier = {entry_level: ((), dict.fromkeys(OP_KINDS, 0), (0, 0.0))}
     for _ in range(log2(next_pow2(classes))):
         reached = {}
-        for best, (pairs, boots, ms) in frontier.items():
-            for flags, after, k, cost in _round_options(best, top):
-                way = (pairs + (flags,), boots + k, ms + cost)
+        for best, (pairs, counts, _) in frontier.items():
+            for flags in _ROUND_FLAGS:
+                cost, after = _round_run(best, top, flags)
+                total = _plus(counts, cost)
+                rank = (total["Bootstrap"], _price(total))
                 held = reached.get(after)
-                if held is None or way[1:] < held[1:]:
-                    reached[after] = way
+                if held is None or rank < held[2]:
+                    reached[after] = (pairs + (flags,), total, rank)
         frontier = reached
 
     ranked = []
-    for best, (pairs, boots, ms) in frontier.items():
-        k, cost, out = _tail(best, entry_level, top, cfg)
-        plan = SoftmaxPlan(pairs, boots + k, out)
+    for best, (pairs, counts, _) in frontier.items():
+        norm_cost, norm = _norm_run(best, entry_level, top)
+        tail_cost, out = _tail_run(norm, top, cfg)
+        counts = _plus(_plus(counts, norm_cost), tail_cost)
+        plan = SoftmaxPlan(pairs, counts["Bootstrap"], out)
         if need is None:
-            ranked.append(((plan.bootstraps, ms + cost), plan))
+            ranked.append(((plan.bootstraps, _price(counts)), plan))
         else:
             refreshed = out < min(need, top)
             handed = top if refreshed else out
-            ranked.append(((plan.bootstraps + refreshed, -handed, ms + cost), plan))
+            ranked.append(((plan.bootstraps + refreshed, -handed, _price(counts)), plan))
     return min(ranked, key=lambda item: item[0])[1]
+
+
+def _plus(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    return {kind: a[kind] + b[kind] for kind in OP_KINDS}
 
 
 def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
@@ -648,12 +637,20 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
 def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
     """One unblocked pass of :func:`a_softmax` over all rows of M."""
     car = _Carrier(M)
-    work = car.matrix
     pairs = None
     if car.encrypted and M.encrypted:
         pairs = softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need).pairs
-    best = a_max(car, cfg, pairs)
-    norm = _refresh(work - best, 1) * car.keep_classes_mask()
+    out = _tail(car, car.matrix - a_max(car, cfg, pairs), cfg)
+    if car.encrypted:
+        return out.with_meta(shape=(M.shape[0], car.classes), tiling="horizontal")
+    return out
+
+
+def _tail(car: _Carrier, norm, cfg: SoftmaxConfig):
+    """The softmax after the tournament, from the normalized logits
+    ``norm`` = x - max: padded columns masked, contracted, compensated,
+    exponentiated, and multiplied by the reciprocal of the row total."""
+    norm = _refresh(norm, 1) * car.keep_classes_mask()
     norm = domain_extend(norm, cfg)
     if cfg.precise:
         norm = _dep_compensation(norm, cfg)
@@ -661,10 +658,7 @@ def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
     keep_scaled = car.keep_classes_mask(1.0 / INV_RANGE)
     expd = _refresh(_refresh(a_exp(norm), 1) * keep_scaled, 1)
     recip = a_inv(car.row_total(expd))
-    out = car.retile(expd * _refresh(recip, 1))
-    if car.encrypted:
-        return out.with_meta(shape=(M.shape[0], car.classes), tiling="horizontal")
-    return out
+    return car.retile(expd * _refresh(recip, 1))
 
 
 # -- bounds and measured constants ----------------------------------------------

@@ -4,6 +4,7 @@ Expected values are frozen from direct dense-grid measurements; everything
 here is deterministic (fixed seeds), so the pins are tight.
 """
 
+import hashlib
 import itertools
 import runpy
 from pathlib import Path
@@ -383,7 +384,7 @@ def test_folded_scalings_match_the_explicit_order(steps, classes):
 
 def test_named_depths_are_what_the_pieces_consume():
     # on a budget no piece exhausts, every named depth is measured, not
-    # refreshed: the refresh plan reads these names
+    # refreshed: each piece refreshes its input for these names
     ctx = EmulatorContext(256, 16, max_level=10**6)
     x = encode(ctx, np.full((8, 16), 0.25), tiling="horizontal")
     before = ctx.ledger.snapshot()
@@ -651,6 +652,37 @@ def test_softmax_plan_spares_the_paper_step_a_refresh():
     assert (ref_delta["Bootstrap"], ref.level) == (7, 0)
     assert _with_consumer(out, delta, 4) < _with_consumer(ref, ref_delta, 4)
     assert softmax_plan(9, 12, 10, DEFAULTS, 4).pairs[0] == (False, False, False, True)
+
+
+def _plan_table_digest() -> str:
+    """sha256 of every plan's ``(pairs, bootstraps, level)`` at 2, 3, 5, 7,
+    10 and 16 classes, budgets 4 to 24, every entry level and ``need`` in
+    (None, 4), under the default config."""
+    table = [
+        (plan.pairs, plan.bootstraps, plan.level)
+        for classes in (2, 3, 5, 7, 10, 16)
+        for max_level in range(4, 25)
+        for level in range(max_level + 1)
+        for need in (None, 4)
+        for plan in [softmax_plan(level, max_level, classes, DEFAULTS, need)]
+    ]
+    return hashlib.sha256(repr(table).encode()).hexdigest()
+
+
+def test_plan_table_is_pinned():
+    """Which plan is chosen, among equal-cost ones too, at every key.
+
+    The other plan tests pin bootstraps and levels; this one also pins the
+    tie-break between plans of equal cost.  To regenerate the digest, run
+    from the repository root::
+
+        PYTHONPATH=src:tests python -c "import test_approx as t; print(t._plan_table_digest())"
+
+    A new digest changes plans: CHANGES.md says which and why.
+    """
+    assert _plan_table_digest() == (
+        "281a36203407046b56138cf6ef624a749ed5d1b5723505249ba0d5826f587005"
+    )
 
 
 # -- bounds ---------------------------------------------------------------------------
