@@ -134,8 +134,8 @@ def validate_config(cfg: RunConfig) -> None:
     # the logits are tiled across a block's columns and W down its rows
     if cfg.classes is not None and not 2 <= cfg.classes <= min(s0, s1):
         raise ConfigError(
-            f"classes {cfg.classes} must lie in 2..{min(s0, s1)}: "
-            f"at most grid_rows ({s0}) and grid columns ({s1})"
+            f"classes {cfg.classes} must lie in 2..grid columns ({s1}) "
+            f"and in 2..grid_rows ({s0})"
         )
     if cfg.learning_rate <= 0:
         raise ConfigError(f"learning_rate must be positive, got {cfg.learning_rate}")
