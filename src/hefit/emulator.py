@@ -1,7 +1,17 @@
 """Slot-level emulator for leveled homomorphic arithmetic on packed vectors.
 
-A ciphertext is modeled as a fixed-width vector of complex slots plus a
-remaining multiplicative budget (its *level*).  A :class:`CipherBlock` may
+A ciphertext is modeled as a fixed-width vector of slots plus a remaining
+multiplicative budget (its *level*).  CKKS slots are complex, but most of
+what a training step computes is real by construction, so a slot array is
+float64 where its values are real and complex128 only where a packing
+makes them complex (:meth:`EmulatorContext.mul_i`, complex plaintexts such
+as the complexified diagonal masks).  Real operands give real results,
+numpy promotes a mixed pair to complex, and the conjugate recombination
+``x + conj(x)`` (:meth:`EmulatorContext.conj_add`) turns a complex value
+back into float64 slots.  The real part of every slot is what complex128
+slots would hold (an exact zero may differ in sign), so the dtype moves no
+decoded value and no ledger entry; it only spares real slots complex
+arithmetic.  A :class:`CipherBlock` may
 hold a whole grid of such vectors, ``slots`` of shape ``(..., slot_count)``
 with one level for all of them: every primitive is then one numpy call that
 broadcasts its operands over the leading axes and ledgers one op per block
@@ -75,6 +85,19 @@ def tree_sum(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+
+
+def _as_slots(values) -> np.ndarray:
+    """``values`` as complex128 if complex, float64 otherwise; no copy when
+    they already are one of the two."""
+    # every op passes a fresh array of one of the two: the fast path
+    if type(values) is np.ndarray and (values.dtype is _REAL or values.dtype is _COMPLEX):
+        return values
+    arr = np.asarray(values)
+    return arr.astype(_COMPLEX if arr.dtype.kind == "c" else _REAL, copy=False)
+
+
 def _integer_level(value, what: str) -> int:
     """``value`` as an int; a bool or a non-integer raises :class:`LevelError`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -88,8 +111,11 @@ class CipherBlock:
 
     The leading axes index the blocks of a grid; a bare ``(slot_count,)``
     vector is a single block.  The array may be a view, such as a mask
-    broadcast over a grid.  Instances are immutable: the slot array is made
-    read-only on construction and every operation returns a fresh block.
+    broadcast over a grid.  Slots are float64 for real input (integers and
+    booleans included) and complex128 for complex input (see the module
+    docstring).  Instances are immutable: the slot array is made read-only
+    on construction, an array already of one of those dtypes is taken over
+    without a copy, and every operation returns a fresh block.
     """
 
     slots: np.ndarray
@@ -97,7 +123,7 @@ class CipherBlock:
     encrypted: bool = True
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.slots, dtype=np.complex128)
+        arr = _as_slots(self.slots)
         arr.setflags(write=False)
         object.__setattr__(self, "slots", arr)
 
@@ -186,7 +212,7 @@ class EmulatorContext:
     # -- block construction -------------------------------------------------
 
     def _slot_array(self, values) -> np.ndarray:
-        arr = np.asarray(values, dtype=np.complex128)
+        arr = _as_slots(values)
         if arr.ndim == 0 or arr.shape[-1] != self.slot_count:
             raise SlotCountMismatch(
                 f"expected {self.slot_count} slots, got shape {arr.shape}"
@@ -218,7 +244,9 @@ class EmulatorContext:
                     f"block has {len(v)} slots, context expects {self.slot_count}"
                 )
             return v.slots, v.encrypted, v.level
-        if isinstance(v, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+        if isinstance(v, (int, float, np.integer, np.floating)):
+            return float(v), False, PLAINTEXT_LEVEL
+        if isinstance(v, (complex, np.complexfloating)):
             return complex(v), False, PLAINTEXT_LEVEL
         return self._slot_array(v), False, PLAINTEXT_LEVEL
 
@@ -304,7 +332,7 @@ class EmulatorContext:
             return x if isinstance(x, CipherBlock) else CipherBlock(vx, lx, ex)
         if ex:
             self.ledger.record("Rot", self._blocks(vx))
-        out = np.empty(vx.shape, np.complex128)
+        out = np.empty(vx.shape, vx.dtype)
         out[..., : self.slot_count - r] = vx[..., r:]
         out[..., self.slot_count - r :] = vx[..., :r]
         return CipherBlock(out, lx, ex)
@@ -334,7 +362,7 @@ class EmulatorContext:
             self.ledger.record("Add", k * len(shifts))
             self.ledger.record("Rot", k * sum(1 for s in shifts if s))
         # the second buffer only when a step reads the first
-        bufs = [np.empty(vx.shape, np.complex128)]
+        bufs = [np.empty(vx.shape, vx.dtype)]
         if len(shifts) > 1:
             bufs.append(np.empty_like(bufs[0]))
         acc = vx
@@ -428,11 +456,31 @@ class EmulatorContext:
             self.ledger.record("Conj", self._blocks(vx))
         return CipherBlock(np.conj(vx), lx, ex)
 
+    def conj_add(self, x: CipherBlock) -> CipherBlock:
+        """The conjugate recombination ``x + conj(x)``: twice the real part.
+
+        Ledgers what :meth:`conj` then :meth:`add` would, one Conj and one
+        Add per block, and keeps the level.  The sum is real by
+        construction, so it is returned as float64 slots ``Re x + Re x``,
+        equal bit for bit to the real part of the composition.  Where an
+        imaginary part is not finite the composition's imaginary part is
+        NaN, so it is returned instead, complex, for a decode to reject.
+        """
+        vx, ex, lx = self._operand(x)
+        if ex:
+            k = self._blocks(vx)
+            self.ledger.record("Conj", k)
+            self.ledger.record("Add", k)
+        if vx.dtype.kind == "c" and not np.isfinite(vx.imag).all():
+            return CipherBlock(vx + np.conj(vx), lx, ex)
+        re = vx.real
+        return CipherBlock(re + re, lx, ex)
+
     def mul_i(self, x: CipherBlock) -> CipherBlock:
         """Multiply every slot by the imaginary unit.
 
         This is a packing trick, not a homomorphic multiplication: it is
-        depth-free and unledgered."""
+        depth-free and unledgered.  The result is complex128."""
         vx, ex, lx = self._operand(x)
         return CipherBlock(vx * 1j, lx, ex)
 

@@ -140,6 +140,11 @@ class EncodedMatrix:
     def conj(self) -> "EncodedMatrix":
         return self._with(self.ctx.conj(self.block))
 
+    def conj_add(self) -> "EncodedMatrix":
+        """``self + self.conj()``, real
+        (:meth:`~hefit.emulator.EmulatorContext.conj_add`)."""
+        return self._with(self.ctx.conj_add(self.block))
+
     def mul_i(self) -> "EncodedMatrix":
         return self._with(self.ctx.mul_i(self.block))
 
@@ -219,7 +224,8 @@ def layout(ctx: EmulatorContext, rows: int, cols: int, tiling: str = "none"):
 
 
 def padded_array(E: EncodedMatrix) -> np.ndarray:
-    """Reassemble the full padded slot grid (complex, introspection only)."""
+    """Reassemble the full padded slot grid, in the slots' dtype (float64
+    or complex128; introspection only)."""
     s0, s1 = E.ctx.grid_rows, E.ctx.grid_cols
     gr, gc = E.grid
     return E.block.slots.reshape(gr, gc, s0, s1).swapaxes(1, 2).reshape(gr * s0, gc * s1)
@@ -230,18 +236,20 @@ def decode(E: EncodedMatrix, role: str = "observer", tag: str | None = None) -> 
 
     Decoding encrypted data is the privacy boundary, so every such call is
     recorded on the context's audit trail under ``role``.  Raises
-    :class:`~hefit.errors.ResidualImaginary` if the logical region carries
-    imaginary residue at or above 1e-9.
+    :class:`~hefit.errors.ResidualImaginary` if the logical region of
+    complex slots carries imaginary residue at or above 1e-9 (or NaN);
+    real slots have none to scan.
     """
     if E.encrypted:
         E.ctx.note_decode(role, tag)
     full = padded_array(E)
     logical = full[: E.shape[0], : E.shape[1]]
-    worst = float(np.max(np.abs(logical.imag))) if logical.size else 0.0
-    if not worst < IMAG_TOLERANCE:
-        raise ResidualImaginary(
-            f"imaginary residue {worst:.3e} in decoded {E.shape} matrix"
-        )
+    if logical.dtype.kind == "c":
+        worst = float(np.max(np.abs(logical.imag))) if logical.size else 0.0
+        if not worst < IMAG_TOLERANCE:
+            raise ResidualImaginary(
+                f"imaginary residue {worst:.3e} in decoded {E.shape} matrix"
+            )
     return np.array(logical.real, dtype=np.float64)
 
 
@@ -340,10 +348,12 @@ def bootstrap_pair(a, b):
     ``(p - conj p) / (2i)`` is ``b``.  Multiplying by ``i`` is depth-free,
     so either input may be at level 0.  Costs 1 Bootstrap, 1 Conj, 3 Add
     and 2 CMult per block and returns both, with their own metadata, at
-    ``max_level - 1``.  Slots must be real: an imaginary part of ``b``
-    leaks into ``a`` (and one of ``a`` into ``b``).  Plaintext matrices and
-    numpy arrays come back unchanged; matrices on different grids raise
-    :class:`~hefit.errors.ShapeMismatch`, even where one would broadcast.
+    ``max_level - 1``.  Both halves are real by construction, so they come
+    back as float64 slots (:func:`_real`).  Slots must be real: an
+    imaginary part of ``b`` leaks into ``a`` (and one of ``a`` into ``b``).
+    Plaintext matrices and numpy arrays come back unchanged; matrices on
+    different grids raise :class:`~hefit.errors.ShapeMismatch`, even where
+    one would broadcast.
     """
     if not any(isinstance(m, EncodedMatrix) and m.encrypted for m in (a, b)):
         return a, b
@@ -351,7 +361,20 @@ def bootstrap_pair(a, b):
         raise ShapeMismatch(f"bootstrap_pair: grids differ, {a.grid} vs {b.grid}")
     p = (a + b.mul_i()).bootstrap()
     pc = p.conj()
-    return (p + pc) * 0.5, b._with(((p - pc) * -0.5j).block)
+    return _real((p + pc) * 0.5), b._with(_real((p - pc) * -0.5j).block)
+
+
+def _real(E: EncodedMatrix) -> EncodedMatrix:
+    """E with float64 slots, its real parts, where every imaginary part is
+    zero (of either sign); otherwise, a NaN among them included, E itself.
+
+    For finite slots each half :func:`bootstrap_pair` unpacks has zero
+    imaginary parts, so this drops only zeros and moves no real part.
+    """
+    slots = E.block.slots
+    if slots.imag.any():
+        return E
+    return E._with(CipherBlock(np.ascontiguousarray(slots.real), E.level, E.encrypted))
 
 
 # -- mask builders -------------------------------------------------------------
@@ -368,8 +391,10 @@ def pattern_matrix(ctx: EmulatorContext, pattern: np.ndarray) -> EncodedMatrix:
             f"pattern must broadcast to {(ctx.grid_rows, ctx.grid_cols)}, got {np.shape(pattern)}"
         ) from None
     # one C-order copy, none if the pattern already is one: astype keeps a
-    # broadcast row's layout, and the reshape then copies it again
-    block = ctx.pack(np.ascontiguousarray(pattern, np.complex128).reshape(1, 1, ctx.slot_count))
+    # broadcast row's layout, and the reshape then copies it again; real
+    # patterns stay real
+    dtype = np.complex128 if np.iscomplexobj(pattern) else np.float64
+    block = ctx.pack(np.ascontiguousarray(pattern, dtype).reshape(1, 1, ctx.slot_count))
     return EncodedMatrix(ctx, block, (ctx.grid_rows, ctx.grid_cols))
 
 
@@ -386,13 +411,15 @@ def make_mask(
     ``(1/2) M(shift) - (i/2) M(shift + modulus/2)``, so one CMult recombines
     a complex-packed pair.  ``modulus`` must divide both grid dimensions so
     the pattern is uniform across blocks; ``scale`` rides the mask for free.
+    Only the complexified mask has complex slots.
     """
     s0, s1 = ctx.grid_rows, ctx.grid_cols
     if modulus < 1 or s0 % modulus or s1 % modulus:
         raise ShapeMismatch(f"mask modulus {modulus} must divide grid dims {(s0, s1)}")
     shift = int(shift) % modulus
     # column j = t * modulus + r sits on the diagonal of row i when r = i + shift
-    pattern = np.zeros((s0, s1 // modulus, modulus), dtype=np.complex128)
+    dtype = np.complex128 if complexified else np.float64
+    pattern = np.zeros((s0, s1 // modulus, modulus), dtype=dtype)
     rows = np.arange(s0)
     if complexified:
         pattern[rows, :, (rows + shift) % modulus] = 0.5 * scale

@@ -4,7 +4,9 @@ Four routines, two packings each of ``A B^T`` (shapes ``(a,b) x (c,b)``) and
 ``A^T B`` (shapes ``(a,c) x (a,b)``):
 
 * :func:`diag_abt` / :func:`diag_atb` — complex-packed diagonal extraction
-  against a tiled operand; c/2 diagonal passes recombined by conjugation.
+  against a tiled operand; c/2 diagonal passes recombined by conjugation
+  (``x + conj(x)``, :meth:`~hefit.encoding.EncodedMatrix.conj_add`), which
+  returns the real product as real slots.
 * :func:`col_major_abt` / :func:`row_major_atb` — one mask-replicate-reduce
   pass per row/column of the small dimension; simpler, rotation-heavier.
 
@@ -82,7 +84,7 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
             fold = prod if fold is None else fold + prod
         term = col_sums(fold) * make_mask(ctx, k, c, complexified=c > 1)
         acc = term if acc is None else acc + term
-    out = acc if c == 1 else acc + acc.conj()
+    out = acc if c == 1 else acc.conj_add()
     return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal")
 
 
@@ -121,7 +123,7 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
         for k in passes:
             term = row_sums(aligned[k] * (prot_up(col, k) if use_partial else col)) * masks[k]
             acc = term if acc is None else acc + term
-        cols.append(acc if c == 1 else acc + acc.conj())
+        cols.append(acc if c == 1 else acc.conj_add())
     return join_columns(cols).with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")
 
 

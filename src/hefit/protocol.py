@@ -18,6 +18,12 @@ The payload of matrix-bearing messages is one or more serialized
     then the grid's blocks, row-major:
       slot_count * complex128, little-endian
 
+Slots always go out as complex128, real ones with zero imaginary halves,
+so a frame's bytes do not depend on how the sender held its slots.  The
+receiver keeps a frame whose imaginary halves are all zero as real
+(float64) slots, as :func:`~hefit.encoding.encode` would have made them,
+and any other as complex.
+
 The tiling period and the block grid are not sent: the receiver derives
 both from the shape and tiling (:func:`~hefit.encoding.layout`), so a frame
 cannot state a layout :func:`~hefit.encoding.encode` would not write.
@@ -79,7 +85,8 @@ def _grid(ctx: EmulatorContext, rows: int, cols: int, tiling: str) -> tuple[int,
 
 
 def pack_matrix(matrix: EncodedMatrix) -> bytes:
-    """Serialize an encoded matrix: its header, then its grid's slots.
+    """Serialize an encoded matrix: its header, then its grid's slots as
+    complex128 (real slots with +0 imaginary halves).
 
     A matrix whose block grid is not the one its shape and tiling give
     would be misread, so it raises :class:`ProtocolError` before any byte
@@ -108,7 +115,11 @@ def pack_matrix(matrix: EncodedMatrix) -> bytes:
 
 
 def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[EncodedMatrix, int]:
-    """Rebuild a matrix from :func:`pack_matrix` bytes; returns (matrix, next offset)."""
+    """Rebuild a matrix from :func:`pack_matrix` bytes; returns (matrix, next offset).
+
+    Slots are float64 when every imaginary half in the frame is zero,
+    complex128 otherwise.
+    """
     try:
         (version, rows, cols, tcode, slots, block_rows, enc, raw_level) = _HEAD.unpack_from(
             data, offset
@@ -134,7 +145,9 @@ def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[E
     need = count * _SLOT.itemsize
     if len(data) - pos < need:
         raise ProtocolError(f"truncated matrix body: need {need} bytes, have {len(data) - pos}")
-    body = np.frombuffer(data, dtype=_SLOT, count=count, offset=pos).reshape(gr, gc, slots).copy()
+    body = np.frombuffer(data, dtype=_SLOT, count=count, offset=pos).reshape(gr, gc, slots)
+    # a NaN imaginary half is nonzero, so it stays for the check below
+    body = body.copy() if body.imag.any() else np.ascontiguousarray(body.real)
     # the sum is finite when every slot is, and needs no slot-sized mask
     # (a paper-scale batch's mask raised train-paper's peak RSS by 0.3 MiB);
     # only a sum that overflowed needs the slot-wise scan

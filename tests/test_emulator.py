@@ -15,7 +15,7 @@ from hefit.emulator import (
     EmulatorContext,
     OpLedger,
 )
-from hefit.encoding import encode
+from hefit.encoding import EncodedMatrix, decode, encode
 from hefit.errors import DepthExhausted, HefitError, LevelError, SlotCountMismatch
 
 
@@ -31,9 +31,10 @@ def test_block_slots_are_read_only():
 
 def test_block_accepts_any_numeric_input():
     blk = CipherBlock(list(range(4)), 3)
-    assert blk.slots.dtype == np.complex128
+    assert blk.slots.dtype == np.float64
     assert len(blk) == 4
     assert blk.encrypted
+    assert CipherBlock([1j, 0, 2, 3], 3).slots.dtype == np.complex128
 
 
 def test_add_counts_and_keeps_level():
@@ -296,3 +297,140 @@ def test_rot_sum_matches_the_add_lrot_loop(shape, shifts, encrypted, seed):
     assert (got.level, got.encrypted) == (acc.level, acc.encrypted)
     assert not got.slots.flags.writeable
     assert x.slots.tobytes() == values.astype(np.complex128).tobytes()
+
+
+# -- real and complex slots ------------------------------------------------------
+
+
+def _real_values(rng, shape):
+    """Normal values with zeros of both signs mixed in."""
+    v = rng.normal(size=shape)
+    v[rng.random(shape) < 0.2] = 0.0
+    v[rng.random(shape) < 0.2] = -0.0
+    return v
+
+
+# op(ctx, x, y, s): x and y blocks, s a scalar; y is a one-block (16,) mask
+# for spread (kept: the first of every 4 slots) and sum_spread
+REAL_OPS = {
+    "add": lambda ctx, x, y, s: ctx.add(x, y),
+    "sub": lambda ctx, x, y, s: ctx.sub(x, y),
+    "mult": lambda ctx, x, y, s: ctx.mult(x, y),
+    "mult_square": lambda ctx, x, y, s: ctx.mult(x, x),
+    "add_scalar": lambda ctx, x, y, s: ctx.add(s, x),
+    "sub_scalar": lambda ctx, x, y, s: ctx.sub(x, s),
+    "mult_scalar": lambda ctx, x, y, s: ctx.mult(x, s),
+    "scalar_mult": lambda ctx, x, y, s: ctx.mult(s, x),
+    "lrot": lambda ctx, x, y, s: ctx.lrot(x, 3),
+    "rrot": lambda ctx, x, y, s: ctx.rrot(x, 5),
+    "rot_sum": lambda ctx, x, y, s: ctx.rot_sum(x, [1, -2, 4, 0]),
+    "spread": lambda ctx, x, y, s: ctx.spread(x, y, 1, 4),
+    "sum_spread": lambda ctx, x, y, s: ctx.sum_spread(x, y, 4),
+    "conj": lambda ctx, x, y, s: ctx.conj(x),
+    "bootstrap": lambda ctx, x, y, s: ctx.bootstrap(x),
+}
+MASK_OPS = ("spread", "sum_spread")
+
+
+@given(
+    op=st.sampled_from(sorted(REAL_OPS)),
+    shape=st.sampled_from([(16,), (1, 3, 16), (2, 2, 16)]),
+    one_block_y=st.booleans(),
+    x_encrypted=st.booleans(),
+    y_encrypted=st.booleans(),
+    scalar=st.sampled_from([2.5, -0.75, 0.0, -0.0, 3, np.float64(-1.5), True]),
+    seed=st.integers(0, 2**16),
+)
+def test_real_operands_give_the_real_part_of_the_complex_composition(
+    op, shape, one_block_y, x_encrypted, y_encrypted, scalar, seed
+):
+    ctx = fresh()
+    rng = np.random.default_rng(seed)
+    xv = _real_values(rng, shape)
+    yv = _real_values(rng, (16,) if one_block_y or op in MASK_OPS else shape)
+    if op in MASK_OPS:
+        yv[np.arange(16) % 4 != 0] = 0.0
+
+    def block(values, encrypted):
+        return ctx.encrypt(values, level=5) if encrypted else ctx.pack(values)
+
+    def run(x, y, s):
+        before = ctx.ledger.snapshot()
+        return REAL_OPS[op](ctx, x, y, s), ctx.ledger.delta(before)
+
+    got, got_ops = run(block(xv, x_encrypted), block(yv, y_encrypted), scalar)
+    # the same values held as complex128 with +0 imaginary parts, as every
+    # slot was held before slots could be real
+    want, want_ops = run(
+        block(xv.astype(np.complex128), x_encrypted),
+        block(yv.astype(np.complex128), y_encrypted),
+        complex(scalar),
+    )
+    assert want.slots.dtype == np.complex128
+    assert not want.slots.imag.any()
+    assert got.slots.dtype == np.float64
+    assert got.slots.tobytes() == np.ascontiguousarray(want.slots.real).tobytes()
+    assert (got.slots.shape, got.level, got.encrypted) == (want.slots.shape, want.level, want.encrypted)
+    assert got_ops == want_ops
+    assert not got.slots.flags.writeable
+
+
+def test_mul_i_and_complex_plaintexts_give_complex_slots():
+    ctx = fresh()
+    x = ctx.encrypt(np.arange(16.0))
+    assert x.slots.dtype == np.float64
+    assert ctx.mul_i(x).slots.dtype == np.complex128
+    assert ctx.mult(x, 0.5j).slots.dtype == np.complex128
+    assert ctx.add(x, ctx.pack(np.full(16, 1j))).slots.dtype == np.complex128
+    assert ctx.mult(x, np.full(16, 1 + 0j)).slots.dtype == np.complex128
+
+
+@given(
+    shape=st.sampled_from([(16,), (1, 3, 16), (2, 2, 16)]),
+    encrypted=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_conj_add_is_the_real_part_of_the_recombination(shape, encrypted, seed):
+    ctx = fresh()
+    rng = np.random.default_rng(seed)
+    values = _real_values(rng, shape) + 1j * _real_values(rng, shape)
+    x = ctx.encrypt(values, level=3) if encrypted else ctx.pack(values)
+
+    before = ctx.ledger.snapshot()
+    want = ctx.add(x, ctx.conj(x))
+    want_ops = ctx.ledger.delta(before)
+    before = ctx.ledger.snapshot()
+    got = ctx.conj_add(x)
+    assert ctx.ledger.delta(before) == want_ops
+    assert not want.slots.imag.any()
+    assert got.slots.dtype == np.float64
+    assert got.slots.tobytes() == np.ascontiguousarray(want.slots.real).tobytes()
+    assert (got.slots.shape, got.level, got.encrypted) == (want.slots.shape, want.level, want.encrypted)
+
+    # a real operand doubles
+    real = ctx.encrypt(values.real, level=3)
+    assert ctx.conj_add(real).slots.tobytes() == (values.real + values.real).tobytes()
+
+
+@pytest.mark.parametrize("bad", [complex(1.0, np.nan), complex(2.0, np.inf), complex(0.0, -np.inf)])
+def test_conj_add_keeps_a_non_finite_imaginary_part_for_decode_to_reject(bad):
+    ctx = EmulatorContext(256, 16)
+    e = encode(ctx, np.ones((2, 2)))
+    slots = e.block.slots.astype(np.complex128)
+    slots[0, 0, 1] = bad
+    x = CipherBlock(slots, e.level, True)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        want = ctx.add(x, ctx.conj(x))
+        got = ctx.conj_add(x)
+    assert got.slots.dtype == np.complex128
+    assert got.slots.tobytes() == want.slots.tobytes()
+    with pytest.raises(HefitError, match="imaginary residue nan"):
+        decode(EncodedMatrix(ctx, got, e.shape))
+    # a non-finite real part with a finite imaginary one stays real, as
+    # the composition's real part
+    slots = slots.copy()  # the block took the first copy over, read-only
+    slots[0, 0, 1] = complex(np.inf, 1.0)
+    x = CipherBlock(slots, e.level, True)
+    got = ctx.conj_add(x)
+    assert got.slots.dtype == np.float64
+    assert got.slots.tobytes() == np.ascontiguousarray(ctx.add(x, ctx.conj(x)).slots.real).tobytes()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hefit.emulator import EmulatorContext
+from hefit.emulator import CipherBlock, EmulatorContext
 from hefit.encoding import encode, padded_array
 from hefit.errors import ProtocolError
 from hefit.protocol import (
@@ -170,6 +170,37 @@ def test_unpack_rejects_non_finite_slots(ctx, rng, part, value):
 def test_unpack_accepts_finite_slots_whose_sum_overflows(ctx):
     huge = encode(ctx, np.full((3, 5), 1e308))
     assert_same_matrix(roundtrip(ctx, huge), huge)
+
+
+def _held_complex(matrix):
+    """The same matrix with its slots held as complex128."""
+    block = CipherBlock(matrix.block.slots.astype(np.complex128), matrix.level, matrix.encrypted)
+    return matrix._with(block)
+
+
+@pytest.mark.parametrize("tiling,shape", [("none", (20, 33)), ("vertical", (4, 33))])
+def test_real_slots_go_out_as_complex128_and_come_back_real(ctx, rng, tiling, shape):
+    values = rng.normal(size=shape)
+    values[0, :3] = (0.0, -0.0, 1e308)
+    orig = encode(ctx, values, tiling=tiling)
+    assert orig.block.slots.dtype == np.float64
+    data = pack_matrix(orig)
+    assert data == pack_matrix(_held_complex(orig))
+    got = roundtrip(ctx, orig)
+    assert got.block.slots.dtype == np.float64
+    assert got.block.slots.tobytes() == orig.block.slots.tobytes()
+    assert_same_matrix(got, orig)
+    # a complex matrix whose imaginary parts are all zero comes back real
+    assert roundtrip(ctx, _held_complex(orig)).block.slots.dtype == np.float64
+
+
+def test_complex_slots_come_back_complex(ctx, rng):
+    orig = encode(ctx, rng.normal(size=(20, 33))).mul_i()
+    assert orig.block.slots.dtype == np.complex128
+    got = roundtrip(ctx, orig)
+    assert got.block.slots.dtype == np.complex128
+    assert got.block.slots.tobytes() == orig.block.slots.tobytes()
+    assert_same_matrix(got, orig)
 
 
 # Headers encode never writes, set through the shape and tiling fields:
