@@ -41,20 +41,20 @@ passes through unchanged.  The deepest pieces need 4 levels, so any
 budget of at least 4 runs the whole pipeline without the context's
 ``auto_bootstrap`` fallback.
 
-The tournament is the one place with two live values: the running
-maximum ``best`` and its comparison chain.  Where the chain needs a
-refresh, :func:`a_max` may refresh it alone or together with ``best`` as
-one complex-packed ciphertext, which also lifts ``best`` and so every
-piece after it.  :func:`softmax_plan` picks these choices by a dynamic
-program over levels that prices each move by a dry run of the pipeline's
-own code (:func:`_round`, :func:`_tail`) on a two-slot context, so the
-refresh rule and the depths live in the pipeline alone.  It minimises
-bootstraps, then emulated ms; given the levels the output's consumer
-needs, it counts the consumer's refresh too and prefers the highest level
-handed on before ms.  The pieces after the tournament form a chain of one
-value each, where refreshing only below the next piece's need is already
-optimal, so they keep :func:`_refresh`.  Every bootstrap is value-exact,
-so the plan moves levels and the ledger, never a slot.
+The tournament is the one place with two live values: the running maximum
+``best`` and its comparison chain.  The chain refreshes alone, except at
+most at one point per round, its pack point, where it refreshes together
+with ``best`` as one complex-packed ciphertext, which also lifts ``best``
+and so every piece after it.  :func:`softmax_plan` picks the pack points
+by a dynamic program over levels that prices each move by a dry run of the
+pipeline's own code (:func:`_round`, :func:`_tail`) on a two-slot context,
+so the refresh rule and the depths live in the pipeline alone.  It
+minimises bootstraps, then emulated ms; given the levels the output's
+consumer needs, it counts the consumer's refresh too and prefers the
+highest level handed on before ms.  The pieces after the tournament form a
+chain of one value each, where refreshing only below the next piece's need
+is already optimal, so they keep :func:`_refresh`.  Every bootstrap is
+value-exact, so the plan moves levels and the ledger, never a slot.
 
 Only two knobs are configurable (:class:`SoftmaxConfig`): the number of
 extension steps and the compensation.  The exp and reciprocal parameters
@@ -64,7 +64,6 @@ and the contraction base are module constants.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -326,7 +325,7 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     isolated and broadcast.  The result never exceeds the true maximum (the
     blends are convex), and it equals, bit for bit, a tournament on inputs
     scaled by 1/(2R) whose winner is scaled back by 2R.  ``pairs`` holds
-    one flag tuple per round (:func:`_round`, :attr:`SoftmaxPlan.pairs`);
+    one pack point per round (:func:`_round`, :attr:`SoftmaxPlan.pairs`);
     without it every refresh is the comparison chain's own, and an array
     ignores it.
 
@@ -340,44 +339,41 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     r = cfg.max_range
     first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_G))
     if pairs is None or not car.encrypted:
-        pairs = ((False,) * 4,) * log2(car.period)
+        pairs = (None,) * log2(car.period)
     best = car.pushed_down(r)
-    for t, flags in enumerate(pairs):
-        best = _round(car, best, t, first, flags)
+    for t, pack in enumerate(pairs):
+        best = _round(car, best, t, first, pack)
     best = car.broadcast_col0(best)
     if car.encrypted or M is car:
         return best
     return np.repeat(best, car.period, axis=1)
 
 
-def _round(car: _Carrier, best, t: int, first, flags):
+def _round(car: _Carrier, best, t: int, first, pack: int | None):
     """Knockout round t of :func:`a_max`, its first comparison pass through
     ``first``.
 
     ``best`` is refreshed for the first comparison polynomial before the
-    roll, so ``rival`` inherits the fresh level.  A round has two live
-    values: ``best`` loses one level, at the blend, and the comparison chain
-    ``best - rival`` three passes of ``ODD_POLY_DEPTH``.  ``flags`` is
-    ``(pass 1, pass 2, pass 3, blend)``: where one is set, the chain is
-    refreshed together with ``best`` as one complex-packed ciphertext
-    (:func:`_refresh_pair`) instead of alone, and the round re-rolls
-    ``rival`` from the refreshed ``best`` (one Rot) so the blend sees both
-    at the fresh level.  A bootstrap is value-exact either way, so the flags
-    move levels and the ledger, never a slot; an array has no levels.
+    roll, so ``rival`` inherits the fresh level.  ``best`` then loses one
+    level, at the blend, and the chain ``best - rival`` three passes of
+    ``ODD_POLY_DEPTH``.  At ``pack`` (1 before pass 2, 2 before pass 3, 3
+    before the blend, None nowhere) the chain refreshes together with
+    ``best`` as one complex-packed ciphertext (:func:`_refresh_pair`), not
+    alone, and ``rival`` is re-rolled from the fresh ``best`` (one Rot).  A
+    pack before pass 1 would never fire: the chain starts at ``best``'s
+    fresh level.  Bootstraps are value-exact, so ``pack`` moves levels and
+    the ledger, never a slot; an array has no levels.
     """
     best = _refresh(best, ODD_POLY_DEPTH)
     best, rival = car.knockout_pair(best, t)
     chain = best - rival
-    for coeffs, packed in zip((first, COMP_G, COMP_F_HALF), flags):
-        if packed:
+    for i, coeffs in enumerate((first, COMP_G, COMP_F_HALF)):
+        if i == pack:
             chain, best = _refresh_pair(chain, best, ODD_POLY_DEPTH)
         chain = _odd_poly(chain, coeffs)
     w = chain + 0.5
-    if flags[3]:
-        w, best = _refresh_pair(w, best, 1)
-    else:
-        w = _refresh(w, 1)
-    if any(flags):
+    w, best = _refresh_pair(w, best, 1) if pack == 3 else (_refresh(w, 1), best)
+    if pack is not None:
         best, rival = car.knockout_pair(best, t)
     return best * w + rival * (1.0 - w)
 
@@ -508,22 +504,23 @@ def a_inv(y):
 class SoftmaxPlan:
     """Where one encrypted softmax refreshes, and what that predicts.
 
-    ``pairs`` holds :func:`a_max`'s choices, one ``(pass 1, pass 2, pass 3,
-    blend)`` flag tuple per tournament round: a set flag refreshes the
-    comparison chain together with ``best`` (one packed bootstrap), a clear
-    one the chain alone.  ``bootstraps`` (per block) and ``level`` are what
-    the softmax executes and hands on, on any budget of at least 4 levels.
+    ``pairs`` holds :func:`a_max`'s choices, one pack point per tournament
+    round (:func:`_round`): where the comparison chain refreshes together
+    with ``best`` (one packed bootstrap), or None where every refresh is the
+    chain's alone.  ``bootstraps`` (per block) and ``level`` are what the
+    softmax executes and hands on, on any budget of at least 4 levels.
     """
 
-    pairs: tuple[tuple[bool, bool, bool, bool], ...]
+    pairs: tuple[int | None, ...]
     bootstraps: int
     level: int
 
 
-# Every flag tuple of one round, in order with unset before set: of
-# equal-cost choices the plan keeps the first, so a flag that changes
-# nothing stays unset.
-_ROUND_FLAGS = tuple(itertools.product((False, True), repeat=4))
+# A round's pack points, None first: of equal-cost moves the plan keeps the
+# first, so a pack that changes nothing is not made.  Two packs in one round
+# are never cheaper: at budgets 1 to 24, from every level of ``best``, one of
+# these four reaches as high a level for no more bootstraps and no more ms.
+_ROUND_PACKS = (None, 1, 2, 3)
 _price = OpLedger().estimate_ms
 
 
@@ -539,10 +536,10 @@ def _dry_run(top: int, step, *levels: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _round_run(best: int, top: int, flags):
+def _round_run(best: int, top: int, pack: int | None):
     """:func:`_round` from ``best``'s level, dry; its ledger depends on
     neither the round's index nor its coefficients."""
-    return _dry_run(top, lambda car: _round(car, car.matrix, 0, COMP_G, flags), best)
+    return _dry_run(top, lambda car: _round(car, car.matrix, 0, COMP_G, pack), best)
 
 
 @functools.lru_cache(maxsize=None)
@@ -565,30 +562,30 @@ def softmax_plan(
     """The refresh plan of one encrypted softmax entering at ``entry_level``.
 
     A dynamic program over ``best``'s level between tournament rounds keeps,
-    for each level, the cheapest choices (fewest bootstraps, then least
-    emulated ms) that reach it.  Each move is priced by a dry run
-    (:func:`_dry_run`), and :meth:`~hefit.emulator.OpLedger.estimate_ms`
-    prices each plan's summed op counts, so equal counts tie exactly.
-    Without ``need`` the plan has the fewest bootstraps,
-    then the least ms, so it never costs more than refreshing every chain
-    alone.  ``need`` is the levels the consumer of the output will need: an
-    output below it counts the consumer's refresh, then the plan hands on
-    the highest level (``max_level`` where the consumer refreshes), then the
-    least ms.  Cached per key, as are the dry runs; planning reads levels
-    only, never slots.
+    for each level, the cheapest pack points (fewest bootstraps, then least
+    emulated ms) that reach it.  Each round's four moves
+    (:data:`_ROUND_PACKS`) are priced by a dry run (:func:`_dry_run`), and
+    :meth:`~hefit.emulator.OpLedger.estimate_ms` prices each plan's summed
+    op counts, so equal counts tie exactly.  Without ``need`` the plan has
+    the fewest bootstraps, then the least ms, so it never costs more than
+    refreshing every chain alone.  ``need`` is the levels the consumer of
+    the output will need: an output below it counts the consumer's refresh,
+    then the plan hands on the highest level (``max_level`` where the
+    consumer refreshes), then the least ms.  Cached per key, as are the dry
+    runs; planning reads levels only, never slots.
     """
     top = max_level
     frontier = {entry_level: ((), dict.fromkeys(OP_KINDS, 0), (0, 0.0))}
     for _ in range(log2(next_pow2(classes))):
         reached = {}
         for best, (pairs, counts, _) in frontier.items():
-            for flags in _ROUND_FLAGS:
-                cost, after = _round_run(best, top, flags)
+            for pack in _ROUND_PACKS:
+                cost, after = _round_run(best, top, pack)
                 total = _plus(counts, cost)
                 rank = (total["Bootstrap"], _price(total))
                 held = reached.get(after)
                 if held is None or rank < held[2]:
-                    reached[after] = (pairs + (flags,), total, rank)
+                    reached[after] = (pairs + (pack,), total, rank)
         frontier = reached
 
     ranked = []

@@ -441,6 +441,7 @@ def softmax_variants(target_range: int) -> dict[str, SoftmaxConfig]:
     steps = DEFAULTS.extension_steps
     while SoftmaxConfig(extension_steps=steps).max_range < target_range:
         steps += 1
+        _validate_softmax(SoftmaxConfig(extension_steps=steps))  # raises past the float range
     variants: dict[str, SoftmaxConfig] = {}
     if target_range <= BASE_RANGE / 2:
         variants["norm"] = SoftmaxConfig(extension_steps=0, precise=False)
@@ -502,6 +503,8 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"--features must be at least 1, got {args.features}")
     if args.per_class < 1:
         raise ConfigError(f"--per-class must be at least 1, got {args.per_class}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     feats, labels = make_gaussian_mixture(
         args.classes * args.per_class,
         args.classes,

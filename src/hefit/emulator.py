@@ -178,10 +178,10 @@ class EmulatorContext:
     ``auto_bootstrap=False`` means a multiplicative op on a level-0 operand
     raises; with ``True`` the operand is restored to ``max_level`` for that
     op only, charged one Bootstrap per block of the operand (``mult(x, x)``
-    charges once).  The softmax and the trainer place their own refreshes
-    and complete without it at every ``max_level >= 5``: the softmax's
-    deepest pieces need 4 levels, a training step 5, and a run config
-    requires that many.  Nothing in the package turns it on.
+    charges once).  The softmax and the trainer complete without it at every
+    ``max_level >= 5`` (a run config's minimum).  Only the softmax planner's
+    pricing context turns it on (``approx._dry_run``), where it fires at
+    budgets 1 to 3 alone.
     """
 
     def __init__(

@@ -599,8 +599,9 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
 def _greedy_a_max(car, cfg, pairs=None):
     """a_max refreshing every value alone, for its own next piece: ``best``
     before the roll, the comparison chain before each pass (inside
-    ``_odd_poly``) and ``w`` before the blend.  ``pairs`` is ignored; the
-    softmax passes its own carrier."""
+    ``_odd_poly``) and ``w`` before the blend, as a plan of pack point None
+    in every round would.  ``pairs``, the plan's pack points, is ignored;
+    the softmax passes its own carrier."""
     r = cfg.max_range
     first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_G))
     best = car.pushed_down(r)
@@ -651,7 +652,7 @@ def test_softmax_plan_spares_the_paper_step_a_refresh():
     assert (delta["Bootstrap"], out.level) == (7, 8)
     assert (ref_delta["Bootstrap"], ref.level) == (7, 0)
     assert _with_consumer(out, delta, 4) < _with_consumer(ref, ref_delta, 4)
-    assert softmax_plan(9, 12, 10, DEFAULTS, 4).pairs[0] == (False, False, False, True)
+    assert softmax_plan(9, 12, 10, DEFAULTS, 4).pairs[0] == 3
 
 
 def _plan_table_digest() -> str:
@@ -681,7 +682,7 @@ def test_plan_table_is_pinned():
     A new digest changes plans: CHANGES.md says which and why.
     """
     assert _plan_table_digest() == (
-        "281a36203407046b56138cf6ef624a749ed5d1b5723505249ba0d5826f587005"
+        "2964ada4b7a8c10374fc652dc3cd940a8df3b4ac70cea8763c963099c3055193"
     )
 
 

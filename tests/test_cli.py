@@ -439,6 +439,9 @@ def test_bench_softmax_small_run(tmp_path, capsys):
         (["bench-matmul", "--slots", "100"], "power of two"),
         (["gen-data", "--classes", "1", "--features", "2", "--per-class", "3",
           "--out", "x.csv"], "at least 2"),
+        (["gen-data", "--classes", "2", "--features", "2", "--per-class", "3",
+          "--seed", "-1", "--out", "x.csv"], "--seed must be non-negative"),
+        (["bench-softmax", "--range", str(2**1100)], "leave the floating-point range"),
     ],
 )
 def test_subcommand_validation_errors(capsys, args, fragment):
