@@ -38,8 +38,9 @@ one complex-packed bootstrap for both: :func:`_refresh_pair`), and the
 one-level glue products.  Each ciphertext is refreshed at most once per
 piece, a budget that already suffices never refreshes, and the array path
 passes through unchanged.  The deepest pieces need 4 levels, so any
-budget of at least 4 runs the whole pipeline without the context's
-``auto_bootstrap`` fallback.
+budget of at least 4 runs the whole pipeline on its own refreshes, and
+:func:`softmax_plan` refuses a smaller one with
+:class:`~hefit.errors.DepthExhausted`.
 
 The tournament is the one place with two live values: the running maximum
 ``best`` and its comparison chain.  The chain refreshes alone, except at
@@ -527,9 +528,10 @@ _price = OpLedger().estimate_ms
 def _dry_run(top: int, step, *levels: int):
     """Per-block op counts and output level of ``step`` on carriers of zeros
     encrypted at ``levels`` in a two-slot context of budget ``top``: on any
-    grid, the same but for grid-wide ladders, which every plan shares.  The
-    fallback is on, so a budget below the deepest piece still prices."""
-    ctx = EmulatorContext(2, 1, max_level=top, auto_bootstrap=True)
+    grid, the same but for grid-wide ladders, which every plan shares.  A
+    budget below the deepest piece raises :class:`~hefit.errors.DepthExhausted`
+    here, so :func:`softmax_plan` refuses it."""
+    ctx = EmulatorContext(2, 1, max_level=top)
     zeros = np.zeros((1, 2))
     out = step(*(_Carrier(encode(ctx, zeros, "horizontal", level=lv)) for lv in levels))
     return ctx.ledger.counts(), out.level
@@ -572,7 +574,9 @@ def softmax_plan(
     the output will need: an output below it counts the consumer's refresh,
     then the plan hands on the highest level (``max_level`` where the
     consumer refreshes), then the least ms.  Cached per key, as are the dry
-    runs; planning reads levels only, never slots.
+    runs; planning reads levels only, never slots.  A ``max_level`` below
+    the deepest piece's 4 levels raises :class:`~hefit.errors.DepthExhausted`
+    from a dry run.
     """
     top = max_level
     frontier = {entry_level: ((), dict.fromkeys(OP_KINDS, 0), (0, 0.0))}

@@ -490,6 +490,15 @@ def cmd_bench_softmax(args) -> int:
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"report -> {args.out}")
+    broken = [
+        f"classes {c['classes']} {c['variant']}"
+        for c in cells
+        if not np.isfinite([c["max_error"], c["avg_error"]]).all()
+    ]
+    if broken:
+        raise ConfigError(
+            f"softmax error is not finite at --range {args.range}: {', '.join(broken)}"
+        )
     return 0
 
 

@@ -28,8 +28,9 @@ oracle for the emulated one.  What the emulator does track faithfully:
 
 * level bookkeeping (multiplications consume one level; a multiply at level 0
   raises :class:`~hefit.errors.DepthExhausted` unless auto-bootstrap is on;
-  the pipelines refresh explicitly and complete without it: the softmax at
-  every budget of at least 4 levels, training at every budget of at least 5),
+  the pipelines refresh explicitly and never turn it on: the softmax runs
+  at every budget of at least 4 levels, training at every budget of at
+  least 5),
 * an operation ledger priced with fixed per-op cost weights, giving a latency
   estimate for the sequence of homomorphic ops that a real backend would
   execute.
@@ -179,9 +180,9 @@ class EmulatorContext:
     raises; with ``True`` the operand is restored to ``max_level`` for that
     op only, charged one Bootstrap per block of the operand (``mult(x, x)``
     charges once).  The softmax and the trainer complete without it at every
-    ``max_level >= 5`` (a run config's minimum).  Only the softmax planner's
-    pricing context turns it on (``approx._dry_run``), where it fires at
-    budgets 1 to 3 alone.
+    ``max_level >= 5`` (a run config's minimum), and nothing in the package
+    turns it on: the softmax planner's pricing context (``approx._dry_run``)
+    raises at budgets below 4 instead.
     """
 
     def __init__(

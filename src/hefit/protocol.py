@@ -7,28 +7,26 @@ Every record on the wire is::
     payload bytes
 
 The payload of matrix-bearing messages is one or more serialized
-:class:`~hefit.encoding.EncodedMatrix` values, each self-describing:
+:class:`~hefit.encoding.EncodedMatrix` ciphertexts, each self-describing:
 
-    u8  format version (2)
+    u8  format version (3)
     u32 rows, u32 cols            logical shape
     u8  tiling (0 none / 1 vertical / 2 horizontal)
     u32 slot_count, u32 block_rows   (context compatibility check)
-    u8  encrypted flag
-    f64 level (+inf for plaintext; one level for the whole grid)
+    u32 level (one level for the whole grid)
     then the grid's blocks, row-major:
-      slot_count * complex128, little-endian
+      slot_count * float64, little-endian
 
-Slots always go out as complex128, real ones with zero imaginary halves,
-so a frame's bytes do not depend on how the sender held its slots.  The
-receiver keeps a frame whose imaginary halves are all zero as real
-(float64) slots, as :func:`~hefit.encoding.encode` would have made them,
-and any other as complex.
+Only ciphertexts travel between the parties, and every slot a party sends
+is real, so :func:`pack_matrix` refuses a plaintext matrix and complex
+slots before it writes a byte.
 
 The tiling period and the block grid are not sent: the receiver derives
 both from the shape and tiling (:func:`~hefit.encoding.layout`), so a frame
 cannot state a layout :func:`~hefit.encoding.encode` would not write.
-:func:`unpack_matrix` rejects an empty shape, a tiling the block cannot
-hold, a body shorter than the derived grid, and any NaN or infinite slot.
+:func:`unpack_matrix` rejects another format version, an empty shape, a
+tiling the block cannot hold, a level above the receiver's ``max_level``, a
+body shorter than the derived grid, and any NaN or infinite slot.
 
 The in-process :func:`channel_pair` endpoints speak exactly this format
 over shared byte buffers, so swapping in a socket later is a transport
@@ -41,7 +39,7 @@ import struct
 
 import numpy as np
 
-from .emulator import PLAINTEXT_LEVEL, CipherBlock, EmulatorContext
+from .emulator import CipherBlock, EmulatorContext
 from .encoding import EncodedMatrix, layout
 from .errors import ProtocolError, TilingError
 
@@ -63,12 +61,12 @@ DECISION_CONTINUE = 0  # validation loss did not improve; keep training
 DECISION_IMPROVED = 1  # improved; server should snapshot current weights
 DECISION_STOP = 2  # patience exhausted; send the best snapshot back
 
-_MATRIX_VERSION = 2
+_MATRIX_VERSION = 3
 _TILING_CODES = {"none": 0, "vertical": 1, "horizontal": 2}
 _TILING_NAMES = {v: k for k, v in _TILING_CODES.items()}
 
-_HEAD = struct.Struct("<BIIBIIBd")
-_SLOT = np.dtype("<c16")
+_HEAD = struct.Struct("<BIIBIII")
+_SLOT = np.dtype("<f8")
 _FRAME_LEN = struct.Struct("<I")
 
 
@@ -85,15 +83,19 @@ def _grid(ctx: EmulatorContext, rows: int, cols: int, tiling: str) -> tuple[int,
 
 
 def pack_matrix(matrix: EncodedMatrix) -> bytes:
-    """Serialize an encoded matrix: its header, then its grid's slots as
-    complex128 (real slots with +0 imaginary halves).
+    """Serialize an encrypted matrix: its header, then its grid's slots as
+    float64.
 
-    A matrix whose block grid is not the one its shape and tiling give
-    would be misread, so it raises :class:`ProtocolError` before any byte
-    is written.
+    A plaintext matrix, complex slots, or a block grid other than the one
+    the shape and tiling give (it would be misread) raise
+    :class:`ProtocolError` before any byte is written.
     """
     ctx = matrix.ctx
     rows, cols = matrix.shape
+    if not matrix.encrypted:
+        raise ProtocolError(f"a plaintext {rows}x{cols} matrix cannot go on the wire")
+    if np.iscomplexobj(matrix.block.slots):
+        raise ProtocolError(f"a {rows}x{cols} matrix with complex slots cannot go on the wire")
     grid = _grid(ctx, rows, cols, matrix.tiling)
     if matrix.grid != grid:
         raise ProtocolError(
@@ -107,67 +109,47 @@ def pack_matrix(matrix: EncodedMatrix) -> bytes:
         _TILING_CODES[matrix.tiling],
         ctx.slot_count,
         ctx.grid_rows,
-        int(matrix.encrypted),
-        float(matrix.level),
+        matrix.level,
     )
     # one copy of the slots, straight into the frame
     return b"".join((head, memoryview(np.ascontiguousarray(matrix.block.slots, dtype=_SLOT))))
 
 
 def unpack_matrix(ctx: EmulatorContext, data: bytes, offset: int = 0) -> tuple[EncodedMatrix, int]:
-    """Rebuild a matrix from :func:`pack_matrix` bytes; returns (matrix, next offset).
-
-    Slots are float64 when every imaginary half in the frame is zero,
-    complex128 otherwise.
-    """
+    """Rebuild a ciphertext from :func:`pack_matrix` bytes; returns (matrix, next offset)."""
     try:
-        (version, rows, cols, tcode, slots, block_rows, enc, raw_level) = _HEAD.unpack_from(
-            data, offset
-        )
+        (version, rows, cols, tcode, slots, block_rows, level) = _HEAD.unpack_from(data, offset)
     except struct.error as exc:
         raise ProtocolError(f"truncated matrix header: {exc}") from None
     if version != _MATRIX_VERSION:
         raise ProtocolError(f"unsupported matrix format version {version}")
     if tcode not in _TILING_NAMES:
         raise ProtocolError(f"unknown tiling code {tcode}")
-    if enc not in (0, 1):
-        raise ProtocolError(f"encrypted flag {enc} is neither 0 nor 1")
     if slots != ctx.slot_count or block_rows != ctx.grid_rows:
         raise ProtocolError(
             f"context mismatch: message packed for {slots} slots x {block_rows} rows, "
             f"receiver uses {ctx.slot_count} x {ctx.grid_rows}"
         )
+    if level > ctx.max_level:
+        raise ProtocolError(f"block level {level} outside 0..{ctx.max_level}")
     tiling = _TILING_NAMES[tcode]
     gr, gc = _grid(ctx, rows, cols, tiling)
-    level = _block_level(ctx, raw_level, bool(enc))
     pos = offset + _HEAD.size
     count = gr * gc * slots
     need = count * _SLOT.itemsize
     if len(data) - pos < need:
         raise ProtocolError(f"truncated matrix body: need {need} bytes, have {len(data) - pos}")
-    body = np.frombuffer(data, dtype=_SLOT, count=count, offset=pos).reshape(gr, gc, slots)
-    # a NaN imaginary half is nonzero, so it stays for the check below
-    body = body.copy() if body.imag.any() else np.ascontiguousarray(body.real)
+    # a copy, so the block never aliases the caller's (possibly mutable) buffer
+    body = np.frombuffer(data, dtype=_SLOT, count=count, offset=pos).reshape(gr, gc, slots).copy()
     # the sum is finite when every slot is, and needs no slot-sized mask
     # (a paper-scale batch's mask raised train-paper's peak RSS by 0.3 MiB);
     # only a sum that overflowed needs the slot-wise scan
     with np.errstate(over="ignore", invalid="ignore"):
         total = body.sum()
-    if not (np.isfinite(total) or np.isfinite(body.view(np.float64)).all()):
+    if not (np.isfinite(total) or np.isfinite(body).all()):
         raise ProtocolError("matrix body carries a NaN or infinite slot")
-    block = CipherBlock(body, level, bool(enc))
+    block = CipherBlock(body, level)
     return EncodedMatrix(ctx=ctx, block=block, shape=(rows, cols), tiling=tiling), pos + need
-
-
-def _block_level(ctx: EmulatorContext, raw: float, encrypted: bool) -> float:
-    """Validate a wire level: an integer in [0, max_level], +inf for plaintext."""
-    if not encrypted:
-        if raw != PLAINTEXT_LEVEL:
-            raise ProtocolError(f"plaintext block carries level {raw}, expected inf")
-        return PLAINTEXT_LEVEL
-    if not (raw.is_integer() and 0 <= raw <= ctx.max_level):
-        raise ProtocolError(f"encrypted block level {raw} outside 0..{ctx.max_level}")
-    return int(raw)
 
 
 class ChannelEndpoint:

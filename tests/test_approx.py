@@ -55,7 +55,7 @@ from hefit.approx import (
 )
 from hefit.emulator import EmulatorContext, log2
 from hefit.encoding import decode, encode, next_pow2, padded_array
-from hefit.errors import ShapeMismatch
+from hefit.errors import DepthExhausted, ShapeMismatch
 from hefit.plainref import exact_softmax
 
 
@@ -548,7 +548,7 @@ class _GainingContext(EmulatorContext):
         return super().bootstrap(x)
 
 
-_BUDGETS_AND_NEEDS = [(m, n) for n in (None, 4) for m in (3, 4, 5, 6, 7, 12)]
+_BUDGETS_AND_NEEDS = [(m, n) for n in (None, 4) for m in (4, 5, 6, 7, 12)]
 
 
 @pytest.mark.parametrize(
@@ -558,14 +558,27 @@ _BUDGETS_AND_NEEDS = [(m, n) for n in (None, 4) for m in (3, 4, 5, 6, 7, 12)]
 @pytest.mark.parametrize("classes", [2, 3, 5, 16])
 def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes, need):
     # budgets of at least 4 levels (the exp fit or the compensation, the
-    # deepest pieces) run on the plan alone; a smaller one also needs the
-    # fallback
+    # deepest pieces) run on the plan alone
     logits = rng.uniform(-30, 30, size=(8, classes))
     want = a_softmax(logits, DEFAULTS)
     for level in range(max_level + 1):
-        ctx = _GainingContext(256, 16, max_level=max_level, auto_bootstrap=max_level < 4)
+        ctx = _GainingContext(256, 16, max_level=max_level)
         out, _ = _encrypted_softmax(ctx, logits, level=level, need=need)
         np.testing.assert_array_equal(decode(out), want)
+
+
+def test_budget_below_the_deepest_piece_is_refused(rng):
+    # a 3-level budget cannot hold the 4-level pieces: the planner's dry run
+    # exhausts its depth, and the encrypted softmax refuses before any op,
+    # whether or not the context would refresh a level-0 operand itself
+    with pytest.raises(DepthExhausted):
+        softmax_plan(3, 3, 3, DEFAULTS)
+    logits = rng.uniform(-30, 30, size=(8, 3))
+    for auto in (False, True):
+        ctx = EmulatorContext(256, 16, max_level=3, auto_bootstrap=auto)
+        with pytest.raises(DepthExhausted):
+            _encrypted_softmax(ctx, logits, level=3)
+        assert not any(ctx.ledger.counts().values())
 
 
 @pytest.mark.parametrize("classes,depth", [(10, 79), (3, 59)])

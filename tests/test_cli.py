@@ -442,6 +442,8 @@ def test_bench_softmax_small_run(tmp_path, capsys):
         (["gen-data", "--classes", "2", "--features", "2", "--per-class", "3",
           "--seed", "-1", "--out", "x.csv"], "--seed must be non-negative"),
         (["bench-softmax", "--range", str(2**1100)], "leave the floating-point range"),
+        (["bench-softmax", "--classes", "3", "--samples", "100", "--range", "300"],
+         "softmax error is not finite at --range 300: classes 3 extn, classes 3 prec"),
     ],
 )
 def test_subcommand_validation_errors(capsys, args, fragment):

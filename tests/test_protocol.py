@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hefit.emulator import CipherBlock, EmulatorContext
+from hefit.emulator import EmulatorContext
 from hefit.encoding import encode, padded_array
 from hefit.errors import ProtocolError
 from hefit.protocol import (
@@ -27,9 +27,8 @@ from hefit.protocol import (
 _VERSION_BYTE = 0
 _SHAPE_OFFSET = 1  # u32 rows, u32 cols
 _TILING_BYTE = 9
-_ENCRYPTED_BYTE = 18
-_LEVEL_OFFSET = 19  # f64 level of the whole grid
-_HEADER_SIZE = 27  # then slot_count complex128 slots per block, row-major
+_LEVEL_OFFSET = 18  # u32 level of the whole grid
+_HEADER_SIZE = 22  # then slot_count float64 slots per block, row-major
 
 
 def patched(matrix, offset, fmt, *values):
@@ -42,7 +41,7 @@ def roundtrip(ctx, matrix):
     data = pack_matrix(matrix)
     got, pos = unpack_matrix(ctx, data)
     assert pos == len(data)
-    assert len(data) == _HEADER_SIZE + 16 * ctx.slot_count * got.grid[0] * got.grid[1]
+    assert len(data) == _HEADER_SIZE + 8 * ctx.slot_count * got.grid[0] * got.grid[1]
     return got
 
 
@@ -70,14 +69,6 @@ def test_roundtrip_untiled_multiblock(ctx, rng):
 def test_roundtrip_tiled(ctx, rng, tiling, shape):
     orig = encode(ctx, rng.normal(size=shape), tiling=tiling)
     got = roundtrip(ctx, orig)
-    assert_same_matrix(got, orig)
-
-
-def test_roundtrip_plaintext_keeps_infinite_level(ctx, rng):
-    orig = encode(ctx, rng.normal(size=(5, 5)), encrypted=False)
-    got = roundtrip(ctx, orig)
-    assert not got.encrypted
-    assert got.level == math.inf
     assert_same_matrix(got, orig)
 
 
@@ -110,6 +101,15 @@ def test_unpack_rejects_unknown_version(ctx, rng):
         unpack_matrix(ctx, bytes(data))
 
 
+def test_unpack_rejects_a_v2_frame(ctx, rng):
+    # the previous format: an encrypted flag, an f64 level, complex128 slots
+    orig = encode(ctx, rng.normal(size=(2, 2)), level=5)
+    head = struct.pack("<BIIBIIBd", 2, 2, 2, 0, ctx.slot_count, ctx.grid_rows, 1, 5.0)
+    data = head + orig.block.slots.astype("<c16").tobytes()
+    with pytest.raises(ProtocolError, match="unsupported matrix format version 2"):
+        unpack_matrix(ctx, data)
+
+
 def test_unpack_rejects_unknown_tiling_code(ctx, rng):
     data = bytearray(pack_matrix(encode(ctx, rng.normal(size=(2, 2)))))
     data[_TILING_BYTE] = 7
@@ -130,24 +130,10 @@ def test_unpack_rejects_truncated_body(ctx, rng):
         unpack_matrix(ctx, data[:-8])
 
 
-@pytest.mark.parametrize("level", [math.nan, 99.0, -3.0, 2.5, math.inf])
+@pytest.mark.parametrize("level", [13, 99, 2**32 - 1])  # the context's max_level is 12
 def test_unpack_rejects_bad_encrypted_level(ctx, rng, level):
-    data = patched(encode(ctx, rng.normal(size=(2, 2))), _LEVEL_OFFSET, "<d", level)
-    with pytest.raises(ProtocolError, match="encrypted block level"):
-        unpack_matrix(ctx, data)
-
-
-def test_unpack_rejects_bad_encrypted_flag(ctx, rng):
-    data = bytearray(pack_matrix(encode(ctx, rng.normal(size=(2, 2)))))
-    data[_ENCRYPTED_BYTE] = 2
-    with pytest.raises(ProtocolError, match="encrypted flag 2 is neither 0 nor 1"):
-        unpack_matrix(ctx, bytes(data))
-
-
-def test_unpack_rejects_finite_plaintext_level(ctx, rng):
-    plain = encode(ctx, rng.normal(size=(2, 2)), encrypted=False)
-    data = patched(plain, _LEVEL_OFFSET, "<d", 3.0)
-    with pytest.raises(ProtocolError, match="plaintext block carries level 3.0"):
+    data = patched(encode(ctx, rng.normal(size=(2, 2))), _LEVEL_OFFSET, "<I", level)
+    with pytest.raises(ProtocolError, match=f"block level {level} outside 0..12"):
         unpack_matrix(ctx, data)
 
 
@@ -155,14 +141,14 @@ def test_unpack_rejects_shape_beyond_grid(rng):
     # the receiver derives a 25x25 grid from the shape; the body holds one block
     small = EmulatorContext(16, 4, max_level=12)
     data = patched(encode(small, rng.normal(size=(2, 2))), _SHAPE_OFFSET, "<II", 100, 100)
-    with pytest.raises(ProtocolError, match="truncated matrix body: need 160000 bytes, have 256"):
+    with pytest.raises(ProtocolError, match="truncated matrix body: need 80000 bytes, have 128"):
         unpack_matrix(small, data)
 
 
-@pytest.mark.parametrize("part", [0, 8])  # real, imaginary half of slot 0
+@pytest.mark.parametrize("offset", [0, 8])  # slot 0, slot 1
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_unpack_rejects_non_finite_slots(ctx, rng, part, value):
-    data = patched(encode(ctx, rng.normal(size=(3, 5))), _HEADER_SIZE + part, "<d", value)
+def test_unpack_rejects_non_finite_slots(ctx, rng, offset, value):
+    data = patched(encode(ctx, rng.normal(size=(3, 5))), _HEADER_SIZE + offset, "<d", value)
     with pytest.raises(ProtocolError, match="NaN or infinite slot"):
         unpack_matrix(ctx, data)
 
@@ -172,35 +158,36 @@ def test_unpack_accepts_finite_slots_whose_sum_overflows(ctx):
     assert_same_matrix(roundtrip(ctx, huge), huge)
 
 
-def _held_complex(matrix):
-    """The same matrix with its slots held as complex128."""
-    block = CipherBlock(matrix.block.slots.astype(np.complex128), matrix.level, matrix.encrypted)
-    return matrix._with(block)
-
-
 @pytest.mark.parametrize("tiling,shape", [("none", (20, 33)), ("vertical", (4, 33))])
-def test_real_slots_go_out_as_complex128_and_come_back_real(ctx, rng, tiling, shape):
+def test_real_slots_go_out_as_float64_bytes_and_come_back_bit_exact(ctx, rng, tiling, shape):
     values = rng.normal(size=shape)
     values[0, :3] = (0.0, -0.0, 1e308)
     orig = encode(ctx, values, tiling=tiling)
-    assert orig.block.slots.dtype == np.float64
     data = pack_matrix(orig)
-    assert data == pack_matrix(_held_complex(orig))
+    assert data[_HEADER_SIZE:] == orig.block.slots.astype("<f8").tobytes()
     got = roundtrip(ctx, orig)
     assert got.block.slots.dtype == np.float64
     assert got.block.slots.tobytes() == orig.block.slots.tobytes()
     assert_same_matrix(got, orig)
-    # a complex matrix whose imaginary parts are all zero comes back real
-    assert roundtrip(ctx, _held_complex(orig)).block.slots.dtype == np.float64
 
 
-def test_complex_slots_come_back_complex(ctx, rng):
-    orig = encode(ctx, rng.normal(size=(20, 33))).mul_i()
-    assert orig.block.slots.dtype == np.complex128
-    got = roundtrip(ctx, orig)
-    assert got.block.slots.dtype == np.complex128
-    assert got.block.slots.tobytes() == orig.block.slots.tobytes()
-    assert_same_matrix(got, orig)
+_NOT_A_REAL_CIPHERTEXT = {
+    "plaintext": (lambda ctx, v: encode(ctx, v, encrypted=False), "a plaintext 3x5 matrix"),
+    "complex slots": (lambda ctx, v: encode(ctx, v).mul_i(), "a 3x5 matrix with complex slots"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_REAL_CIPHERTEXT))
+def test_pack_refuses_what_is_not_a_real_ciphertext(ctx, rng, case):
+    make, match = _NOT_A_REAL_CIPHERTEXT[case]
+    matrix = make(ctx, rng.normal(size=(3, 5)))
+    with pytest.raises(ProtocolError, match=f"{match} cannot go on the wire"):
+        pack_matrix(matrix)
+    a, b = channel_pair()
+    with pytest.raises(ProtocolError, match="cannot go on the wire"):
+        a.send_weights(matrix)
+    with pytest.raises(ProtocolError, match="no message pending"):
+        b.recv()
 
 
 # Headers encode never writes, set through the shape and tiling fields:
@@ -369,7 +356,7 @@ def test_random_matrices_roundtrip(rows, cols, tiling, level, seed):
     rows=st.integers(1, 12),
     cols=st.integers(1, 12),
     tiling=st.sampled_from(["none", "vertical", "horizontal"]),
-    level=st.sampled_from([0, 5, 12, None]),
+    level=st.sampled_from([0, 5, 12]),
     edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=3),
     cut=st.none() | st.integers(0, 2**16),
     seed=st.integers(0, 2**31 - 1),
@@ -380,9 +367,7 @@ def test_damaged_frames_roundtrip_or_raise_protocol_error(
     """Truncated or byte-mutated frames never escape as another exception."""
     ctx = EmulatorContext(64, 8, max_level=12)
     vals = np.random.default_rng(seed).normal(size=(rows, cols))
-    encrypted = level is not None
-    orig = encode(ctx, vals, tiling=tiling if max(rows, cols) <= 8 else "none",
-                  encrypted=encrypted, level=level)
+    orig = encode(ctx, vals, tiling=tiling if max(rows, cols) <= 8 else "none", level=level)
     data = bytearray(pack_matrix(orig))
     for pos, byte in edits:
         data[pos % len(data)] = byte
