@@ -548,7 +548,7 @@ class _GainingContext(EmulatorContext):
         return super().bootstrap(x)
 
 
-_BUDGETS_AND_NEEDS = [(m, n) for n in (None, 4) for m in (4, 5, 6, 7, 12)]
+_BUDGETS_AND_NEEDS = [(m, n) for n in (None, 4) for m in (3, 4, 5, 6, 7, 12)]
 
 
 @pytest.mark.parametrize(
@@ -558,11 +558,17 @@ _BUDGETS_AND_NEEDS = [(m, n) for n in (None, 4) for m in (4, 5, 6, 7, 12)]
 @pytest.mark.parametrize("classes", [2, 3, 5, 16])
 def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes, need):
     # budgets of at least 4 levels (the exp fit or the compensation, the
-    # deepest pieces) run on the plan alone
+    # deepest pieces) run on the plan alone; a smaller budget is refused at
+    # every entry level before any op
     logits = rng.uniform(-30, 30, size=(8, classes))
     want = a_softmax(logits, DEFAULTS)
     for level in range(max_level + 1):
         ctx = _GainingContext(256, 16, max_level=max_level)
+        if max_level < 4:
+            with pytest.raises(DepthExhausted):
+                _encrypted_softmax(ctx, logits, level=level, need=need)
+            assert not any(ctx.ledger.counts().values())
+            continue
         out, _ = _encrypted_softmax(ctx, logits, level=level, need=need)
         np.testing.assert_array_equal(decode(out), want)
 
