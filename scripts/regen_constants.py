@@ -21,11 +21,6 @@ the next), and whether ``COMP_ROUND_ERR`` and its argument match.  Pass
 ``--out PATH`` to write the regenerated file; ``--out
 src/hefit/_constants.py`` replaces the committed constants and moves every
 softmax output in its low bits.
-
-Run with ``--check-binv`` to additionally re-run the inverse-compensation
-sign A/B measurement (prints a report; decides nothing at runtime).  The
-rejected sign is evaluated here, by swapping in a negated copy of
-``hefit.approx._dep_compensation`` for the duration of the check.
 """
 
 from __future__ import annotations
@@ -78,50 +73,6 @@ def comp_round_error():
     return float(loss[i]), float(d[i])
 
 
-def negated_compensation(M, cfg):
-    """The rejected variant of hefit.approx._dep_compensation: the degree-5
-    bracket is subtracted, ``x - (4/27) K (x^3/R^2 - x^5/R^4)``."""
-    from hefit.approx import BASE_RANGE, EXTENSION_BASE
-
-    L2 = EXTENSION_BASE**2
-    Ln = L2**cfg.extension_steps
-    K = L2 * (Ln - 1.0) / (Ln * (L2 - 1.0))
-    R = BASE_RANGE
-    c3 = -(4.0 / 27.0) * K / R**2
-    c5 = -(4.0 / 27.0) * K / R**4
-    square = M * M
-    cube = square * M
-    fifth = cube * square
-    return M + (cube * c3 - fifth * c5)
-
-
-def check_binv(samples: int = 200_000, seed: int = 20240817):
-    """A/B the sign of the degree-5 inverse-compensation bracket by MC."""
-    from hefit import approx
-    from hefit.plainref import exact_softmax
-
-    rng = np.random.default_rng(seed)
-    kept = approx._dep_compensation
-    variants = (
-        ("extn", approx.SoftmaxConfig(precise=False), kept),
-        ("prec(+)", approx.SoftmaxConfig(precise=True), kept),
-        ("prec(-)", approx.SoftmaxConfig(precise=True), negated_compensation),
-    )
-    classes = 3
-    try:
-        for box in (4.0, 128.0):
-            x = rng.uniform(-box, box, size=(samples, classes))
-            want = exact_softmax(x)
-            for name, cfg, compensation in variants:
-                approx._dep_compensation = compensation
-                err = np.max(np.abs(approx.a_softmax(x, cfg) - want), axis=1)
-                print(
-                    f"  box {box:6.1f}  {name:8s} max {np.max(err):.3e}  avg {np.mean(err):.3e}"
-                )
-    finally:
-        approx._dep_compensation = kept
-
-
 def compare_with_committed(coeffs, eta: float, eta_arg: float) -> None:
     """Print how the re-derived constants differ from the committed ones."""
     committed = runpy.run_path(str(CONSTANTS))
@@ -161,7 +112,6 @@ def render(coeffs, resid: float, eta: float, eta_arg: float) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--check-binv", action="store_true", help="run the sign A/B report")
     ap.add_argument("--out", type=pathlib.Path, help="write the regenerated file to OUT")
     args = ap.parse_args()
 
@@ -175,10 +125,6 @@ def main() -> int:
     else:
         args.out.write_text(render(coeffs, resid, eta, eta_arg))
         print(f"wrote {args.out}")
-
-    if args.check_binv:
-        print("inverse-compensation sign check (criterion: smaller is better):")
-        check_binv()
     return 0
 
 

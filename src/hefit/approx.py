@@ -28,8 +28,8 @@ level budget (79 levels at 10 classes), so it places its own bootstraps:
 before each piece of known depth it calls :func:`_refresh`, which
 bootstraps an encrypted input only when its level is below what the piece
 consumes.  Each piece's depth is a named constant next to its evaluator:
-each odd comparison polynomial (``ODD_POLY_DEPTH``, 3 levels, factored;
-three per comparison), the tournament's ``best`` before the roll (the
+each pass of the comparison chain ``COMP_PASSES`` (``ODD_POLY_DEPTH``, 3
+levels, factored), the tournament's ``best`` before the roll (the
 same need, so its rival inherits the fresh level), each contraction step
 (``CONTRACTION_DEPTH``, 2), the compensation (``COMPENSATION_DEPTH``, 4),
 the baby-step/giant-step exp fit (``EXP_FIT_DEPTH``, 4) and the squarings
@@ -86,6 +86,8 @@ COMP_G = (4589 / 1024, -16577 / 1024, 25614 / 1024, -12860 / 1024)
 # COMP_F halved: a_comp's last pass absorbs the 1/2 of its (u + 1) / 2 map,
 # exactly, since halving commutes with rounding.
 COMP_F_HALF = tuple(a / 2 for a in COMP_F)
+# The comparison chain's passes, in order (:func:`_comp`).
+COMP_PASSES = (COMP_G, COMP_G, COMP_F_HALF)
 
 # Half-width the exponential is accurate on, and the ratio of each
 # contraction step of the domain extension.
@@ -292,15 +294,20 @@ def _odd_poly(x, coeffs):
     return lead * (y2 + beta) + x * (a7 * gamma)
 
 
-def _comp(d, first):
-    """Soft comparison of a difference d, its first pass through ``first``.
+def _comp(d, first, pack=None, best=None):
+    """Soft comparison of a difference d through :data:`COMP_PASSES`, the
+    first pass through ``first``; returns ``(w, best)``.
 
     ``(u + 1) / 2`` of the composition u is ``u / 2 + 1/2``, with the half
-    folded into :data:`COMP_F_HALF`, so the map costs no level:
-    3 * ODD_POLY_DEPTH in all.
+    folded into the last pass, so the map costs no level.  Before
+    ``COMP_PASSES[pack]`` the chain refreshes together with ``best``
+    (:func:`_refresh_pair`).
     """
-    u = _odd_poly(_odd_poly(_odd_poly(d, first), COMP_G), COMP_F_HALF)
-    return u + 0.5
+    for i, coeffs in enumerate((first, *COMP_PASSES[1:])):
+        if i == pack:
+            d, best = _refresh_pair(d, best, ODD_POLY_DEPTH)
+        d = _odd_poly(d, coeffs)
+    return d + 0.5, best
 
 
 def a_comp(x, y):
@@ -309,7 +316,7 @@ def a_comp(x, y):
     Returns ~1 where x exceeds y by a clear margin, ~0 in the opposite
     case, exactly 1/2 at equality (odd composition through zero).
     """
-    return _comp(x - y, COMP_G)
+    return _comp(x - y, COMP_PASSES[0])[0]
 
 
 def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
@@ -338,7 +345,7 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     """
     car = M if isinstance(M, _Carrier) else _Carrier(M)
     r = cfg.max_range
-    first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_G))
+    first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_PASSES[0]))
     if pairs is None or not car.encrypted:
         pairs = (None,) * log2(car.period)
     best = car.pushed_down(r)
@@ -356,24 +363,20 @@ def _round(car: _Carrier, best, t: int, first, pack: int | None):
 
     ``best`` is refreshed for the first comparison polynomial before the
     roll, so ``rival`` inherits the fresh level.  ``best`` then loses one
-    level, at the blend, and the chain ``best - rival`` three passes of
-    ``ODD_POLY_DEPTH``.  At ``pack`` (1 before pass 2, 2 before pass 3, 3
-    before the blend, None nowhere) the chain refreshes together with
-    ``best`` as one complex-packed ciphertext (:func:`_refresh_pair`), not
-    alone, and ``rival`` is re-rolled from the fresh ``best`` (one Rot).  A
-    pack before pass 1 would never fire: the chain starts at ``best``'s
-    fresh level.  Bootstraps are value-exact, so ``pack`` moves levels and
-    the ledger, never a slot; an array has no levels.
+    level, at the blend, and the chain ``best - rival`` one ``ODD_POLY_DEPTH``
+    per pass (:func:`_comp`).  At ``pack`` (i before pass i + 1,
+    ``len(COMP_PASSES)`` before the blend, None nowhere) the chain refreshes
+    together with ``best`` as one complex-packed ciphertext, not alone, and
+    ``rival`` is re-rolled from the fresh ``best`` (one Rot).  A pack before
+    pass 1 would never fire: the chain starts at ``best``'s fresh level.
+    Bootstraps are value-exact, so ``pack`` moves levels and the ledger,
+    never a slot; an array has no levels.
     """
     best = _refresh(best, ODD_POLY_DEPTH)
     best, rival = car.knockout_pair(best, t)
-    chain = best - rival
-    for i, coeffs in enumerate((first, COMP_G, COMP_F_HALF)):
-        if i == pack:
-            chain, best = _refresh_pair(chain, best, ODD_POLY_DEPTH)
-        chain = _odd_poly(chain, coeffs)
-    w = chain + 0.5
-    w, best = _refresh_pair(w, best, 1) if pack == 3 else (_refresh(w, 1), best)
+    w, best = _comp(best - rival, first, pack, best)
+    blend_pack = pack == len(COMP_PASSES)
+    w, best = _refresh_pair(w, best, 1) if blend_pack else (_refresh(w, 1), best)
     if pack is not None:
         best, rival = car.knockout_pair(best, t)
     return best * w + rival * (1.0 - w)
@@ -520,8 +523,8 @@ class SoftmaxPlan:
 # A round's pack points, None first: of equal-cost moves the plan keeps the
 # first, so a pack that changes nothing is not made.  Two packs in one round
 # are never cheaper: at budgets 1 to 24, from every level of ``best``, one of
-# these four reaches as high a level for no more bootstraps and no more ms.
-_ROUND_PACKS = (None, 1, 2, 3)
+# these reaches as high a level for no more bootstraps and no more ms.
+_ROUND_PACKS = (None, *range(1, len(COMP_PASSES) + 1))
 _price = OpLedger().estimate_ms
 
 
@@ -541,7 +544,7 @@ def _dry_run(top: int, step, *levels: int):
 def _round_run(best: int, top: int, pack: int | None):
     """:func:`_round` from ``best``'s level, dry; its ledger depends on
     neither the round's index nor its coefficients."""
-    return _dry_run(top, lambda car: _round(car, car.matrix, 0, COMP_G, pack), best)
+    return _dry_run(top, lambda car: _round(car, car.matrix, 0, COMP_PASSES[0], pack), best)
 
 
 @functools.lru_cache(maxsize=None)
@@ -565,7 +568,7 @@ def softmax_plan(
 
     A dynamic program over ``best``'s level between tournament rounds keeps,
     for each level, the cheapest pack points (fewest bootstraps, then least
-    emulated ms) that reach it.  Each round's four moves
+    emulated ms) that reach it.  Each round's moves
     (:data:`_ROUND_PACKS`) are priced by a dry run (:func:`_dry_run`), and
     :meth:`~hefit.emulator.OpLedger.estimate_ms` prices each plan's summed
     op counts, so equal counts tie exactly.  Without ``need`` the plan has
@@ -619,16 +622,14 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
     copies, refreshed by :func:`softmax_plan` for a consumer that needs
     ``need`` levels of the output (none by default).  Array in: (rows,
     classes) logits; out: (rows, classes) rows, evaluated in row blocks of
-    ``_BLOCK_SLOTS // period`` rows.
+    ``_BLOCK_SLOTS // period`` rows, at least one.
     Inputs must lie within [-max_range, max_range] (mild overshoot from the
     max underestimation is tolerated by the contraction chain).
     """
     if isinstance(M, EncodedMatrix):
         return _softmax(M, cfg, need)
     arr, classes, period = _array_layout(M)
-    block = _BLOCK_SLOTS // period
-    if arr.shape[0] <= block:
-        return _softmax(arr, cfg)
+    block = max(1, _BLOCK_SLOTS // period)
     out = np.empty((arr.shape[0], classes))
     for start in range(0, arr.shape[0], block):
         out[start : start + block] = _softmax(arr[start : start + block], cfg)
@@ -692,20 +693,13 @@ def theorem_beta(cfg: SoftmaxConfig, classes: int, r: float | None = None) -> fl
     return t1 + t2 + t3
 
 
-_EPS_CACHE: dict[tuple, float] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def small_domain_eps(cfg: SoftmaxConfig, classes: int) -> float:
     """Measured max error of the full pipeline on [-BASE_RANGE, BASE_RANGE]^c.
 
     This is the empirical stand-in for the polynomial approximation's
     small-domain minimax error, over 100 000 uniform rows (seed 411);
     cached per (config, classes)."""
-    key = (cfg, classes)
-    if key not in _EPS_CACHE:
-        rng = np.random.default_rng(411)
-        x = rng.uniform(-BASE_RANGE, BASE_RANGE, size=(100_000, classes))
-        exact = exact_softmax(x)
-        approx = a_softmax(x, cfg)
-        _EPS_CACHE[key] = float(np.max(np.abs(approx - exact)))
-    return _EPS_CACHE[key]
+    rng = np.random.default_rng(411)
+    x = rng.uniform(-BASE_RANGE, BASE_RANGE, size=(100_000, classes))
+    return float(np.max(np.abs(a_softmax(x, cfg) - exact_softmax(x))))

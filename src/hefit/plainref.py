@@ -61,7 +61,6 @@ class ReferenceState:
     weights: np.ndarray
     momentum: np.ndarray
     lam: float = 1.0
-    step: int = 1
 
 
 def reference_step(state: ReferenceState, xb, yb_onehot, lr: float, softmax_fn):
@@ -74,7 +73,7 @@ def reference_step(state: ReferenceState, xb, yb_onehot, lr: float, softmax_fn):
     gamma = (1.0 - state.lam) / lam_next
     v_next = (1.0 - gamma) * w_next + gamma * state.weights
     state.weights, state.momentum = w_next, v_next
-    state.lam, state.step = lam_next, state.step + 1
+    state.lam = lam_next
     return logits
 
 

@@ -26,6 +26,7 @@ from hefit.approx import (
     _BLOCK_SLOTS,
     BASE_RANGE,
     COMP_F,
+    COMP_F_HALF,
     COMP_G,
     COMPENSATION_DEPTH,
     CONTRACTION_DEPTH,
@@ -505,6 +506,14 @@ def test_softmax_of_zero_rows_keeps_class_width(classes):
     assert a_softmax(np.zeros((0, classes)), DEFAULTS).shape == (0, classes)
 
 
+def test_rows_wider_than_a_block_run_one_row_per_block():
+    # a period of 16 slots in 8-slot blocks: each block holds one row
+    x = np.random.default_rng(8).uniform(-128, 128, size=(5, 10))
+    with mock.patch.object(approx, "_BLOCK_SLOTS", 8):
+        got = a_softmax(x, DEFAULTS)
+    np.testing.assert_array_equal(got, _softmax(x, DEFAULTS))
+
+
 def test_encrypted_softmax_ledger_is_unchanged(rng):
     ctx = EmulatorContext(256, 16, max_level=12)
     enc = encode(ctx, rng.uniform(-30, 30, size=(8, 5)), tiling="horizontal")
@@ -626,7 +635,8 @@ def _greedy_a_max(car, cfg, pairs=None):
     best = car.pushed_down(r)
     for t in range(log2(car.period)):
         best, rival = car.knockout_pair(_refresh(best, ODD_POLY_DEPTH), t)
-        w = _refresh(approx._comp(best - rival, first), 1)
+        u = _odd_poly(_odd_poly(_odd_poly(best - rival, first), COMP_G), COMP_F_HALF)
+        w = _refresh(u + 0.5, 1)
         best = best * w + rival * (1.0 - w)
     return car.broadcast_col0(_refresh(best, 1))
 
