@@ -24,14 +24,7 @@ from .datasets import ingest, make_gaussian_mixture, save_csv
 from .emulator import EmulatorContext, OpLedger, is_pow2
 from .encoding import decode, encode, next_pow2
 from .errors import ConfigError, DataError, HefitError
-from .matmul import (
-    ALGORITHMS,
-    col_major_abt,
-    count_formula,
-    diag_abt,
-    diag_atb,
-    row_major_atb,
-)
+from .matmul import ALGORITHMS, KERNELS, count_formula
 from .plainref import accuracy, exact_softmax
 from .training import MIN_MAX_LEVEL, fit
 
@@ -294,35 +287,14 @@ def run_matmul_case(alg: str, shape: tuple[int, int, int], slots: int) -> dict:
             f"{alg} on shape {shape} needs the padded class count {cp} to fit "
             f"the {s0}x{s1} grid; raise --slots"
         )
+    kernel, abt, a_tiling, b_tiling, a_lower = KERNELS[alg]
     rng = np.random.default_rng((a, b, c, ALGORITHMS.index(alg)))
     ctx = EmulatorContext(slots, s0, max_level=12)
-    if alg in ("diag_abt", "col_major"):
-        A = rng.uniform(-1.0, 1.0, (a, b))
-        B = rng.uniform(-1.0, 1.0, (c, b))
-        oracle = A @ B.T
-        if alg == "diag_abt":
-            ea = encode(ctx, A)
-            eb = encode(ctx, B, tiling="vertical")
-            kernel = diag_abt
-        else:
-            ea = encode(ctx, A)
-            eb = encode(ctx, B)
-            kernel = col_major_abt
-    else:
-        A = rng.uniform(-1.0, 1.0, (a, c))
-        B = rng.uniform(-1.0, 1.0, (a, b))
-        oracle = A.T @ B
-        if alg == "row_major":
-            ea = encode(ctx, A)
-            eb = encode(ctx, B)
-            kernel = row_major_atb
-        else:
-            # equal levels take the rotate-left branch; a lower-level first
-            # operand takes the partial-rotation branch
-            lvl = ctx.max_level - 1 if alg == "diag_atb_pru" else None
-            ea = encode(ctx, A, tiling="horizontal", level=lvl)
-            eb = encode(ctx, B)
-            kernel = diag_atb
+    A = rng.uniform(-1.0, 1.0, (a, b) if abt else (a, c))
+    B = rng.uniform(-1.0, 1.0, (c, b) if abt else (a, b))
+    oracle = A @ B.T if abt else A.T @ B
+    ea = encode(ctx, A, tiling=a_tiling, level=ctx.max_level - 1 if a_lower else None)
+    eb = encode(ctx, B, tiling=b_tiling)
 
     before = ctx.ledger.snapshot()
     out = kernel(ea, eb)
@@ -366,16 +338,14 @@ def cmd_bench_matmul(args) -> int:
             f = case["formula"]
             tag = "x".join(str(v) for v in shape)
             if case["executed"]:
-                print(
-                    f"{tag:>16} {alg:<13} {f['CMult']:>7} {f['Mult']:>7} {f['Rot']:>7} "
-                    f"{case['executed_ms']:>10.2f} {case['rel_error']:>9.2e} "
-                    f"{'yes' if case['formula_match'] else 'NO'}"
-                )
+                ms, err = case["executed_ms"], f"{case['rel_error']:.2e}"
+                match = "yes" if case["formula_match"] else "NO"
             else:
-                print(
-                    f"{tag:>16} {alg:<13} {f['CMult']:>7} {f['Mult']:>7} {f['Rot']:>7} "
-                    f"{case['formula_ms']:>10.2f} {'-':>9} -"
-                )
+                ms, err, match = case["formula_ms"], "-", "-"
+            print(
+                f"{tag:>16} {alg:<13} {f['CMult']:>7} {f['Mult']:>7} {f['Rot']:>7} "
+                f"{ms:>10.2f} {err:>9} {match}"
+            )
     if args.out:
         payload = {
             "schema_version": REPORT_SCHEMA_VERSION,

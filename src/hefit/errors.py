@@ -57,7 +57,8 @@ class ConfigError(HefitError):
 
 
 class DataError(HefitError):
-    """A dataset file was malformed or inconsistent with the configuration."""
+    """A dataset (a file or a label vector) was malformed or inconsistent
+    with the configuration."""
 
     code = "cli.data"
 

@@ -13,6 +13,8 @@ Four routines, two packings each of ``A B^T`` (shapes ``(a,b) x (c,b)``) and
 All four are written in :class:`~hefit.encoding.EncodedMatrix` operators,
 which broadcast the one-block masks and a one-block row or column.
 
+:data:`KERNELS` states how each executed kernel is called; :data:`ALGORITHMS`
+adds the ``jin_*`` baselines, which are priced but never executed.
 :func:`count_formula` gives the exact closed-form ledger cost (CMult, Mult,
 Rot) of each routine for a given shape and slot grid; the executed ledgers
 match it operation for operation, which the test suite pins with zero
@@ -183,17 +185,23 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     return acc.with_meta(shape=(c, B.shape[1]))
 
 
-# -- closed-form ledger costs ---------------------------------------------------
+# -- kernel table ---------------------------------------------------------------
 
-ALGORITHMS = (
-    "diag_abt",
-    "diag_atb_rl",
-    "diag_atb_pru",
-    "col_major",
-    "row_major",
-    "jin_abt",
-    "jin_atb",
-)
+# name -> (function, computes A B^T rather than A^T B, A's tiling, B's tiling,
+# A enters one level below B: diag_atb's partial-rotation branch)
+KERNELS = {
+    "diag_abt": (diag_abt, True, "none", "vertical", False),
+    "diag_atb_rl": (diag_atb, False, "horizontal", "none", False),
+    "diag_atb_pru": (diag_atb, False, "horizontal", "none", True),
+    "col_major": (col_major_abt, True, "none", "none", False),
+    "row_major": (row_major_atb, False, "none", "none", False),
+}
+
+# the executed kernels, then the priced-only baselines
+ALGORITHMS = (*KERNELS, "jin_abt", "jin_atb")
+
+
+# -- closed-form ledger costs ---------------------------------------------------
 
 
 def count_formula(algorithm: str, shape: tuple[int, int, int], s0: int, s1: int) -> dict[str, int]:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, DataError
+
 
 def exact_softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, numerically stable."""
@@ -38,8 +40,22 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == np.asarray(labels, dtype=int)))
 
 
+def check_labels(labels: np.ndarray, classes: int) -> np.ndarray:
+    """``labels`` as an int vector; :class:`~hefit.errors.DataError` unless
+    each is an integer in [0, classes)."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iuf":
+        raise DataError(f"labels must be a vector of numbers, got {labels.dtype} {labels.shape}")
+    # NaN and infinities fail the range test
+    bad = ~((labels >= 0) & (labels < classes) & (labels == np.floor(labels)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"label {labels[i]} at row {i} is not an integer in [0, {classes})")
+    return labels.astype(int)
+
+
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=int)
+    labels = check_labels(labels, classes)
     out = np.zeros((labels.shape[0], classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -53,6 +69,8 @@ def init_weights(classes: int, dim: int, seed: int) -> np.ndarray:
 
 def batch_slices(n: int, batch_size: int) -> list[slice]:
     """Consecutive batches in fixed order; the trailing one may be short."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be at least 1, got {batch_size}")
     return [slice(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
 
 

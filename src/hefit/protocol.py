@@ -6,8 +6,11 @@ Every record on the wire is::
     u8  message type
     payload bytes
 
-The payload of matrix-bearing messages is one or more serialized
-:class:`~hefit.encoding.EncodedMatrix` ciphertexts, each self-describing:
+:data:`MESSAGES` is the message set: Setup (initial weights, validation
+features), EncryptedBatch, EncryptedValLogits, StopSignal (one decision
+byte) and FinalWeights, each with the matrices it carries.
+:meth:`ChannelEndpoint.send_matrices` / :meth:`~ChannelEndpoint.recv_matrices`
+carry every matrix message, each matrix a self-describing ciphertext:
 
     u8  format version (3)
     u32 rows, u32 cols            logical shape
@@ -43,23 +46,22 @@ from .emulator import CipherBlock, EmulatorContext
 from .encoding import EncodedMatrix, layout
 from .errors import ProtocolError, TilingError
 
-# Message types.
-MSG_BATCH = 1  # EncryptedBatch: features matrix + one-hot labels matrix
-MSG_VAL_LOGITS = 2  # EncryptedValLogits: one logits matrix
-MSG_STOP = 3  # StopSignal: one decision byte (see DECISION_*)
-MSG_WEIGHTS = 4  # FinalWeights: one weights matrix
-
-MESSAGE_NAMES = {
-    MSG_BATCH: "EncryptedBatch",
-    MSG_VAL_LOGITS: "EncryptedValLogits",
-    MSG_STOP: "StopSignal",
-    MSG_WEIGHTS: "FinalWeights",
+# Message types: type -> (name, matrices carried); a StopSignal carries one
+# decision byte instead (see DECISION_*)
+MSG_BATCH, MSG_VAL_LOGITS, MSG_STOP, MSG_WEIGHTS, MSG_SETUP = 1, 2, 3, 4, 5
+MESSAGES = {
+    MSG_BATCH: ("EncryptedBatch", 2),  # features, one-hot labels
+    MSG_VAL_LOGITS: ("EncryptedValLogits", 1),
+    MSG_STOP: ("StopSignal", 0),
+    MSG_WEIGHTS: ("FinalWeights", 1),
+    MSG_SETUP: ("Setup", 2),  # initial weights, validation features
 }
 
 # StopSignal decision byte.
 DECISION_CONTINUE = 0  # validation loss did not improve; keep training
 DECISION_IMPROVED = 1  # improved; server should snapshot current weights
 DECISION_STOP = 2  # patience exhausted; send the best snapshot back
+_DECISIONS = (DECISION_CONTINUE, DECISION_IMPROVED, DECISION_STOP)
 
 _MATRIX_VERSION = 3
 _TILING_CODES = {"none": 0, "vertical": 1, "horizontal": 2}
@@ -160,7 +162,7 @@ class ChannelEndpoint:
         self._tx = tx
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
-        if msg_type not in MESSAGE_NAMES:
+        if msg_type not in MESSAGES:
             raise ProtocolError(f"unknown message type {msg_type}")
         self._tx += _FRAME_LEN.pack(1 + len(payload))
         self._tx.append(msg_type)
@@ -176,64 +178,47 @@ class ChannelEndpoint:
         msg_type = self._rx[start]
         payload = bytes(self._rx[start + 1 : start + length])
         del self._rx[: start + length]
-        if msg_type not in MESSAGE_NAMES:
+        if msg_type not in MESSAGES:
             raise ProtocolError(f"unknown message type {msg_type}")
         return msg_type, payload
 
-    # Typed helpers so call sites read like the protocol description.
+    def send_matrices(self, msg_type: int, *matrices: EncodedMatrix) -> None:
+        """Send ``matrices`` as one ``msg_type`` message; another count than
+        :data:`MESSAGES` gives raises before anything is sent."""
+        name, count = MESSAGES.get(msg_type, (f"message type {msg_type}", 0))
+        if not count or len(matrices) != count:
+            raise ProtocolError(f"{name} carries {count or 'no'} matrices, not {len(matrices)}")
+        self.send(msg_type, b"".join([pack_matrix(m) for m in matrices]))
 
-    def send_batch(self, features: EncodedMatrix, labels: EncodedMatrix) -> None:
-        self.send(MSG_BATCH, pack_matrix(features) + pack_matrix(labels))
-
-    def send_val_logits(self, logits: EncodedMatrix) -> None:
-        self.send(MSG_VAL_LOGITS, pack_matrix(logits))
+    def recv_matrices(self, msg_type: int, ctx: EmulatorContext) -> list[EncodedMatrix]:
+        """The matrices of the next message, which must be of ``msg_type``;
+        bytes left after the last one raise :class:`ProtocolError`."""
+        name, count = MESSAGES[msg_type]
+        payload = self._expect(msg_type)
+        matrices, pos = [], 0
+        for _ in range(count):
+            matrix, pos = unpack_matrix(ctx, payload, pos)
+            matrices.append(matrix)
+        if pos != len(payload):
+            raise ProtocolError(f"{len(payload) - pos} stray bytes after {name} payload")
+        return matrices
 
     def send_stop_signal(self, decision: int) -> None:
-        if decision not in (DECISION_CONTINUE, DECISION_IMPROVED, DECISION_STOP):
+        if decision not in _DECISIONS:
             raise ProtocolError(f"invalid stop-signal decision {decision}")
         self.send(MSG_STOP, bytes([decision]))
 
-    def send_weights(self, weights: EncodedMatrix) -> None:
-        self.send(MSG_WEIGHTS, pack_matrix(weights))
-
-    def recv_batch(self, ctx: EmulatorContext) -> tuple[EncodedMatrix, EncodedMatrix]:
-        payload = self._expect(MSG_BATCH)
-        features, pos = unpack_matrix(ctx, payload)
-        labels, pos = unpack_matrix(ctx, payload, pos)
-        if pos != len(payload):
-            raise ProtocolError(f"{len(payload) - pos} stray bytes after batch payload")
-        return features, labels
-
-    def recv_val_logits(self, ctx: EmulatorContext) -> EncodedMatrix:
-        return self._expect_matrix(MSG_VAL_LOGITS, ctx)
-
     def recv_stop_signal(self) -> int:
         payload = self._expect(MSG_STOP)
-        if len(payload) != 1 or payload[0] not in (
-            DECISION_CONTINUE,
-            DECISION_IMPROVED,
-            DECISION_STOP,
-        ):
+        if len(payload) != 1 or payload[0] not in _DECISIONS:
             raise ProtocolError("malformed stop signal")
         return payload[0]
-
-    def recv_weights(self, ctx: EmulatorContext) -> EncodedMatrix:
-        return self._expect_matrix(MSG_WEIGHTS, ctx)
 
     def _expect(self, msg_type: int) -> bytes:
         got, payload = self.recv()
         if got != msg_type:
-            raise ProtocolError(
-                f"expected {MESSAGE_NAMES[msg_type]}, got {MESSAGE_NAMES.get(got, got)}"
-            )
+            raise ProtocolError(f"expected {MESSAGES[msg_type][0]}, got {MESSAGES[got][0]}")
         return payload
-
-    def _expect_matrix(self, msg_type: int, ctx: EmulatorContext) -> EncodedMatrix:
-        payload = self._expect(msg_type)
-        matrix, pos = unpack_matrix(ctx, payload)
-        if pos != len(payload):
-            raise ProtocolError(f"{len(payload) - pos} stray bytes after matrix payload")
-        return matrix
 
 
 def channel_pair() -> tuple[ChannelEndpoint, ChannelEndpoint]:

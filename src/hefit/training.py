@@ -11,9 +11,8 @@ server role never decoded anything.
 
 Message flow (see :mod:`hefit.protocol` for framing):
 
-1. setup: client sends FinalWeights (initial W = V) and one EncryptedBatch
-   carrying the validation features (its labels half is a zero matrix the
-   server never reads — validation labels stay with the client).
+1. setup: client sends one Setup carrying the initial weights (W = V) and
+   the validation features; validation labels stay with the client.
 2. per epoch: one EncryptedBatch per minibatch, in fixed order; the server
    answers the epoch with EncryptedValLogits computed from the last W.
 3. the client replies with a StopSignal byte: improved (snapshot W),
@@ -49,11 +48,15 @@ from .emulator import EmulatorContext
 from .encoding import EncodedMatrix, bootstrap_tiled, decode, encode, first_period
 from .errors import ShapeMismatch
 from .matmul import diag_abt, diag_atb
-from .plainref import batch_slices, init_weights, log_loss, one_hot
+from .plainref import batch_slices, check_labels, init_weights, log_loss, one_hot
 from .protocol import (
     DECISION_CONTINUE,
     DECISION_IMPROVED,
     DECISION_STOP,
+    MSG_BATCH,
+    MSG_SETUP,
+    MSG_VAL_LOGITS,
+    MSG_WEIGHTS,
     ChannelEndpoint,
     channel_pair,
 )
@@ -150,7 +153,13 @@ class Client:
                 f"train/val feature widths differ: "
                 f"{self.x_train.shape[1]} vs {self.x_val.shape[1]}"
             )
+        for split, x, y in ("train", self.x_train, self.y_train), ("val", self.x_val, self.y_val):
+            if y.shape != x.shape[:1]:
+                raise ShapeMismatch(
+                    f"{split} labels of shape {y.shape} do not pair with {x.shape[0]} feature rows"
+                )
         self.onehot = one_hot(self.y_train, classes)
+        check_labels(self.y_val, classes)
         self.val_losses: list[float] = []
         self.best_loss = math.inf
         self.bad_epochs = 0
@@ -158,15 +167,15 @@ class Client:
 
     def send_setup(self) -> None:
         w0 = init_weights(self.classes, self.x_train.shape[1], self.seed)
-        self.channel.send_weights(encode(self.ctx, w0, tiling="vertical"))
-        placeholder = encode(self.ctx, np.zeros((self.x_val.shape[0], self.classes)),
-                             tiling="horizontal")
-        self.channel.send_batch(encode(self.ctx, self.x_val), placeholder)
+        self.channel.send_matrices(
+            MSG_SETUP, encode(self.ctx, w0, tiling="vertical"), encode(self.ctx, self.x_val)
+        )
 
     def send_training_batch(self, rows: slice) -> int:
         xb = self.x_train[rows]
         yb = self.onehot[rows]
-        self.channel.send_batch(
+        self.channel.send_matrices(
+            MSG_BATCH,
             encode(self.ctx, xb),
             encode(self.ctx, yb, tiling="horizontal"),
         )
@@ -174,7 +183,7 @@ class Client:
 
     def evaluate_validation(self) -> int:
         """Decrypt epoch logits, update the patience ledger, signal a decision."""
-        logits_ct = self.channel.recv_val_logits(self.ctx)
+        (logits_ct,) = self.channel.recv_matrices(MSG_VAL_LOGITS, self.ctx)
         logits = decode(logits_ct, role=self.ROLE, tag="val-logits")
         loss = log_loss(logits, self.y_val)
         self.val_losses.append(loss)
@@ -193,7 +202,7 @@ class Client:
         self.channel.send_stop_signal(DECISION_STOP)
 
     def receive_final_weights(self) -> np.ndarray:
-        weights_ct = self.channel.recv_weights(self.ctx)
+        (weights_ct,) = self.channel.recv_matrices(MSG_WEIGHTS, self.ctx)
         return decode(weights_ct, role=self.ROLE, tag="final-weights")
 
 
@@ -222,13 +231,12 @@ class Server:
         self.stopped = False
 
     def receive_setup(self) -> None:
-        w0 = self.channel.recv_weights(self.ctx)
+        w0, self.val_features = self.channel.recv_matrices(MSG_SETUP, self.ctx)
         self.state = TrainState(weights=w0, momentum=w0)
         self.best_weights = w0
-        self.val_features, _ = self.channel.recv_batch(self.ctx)
 
     def process_training_batch(self, batch_rows: int) -> None:
-        features, labels = self.channel.recv_batch(self.ctx)
+        features, labels = self.channel.recv_matrices(MSG_BATCH, self.ctx)
         nag_step(
             self.state,
             features,
@@ -241,7 +249,7 @@ class Server:
 
     def send_validation_logits(self) -> None:
         logits = diag_abt(self.val_features, self.state.weights)
-        self.channel.send_val_logits(logits)
+        self.channel.send_matrices(MSG_VAL_LOGITS, logits)
 
     def receive_decision(self) -> None:
         decision = self.channel.recv_stop_signal()
@@ -249,7 +257,7 @@ class Server:
             self.best_weights = self.state.weights
         elif decision == DECISION_STOP:
             self.stopped = True
-            self.channel.send_weights(self.best_weights)
+            self.channel.send_matrices(MSG_WEIGHTS, self.best_weights)
 
 
 @dataclass
@@ -302,11 +310,11 @@ def fit(
         patience=patience, seed=seed,
     )
     server = Server(ctx, server_end, lr=lr, cfg=cfg, trace_hook=observe_logits)
+    slices = batch_slices(x_train.shape[0], batch_size)
 
     client.send_setup()
     server.receive_setup()
 
-    slices = batch_slices(x_train.shape[0], batch_size)
     train_losses: list[float] = []
     epochs_run = 0
     for _ in range(epochs):
@@ -364,10 +372,10 @@ def run_steps(
         ctx = EmulatorContext(4096, 64, max_level=12)
     x_train = np.asarray(x_train, dtype=np.float64)
     onehot = one_hot(y_train, classes)
+    slices = batch_slices(x_train.shape[0], batch_size)
     w0 = init_weights(classes, x_train.shape[1], seed)
     w_enc = encode(ctx, w0, tiling="vertical")
     state = TrainState(weights=w_enc, momentum=w_enc)
-    slices = batch_slices(x_train.shape[0], batch_size)
     snapshots = []
     for step in range(steps):
         rows = slices[step % len(slices)]

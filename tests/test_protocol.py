@@ -15,8 +15,11 @@ from hefit.protocol import (
     DECISION_CONTINUE,
     DECISION_IMPROVED,
     DECISION_STOP,
+    MSG_BATCH,
+    MSG_SETUP,
     MSG_STOP,
     MSG_VAL_LOGITS,
+    MSG_WEIGHTS,
     channel_pair,
     pack_matrix,
     unpack_matrix,
@@ -185,7 +188,7 @@ def test_pack_refuses_what_is_not_a_real_ciphertext(ctx, rng, case):
         pack_matrix(matrix)
     a, b = channel_pair()
     with pytest.raises(ProtocolError, match="cannot go on the wire"):
-        a.send_weights(matrix)
+        a.send_matrices(MSG_WEIGHTS, matrix)
     with pytest.raises(ProtocolError, match="no message pending"):
         b.recv()
 
@@ -227,7 +230,7 @@ def test_pack_rejects_a_layout_unpack_would_reject(ctx, rng):
         pack_matrix(relabelled)
     a, b = channel_pair()
     with pytest.raises(ProtocolError, match="has a 3x1 grid"):
-        a.send_weights(relabelled)
+        a.send_matrices(MSG_WEIGHTS, relabelled)
     with pytest.raises(ProtocolError, match="no message pending"):
         b.recv()
 
@@ -239,18 +242,18 @@ def test_channel_carries_messages_both_ways(ctx, rng):
     a, b = channel_pair()
     wa = encode(ctx, rng.normal(size=(3, 4)))
     wb = encode(ctx, rng.normal(size=(2, 2)))
-    a.send_weights(wa)
-    b.send_weights(wb)
-    assert_same_matrix(b.recv_weights(ctx), wa)
-    assert_same_matrix(a.recv_weights(ctx), wb)
+    a.send_matrices(MSG_WEIGHTS, wa)
+    b.send_matrices(MSG_WEIGHTS, wb)
+    assert_same_matrix(*b.recv_matrices(MSG_WEIGHTS, ctx), wa)
+    assert_same_matrix(*a.recv_matrices(MSG_WEIGHTS, ctx), wb)
 
 
 def test_channel_is_fifo(ctx, rng):
     a, b = channel_pair()
     first = encode(ctx, rng.normal(size=(2, 2)))
-    a.send_val_logits(first)
+    a.send_matrices(MSG_VAL_LOGITS, first)
     a.send_stop_signal(DECISION_STOP)
-    assert_same_matrix(b.recv_val_logits(ctx), first)
+    assert_same_matrix(*b.recv_matrices(MSG_VAL_LOGITS, ctx), first)
     assert b.recv_stop_signal() == DECISION_STOP
     with pytest.raises(ProtocolError):
         b.recv()
@@ -266,7 +269,7 @@ def test_recv_wrong_type_names_both_sides(ctx, rng):
     a, b = channel_pair()
     a.send_stop_signal(DECISION_CONTINUE)
     with pytest.raises(ProtocolError, match="expected EncryptedValLogits, got StopSignal"):
-        b.recv_val_logits(ctx)
+        b.recv_matrices(MSG_VAL_LOGITS, ctx)
 
 
 def test_send_unknown_message_type_rejected():
@@ -314,25 +317,62 @@ def test_stop_signal_rejects_malformed_payload():
         b.recv_stop_signal()
 
 
-def test_batch_roundtrip_and_stray_byte_detection(ctx, rng):
+# (message type, matrices it carries, stray bytes appended)
+_MATRIX_MESSAGES = {
+    "one matrix": (
+        MSG_VAL_LOGITS,
+        lambda ctx, rng: [encode(ctx, rng.normal(size=(2, 2)))],
+        b"\xff",
+    ),
+    "two matrices": (
+        MSG_BATCH,
+        lambda ctx, rng: [
+            encode(ctx, rng.normal(size=(8, 5))),
+            encode(ctx, rng.normal(size=(3, 8)), tiling="horizontal"),
+        ],
+        b"\x00\x00",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MATRIX_MESSAGES))
+def test_matrices_roundtrip_and_stray_byte_detection(ctx, rng, case):
+    msg_type, make, stray = _MATRIX_MESSAGES[case]
+    matrices = make(ctx, rng)
     a, b = channel_pair()
-    feats = encode(ctx, rng.normal(size=(8, 5)))
-    labels = encode(ctx, rng.normal(size=(3, 8)), tiling="horizontal")
-    a.send_batch(feats, labels)
-    got_f, got_l = b.recv_batch(ctx)
-    assert_same_matrix(got_f, feats)
-    assert_same_matrix(got_l, labels)
+    a.send_matrices(msg_type, *matrices)
+    got = b.recv_matrices(msg_type, ctx)
+    assert len(got) == len(matrices)
+    for g, m in zip(got, matrices):
+        assert_same_matrix(g, m)
 
-    a.send(1, pack_matrix(feats) + pack_matrix(labels) + b"\x00\x00")
-    with pytest.raises(ProtocolError, match="2 stray bytes"):
-        b.recv_batch(ctx)
+    a.send(msg_type, b"".join(pack_matrix(m) for m in matrices) + stray)
+    with pytest.raises(ProtocolError, match=f"{len(stray)} stray bytes"):
+        b.recv_matrices(msg_type, ctx)
 
 
-def test_single_matrix_stray_byte_detection(ctx, rng):
+# (message type, matrices passed, message)
+_WRONG_MATRIX_COUNTS = {
+    "batch of one": (MSG_BATCH, 1, "EncryptedBatch carries 2 matrices, not 1"),
+    "batch of three": (MSG_BATCH, 3, "EncryptedBatch carries 2 matrices, not 3"),
+    "setup of one": (MSG_SETUP, 1, "Setup carries 2 matrices, not 1"),
+    "weights of two": (MSG_WEIGHTS, 2, "FinalWeights carries 1 matrices, not 2"),
+    "logits of none": (MSG_VAL_LOGITS, 0, "EncryptedValLogits carries 1 matrices, not 0"),
+    "stop signal of one": (MSG_STOP, 1, "StopSignal carries no matrices, not 1"),
+    "stop signal of none": (MSG_STOP, 0, "StopSignal carries no matrices, not 0"),
+    "unknown type": (42, 1, "message type 42 carries no matrices, not 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_MATRIX_COUNTS))
+def test_send_matrices_refuses_a_count_the_table_does_not_give(ctx, rng, case):
+    msg_type, count, match = _WRONG_MATRIX_COUNTS[case]
+    matrices = [encode(ctx, rng.normal(size=(2, 3))) for _ in range(count)]
     a, b = channel_pair()
-    a.send(MSG_VAL_LOGITS, pack_matrix(encode(ctx, rng.normal(size=(2, 2)))) + b"\xff")
-    with pytest.raises(ProtocolError, match="1 stray bytes"):
-        b.recv_val_logits(ctx)
+    with pytest.raises(ProtocolError, match=match):
+        a.send_matrices(msg_type, *matrices)
+    with pytest.raises(ProtocolError, match="no message pending"):
+        b.recv()
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,7 +9,7 @@ from hefit.approx import DEFAULTS, SoftmaxConfig, a_softmax
 from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import EmulatorContext
 from hefit.encoding import decode, encode
-from hefit.errors import DepthExhausted
+from hefit.errors import ConfigError, DataError, DepthExhausted, ShapeMismatch
 from hefit.plainref import (
     ReferenceState,
     accuracy,
@@ -25,8 +25,12 @@ from hefit.protocol import (
     DECISION_CONTINUE,
     DECISION_IMPROVED,
     DECISION_STOP,
+    MSG_SETUP,
+    MSG_VAL_LOGITS,
+    ChannelEndpoint,
     channel_pair,
 )
+from hefit import training
 from hefit.training import MIN_MAX_LEVEL, Client, TrainState, fit, nag_step, run_steps
 
 
@@ -255,7 +259,8 @@ def drive_client_with_losses(losses, patience=3):
     decisions = []
     for target in losses:
         z = math.log(math.exp(target) - 1.0)  # single-row loss == target
-        server_end.send_val_logits(encode(ctx, np.array([[0.0, z]]), tiling="horizontal"))
+        logits = encode(ctx, np.array([[0.0, z]]), tiling="horizontal")
+        server_end.send_matrices(MSG_VAL_LOGITS, logits)
         decisions.append(client.evaluate_validation())
     return client, decisions
 
@@ -334,3 +339,116 @@ def test_fit_returns_best_epoch_weights():
     if result.stopped_early:
         assert result.epochs_run < 12
         assert result.val_losses[result.best_epoch - 1] == min(result.val_losses)
+
+
+def test_fit_sends_one_setup_frame_and_encodes_no_zero_matrix(monkeypatch):
+    x, y = make_gaussian_mixture(40, 3, 4, seed=5, mean_scale=2.0)
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    sent, encoded = [], []
+    send, encode_fn = ChannelEndpoint.send, training.encode
+
+    def record_send(self, msg_type, payload=b""):
+        sent.append(msg_type)
+        send(self, msg_type, payload)
+
+    def record_encode(ctx, values, *args, **kwargs):
+        encoded.append(np.asarray(values))
+        return encode_fn(ctx, values, *args, **kwargs)
+
+    monkeypatch.setattr(ChannelEndpoint, "send", record_send)
+    monkeypatch.setattr(training, "encode", record_encode)
+    fit(x[:32], y[:32], x[32:], y[32:], classes=3, ctx=make_ctx(), epochs=2, batch_size=16)
+    assert sent[0] == MSG_SETUP
+    assert sent.count(MSG_SETUP) == 1
+    # the initial weights, the validation features, then features and
+    # labels of 2 epochs x 2 batches; none of them is a zero matrix
+    assert len(encoded) == 2 + 2 * 2 * 2
+    assert all(np.any(v) for v in encoded)
+
+
+# -- label and batch checks ------------------------------------------------------------
+
+# Each runner trains 3 classes on (x, y) with one batch size; the validation
+# split, where there is one, is the training features with label 0.
+_RUNNERS = {
+    "fit": lambda x, y, batch: fit(
+        x, y, x, np.zeros(len(x)), 3, ctx=make_ctx(), epochs=1, batch_size=batch
+    ),
+    "run_steps": lambda x, y, batch: run_steps(x, y, 3, 1, ctx=make_ctx(), batch_size=batch),
+    "reference_fit": lambda x, y, batch: reference_fit(
+        x, y, x, np.zeros(len(x)), 3, epochs=1, batch_size=batch
+    ),
+}
+
+_BAD_LABELS = {
+    "negative": (-1, "label -1 at row 5 is not an integer in \\[0, 3\\)"),
+    "fraction": (2.5, "label 2.5 at row 5 is not an integer"),
+    "equal to classes": (3, "label 3 at row 5 is not an integer"),
+    "NaN": (math.nan, "label nan at row 5 is not an integer"),
+}
+
+
+def count_encodes(monkeypatch):
+    calls = []
+    encode_fn = training.encode
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return encode_fn(*args, **kwargs)
+
+    monkeypatch.setattr(training, "encode", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", sorted(_BAD_LABELS))
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_bad_training_label_raises_data_error_before_any_encode(monkeypatch, rng, runner, label):
+    value, match = _BAD_LABELS[label]
+    y = np.array([0, 1, 2, 0, 1, value, 2, 0])
+    encodes = count_encodes(monkeypatch)
+    with pytest.raises(DataError, match=match):
+        _RUNNERS[runner](rng.normal(size=(8, 3)), y, 4)
+    assert encodes == []
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_batch_size_below_one_raises_config_error_before_any_encode(monkeypatch, rng, runner):
+    encodes = count_encodes(monkeypatch)
+    with pytest.raises(ConfigError, match="batch size must be at least 1, got 0"):
+        _RUNNERS[runner](rng.normal(size=(8, 3)), np.arange(8) % 3, 0)
+    assert encodes == []
+    with pytest.raises(ConfigError, match="batch size must be at least 1, got -2"):
+        batch_slices(8, -2)
+
+
+def test_client_checks_validation_labels_and_row_pairing(rng):
+    x = rng.normal(size=(8, 3))
+    y = np.arange(8) % 3
+    cases = [
+        (DataError, "label 3 at row 1 is not an integer", dict(y_val=np.array([0, 3]))),
+        (ShapeMismatch, r"train labels of shape \(7,\) do not pair with 8 feature rows",
+         dict(y_train=y[:7])),
+        (ShapeMismatch, r"val labels of shape \(3,\) do not pair with 2 feature rows",
+         dict(y_val=np.array([0, 1, 2]))),
+        (ShapeMismatch, r"train labels of shape \(8, 1\) do not pair",
+         dict(y_train=y[:, None])),
+    ]
+    for error, match, override in cases:
+        kw = dict(x_train=x, y_train=y, x_val=x[:2], y_val=y[:2])
+        kw.update(override)
+        with pytest.raises(error, match=match):
+            Client(make_ctx(), channel_pair()[0], classes=3, **kw)
+
+
+def test_fit_rejects_short_labels_before_any_encode(monkeypatch, rng):
+    # at the parent this trained a full epoch, then raised IndexError in the
+    # observer's train loss
+    x = rng.normal(size=(8, 3))
+    encodes = count_encodes(monkeypatch)
+    with pytest.raises(ShapeMismatch, match="do not pair with 8 feature rows"):
+        fit(x, np.arange(7) % 3, x, np.arange(8) % 3, 3, ctx=make_ctx(), epochs=1)
+    assert encodes == []
+
+
+def test_integral_float_labels_are_accepted():
+    np.testing.assert_array_equal(one_hot(np.array([2.0, 0.0]), 3), [[0, 0, 1], [1, 0, 0]])
