@@ -14,9 +14,10 @@ softmax pieces are inside ``a_softmax``, ``col_sums`` is inside
 ``diag_abt`` (once per pass) and the softmax's column sums, and
 ``row_sums`` and ``prot_up`` are inside ``diag_atb`` (once per block
 column and pass).  ``col_sums`` runs the emulator's closed form of its
-ladder (``EmulatorContext.sum_spread``), and the re-tiling inside
-``boot_tiled`` that of a masked copy (``EmulatorContext.spread``);
-``row_sums`` still runs its ladder.  The two scales are the test and paper
+ladder (``EmulatorContext.sum_spread``), ``row_sums`` that of a ladder
+wrapping around each block (``EmulatorContext.wrap_sum``), and the
+re-tiling inside ``boot_tiled`` that of a masked copy
+(``EmulatorContext.spread``).  The two scales are the test and paper
 scales of ``scripts/budget_sweep.py``:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a

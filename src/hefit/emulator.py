@@ -21,7 +21,11 @@ primitive, :meth:`EmulatorContext.rot_sum`, which ledgers the same ops as
 that loop but writes each step into a preallocated buffer.  Where a mask
 leaves the ladder nothing to add but zeros, :meth:`EmulatorContext.spread`
 and :meth:`EmulatorContext.sum_spread` compute its result in closed form
-and ledger it op for op as the ladder.  Arithmetic on
+and ledger it op for op as the ladder; so does
+:meth:`EmulatorContext.wrap_sum` for a ladder that wraps around the whole
+vector, which leaves every slot its residue class total, summed once per
+class (equal to the ladder up to rounding, and bit for bit in its first
+row of slots).  Arithmetic on
 slots is exact IEEE double precision — there is no noise model — so a
 plaintext computation that mirrors the same operation order is a bit-exact
 oracle for the emulated one.  What the emulator does track faithfully:
@@ -349,9 +353,10 @@ class EmulatorContext:
         slot_count); negative s rotates right, and the level is kept.  Each
         step is two sliced additions into one of two preallocated buffers,
         so the ladder makes no rolled copy.  This is the general ladder, for
-        dense reductions such as ``row_sums`` and ``fold_columns``; a ladder
-        right after a mask that leaves it only zeros to add runs in closed
-        form as :meth:`spread` or :meth:`sum_spread`.
+        dense reductions such as ``fold_columns``; a ladder right after a
+        mask that leaves it only zeros to add runs in closed form as
+        :meth:`spread` or :meth:`sum_spread`, and one that wraps around the
+        whole vector as :meth:`wrap_sum`.
         """
         vx, ex, lx = self._operand(x)
         n = self.slot_count
@@ -436,6 +441,34 @@ class EmulatorContext:
         totals = tree_sum(vx.reshape(*vx.shape[:-1], n // width, width))
         kept = totals * mask_rows[..., 0, :]
         return self._copies(kept, (vx, ex, lx), (vm, em, lm), width)
+
+    def wrap_sum(self, x, step: int) -> CipherBlock:
+        """Every slot's residue class total mod ``step``, in that slot: in
+        closed form, ``rot_sum(x, [step, 2 step, ..., slot_count / 2])``.
+
+        That ladder wraps around the whole vector, so in exact arithmetic
+        it leaves every slot holding the total of the slots congruent to it
+        mod ``step``; with ``step = grid_cols`` that is each column's total
+        in every row.  This sums each class once, in :func:`tree_sum`'s
+        order (adjacent rows of ``step`` slots, then pairs of pairs), and
+        writes the totals to every row.  The first ``step`` slots are the
+        ladder's bit for bit; the ladder sums each later row's class in its
+        own cyclic order, so the other slots differ from it by rounding.
+        Ledgers what the ladder would, one Add and one Rot per block per
+        step, and keeps the level.
+        """
+        vx, ex, lx = self._operand(x)
+        n = self.slot_count
+        if not (is_pow2(step) and step <= n):
+            raise ValueError(f"wrap_sum: step {step} does not tile {n}")
+        if ex:
+            k = self._blocks(vx)
+            self.ledger.record("Add", k * log2(n // step))
+            self.ledger.record("Rot", k * log2(n // step))
+        lead, rows = vx.shape[:-1], n // step
+        totals = tree_sum(np.swapaxes(vx.reshape(*lead, rows, step), -1, -2))
+        out = np.broadcast_to(np.swapaxes(totals, -1, -2), (*lead, rows, step))
+        return CipherBlock(out.reshape(vx.shape), lx, ex)
 
     def _copies(self, kept: np.ndarray, x, mask, copies: int) -> CipherBlock:
         """Ledger the product of ``x`` and ``mask`` and a ``copies``-step

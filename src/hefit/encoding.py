@@ -175,9 +175,17 @@ def encode(
     ``c' = next_pow2(rows)`` and replicates them ``grid_rows/c'`` times
     inside a single block row (requires ``rows <= grid_rows``);
     ``"horizontal"`` does the same along columns.  NaN or infinite values
-    raise :class:`~hefit.errors.DataError`.
+    raise :class:`~hefit.errors.DataError`, as do complex and non-numeric
+    values (strings, ``None``); rows of different lengths raise
+    :class:`~hefit.errors.ShapeMismatch`.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses nested sequences of unequal lengths
+        raise ShapeMismatch("encode expects a rectangular matrix, got ragged rows") from None
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"encode expects real numbers, got {arr.dtype} values")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatch(f"encode expects a non-empty 2D matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -515,25 +523,20 @@ def _add_block_columns(E: EncodedMatrix) -> CipherBlock:
 def row_sums(E: EncodedMatrix) -> EncodedMatrix:
     """Broadcast each column's total to every row (maskless, depth-free).
 
-    Block rows are pre-added, then a row-rotation doubling ladder
-    (``rot_sum``) sums the s0 rows of each block; every row ends up holding
-    the column totals.  Costs ``log2(s0)`` Rot per surviving block.
-
-    The ladder runs one block column at a time, so its log2(s0) dependent
-    passes stay in cache.  ``diag_atb`` hands it one block column at a
-    time already; on the 1 x 13 grid of 32768-slot blocks that
-    ``row_major_atb`` sums at the benchmark shape, one ``rot_sum`` over the
-    whole grid took about three times as long.
+    Block rows are pre-added, then a backend runs a row-rotation doubling
+    ladder that wraps around each block, ``rot_sum`` by ``s1, 2 s1, ...,
+    s0 s1 / 2``; every row ends up holding the column totals.  The emulator
+    computes that in closed form
+    (:meth:`~hefit.emulator.EmulatorContext.wrap_sum`): each column's total
+    once, written to every row, so all rows are equal (the ladder's row 0
+    bit for bit; its other rows differ by rounding).  Costs ``log2(s0)``
+    Rot per surviving block.
     """
     ctx = E.ctx
     acc = E.block[:1]
     for p in range(1, E.grid[0]):
         acc = ctx.add(acc, E.block[p : p + 1])
-    shifts = [(1 << t) * ctx.grid_cols for t in range(log2(ctx.grid_rows))]
-    shape = (ctx.grid_rows, E.shape[1])
-    return join_columns(
-        [EncodedMatrix(ctx, ctx.rot_sum(acc[:, q : q + 1], shifts), shape) for q in range(E.grid[1])]
-    )
+    return EncodedMatrix(ctx, ctx.wrap_sum(acc, ctx.grid_cols), (ctx.grid_rows, E.shape[1]))
 
 
 def join_columns(cols: list[EncodedMatrix]) -> EncodedMatrix:

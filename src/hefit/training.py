@@ -31,9 +31,10 @@ their first periods are bootstrapped, together, then re-tiled.  At paper
 scale (32768 slots, 10 classes, 769 columns) that is one bootstrap instead
 of eight.  V's cut to its first period rides the momentum multipliers, so
 the refresh spends no level of V, and W and V come back at ``max_level - 1``.
-Re-tiling copies the first period over the others; the copies a step leaves
-behind differ by ulps (``row_sums`` sums each row in its own order), so the
-weights track an unpacked refresh to within 1e-15, not bit for bit.
+Re-tiling copies the first period over the others.  The copies a step
+leaves behind are equal (``row_sums`` writes one column total to every
+row), so the packed refresh returns the slots an unpacked one would, bit
+for bit.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from hefit.emulator import (
     CipherBlock,
     EmulatorContext,
     OpLedger,
+    log2,
 )
 from hefit.encoding import EncodedMatrix, decode, encode
 from hefit.errors import DepthExhausted, HefitError, LevelError, SlotCountMismatch
@@ -299,6 +300,63 @@ def test_rot_sum_matches_the_add_lrot_loop(shape, shifts, encrypted, seed):
     assert x.slots.tobytes() == values.astype(np.complex128).tobytes()
 
 
+@given(
+    shape=st.sampled_from([(256,), (1, 3, 256), (2, 2, 256)]),
+    one_block=st.booleans(),
+    step=st.sampled_from([1, 4, 16, 128, 256]),
+    encrypted=st.booleans(),
+    level=st.integers(0, 12),
+    seed=st.integers(0, 2**16),
+)
+@example(shape=(2, 2, 256), one_block=False, step=16, encrypted=True, level=3, seed=0)
+@example(shape=(1, 3, 256), one_block=True, step=16, encrypted=True, level=0, seed=1)
+def test_wrap_sum_is_the_full_wrap_ladder_up_to_rounding(shape, one_block, step, encrypted, level, seed):
+    ctx = EmulatorContext(256, 16)
+    rng = np.random.default_rng(seed)
+    # magnitudes over 16 decades, so the two summation orders round apart
+    values = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.integers(-8, 8, size=shape)
+    if one_block:  # one block broadcast over the grid: a view, ledgered per block
+        values = np.broadcast_to(values[(0,) * (len(shape) - 1)], shape)
+    x = ctx.encrypt(values, level) if encrypted else ctx.pack(values)
+    rows = 256 // step
+
+    before = ctx.ledger.snapshot()
+    want = ctx.rot_sum(x, [step << t for t in range(log2(rows))])
+    ladder_ops = ctx.ledger.delta(before)
+    before = ctx.ledger.snapshot()
+    got = ctx.wrap_sum(x, step)
+    assert ctx.ledger.delta(before) == ladder_ops
+    blocks = math.prod(shape[:-1]) if encrypted else 0
+    assert ladder_ops == {**dict.fromkeys(OP_KINDS, 0), "Add": blocks * log2(rows), "Rot": blocks * log2(rows)}
+    assert (got.slots.shape, got.level, got.encrypted) == (shape, x.level, encrypted)
+    assert got.slots.dtype == want.slots.dtype
+    assert not got.slots.flags.writeable
+
+    g = got.slots.reshape(*shape[:-1], rows, step)
+    w = want.slots.reshape(*shape[:-1], rows, step)
+    # the first row is the ladder's bit for bit, and every row holds it
+    assert g[..., 0, :].tobytes() == w[..., 0, :].tobytes()
+    assert (g == g[..., :1, :]).all()
+    # both sum each residue class pairwise, log2(rows) roundings deep, so
+    # each lies within log2(rows) * eps * sum|x| of the exact total; the
+    # two lie within twice that of each other
+    magnitude = np.abs(values).reshape(*shape[:-1], rows, step).sum(axis=-2, keepdims=True)
+    assert (np.abs(g - w) <= 2 * log2(rows) * np.finfo(float).eps * magnitude).all()
+
+
+def test_wrap_sum_checks_the_slot_count_and_the_step():
+    ctx = fresh()
+    with pytest.raises(SlotCountMismatch):
+        ctx.wrap_sum(CipherBlock(np.ones(32), 3), 4)
+    with pytest.raises(SlotCountMismatch):
+        ctx.wrap_sum(np.ones((2, 8)), 4)
+    x = ctx.encrypt(np.arange(16.0))
+    for bad in (0, 3, 32):
+        with pytest.raises(ValueError):
+            ctx.wrap_sum(x, bad)
+    assert sum(ctx.ledger.counts().values()) == 0
+
+
 # -- real and complex slots ------------------------------------------------------
 
 
@@ -326,6 +384,7 @@ REAL_OPS = {
     "rot_sum": lambda ctx, x, y, s: ctx.rot_sum(x, [1, -2, 4, 0]),
     "spread": lambda ctx, x, y, s: ctx.spread(x, y, 1, 4),
     "sum_spread": lambda ctx, x, y, s: ctx.sum_spread(x, y, 4),
+    "wrap_sum": lambda ctx, x, y, s: ctx.wrap_sum(x, 4),
     "conj": lambda ctx, x, y, s: ctx.conj(x),
     "bootstrap": lambda ctx, x, y, s: ctx.bootstrap(x),
 }

@@ -1,6 +1,7 @@
 """Packing, tilings, masks, and the structural rotation/fold helpers."""
 
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,31 @@ def test_encode_rejects_non_finite_values(ctx, bad):
     values[1, 0] = bad
     with pytest.raises(DataError, match="finite"):
         encode(ctx, values)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([[1 + 2j, 3]]), [[1.0, 0j]], [["a", "b"]], [["1.5", "2"]], [[1.0, None]]],
+    ids=["complex", "complex-zero-imag", "strings", "numeric-strings", "none"],
+)
+def test_encode_rejects_complex_and_non_numeric_values(ctx, bad):
+    # raised before any cast: no ComplexWarning, no imaginary part dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="real numbers"):
+            encode(ctx, bad)
+
+
+@pytest.mark.parametrize("bad", [[[1, 2], [3]], [[1.0], [2.0, 3.0]], [[1, [2]], [3, 4]]])
+def test_encode_rejects_ragged_rows(ctx, bad):
+    with pytest.raises(ShapeMismatch, match="ragged"):
+        encode(ctx, bad)
+
+
+def test_encode_takes_integers_and_booleans_as_reals(ctx):
+    e = encode(ctx, [[1, 2], [True, False]])
+    assert e.block.slots.dtype == np.float64
+    np.testing.assert_array_equal(decode(e), [[1.0, 2.0], [1.0, 0.0]])
 
 
 def test_encode_level_and_plaintext(ctx):
@@ -496,6 +522,29 @@ def test_row_sums_is_maskless_and_depth_free(ctx, rng):
     np.testing.assert_allclose(got, np.tile(m.sum(axis=0, keepdims=True), (16, 1)))
     assert delta["Rot"] == 4 and delta["CMult"] == 0  # log2(s0) per block col
     assert out.level == e.level
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("encrypted", [True, False])
+def test_row_sums_is_the_ladders_first_row_in_every_row(ctx, rng, grid, encrypted):
+    e = encode(ctx, rng.normal(size=(16 * grid[0] - 3, 16 * grid[1] - 5)), encrypted=encrypted)
+
+    def ladder():
+        acc = e.block[:1]
+        for p in range(1, e.grid[0]):
+            acc = ctx.add(acc, e.block[p : p + 1])
+        return ctx.rot_sum(acc, [ctx.grid_cols << t for t in range(log2(ctx.grid_rows))])
+
+    before = ctx.ledger.snapshot()
+    want = ladder()
+    want_ops = ctx.ledger.delta(before)
+    before = ctx.ledger.snapshot()
+    got = row_sums(e)
+    assert ctx.ledger.delta(before) == want_ops
+    assert (got.grid, got.level, got.encrypted) == (want.slots.shape[:2], want.level, want.encrypted)
+    rows = got.block.slots.reshape(*got.grid, ctx.grid_rows, ctx.grid_cols)
+    first = want.slots.reshape(rows.shape)[..., :1, :]
+    assert (rows == first).all() and rows[..., :1, :].tobytes() == first.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

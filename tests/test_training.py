@@ -155,14 +155,15 @@ GREEDY_STEP_BOOTSTRAPS = {
 
 def test_test_scale_steps_complete_at_every_accepted_budget():
     # every max_level a run config accepts (at least 5) runs on the placed
-    # refreshes alone; bootstraps are value-exact, so the weights agree up to
-    # the ulps by which row_sums leaves the tiled copies of W apart (a packed
-    # refresh keeps copy 0 only, and budgets refresh at different steps).
-    # The softmax's refresh plan never costs a step more than refreshing
-    # every tournament value alone
+    # refreshes alone; bootstraps are value-exact, and row_sums writes one
+    # total to every row, so the tiled copies of W are equal and a packed
+    # refresh, which keeps copy 0 only, loses nothing: the weights agree bit
+    # for bit though budgets refresh at different steps.  The softmax's
+    # refresh plan never costs a step more than refreshing every tournament
+    # value alone
     final, boots = final_weights_by_budget(4096, 64, 16, 3, 64, range(5, 25), 8)
     for w in final.values():
-        np.testing.assert_allclose(w, final[24], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(w, final[24])
     assert boots == {
         5: 18, 6: 13.875, 7: 12, 8: 10, 9: 9, 10: 8, 11: 7, 12: 6.125, 13: 6.25, 14: 5,
         15: 5, 16: 4.75, 17: 4.625, 18: 4.375, 19: 4, 20: 4, 21: 3.5, 22: 3.625, 23: 3,
