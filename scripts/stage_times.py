@@ -10,12 +10,13 @@ stages run in few steps: at budget 12 the packed W/V refresh
 (``boot_tiled``) and ``diag_atb``'s partial-rotation branch (``prot_up``)
 each run in 4 of the 16 steps at both scales, so a median over all steps
 would read 0 for them.  A stage's time includes everything it calls, so the
-softmax pieces are inside ``a_softmax``, ``col_sums`` is inside
-``diag_abt`` (once per pass) and the softmax's column sums, and
-``row_sums`` and ``prot_up`` are inside ``diag_atb`` (once per block
-column and pass).  ``col_sums`` runs the emulator's closed form of its
-ladder (``EmulatorContext.sum_spread``), ``row_sums`` that of a ladder
-wrapping around each block (``EmulatorContext.wrap_sum``), and the
+softmax pieces and ``col_sums`` (the softmax's row totals) are inside
+``a_softmax``, and ``passes`` is inside both kernels: once per call of
+``diag_abt`` and once per block column of ``diag_atb``, whose ``prot_up``
+runs once per block column and pass.  ``passes`` is the kernels' masked
+totals (``encoding.place_passes``), which the emulator computes on one
+period of the result (``EmulatorContext.place_passes``); ``col_sums`` runs
+the closed form of its ladder (``EmulatorContext.sum_spread``), and the
 re-tiling inside ``boot_tiled`` that of a masked copy
 (``EmulatorContext.spread``).  The two scales are the test and paper
 scales of ``scripts/budget_sweep.py``:
@@ -73,7 +74,7 @@ STAGES = {
     "a_exp": ("hefit.approx", "a_exp"),
     "a_inv": ("hefit.approx", "a_inv"),
     "diag_atb": ("hefit.matmul", "diag_atb"),
-    "row_sums": ("hefit.encoding", "row_sums"),
+    "passes": ("hefit.encoding", "place_passes"),
     "col_sums": ("hefit.encoding", "col_sums"),
     "prot_up": ("hefit.encoding", "prot_up"),
     "boot_tiled": ("hefit.encoding", "bootstrap_tiled"),

@@ -25,7 +25,11 @@ and ledger it op for op as the ladder; so does
 :meth:`EmulatorContext.wrap_sum` for a ladder that wraps around the whole
 vector, which leaves every slot its residue class total, summed once per
 class (equal to the ladder up to rounding, and bit for bit in its first
-row of slots).  Arithmetic on
+row of slots).  :meth:`EmulatorContext.place_passes` is the closed form of
+a diagonal matrix product's passes: each pass's totals (``wrap_sum`` or
+``sum_spread``) times its diagonal mask, summed over the passes, computed
+on one period of the result and tiled.  All of them ledger what the
+composition would, op for op.  Arithmetic on
 slots is exact IEEE double precision — there is no noise model — so a
 plaintext computation that mirrors the same operation order is a bit-exact
 oracle for the emulated one.  What the emulator does track faithfully:
@@ -78,15 +82,19 @@ def log2(n: int) -> int:
     return int(math.log2(n))
 
 
-def tree_sum(a: np.ndarray) -> np.ndarray:
-    """Totals over the last axis, a power of two wide, as shape ``(..., 1)``.
+def tree_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Totals over ``axis``, a power of two long, kept as a length-1 axis.
 
     Adjacent pairs are added, then adjacent pairs of those, and so on: the
     order in which a doubling ladder ``rot_sum(x, [1, 2, 4, ...])`` sums its
-    first slot, so the totals equal that slot bit for bit.
+    first slot, so the totals over the last axis equal that slot bit for
+    bit.  Over the rows of ``(rows, step)`` blocks (``axis=-2``) it pairs
+    the slots that :meth:`EmulatorContext.wrap_sum`'s ladder pairs in its
+    first row.
     """
-    while a.shape[-1] > 1:
-        a = a[..., 0::2] + a[..., 1::2]
+    head = (slice(None),) * (axis % a.ndim)
+    while a.shape[axis] > 1:
+        a = a[(*head, slice(0, None, 2))] + a[(*head, slice(1, None, 2))]
     return a
 
 
@@ -197,6 +205,10 @@ class EmulatorContext:
         max_level: int = 12,
         auto_bootstrap: bool = False,
     ):
+        for name, value in (("slot_count", slot_count), ("grid_rows", grid_rows)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SlotCountMismatch(f"{name} must be an integer, got {value!r}")
+        slot_count, grid_rows = int(slot_count), int(grid_rows)
         if not is_pow2(slot_count):
             raise SlotCountMismatch(f"slot_count must be a power of two, got {slot_count}")
         if not is_pow2(grid_rows) or grid_rows > slot_count:
@@ -356,7 +368,8 @@ class EmulatorContext:
         dense reductions such as ``fold_columns``; a ladder right after a
         mask that leaves it only zeros to add runs in closed form as
         :meth:`spread` or :meth:`sum_spread`, and one that wraps around the
-        whole vector as :meth:`wrap_sum`.
+        whole vector as :meth:`wrap_sum`, and the passes of a diagonal
+        product as :meth:`place_passes`.
         """
         vx, ex, lx = self._operand(x)
         n = self.slot_count
@@ -434,10 +447,7 @@ class EmulatorContext:
         mask_rows = _windows(vm, n // width, width, 1)
         if mask_rows[..., 1:, :].any():
             raise ValueError("sum_spread: the mask has nonzero slots past a segment's first")
-        if ex:
-            k = self._blocks(vx)
-            self.ledger.record("Add", k * log2(width))
-            self.ledger.record("Rot", k * log2(width))
+        self._charge_ladder(ex, self._blocks(vx), log2(width))
         totals = tree_sum(vx.reshape(*vx.shape[:-1], n // width, width))
         kept = totals * mask_rows[..., 0, :]
         return self._copies(kept, (vx, ex, lx), (vm, em, lm), width)
@@ -449,11 +459,12 @@ class EmulatorContext:
         That ladder wraps around the whole vector, so in exact arithmetic
         it leaves every slot holding the total of the slots congruent to it
         mod ``step``; with ``step = grid_cols`` that is each column's total
-        in every row.  This sums each class once, in :func:`tree_sum`'s
-        order (adjacent rows of ``step`` slots, then pairs of pairs), and
-        writes the totals to every row.  The first ``step`` slots are the
-        ladder's bit for bit; the ladder sums each later row's class in its
-        own cyclic order, so the other slots differ from it by rounding.
+        in every row.  This sums each class once, by :func:`tree_sum` over
+        the rows of the ``(rows, step)`` view (adjacent rows, then pairs of
+        pairs), and writes the totals to every row.  The first ``step``
+        slots are the ladder's bit for bit; the ladder sums each later row's
+        class in its own cyclic order, so the other slots differ from it by
+        rounding.
         Ledgers what the ladder would, one Add and one Rot per block per
         step, and keeps the level.
         """
@@ -461,14 +472,90 @@ class EmulatorContext:
         n = self.slot_count
         if not (is_pow2(step) and step <= n):
             raise ValueError(f"wrap_sum: step {step} does not tile {n}")
-        if ex:
-            k = self._blocks(vx)
-            self.ledger.record("Add", k * log2(n // step))
-            self.ledger.record("Rot", k * log2(n // step))
+        self._charge_ladder(ex, self._blocks(vx), log2(n // step))
         lead, rows = vx.shape[:-1], n // step
-        totals = tree_sum(np.swapaxes(vx.reshape(*lead, rows, step), -1, -2))
-        out = np.broadcast_to(np.swapaxes(totals, -1, -2), (*lead, rows, step))
+        totals = tree_sum(vx.reshape(*lead, rows, step), axis=-2)
+        out = np.broadcast_to(totals, (*lead, rows, step))
         return CipherBlock(out.reshape(vx.shape), lx, ex)
+
+    def place_passes(self, products, tiles, axis: int) -> CipherBlock:
+        """``sum_k mult(R(x_k), M_k)`` over the passes of a diagonal matrix
+        product, in closed form.
+
+        ``products`` yields the pass products ``x_k``; ``tiles`` is a
+        sequence of the ``c x c`` tiles their plaintext masks repeat over the
+        block, ``M_k[i, j] = tiles[k][i mod c, j mod c]``
+        (:func:`~hefit.encoding.make_mask`).  ``R`` is ``wrap_sum(x,
+        grid_cols)`` for ``axis=0``, each column's total in every row, or for
+        ``axis=1`` ``sum_spread(x, mask, grid_cols)`` with a mask that keeps
+        column 0 (value 1), each row's total in every column.  Along that
+        axis the mask, and so the sum, repeats with period ``c``.  This
+        reduces each product to its totals as it arrives (it holds one
+        product at a time), runs the mask products and the accumulating adds
+        on one period (``c`` rows, or ``c`` columns of every row) with the
+        composition's numpy ops in its order, and tiles that period: the
+        composition's slots bit for bit.
+
+        Ledgers the composition op for op, pass by pass: R's Adds and Rots
+        (for ``axis=1`` also its column-0 CMult), the mask's CMult, and one
+        Add per block for each pass after the first.  Each product costs a
+        level; an encrypted operand with none left raises
+        :class:`~hefit.errors.DepthExhausted` once the ops before it are
+        charged.  A bad axis, no tiles, tiles of other shapes or a count of
+        products other than of tiles raise ``ValueError``.
+        """
+        s0, s1 = self.grid_rows, self.grid_cols
+        if axis not in (0, 1):
+            raise ValueError(f"place_passes: axis must be 0 or 1, got {axis}")
+        c = len(tiles[0]) if len(tiles) else 0
+        if not c or s0 % c or s1 % c or any(np.shape(t) != (c, c) for t in tiles):
+            raise ValueError(f"place_passes: tiles must be c x c, c dividing {s0} and {s1}")
+        steps = log2(s1 if axis else s0)
+        acc, done = None, 0
+        # a plain loop: zip would hold the last product while the next is made
+        for x in products:
+            if done == len(tiles):
+                raise ValueError(f"place_passes: more products than the {len(tiles)} tiles")
+            tile, done = tiles[done], done + 1
+            vx, ex, lx = self._operand(x)
+            lead, k = vx.shape[:-1], self._blocks(vx)
+            block = vx.reshape(*lead, s0, s1)
+            self._charge_ladder(ex, k, steps)
+            if axis == 0:
+                totals = tree_sum(block, axis=-2).reshape(*lead, 1, s1 // c, c)
+                period_of = tile[:, None, :]  # -> (..., c rows, s1 / c, c)
+            else:
+                # the column-0 product keeps its multiply: a complex total
+                # times 1 may turn a -0.0 part into +0.0
+                totals = (tree_sum(block) * 1.0).reshape(*lead, s0 // c, c, 1)
+                lx = self._charge_product((vx, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
+                self._charge_ladder(ex, k, steps)
+                period_of = tile  # -> (..., s0 / c, c, c columns)
+            level = self._charge_product((vx, ex, lx), (tile, False, PLAINTEXT_LEVEL), k)
+            term = totals * period_of
+            del x, vx, block, totals  # let the next product reuse the memory
+            if acc is None:
+                acc, encrypted, acc_level = term, ex, level
+                continue
+            acc = acc + term
+            if encrypted or ex:
+                self.ledger.record("Add", math.prod(acc.shape[:-3]))
+            encrypted, acc_level = encrypted or ex, min(acc_level, level)
+        if done < len(tiles):
+            raise ValueError(f"place_passes: {done} products for {len(tiles)} tiles")
+        lead = acc.shape[:-3]
+        if axis == 0:
+            out = np.broadcast_to(acc.reshape(*lead, 1, c, s1), (*lead, s0 // c, c, s1))
+        else:
+            out = np.broadcast_to(acc.reshape(*lead, s0, 1, c), (*lead, s0, s1 // c, c))
+        return CipherBlock(out.reshape(*lead, self.slot_count), acc_level, encrypted)
+
+    def _charge_ladder(self, encrypted: bool, k: int, steps: int) -> None:
+        """Ledger a ``steps``-step rotate-and-sum ladder over ``k`` blocks,
+        one Add and one Rot per block per step, if it is encrypted."""
+        if encrypted:
+            self.ledger.record("Add", k * steps)
+            self.ledger.record("Rot", k * steps)
 
     def _copies(self, kept: np.ndarray, x, mask, copies: int) -> CipherBlock:
         """Ledger the product of ``x`` and ``mask`` and a ``copies``-step
@@ -477,9 +564,7 @@ class EmulatorContext:
         (vx, ex, _), (vm, em, _) = x, mask
         k = math.prod(np.broadcast_shapes(vx.shape[:-1], vm.shape[:-1]))
         level = self._charge_product(x, mask, k)
-        if ex or em:
-            self.ledger.record("Add", k * log2(copies))
-            self.ledger.record("Rot", k * log2(copies))
+        self._charge_ladder(ex or em, k, log2(copies))
         *lead, segments, width = kept.shape
         out = np.broadcast_to(kept[..., None, :], (*lead, segments, copies, width))
         return CipherBlock(out.reshape(*lead, self.slot_count), level, ex or em)

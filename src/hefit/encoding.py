@@ -391,13 +391,19 @@ def _real(E: EncodedMatrix) -> EncodedMatrix:
 def pattern_matrix(ctx: EmulatorContext, pattern: np.ndarray) -> EncodedMatrix:
     """One plaintext block holding an s0 x s1 pattern; its grid broadcasts
     over any other.  The pattern may be any array that broadcasts to
-    s0 x s1, such as one row of s1 values or one column of s0."""
+    s0 x s1, such as one row of s1 values or one column of s0, or a 2D tile
+    whose shape divides s0 x s1, repeated over the block (a
+    :func:`make_mask` tile)."""
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
     try:
-        pattern = np.broadcast_to(pattern, (ctx.grid_rows, ctx.grid_cols))
+        pattern = np.broadcast_to(pattern, (s0, s1))
     except ValueError:
-        raise ShapeMismatch(
-            f"pattern must broadcast to {(ctx.grid_rows, ctx.grid_cols)}, got {np.shape(pattern)}"
-        ) from None
+        p, q = np.shape(pattern) if np.ndim(pattern) == 2 else (0, 0)
+        if not (p and q and s0 % p == 0 and s1 % q == 0):
+            raise ShapeMismatch(
+                f"pattern must broadcast to or tile {(s0, s1)}, got {np.shape(pattern)}"
+            ) from None
+        pattern = np.tile(pattern, (s0 // p, s1 // q))
     # one C-order copy, none if the pattern already is one: astype keeps a
     # broadcast row's layout, and the reshape then copies it again; real
     # patterns stay real
@@ -412,30 +418,33 @@ def make_mask(
     modulus: int,
     complexified: bool = False,
     scale: float = 1.0,
-) -> EncodedMatrix:
+) -> np.ndarray:
     """Diagonal selector mask: 1 at (i, j) with j = i + shift (mod modulus).
 
-    The complexified variant packs two diagonals into one mask,
+    The pattern depends only on ``(i mod modulus, j mod modulus)``, so this
+    returns its ``modulus x modulus`` tile; ``pattern_matrix(ctx, tile)``
+    spreads it over a block, and the diagonal kernels use the tile itself
+    (:meth:`~hefit.emulator.EmulatorContext.place_passes`).  The
+    complexified variant packs two diagonals into one mask,
     ``(1/2) M(shift) - (i/2) M(shift + modulus/2)``, so one CMult recombines
     a complex-packed pair.  ``modulus`` must divide both grid dimensions so
     the pattern is uniform across blocks; ``scale`` rides the mask for free.
-    Only the complexified mask has complex slots.
+    Only the complexified tile is complex.
     """
     s0, s1 = ctx.grid_rows, ctx.grid_cols
     if modulus < 1 or s0 % modulus or s1 % modulus:
         raise ShapeMismatch(f"mask modulus {modulus} must divide grid dims {(s0, s1)}")
     shift = int(shift) % modulus
-    # column j = t * modulus + r sits on the diagonal of row i when r = i + shift
-    dtype = np.complex128 if complexified else np.float64
-    pattern = np.zeros((s0, s1 // modulus, modulus), dtype=dtype)
-    rows = np.arange(s0)
+    # column r sits on the diagonal of row i when r = i + shift
+    tile = np.zeros((modulus, modulus), dtype=np.complex128 if complexified else np.float64)
+    rows = np.arange(modulus)
     if complexified:
-        pattern[rows, :, (rows + shift) % modulus] = 0.5 * scale
+        tile[rows, (rows + shift) % modulus] = 0.5 * scale
         # += keeps the real zero positive (-0.5j * scale may carry -0.0)
-        pattern[rows, :, (rows + shift + modulus // 2) % modulus] += -0.5j * scale
+        tile[rows, (rows + shift + modulus // 2) % modulus] += -0.5j * scale
     else:
-        pattern[rows, :, (rows + shift) % modulus] = scale
-    return pattern_matrix(ctx, pattern.reshape(s0, s1))
+        tile[rows, (rows + shift) % modulus] = scale
+    return tile
 
 
 def col_range_mask(ctx: EmulatorContext, stop: int) -> EncodedMatrix:
@@ -492,10 +501,12 @@ def col_sums(E: EncodedMatrix) -> EncodedMatrix:
     broadcasts it.  The emulator computes that in closed form
     (:meth:`~hefit.emulator.EmulatorContext.sum_spread`): each row's total
     by the fold's halving tree, masked, written to every column.  Costs
-    ``2*log2(s1)`` Rot + 1 CMult per surviving block and one level.
+    ``2*log2(s1)`` Rot + 1 CMult per surviving block and one level.  The
+    softmax's row totals run this; :func:`place_passes` runs the same
+    reduction inside ``diag_abt``.
     """
     ctx = E.ctx
-    acc = ctx.sum_spread(_add_block_columns(E), col_range_mask(ctx, 1).block, ctx.grid_cols)
+    acc = ctx.sum_spread(_add_blocks(E, 1), col_range_mask(ctx, 1).block, ctx.grid_cols)
     return EncodedMatrix(ctx, acc, (E.shape[0], ctx.grid_cols))
 
 
@@ -508,15 +519,17 @@ def fold_columns(E: EncodedMatrix) -> EncodedMatrix:
     level.
     """
     ctx = E.ctx
-    acc = ctx.rot_sum(_add_block_columns(E), [1 << t for t in range(log2(ctx.grid_cols))])
+    acc = ctx.rot_sum(_add_blocks(E, 1), [1 << t for t in range(log2(ctx.grid_cols))])
     return EncodedMatrix(ctx, acc, (E.shape[0], 1))
 
 
-def _add_block_columns(E: EncodedMatrix) -> CipherBlock:
-    """The sum of E's block columns, added left to right: one block column."""
-    acc = E.block[:, :1]
-    for q in range(1, E.grid[1]):
-        acc = E.ctx.add(acc, E.block[:, q : q + 1])
+def _add_blocks(E: EncodedMatrix, axis: int) -> CipherBlock:
+    """The sum of E's blocks along grid ``axis`` (0: block rows, 1: block
+    columns), added in order: one block on that axis."""
+    head = (slice(None),) * axis
+    acc = E.block[(*head, slice(0, 1))]
+    for q in range(1, E.grid[axis]):
+        acc = E.ctx.add(acc, E.block[(*head, slice(q, q + 1))])
     return acc
 
 
@@ -530,13 +543,29 @@ def row_sums(E: EncodedMatrix) -> EncodedMatrix:
     (:meth:`~hefit.emulator.EmulatorContext.wrap_sum`): each column's total
     once, written to every row, so all rows are equal (the ladder's row 0
     bit for bit; its other rows differ by rounding).  Costs ``log2(s0)``
-    Rot per surviving block.
+    Rot per surviving block.  ``row_major_atb`` runs this;
+    :func:`place_passes` runs the same reduction inside ``diag_atb``.
     """
     ctx = E.ctx
-    acc = E.block[:1]
-    for p in range(1, E.grid[0]):
-        acc = ctx.add(acc, E.block[p : p + 1])
-    return EncodedMatrix(ctx, ctx.wrap_sum(acc, ctx.grid_cols), (ctx.grid_rows, E.shape[1]))
+    acc = ctx.wrap_sum(_add_blocks(E, 0), ctx.grid_cols)
+    return EncodedMatrix(ctx, acc, (ctx.grid_rows, E.shape[1]))
+
+
+def place_passes(ctx: EmulatorContext, products, tiles, axis: int) -> EncodedMatrix:
+    """The masked totals of a diagonal kernel's passes, summed.
+
+    Each product's blocks along grid ``axis`` are added in order, as
+    :func:`row_sums` (``axis=0``) or :func:`col_sums` (``axis=1``) adds
+    them, and :meth:`~hefit.emulator.EmulatorContext.place_passes` computes
+    ``sum_k row_sums(x_k) * M_k`` (or ``col_sums``) in closed form, where
+    ``M_k`` is ``pattern_matrix(ctx, tiles[k])``.  Products are taken from
+    the iterable one at a time.  The result is an untiled matrix the shape
+    of its padded grid; the kernels set their own metadata.
+    """
+    blocks = map(lambda m: _add_blocks(m, axis), products)  # holds no finished product
+    acc = ctx.place_passes(blocks, tiles, axis)
+    gr, gc = acc.slots.shape[:2]
+    return EncodedMatrix(ctx, acc, (gr * ctx.grid_rows, gc * ctx.grid_cols))
 
 
 def join_columns(cols: list[EncodedMatrix]) -> EncodedMatrix:

@@ -6,7 +6,12 @@ Four routines, two packings each of ``A B^T`` (shapes ``(a,b) x (c,b)``) and
 * :func:`diag_abt` / :func:`diag_atb` — complex-packed diagonal extraction
   against a tiled operand; c/2 diagonal passes recombined by conjugation
   (``x + conj(x)``, :meth:`~hefit.encoding.EncodedMatrix.conj_add`), which
-  returns the real product as real slots.
+  returns the real product as real slots.  Each pass's product is reduced
+  to row totals (``col_sums``) or column totals (``row_sums``) and masked
+  to the pass's diagonals; :func:`~hefit.encoding.place_passes` computes
+  that sum over the passes in closed form, from one ``c x c`` mask tile per
+  pass (:func:`~hefit.encoding.make_mask`), taking the products one at a
+  time.
 * :func:`col_major_abt` / :func:`row_major_atb` — one mask-replicate-reduce
   pass per row/column of the small dimension; simpler, rotation-heavier.
 
@@ -23,18 +28,21 @@ tolerance.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .emulator import log2
 from .encoding import (
     EncodedMatrix,
     col_range_mask,
-    col_sums,
     fold_columns,
     join_columns,
     make_mask,
     next_pow2,
     pattern_matrix,
+    place_passes,
     prot_up,
     rot_left,
     rot_up,
@@ -60,10 +68,11 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     """``A B^T`` for A (a x b) untiled, B (c x b) vertically tiled.
 
     The tiled B is complex-packed (rows k and k+c/2 share a slot), so only
-    c/2 rotated copies are needed; each pass multiplies, sums columns, and
-    masks the pair of diagonals it contributes.  A final conjugation doubles
-    the real part; at c = 1 the one diagonal needs neither packing nor
-    conjugation.  Output: (a x c) horizontally tiled, period c; consumes 3
+    c/2 rotated copies are needed; each pass multiplies, sums each row
+    (``col_sums``), and masks the pair of diagonals it contributes, in
+    closed form (:func:`~hefit.encoding.place_passes`).  A final
+    conjugation doubles the real part; at c = 1 the one diagonal needs
+    neither packing nor conjugation.  Output: (a x c) horizontally tiled, period c; consumes 3
     levels.
     """
     _check_pair(A, B, "none", "vertical", "diag_abt")
@@ -76,16 +85,16 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
 
     # B has one block row, which multiplies every block row of A
     packed = B if c == 1 else B + rot_up(B, c // 2).mul_i()
-    acc = None
-    for k in range(max(c // 2, 1)):
+    passes = range(max(c // 2, 1))
+
+    def fold(k):
         # the pass's product, one block column at a time, added into the
         # fold left to right as col_sums would add its block columns
-        fold = None
-        for q in range(A.grid[1]):
-            prod = A.block_column(q) * rot_up(packed.block_column(q), k)
-            fold = prod if fold is None else fold + prod
-        term = col_sums(fold) * make_mask(ctx, k, c, complexified=c > 1)
-        acc = term if acc is None else acc + term
+        prods = (A.block_column(q) * rot_up(packed.block_column(q), k) for q in range(A.grid[1]))
+        return functools.reduce(operator.add, prods)
+
+    tiles = [make_mask(ctx, k, c, complexified=c > 1) for k in passes]
+    acc = place_passes(ctx, (fold(k) for k in passes), tiles, axis=1)
     out = acc if c == 1 else acc.conj_add()
     return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal")
 
@@ -98,7 +107,9 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     A is complex-packed via a columnwise rotation; each diagonal pass aligns
     operands either by rotating A cleanly (costs a level per pass) or, when
     A sits at the lower level, by flat-rotating A and partially row-rotating
-    B instead (the rotation-heavy branch saves A's budget).  As in
+    B instead (the rotation-heavy branch saves A's budget), multiplies,
+    sums each column (``row_sums``) and masks its diagonals, in closed form
+    (:func:`~hefit.encoding.place_passes`).  As in
     :func:`diag_abt`, c = 1 skips the packing and the conjugation.  Output:
     (c x b) vertically tiled, period c.
     """
@@ -111,20 +122,18 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
         raise ShapeMismatch(f"diag_atb: period {c} exceeds block rows {ctx.grid_rows}")
 
     # A has one block column, which multiplies every block column of B: its
-    # aligned copy and the mask of each pass are built once, then B is
+    # aligned copy and the mask tile of each pass are built once, then B is
     # taken one block column at a time through every pass
     use_partial = A.level < B.level
     packed = A if c == 1 else A + rot_left(A, c // 2).mul_i()
     passes = range(max(c // 2, 1))
     aligned = [packed.lrot(k) if use_partial else rot_left(packed, k) for k in passes]
-    masks = [make_mask(ctx, -k, c, complexified=c > 1, scale=scale) for k in passes]
+    tiles = [make_mask(ctx, -k, c, complexified=c > 1, scale=scale) for k in passes]
     cols = []
     for q in range(B.grid[1]):
         col = B.block_column(q)
-        acc = None
-        for k in passes:
-            term = row_sums(aligned[k] * (prot_up(col, k) if use_partial else col)) * masks[k]
-            acc = term if acc is None else acc + term
+        prods = (aligned[k] * (prot_up(col, k) if use_partial else col) for k in passes)
+        acc = place_passes(ctx, prods, tiles, axis=0)
         cols.append(acc if c == 1 else acc.conj_add())
     return join_columns(cols).with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")
 

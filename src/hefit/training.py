@@ -32,9 +32,9 @@ scale (32768 slots, 10 classes, 769 columns) that is one bootstrap instead
 of eight.  V's cut to its first period rides the momentum multipliers, so
 the refresh spends no level of V, and W and V come back at ``max_level - 1``.
 Re-tiling copies the first period over the others.  The copies a step
-leaves behind are equal (``row_sums`` writes one column total to every
-row), so the packed refresh returns the slots an unpacked one would, bit
-for bit.
+leaves behind are equal (``diag_atb`` computes one period of its output and
+tiles it, :func:`~hefit.encoding.place_passes`), so the packed refresh
+returns the slots an unpacked one would, bit for bit.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from hefit.emulator import (
     OpLedger,
     log2,
 )
-from hefit.encoding import EncodedMatrix, decode, encode
+from hefit.encoding import EncodedMatrix, decode, encode, make_mask
 from hefit.errors import DepthExhausted, HefitError, LevelError, SlotCountMismatch
 
 
@@ -192,6 +192,23 @@ def test_geometry_validation():
         ctx.encrypt(np.ones(16), level=99)
 
 
+@pytest.mark.parametrize(
+    "slot_count,grid_rows",
+    [(True, True), (4096, True), (4096, False), (4096.0, 64), (4096, 64.0), ("4096", 64), (4096, None)],
+)
+def test_geometry_must_be_integers(slot_count, grid_rows):
+    # a bool is not a slot count, and a float or a string is refused before
+    # the power-of-two checks can trip over it
+    with pytest.raises(SlotCountMismatch, match="must be an integer"):
+        EmulatorContext(slot_count, grid_rows)
+
+
+def test_geometry_takes_numpy_integers():
+    ctx = EmulatorContext(np.int64(4096), np.int32(64))
+    assert (ctx.slot_count, ctx.grid_rows, ctx.grid_cols) == (4096, 64, 64)
+    assert all(type(v) is int for v in (ctx.slot_count, ctx.grid_rows, ctx.grid_cols))
+
+
 @pytest.mark.parametrize("level", [-1, 5, 2.5, 4.0, True, False, "3", math.nan])
 def test_encode_rejects_levels_outside_the_budget_or_not_integers(level):
     ctx = EmulatorContext(16, 4, max_level=4)
@@ -357,6 +374,90 @@ def test_wrap_sum_checks_the_slot_count_and_the_step():
     assert sum(ctx.ledger.counts().values()) == 0
 
 
+def _place_passes_composition(ctx, products, tiles, axis):
+    """What place_passes computes in closed form: each pass's totals (a
+    wrap_sum, or a sum_spread by a column-0 mask), times its mask over the
+    whole block, accumulated left to right."""
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
+    col0 = np.where(np.arange(ctx.slot_count) % s1 == 0, 1.0, 0.0)
+    acc = None
+    for x, tile in zip(products, tiles):
+        totals = ctx.wrap_sum(x, s1) if axis == 0 else ctx.sum_spread(x, col0, s1)
+        mask = np.tile(tile, (s0 // len(tile), s1 // len(tile))).reshape(ctx.slot_count)
+        term = ctx.mult(totals, mask)
+        acc = term if acc is None else ctx.add(acc, term)
+    return acc
+
+
+@given(
+    axis=st.sampled_from([0, 1]),
+    geometry=st.sampled_from([(16, 4), (256, 16), (256, 4), (512, 32)]),
+    c=st.sampled_from([1, 2, 4]),
+    shape=st.sampled_from([(), (1, 1), (2, 1), (1, 3)]),
+    complex_slots=st.booleans(),
+    encrypted=st.booleans(),
+    level=st.integers(0, 3),
+    scale=st.sampled_from([1.0, -0.5, 0.0, 0.01]),
+    seed=st.integers(0, 2**16),
+)
+@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=1, scale=1.0, seed=0)
+@example(axis=0, geometry=(256, 16), c=4, shape=(1, 1), complex_slots=True, encrypted=True, level=0, scale=1.0, seed=0)
+def test_place_passes_is_the_composition_bit_for_bit(
+    axis, geometry, c, shape, complex_slots, encrypted, level, scale, seed
+):
+    ctx = EmulatorContext(*geometry)
+    c = min(c, ctx.grid_rows, ctx.grid_cols)
+    rng = np.random.default_rng(seed)
+    full = (*shape, ctx.slot_count)
+    passes = max(c // 2, 1)
+    values = [_real_values(rng, full) for _ in range(passes)]
+    if complex_slots:
+        values = [v + 1j * _real_values(rng, full) for v in values]
+    products = [ctx.encrypt(v, level) if encrypted else ctx.pack(v) for v in values]
+    tiles = [
+        make_mask(ctx, (-k if axis == 0 else k), c, complexified=c > 1, scale=scale)
+        for k in range(passes)
+    ]
+
+    results = []
+    closed_form = lambda ctx, products, tiles, axis: ctx.place_passes(iter(products), tiles, axis)
+    for run in (_place_passes_composition, closed_form):
+        before = ctx.ledger.snapshot()
+        try:
+            results.append(run(ctx, products, tiles, axis))
+        except DepthExhausted:  # at level 0 (and 1 for axis 1), after the same ops
+            results.append(None)
+        results.append(ctx.ledger.delta(before))
+    want, want_ops, got, got_ops = results
+    assert got_ops == want_ops
+    assert (got is None) == (want is None) == (encrypted and level < 2 - (axis == 0))
+    if got is None:
+        return
+    assert got.slots.astype(np.complex128).tobytes() == want.slots.astype(np.complex128).tobytes()
+    assert (got.slots.shape, got.slots.dtype) == (want.slots.shape, want.slots.dtype)
+    assert (got.level, got.encrypted) == (want.level, want.encrypted)
+    assert not got.slots.flags.writeable
+
+
+def test_place_passes_checks_its_arguments():
+    ctx = EmulatorContext(256, 16)
+    x = ctx.encrypt(np.ones(256))
+    eye = np.eye(4)
+    with pytest.raises(SlotCountMismatch):
+        ctx.place_passes([np.ones(32)], [eye], 0)
+    for products, tiles, axis in (
+        ([x], [eye], 2),  # no such axis
+        ([x], [np.eye(3)], 0),  # 3 does not divide 16
+        ([x], [np.ones((4, 2))], 1),  # not square
+        ([x, x], [eye, np.eye(2)], 0),  # two periods
+        ([], [], 0),  # no passes
+        ([x, x], [eye], 0),  # more products than tiles
+        ([x], [eye, eye], 1),  # fewer
+    ):
+        with pytest.raises(ValueError):
+            ctx.place_passes(products, tiles, axis)
+
+
 # -- real and complex slots ------------------------------------------------------
 
 
@@ -385,6 +486,8 @@ REAL_OPS = {
     "spread": lambda ctx, x, y, s: ctx.spread(x, y, 1, 4),
     "sum_spread": lambda ctx, x, y, s: ctx.sum_spread(x, y, 4),
     "wrap_sum": lambda ctx, x, y, s: ctx.wrap_sum(x, 4),
+    "place_passes_0": lambda ctx, x, y, s: ctx.place_passes([x, y], [np.eye(2), -np.eye(2)[::-1]], 0),
+    "place_passes_1": lambda ctx, x, y, s: ctx.place_passes([x, y], [np.eye(2), np.ones((2, 2))], 1),
     "conj": lambda ctx, x, y, s: ctx.conj(x),
     "bootstrap": lambda ctx, x, y, s: ctx.bootstrap(x),
 }

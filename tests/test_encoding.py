@@ -268,12 +268,14 @@ def test_decode_rejects_nan_residue(ctx):
 def test_pattern_matrix_and_masks(ctx):
     i = np.arange(16)[:, None]
     j = np.arange(16)[None, :]
-    mask = make_mask(ctx, shift=2, modulus=8)
+    # make_mask gives the 8 x 8 tile; pattern_matrix repeats it over the block
+    assert make_mask(ctx, shift=2, modulus=8).shape == (8, 8)
+    mask = pattern_matrix(ctx, make_mask(ctx, shift=2, modulus=8))
     expect = ((j - i - 2) % 8 == 0).astype(float)
     np.testing.assert_array_equal(padded_array(mask).real, expect)
     assert not mask.encrypted
 
-    twin = make_mask(ctx, shift=1, modulus=8, complexified=True, scale=2.0)
+    twin = pattern_matrix(ctx, make_mask(ctx, shift=1, modulus=8, complexified=True, scale=2.0))
     full = padded_array(twin)
     main = ((j - i - 1) % 8 == 0).astype(float)
     pair = ((j - i - 5) % 8 == 0).astype(float)
@@ -282,8 +284,11 @@ def test_pattern_matrix_and_masks(ctx):
 
     with pytest.raises(ShapeMismatch):
         make_mask(ctx, 0, 5)  # 5 does not divide 16
-    with pytest.raises(ShapeMismatch):
-        pattern_matrix(ctx, np.ones((4, 4)))
+    for bad in (np.ones((3, 3)), np.ones((4, 5)), np.ones((2, 2, 2))):  # neither broadcasts nor tiles 16 x 16
+        with pytest.raises(ShapeMismatch):
+            pattern_matrix(ctx, bad)
+    tile = np.arange(8.0).reshape(2, 4)
+    np.testing.assert_array_equal(padded_array(pattern_matrix(ctx, tile)).real, np.tile(tile, (8, 4)))
 
     cr = col_range_mask(ctx, 3)
     full = padded_array(cr).real
@@ -300,8 +305,8 @@ def test_pattern_matrix_and_masks(ctx):
 
 @pytest.mark.parametrize("slots,rows", [(256, 16), (4096, 64), (32768, 128)])
 def test_make_mask_matches_its_index_grid_definition(slots, rows):
-    # the pattern is written by index; these are the selector's defining
-    # index grids, and the slot bytes must agree exactly
+    # the tile is written by index; these are the selector's defining index
+    # grids over the whole block, and the slot bytes must agree exactly
     ctx = EmulatorContext(slots, rows)
     i = np.arange(ctx.grid_rows)[:, None]
     j = np.arange(ctx.grid_cols)[None, :]
@@ -316,7 +321,9 @@ def test_make_mask_matches_its_index_grid_definition(slots, rows):
         if complexified:
             twin = ((j - i - shift - modulus // 2) % modulus == 0).astype(np.complex128)
             main = 0.5 * main - 0.5j * twin
-        got = make_mask(ctx, shift, modulus, complexified=complexified, scale=scale)
+        tile = make_mask(ctx, shift, modulus, complexified=complexified, scale=scale)
+        assert tile.shape == (modulus, modulus)
+        got = pattern_matrix(ctx, tile)
         assert got.block.slots.dtype == (np.complex128 if complexified else np.float64)
         assert got.block.slots.astype(np.complex128).tobytes() == (main * scale).tobytes()
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hefit.emulator import EmulatorContext
@@ -12,12 +12,13 @@ from hefit.encoding import (
     encode,
     make_mask,
     next_pow2,
+    pattern_matrix,
     prot_up,
     rot_left,
     rot_up,
     row_sums,
 )
-from hefit.errors import ShapeMismatch
+from hefit.errors import DepthExhausted, ShapeMismatch
 from hefit.matmul import (
     ALGORITHMS,
     col_major_abt,
@@ -234,7 +235,7 @@ def _grid_diag_abt(A, B):
     packed = B if c == 1 else B + rot_up(B, c // 2).mul_i()
     acc = None
     for k in range(max(c // 2, 1)):
-        term = col_sums(A * rot_up(packed, k)) * make_mask(ctx, k, c, complexified=c > 1)
+        term = col_sums(A * rot_up(packed, k)) * pattern_matrix(ctx, make_mask(ctx, k, c, complexified=c > 1))
         acc = term if acc is None else acc + term
     out = acc if c == 1 else acc + acc.conj()
     return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal")
@@ -251,7 +252,7 @@ def _grid_diag_atb(A, B, scale=1.0):
             prod = packed.lrot(k) * prot_up(B, k)
         else:
             prod = rot_left(packed, k) * B
-        mask = make_mask(ctx, -k, c, complexified=c > 1, scale=scale)
+        mask = pattern_matrix(ctx, make_mask(ctx, -k, c, complexified=c > 1, scale=scale))
         term = row_sums(prod) * mask
         acc = term if acc is None else acc + term
     out = acc if c == 1 else acc + acc.conj()
@@ -274,20 +275,63 @@ def _same_product(ctx, kernel, oracle):
     return want_ops
 
 
-@pytest.mark.parametrize("c", [1, 3, 10])
-def test_block_column_kernels_equal_their_grid_wide_form(rng, c):
-    # 2 block rows and 3 block columns on 16 x 16 blocks
+@settings(max_examples=40, deadline=None)
+@given(
+    c=st.integers(1, 16),
+    a=st.integers(1, 48),
+    b=st.integers(1, 48),
+    scale=st.sampled_from([0.25, 1.0, 0.0, -0.0, -1.5, 0.1 / 128]),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# the fixed cases this property grew from: 2 block rows and 3 block
+# columns, padded both ways, the values of the rng fixture
+@example(c=1, a=29, b=37, scale=0.25, zeros=False, seed=0)
+@example(c=3, a=29, b=37, scale=0.25, zeros=False, seed=0)
+@example(c=10, a=29, b=37, scale=0.25, zeros=False, seed=0)
+def test_block_column_kernels_equal_their_grid_wide_form(c, a, b, scale, zeros, seed):
+    # 1-3 block rows and block columns on 16 x 16 blocks; both diag_atb
+    # branches; the kernels' masked totals run in closed form, the
+    # oracles' as the full-block composition
     ctx = EmulatorContext(256, 16, max_level=12)
-    a, b = 29, 37
-    A, B = encode(ctx, rng.normal(size=(a, b))), encode(ctx, rng.normal(size=(c, b)), tiling="vertical")
-    assert A.grid == (2, 3)
+    rng = np.random.default_rng(seed)
+
+    def values(shape):
+        v = rng.normal(size=shape)
+        if zeros:  # zeros of both signs mixed in
+            v[rng.random(shape) < 0.2] = 0.0
+            v[rng.random(shape) < 0.2] = -0.0
+        return v
+
+    A = encode(ctx, values((a, b)))
+    B = encode(ctx, values((c, b)), tiling="vertical")
+    assert A.grid == (-(-a // 16), -(-b // 16))
     ops = _same_product(ctx, lambda: diag_abt(A, B), lambda: _grid_diag_abt(A, B))
     assert {k: ops[k] for k in ("CMult", "Mult", "Rot")} == count_formula("diag_abt", (a, b, c), 16, 16)
 
-    Bt = encode(ctx, rng.normal(size=(a, b)))
+    Bt = encode(ctx, values((a, b)))
     for branch, level in (("diag_atb_rl", 12), ("diag_atb_pru", 11)):
-        At = encode(ctx, rng.normal(size=(a, c)), tiling="horizontal", level=level)
+        At = encode(ctx, values((a, c)), tiling="horizontal", level=level)
         ops = _same_product(
-            ctx, lambda: diag_atb(At, Bt, scale=0.25), lambda: _grid_diag_atb(At, Bt, scale=0.25)
+            ctx, lambda: diag_atb(At, Bt, scale=scale), lambda: _grid_diag_atb(At, Bt, scale=scale)
         )
         assert {k: ops[k] for k in ("CMult", "Mult", "Rot")} == count_formula(branch, (a, b, c), 16, 16)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_diag_abt_runs_out_of_levels_where_its_grid_wide_form_does(level):
+    # a product at level 0 (level 1) cannot take the column-0 mask, one at
+    # level 1 (level 2) cannot take the diagonal mask: both raise inside
+    # the masked totals, after the same ops
+    ctx = EmulatorContext(256, 16, max_level=12)
+    rng = np.random.default_rng(level)
+    A = encode(ctx, rng.normal(size=(29, 37)), level=level)
+    B = encode(ctx, rng.normal(size=(3, 37)), tiling="vertical")
+    charged = []
+    for run in (lambda: _grid_diag_abt(A, B), lambda: diag_abt(A, B)):
+        before = ctx.ledger.snapshot()
+        with pytest.raises(DepthExhausted):
+            run()
+        charged.append(ctx.ledger.delta(before))
+    assert charged[0] == charged[1]
+    assert charged[0]["CMult"] == 2 * (level - 1)  # the column-0 mask, 2 block rows

@@ -32,10 +32,14 @@ def test_budget_sweep_point_is_pinned():
 def test_stage_times_sees_every_stage():
     # host times vary; which stages ran in how many steps does not.  At
     # budget 12 the packed W/V refresh and diag_atb's partial-rotation
-    # branch run in 4 of the 16 steps, every other stage in all of them
+    # branch run in 4 of the 16 steps, every other stage in all of them:
+    # the kernels' masked totals ("passes") and the softmax's col_sums too
     stage_times = _load("stage_times")
     times = stage_times.stage_times("test")
-    assert list(times) == ["step", *stage_times.STAGES]
+    assert list(times) == [
+        "step", "diag_abt", "a_softmax", "a_max", "extend", "compens", "a_exp", "a_inv",
+        "diag_atb", "passes", "col_sums", "prot_up", "boot_tiled",
+    ]
     ran = {label: n for label, (_, n) in times.items()}
     sparse = {"boot_tiled": 4, "prot_up": 4}
     assert ran == {label: sparse.get(label, stage_times.STEPS) for label in times}

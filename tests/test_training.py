@@ -155,8 +155,8 @@ GREEDY_STEP_BOOTSTRAPS = {
 
 def test_test_scale_steps_complete_at_every_accepted_budget():
     # every max_level a run config accepts (at least 5) runs on the placed
-    # refreshes alone; bootstraps are value-exact, and row_sums writes one
-    # total to every row, so the tiled copies of W are equal and a packed
+    # refreshes alone; bootstraps are value-exact, and diag_atb tiles one
+    # period of its output, so the tiled copies of W are equal and a packed
     # refresh, which keeps copy 0 only, loses nothing: the weights agree bit
     # for bit though budgets refresh at different steps.  The softmax's
     # refresh plan never costs a step more than refreshing every tournament
@@ -196,7 +196,15 @@ def test_min_max_level_is_the_smallest_budget_a_step_completes_on(
 
 
 def test_paper_scale_steps_complete_at_accepted_budgets():
-    # 32768 slots, 769 columns on 1x4 grids, 10 classes, batch 128
+    # 32768 slots, 769 columns on 1x4 grids, 10 classes, batch 128.  The
+    # budgets differ by up to 3.5e-18, from diag_atb's two alignment
+    # branches: over these 3 steps it takes rl rl rl at budget 5, pru rl rl
+    # at 12 and pru pru pru at 21.  prot_up moves the tail terms of the
+    # last k columns of a block one row up for pass k (k < 8 at 10
+    # classes), so the column totals pair other rows there, and the
+    # branches round apart in columns 249-255 (mod 256) only.  After step 1
+    # budgets 5 and 12 differ in just those columns, by 1.7e-18; the later
+    # steps spread the gap
     final, _ = final_weights_by_budget(32768, 128, 768, 10, 128, (5, 12, 21), 3)
     for w in final.values():
         np.testing.assert_allclose(w, final[21], rtol=0, atol=1e-15)
