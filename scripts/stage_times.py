@@ -16,7 +16,7 @@ softmax pieces and ``col_sums`` (the softmax's row totals) are inside
 runs once per block column and pass.  ``passes`` is the kernels' masked
 totals (``encoding.place_passes``), which the emulator computes on one
 period of the result (``EmulatorContext.place_passes``); ``col_sums`` runs
-the closed form of its ladder (``EmulatorContext.sum_spread``), and the
+the closed form of its ladders (``EmulatorContext.totals``), and the
 re-tiling inside ``boot_tiled`` that of a masked copy
 (``EmulatorContext.spread``).  The two scales are the test and paper
 scales of ``scripts/budget_sweep.py``:

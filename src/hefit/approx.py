@@ -214,13 +214,13 @@ class _Carrier:
 
     def broadcast_col0(self, x):
         """Column 0 of each row in every column: a first-column mask and
-        the right-rotation ladder that spreads it, in closed form
-        (:meth:`EncodedMatrix.spread`); one level, refreshed for the mask.
-        An array's tournament already left column 0 alone."""
+        the right-rotation ladder that copies it across the row, in closed
+        form (:meth:`EncodedMatrix.spread` of window 0); one level,
+        refreshed for the mask.  An array's tournament already left column
+        0 alone."""
         if not self.encrypted:
             return x
-        first_col = self._pattern(lambda j: np.where(j == 0, 1.0, 0.0))
-        return _refresh(x, 1).spread(first_col, 1, self.ctx.grid_cols)
+        return _refresh(x, 1).spread(1, self.ctx.grid_cols)
 
     def row_total(self, x):
         """Each row's column total, summed in the encrypted tree order

@@ -18,17 +18,17 @@ broadcasts its operands over the leading axes and ledgers one op per block
 of the result.  The rotate-and-sum ladders the matrix products and the
 softmax are built from (``acc = acc + lrot(acc, s)`` per step) run as one
 primitive, :meth:`EmulatorContext.rot_sum`, which ledgers the same ops as
-that loop but writes each step into a preallocated buffer.  Where a mask
-leaves the ladder nothing to add but zeros, :meth:`EmulatorContext.spread`
-and :meth:`EmulatorContext.sum_spread` compute its result in closed form
-and ledger it op for op as the ladder; so does
-:meth:`EmulatorContext.wrap_sum` for a ladder that wraps around the whole
-vector, which leaves every slot its residue class total, summed once per
-class (equal to the ladder up to rounding, and bit for bit in its first
-row of slots).  :meth:`EmulatorContext.place_passes` is the closed form of
-a diagonal matrix product's passes: each pass's totals (``wrap_sum`` or
-``sum_spread``) times its diagonal mask, summed over the passes, computed
-on one period of the result and tiled.  All of them ledger what the
+that loop but writes each step into a preallocated buffer.  Three closed
+forms take the shape of a ladder, not a mask to inspect:
+:meth:`EmulatorContext.spread` copies one window of each segment across
+the segment (a window mask, then a broadcast ladder);
+:meth:`EmulatorContext.totals` writes each column's total to every row
+(the ladder that wraps around the whole vector; the ladder's bit for bit in
+its first row, up to rounding in the others) or each row's total to every
+column (a fold, a column-0 mask and a broadcast, bit for bit); and
+:meth:`EmulatorContext.place_passes` is a diagonal matrix product's passes,
+each pass's totals times its diagonal mask, summed over the passes,
+computed on one period of the result and tiled.  All of them ledger what the
 composition would, op for op.  Arithmetic on
 slots is exact IEEE double precision — there is no noise model — so a
 plaintext computation that mirrors the same operation order is a bit-exact
@@ -88,9 +88,10 @@ def tree_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     Adjacent pairs are added, then adjacent pairs of those, and so on: the
     order in which a doubling ladder ``rot_sum(x, [1, 2, 4, ...])`` sums its
     first slot, so the totals over the last axis equal that slot bit for
-    bit.  Over the rows of ``(rows, step)`` blocks (``axis=-2``) it pairs
-    the slots that :meth:`EmulatorContext.wrap_sum`'s ladder pairs in its
-    first row.
+    bit.  Over the rows of a block (``axis=-2``) it pairs the slots that
+    the ladder wrapping around the whole vector,
+    ``rot_sum(x, [s1, 2 s1, ..., slot_count / 2])``, pairs in its first row
+    (:meth:`EmulatorContext.totals`).
     """
     head = (slice(None),) * (axis % a.ndim)
     while a.shape[axis] > 1:
@@ -365,10 +366,9 @@ class EmulatorContext:
         slot_count); negative s rotates right, and the level is kept.  Each
         step is two sliced additions into one of two preallocated buffers,
         so the ladder makes no rolled copy.  This is the general ladder, for
-        dense reductions such as ``fold_columns``; a ladder right after a
-        mask that leaves it only zeros to add runs in closed form as
-        :meth:`spread` or :meth:`sum_spread`, and one that wraps around the
-        whole vector as :meth:`wrap_sum`, and the passes of a diagonal
+        dense reductions such as ``fold_columns``; the ladders of a mask
+        that leaves them only zeros to add run in closed form as
+        :meth:`spread` and :meth:`totals`, and the passes of a diagonal
         product as :meth:`place_passes`.
         """
         vx, ex, lx = self._operand(x)
@@ -392,91 +392,85 @@ class EmulatorContext:
             acc = out
         return CipherBlock(acc, lx, ex)
 
-    def spread(self, x, mask, step: int, copies: int) -> CipherBlock:
-        """``rot_sum(mult(x, mask), [-(step << t) for t < log2(copies)])`` in
-        closed form, for a mask that keeps one window.
+    def spread(self, x, step: int, copies: int, window: int = 0) -> CipherBlock:
+        """``rot_sum(mult(x, M), [-(step << t) for t < log2(copies)])`` in
+        closed form, where the plaintext mask ``M`` is 1 on window
+        ``window`` of every segment and 0 elsewhere.
 
         The slots split into segments of ``copies`` windows of ``step``
         slots, and the ladder adds to each slot the ``copies - 1`` slots at
-        multiples of ``step`` before it.  When the mask's nonzero slots lie
-        in the first window of each segment, or in any one window where a
-        segment is the whole vector (the ladder wraps around it), every such
-        sum is one masked value plus zeros: the ladder copies the window
-        across its segment.  This multiplies the window alone and writes the
-        copies; a mask with nonzero slots elsewhere raises ``ValueError``.
+        multiples of ``step`` before it.  With the first window kept, or any
+        one where a segment is the whole vector (the ladder wraps around
+        it), every such sum is one masked value plus zeros: the ladder
+        copies the window across its segment.  This multiplies the window
+        alone by 1 and writes the copies; any other window raises
+        ``ValueError``.
 
-        Ledgers what the composition would: the product's CMult (Mult for an
-        encrypted mask) and level, then one Add and one Rot per block of the
-        product per ladder step.  For finite slots the result is the
-        ladder's bit for bit, except that where a masked window slot is a
-        negative zero the ladder may add a positive zero to it.
+        Ledgers what the composition would: the product's CMult and level,
+        then one Add and one Rot per block per ladder step.  For finite
+        slots the result is the ladder's bit for bit, except that where a
+        kept slot is a negative zero the ladder may add a positive zero to
+        it.
         """
         vx, ex, lx = self._operand(x)
-        vm, em, lm = self._operand(mask)
         n, span = self.slot_count, step * copies
         if not (is_pow2(step) and is_pow2(copies) and span <= n):
             raise ValueError(f"spread: {copies} windows of {step} slots do not tile {n}")
-        held = np.flatnonzero(_windows(vm, n // span, copies, step).any(axis=-1))
-        windows = np.unique(held % copies)
-        if len(windows) > 1 or (span < n and windows.any()):
-            raise ValueError(f"spread: the mask keeps window(s) {list(windows)}, not one")
-        w = int(windows[0]) if len(windows) else 0
-        kept = _windows(vx, n // span, copies, step)[..., w, :]
-        kept = kept * _windows(vm, n // span, copies, step)[..., w, :]
-        return self._copies(kept, (vx, ex, lx), (vm, em, lm), copies)
+        if not 0 <= window < copies or (window and span < n):
+            raise ValueError(f"spread: the ladder does not copy window {window} of {copies}")
+        lead, k = vx.shape[:-1], self._blocks(vx)
+        # the product keeps its multiply: a complex slot times 1 may turn a
+        # -0.0 part into +0.0
+        kept = vx.reshape(*lead, n // span, copies, step)[..., window : window + 1, :] * 1.0
+        level = self._charge_product((vx, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
+        self._charge_ladder(ex, k, log2(copies))
+        out = np.broadcast_to(kept, (*lead, n // span, copies, step))
+        return CipherBlock(out.reshape(vx.shape), level, ex)
 
-    def sum_spread(self, x, mask, width: int) -> CipherBlock:
-        """Each ``width``-slot segment's total in all of its slots: in closed
-        form, ``rot_sum(mult(rot_sum(x, [1, 2, ..., width/2]), mask),
-        [-1, -2, ..., -width/2])`` for a mask nonzero only at the first slot
-        of each segment.
+    def totals(self, x, axis: int) -> CipherBlock:
+        """Each column's total in every row (``axis=0``) or each row's total
+        in every column (``axis=1``) of every block, in closed form.
 
-        The first ladder leaves in each segment's first slot the total that
-        :func:`tree_sum` computes, bit for bit; the mask keeps only that
-        slot, and the second ladder copies it across the segment (see
-        :meth:`spread`).  Ledgers both ladders and the product as the
-        composition does, in its order: an encrypted ``x`` at level 0 has
-        its first ladder charged before the product raises.  A mask with a
-        nonzero slot elsewhere raises ``ValueError``.
+        ``axis=0`` is the ladder that wraps around the whole vector,
+        ``rot_sum(x, [s1, 2 s1, ..., slot_count / 2])``; it ledgers one Add
+        and one Rot per block per step and keeps the level.  Every column
+        is summed once, by :func:`tree_sum` over the rows (adjacent rows,
+        then pairs of pairs), and written to every row: the ladder's first
+        row bit for bit; the ladder sums each later row in its own cyclic
+        order, so the other rows differ from it by rounding.
+
+        ``axis=1`` is the fold, the column-0 mask and the broadcast,
+        ``rot_sum(mult(rot_sum(x, [1, 2, ..., s1/2]), M), [-1, -2, ...,
+        -s1/2])`` with ``M`` 1 in column 0: the fold leaves each row's
+        :func:`tree_sum` in column 0, and the broadcast copies it across the
+        row.  This is the composition bit for bit, and it ledgers the fold,
+        the CMult and the broadcast in that order, so an encrypted ``x`` at
+        level 0 raises :class:`~hefit.errors.DepthExhausted` once the fold
+        is charged.
         """
+        if axis not in (0, 1):
+            raise ValueError(f"totals: axis must be 0 or 1, got {axis}")
         vx, ex, lx = self._operand(x)
-        vm, em, lm = self._operand(mask)
-        n = self.slot_count
-        if not (is_pow2(width) and width <= n):
-            raise ValueError(f"sum_spread: width {width} does not tile {n}")
-        mask_rows = _windows(vm, n // width, width, 1)
-        if mask_rows[..., 1:, :].any():
-            raise ValueError("sum_spread: the mask has nonzero slots past a segment's first")
-        self._charge_ladder(ex, self._blocks(vx), log2(width))
-        totals = tree_sum(vx.reshape(*vx.shape[:-1], n // width, width))
-        kept = totals * mask_rows[..., 0, :]
-        return self._copies(kept, (vx, ex, lx), (vm, em, lm), width)
+        sums, level = self._totals(vx, ex, lx, axis)
+        out = np.broadcast_to(sums, (*vx.shape[:-1], self.grid_rows, self.grid_cols))
+        return CipherBlock(out.reshape(vx.shape), level, ex)
 
-    def wrap_sum(self, x, step: int) -> CipherBlock:
-        """Every slot's residue class total mod ``step``, in that slot: in
-        closed form, ``rot_sum(x, [step, 2 step, ..., slot_count / 2])``.
-
-        That ladder wraps around the whole vector, so in exact arithmetic
-        it leaves every slot holding the total of the slots congruent to it
-        mod ``step``; with ``step = grid_cols`` that is each column's total
-        in every row.  This sums each class once, by :func:`tree_sum` over
-        the rows of the ``(rows, step)`` view (adjacent rows, then pairs of
-        pairs), and writes the totals to every row.  The first ``step``
-        slots are the ladder's bit for bit; the ladder sums each later row's
-        class in its own cyclic order, so the other slots differ from it by
-        rounding.
-        Ledgers what the ladder would, one Add and one Rot per block per
-        step, and keeps the level.
-        """
-        vx, ex, lx = self._operand(x)
-        n = self.slot_count
-        if not (is_pow2(step) and step <= n):
-            raise ValueError(f"wrap_sum: step {step} does not tile {n}")
-        self._charge_ladder(ex, self._blocks(vx), log2(n // step))
-        lead, rows = vx.shape[:-1], n // step
-        totals = tree_sum(vx.reshape(*lead, rows, step), axis=-2)
-        out = np.broadcast_to(totals, (*lead, rows, step))
-        return CipherBlock(out.reshape(vx.shape), lx, ex)
+    def _totals(self, vx, ex, lx, axis: int) -> tuple[np.ndarray, float]:
+        """The totals of :meth:`totals` on one period, ``(..., 1, s1)`` for
+        ``axis=0`` or ``(..., s0, 1)`` for ``axis=1``, and their level,
+        ledgered as the ladders that compute them."""
+        s0, s1 = self.grid_rows, self.grid_cols
+        k, steps = self._blocks(vx), log2(s1 if axis else s0)
+        block = vx.reshape(*vx.shape[:-1], s0, s1)
+        self._charge_ladder(ex, k, steps)
+        if axis == 0:
+            return tree_sum(block, axis=-2), lx
+        # the column-0 product keeps its multiply: a complex total times 1
+        # may turn a -0.0 part into +0.0
+        sums = tree_sum(block) * 1.0
+        level = self._charge_product((vx, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
+        self._charge_ladder(ex, k, steps)
+        return sums, level
 
     def place_passes(self, products, tiles, axis: int) -> CipherBlock:
         """``sum_k mult(R(x_k), M_k)`` over the passes of a diagonal matrix
@@ -485,19 +479,18 @@ class EmulatorContext:
         ``products`` yields the pass products ``x_k``; ``tiles`` is a
         sequence of the ``c x c`` tiles their plaintext masks repeat over the
         block, ``M_k[i, j] = tiles[k][i mod c, j mod c]``
-        (:func:`~hefit.encoding.make_mask`).  ``R`` is ``wrap_sum(x,
-        grid_cols)`` for ``axis=0``, each column's total in every row, or for
-        ``axis=1`` ``sum_spread(x, mask, grid_cols)`` with a mask that keeps
-        column 0 (value 1), each row's total in every column.  Along that
-        axis the mask, and so the sum, repeats with period ``c``.  This
-        reduces each product to its totals as it arrives (it holds one
-        product at a time), runs the mask products and the accumulating adds
-        on one period (``c`` rows, or ``c`` columns of every row) with the
+        (:func:`~hefit.encoding.make_mask`).  ``R`` is ``totals(x, axis)``:
+        each column's total in every row for ``axis=0``, each row's total in
+        every column for ``axis=1``.  Along that axis the mask, and so the
+        sum, repeats with period ``c``.  This reduces each product to its
+        totals as it arrives, as :meth:`totals` does (it holds one product
+        at a time), runs the mask products and the accumulating adds on one
+        period (``c`` rows, or ``c`` columns of every row) with the
         composition's numpy ops in its order, and tiles that period: the
         composition's slots bit for bit.
 
-        Ledgers the composition op for op, pass by pass: R's Adds and Rots
-        (for ``axis=1`` also its column-0 CMult), the mask's CMult, and one
+        Ledgers the composition op for op, pass by pass: R's ladders (for
+        ``axis=1`` also its column-0 CMult), the mask's CMult, and one
         Add per block for each pass after the first.  Each product costs a
         level; an encrypted operand with none left raises
         :class:`~hefit.errors.DepthExhausted` once the ops before it are
@@ -510,7 +503,6 @@ class EmulatorContext:
         c = len(tiles[0]) if len(tiles) else 0
         if not c or s0 % c or s1 % c or any(np.shape(t) != (c, c) for t in tiles):
             raise ValueError(f"place_passes: tiles must be c x c, c dividing {s0} and {s1}")
-        steps = log2(s1 if axis else s0)
         acc, done = None, 0
         # a plain loop: zip would hold the last product while the next is made
         for x in products:
@@ -519,21 +511,16 @@ class EmulatorContext:
             tile, done = tiles[done], done + 1
             vx, ex, lx = self._operand(x)
             lead, k = vx.shape[:-1], self._blocks(vx)
-            block = vx.reshape(*lead, s0, s1)
-            self._charge_ladder(ex, k, steps)
+            sums, lx = self._totals(vx, ex, lx, axis)
             if axis == 0:
-                totals = tree_sum(block, axis=-2).reshape(*lead, 1, s1 // c, c)
+                totals = sums.reshape(*lead, 1, s1 // c, c)
                 period_of = tile[:, None, :]  # -> (..., c rows, s1 / c, c)
             else:
-                # the column-0 product keeps its multiply: a complex total
-                # times 1 may turn a -0.0 part into +0.0
-                totals = (tree_sum(block) * 1.0).reshape(*lead, s0 // c, c, 1)
-                lx = self._charge_product((vx, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
-                self._charge_ladder(ex, k, steps)
+                totals = sums.reshape(*lead, s0 // c, c, 1)
                 period_of = tile  # -> (..., s0 / c, c, c columns)
             level = self._charge_product((vx, ex, lx), (tile, False, PLAINTEXT_LEVEL), k)
             term = totals * period_of
-            del x, vx, block, totals  # let the next product reuse the memory
+            del x, vx, sums, totals  # let the next product reuse the memory
             if acc is None:
                 acc, encrypted, acc_level = term, ex, level
                 continue
@@ -556,18 +543,6 @@ class EmulatorContext:
         if encrypted:
             self.ledger.record("Add", k * steps)
             self.ledger.record("Rot", k * steps)
-
-    def _copies(self, kept: np.ndarray, x, mask, copies: int) -> CipherBlock:
-        """Ledger the product of ``x`` and ``mask`` and a ``copies``-step
-        spreading ladder over it; return ``kept``, shape ``(..., segments,
-        window)``, copied ``copies`` times across each segment."""
-        (vx, ex, _), (vm, em, _) = x, mask
-        k = math.prod(np.broadcast_shapes(vx.shape[:-1], vm.shape[:-1]))
-        level = self._charge_product(x, mask, k)
-        self._charge_ladder(ex or em, k, log2(copies))
-        *lead, segments, width = kept.shape
-        out = np.broadcast_to(kept[..., None, :], (*lead, segments, copies, width))
-        return CipherBlock(out.reshape(*lead, self.slot_count), level, ex or em)
 
     def conj(self, x: CipherBlock) -> CipherBlock:
         vx, ex, lx = self._operand(x)
@@ -619,8 +594,3 @@ class EmulatorContext:
     def decodes_by(self, role: str) -> list[tuple[str, str | None]]:
         return [ev for ev in self.decode_events if ev[0] == role]
 
-
-def _windows(slots: np.ndarray, segments: int, copies: int, step: int) -> np.ndarray:
-    """``slots`` viewed as ``(..., segments, copies, step)``: the windows of
-    :meth:`EmulatorContext.spread`."""
-    return np.reshape(slots, (*np.shape(slots)[:-1], segments, copies, step))

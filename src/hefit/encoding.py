@@ -128,10 +128,10 @@ class EncodedMatrix:
     def rot_sum(self, shifts) -> "EncodedMatrix":
         return self._with(self.ctx.rot_sum(self.block, shifts))
 
-    def spread(self, mask: "EncodedMatrix", step: int, copies: int) -> "EncodedMatrix":
-        """The masked window copied over its segment
+    def spread(self, step: int, copies: int, window: int = 0) -> "EncodedMatrix":
+        """Window ``window`` of each segment copied over the segment
         (:meth:`~hefit.emulator.EmulatorContext.spread`)."""
-        return self._with(self.ctx.spread(self.block, mask.block, step, copies))
+        return self._with(self.ctx.spread(self.block, step, copies, window))
 
     def block_column(self, q: int) -> "EncodedMatrix":
         """Block column ``q`` as a one-column grid, with this matrix's metadata."""
@@ -264,10 +264,6 @@ def decode(E: EncodedMatrix, role: str = "observer", tag: str | None = None) -> 
 # -- packed refresh of vertically tiled matrices ------------------------------
 
 
-def _period_mask(ctx: EmulatorContext, period: int, scale: float = 1.0) -> EncodedMatrix:
-    return pattern_matrix(ctx, np.where(np.arange(ctx.grid_rows)[:, None] < period, scale, 0.0))
-
-
 def first_period(E: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
     """Untile a vertically tiled matrix: its first period of rows, times ``scale``.
 
@@ -279,7 +275,8 @@ def first_period(E: EncodedMatrix, scale: float = 1.0) -> EncodedMatrix:
         raise TilingError(f"first_period needs a vertically tiled matrix, got {E.tiling!r}")
     if E.encrypted and E.level < 1:
         raise DepthExhausted(f"first_period: mask needs level 1, operand at {E.level}")
-    cut = E * _period_mask(E.ctx, E.period, scale)
+    rows = np.arange(E.ctx.grid_rows)[:, None]
+    cut = E * pattern_matrix(E.ctx, np.where(rows < E.period, scale, 0.0))
     return EncodedMatrix(E.ctx, cut.block, E.shape)
 
 
@@ -291,12 +288,12 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
     block is cut to its first period (:func:`first_period`; an untiled input
     is taken as that cut already), the pieces are rotated to disjoint
     offsets and summed, ``k`` to a ciphertext, and each sum is bootstrapped
-    once.  Unpacking rotates every piece back, masks it, and re-tiles it with
-    ``log2(k)`` rotate-add doublings, block by block; the emulator computes
-    the mask and the doublings as one copy of the piece
-    (:meth:`~hefit.emulator.EmulatorContext.spread`).  This is how
-    sparse-slot bootstrapping is used: compact the distinct slots, refresh,
-    expand.
+    once.  Unpacking rotates every piece back, masks it to its first period
+    and re-tiles it with ``log2(k)`` rotate-add doublings, block by block;
+    the emulator computes the mask and the doublings as copies of that
+    first window (:meth:`~hefit.emulator.EmulatorContext.spread`).  This is
+    how sparse-slot bootstrapping is used: compact the distinct slots,
+    refresh, expand.
 
     The inputs share one period and have one block row.  With ``B`` blocks
     in ``P = ceil(B / k)`` packed ciphertexts the refresh costs ``P``
@@ -335,12 +332,11 @@ def bootstrap_tiled(*mats: EncodedMatrix) -> list[EncodedMatrix]:
     packed = [ctx.bootstrap(p) for p in packed]
 
     # unpacked and re-tiled block by block, each piece from its own rotation
-    mask = _period_mask(ctx, period).block[0, 0]
     out, j = [], 0
     for h in heads:
         blocks = []
         for _ in range(h.grid[1]):
-            piece = ctx.spread(ctx.lrot(packed[j // k], (j % k) * width), mask, width, k)
+            piece = ctx.spread(ctx.lrot(packed[j // k], (j % k) * width), width, k)
             blocks.append(piece.slots)
             j += 1
         block = CipherBlock(np.stack(blocks)[None], piece.level, True)
@@ -391,19 +387,14 @@ def _real(E: EncodedMatrix) -> EncodedMatrix:
 def pattern_matrix(ctx: EmulatorContext, pattern: np.ndarray) -> EncodedMatrix:
     """One plaintext block holding an s0 x s1 pattern; its grid broadcasts
     over any other.  The pattern may be any array that broadcasts to
-    s0 x s1, such as one row of s1 values or one column of s0, or a 2D tile
-    whose shape divides s0 x s1, repeated over the block (a
-    :func:`make_mask` tile)."""
+    s0 x s1, such as one row of s1 values or one column of s0."""
     s0, s1 = ctx.grid_rows, ctx.grid_cols
     try:
         pattern = np.broadcast_to(pattern, (s0, s1))
     except ValueError:
-        p, q = np.shape(pattern) if np.ndim(pattern) == 2 else (0, 0)
-        if not (p and q and s0 % p == 0 and s1 % q == 0):
-            raise ShapeMismatch(
-                f"pattern must broadcast to or tile {(s0, s1)}, got {np.shape(pattern)}"
-            ) from None
-        pattern = np.tile(pattern, (s0 // p, s1 // q))
+        raise ShapeMismatch(
+            f"pattern must broadcast to {(s0, s1)}, got {np.shape(pattern)}"
+        ) from None
     # one C-order copy, none if the pattern already is one: astype keeps a
     # broadcast row's layout, and the reshape then copies it again; real
     # patterns stay real
@@ -422,9 +413,8 @@ def make_mask(
     """Diagonal selector mask: 1 at (i, j) with j = i + shift (mod modulus).
 
     The pattern depends only on ``(i mod modulus, j mod modulus)``, so this
-    returns its ``modulus x modulus`` tile; ``pattern_matrix(ctx, tile)``
-    spreads it over a block, and the diagonal kernels use the tile itself
-    (:meth:`~hefit.emulator.EmulatorContext.place_passes`).  The
+    returns its ``modulus x modulus`` tile, which the diagonal kernels hand
+    to :meth:`~hefit.emulator.EmulatorContext.place_passes`.  The
     complexified variant packs two diagonals into one mask,
     ``(1/2) M(shift) - (i/2) M(shift + modulus/2)``, so one CMult recombines
     a complex-packed pair.  ``modulus`` must divide both grid dimensions so
@@ -499,14 +489,14 @@ def col_sums(E: EncodedMatrix) -> EncodedMatrix:
     backend runs: a left-rotation doubling ladder accumulates the row total
     into column 0, a column-0 mask isolates it, and a right-rotation ladder
     broadcasts it.  The emulator computes that in closed form
-    (:meth:`~hefit.emulator.EmulatorContext.sum_spread`): each row's total
-    by the fold's halving tree, masked, written to every column.  Costs
+    (:meth:`~hefit.emulator.EmulatorContext.totals`, ``axis=1``): each
+    row's total by the fold's halving tree, written to every column.  Costs
     ``2*log2(s1)`` Rot + 1 CMult per surviving block and one level.  The
     softmax's row totals run this; :func:`place_passes` runs the same
     reduction inside ``diag_abt``.
     """
     ctx = E.ctx
-    acc = ctx.sum_spread(_add_blocks(E, 1), col_range_mask(ctx, 1).block, ctx.grid_cols)
+    acc = ctx.totals(_add_blocks(E, 1), axis=1)
     return EncodedMatrix(ctx, acc, (E.shape[0], ctx.grid_cols))
 
 
@@ -540,14 +530,14 @@ def row_sums(E: EncodedMatrix) -> EncodedMatrix:
     ladder that wraps around each block, ``rot_sum`` by ``s1, 2 s1, ...,
     s0 s1 / 2``; every row ends up holding the column totals.  The emulator
     computes that in closed form
-    (:meth:`~hefit.emulator.EmulatorContext.wrap_sum`): each column's total
-    once, written to every row, so all rows are equal (the ladder's row 0
-    bit for bit; its other rows differ by rounding).  Costs ``log2(s0)``
+    (:meth:`~hefit.emulator.EmulatorContext.totals`, ``axis=0``): each
+    column's total once, written to every row, so all rows are equal (the
+    ladder's row 0 bit for bit; its other rows differ by rounding).  Costs ``log2(s0)``
     Rot per surviving block.  ``row_major_atb`` runs this;
     :func:`place_passes` runs the same reduction inside ``diag_atb``.
     """
     ctx = E.ctx
-    acc = ctx.wrap_sum(_add_blocks(E, 0), ctx.grid_cols)
+    acc = ctx.totals(_add_blocks(E, 0), axis=0)
     return EncodedMatrix(ctx, acc, (ctx.grid_rows, E.shape[1]))
 
 
@@ -558,7 +548,7 @@ def place_passes(ctx: EmulatorContext, products, tiles, axis: int) -> EncodedMat
     :func:`row_sums` (``axis=0``) or :func:`col_sums` (``axis=1``) adds
     them, and :meth:`~hefit.emulator.EmulatorContext.place_passes` computes
     ``sum_k row_sums(x_k) * M_k`` (or ``col_sums``) in closed form, where
-    ``M_k`` is ``pattern_matrix(ctx, tiles[k])``.  Products are taken from
+    ``M_k`` repeats ``tiles[k]`` over the block.  Products are taken from
     the iterable one at a time.  The result is an untiled matrix the shape
     of its padded grid; the kernels set their own metadata.
     """

@@ -161,7 +161,7 @@ def col_major_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
 
     acc = None
     for j in range(c):
-        picked = B.spread(pattern_matrix(ctx, np.arange(s0)[:, None] == j), s1, s0)
+        picked = B.spread(s1, s0, window=j)
         term = (fold_columns(A * picked) * col0).rrot(j)
         acc = term if acc is None else acc + term
     return acc.with_meta(shape=(A.shape[0], c))
@@ -183,11 +183,9 @@ def row_major_atb(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
     if A.grid[1] != 1 or c > s0:
         raise ShapeMismatch(f"row_major_atb: A columns {c} must fit one block and {s0} rows")
 
-    col0 = col_range_mask(ctx, 1)
-
     acc = None
     for j in range(c):
-        picked = A.lrot(j).spread(col0, 1, s1)
+        picked = A.lrot(j).spread(1, s1)
         sums = row_sums(picked * B)
         term = sums * pattern_matrix(ctx, np.arange(s0)[:, None] == j)
         acc = term if acc is None else acc + term

@@ -68,9 +68,14 @@ def init_weights(classes: int, dim: int, seed: int) -> np.ndarray:
 
 
 def batch_slices(n: int, batch_size: int) -> list[slice]:
-    """Consecutive batches in fixed order; the trailing one may be short."""
+    """Consecutive batches in fixed order; the trailing one may be short.
+
+    A batch size below 1 raises :class:`~hefit.errors.ConfigError`, and no
+    rows to batch :class:`~hefit.errors.DataError`."""
     if batch_size < 1:
         raise ConfigError(f"batch size must be at least 1, got {batch_size}")
+    if n < 1:
+        raise DataError(f"training needs at least 1 row, got {n}")
     return [slice(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
 
 

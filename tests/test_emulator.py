@@ -317,72 +317,99 @@ def test_rot_sum_matches_the_add_lrot_loop(shape, shifts, encrypted, seed):
     assert x.slots.tobytes() == values.astype(np.complex128).tobytes()
 
 
+def _totals_ladder(ctx, x, axis):
+    """What totals computes in closed form, as a backend runs it: the wrap
+    ladder (axis 0), or the fold, the column-0 mask and the broadcast."""
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
+    if axis == 0:
+        return ctx.rot_sum(x, [s1 << t for t in range(log2(s0))])
+    col0 = np.where(np.arange(ctx.slot_count) % s1 == 0, 1.0, 0.0)
+    folded = ctx.rot_sum(x, [1 << t for t in range(log2(s1))])
+    return ctx.rot_sum(ctx.mult(folded, col0), [-(1 << t) for t in range(log2(s1))])
+
+
 @given(
+    axis=st.sampled_from([0, 1]),
     shape=st.sampled_from([(256,), (1, 3, 256), (2, 2, 256)]),
     one_block=st.booleans(),
-    step=st.sampled_from([1, 4, 16, 128, 256]),
     encrypted=st.booleans(),
     level=st.integers(0, 12),
+    complex_slots=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@example(shape=(2, 2, 256), one_block=False, step=16, encrypted=True, level=3, seed=0)
-@example(shape=(1, 3, 256), one_block=True, step=16, encrypted=True, level=0, seed=1)
-def test_wrap_sum_is_the_full_wrap_ladder_up_to_rounding(shape, one_block, step, encrypted, level, seed):
+@example(axis=0, shape=(2, 2, 256), one_block=False, encrypted=True, level=3, complex_slots=True, seed=0)
+@example(axis=1, shape=(1, 3, 256), one_block=True, encrypted=True, level=0, complex_slots=True, seed=1)
+@example(axis=1, shape=(2, 2, 256), one_block=False, encrypted=True, level=1, complex_slots=False, seed=2)
+def test_totals_is_its_ladder(axis, shape, one_block, encrypted, level, complex_slots, seed):
     ctx = EmulatorContext(256, 16)
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
     rng = np.random.default_rng(seed)
-    # magnitudes over 16 decades, so the two summation orders round apart
-    values = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.integers(-8, 8, size=shape)
+    # magnitudes over 16 decades, so two summation orders round apart, and
+    # zeros of both signs
+    values = _real_values(rng, shape)
+    if complex_slots:
+        values = values + 1j * _real_values(rng, shape)
+    values = values * 10.0 ** rng.integers(-8, 8, size=shape)
     if one_block:  # one block broadcast over the grid: a view, ledgered per block
         values = np.broadcast_to(values[(0,) * (len(shape) - 1)], shape)
     x = ctx.encrypt(values, level) if encrypted else ctx.pack(values)
-    rows = 256 // step
 
-    before = ctx.ledger.snapshot()
-    want = ctx.rot_sum(x, [step << t for t in range(log2(rows))])
-    ladder_ops = ctx.ledger.delta(before)
-    before = ctx.ledger.snapshot()
-    got = ctx.wrap_sum(x, step)
-    assert ctx.ledger.delta(before) == ladder_ops
+    results = []
+    for run in (_totals_ladder, lambda ctx, x, axis: ctx.totals(x, axis)):
+        before = ctx.ledger.snapshot()
+        try:
+            results.append(run(ctx, x, axis))
+        except DepthExhausted:  # axis 1 at level 0, after the same ops
+            results.append(None)
+        results.append(ctx.ledger.delta(before))
+    want, want_ops, got, got_ops = results
+    assert got_ops == want_ops
+    raised = encrypted and axis == 1 and level == 0
+    assert (got is None) == (want is None) == raised
     blocks = math.prod(shape[:-1]) if encrypted else 0
-    assert ladder_ops == {**dict.fromkeys(OP_KINDS, 0), "Add": blocks * log2(rows), "Rot": blocks * log2(rows)}
-    assert (got.slots.shape, got.level, got.encrypted) == (shape, x.level, encrypted)
+    steps = log2(s0) if axis == 0 else log2(s1) * (1 if raised else 2)
+    cmult = blocks if axis == 1 and not raised else 0
+    assert got_ops == {**dict.fromkeys(OP_KINDS, 0), "Add": blocks * steps, "Rot": blocks * steps, "CMult": cmult}
+    if got is None:
+        return
+    assert (got.slots.shape, got.level, got.encrypted) == (shape, want.level, encrypted)
     assert got.slots.dtype == want.slots.dtype
     assert not got.slots.flags.writeable
-
-    g = got.slots.reshape(*shape[:-1], rows, step)
-    w = want.slots.reshape(*shape[:-1], rows, step)
+    if axis == 1:
+        assert got.slots.tobytes() == want.slots.tobytes()
+        return
+    g = got.slots.reshape(*shape[:-1], s0, s1)
+    w = want.slots.reshape(*shape[:-1], s0, s1)
     # the first row is the ladder's bit for bit, and every row holds it
     assert g[..., 0, :].tobytes() == w[..., 0, :].tobytes()
     assert (g == g[..., :1, :]).all()
-    # both sum each residue class pairwise, log2(rows) roundings deep, so
-    # each lies within log2(rows) * eps * sum|x| of the exact total; the
-    # two lie within twice that of each other
-    magnitude = np.abs(values).reshape(*shape[:-1], rows, step).sum(axis=-2, keepdims=True)
-    assert (np.abs(g - w) <= 2 * log2(rows) * np.finfo(float).eps * magnitude).all()
+    # both sum each column pairwise, log2(rows) roundings deep, so each lies
+    # within log2(rows) * eps * sum|x| of the exact total; the two lie within
+    # twice that of each other
+    magnitude = np.abs(values).reshape(*shape[:-1], s0, s1).sum(axis=-2, keepdims=True)
+    assert (np.abs(g - w) <= 2 * log2(s0) * np.finfo(float).eps * magnitude).all()
 
 
-def test_wrap_sum_checks_the_slot_count_and_the_step():
+def test_totals_checks_the_slot_count_and_the_axis():
     ctx = fresh()
     with pytest.raises(SlotCountMismatch):
-        ctx.wrap_sum(CipherBlock(np.ones(32), 3), 4)
+        ctx.totals(CipherBlock(np.ones(32), 3), 0)
     with pytest.raises(SlotCountMismatch):
-        ctx.wrap_sum(np.ones((2, 8)), 4)
+        ctx.totals(np.ones((2, 8)), 1)
     x = ctx.encrypt(np.arange(16.0))
-    for bad in (0, 3, 32):
+    for bad in (-1, 2, None):
         with pytest.raises(ValueError):
-            ctx.wrap_sum(x, bad)
+            ctx.totals(x, bad)
     assert sum(ctx.ledger.counts().values()) == 0
 
 
 def _place_passes_composition(ctx, products, tiles, axis):
-    """What place_passes computes in closed form: each pass's totals (a
-    wrap_sum, or a sum_spread by a column-0 mask), times its mask over the
-    whole block, accumulated left to right."""
+    """What place_passes computes in closed form: each pass's totals, times
+    its mask over the whole block, accumulated left to right."""
     s0, s1 = ctx.grid_rows, ctx.grid_cols
-    col0 = np.where(np.arange(ctx.slot_count) % s1 == 0, 1.0, 0.0)
     acc = None
     for x, tile in zip(products, tiles):
-        totals = ctx.wrap_sum(x, s1) if axis == 0 else ctx.sum_spread(x, col0, s1)
+        totals = ctx.totals(x, axis)
         mask = np.tile(tile, (s0 // len(tile), s1 // len(tile))).reshape(ctx.slot_count)
         term = ctx.mult(totals, mask)
         acc = term if acc is None else ctx.add(acc, term)
@@ -469,8 +496,7 @@ def _real_values(rng, shape):
     return v
 
 
-# op(ctx, x, y, s): x and y blocks, s a scalar; y is a one-block (16,) mask
-# for spread (kept: the first of every 4 slots) and sum_spread
+# op(ctx, x, y, s): x and y blocks, s a scalar
 REAL_OPS = {
     "add": lambda ctx, x, y, s: ctx.add(x, y),
     "sub": lambda ctx, x, y, s: ctx.sub(x, y),
@@ -483,15 +509,15 @@ REAL_OPS = {
     "lrot": lambda ctx, x, y, s: ctx.lrot(x, 3),
     "rrot": lambda ctx, x, y, s: ctx.rrot(x, 5),
     "rot_sum": lambda ctx, x, y, s: ctx.rot_sum(x, [1, -2, 4, 0]),
-    "spread": lambda ctx, x, y, s: ctx.spread(x, y, 1, 4),
-    "sum_spread": lambda ctx, x, y, s: ctx.sum_spread(x, y, 4),
-    "wrap_sum": lambda ctx, x, y, s: ctx.wrap_sum(x, 4),
+    "spread": lambda ctx, x, y, s: ctx.spread(x, 1, 4),
+    "spread_window": lambda ctx, x, y, s: ctx.spread(x, 4, 4, 2),
+    "totals_0": lambda ctx, x, y, s: ctx.totals(x, 0),
+    "totals_1": lambda ctx, x, y, s: ctx.totals(x, 1),
     "place_passes_0": lambda ctx, x, y, s: ctx.place_passes([x, y], [np.eye(2), -np.eye(2)[::-1]], 0),
     "place_passes_1": lambda ctx, x, y, s: ctx.place_passes([x, y], [np.eye(2), np.ones((2, 2))], 1),
     "conj": lambda ctx, x, y, s: ctx.conj(x),
     "bootstrap": lambda ctx, x, y, s: ctx.bootstrap(x),
 }
-MASK_OPS = ("spread", "sum_spread")
 
 
 @given(
@@ -509,9 +535,7 @@ def test_real_operands_give_the_real_part_of_the_complex_composition(
     ctx = fresh()
     rng = np.random.default_rng(seed)
     xv = _real_values(rng, shape)
-    yv = _real_values(rng, (16,) if one_block_y or op in MASK_OPS else shape)
-    if op in MASK_OPS:
-        yv[np.arange(16) % 4 != 0] = 0.0
+    yv = _real_values(rng, (16,) if one_block_y else shape)
 
     def block(values, encrypted):
         return ctx.encrypt(values, level=5) if encrypted else ctx.pack(values)

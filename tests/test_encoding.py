@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hefit.emulator import CipherBlock, EmulatorContext, log2, tree_sum
 from hefit.encoding import (
     EncodedMatrix,
-    _period_mask,
     bootstrap_pair,
     bootstrap_tiled,
     col_range_mask,
@@ -268,14 +267,14 @@ def test_decode_rejects_nan_residue(ctx):
 def test_pattern_matrix_and_masks(ctx):
     i = np.arange(16)[:, None]
     j = np.arange(16)[None, :]
-    # make_mask gives the 8 x 8 tile; pattern_matrix repeats it over the block
+    # make_mask gives the 8 x 8 tile, which repeats over the block
     assert make_mask(ctx, shift=2, modulus=8).shape == (8, 8)
-    mask = pattern_matrix(ctx, make_mask(ctx, shift=2, modulus=8))
+    mask = pattern_matrix(ctx, np.tile(make_mask(ctx, shift=2, modulus=8), (2, 2)))
     expect = ((j - i - 2) % 8 == 0).astype(float)
     np.testing.assert_array_equal(padded_array(mask).real, expect)
     assert not mask.encrypted
 
-    twin = pattern_matrix(ctx, make_mask(ctx, shift=1, modulus=8, complexified=True, scale=2.0))
+    twin = pattern_matrix(ctx, np.tile(make_mask(ctx, shift=1, modulus=8, complexified=True, scale=2.0), (2, 2)))
     full = padded_array(twin)
     main = ((j - i - 1) % 8 == 0).astype(float)
     pair = ((j - i - 5) % 8 == 0).astype(float)
@@ -284,11 +283,11 @@ def test_pattern_matrix_and_masks(ctx):
 
     with pytest.raises(ShapeMismatch):
         make_mask(ctx, 0, 5)  # 5 does not divide 16
-    for bad in (np.ones((3, 3)), np.ones((4, 5)), np.ones((2, 2, 2))):  # neither broadcasts nor tiles 16 x 16
+    # a pattern that does not broadcast to 16 x 16, a tile that divides it
+    # included
+    for bad in (np.ones((3, 3)), np.ones((4, 5)), np.ones((2, 2, 2)), np.ones((2, 4)), np.ones(8)):
         with pytest.raises(ShapeMismatch):
             pattern_matrix(ctx, bad)
-    tile = np.arange(8.0).reshape(2, 4)
-    np.testing.assert_array_equal(padded_array(pattern_matrix(ctx, tile)).real, np.tile(tile, (8, 4)))
 
     cr = col_range_mask(ctx, 3)
     full = padded_array(cr).real
@@ -323,7 +322,7 @@ def test_make_mask_matches_its_index_grid_definition(slots, rows):
             main = 0.5 * main - 0.5j * twin
         tile = make_mask(ctx, shift, modulus, complexified=complexified, scale=scale)
         assert tile.shape == (modulus, modulus)
-        got = pattern_matrix(ctx, tile)
+        got = pattern_matrix(ctx, np.tile(tile, (ctx.grid_rows // modulus, ctx.grid_cols // modulus)))
         assert got.block.slots.dtype == (np.complex128 if complexified else np.float64)
         assert got.block.slots.astype(np.complex128).tobytes() == (main * scale).tobytes()
 
@@ -403,23 +402,21 @@ def _ladder_spread(ctx, x, mask, shifts):
 
 
 def _replication_sites(ctx, period=4):
-    """(site, mask, step, copies, the ladder's shifts) of every replication
-    that runs in closed form, with the mask and the shifts it ran before."""
+    """(site, mask, step, copies, window, the ladder's shifts) of every
+    replication that runs in closed form, with the mask and the shifts it
+    ran before."""
     s0, s1 = ctx.grid_rows, ctx.grid_cols
     first_col = col_range_mask(ctx, 1).block
+    first_period = pattern_matrix(ctx, np.arange(s0)[:, None] < period).block[0, 0]
     width, k = period * s1, s0 // period
     return [
-        ("broadcast_col0", first_col, 1, s1, [-(1 << t) for t in range(log2(s1))]),
-        ("row_major_atb", first_col, 1, s1, [-(1 << t) for t in range(log2(s1))]),
-        (
-            "bootstrap_tiled",
-            _period_mask(ctx, period).block[0, 0],
-            width, k, [-(width << t) for t in range(log2(k))],
-        ),
+        ("broadcast_col0", first_col, 1, s1, 0, [-(1 << t) for t in range(log2(s1))]),
+        ("row_major_atb", first_col, 1, s1, 0, [-(1 << t) for t in range(log2(s1))]),
+        ("bootstrap_tiled", first_period, width, k, 0, [-(width << t) for t in range(log2(k))]),
         (
             "col_major_abt",
             pattern_matrix(ctx, np.arange(s0)[:, None] == 3).block,
-            s1, s0, [(1 << t) * s1 for t in range(log2(s0))],
+            s1, s0, 3, [(1 << t) * s1 for t in range(log2(s0))],
         ),
     ]
 
@@ -451,13 +448,29 @@ def test_closed_forms_equal_their_ladders(ctx, rng, grid, encrypted, level):
     mask = col_range_mask(ctx, 1).block
     _same_run(
         ctx,
-        lambda: ctx.sum_spread(x, mask, ctx.grid_cols),
+        lambda: ctx.totals(x, axis=1),
         lambda: _ladder_sum_spread(ctx, x, mask, ctx.grid_cols),
     )
-    for _, mask, step, copies, shifts in _replication_sites(ctx):
+    for _, mask, step, copies, window, shifts in _replication_sites(ctx):
         _same_run(
             ctx,
-            lambda: ctx.spread(x, mask, step, copies),
+            lambda: ctx.spread(x, step, copies, window),
+            lambda: _ladder_spread(ctx, x, mask, shifts),
+        )
+
+
+@pytest.mark.parametrize("encrypted", [True, False])
+def test_spread_copies_every_window_of_a_wrapping_segment(ctx, rng, encrypted):
+    # step s1 and s0 copies: the segment is the whole vector, so the ladder
+    # copies whichever row the mask keeps
+    x = _slots(ctx, rng, (2, 3), encrypted, 5)
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
+    shifts = [-(s1 << t) for t in range(log2(s0))]
+    for j in range(s0):
+        mask = pattern_matrix(ctx, np.arange(s0)[:, None] == j).block
+        _same_run(
+            ctx,
+            lambda: ctx.spread(x, s1, s0, window=j),
             lambda: _ladder_spread(ctx, x, mask, shifts),
         )
 
@@ -478,36 +491,45 @@ def test_col_sums_equals_the_block_column_fold_and_its_ladder(ctx, rng, grid, en
 
 def test_closed_forms_at_level_zero_raise_as_their_ladders(ctx, rng):
     x = _slots(ctx, rng, (2, 3), True, 0)
+
+    def same_raise(ladder, closed):
+        deltas = []
+        for run in (ladder, closed):
+            before = ctx.ledger.snapshot()
+            with pytest.raises(DepthExhausted):
+                run()
+            deltas.append(ctx.ledger.delta(before))
+        assert deltas[0] == deltas[1]
+
     mask = col_range_mask(ctx, 1).block
-    for run in (
+    same_raise(
         lambda: _ladder_sum_spread(ctx, x, mask, ctx.grid_cols),
-        lambda: ctx.sum_spread(x, mask, ctx.grid_cols),
-    ):
-        with pytest.raises(DepthExhausted):
-            run()
-    for _, mask, step, copies, shifts in _replication_sites(ctx):
-        with pytest.raises(DepthExhausted):
-            _ladder_spread(ctx, x, mask, shifts)
-        with pytest.raises(DepthExhausted):
-            ctx.spread(x, mask, step, copies)
+        lambda: ctx.totals(x, axis=1),
+    )
+    for _, mask, step, copies, window, shifts in _replication_sites(ctx):
+        same_raise(
+            lambda: _ladder_spread(ctx, x, mask, shifts),
+            lambda: ctx.spread(x, step, copies, window),
+        )
 
 
-def test_closed_forms_reject_a_mask_outside_their_window(ctx, rng):
+def test_spread_rejects_a_window_the_ladder_does_not_copy(ctx, rng):
     x = _slots(ctx, rng, (1, 1), True, 5)
     s0, s1 = ctx.grid_rows, ctx.grid_cols
-    two_cols = col_range_mask(ctx, 2).block
-    with pytest.raises(ValueError):
-        ctx.sum_spread(x, two_cols, s1)
-    with pytest.raises(ValueError):
-        ctx.spread(x, two_cols, 1, s1)
     # a window other than the first is fine only where the ladder wraps
     # around the whole vector
-    row3 = pattern_matrix(ctx, np.arange(s0)[:, None] == 3).block
-    ctx.spread(x, row3, s1, s0)
-    with pytest.raises(ValueError):
-        ctx.spread(x, row3, s1, s0 // 2)
-    with pytest.raises(ValueError):
-        ctx.spread(x, row3, 3, 4)
+    ctx.spread(x, s1, s0, window=3)
+    before = ctx.ledger.snapshot()
+    for step, copies, window in (
+        (1, s1, 1),  # a row segment: the ladder copies only its first slot
+        (s1, s0 // 2, 3),  # half the vector: only its first row
+        (s1, s0, s0),  # past the last window
+        (s1, s0, -1),
+        (3, 4, 0),  # windows that do not tile the vector
+    ):
+        with pytest.raises(ValueError):
+            ctx.spread(x, step, copies, window)
+    assert ctx.ledger.counts() == before
 
 
 def test_tree_sum_is_the_doubling_ladders_first_slot(ctx, rng):

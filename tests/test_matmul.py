@@ -229,13 +229,19 @@ def test_random_shapes_match_oracle_and_formula(a, b, cpow, seed):
     )
 
 
+def _mask(ctx, tile):
+    """The plaintext mask that repeats ``tile`` over a block."""
+    s0, s1, c = ctx.grid_rows, ctx.grid_cols, len(tile)
+    return pattern_matrix(ctx, np.tile(tile, (s0 // c, s1 // c)))
+
+
 def _grid_diag_abt(A, B):
     """diag_abt with each pass's product formed over the whole grid at once."""
     ctx, c = A.ctx, B.period
     packed = B if c == 1 else B + rot_up(B, c // 2).mul_i()
     acc = None
     for k in range(max(c // 2, 1)):
-        term = col_sums(A * rot_up(packed, k)) * pattern_matrix(ctx, make_mask(ctx, k, c, complexified=c > 1))
+        term = col_sums(A * rot_up(packed, k)) * _mask(ctx, make_mask(ctx, k, c, complexified=c > 1))
         acc = term if acc is None else acc + term
     out = acc if c == 1 else acc + acc.conj()
     return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal")
@@ -252,7 +258,7 @@ def _grid_diag_atb(A, B, scale=1.0):
             prod = packed.lrot(k) * prot_up(B, k)
         else:
             prod = rot_left(packed, k) * B
-        mask = pattern_matrix(ctx, make_mask(ctx, -k, c, complexified=c > 1, scale=scale))
+        mask = _mask(ctx, make_mask(ctx, -k, c, complexified=c > 1, scale=scale))
         term = row_sums(prod) * mask
         acc = term if acc is None else acc + term
     out = acc if c == 1 else acc + acc.conj()

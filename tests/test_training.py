@@ -1,5 +1,6 @@
 """Momentum schedule, stepping, early stopping, and the two-party loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -252,6 +253,38 @@ def test_bootstrap_keeps_low_depth_runs_exact(rng):
     assert np.abs(tracks[-1] - state.weights).max() < 1e-9
 
 
+def _run_steps_digest() -> str:
+    """sha256 of the decoded weights after every step and the final ledger
+    counts of 6 test-scale ``run_steps`` steps at budgets 5, 12 and 19 and
+    4 paper-scale steps at budget 12."""
+    h = hashlib.sha256()
+    runs = [(4096, 64, 16, 3, 64, 6, level) for level in (5, 12, 19)]
+    runs.append((32768, 128, 768, 10, 128, 4, 12))
+    for slots, grid_rows, features, classes, batch, steps, max_level in runs:
+        x, y = make_gaussian_mixture(batch * 2, classes, features, 3, mean_scale=0.1)
+        x = np.hstack([x, np.ones((x.shape[0], 1))])
+        ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
+        for w in run_steps(x, y, classes, steps, ctx=ctx, lr=0.1, batch_size=batch):
+            h.update(w.tobytes())
+        h.update(repr(sorted(ctx.ledger.counts().items())).encode())
+    return h.hexdigest()
+
+
+def test_run_steps_digest_is_pinned():
+    """The trainer's numbers, bit for bit: every step's weights and the ledger.
+
+    A refactor that means to keep the numbers keeps this digest.  To
+    regenerate it, run from the repository root::
+
+        PYTHONPATH=src:tests python -c "import test_training as t; print(t._run_steps_digest())"
+
+    A new digest moves numbers: CHANGES.md says which and why.
+    """
+    assert _run_steps_digest() == (
+        "9f3cf141e5e53b0ecf8db699890feb1422293d09b79c0886d4fbdf3c6ac9c5fa"
+    )
+
+
 # -- early stopping ------------------------------------------------------------------
 
 
@@ -428,6 +461,16 @@ def test_batch_size_below_one_raises_config_error_before_any_encode(monkeypatch,
     assert encodes == []
     with pytest.raises(ConfigError, match="batch size must be at least 1, got -2"):
         batch_slices(8, -2)
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_empty_training_set_raises_data_error_before_any_encode(monkeypatch, runner):
+    # at the parent run_steps raised ZeroDivisionError, fit returned a NaN
+    # train loss and reference_fit trained on nothing
+    encodes = count_encodes(monkeypatch)
+    with pytest.raises(DataError, match="training needs at least 1 row, got 0"):
+        _RUNNERS[runner](np.zeros((0, 3)), np.zeros(0, int), 4)
+    assert encodes == []
 
 
 def test_client_checks_validation_labels_and_row_pairing(rng):
