@@ -11,6 +11,7 @@ pin against the same helpers.  Reports are deterministic for a given config
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -169,6 +170,16 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Map an ``OSError`` from creating or writing the output at ``path``
+    (a file or directory) to a :class:`ConfigError` naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def _ingest_like(path, classes: int, x_tr, split: str):
     """``(x, y)`` of a split whose feature columns must match the training split's."""
     x, y, _ = ingest(path, classes)
@@ -222,10 +233,11 @@ def cmd_train(args) -> int:
         "softmax_trace": [[lo, hi] for lo, hi in result.softmax_trace],
     }
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
-    np.savetxt(out_dir / "weights.csv", result.weights, delimiter=",", fmt="%.17g")
+    with _output(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report_path.write_text(json.dumps(report, indent=2) + "\n")
+        np.savetxt(out_dir / "weights.csv", result.weights, delimiter=",", fmt="%.17g")
 
     kind = "early stop" if result.stopped_early else "full run"
     print(f"trained {result.epochs_run} epochs ({kind}), best epoch {result.best_epoch}")
@@ -353,7 +365,8 @@ def cmd_bench_matmul(args) -> int:
             "slots": args.slots,
             "cases": cases,
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        with _output(args.out):
+            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"report -> {args.out}")
     if any(c["executed"] and not c["formula_match"] for c in cases):
         raise ConfigError("executed ledger counts diverged from the cost formulas")
@@ -458,7 +471,8 @@ def cmd_bench_softmax(args) -> int:
             "command": "bench-softmax",
             "cells": cells,
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        with _output(args.out):
+            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"report -> {args.out}")
     broken = [
         f"classes {c['classes']} {c['variant']}"
@@ -491,7 +505,8 @@ def cmd_gen_data(args) -> int:
         args.seed,
         balanced=True,
     )
-    save_csv(args.out, feats, labels)
+    with _output(args.out):
+        save_csv(args.out, feats, labels)
     print(
         f"wrote {feats.shape[0]} rows "
         f"({args.classes} classes x {args.per_class} each) -> {args.out}"

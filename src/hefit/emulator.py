@@ -29,10 +29,18 @@ column (a fold, a column-0 mask and a broadcast, bit for bit); and
 :meth:`EmulatorContext.place_passes` is a diagonal matrix product's passes,
 each pass's totals times its diagonal mask, summed over the passes,
 computed on one period of the result and tiled.  All of them ledger what the
-composition would, op for op.  Arithmetic on
-slots is exact IEEE double precision — there is no noise model — so a
-plaintext computation that mirrors the same operation order is a bit-exact
-oracle for the emulated one.  What the emulator does track faithfully:
+composition would, op for op.  Each op kind has one seam, a method that
+ledgers it (when encrypted) and computes its slots: ``_product`` (Mult,
+CMult and the fallback Bootstrap), ``_sum`` (Add), ``_ladder`` (a ladder's
+Adds and Rots), ``_conjugated`` (Conj), ``lrot`` (Rot) and ``bootstrap``
+(Bootstrap).  The primitives and the closed forms compute their slots only
+through the seams, on the arrays they reduce, and ``_charge`` is the one
+caller of :meth:`OpLedger.record`, so a subclass overriding the seams sees
+every op.  Slot arithmetic is exact IEEE double precision — the library
+has no noise model; ``scripts/precision_probe.py`` adds one by subclassing
+the context — so a plaintext computation that mirrors the same operation
+order is a bit-exact oracle for the emulated one.  What the emulator does
+track faithfully:
 
 * level bookkeeping (multiplications consume one level; a multiply at level 0
   raises :class:`~hefit.errors.DepthExhausted` unless auto-bootstrap is on;
@@ -268,70 +276,85 @@ class EmulatorContext:
             return complex(v), False, PLAINTEXT_LEVEL
         return self._slot_array(v), False, PLAINTEXT_LEVEL
 
-    def _depth_ready(self, slots: np.ndarray, level: float, op: str) -> float:
-        """Check an encrypted operand can afford one level.
-
-        A level-0 operand is refreshed only as a fallback (``auto_bootstrap``),
-        charged one Bootstrap per block of the operand itself, not of the
-        broadcast result.  The refreshed value is not kept, so the pipelines
-        place their refreshes explicitly instead of relying on this.
-        """
-        if level >= 1:
-            return level
-        if self.auto_bootstrap:
-            self.ledger.record("Bootstrap", self._blocks(slots))
-            return self.max_level
-        raise DepthExhausted(f"{op}: operand at level {int(level)} cannot be multiplied")
-
     def _blocks(self, slots: np.ndarray) -> int:
         return slots.size // self.slot_count
+
+    # -- seams: each charges its op kind and computes its slots ---------------
+
+    def _charge(self, kind: str, blocks: int) -> None:
+        """Ledger ``blocks`` ops of ``kind``: the one call of ``ledger.record``."""
+        self.ledger.record(kind, blocks)
+
+    def _product(self, x, y, k=None, same=False) -> tuple[np.ndarray, float]:
+        """The slots and level of the product of operands ``(values,
+        encrypted, level)``: a Mult for two ciphertexts, a CMult for one,
+        free for plaintexts, over ``k`` blocks (the result's, unless a closed
+        form passes its own).  A level-0 operand raises or, with
+        ``auto_bootstrap``, is refreshed (see the class), once if ``same``."""
+        out, level = x[0] * y[0], min(x[2], y[2])
+        if level < 1:  # at level 0, as a ciphertext can be (a plaintext's is inf)
+            operands = (x,) if same else (x, y)
+            for v, e, lvl in operands:
+                if e and lvl < 1:
+                    if not self.auto_bootstrap:
+                        raise DepthExhausted(f"mult: operand at level {int(lvl)} cannot be multiplied")
+                    # per block of the operand itself, not of the broadcast result
+                    self._charge("Bootstrap", self._blocks(v) if k is None else k)
+            level = min(self.max_level if e and lvl < 1 else lvl for _, e, lvl in operands)
+        if x[1] or y[1]:
+            self._charge("Mult" if x[1] and y[1] else "CMult", self._blocks(out) if k is None else k)
+            level -= 1
+        return out, level
+
+    def _sum(self, vx, vy, encrypted: bool, k=None, sign=1) -> np.ndarray:
+        """``vx + vy`` (``vx - vy`` for ``sign=-1``: negation is a free sign
+        flip), one Add per block (of the result, or ``k``) if encrypted."""
+        out = vx - vy if sign < 0 else vx + vy
+        if encrypted:
+            self._charge("Add", self._blocks(out) if k is None else k)
+        return out
+
+    def _ladder(self, values, k: int, steps: int, encrypted: bool, rots=None):
+        """``values``, unchanged: a closed form's result of a rotate-and-sum
+        ladder over ``k`` blocks, ledgered as one Add per block per step and
+        one Rot per block per rotating step (``rots``, every step by
+        default), if encrypted.  A noise model applies the ladder's error
+        here in aggregate: each step adds a rotated copy of the running sum
+        to it, so a rotation's error doubles at each later step, and
+        independent key-switching noise of deviation sigma per rotation
+        reaches every slot of the result at ``sigma * sqrt((4**rots - 1) / 3)``."""
+        if encrypted:
+            self._charge("Add", k * steps)
+            self._charge("Rot", k * (steps if rots is None else rots))
+        return values
+
+    def _conjugated(self, vx, encrypted: bool) -> np.ndarray:
+        """The slots' complex conjugates, one Conj per block if encrypted."""
+        if encrypted:
+            self._charge("Conj", self._blocks(vx))
+        return np.conj(vx) if vx.dtype.kind == "c" else vx
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x, y) -> CipherBlock:
         vx, ex, lx = self._operand(x)
         vy, ey, ly = self._operand(y)
-        out = vx + vy
-        encrypted = ex or ey
-        if encrypted:
-            self.ledger.record("Add", self._blocks(out))
-        return CipherBlock(out, min(lx, ly), encrypted)
+        return CipherBlock(self._sum(vx, vy, ex or ey), min(lx, ly), ex or ey)
 
     def sub(self, x, y) -> CipherBlock:
-        """Subtraction; costs one Add (negation is a free sign flip)."""
+        """Subtraction; costs one Add."""
         vx, ex, lx = self._operand(x)
         vy, ey, ly = self._operand(y)
-        out = vx - vy
-        encrypted = ex or ey
-        if encrypted:
-            self.ledger.record("Add", self._blocks(out))
-        return CipherBlock(out, min(lx, ly), encrypted)
+        return CipherBlock(self._sum(vx, vy, ex or ey, sign=-1), min(lx, ly), ex or ey)
 
     def mult(self, x, y) -> CipherBlock:
         """Elementwise product.  Two ciphertexts cost a Mult, a ciphertext and
         a plaintext cost a CMult, two plaintexts are free.  Consumes one level
         of every encrypted operand."""
-        vx, ex, lx = self._operand(x)
-        vy, ey, ly = self._operand(y)
-        out = vx * vy
+        ox, oy = self._operand(x), self._operand(y)
         # mult(x, x) refreshes its one operand once
-        level = self._charge_product((vx, ex, lx), (vy, ey, ly), self._blocks(out), y is x)
-        return CipherBlock(out, level, ex or ey)
-
-    def _charge_product(self, x, y, k: int, same: bool = False) -> float:
-        """Ledger a product of ``k`` blocks of the operands ``(values,
-        encrypted, level)`` and return its level (see :meth:`mult`)."""
-        (vx, ex, lx), (vy, ey, ly) = x, y
-        if ex:
-            lx = self._depth_ready(vx, lx, "mult")
-        if ey:
-            ly = lx if same else self._depth_ready(vy, ly, "mult")
-        if ex and ey:
-            self.ledger.record("Mult", k)
-        elif ex or ey:
-            self.ledger.record("CMult", k)
-        level = min(lx, ly)
-        return level - 1 if ex or ey else level
+        out, level = self._product(ox, oy, same=y is x)
+        return CipherBlock(out, level, ox[1] or oy[1])
 
     def cmult(self, x, y) -> CipherBlock:
         """Multiply by plaintext (scalar, array, or plaintext block)."""
@@ -349,7 +372,7 @@ class EmulatorContext:
         if r == 0:
             return x if isinstance(x, CipherBlock) else CipherBlock(vx, lx, ex)
         if ex:
-            self.ledger.record("Rot", self._blocks(vx))
+            self._charge("Rot", self._blocks(vx))
         out = np.empty(vx.shape, vx.dtype)
         out[..., : self.slot_count - r] = vx[..., r:]
         out[..., self.slot_count - r :] = vx[..., :r]
@@ -376,10 +399,6 @@ class EmulatorContext:
         shifts = [int(s) % n for s in shifts]
         if not shifts:
             return x if isinstance(x, CipherBlock) else CipherBlock(vx, lx, ex)
-        if ex:
-            k = self._blocks(vx)
-            self.ledger.record("Add", k * len(shifts))
-            self.ledger.record("Rot", k * sum(1 for s in shifts if s))
         # the second buffer only when a step reads the first
         bufs = [np.empty(vx.shape, vx.dtype)]
         if len(shifts) > 1:
@@ -390,7 +409,8 @@ class EmulatorContext:
             np.add(acc[..., : n - s], acc[..., s:], out=out[..., : n - s])
             np.add(acc[..., n - s :], acc[..., :s], out=out[..., n - s :])
             acc = out
-        return CipherBlock(acc, lx, ex)
+        rots = sum(1 for s in shifts if s)
+        return CipherBlock(self._ladder(acc, self._blocks(vx), len(shifts), ex, rots), lx, ex)
 
     def spread(self, x, step: int, copies: int, window: int = 0) -> CipherBlock:
         """``rot_sum(mult(x, M), [-(step << t) for t < log2(copies)])`` in
@@ -421,9 +441,9 @@ class EmulatorContext:
         lead, k = vx.shape[:-1], self._blocks(vx)
         # the product keeps its multiply: a complex slot times 1 may turn a
         # -0.0 part into +0.0
-        kept = vx.reshape(*lead, n // span, copies, step)[..., window : window + 1, :] * 1.0
-        level = self._charge_product((vx, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
-        self._charge_ladder(ex, k, log2(copies))
+        kept = vx.reshape(*lead, n // span, copies, step)[..., window : window + 1, :]
+        kept, level = self._product((kept, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
+        kept = self._ladder(kept, k, log2(copies), ex)
         out = np.broadcast_to(kept, (*lead, n // span, copies, step))
         return CipherBlock(out.reshape(vx.shape), level, ex)
 
@@ -462,23 +482,21 @@ class EmulatorContext:
         s0, s1 = self.grid_rows, self.grid_cols
         k, steps = self._blocks(vx), log2(s1 if axis else s0)
         block = vx.reshape(*vx.shape[:-1], s0, s1)
-        self._charge_ladder(ex, k, steps)
         if axis == 0:
-            return tree_sum(block, axis=-2), lx
+            return self._ladder(tree_sum(block, axis=-2), k, steps, ex), lx
+        sums = self._ladder(tree_sum(block), k, steps, ex)
         # the column-0 product keeps its multiply: a complex total times 1
         # may turn a -0.0 part into +0.0
-        sums = tree_sum(block) * 1.0
-        level = self._charge_product((vx, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
-        self._charge_ladder(ex, k, steps)
-        return sums, level
+        sums, level = self._product((sums, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
+        return self._ladder(sums, k, steps, ex), level
 
     def place_passes(self, products, tiles, axis: int) -> CipherBlock:
         """``sum_k mult(R(x_k), M_k)`` over the passes of a diagonal matrix
         product, in closed form.
 
-        ``products`` yields the pass products ``x_k``; ``tiles`` is a
-        sequence of the ``c x c`` tiles their plaintext masks repeat over the
-        block, ``M_k[i, j] = tiles[k][i mod c, j mod c]``
+        ``products`` yields the pass products ``x_k`` on one grid; ``tiles``
+        is a sequence of the ``c x c`` tiles their plaintext masks repeat over
+        the block, ``M_k[i, j] = tiles[k][i mod c, j mod c]``
         (:func:`~hefit.encoding.make_mask`).  ``R`` is ``totals(x, axis)``:
         each column's total in every row for ``axis=0``, each row's total in
         every column for ``axis=1``.  Along that axis the mask, and so the
@@ -503,7 +521,7 @@ class EmulatorContext:
         c = len(tiles[0]) if len(tiles) else 0
         if not c or s0 % c or s1 % c or any(np.shape(t) != (c, c) for t in tiles):
             raise ValueError(f"place_passes: tiles must be c x c, c dividing {s0} and {s1}")
-        acc, done = None, 0
+        acc, done, encrypted, acc_level = None, 0, False, PLAINTEXT_LEVEL
         # a plain loop: zip would hold the last product while the next is made
         for x in products:
             if done == len(tiles):
@@ -518,15 +536,9 @@ class EmulatorContext:
             else:
                 totals = sums.reshape(*lead, s0 // c, c, 1)
                 period_of = tile  # -> (..., s0 / c, c, c columns)
-            level = self._charge_product((vx, ex, lx), (tile, False, PLAINTEXT_LEVEL), k)
-            term = totals * period_of
+            term, level = self._product((totals, ex, lx), (period_of, False, PLAINTEXT_LEVEL), k)
             del x, vx, sums, totals  # let the next product reuse the memory
-            if acc is None:
-                acc, encrypted, acc_level = term, ex, level
-                continue
-            acc = acc + term
-            if encrypted or ex:
-                self.ledger.record("Add", math.prod(acc.shape[:-3]))
+            acc = term if acc is None else self._sum(acc, term, encrypted or ex, k)
             encrypted, acc_level = encrypted or ex, min(acc_level, level)
         if done < len(tiles):
             raise ValueError(f"place_passes: {done} products for {len(tiles)} tiles")
@@ -537,18 +549,9 @@ class EmulatorContext:
             out = np.broadcast_to(acc.reshape(*lead, s0, 1, c), (*lead, s0, s1 // c, c))
         return CipherBlock(out.reshape(*lead, self.slot_count), acc_level, encrypted)
 
-    def _charge_ladder(self, encrypted: bool, k: int, steps: int) -> None:
-        """Ledger a ``steps``-step rotate-and-sum ladder over ``k`` blocks,
-        one Add and one Rot per block per step, if it is encrypted."""
-        if encrypted:
-            self.ledger.record("Add", k * steps)
-            self.ledger.record("Rot", k * steps)
-
     def conj(self, x: CipherBlock) -> CipherBlock:
         vx, ex, lx = self._operand(x)
-        if ex:
-            self.ledger.record("Conj", self._blocks(vx))
-        return CipherBlock(np.conj(vx), lx, ex)
+        return CipherBlock(self._conjugated(vx, ex), lx, ex)
 
     def conj_add(self, x: CipherBlock) -> CipherBlock:
         """The conjugate recombination ``x + conj(x)``: twice the real part.
@@ -561,14 +564,9 @@ class EmulatorContext:
         NaN, so it is returned instead, complex, for a decode to reject.
         """
         vx, ex, lx = self._operand(x)
-        if ex:
-            k = self._blocks(vx)
-            self.ledger.record("Conj", k)
-            self.ledger.record("Add", k)
-        if vx.dtype.kind == "c" and not np.isfinite(vx.imag).all():
-            return CipherBlock(vx + np.conj(vx), lx, ex)
-        re = vx.real
-        return CipherBlock(re + re, lx, ex)
+        if vx.dtype.kind != "c" or np.isfinite(vx.imag).all():
+            vx = vx.real  # whose conjugate is itself
+        return CipherBlock(self._sum(vx, self._conjugated(vx, ex), ex), lx, ex)
 
     def mul_i(self, x: CipherBlock) -> CipherBlock:
         """Multiply every slot by the imaginary unit.
@@ -583,7 +581,7 @@ class EmulatorContext:
         emulator is noise-free); plaintext blocks pass through untouched."""
         if not isinstance(x, CipherBlock) or not x.encrypted:
             return x
-        self.ledger.record("Bootstrap", self._blocks(x.slots))
+        self._charge("Bootstrap", self._blocks(x.slots))
         return CipherBlock(x.slots, self.max_level, True)
 
     # -- audit ----------------------------------------------------------------

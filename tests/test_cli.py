@@ -223,6 +223,14 @@ def test_gen_data_writes_balanced_csv(tmp_path, capsys):
     assert np.bincount(y).tolist() == [10, 10, 10]
 
 
+def test_gen_data_unwritable_output_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "mix.csv"
+    rc = main(["gen-data", "--classes", "2", "--features", "2", "--per-class", "3",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"hefit: error [cli.config]: cannot write {out}: ")
+
+
 def test_gen_data_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["gen-data", "--classes", "2", "--features", "3", "--per-class", "5"]
@@ -256,6 +264,15 @@ def test_train_writes_report_and_weights(tmp_path, capsys):
 
     weights = np.loadtxt(tmp_path / "out" / "weights.csv", delimiter=",")
     assert weights.shape == (3, 6)  # classes x (features + bias)
+
+
+def test_train_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
+    paths = write_split(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg_path = write_config(tmp_path, paths, out_dir=str(taken))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"hefit: error [cli.config]: cannot write {taken}: ")
 
 
 def test_train_is_deterministic(tmp_path):
@@ -395,6 +412,13 @@ def test_bench_matmul_small_grid(tmp_path, capsys):
             assert case["algorithm"].startswith("jin")
 
 
+def test_bench_matmul_unwritable_output_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "bm.json"
+    rc = main(["bench-matmul", "--shapes", "4,4,2", "--slots", "256", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"hefit: error [cli.config]: cannot write {out}: ")
+
+
 def test_bench_matmul_prices_padded_class_count():
     # the diagonal kernels run 5 classes at period 8, and are priced there
     assert main(["bench-matmul", "--shapes", "64,100,5", "--slots", "4096"]) == 0
@@ -427,6 +451,16 @@ def test_bench_softmax_small_run(tmp_path, capsys):
         assert 0 <= cell["avg_error"] <= cell["max_error"] < 0.05
     # on the core box the plain variant is near machine precision
     assert cells[0]["max_error"] < 1e-9
+
+
+def test_bench_softmax_unwritable_output_is_a_config_error(tmp_path, capsys):
+    # the output's directory is a file
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "bs.json"
+    rc = main(["bench-softmax", "--classes", "3", "--samples", "100", "--range", "4",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"hefit: error [cli.config]: cannot write {out}: ")
 
 
 @pytest.mark.parametrize(

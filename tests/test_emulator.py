@@ -1,13 +1,18 @@
 """Ledger accounting, level tracking, and depth errors of the slot emulator."""
 
+import ast
+import collections
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hefit
+from hefit.datasets import make_gaussian_mixture
 from hefit.emulator import (
     DEFAULT_OP_WEIGHTS_MS,
     OP_KINDS,
@@ -18,6 +23,7 @@ from hefit.emulator import (
 )
 from hefit.encoding import EncodedMatrix, decode, encode, make_mask
 from hefit.errors import DepthExhausted, HefitError, LevelError, SlotCountMismatch
+from hefit.training import run_steps
 
 
 def fresh(**kw):
@@ -289,14 +295,16 @@ LADDER_SHIFTS = st.lists(
     shifts=LADDER_SHIFTS,
     encrypted=st.booleans(),
     seed=st.integers(0, 2**16),
+    seams=st.booleans(),
 )
-@example(shape=(2, 2, 16), shifts=[], encrypted=True, seed=0)
-@example(shape=(16,), shifts=[16], encrypted=True, seed=0)
-@example(shape=(1, 3, 16), shifts=[-3], encrypted=True, seed=0)
-@example(shape=(2, 2, 16), shifts=[1, 0, -32, 7], encrypted=True, seed=0)
-@example(shape=(2, 2, 16), shifts=[4, 8], encrypted=False, seed=0)
-def test_rot_sum_matches_the_add_lrot_loop(shape, shifts, encrypted, seed):
-    ctx = fresh()
+@example(shape=(2, 2, 16), shifts=[], encrypted=True, seed=0, seams=False)
+@example(shape=(16,), shifts=[16], encrypted=True, seed=0, seams=False)
+@example(shape=(1, 3, 16), shifts=[-3], encrypted=True, seed=0, seams=False)
+@example(shape=(2, 2, 16), shifts=[1, 0, -32, 7], encrypted=True, seed=0, seams=False)
+@example(shape=(2, 2, 16), shifts=[1, 0, -32, 7], encrypted=True, seed=0, seams=True)
+@example(shape=(2, 2, 16), shifts=[4, 8], encrypted=False, seed=0, seams=False)
+def test_rot_sum_matches_the_add_lrot_loop(shape, shifts, encrypted, seed, seams):
+    ctx = (SeamContext if seams else EmulatorContext)(16, 4)
     rng = np.random.default_rng(seed)
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     x = ctx.encrypt(values, level=5) if encrypted else ctx.pack(values)
@@ -336,12 +344,15 @@ def _totals_ladder(ctx, x, axis):
     level=st.integers(0, 12),
     complex_slots=st.booleans(),
     seed=st.integers(0, 2**16),
+    seams=st.booleans(),
 )
-@example(axis=0, shape=(2, 2, 256), one_block=False, encrypted=True, level=3, complex_slots=True, seed=0)
-@example(axis=1, shape=(1, 3, 256), one_block=True, encrypted=True, level=0, complex_slots=True, seed=1)
-@example(axis=1, shape=(2, 2, 256), one_block=False, encrypted=True, level=1, complex_slots=False, seed=2)
-def test_totals_is_its_ladder(axis, shape, one_block, encrypted, level, complex_slots, seed):
-    ctx = EmulatorContext(256, 16)
+@example(axis=0, shape=(2, 2, 256), one_block=False, encrypted=True, level=3, complex_slots=True, seed=0, seams=False)
+@example(axis=1, shape=(1, 3, 256), one_block=True, encrypted=True, level=0, complex_slots=True, seed=1, seams=False)
+@example(axis=1, shape=(1, 3, 256), one_block=True, encrypted=True, level=0, complex_slots=True, seed=1, seams=True)
+@example(axis=1, shape=(2, 2, 256), one_block=False, encrypted=True, level=1, complex_slots=False, seed=2, seams=False)
+@example(axis=1, shape=(2, 2, 256), one_block=False, encrypted=True, level=1, complex_slots=False, seed=2, seams=True)
+def test_totals_is_its_ladder(axis, shape, one_block, encrypted, level, complex_slots, seed, seams):
+    ctx = (SeamContext if seams else EmulatorContext)(256, 16)
     s0, s1 = ctx.grid_rows, ctx.grid_cols
     rng = np.random.default_rng(seed)
     # magnitudes over 16 decades, so two summation orders round apart, and
@@ -426,13 +437,15 @@ def _place_passes_composition(ctx, products, tiles, axis):
     level=st.integers(0, 3),
     scale=st.sampled_from([1.0, -0.5, 0.0, 0.01]),
     seed=st.integers(0, 2**16),
+    seams=st.booleans(),
 )
-@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=1, scale=1.0, seed=0)
-@example(axis=0, geometry=(256, 16), c=4, shape=(1, 1), complex_slots=True, encrypted=True, level=0, scale=1.0, seed=0)
+@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=1, scale=1.0, seed=0, seams=False)
+@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=2, scale=1.0, seed=0, seams=True)
+@example(axis=0, geometry=(256, 16), c=4, shape=(1, 1), complex_slots=True, encrypted=True, level=0, scale=1.0, seed=0, seams=False)
 def test_place_passes_is_the_composition_bit_for_bit(
-    axis, geometry, c, shape, complex_slots, encrypted, level, scale, seed
+    axis, geometry, c, shape, complex_slots, encrypted, level, scale, seed, seams
 ):
-    ctx = EmulatorContext(*geometry)
+    ctx = (SeamContext if seams else EmulatorContext)(*geometry)
     c = min(c, ctx.grid_rows, ctx.grid_cols)
     rng = np.random.default_rng(seed)
     full = (*shape, ctx.slot_count)
@@ -528,11 +541,12 @@ REAL_OPS = {
     y_encrypted=st.booleans(),
     scalar=st.sampled_from([2.5, -0.75, 0.0, -0.0, 3, np.float64(-1.5), True]),
     seed=st.integers(0, 2**16),
+    seams=st.booleans(),
 )
 def test_real_operands_give_the_real_part_of_the_complex_composition(
-    op, shape, one_block_y, x_encrypted, y_encrypted, scalar, seed
+    op, shape, one_block_y, x_encrypted, y_encrypted, scalar, seed, seams
 ):
-    ctx = fresh()
+    ctx = (SeamContext if seams else EmulatorContext)(16, 4)
     rng = np.random.default_rng(seed)
     xv = _real_values(rng, shape)
     yv = _real_values(rng, (16,) if one_block_y else shape)
@@ -575,9 +589,10 @@ def test_mul_i_and_complex_plaintexts_give_complex_slots():
     shape=st.sampled_from([(16,), (1, 3, 16), (2, 2, 16)]),
     encrypted=st.booleans(),
     seed=st.integers(0, 2**16),
+    seams=st.booleans(),
 )
-def test_conj_add_is_the_real_part_of_the_recombination(shape, encrypted, seed):
-    ctx = fresh()
+def test_conj_add_is_the_real_part_of_the_recombination(shape, encrypted, seed, seams):
+    ctx = (SeamContext if seams else EmulatorContext)(16, 4)
     rng = np.random.default_rng(seed)
     values = _real_values(rng, shape) + 1j * _real_values(rng, shape)
     x = ctx.encrypt(values, level=3) if encrypted else ctx.pack(values)
@@ -620,3 +635,191 @@ def test_conj_add_keeps_a_non_finite_imaginary_part_for_decode_to_reject(bad):
     got = ctx.conj_add(x)
     assert got.slots.dtype == np.float64
     assert got.slots.tobytes() == np.ascontiguousarray(ctx.add(x, ctx.conj(x)).slots.real).tobytes()
+
+
+# -- the seams: one per op kind, closed forms included ---------------------------
+
+# the op kinds each seam owns
+SEAM_KINDS = {
+    "_product": {"Mult", "CMult", "Bootstrap"},  # Bootstrap: the level-0 fallback
+    "_sum": {"Add"},
+    "_ladder": {"Add", "Rot"},
+    "_conjugated": {"Conj"},
+    "lrot": {"Rot"},
+    "bootstrap": {"Bootstrap"},
+}
+# a shift per seam, distinct so that no two cancel (a ladder's shift times a
+# -1 mask, plus the product's own)
+SEAM_SHIFTS = dict(zip(SEAM_KINDS, (1 / 3, 1 / 5, 1 / 7, 1 / 11, 1 / 13, 1 / 17)))
+
+
+class _SeamLedger(OpLedger):
+    """A ledger that takes a record only from inside exactly one seam, of a
+    kind that seam owns."""
+
+    def __init__(self, open_seams: list[str]):
+        super().__init__()
+        self.open_seams = open_seams
+        self.records = 0
+
+    def record(self, kind, n=1):
+        assert len(self.open_seams) == 1, f"{kind} charged inside seams {self.open_seams}"
+        assert kind in SEAM_KINDS[self.open_seams[0]], f"{self.open_seams[0]} charged {kind}"
+        self.records += 1
+        super().record(kind, n)
+
+
+def _seam(name):
+    def seam(self, *args, **kwargs):
+        records = self.ledger.records
+        self.open_seams.append(name)
+        try:
+            out = getattr(EmulatorContext, name)(self, *args, **kwargs)
+        finally:
+            self.open_seams.pop()
+        if not self.shift or self.ledger.records == records:
+            return out
+        # the seam charged an op: move what it returns
+        d = SEAM_SHIFTS[name]
+        if isinstance(out, CipherBlock):
+            return CipherBlock(out.slots + d, out.level, out.encrypted)
+        return (out[0] + d, out[1]) if name == "_product" else out + d
+
+    return seam
+
+
+class SeamContext(EmulatorContext):
+    """A context that overrides only the seams.  Its ledger checks that each
+    charge comes from inside one seam, of a kind the seam owns; with
+    ``shift`` on, every seam that charged an op adds its own constant to the
+    slots it returns, as a noise model would add its error."""
+
+    shift = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.open_seams: list[str] = []
+        self.ledger = _SeamLedger(self.open_seams)
+
+    _product = _seam("_product")
+    _sum = _seam("_sum")
+    _ladder = _seam("_ladder")
+    _conjugated = _seam("_conjugated")
+    lrot = _seam("lrot")
+    bootstrap = _seam("bootstrap")
+
+
+def test_shifted_seams_move_every_slot_of_every_ledgered_op():
+    # every public primitive and closed form that ledgers an op on encrypted
+    # input computes its slots through the seams: shifting them moves every
+    # slot, and charges the same ops; x at level 0 reaches the fallback
+    # refresh inside the product seam
+    rng = np.random.default_rng(7)
+    xv = _real_values(rng, (2, 2, 16)) + 1j * _real_values(rng, (2, 2, 16))
+    yv = _real_values(rng, (2, 2, 16))
+    ops = {**REAL_OPS, "conj_add": lambda ctx, x, y, s: ctx.conj_add(x)}
+    for name, op in ops.items():
+        for level, auto in ((5, False), (0, True)):
+            runs = []
+            for shift in (False, True):
+                ctx = SeamContext(16, 4, max_level=12, auto_bootstrap=auto)
+                ctx.shift = shift
+                out = op(ctx, ctx.encrypt(xv, level), ctx.encrypt(yv, 5), 2.5)
+                runs.append((out, ctx.ledger.counts()))
+            (want, want_ops), (got, got_ops) = runs
+            assert got_ops == want_ops and any(want_ops.values()), name
+            assert (got.slots != want.slots).all(), (name, level)
+
+
+def test_seam_ledger_refuses_a_charge_outside_a_seam():
+    ctx = SeamContext(16, 4)
+    with pytest.raises(AssertionError, match="inside seams"):
+        ctx._charge("Add", 1)
+    with pytest.raises(AssertionError, match="_sum charged Rot"):
+        ctx.open_seams.append("_sum")
+        ctx._charge("Rot", 1)
+
+
+# every public primitive that can ledger an op
+LEDGERED_PRIMITIVES = (
+    "add", "sub", "mult", "cmult", "lrot", "rrot", "rot_sum", "spread", "totals",
+    "place_passes", "conj", "conj_add", "bootstrap",
+)
+
+
+def _shift_every_ledgered_call(ctx: SeamContext) -> collections.Counter:
+    """Rebind ``ctx``'s primitives so that each call that ledgers an op runs
+    a second time with the seams shifted, on a fresh ledger: it must charge
+    the same ops and move every slot.  Returns the calls checked, by name."""
+    checked = collections.Counter()
+
+    def checking(name, run):
+        def call(*args, **kwargs):
+            if ctx.shift:  # inside a second run
+                return run(*args, **kwargs)
+            if name == "place_passes":  # run twice: keep the products
+                args = (list(args[0]), *args[1:])
+            before = ctx.ledger.snapshot()
+            out = run(*args, **kwargs)
+            ops = ctx.ledger.delta(before)
+            if any(ops.values()):
+                ledger, ctx.ledger, ctx.shift = ctx.ledger, _SeamLedger(ctx.open_seams), True
+                try:
+                    shifted = run(*args, **kwargs)
+                    assert ctx.ledger.counts() == ops, name
+                finally:
+                    ctx.ledger, ctx.shift = ledger, False
+                assert (shifted.slots != out.slots).all(), name
+                checked[name] += 1
+            return out
+
+        return call
+
+    for name in LEDGERED_PRIMITIVES:
+        setattr(ctx, name, checking(name, getattr(ctx, name)))
+    return checked
+
+
+@pytest.mark.parametrize(
+    "slots,grid_rows,features,classes,batch",
+    [(4096, 64, 16, 3, 64), (32768, 128, 768, 10, 128)],
+    ids=["test", "paper"],
+)
+def test_seams_see_every_op_of_training_steps(slots, grid_rows, features, classes, batch):
+    # 8 steps at budget 12 at both north-star scales: every charge comes from
+    # one seam of its kind, the seams move every slot of every ledgered
+    # call, and with the shifts off the run is the plain context's bit for bit
+    x, y = make_gaussian_mixture(batch * 2, classes, features, 3, mean_scale=0.1)
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    runs = []
+    for context in (EmulatorContext, SeamContext):
+        ctx = context(slots, grid_rows, max_level=12)
+        if context is SeamContext:
+            checked = _shift_every_ledgered_call(ctx)
+        weights = run_steps(x, y, classes, 8, ctx=ctx, lr=0.1, batch_size=batch)
+        runs.append((np.array(weights).tobytes(), ctx.ledger.counts()))
+    assert runs[1] == runs[0]
+    # every primitive ran, closed forms and refreshes included, but cmult,
+    # which nothing in the package calls
+    assert set(checked) == set(LEDGERED_PRIMITIVES) - {"cmult"}
+
+
+def test_ledger_record_has_one_caller():
+    # every charge goes through EmulatorContext._charge, so a closed form
+    # cannot bypass the seams a noise model or a per-level ledger overrides
+    src = Path(hefit.__file__).parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "record"
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "ledger"
+                ):
+                    sites.append((path.name, func.name))
+    assert sites == [("emulator.py", "_charge")]

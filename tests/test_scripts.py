@@ -1,14 +1,17 @@
 """Smoke tests for the measuring scripts under ``scripts/``.
 
-The scripts rebind hefit functions by name to count or time the stages, so
-a rename in ``src/`` breaks them; these checks make it break the test suite
-first.  Each runs one cheap point of its script: one budget at test scale.
+The scripts rebind hefit functions by name to count or time the stages, or
+override the emulator context's seams, so a rename in ``src/`` breaks them;
+these checks make it break the test suite first.  Each runs one cheap point
+of its script: one budget at test scale, or one class count on 256 slots.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from hefit.emulator import EmulatorContext
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -43,3 +46,22 @@ def test_stage_times_sees_every_stage():
     ran = {label: n for label, (_, n) in times.items()}
     sparse = {"boot_tiled": 4, "prot_up": 4}
     assert ran == {label: sparse.get(label, stage_times.STEPS) for label in times}
+
+
+def test_precision_probe_prints_every_row_and_its_exact_model_is_the_emulator(capsys):
+    probe = _load("precision_probe")
+    # with both effects off, the model is the plain emulator bit for bit
+    for piece in probe.PIECES:
+        x = probe.piece_input(piece, 16, 3)
+        plain = probe.piece_output(EmulatorContext(256, 16, max_level=12), piece, x)
+        exact = probe.piece_output(probe.ProbeContext(256, 16, max_level=12), piece, x)
+        assert exact.tobytes() == plain.tobytes()
+    probe.probe(256, 16, classes=(3,))
+    lines = capsys.readouterr().out.splitlines()
+    # one error row per piece and model, a NaN or a refused decode included,
+    # then the softmax's bootstrap inputs under each model
+    start = lines.index("largest |slot| at each bootstrap input of the softmax:")
+    rows = [line.split()[:3] for line in lines[2:start]]
+    assert rows == [["3", piece, model] for piece in probe.PIECES for model in probe.MODELS]
+    assert [line.split()[:2] for line in lines[start + 1 :]] == [["3", model] for model in probe.MODELS]
+    assert all(len(line.split()) > 2 for line in lines[start + 1 :])
