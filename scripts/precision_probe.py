@@ -97,10 +97,10 @@ class ProbeContext(EmulatorContext):
     ``boot_inputs`` collects the largest |slot| at each bootstrap input.
     """
 
-    def __init__(self, *args, rounding=False, noise=False, seed=SEED, **kwargs):
+    def __init__(self, *args, rounding=False, noise=False, **kwargs):
         super().__init__(*args, **kwargs)
         self.rounding, self.noise = rounding, noise
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(SEED)
         self.boot_inputs: list[float] = []
 
     def _noisy(self, slots, sigma=DELTA):
@@ -121,7 +121,7 @@ class ProbeContext(EmulatorContext):
         values = super()._ladder(values, k, steps, encrypted, rots)
         rots = steps if rots is None else rots
         # the aggregate rule of EmulatorContext._ladder
-        return self._noisy(values, DELTA * math.sqrt((4**rots - 1) / 3)) if encrypted else values
+        return self._noisy(values, DELTA * math.sqrt(2**rots - 1)) if encrypted else values
 
     def lrot(self, x, r):
         out = super().lrot(x, r)

@@ -319,10 +319,10 @@ class EmulatorContext:
         ladder over ``k`` blocks, ledgered as one Add per block per step and
         one Rot per block per rotating step (``rots``, every step by
         default), if encrypted.  A noise model applies the ladder's error
-        here in aggregate: each step adds a rotated copy of the running sum
-        to it, so a rotation's error doubles at each later step, and
-        independent key-switching noise of deviation sigma per rotation
-        reaches every slot of the result at ``sigma * sqrt((4**rots - 1) / 3)``."""
+        here in aggregate: each later step adds a rotation's error from two
+        slots, doubling its variance, so independent noise of deviation
+        sigma per slot per rotation reaches every slot at ``sigma *
+        sqrt(2**rots - 1)`` when the ladder sums ``2**steps`` distinct slots."""
         if encrypted:
             self._charge("Add", k * steps)
             self._charge("Rot", k * (steps if rots is None else rots))
@@ -508,9 +508,9 @@ class EmulatorContext:
         composition's slots bit for bit.
 
         Ledgers the composition op for op, pass by pass: R's ladders (for
-        ``axis=1`` also its column-0 CMult), the mask's CMult, and one
-        Add per block for each pass after the first.  Each product costs a
-        level; an encrypted operand with none left raises
+        ``axis=1`` also its column-0 CMult), the mask's CMult, and one Add
+        per block of the sum for each pass after the first.  Each product
+        costs a level; an encrypted operand with none left raises
         :class:`~hefit.errors.DepthExhausted` once the ops before it are
         charged.  A bad axis, no tiles, tiles of other shapes or a count of
         products other than of tiles raise ``ValueError``.
@@ -538,6 +538,8 @@ class EmulatorContext:
                 period_of = tile  # -> (..., s0 / c, c, c columns)
             term, level = self._product((totals, ex, lx), (period_of, False, PLAINTEXT_LEVEL), k)
             del x, vx, sums, totals  # let the next product reuse the memory
+            if acc is not None and acc.shape != term.shape:  # products on other grids
+                k = math.prod(np.broadcast_shapes(acc.shape, term.shape)[:-3])
             acc = term if acc is None else self._sum(acc, term, encrypted or ex, k)
             encrypted, acc_level = encrypted or ex, min(acc_level, level)
         if done < len(tiles):

@@ -498,6 +498,19 @@ def test_place_passes_checks_its_arguments():
             ctx.place_passes(products, tiles, axis)
 
 
+@pytest.mark.parametrize("grids", [((2, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (1, 3))])
+def test_place_passes_adds_products_on_other_grids_by_their_sum(grids):
+    ctx = EmulatorContext(256, 16)
+    products = [ctx.encrypt(np.ones((*g, 256))) for g in grids]
+    out = ctx.place_passes(products, [np.eye(4)] * 2, 0)
+    grid = np.broadcast_shapes(*grids)
+    assert out.slots.shape == (*grid, 256)
+    # each product's totals ladder, log2(16) Adds per block, then one Add
+    # per block of the sum
+    ladders = sum(4 * math.prod(g) for g in grids)
+    assert ctx.ledger.counts()["Add"] == ladders + math.prod(grid)
+
+
 # -- real and complex slots ------------------------------------------------------
 
 
