@@ -438,21 +438,25 @@ def _place_passes_composition(ctx, products, tiles, axis):
     scale=st.sampled_from([1.0, -0.5, 0.0, 0.01]),
     seed=st.integers(0, 2**16),
     seams=st.booleans(),
+    mixed=st.booleans(),
 )
-@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=1, scale=1.0, seed=0, seams=False)
-@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=2, scale=1.0, seed=0, seams=True)
-@example(axis=0, geometry=(256, 16), c=4, shape=(1, 1), complex_slots=True, encrypted=True, level=0, scale=1.0, seed=0, seams=False)
+@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=1, scale=1.0, seed=0, seams=False, mixed=False)
+@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=2, scale=1.0, seed=0, seams=True, mixed=False)
+@example(axis=0, geometry=(256, 16), c=4, shape=(1, 1), complex_slots=True, encrypted=True, level=0, scale=1.0, seed=0, seams=False, mixed=False)
+@example(axis=0, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=False, encrypted=True, level=3, scale=1.0, seed=0, seams=False, mixed=True)
 def test_place_passes_is_the_composition_bit_for_bit(
-    axis, geometry, c, shape, complex_slots, encrypted, level, scale, seed, seams
+    axis, geometry, c, shape, complex_slots, encrypted, level, scale, seed, seams, mixed
 ):
     ctx = (SeamContext if seams else EmulatorContext)(*geometry)
     c = min(c, ctx.grid_rows, ctx.grid_cols)
     rng = np.random.default_rng(seed)
     full = (*shape, ctx.slot_count)
     passes = max(c // 2, 1)
-    values = [_real_values(rng, full) for _ in range(passes)]
+    # mixed: the later products on a one-block grid, broadcast over the first
+    fulls = [full] + [(*(1 for _ in shape), ctx.slot_count) if mixed else full] * (passes - 1)
+    values = [_real_values(rng, f) for f in fulls]
     if complex_slots:
-        values = [v + 1j * _real_values(rng, full) for v in values]
+        values = [v + 1j * _real_values(rng, f) for v, f in zip(values, fulls)]
     products = [ctx.encrypt(v, level) if encrypted else ctx.pack(v) for v in values]
     tiles = [
         make_mask(ctx, (-k if axis == 0 else k), c, complexified=c > 1, scale=scale)
@@ -496,19 +500,6 @@ def test_place_passes_checks_its_arguments():
     ):
         with pytest.raises(ValueError):
             ctx.place_passes(products, tiles, axis)
-
-
-@pytest.mark.parametrize("grids", [((2, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (1, 3))])
-def test_place_passes_adds_products_on_other_grids_by_their_sum(grids):
-    ctx = EmulatorContext(256, 16)
-    products = [ctx.encrypt(np.ones((*g, 256))) for g in grids]
-    out = ctx.place_passes(products, [np.eye(4)] * 2, 0)
-    grid = np.broadcast_shapes(*grids)
-    assert out.slots.shape == (*grid, 256)
-    # each product's totals ladder, log2(16) Adds per block, then one Add
-    # per block of the sum
-    ladders = sum(4 * math.prod(g) for g in grids)
-    assert ctx.ledger.counts()["Add"] == ladders + math.prod(grid)
 
 
 # -- real and complex slots ------------------------------------------------------
