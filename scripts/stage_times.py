@@ -15,11 +15,12 @@ softmax pieces and ``col_sums`` (the softmax's row totals) are inside
 ``diag_abt`` and once per block column of ``diag_atb``, whose ``prot_up``
 runs once per block column and pass.  ``passes`` is the kernels' masked
 totals (``encoding.place_passes``), which the emulator computes on one
-period of the result (``EmulatorContext.place_passes``); ``col_sums`` runs
-the closed form of its ladders (``EmulatorContext.totals``), and the
-re-tiling inside ``boot_tiled`` that of a masked copy
-(``EmulatorContext.spread``).  The two scales are the test and paper
-scales of ``scripts/budget_sweep.py``:
+period of the result (``EmulatorContext.place_passes``); ``col_sums``
+totals each period copy of the softmax's tiled exps with the closed form
+of ladders that stay inside one period (``EmulatorContext.totals`` with
+the period as its segment width), and the re-tiling inside ``boot_tiled``
+runs that of a masked copy (``EmulatorContext.spread``).  The two scales
+are the test and paper scales of ``scripts/budget_sweep.py``:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;

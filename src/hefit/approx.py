@@ -11,14 +11,19 @@ Every routine here accepts either an :class:`~hefit.encoding.EncodedMatrix`
 The polynomial steps are written once, as ``+``/``-``/``*`` arithmetic that
 both carriers implement; only the layout-dependent steps (masks, the
 tournament's operand pairs, column sums, broadcasts) live in ``_Carrier``.
-The array carrier runs the same arithmetic, in the same order, on every
-slot the encrypted path reads, and only on those: the tournament keeps only
-the columns a later round reads, the tail runs on the class columns, and
-the row total and the reciprocal on one column per row.  So the array path
-is a bit-faithful mirror of the encrypted one, cheap enough for
-million-sample error measurement.  :func:`a_softmax` evaluates array
-inputs in cache-sized row blocks (``_BLOCK_SLOTS``); every step works
-within a row, so the output is bit-identical to a single pass over all rows.
+The encrypted carrier runs every step on every period copy of its tiled
+input, with ladders that stay inside one period: the tournament's partners
+from a period's first column lie in that period, and the max broadcast and
+the row total each span one period, so every copy ends equal to the first,
+byte for byte, and nothing re-tiles the output.  The array carrier runs the
+same arithmetic, in the same order, on every slot the encrypted path reads
+of one copy, and only on those: the tournament keeps only the columns a
+later round reads, the tail runs on the class columns, and the row total
+and the reciprocal on one column per row.  So the array path is a
+bit-faithful mirror of the encrypted one, cheap enough for million-sample
+error measurement.  :func:`a_softmax` evaluates array inputs in
+cache-sized row blocks (``_BLOCK_SLOTS``); every step works within a row,
+so the output is bit-identical to a single pass over all rows.
 
 Constant scalings spend no level of their own: the comparison's
 (u + 1) / 2, the tournament's 1/(2 max_range) and the exp's 1/EXP_RANGE
@@ -149,12 +154,14 @@ def _array_layout(M):
 class _Carrier:
     """Layout facts and layout-dependent steps for one input matrix.
 
-    The encrypted carrier works on whole slot grids.  The array carrier
-    holds the unpadded ``(rows, classes)`` logits and computes only the
-    slots the encrypted path reads: its masks are scalars, the tournament
-    keeps only the columns a later round reads, and the row total leaves
-    one ``(rows, 1)`` column, which numpy broadcasts over the row.  Padding
-    exists only inside the tournament and the row total.
+    The encrypted carrier works on whole slot grids, each period copy of
+    the horizontally tiled input alike: its masks repeat with the period
+    and its ladders stay inside one.  The array carrier holds the unpadded
+    ``(rows, classes)`` logits and computes only the slots the encrypted
+    path reads: its masks are scalars, the tournament keeps only the
+    columns a later round reads, and the row total leaves one ``(rows, 1)``
+    column, which numpy broadcasts over the row.  Padding exists only
+    inside the tournament and the row total.
     """
 
     def __init__(self, M):
@@ -186,12 +193,13 @@ class _Carrier:
         return out
 
     def keep_classes_mask(self, value: float = 1.0):
-        """``value`` on the class columns, 0 on the padded ones; an array
-        has no padded columns, so there it is the scalar ``value``."""
+        """``value`` on the class columns of every period copy, 0 on the
+        padded ones; an array has no padded columns, so there it is the
+        scalar ``value``."""
         if not self.encrypted:
             return value
-        c = self.classes
-        return self._pattern(lambda j: np.where(j < c, value, 0.0))
+        c, cp = self.classes, self.period
+        return self._pattern(lambda j: np.where((j % cp) < c, value, 0.0))
 
     def pushed_down(self, r: float):
         """The logits with every padded column lowered by r."""
@@ -213,30 +221,24 @@ class _Carrier:
         return best[:, 0::2], best[:, 1::2]
 
     def broadcast_col0(self, x):
-        """Column 0 of each row in every column: a first-column mask and
-        the right-rotation ladder that copies it across the row, in closed
-        form (:meth:`EncodedMatrix.spread` of window 0); one level,
-        refreshed for the mask.  An array's tournament already left column
-        0 alone."""
+        """The first column of each period copy in every column of that
+        copy: a first-column mask and the right-rotation ladder that copies
+        it across the period, in closed form (:meth:`EncodedMatrix.spread`
+        of window 0); one level, refreshed for the mask.  An array's
+        tournament already left column 0 alone."""
         if not self.encrypted:
             return x
-        return _refresh(x, 1).spread(1, self.ctx.grid_cols)
+        return _refresh(x, 1).spread(1, self.period)
 
     def row_total(self, x):
         """Each row's column total, summed in the encrypted tree order
-        (:func:`~hefit.emulator.tree_sum`): in every slot of the row when
-        encrypted, as a ``(rows, 1)`` column for an array, whose zero pads
-        keep the tree's order."""
+        (:func:`~hefit.emulator.tree_sum`): in every slot of each period
+        copy when encrypted (:func:`~hefit.encoding.col_sums` of the tiled
+        exps), as a ``(rows, 1)`` column for an array, whose zero pads keep
+        the tree's order."""
         if self.encrypted:
             return col_sums(x)
         return tree_sum(self._padded(x, 0.0))
-
-    def retile(self, x):
-        """Fill the remaining block width with copies of the first period."""
-        if not self.encrypted:
-            return x
-        reps = self.ctx.grid_cols // self.period
-        return x.rot_sum([-self.period * (1 << t) for t in range(log2(reps))])
 
 
 # -- refresh points -------------------------------------------------------------
@@ -329,10 +331,12 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     are pushed down by R (periodically with the tiling, so every copy
     behaves alike) and can never win.  log2(period) knockout rounds blend
     each slot with its partner ``1 << t`` to the right through the
-    comparison; column 0 of each row then holds the winner, which is
-    isolated and broadcast.  The result never exceeds the true maximum (the
-    blends are convex), and it equals, bit for bit, a tournament on inputs
-    scaled by 1/(2R) whose winner is scaled back by 2R.  ``pairs`` holds
+    comparison; the first column of each period copy then holds the
+    winner, having read only slots of its own period, and it is isolated
+    and broadcast across that period.  The result never exceeds the true
+    maximum (the blends are convex), and it equals, bit for bit, a
+    tournament on inputs scaled by 1/(2R) whose winner is scaled back by
+    2R.  ``pairs`` holds
     one pack point per round (:func:`_round`, :attr:`SoftmaxPlan.pairs`);
     without it every refresh is the comparison chain's own, and an array
     ignores it.
@@ -530,10 +534,12 @@ _price = OpLedger().estimate_ms
 
 def _dry_run(top: int, step, *levels: int):
     """Per-block op counts and output level of ``step`` on carriers of zeros
-    encrypted at ``levels`` in a two-slot context of budget ``top``: on any
-    grid, the same but for grid-wide ladders, which every plan shares.  A
-    budget below the deepest piece raises :class:`~hefit.errors.DepthExhausted`
-    here, so :func:`softmax_plan` refuses it."""
+    encrypted at ``levels`` in a two-slot context of budget ``top``, a
+    period of 2: at any period, the same but for the length of the
+    period-long ladders (the max broadcast and the row total), which every
+    plan shares.  A budget below the deepest piece raises
+    :class:`~hefit.errors.DepthExhausted` here, so :func:`softmax_plan`
+    refuses it."""
     ctx = EmulatorContext(2, 1, max_level=top)
     zeros = np.zeros((1, 2))
     out = step(*(_Carrier(encode(ctx, zeros, "horizontal", level=lv)) for lv in levels))
@@ -618,11 +624,12 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
     """Row-wise approximate softmax.
 
     Encrypted in: one-block-column, horizontally tiled logits (the product
-    layout); out: the same layout, padded columns zero, later periods exact
-    copies, refreshed by :func:`softmax_plan` for a consumer that needs
-    ``need`` levels of the output (none by default).  Array in: (rows,
-    classes) logits; out: (rows, classes) rows, evaluated in row blocks of
-    ``_BLOCK_SLOTS // period`` rows, at least one.
+    layout); out: the same layout, padded columns zero, every period copy
+    computed alike and so equal to the first byte for byte, refreshed by
+    :func:`softmax_plan` for a consumer that needs ``need`` levels of the
+    output (none by default).  Array in: (rows, classes) logits; out:
+    (rows, classes) rows, evaluated in row blocks of ``_BLOCK_SLOTS //
+    period`` rows, at least one.
     Inputs must lie within [-max_range, max_range] (mild overshoot from the
     max underestimation is tolerated by the contraction chain).
     """
@@ -660,7 +667,7 @@ def _tail(car: _Carrier, norm, cfg: SoftmaxConfig):
     keep_scaled = car.keep_classes_mask(1.0 / INV_RANGE)
     expd = _refresh(_refresh(a_exp(norm), 1) * keep_scaled, 1)
     recip = a_inv(car.row_total(expd))
-    return car.retile(expd * _refresh(recip, 1))
+    return expd * _refresh(recip, 1)
 
 
 # -- bounds and measured constants ----------------------------------------------

@@ -180,6 +180,15 @@ def _output(path):
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
+def _writable(path) -> None:
+    """Open the file at ``path`` for appending and close it, creating it
+    empty if it is missing: the bench commands call this before their first
+    case, so an output that cannot be written is refused before any work is
+    done, and an existing file keeps its bytes until the run writes it."""
+    with _output(path):
+        open(path, "a").close()
+
+
 def _ingest_like(path, classes: int, x_tr, split: str):
     """``(x, y)`` of a split whose feature columns must match the training split's."""
     x, y, _ = ingest(path, classes)
@@ -203,6 +212,9 @@ def cmd_train(args) -> int:
     if cfg.test_csv is not None:
         test = _ingest_like(cfg.test_csv, classes, x_tr, "test")
 
+    out_dir = Path(cfg.out_dir)
+    with _output(out_dir):  # refused before the fit, not after it
+        out_dir.mkdir(parents=True, exist_ok=True)
     ctx = EmulatorContext(cfg.slot_count, cfg.grid_rows, max_level=cfg.max_level)
     result = fit(
         x_tr, y_tr, x_val, y_val, classes,
@@ -232,10 +244,8 @@ def cmd_train(args) -> int:
         "estimated_ms": result.estimated_ms,
         "softmax_trace": [[lo, hi] for lo, hi in result.softmax_trace],
     }
-    out_dir = Path(cfg.out_dir)
     report_path = out_dir / "report.json"
     with _output(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
         report_path.write_text(json.dumps(report, indent=2) + "\n")
         np.savetxt(out_dir / "weights.csv", result.weights, delimiter=",", fmt="%.17g")
 
@@ -340,6 +350,8 @@ def cmd_bench_matmul(args) -> int:
     if args.slots < 2 or not is_pow2(args.slots):
         raise ConfigError(f"--slots must be a power of two, got {args.slots}")
 
+    if args.out:
+        _writable(args.out)
     cases = []
     header = f"{'shape':>16} {'algorithm':<13} {'CMult':>7} {'Mult':>7} {'Rot':>7} {'ms':>10} {'rel.err':>9} match"
     print(header)
@@ -447,6 +459,8 @@ def cmd_bench_softmax(args) -> int:
 
     boxes = sampling_boxes(args.range)
     variants = softmax_variants(args.range)
+    if args.out:
+        _writable(args.out)
     cells = []
     print(f"{'classes':>7} {'variant':<8} {'max':>12} {'avg':>12}")
     for c in classes:

@@ -24,8 +24,9 @@ forms take the shape of a ladder, not a mask to inspect:
 the segment (a window mask, then a broadcast ladder);
 :meth:`EmulatorContext.totals` writes each column's total to every row
 (the ladder that wraps around the whole vector; the ladder's bit for bit in
-its first row, up to rounding in the others) or each row's total to every
-column (a fold, a column-0 mask and a broadcast, bit for bit); and
+its first row, up to rounding in the others) or the total of each row, or
+of each segment of a row, to every slot it sums (a fold, a first-slot mask
+and a broadcast, bit for bit); and
 :meth:`EmulatorContext.place_passes` is a diagonal matrix product's passes,
 each pass's totals times its diagonal mask, summed over the passes,
 computed on one period of the result and tiled.  All of them ledger what the
@@ -447,9 +448,10 @@ class EmulatorContext:
         out = np.broadcast_to(kept, (*lead, n // span, copies, step))
         return CipherBlock(out.reshape(vx.shape), level, ex)
 
-    def totals(self, x, axis: int) -> CipherBlock:
-        """Each column's total in every row (``axis=0``) or each row's total
-        in every column (``axis=1``) of every block, in closed form.
+    def totals(self, x, axis: int, width: int | None = None) -> CipherBlock:
+        """Each column's total in every row (``axis=0``) or each row
+        segment's total in every slot of the segment (``axis=1``) of every
+        block, in closed form.
 
         ``axis=0`` is the ladder that wraps around the whole vector,
         ``rot_sum(x, [s1, 2 s1, ..., slot_count / 2])``; it ledgers one Add
@@ -459,33 +461,46 @@ class EmulatorContext:
         row bit for bit; the ladder sums each later row in its own cyclic
         order, so the other rows differ from it by rounding.
 
-        ``axis=1`` is the fold, the column-0 mask and the broadcast,
-        ``rot_sum(mult(rot_sum(x, [1, 2, ..., s1/2]), M), [-1, -2, ...,
-        -s1/2])`` with ``M`` 1 in column 0: the fold leaves each row's
-        :func:`tree_sum` in column 0, and the broadcast copies it across the
-        row.  This is the composition bit for bit, and it ledgers the fold,
-        the CMult and the broadcast in that order, so an encrypted ``x`` at
-        level 0 raises :class:`~hefit.errors.DepthExhausted` once the fold
-        is charged.
+        ``axis=1`` splits each row into segments of ``width`` slots (the
+        whole row by default; a power of two dividing it) and is the fold,
+        the first-slot mask and the broadcast, ``rot_sum(mult(rot_sum(x,
+        [1, 2, ..., w/2]), M), [-1, -2, ..., -w/2])`` with ``M`` 1 on the
+        first slot of every segment: the fold leaves each segment's
+        :func:`tree_sum` in its first slot, and the broadcast copies it
+        across the segment.  For finite slots this is the composition bit
+        for bit, except that where a total is a negative zero the ladder
+        may add a positive zero to it.  It ledgers the fold, the CMult and
+        the broadcast in that order, ``log2(w)`` Adds and Rots each, so an
+        encrypted ``x`` at level 0 raises
+        :class:`~hefit.errors.DepthExhausted` once the fold is charged.  A
+        width with ``axis=0``, or one that does not split the row, raises
+        ``ValueError``.
         """
         if axis not in (0, 1):
             raise ValueError(f"totals: axis must be 0 or 1, got {axis}")
+        s0, s1 = self.grid_rows, self.grid_cols
+        w = s1 if width is None else width
+        if (axis == 0 and width is not None) or not (is_pow2(w) and s1 % w == 0):
+            raise ValueError(f"totals: {width}-slot segments along axis {axis} do not split a row")
         vx, ex, lx = self._operand(x)
-        sums, level = self._totals(vx, ex, lx, axis)
-        out = np.broadcast_to(sums, (*vx.shape[:-1], self.grid_rows, self.grid_cols))
+        sums, level = self._totals(vx, ex, lx, axis, w)
+        lead = vx.shape[:-1]
+        out = np.broadcast_to(sums, (*lead, s0, s1) if axis == 0 else (*lead, s0, s1 // w, w))
         return CipherBlock(out.reshape(vx.shape), level, ex)
 
-    def _totals(self, vx, ex, lx, axis: int) -> tuple[np.ndarray, float]:
+    def _totals(self, vx, ex, lx, axis: int, width: int) -> tuple[np.ndarray, float]:
         """The totals of :meth:`totals` on one period, ``(..., 1, s1)`` for
-        ``axis=0`` or ``(..., s0, 1)`` for ``axis=1``, and their level,
-        ledgered as the ladders that compute them."""
+        ``axis=0`` or ``(..., s0, s1 / width, 1)`` for ``axis=1``, and their
+        level, ledgered as the ladders that compute them."""
         s0, s1 = self.grid_rows, self.grid_cols
-        k, steps = self._blocks(vx), log2(s1 if axis else s0)
-        block = vx.reshape(*vx.shape[:-1], s0, s1)
+        k = self._blocks(vx)
         if axis == 0:
-            return self._ladder(tree_sum(block, axis=-2), k, steps, ex), lx
-        sums = self._ladder(tree_sum(block), k, steps, ex)
-        # the column-0 product keeps its multiply: a complex total times 1
+            block = vx.reshape(*vx.shape[:-1], s0, s1)
+            return self._ladder(tree_sum(block, axis=-2), k, log2(s0), ex), lx
+        steps = log2(width)
+        segments = vx.reshape(*vx.shape[:-1], s0, s1 // width, width)
+        sums = self._ladder(tree_sum(segments), k, steps, ex)
+        # the first-slot product keeps its multiply: a complex total times 1
         # may turn a -0.0 part into +0.0
         sums, level = self._product((sums, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
         return self._ladder(sums, k, steps, ex), level
@@ -529,7 +544,7 @@ class EmulatorContext:
             tile, done = tiles[done], done + 1
             vx, ex, lx = self._operand(x)
             lead, k = vx.shape[:-1], self._blocks(vx)
-            sums, lx = self._totals(vx, ex, lx, axis)
+            sums, lx = self._totals(vx, ex, lx, axis, s1)
             if axis == 0:
                 totals = sums.reshape(*lead, 1, s1 // c, c)
                 period_of = tile[:, None, :]  # -> (..., c rows, s1 / c, c)

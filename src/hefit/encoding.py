@@ -125,9 +125,6 @@ class EncodedMatrix:
     def rrot(self, r: int) -> "EncodedMatrix":
         return self._with(self.ctx.rrot(self.block, r))
 
-    def rot_sum(self, shifts) -> "EncodedMatrix":
-        return self._with(self.ctx.rot_sum(self.block, shifts))
-
     def spread(self, step: int, copies: int, window: int = 0) -> "EncodedMatrix":
         """Window ``window`` of each segment copied over the segment
         (:meth:`~hefit.emulator.EmulatorContext.spread`)."""
@@ -483,20 +480,26 @@ def prot_up(E: EncodedMatrix, k: int) -> EncodedMatrix:
 
 
 def col_sums(E: EncodedMatrix) -> EncodedMatrix:
-    """Broadcast each row's slot sum to every column of that row.
+    """Broadcast each row's slot sum to every column of that row; of a
+    horizontally tiled matrix, each period's sum to every column of that
+    period.
 
     Block columns are added left to right.  Then, per block, the ladder a
-    backend runs: a left-rotation doubling ladder accumulates the row total
-    into column 0, a column-0 mask isolates it, and a right-rotation ladder
-    broadcasts it.  The emulator computes that in closed form
+    backend runs over each segment of ``w`` columns (the whole row, or one
+    period of a tiled matrix): a left-rotation doubling ladder accumulates
+    the segment's total into its first column, a mask on that column
+    isolates it, and a right-rotation ladder broadcasts it.  The emulator
+    computes that in closed form
     (:meth:`~hefit.emulator.EmulatorContext.totals`, ``axis=1``): each
-    row's total by the fold's halving tree, written to every column.  Costs
-    ``2*log2(s1)`` Rot + 1 CMult per surviving block and one level.  The
-    softmax's row totals run this; :func:`place_passes` runs the same
-    reduction inside ``diag_abt``.
+    segment's total by the fold's halving tree, written to every column of
+    the segment.  Costs ``2*log2(w)`` Rot + 1 CMult per surviving block and
+    one level.  The softmax's row totals run this on its tiled exps, so
+    every period copy takes its own total; :func:`place_passes` runs the
+    whole-row reduction inside ``diag_abt``.
     """
     ctx = E.ctx
-    acc = ctx.totals(_add_blocks(E, 1), axis=1)
+    width = E.period if E.tiling == "horizontal" else None
+    acc = ctx.totals(_add_blocks(E, 1), axis=1, width=width)
     return EncodedMatrix(ctx, acc, (E.shape[0], ctx.grid_cols))
 
 

@@ -521,8 +521,36 @@ def test_encrypted_softmax_ledger_is_unchanged(rng):
     a_softmax(enc, DEFAULTS)
     # the explicit refresh points bootstrap each ciphertext once per piece
     assert ctx.ledger.delta(before) == {
-        "Add": 90, "CMult": 41, "Mult": 89, "Rot": 16, "Conj": 1, "Bootstrap": 6,
+        "Add": 86, "CMult": 41, "Mult": 89, "Rot": 12, "Conj": 1, "Bootstrap": 6,
     }
+
+
+@pytest.mark.parametrize(
+    "slots,grid_rows,rows,classes",
+    [
+        (256, 16, 29, 5),  # period 8 of 16 columns, two block rows
+        (4096, 64, 64, 3),  # period 4 of 64 columns, the test scale
+        (16, 4, 6, 3),  # period 4 of 4 columns, two block rows
+        (256, 16, 16, 16),  # period 16 of 16 columns
+    ],
+)
+@pytest.mark.parametrize("level", [12, 7, 3])
+def test_every_period_copy_runs_its_own_period_local_softmax(slots, grid_rows, rows, classes, level):
+    ctx = EmulatorContext(slots, grid_rows, max_level=12)
+    logits = np.random.default_rng(classes).uniform(-30, 30, size=(rows, classes))
+    out, delta = _encrypted_softmax(ctx, logits, level=level)
+    np.testing.assert_array_equal(decode(out), a_softmax(logits, DEFAULTS))
+    # each copy computes the first's numbers on its own slots, byte for byte
+    p = out.period
+    copies = padded_array(out).reshape(-1, ctx.grid_cols // p, p)
+    assert copies.tobytes() == np.broadcast_to(copies[:, :1], copies.shape).tobytes()
+    # every ladder stays inside one period: per block, one Rot per
+    # tournament round, log2(period) each for the max broadcast and the
+    # row total's fold and broadcast, and one per re-roll at a pack point
+    plan = softmax_plan(level, 12, classes, DEFAULTS)
+    rerolls = sum(pack is not None for pack in plan.pairs)
+    blocks = out.grid[0] * out.grid[1]
+    assert delta["Rot"] == blocks * (log2(p) + 3 * log2(p) + rerolls)
 
 
 # -- refresh plan ---------------------------------------------------------------------

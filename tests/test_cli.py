@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hefit import cli
 from hefit.approx import SoftmaxConfig
 from hefit.cli import (
     RunConfig,
@@ -18,6 +19,7 @@ from hefit.cli import (
     softmax_variants,
 )
 from hefit.datasets import ingest, load_csv, make_gaussian_mixture, save_csv
+from hefit.emulator import EmulatorContext
 from hefit.errors import ConfigError, DataError
 
 
@@ -273,6 +275,35 @@ def test_train_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, paths, out_dir=str(taken))
     assert main(["train", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith(f"hefit: error [cli.config]: cannot write {taken}: ")
+
+
+def _no_work(monkeypatch):
+    """Make any encode, and the array softmax the bench runs, fail the test."""
+    def work(*args, **kwargs):
+        raise AssertionError("the run started before its output was checked")
+
+    monkeypatch.setattr(EmulatorContext, "encrypt", work)
+    monkeypatch.setattr(EmulatorContext, "pack", work)
+    monkeypatch.setattr(cli, "a_softmax", work)
+
+
+@pytest.mark.parametrize("command", ["train", "bench-matmul", "bench-softmax"])
+def test_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch, command):
+    if command == "train":  # an out_dir naming an existing file
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg_path = write_config(tmp_path, write_split(tmp_path), out_dir=str(out))
+        args = ["train", "--config", str(cfg_path)]
+    elif command == "bench-matmul":  # an --out under a missing directory
+        out = tmp_path / "missing" / "bench.json"
+        args = [command, "--shapes", "4,4,2", "--slots", "256", "--out", str(out)]
+    else:
+        out = tmp_path / "missing" / "bench.json"
+        args = [command, "--classes", "3", "--samples", "100", "--range", "4", "--out", str(out)]
+    _no_work(monkeypatch)
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"hefit: error [cli.config]: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_train_is_deterministic(tmp_path):

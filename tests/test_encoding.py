@@ -391,7 +391,8 @@ def test_col_sums_broadcasts_row_totals(ctx, rng):
 
 
 def _ladder_sum_spread(ctx, x, mask, width):
-    """col_sums' ladder as a backend runs it: fold, mask, broadcast."""
+    """col_sums' ladder as a backend runs it over segments of ``width``
+    slots: fold, mask, broadcast."""
     folded = ctx.rot_sum(x, [1 << t for t in range(log2(width))])
     return ctx.rot_sum(ctx.mult(folded, mask), [-(1 << t) for t in range(log2(width))])
 
@@ -407,10 +408,11 @@ def _replication_sites(ctx, period=4):
     ran before."""
     s0, s1 = ctx.grid_rows, ctx.grid_cols
     first_col = col_range_mask(ctx, 1).block
+    first_of_periods = pattern_matrix(ctx, np.arange(s1) % period == 0).block
     first_period = pattern_matrix(ctx, np.arange(s0)[:, None] < period).block[0, 0]
     width, k = period * s1, s0 // period
     return [
-        ("broadcast_col0", first_col, 1, s1, 0, [-(1 << t) for t in range(log2(s1))]),
+        ("broadcast_col0", first_of_periods, 1, period, 0, [-(1 << t) for t in range(log2(period))]),
         ("row_major_atb", first_col, 1, s1, 0, [-(1 << t) for t in range(log2(s1))]),
         ("bootstrap_tiled", first_period, width, k, 0, [-(width << t) for t in range(log2(k))]),
         (
@@ -475,16 +477,24 @@ def test_spread_copies_every_window_of_a_wrapping_segment(ctx, rng, encrypted):
         )
 
 
-@pytest.mark.parametrize("grid", [(1, 1), (2, 3)])
+@pytest.mark.parametrize(
+    "grid,tiling",
+    [((1, 1), "none"), ((2, 3), "none"), ((2, 1), "horizontal")],
+    ids=["grid0", "grid1", "horizontal"],
+)
 @pytest.mark.parametrize("encrypted", [True, False])
-def test_col_sums_equals_the_block_column_fold_and_its_ladder(ctx, rng, grid, encrypted):
-    e = encode(ctx, rng.normal(size=(16 * grid[0] - 3, 16 * grid[1] - 5)), encrypted=encrypted)
+def test_col_sums_equals_the_block_column_fold_and_its_ladder(ctx, rng, grid, tiling, encrypted):
+    # a horizontally tiled matrix (5 columns, period 8) totals each period
+    cols = 5 if tiling == "horizontal" else 16 * grid[1] - 5
+    e = encode(ctx, rng.normal(size=(16 * grid[0] - 3, cols)), tiling, encrypted=encrypted)
+    width = e.period or ctx.grid_cols
+    first = pattern_matrix(ctx, np.arange(ctx.grid_cols) % width == 0).block
 
     def ladder():
         acc = e.block[:, :1]
         for q in range(1, e.grid[1]):
             acc = ctx.add(acc, e.block[:, q : q + 1])
-        return _ladder_sum_spread(ctx, acc, col_range_mask(ctx, 1).block, ctx.grid_cols)
+        return _ladder_sum_spread(ctx, acc, first, width)
 
     _same_run(ctx, lambda: col_sums(e).block, ladder)
 

@@ -28,7 +28,7 @@ def test_budget_sweep_point_is_pinned():
     # bootstraps of each stage that places them (ROADMAP's open items)
     boots, ms, per_stage = _load("budget_sweep").sweep_point("test", 12)
     assert boots == 6.125
-    assert ms == pytest.approx(1242.814375, rel=1e-12)
+    assert ms == pytest.approx(1222.254375, rel=1e-12)
     assert per_stage == {"sm": 5.125, "res": 0.75, "wv": 0.25, "amax": 2.0, "inv": 1.0}
 
 

@@ -281,7 +281,7 @@ def test_run_steps_digest_is_pinned():
     A new digest moves numbers: CHANGES.md says which and why.
     """
     assert _run_steps_digest() == (
-        "9f3cf141e5e53b0ecf8db699890feb1422293d09b79c0886d4fbdf3c6ac9c5fa"
+        "1ffb08ee0bd17f81659c81d3712cbcda086063be2e8568faac011210866d7d53"
     )
 
 
