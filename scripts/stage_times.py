@@ -7,9 +7,9 @@ for each stage and for the whole step, two rows per scale: ``ms``, the
 median in milliseconds over the steps in which the stage ran (``-`` if it
 never ran), and ``n``, the number of the ``STEPS`` steps it ran in.  Some
 stages run in few steps: at budget 12 the packed W/V refresh
-(``boot_tiled``) and ``diag_atb``'s partial-rotation branch (``prot_up``)
-each run in 4 of the 16 steps at both scales, so a median over all steps
-would read 0 for them.  A stage's time includes everything it calls, so the
+(``boot_tiled``) runs in 2 of the 16 steps at both scales, and
+``diag_atb``'s partial-rotation branch (``prot_up``) in 7, so a median
+over all steps would read 0 for them.  A stage's time includes everything it calls, so the
 softmax pieces and ``col_sums`` (the softmax's row totals) are inside
 ``a_softmax``, and ``passes`` is inside both kernels: once per call of
 ``diag_abt`` and once per block column of ``diag_atb``, whose ``prot_up``
@@ -32,9 +32,10 @@ mean_scale=0.1)`` and set the last column to 1 as the bias; learning rate
 0.1, budget 12.  The last rows, ``array``, time the softmax's numpy
 array path as ``softmax-mc`` runs it: one ``a_softmax`` call (its "step")
 on a seeded 250 000 x 10 uniform input within +-128 under ``DEFAULTS``,
-over ARRAY_CALLS calls.  The first step of a process also plans the
-encrypted softmax's refreshes (``approx.softmax_plan``, cached), whose dry
-runs call the softmax pieces, so medians, not means, are shown.  CPU time
+over ARRAY_CALLS calls.  ``run_steps`` plans every step's refreshes
+before the first step (``training.plan_steps``, cached), and the dry runs
+that price them call the stages; that time is not counted.  Medians, not
+means, are shown.  CPU time
 counts only this process, so a busy machine slows the numbers less than it
 slows the wall clock; repeat and compare medians.
 
@@ -96,11 +97,14 @@ def rebind_everywhere(stack: ExitStack, original, wrapper) -> None:
 
 def timed_stages(stack: ExitStack, steps: list[dict[str, float]]):
     """Rebind every stage to a wrapper that adds its CPU time to ``steps[-1]``,
-    a stage's key present once it has run; returns the wrapper factory, for
-    the caller's own "step"."""
+    a stage's key present once it has run; before the first step (while
+    ``run_steps`` plans) a stage is not timed.  Returns the wrapper
+    factory, for the caller's own "step"."""
 
     def timed(label, fn):
         def run(*args, **kwargs):
+            if not steps:
+                return fn(*args, **kwargs)
             start = time.process_time()
             try:
                 return fn(*args, **kwargs)

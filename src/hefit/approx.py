@@ -53,13 +53,14 @@ most at one point per round, its pack point, where it refreshes together
 with ``best`` as one complex-packed ciphertext, which also lifts ``best``
 and so every piece after it.  :func:`softmax_plan` picks the pack points
 by a dynamic program over levels that prices each move by a dry run of the
-pipeline's own code (:func:`_round`, :func:`_tail`) on a two-slot context,
-so the refresh rule and the depths live in the pipeline alone.  It
-minimises bootstraps, then emulated ms; given the levels the output's
-consumer needs, it counts the consumer's refresh too and prefers the
-highest level handed on before ms.  The pieces after the tournament form a
-chain of one value each, where refreshing only below the next piece's need
-is already optimal, so they keep :func:`_refresh`.  Every bootstrap is
+pipeline's own code (:func:`_round`, :func:`_tail`) on a context of one
+period, so the refresh rule and the depths live in the pipeline alone, and
+a plan's op counts are one block's ledger.  It minimises bootstraps, then
+emulated ms; given the levels the output's consumer needs (the trainer's
+step plan chooses them), it counts the consumer's refresh too and prefers
+the highest level handed on before ms.  The pieces after the tournament
+form a chain of one value each, where refreshing only below the next
+piece's need is already optimal, so they keep :func:`_refresh`.  Every bootstrap is
 value-exact, so the plan moves levels and the ledger, never a slot.
 
 Only two knobs are configurable (:class:`SoftmaxConfig`): the number of
@@ -515,13 +516,18 @@ class SoftmaxPlan:
     ``pairs`` holds :func:`a_max`'s choices, one pack point per tournament
     round (:func:`_round`): where the comparison chain refreshes together
     with ``best`` (one packed bootstrap), or None where every refresh is the
-    chain's alone.  ``bootstraps`` (per block) and ``level`` are what the
-    softmax executes and hands on, on any budget of at least 4 levels.
+    chain's alone.  ``counts`` (op counts per block, by kind) and ``level``
+    are what the softmax executes and hands on, on any budget of at least 4
+    levels; ``bootstraps`` is the count of bootstraps among them.
     """
 
     pairs: tuple[int | None, ...]
-    bootstraps: int
+    counts: dict[str, int]
     level: int
+
+    @property
+    def bootstraps(self) -> int:
+        return self.counts["Bootstrap"]
 
 
 # A round's pack points, None first: of equal-cost moves the plan keeps the
@@ -532,16 +538,15 @@ _ROUND_PACKS = (None, *range(1, len(COMP_PASSES) + 1))
 _price = OpLedger().estimate_ms
 
 
-def _dry_run(top: int, step, *levels: int):
-    """Per-block op counts and output level of ``step`` on carriers of zeros
-    encrypted at ``levels`` in a two-slot context of budget ``top``, a
-    period of 2: at any period, the same but for the length of the
-    period-long ladders (the max broadcast and the row total), which every
-    plan shares.  A budget below the deepest piece raises
-    :class:`~hefit.errors.DepthExhausted` here, so :func:`softmax_plan`
-    refuses it."""
-    ctx = EmulatorContext(2, 1, max_level=top)
-    zeros = np.zeros((1, 2))
+def _dry_run(top: int, classes: int, step, *levels: int):
+    """Per-block op counts and output level of ``step`` on carriers of
+    ``(1, classes)`` zeros encrypted at ``levels`` in a context of budget
+    ``top`` whose one row is one period: the ledger of one block of any
+    tiled input, since every ladder spans one period.  A budget below the
+    deepest piece raises :class:`~hefit.errors.DepthExhausted` here, so
+    :func:`softmax_plan` refuses it."""
+    ctx = EmulatorContext(next_pow2(classes), 1, max_level=top)
+    zeros = np.zeros((1, classes))
     out = step(*(_Carrier(encode(ctx, zeros, "horizontal", level=lv)) for lv in levels))
     return ctx.ledger.counts(), out.level
 
@@ -549,20 +554,28 @@ def _dry_run(top: int, step, *levels: int):
 @functools.lru_cache(maxsize=None)
 def _round_run(best: int, top: int, pack: int | None):
     """:func:`_round` from ``best``'s level, dry; its ledger depends on
-    neither the round's index nor its coefficients."""
-    return _dry_run(top, lambda car: _round(car, car.matrix, 0, COMP_PASSES[0], pack), best)
+    neither the round's index, nor its coefficients, nor the period."""
+    return _dry_run(top, 2, lambda car: _round(car, car.matrix, 0, COMP_PASSES[0], pack), best)
+
+
+def _normalize(x: _Carrier, best):
+    """The logits less the tournament's broadcast winner ``best``, after
+    :func:`a_max`'s Sub that pushes the padded columns down: every op of
+    the softmax outside its tournament rounds and its tail."""
+    x.pushed_down(1.0)
+    return x.matrix - x.broadcast_col0(best)
 
 
 @functools.lru_cache(maxsize=None)
-def _norm_run(best: int, entry: int, top: int):
-    """The tournament's winner broadcast and subtracted from the logits, dry."""
-    return _dry_run(top, lambda x, car: x.matrix - car.broadcast_col0(car.matrix), entry, best)
+def _norm_run(best: int, entry: int, top: int, classes: int):
+    """:func:`_normalize` of logits at ``entry`` by a winner at ``best``, dry."""
+    return _dry_run(top, classes, lambda x, car: _normalize(x, car.matrix), entry, best)
 
 
 @functools.lru_cache(maxsize=None)
-def _tail_run(norm: int, top: int, cfg: SoftmaxConfig):
+def _tail_run(norm: int, top: int, cfg: SoftmaxConfig, classes: int):
     """:func:`_tail` from the normalized logits' level, dry."""
-    return _dry_run(top, lambda car: _tail(car, car.matrix, cfg), norm)
+    return _dry_run(top, classes, lambda car: _tail(car, car.matrix, cfg), norm)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -577,15 +590,18 @@ def softmax_plan(
     emulated ms) that reach it.  Each round's moves
     (:data:`_ROUND_PACKS`) are priced by a dry run (:func:`_dry_run`), and
     :meth:`~hefit.emulator.OpLedger.estimate_ms` prices each plan's summed
-    op counts, so equal counts tie exactly.  Without ``need`` the plan has
-    the fewest bootstraps, then the least ms, so it never costs more than
-    refreshing every chain alone.  ``need`` is the levels the consumer of
-    the output will need: an output below it counts the consumer's refresh,
-    then the plan hands on the highest level (``max_level`` where the
-    consumer refreshes), then the least ms.  Cached per key, as are the dry
-    runs; planning reads levels only, never slots.  A ``max_level`` below
-    the deepest piece's 4 levels raises :class:`~hefit.errors.DepthExhausted`
-    from a dry run.
+    op counts, so equal counts tie exactly; the plan keeps them
+    (:attr:`SoftmaxPlan.counts`), one block's ledger of the softmax it
+    places.  Without ``need`` the plan has the fewest bootstraps, then the
+    least ms, so it never costs more than refreshing every chain alone.
+    ``need`` is the levels the consumer of the output will need (the
+    trainer's residual, whose need its step plan picks from 4 to
+    ``max_level``, :func:`hefit.training.plan_steps`): an output below it
+    counts the consumer's refresh, then the plan hands on the highest level
+    (``max_level`` where the consumer refreshes), then the least ms.  Cached
+    per key, as are the dry runs; planning reads levels only, never slots.
+    A ``max_level`` below the deepest piece's 4 levels raises
+    :class:`~hefit.errors.DepthExhausted` from a dry run.
     """
     top = max_level
     frontier = {entry_level: ((), dict.fromkeys(OP_KINDS, 0), (0, 0.0))}
@@ -603,10 +619,10 @@ def softmax_plan(
 
     ranked = []
     for best, (pairs, counts, _) in frontier.items():
-        norm_cost, norm = _norm_run(best, entry_level, top)
-        tail_cost, out = _tail_run(norm, top, cfg)
+        norm_cost, norm = _norm_run(best, entry_level, top, classes)
+        tail_cost, out = _tail_run(norm, top, cfg, classes)
         counts = _plus(_plus(counts, norm_cost), tail_cost)
-        plan = SoftmaxPlan(pairs, counts["Bootstrap"], out)
+        plan = SoftmaxPlan(pairs, counts, out)
         if need is None:
             ranked.append(((plan.bootstraps, _price(counts)), plan))
         else:
@@ -627,9 +643,10 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
     layout); out: the same layout, padded columns zero, every period copy
     computed alike and so equal to the first byte for byte, refreshed by
     :func:`softmax_plan` for a consumer that needs ``need`` levels of the
-    output (none by default).  Array in: (rows, classes) logits; out:
-    (rows, classes) rows, evaluated in row blocks of ``_BLOCK_SLOTS //
-    period`` rows, at least one.
+    output (none by default; a training step passes the need its step plan
+    chose, :class:`hefit.training.StepPlan`).  Array in: (rows, classes)
+    logits; out: (rows, classes) rows, evaluated in row blocks of
+    ``_BLOCK_SLOTS // period`` rows, at least one.
     Inputs must lie within [-max_range, max_range] (mild overshoot from the
     max underestimation is tolerated by the contraction chain).
     """

@@ -25,29 +25,50 @@ first combination step has gamma_1 = 0; the combination is still executed
 counts uniform.
 
 W and V are vertically tiled, so each block repeats one period of rows.
-When V would fall below :data:`BOOTSTRAP_THRESHOLD`, the step refreshes both
-through packed ciphertexts (:func:`~hefit.encoding.bootstrap_tiled`): only
-their first periods are bootstrapped, together, then re-tiled.  At paper
-scale (32768 slots, 10 classes, 769 columns) that is one bootstrap instead
-of eight.  V's cut to its first period rides the momentum multipliers, so
-the refresh spends no level of V, and W and V come back at ``max_level - 1``.
-Re-tiling copies the first period over the others.  The copies a step
-leaves behind are equal (``diag_atb`` computes one period of its output and
-tiles it, :func:`~hefit.encoding.place_passes`), so the packed refresh
-returns the slots an unpacked one would, bit for bit.
+A step may refresh both through packed ciphertexts
+(:func:`~hefit.encoding.bootstrap_tiled`): only their first periods are
+bootstrapped, together, then re-tiled.  At paper scale (32768 slots, 10
+classes, 769 columns) that is one bootstrap instead of eight.  V's cut to
+its first period rides the momentum multipliers, so the refresh spends no
+level of V, and W and V come back at ``max_level - 1``.  Re-tiling copies
+the first period over the others.  The copies a step leaves behind are
+equal (``diag_atb`` computes one period of its output and tiles it,
+:func:`~hefit.encoding.place_passes`), so the packed refresh returns the
+slots an unpacked one would, bit for bit.
+
+Each step takes two refresh decisions (:class:`StepPlan`): the levels
+``need`` the residual P - Y is handed on with (the softmax plans for it,
+:func:`~hefit.approx.softmax_plan`, and the residual is refreshed where the
+softmax output sits below it), and whether W and V take the packed
+refresh.  :func:`plan_steps` takes them for a whole run before its first
+step (the server plans from the batch sizes of the client's schedule,
+:meth:`Server.plan_steps`), by a dynamic program over the levels of W and
+V between steps: the fewest bootstraps over the run, then the least
+emulated ms, such that every step leaves W and V where ``diag_abt`` can
+read them, for the next logits and for each epoch's validation logits.
+Each step's cost and the levels it leaves are dry runs of the step's own
+code on zero operands in a context of the run's geometry, cached per
+geometry and levels; the softmax is priced by its own plan.  Planning
+charges the run's ledger nothing.  Every bootstrap is value-exact, so the
+plan moves levels and the ledger, never a slot.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .approx import DEFAULTS, SoftmaxConfig, _refresh, a_softmax
-from .emulator import EmulatorContext
+from . import encoding
+from .approx import DEFAULTS, SoftmaxConfig, _refresh, a_softmax, softmax_plan
+from .emulator import OP_KINDS, EmulatorContext, OpLedger
 from .encoding import EncodedMatrix, bootstrap_tiled, decode, encode, first_period
-from .errors import ShapeMismatch
+from .errors import DepthExhausted, ShapeMismatch
 from .matmul import diag_abt, diag_atb
 from .plainref import batch_slices, check_labels, init_weights, log_loss, one_hot
 from .protocol import (
@@ -62,15 +83,9 @@ from .protocol import (
     channel_pair,
 )
 
-# W and V are refreshed together once V would fall below this level.
-BOOTSTRAP_THRESHOLD = 5
 # The smallest max_level a training step completes on: diag_atb's
 # rotate-left branch spends 4 levels, the first-period cut of W 1 more.
 MIN_MAX_LEVEL = 5
-# Levels the residual P - Y needs: diag_atb's partial-rotation branch
-# spends 3, the momentum product 1.  The residual refresh and the softmax's
-# refresh plan both read it.
-RESIDUAL_NEED = 4
 
 
 @dataclass
@@ -82,6 +97,19 @@ class TrainState:
     lambda_curr: float = 1.0
 
 
+class StepPlan(NamedTuple):
+    """The refresh decisions of one training step.
+
+    ``need``: the levels the residual P - Y is handed on with; the softmax
+    plans for it, and the residual is refreshed where the softmax output
+    sits below it.  ``pack``: whether W and V are refreshed together through
+    packed ciphertexts at the end of the step.
+    """
+
+    need: int
+    pack: bool
+
+
 def nag_step(
     state: TrainState,
     features: EncodedMatrix,
@@ -90,34 +118,229 @@ def nag_step(
     batch_rows: int,
     cfg: SoftmaxConfig = DEFAULTS,
     trace_hook=None,
+    plan: StepPlan | None = None,
 ) -> None:
     """One accelerated-gradient step, evaluated at the lookahead point.
 
     probabilities = softmax(X V_t^T); W_{t+1} = V_t - (lr/N) (P - Y)^T X;
     V_{t+1} = (1 - gamma_t) W_{t+1} + gamma_t W_t.  Padded batch rows are
     harmless: their feature rows are zero, so they cannot contribute to the
-    gradient even though their softmax row is a uniform distribution.
+    gradient even though their softmax row is a uniform distribution.  The
+    step refreshes as ``plan`` says; without one it takes a one-step plan
+    (:func:`plan_steps`).
     """
+    if plan is None:
+        (plan,) = plan_steps(state, [features.shape[0]], cfg)
     logits = diag_abt(features, state.momentum)
     if trace_hook is not None:
         trace_hook(logits)
-    probs = a_softmax(logits, cfg, need=RESIDUAL_NEED)
-    resid = _refresh(probs - labels, RESIDUAL_NEED)
+    probs = a_softmax(logits, cfg, need=plan.need)
+    resid = _refresh(probs - labels, plan.need)
     grad = diag_atb(resid, features, scale=lr / batch_rows)
-    w_next = state.momentum - grad
 
     lam_next = (1.0 + math.sqrt(1.0 + 4.0 * state.lambda_curr**2)) / 2.0
     gamma = (1.0 - state.lambda_curr) / lam_next
-    # V_{t+1} lands one level below W_t and W_{t+1}
-    if min(w_next.level, state.weights.level) - 1 < BOOTSTRAP_THRESHOLD:
-        # V's first-period mask rides the momentum multipliers, so packing
-        # spends no level of V
-        v_head = first_period(w_next, 1.0 - gamma) + first_period(state.weights, gamma)
-        w_next, v_next = bootstrap_tiled(w_next, v_head)
-    else:
-        v_next = w_next * (1.0 - gamma) + state.weights * gamma
-    state.weights, state.momentum = w_next, v_next
+    state.weights, state.momentum = _update(state.momentum - grad, state.weights, gamma, plan.pack)
     state.lambda_curr = lam_next
+
+
+def _update(w_next: EncodedMatrix, weights: EncodedMatrix, gamma: float, pack: bool):
+    """(W_{t+1}, V_{t+1}), V_{t+1} = (1 - gamma) W_{t+1} + gamma W_t, one
+    level below both; with ``pack``, both refreshed through packed
+    ciphertexts, where V's first-period mask rides the momentum
+    multipliers, so packing spends no level of V."""
+    if not pack:
+        return w_next, w_next * (1.0 - gamma) + weights * gamma
+    v_head = first_period(w_next, 1.0 - gamma) + first_period(weights, gamma)
+    return bootstrap_tiled(w_next, v_head)
+
+
+# -- refresh plan -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """What a step's ledger and levels depend on besides the levels of W
+    and V and the plan: the context's slot grid and budget, the batch's
+    block rows, the features' columns and the classes."""
+
+    slots: int
+    grid_rows: int
+    max_level: int
+    blocks: int
+    cols: int
+    classes: int
+    cfg: SoftmaxConfig
+
+    @classmethod
+    def of(cls, weights: EncodedMatrix, batch_rows: int, cfg: SoftmaxConfig) -> "_Geometry":
+        """The geometry of a step of ``batch_rows`` rows on ``weights``."""
+        ctx = weights.ctx
+        blocks = -(-batch_rows // ctx.grid_rows)
+        return cls(ctx.slot_count, ctx.grid_rows, ctx.max_level, blocks, weights.shape[1],
+                   weights.shape[0], cfg)
+
+    def dry_run(self, step):
+        """Op counts (in :data:`~hefit.emulator.OP_KINDS` order) and result
+        of ``step(zeros)`` in a fresh context of this geometry, ``zeros(kind,
+        level)`` encoding a zero matrix of the features' (``"x"``), the
+        weights' (``"w"``) or the residual's (``"r"``) layout; None where a
+        level runs out."""
+        ctx = EmulatorContext(self.slots, self.grid_rows, max_level=self.max_level)
+        rows = self.blocks * self.grid_rows
+        layouts = {
+            "x": ((rows, self.cols), "none"),
+            "w": ((self.classes, self.cols), "vertical"),
+            "r": ((rows, self.classes), "horizontal"),
+        }
+
+        def zeros(kind: str, level: int | None = None) -> EncodedMatrix:
+            # through the encoding module: a dry run's operands are no
+            # party's encodes
+            shape, tiling = layouts[kind]
+            return encoding.encode(ctx, np.zeros(shape), tiling, level=level)
+
+        try:
+            out = step(zeros)
+        except DepthExhausted:
+            return None
+        counts = ctx.ledger.counts()
+        return tuple(counts[kind] for kind in OP_KINDS), out
+
+
+@functools.lru_cache(maxsize=None)
+def _logits_run(geo: _Geometry, v: int):
+    """``diag_abt`` of the features by V at level ``v``, dry."""
+    return geo.dry_run(lambda zeros: diag_abt(zeros("x"), zeros("w", v)).level)
+
+
+@functools.lru_cache(maxsize=None)
+def _residual_run(geo: _Geometry, p: int, need: int):
+    """The residual of probabilities at level ``p``, refreshed for ``need``, dry."""
+    return geo.dry_run(lambda zeros: _refresh(zeros("r", p) - zeros("r"), need).level)
+
+
+@functools.lru_cache(maxsize=None)
+def _gradient_run(geo: _Geometry, r: int):
+    """``diag_atb`` of a residual at level ``r`` by the features, dry."""
+    return geo.dry_run(lambda zeros: diag_atb(zeros("r", r), zeros("x")).level)
+
+
+@functools.lru_cache(maxsize=None)
+def _update_run(geo: _Geometry, v: int, g: int, w: int, pack: bool):
+    """W_{t+1} = V - grad and :func:`_update` from V, the gradient and W at
+    levels ``v``, ``g`` and ``w``, dry; the result is the levels of W_{t+1}
+    and V_{t+1}."""
+
+    def step(zeros):
+        w_next, v_next = _update(zeros("w", v) - zeros("w", g), zeros("w", w), 0.5, pack)
+        return w_next.level, v_next.level
+
+    return geo.dry_run(step)
+
+
+@functools.lru_cache(maxsize=None)
+def _edges(geo: _Geometry, levels: tuple[int, int]):
+    """Every plan a step from W and V at ``levels`` can take, with the op
+    counts it charges and the levels it leaves W and V at: those where each
+    piece runs and W and V stay readable by ``diag_abt``."""
+    w, v = levels
+    logits = _logits_run(geo, v)
+    if logits is None:
+        return ()
+    edges = []
+    for plan in _choices(geo.max_level):
+        try:
+            softmax = softmax_plan(logits[1], geo.max_level, geo.classes, geo.cfg, plan.need)
+        except DepthExhausted:
+            return ()
+        resid = _residual_run(geo, softmax.level, plan.need)
+        grad = resid and _gradient_run(geo, resid[1])
+        update = grad and _update_run(geo, v, grad[1], w, plan.pack)
+        # W and V must stay where diag_abt can read them
+        if not (update and all(_logits_run(geo, lv) for lv in update[1])):
+            continue
+        counts = [softmax.counts[kind] * geo.blocks for kind in OP_KINDS]
+        for piece in (logits, resid, grad, update):
+            counts = map(operator.add, counts, piece[0])
+        edges.append((plan, tuple(counts), update[1]))
+    return tuple(edges)
+
+
+def _choices(top: int):
+    """The plans a step can take on a budget of ``top`` levels, in
+    tie-break order: no pack before a pack, then the smaller need.  Needs
+    run from 4, the levels an unrefreshed residual spends in the rest of
+    the step (``diag_atb``'s partial-rotation branch 3, the momentum
+    product 1), to the budget."""
+    return (StepPlan(need, pack) for pack in (False, True) for need in range(4, top + 1))
+
+
+_BOOTSTRAPS = OP_KINDS.index("Bootstrap")
+_price = OpLedger().estimate_ms
+
+
+def plan_steps(
+    state: TrainState, batch_rows: Sequence[int], cfg: SoftmaxConfig = DEFAULTS
+) -> tuple[StepPlan, ...]:
+    """The refresh plans of the steps ahead of ``state``, one per entry of
+    ``batch_rows``, each step's batch size.
+
+    A finite-horizon dynamic program over the levels of W and V between
+    steps: each step's plans are priced and their levels predicted by
+    :func:`_edges`, and the run takes the fewest bootstraps, then the least
+    emulated ms, such that every step leaves W and V readable by
+    ``diag_abt``.  Of equal-cost plans a step takes the first in
+    :func:`_choices`'s order, so the plan is deterministic.  Planning runs no
+    op on the state's context.  Where no plan keeps a step going, raises
+    :class:`~hefit.errors.DepthExhausted`.
+    """
+    geo = _Geometry.of(state.weights, 1, cfg)
+    blocks = tuple(-(-rows // geo.grid_rows) for rows in batch_rows)
+    return _plan(geo, blocks, (state.weights.level, state.momentum.level))
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(geo: _Geometry, blocks: tuple[int, ...], start: tuple[int, int]):
+    """:func:`plan_steps` of steps of ``geo`` with ``blocks`` block rows
+    each from W and V at ``start``."""
+    if not blocks:
+        return ()
+    geos = [replace(geo, blocks=b) for b in blocks]
+    frontiers = [{start}]
+    for step_geo in geos[:-1]:
+        frontiers.append({nxt for lv in frontiers[-1] for _, _, nxt in _edges(step_geo, lv)})
+    # steps[t][levels]: (total counts, plan, levels after) of the cheapest
+    # way from step t on; past the last step every level costs nothing
+    steps: list[dict] = [{}] * len(geos)
+    rest = None
+    for t in range(len(geos) - 1, -1, -1):
+        here = {}
+        for lv in frontiers[t]:
+            options = []
+            for plan, counts, nxt in _edges(geos[t], lv):
+                if rest is None:
+                    options.append((counts, plan, nxt))
+                elif nxt in rest:
+                    options.append((tuple(map(operator.add, counts, rest[nxt][0])), plan, nxt))
+            if options:
+                # the fewest bootstraps, then the least ms: price only the former
+                fewest = min(total[_BOOTSTRAPS] for total, _, _ in options)
+                here[lv] = min(
+                    (option for option in options if option[0][_BOOTSTRAPS] == fewest),
+                    key=lambda option: _price(dict(zip(OP_KINDS, option[0]))),
+                )
+        steps[t] = rest = here
+    if start not in rest:
+        raise DepthExhausted(
+            f"no refresh plan keeps W and V readable by diag_abt on a budget of "
+            f"{geo.max_level} levels"
+        )
+    plans, lv = [], start
+    for here in steps:
+        _, plan, lv = here[lv]
+        plans.append(plan)
+    return tuple(plans)
 
 
 class Client:
@@ -230,11 +453,17 @@ class Server:
         self.val_features: EncodedMatrix | None = None
         self.best_weights: EncodedMatrix | None = None
         self.stopped = False
+        self.plans = iter(())
 
     def receive_setup(self) -> None:
         w0, self.val_features = self.channel.recv_matrices(MSG_SETUP, self.ctx)
         self.state = TrainState(weights=w0, momentum=w0)
         self.best_weights = w0
+
+    def plan_steps(self, batch_rows: Sequence[int]) -> None:
+        """Plan the refreshes of the steps ahead, one per entry of
+        ``batch_rows``, their batch sizes (:func:`plan_steps`)."""
+        self.plans = iter(plan_steps(self.state, batch_rows, self.cfg))
 
     def process_training_batch(self, batch_rows: int) -> None:
         features, labels = self.channel.recv_matrices(MSG_BATCH, self.ctx)
@@ -246,6 +475,7 @@ class Server:
             batch_rows,
             self.cfg,
             trace_hook=self.trace_hook,
+            plan=next(self.plans, None),
         )
 
     def send_validation_logits(self) -> None:
@@ -315,6 +545,7 @@ def fit(
 
     client.send_setup()
     server.receive_setup()
+    server.plan_steps([rows.stop - rows.start for rows in slices] * epochs)
 
     train_losses: list[float] = []
     epochs_run = 0
@@ -377,12 +608,13 @@ def run_steps(
     w0 = init_weights(classes, x_train.shape[1], seed)
     w_enc = encode(ctx, w0, tiling="vertical")
     state = TrainState(weights=w_enc, momentum=w_enc)
+    schedule = [slices[step % len(slices)] for step in range(steps)]
+    plans = plan_steps(state, [rows.stop - rows.start for rows in schedule], cfg)
     snapshots = []
-    for step in range(steps):
-        rows = slices[step % len(slices)]
+    for rows, plan in zip(schedule, plans):
         xb = x_train[rows]
         features = encode(ctx, xb)
         labels = encode(ctx, onehot[rows], tiling="horizontal")
-        nag_step(state, features, labels, lr, xb.shape[0], cfg)
+        nag_step(state, features, labels, lr, xb.shape[0], cfg, plan=plan)
         snapshots.append(decode(state.weights, role="observer", tag="lockstep"))
     return snapshots

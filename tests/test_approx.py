@@ -696,6 +696,23 @@ def test_softmax_plan_predicts_the_ledger_and_never_costs_more(classes, need):
             assert _with_consumer(out, delta, need) <= _with_consumer(ref, ref_delta, need)
 
 
+@pytest.mark.parametrize(
+    "slots,grid_rows,rows,classes",
+    [(256, 16, 29, 5), (4096, 64, 64, 3), (16, 4, 6, 3), (256, 16, 16, 16), (4096, 64, 128, 7)],
+)
+def test_softmax_plan_counts_are_one_blocks_ledger(slots, grid_rows, rows, classes):
+    # the plan's op counts, kind by kind, times the blocks of the input are
+    # what the encrypted softmax charges, at any period and block count
+    logits = np.random.default_rng(rows).uniform(-30, 30, size=(rows, classes))
+    for max_level, level, need in [(12, 9, 4), (12, 3, 9), (7, 7, None), (21, 18, 12)]:
+        ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
+        out, delta = _encrypted_softmax(ctx, logits, level, need)
+        plan = softmax_plan(level, max_level, classes, DEFAULTS, need)
+        blocks = out.grid[0] * out.grid[1]
+        assert delta == {kind: n * blocks for kind, n in plan.counts.items()}
+        assert out.level == plan.level
+
+
 def test_softmax_plan_spares_the_paper_step_a_refresh():
     # train-paper's softmax: 10 classes entering at level 9 of 12, the
     # residual needing 4.  Refreshing every value alone hands on level 0,

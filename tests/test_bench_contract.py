@@ -52,6 +52,8 @@ BENCH_CALLS = [
     (EmulatorContext, (_, _), dict(max_level=_, auto_bootstrap=_)),
     (training.fit, (_,) * 5,
      dict(ctx=_, lr=_, batch_size=_, epochs=_, patience=_, seed=_)),
+    (training.Server.process_training_batch, (_, _), {}),
+    (hefit.cli.main, (_,), {}),
     (hefit.cli.softmax_error_cell, (_,) * 4, dict(seed_base=_)),
     (hefit.cli.softmax_variants, (_,), {}),
     (hefit.cli.sampling_boxes, (_,), {}),

@@ -8,7 +8,7 @@ import pytest
 
 from hefit.approx import DEFAULTS, SoftmaxConfig, a_softmax
 from hefit.datasets import make_gaussian_mixture
-from hefit.emulator import EmulatorContext
+from hefit.emulator import OP_KINDS, EmulatorContext, OpLedger
 from hefit.encoding import decode, encode
 from hefit.errors import ConfigError, DataError, DepthExhausted, ShapeMismatch
 from hefit.plainref import (
@@ -32,7 +32,9 @@ from hefit.protocol import (
     channel_pair,
 )
 from hefit import training
-from hefit.training import MIN_MAX_LEVEL, Client, TrainState, fit, nag_step, run_steps
+from hefit.training import (
+    MIN_MAX_LEVEL, Client, Server, StepPlan, TrainState, fit, nag_step, run_steps,
+)
 
 
 def make_ctx(**kw):
@@ -166,9 +168,9 @@ def test_test_scale_steps_complete_at_every_accepted_budget():
     for w in final.values():
         np.testing.assert_array_equal(w, final[24])
     assert boots == {
-        5: 18, 6: 13.875, 7: 12, 8: 10, 9: 9, 10: 8, 11: 7, 12: 6.125, 13: 6.25, 14: 5,
-        15: 5, 16: 4.75, 17: 4.625, 18: 4.375, 19: 4, 20: 4, 21: 3.5, 22: 3.625, 23: 3,
-        24: 3.5,
+        5: 18, 6: 13.875, 7: 12, 8: 9.5, 9: 9, 10: 7.875, 11: 7, 12: 6.125, 13: 6.125, 14: 5,
+        15: 5, 16: 4.75, 17: 4.375, 18: 4.125, 19: 4, 20: 3.875, 21: 3.5, 22: 3.375, 23: 3,
+        24: 3.125,
     }
     assert all(boots[b] <= GREEDY_STEP_BOOTSTRAPS[b] for b in boots)
 
@@ -181,8 +183,8 @@ def test_test_scale_steps_complete_at_every_accepted_budget():
 def test_min_max_level_is_the_smallest_budget_a_step_completes_on(
     slots, grid_rows, features, classes, batch
 ):
-    # one level less and the first-period cut of W before its packed
-    # refresh finds W at level 0
+    # one level less and every plan finds W at level 0 after the gradient,
+    # so the planner refuses the run before its first op
     assert MIN_MAX_LEVEL == 5
     x, y = make_gaussian_mixture(256, classes, features, 3, mean_scale=0.1)
     x = np.hstack([x, np.ones((x.shape[0], 1))])
@@ -191,7 +193,7 @@ def test_min_max_level_is_the_smallest_budget_a_step_completes_on(
         ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
         run_steps(x, y, classes, 1, ctx=ctx, lr=0.1, batch_size=batch)
 
-    with pytest.raises(DepthExhausted, match="first_period"):
+    with pytest.raises(DepthExhausted, match="no refresh plan"):
         one_step(MIN_MAX_LEVEL - 1)
     one_step(MIN_MAX_LEVEL)
 
@@ -212,25 +214,37 @@ def test_paper_scale_steps_complete_at_accepted_budgets():
 
 
 def test_paper_scale_step_bootstraps_at_budget_12():
-    # train-paper's shape and budget.  Step 1: 7 softmax refreshes, planned
-    # to hand the residual level 8, so it needs no refresh; W falls below
-    # the threshold, and one packed ciphertext for W and V (their eight
-    # blocks hold 16 x 256 distinct slots each, one 32768-slot block
-    # together) returns both at max_level - 1.  Step 2: 7 softmax refreshes
-    # plus the residual refresh, and W and V stay above the threshold
+    # train-paper's 16 steps and plan.  Step 1 asks for 9 levels: the
+    # softmax's 7 refreshes hand the residual none, so it is refreshed, and
+    # W keeps level 8 (a need of 4 leaves W at 5).  Then W and V fall one
+    # level a step down to (4, 3), the lowest diag_abt reads, and the sixth
+    # step refreshes both in one packed ciphertext (their eight blocks hold
+    # 16 x 256 distinct slots each, one 32768-slot block together),
+    # returning them at max_level - 1: 1 pack every 6 steps, where a pack
+    # once V would fall below 5 took 1 in 4.  Each step charges the ledger
+    # and leaves the levels the planner predicted
     ctx = EmulatorContext(32768, 128, max_level=12)
     x, y = make_gaussian_mixture(256, 10, 768, 3, mean_scale=0.1)
     x = np.hstack([x, np.ones((x.shape[0], 1))])
     state = encode_state(ctx, init_weights(10, 769, 0))
+    plans = training.plan_steps(state, [128] * 16)
+    geo = training._Geometry.of(state.weights, 128, DEFAULTS)
     onehot = one_hot(y, 10)
-    steps = []
-    for rows in batch_slices(256, 128):
+    slices = batch_slices(256, 128)
+    levels, steps = (12, 12), []
+    for step, plan in enumerate(plans):
+        rows = slices[step % len(slices)]
         before = ctx.ledger.snapshot()
         nag_step(state, encode(ctx, x[rows]), encode(ctx, onehot[rows], tiling="horizontal"),
-                 lr=0.1, batch_rows=128)
-        steps.append((ctx.ledger.delta(before)["Bootstrap"], state.weights.level,
-                      state.momentum.level))
-    assert steps == [(8, ctx.max_level - 1, ctx.max_level - 1), (8, 8, 7)]
+                 lr=0.1, batch_rows=128, plan=plan)
+        delta = ctx.ledger.delta(before)
+        counts, levels = {p: (c, n) for p, c, n in training._edges(geo, levels)}[plan]
+        assert (tuple(delta[k] for k in OP_KINDS), state.weights.level, state.momentum.level) \
+            == (counts, *levels)
+        steps.append((delta["Bootstrap"], *levels))
+    assert plans[:6] == (StepPlan(9, False), *[StepPlan(4, False)] * 4, StepPlan(4, True))
+    cycle = [(8, 8, 7), (8, 7, 6), (8, 6, 5), (8, 5, 4), (8, 4, 3), (9, 11, 11)]
+    assert steps == (cycle * 3)[:16]
 
 
 def test_bootstrap_keeps_low_depth_runs_exact(rng):
@@ -281,8 +295,117 @@ def test_run_steps_digest_is_pinned():
     A new digest moves numbers: CHANGES.md says which and why.
     """
     assert _run_steps_digest() == (
-        "1ffb08ee0bd17f81659c81d3712cbcda086063be2e8568faac011210866d7d53"
+        "61032fb3b233b55a3a0bfd716373e6110517e69aade8407912066de74855452d"
     )
+
+
+# -- refresh plan --------------------------------------------------------------------
+
+
+def _reachable_edges(geo, start):
+    """Every (levels, plan, counts, levels after) the planner prices from
+    ``start``, over all the levels its steps reach."""
+    seen, todo, edges = {start}, [start], []
+    while todo:
+        levels = todo.pop()
+        for plan, counts, nxt in training._edges(geo, levels):
+            edges.append((levels, plan, counts, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return edges
+
+
+@pytest.mark.parametrize(
+    "slots,grid_rows,features,classes,batch,max_level",
+    [(4096, 64, 16, 3, 64, level) for level in (5, 12, 21)] + [(256, 16, 20, 5, 29, 12)],
+    ids=["test-5", "test-12", "test-21", "two-blocks-12"],
+)
+def test_planner_predicts_every_step_it_can_reach(
+    slots, grid_rows, features, classes, batch, max_level
+):
+    # for every level pair of W and V a run can reach from a fresh start
+    # and every plan the planner prices from it, the executed step charges
+    # the predicted ledger, op kind by op kind, and leaves W and V at the
+    # predicted levels: at test scale, and where the batch and the features
+    # span two blocks each
+    ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
+    x, y = make_gaussian_mixture(batch, classes, features, 3, mean_scale=0.1)
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    w0 = init_weights(classes, features + 1, 0)
+    geo = training._Geometry.of(encode(ctx, w0, tiling="vertical"), batch, DEFAULTS)
+    edges = _reachable_edges(geo, (max_level, max_level))
+    assert {plan.need for _, plan, _, _ in edges} == set(range(4, max_level + 1))
+    for (w, v), plan, counts, nxt in edges:
+        state = TrainState(encode(ctx, w0, tiling="vertical", level=w),
+                           encode(ctx, w0, tiling="vertical", level=v), lambda_curr=2.0)
+        features_ct = encode(ctx, x)
+        labels = encode(ctx, one_hot(y, classes), tiling="horizontal")
+        before = ctx.ledger.snapshot()
+        nag_step(state, features_ct, labels, 0.1, batch, plan=plan)
+        delta = ctx.ledger.delta(before)
+        assert (tuple(delta[k] for k in OP_KINDS), state.weights.level, state.momentum.level) \
+            == (counts, *nxt), ((w, v), plan)
+
+
+def _run_cost(geo, choose, steps):
+    """Bootstraps and emulated ms of ``steps`` steps from a fresh start,
+    each taking ``choose(edges)`` of the planner's priced steps."""
+    levels, total = (geo.max_level, geo.max_level), dict.fromkeys(OP_KINDS, 0)
+    for _ in range(steps):
+        edges = {plan: (counts, nxt) for plan, counts, nxt in training._edges(geo, levels)}
+        counts, levels = edges[choose(edges)]
+        total = {k: total[k] + n for k, n in zip(OP_KINDS, counts)}
+    return total["Bootstrap"], OpLedger().estimate_ms(total)
+
+
+def _fixed_rule(edges):
+    """The rule before the planner: the residual needs 4 levels, and W and
+    V take the packed refresh where V would fall below 5."""
+    keep = edges.get(StepPlan(4, False))
+    return StepPlan(4, keep is None or keep[1][1] < 5)
+
+
+@pytest.mark.parametrize("classes", [3, 7], ids=["test-scale", "c7-scale"])
+def test_plan_never_costs_more_than_the_fixed_rule(classes):
+    # budget_sweep's test and c7 scales over 8 steps: the plan takes no more
+    # bootstraps and no more emulated ms than the fixed rule at any budget
+    for max_level in range(5, 25):
+        ctx = EmulatorContext(4096, 64, max_level=max_level)
+        state = encode_state(ctx, init_weights(classes, 17, 0))
+        plans = iter(training.plan_steps(state, [64] * 8))
+        geo = training._Geometry.of(state.weights, 64, DEFAULTS)
+        planned = _run_cost(geo, lambda edges: next(plans), 8)
+        fixed = _run_cost(geo, _fixed_rule, 8)
+        assert planned[0] <= fixed[0] and planned[1] <= fixed[1], (max_level, planned, fixed)
+
+
+def test_budget_5_fit_keeps_w_and_v_readable(monkeypatch):
+    # the smallest accepted budget trains with validation, and every step
+    # leaves W and V at the 3 levels diag_abt reads
+    x, y = make_gaussian_mixture(80, 3, 6, seed=9, mean_scale=2.0)
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    levels = []
+    process = Server.process_training_batch
+
+    def recorded(server, batch_rows):
+        process(server, batch_rows)
+        levels.append((server.state.weights.level, server.state.momentum.level))
+
+    monkeypatch.setattr(Server, "process_training_batch", recorded)
+    result = fit(x[:64], y[:64], x[64:], y[64:], classes=3,
+                 ctx=make_ctx(max_level=MIN_MAX_LEVEL), epochs=3, batch_size=16, patience=3)
+    assert result.epochs_run == 3 and len(result.val_losses) == 3
+    assert len(levels) == 12
+    assert min(min(pair) for pair in levels) >= 3
+
+
+def test_budget_4_is_refused_before_any_op():
+    x, y = make_gaussian_mixture(32, 3, 4, seed=1)
+    ctx = make_ctx(max_level=MIN_MAX_LEVEL - 1)
+    with pytest.raises(DepthExhausted, match="no refresh plan"):
+        run_steps(x, y, 3, 2, ctx=ctx, batch_size=16)
+    assert not any(ctx.ledger.counts().values())
 
 
 # -- early stopping ------------------------------------------------------------------
