@@ -4,11 +4,11 @@
 For every ``max_level`` from 5 (``training.MIN_MAX_LEVEL``, the smallest a
 run config accepts) to 24, runs 8 ``run_steps`` steps at the two
 north-star scales and at a third with 7 classes, with the auto-bootstrap
-fallback off, as everywhere in the package (the softmax planner's dry runs
-included), and prints the ledger's bootstraps and estimated milliseconds
-per step, then the bootstraps per step of each stage that places them:
-the softmax (``sm``), the residual refresh before ``diag_atb`` (``res``)
-and the packed W/V refresh (``wv``).  The last two
+fallback off, as everywhere in the package (the refresh planner's dry
+runs, ``approx.dry_run``, included), and prints the ledger's bootstraps
+and estimated milliseconds per step, then the bootstraps per step of each
+stage that places them: the softmax (``sm``), the residual refresh before
+``diag_atb`` (``res``) and the packed W/V refresh (``wv``).  The last two
 columns are shares of ``sm``, so they are not added to the step total
 again: ``amax``, spent in the softmax's tournament ``a_max``, and
 ``inv``, in its reciprocal ``a_inv``.  The scales:

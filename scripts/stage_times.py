@@ -33,8 +33,8 @@ mean_scale=0.1)`` and set the last column to 1 as the bias; learning rate
 array path as ``softmax-mc`` runs it: one ``a_softmax`` call (its "step")
 on a seeded 250 000 x 10 uniform input within +-128 under ``DEFAULTS``,
 over ARRAY_CALLS calls.  ``run_steps`` plans every step's refreshes
-before the first step (``training.plan_steps``, cached), and the dry runs
-that price them call the stages; that time is not counted.  Medians, not
+before the first step (``training.plan_steps``, cached), and the planner's
+dry runs (``approx.dry_run``) call the stages; that time is not counted.  Medians, not
 means, are shown.  CPU time
 counts only this process, so a busy machine slows the numbers less than it
 slows the wall clock; repeat and compare medians.

@@ -52,16 +52,12 @@ The tournament is the one place with two live values: the running maximum
 most at one point per round, its pack point, where it refreshes together
 with ``best`` as one complex-packed ciphertext, which also lifts ``best``
 and so every piece after it.  :func:`softmax_plan` picks the pack points
-by a dynamic program over levels that prices each move by a dry run of the
-pipeline's own code (:func:`_round`, :func:`_tail`) on a context of one
-period, so the refresh rule and the depths live in the pipeline alone, and
-a plan's op counts are one block's ledger.  It minimises bootstraps, then
-emulated ms; given the levels the output's consumer needs (the trainer's
-step plan chooses them), it counts the consumer's refresh too and prefers
-the highest level handed on before ms.  The pieces after the tournament
-form a chain of one value each, where refreshing only below the next
-piece's need is already optimal, so they keep :func:`_refresh`.  Every bootstrap is
-value-exact, so the plan moves levels and the ledger, never a slot.
+with the package's one refresh planner, :func:`cheapest` over moves priced
+by :func:`dry_run`, on the pipeline's own code (:func:`_round`,
+:func:`_tail`), so the refresh rule and the depths live in the pipeline
+alone.  The pieces after the tournament, a chain of one value each, keep
+:func:`_refresh`.  Every bootstrap is value-exact, so a plan moves levels
+and the ledger, never a slot.
 
 Only two knobs are configurable (:class:`SoftmaxConfig`): the number of
 extension steps and the compensation.  The exp and reciprocal parameters
@@ -72,16 +68,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._constants import COMP_ROUND_ERR, EXP_POLY
-from .emulator import OP_KINDS, EmulatorContext, OpLedger, log2, tree_sum
+from .emulator import DEFAULT_OP_WEIGHTS_MS, OP_KINDS, EmulatorContext, log2, tree_sum
 from .encoding import (
     EncodedMatrix, bootstrap_pair, col_sums, encode, next_pow2, pattern_matrix,
 )
-from .errors import ShapeMismatch
+from .errors import DepthExhausted, ShapeMismatch
 from .plainref import exact_softmax
 
 # Odd degree-7 pair composed as step(x) ~ sign(x): two passes of the sharp
@@ -509,6 +506,75 @@ def a_inv(y):
 # -- refresh plan ---------------------------------------------------------------
 
 
+_BOOTSTRAPS = OP_KINDS.index("Bootstrap")
+_WEIGHTS = tuple(DEFAULT_OP_WEIGHTS_MS[kind] for kind in OP_KINDS)
+
+
+def rank(counts: tuple[int, ...]) -> tuple[int, float]:
+    """The order of refresh plans by their op counts: the fewest bootstraps,
+    then the least :meth:`~hefit.emulator.OpLedger.estimate_ms` (the same
+    sum, term by term), so equal counts tie exactly."""
+    return counts[_BOOTSTRAPS], float(sum(map(operator.mul, counts, _WEIGHTS)))
+
+
+def dry_run(slots: int, grid_rows: int, max_level: int, step):
+    """Op counts, in :data:`~hefit.emulator.OP_KINDS` order, and result of
+    ``step(zeros)`` in a fresh context of ``slots`` slots in ``grid_rows``
+    rows on a budget of ``max_level``, ``zeros(shape, tiling, level)``
+    encoding a zero matrix; None where a level runs out.  Planners price
+    their moves so, and cache levels and counts, never ciphertexts."""
+    ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
+    try:
+        out = step(lambda shape, tiling, level=None:
+                   encode(ctx, np.zeros(shape), tiling, level=level))
+    except DepthExhausted:
+        return None
+    counts = ctx.ledger.counts()
+    return tuple(counts[kind] for kind in OP_KINDS), out
+
+
+def cheapest(start, stages, key=lambda counts, end: rank(counts)):
+    """The cheapest chain of moves through ``stages`` from ``start``:
+    ``(choices, counts, end)``, one choice per stage, the summed op counts
+    and the end state; None where no chain gets through.
+
+    ``stages[t](state)`` gives stage t's moves as ``(choice, counts,
+    next_state)``, counts as from :func:`dry_run`; ``key(counts, end)``
+    orders chains, by default by :func:`rank`.  A finite-horizon backward
+    dynamic program: from the last stage back, each state reachable from
+    ``start`` keeps its cheapest rest of the chain, and of moves of equal
+    key the first, so of equally cheap chains the plan is the
+    lexicographically first in each stage's move order.  This is the one
+    tie-break rule of every refresh plan in the package.
+    """
+    frontiers = [{start}]
+    for stage in stages:
+        frontiers.append({nxt for state in frontiers[-1] for _, _, nxt in stage(state)})
+    # rest[state]: (key, counts, end, choices) of the cheapest rest of the
+    # chain from ``state``, choices as nested (choice, rest) pairs; past the
+    # last stage, every state is free
+    rest = {state: (None, (0,) * len(OP_KINDS), state, ()) for state in frontiers.pop()}
+    for stage, states in zip(reversed(stages), reversed(frontiers)):
+        here = {}
+        for state in states:
+            for choice, counts, nxt in stage(state):
+                if nxt in rest:
+                    _, after, end, choices = rest[nxt]
+                    counts = tuple(map(operator.add, counts, after))
+                    k = key(counts, end)
+                    if state not in here or k < here[state][0]:
+                        here[state] = (k, counts, end, (choice, choices))
+        rest = here
+    if start not in rest:
+        return None
+    _, counts, end, link = rest[start]
+    choices = []
+    while link:
+        choice, link = link
+        choices.append(choice)
+    return tuple(choices), counts, end
+
+
 @dataclass(frozen=True)
 class SoftmaxPlan:
     """Where one encrypted softmax refreshes, and what that predicts.
@@ -516,18 +582,19 @@ class SoftmaxPlan:
     ``pairs`` holds :func:`a_max`'s choices, one pack point per tournament
     round (:func:`_round`): where the comparison chain refreshes together
     with ``best`` (one packed bootstrap), or None where every refresh is the
-    chain's alone.  ``counts`` (op counts per block, by kind) and ``level``
-    are what the softmax executes and hands on, on any budget of at least 4
-    levels; ``bootstraps`` is the count of bootstraps among them.
+    chain's alone.  ``counts`` (op counts per block, in
+    :data:`~hefit.emulator.OP_KINDS` order) and ``level`` are what the
+    softmax executes and hands on, on any budget of at least 4 levels;
+    ``bootstraps`` is the count of bootstraps among them.
     """
 
     pairs: tuple[int | None, ...]
-    counts: dict[str, int]
+    counts: tuple[int, ...]
     level: int
 
     @property
     def bootstraps(self) -> int:
-        return self.counts["Bootstrap"]
+        return self.counts[_BOOTSTRAPS]
 
 
 # A round's pack points, None first: of equal-cost moves the plan keeps the
@@ -535,27 +602,22 @@ class SoftmaxPlan:
 # are never cheaper: at budgets 1 to 24, from every level of ``best``, one of
 # these reaches as high a level for no more bootstraps and no more ms.
 _ROUND_PACKS = (None, *range(1, len(COMP_PASSES) + 1))
-_price = OpLedger().estimate_ms
 
 
-def _dry_run(top: int, classes: int, step, *levels: int):
-    """Per-block op counts and output level of ``step`` on carriers of
-    ``(1, classes)`` zeros encrypted at ``levels`` in a context of budget
-    ``top`` whose one row is one period: the ledger of one block of any
-    tiled input, since every ladder spans one period.  A budget below the
-    deepest piece raises :class:`~hefit.errors.DepthExhausted` here, so
-    :func:`softmax_plan` refuses it."""
-    ctx = EmulatorContext(next_pow2(classes), 1, max_level=top)
-    zeros = np.zeros((1, classes))
-    out = step(*(_Carrier(encode(ctx, zeros, "horizontal", level=lv)) for lv in levels))
-    return ctx.ledger.counts(), out.level
+def _period_run(top: int, classes: int, step, *levels: int):
+    """:func:`dry_run` of ``step`` on carriers of ``(1, classes)`` zeros at
+    ``levels`` whose one row is one period, so its counts are one block's
+    ledger of any tiled input; the result is the output's level."""
+    return dry_run(next_pow2(classes), 1, top, lambda zeros: step(
+        *(_Carrier(zeros((1, classes), "horizontal", lv)) for lv in levels)).level)
 
 
 @functools.lru_cache(maxsize=None)
 def _round_run(best: int, top: int, pack: int | None):
     """:func:`_round` from ``best``'s level, dry; its ledger depends on
     neither the round's index, nor its coefficients, nor the period."""
-    return _dry_run(top, 2, lambda car: _round(car, car.matrix, 0, COMP_PASSES[0], pack), best)
+    first = COMP_PASSES[0]
+    return _period_run(top, 2, lambda car: _round(car, car.matrix, 0, first, pack), best)
 
 
 def _normalize(x: _Carrier, best):
@@ -569,13 +631,18 @@ def _normalize(x: _Carrier, best):
 @functools.lru_cache(maxsize=None)
 def _norm_run(best: int, entry: int, top: int, classes: int):
     """:func:`_normalize` of logits at ``entry`` by a winner at ``best``, dry."""
-    return _dry_run(top, classes, lambda x, car: _normalize(x, car.matrix), entry, best)
+    return _period_run(top, classes, lambda x, car: _normalize(x, car.matrix), entry, best)
 
 
 @functools.lru_cache(maxsize=None)
 def _tail_run(norm: int, top: int, cfg: SoftmaxConfig, classes: int):
     """:func:`_tail` from the normalized logits' level, dry."""
-    return _dry_run(top, classes, lambda car: _tail(car, car.matrix, cfg), norm)
+    return _period_run(top, classes, lambda car: _tail(car, car.matrix, cfg), norm)
+
+
+def _move(choice, run):
+    """A stage's move ``choice``, priced by the dry run ``run``; none where it ran out."""
+    return ((choice, *run),) if run else ()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -585,55 +652,42 @@ def softmax_plan(
 ) -> SoftmaxPlan:
     """The refresh plan of one encrypted softmax entering at ``entry_level``.
 
-    A dynamic program over ``best``'s level between tournament rounds keeps,
-    for each level, the cheapest pack points (fewest bootstraps, then least
-    emulated ms) that reach it.  Each round's moves
-    (:data:`_ROUND_PACKS`) are priced by a dry run (:func:`_dry_run`), and
-    :meth:`~hefit.emulator.OpLedger.estimate_ms` prices each plan's summed
-    op counts, so equal counts tie exactly; the plan keeps them
-    (:attr:`SoftmaxPlan.counts`), one block's ledger of the softmax it
-    places.  Without ``need`` the plan has the fewest bootstraps, then the
-    least ms, so it never costs more than refreshing every chain alone.
-    ``need`` is the levels the consumer of the output will need (the
-    trainer's residual, whose need its step plan picks from 4 to
-    ``max_level``, :func:`hefit.training.plan_steps`): an output below it
-    counts the consumer's refresh, then the plan hands on the highest level
-    (``max_level`` where the consumer refreshes), then the least ms.  Cached
-    per key, as are the dry runs; planning reads levels only, never slots.
-    A ``max_level`` below the deepest piece's 4 levels raises
-    :class:`~hefit.errors.DepthExhausted` from a dry run.
+    The cheapest chain (:func:`cheapest`) through one stage per tournament
+    round, whose moves are :data:`_ROUND_PACKS`, then the normalization and
+    :func:`_tail`, each move a dry run of the pipeline's own code.  ``need``
+    is the levels the output's consumer will need (the trainer's residual,
+    :func:`hefit.training.plan_steps`): an output below it counts the
+    consumer's refresh, then the plan hands on the highest level
+    (``max_level`` where the consumer refreshes), then the least ms.
+    Without it, the fewest bootstraps, then the least ms, so it never costs
+    more than refreshing every chain alone.  Cached per key.  A budget
+    below the deepest pieces' ``EXP_FIT_DEPTH`` levels leaves no chain and
+    raises :class:`~hefit.errors.DepthExhausted`.
     """
     top = max_level
-    frontier = {entry_level: ((), dict.fromkeys(OP_KINDS, 0), (0, 0.0))}
-    for _ in range(log2(next_pow2(classes))):
-        reached = {}
-        for best, (pairs, counts, _) in frontier.items():
-            for pack in _ROUND_PACKS:
-                cost, after = _round_run(best, top, pack)
-                total = _plus(counts, cost)
-                rank = (total["Bootstrap"], _price(total))
-                held = reached.get(after)
-                if held is None or rank < held[2]:
-                    reached[after] = (pairs + (pack,), total, rank)
-        frontier = reached
 
-    ranked = []
-    for best, (pairs, counts, _) in frontier.items():
-        norm_cost, norm = _norm_run(best, entry_level, top, classes)
-        tail_cost, out = _tail_run(norm, top, cfg, classes)
-        counts = _plus(_plus(counts, norm_cost), tail_cost)
-        plan = SoftmaxPlan(pairs, counts, out)
+    def rounds(best):
+        return [m for pack in _ROUND_PACKS for m in _move(pack, _round_run(best, top, pack))]
+
+    def key(counts, out):
+        bootstraps, ms = rank(counts)
         if need is None:
-            ranked.append(((plan.bootstraps, _price(counts)), plan))
-        else:
-            refreshed = out < min(need, top)
-            handed = top if refreshed else out
-            ranked.append(((plan.bootstraps + refreshed, -handed, _price(counts)), plan))
-    return min(ranked, key=lambda item: item[0])[1]
+            return bootstraps, ms
+        refreshed = out < min(need, top)
+        return bootstraps + refreshed, -(top if refreshed else out), ms
 
-
-def _plus(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
-    return {kind: a[kind] + b[kind] for kind in OP_KINDS}
+    stages = [rounds] * log2(next_pow2(classes)) + [
+        lambda best: _move(None, _norm_run(best, entry_level, top, classes)),
+        lambda norm: _move(None, _tail_run(norm, top, cfg, classes)),
+    ]
+    chain = cheapest(entry_level, stages, key)
+    if chain is None:
+        raise DepthExhausted(
+            f"the softmax cannot run on a budget of {max_level} levels: its deepest "
+            f"pieces need {EXP_FIT_DEPTH}"
+        )
+    choices, counts, level = chain
+    return SoftmaxPlan(choices[:-2], counts, level)
 
 
 def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):

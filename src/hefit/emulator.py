@@ -203,8 +203,8 @@ class EmulatorContext:
     op only, charged one Bootstrap per block of the operand (``mult(x, x)``
     charges once).  The softmax and the trainer complete without it at every
     ``max_level >= 5`` (a run config's minimum), and nothing in the package
-    turns it on: the softmax planner's pricing context (``approx._dry_run``)
-    raises at budgets below 4 instead.
+    turns it on: the planners' dry runs (:func:`hefit.approx.dry_run`) find
+    no softmax plan at budgets below 4, which raise instead.
     """
 
     def __init__(

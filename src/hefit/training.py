@@ -42,31 +42,25 @@ Each step takes two refresh decisions (:class:`StepPlan`): the levels
 softmax output sits below it), and whether W and V take the packed
 refresh.  :func:`plan_steps` takes them for a whole run before its first
 step (the server plans from the batch sizes of the client's schedule,
-:meth:`Server.plan_steps`), by a dynamic program over the levels of W and
-V between steps: the fewest bootstraps over the run, then the least
-emulated ms, such that every step leaves W and V where ``diag_abt`` can
-read them, for the next logits and for each epoch's validation logits.
-Each step's cost and the levels it leaves are dry runs of the step's own
-code on zero operands in a context of the run's geometry, cached per
-geometry and levels; the softmax is priced by its own plan.  Planning
-charges the run's ledger nothing.  Every bootstrap is value-exact, so the
-plan moves levels and the ledger, never a slot.
+:meth:`Server.plan_steps`), as the cheapest chain of steps
+(:func:`~hefit.approx.cheapest`) that leaves W and V where ``diag_abt``
+can read them after every step.  Each step is priced by dry runs of its
+own code, the softmax by its own plan.  Every bootstrap is value-exact,
+so the plan moves levels and the ledger, never a slot.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import encoding
-from .approx import DEFAULTS, SoftmaxConfig, _refresh, a_softmax, softmax_plan
-from .emulator import OP_KINDS, EmulatorContext, OpLedger
+from .approx import DEFAULTS, SoftmaxConfig, _refresh, a_softmax, cheapest, dry_run, softmax_plan
+from .emulator import EmulatorContext
 from .encoding import EncodedMatrix, bootstrap_tiled, decode, encode, first_period
 from .errors import DepthExhausted, ShapeMismatch
 from .matmul import diag_abt, diag_atb
@@ -181,31 +175,19 @@ class _Geometry:
                    weights.shape[0], cfg)
 
     def dry_run(self, step):
-        """Op counts (in :data:`~hefit.emulator.OP_KINDS` order) and result
-        of ``step(zeros)`` in a fresh context of this geometry, ``zeros(kind,
-        level)`` encoding a zero matrix of the features' (``"x"``), the
-        weights' (``"w"``) or the residual's (``"r"``) layout; None where a
-        level runs out."""
-        ctx = EmulatorContext(self.slots, self.grid_rows, max_level=self.max_level)
+        """:func:`~hefit.approx.dry_run` of ``step(zeros)`` in this geometry,
+        ``zeros(kind, level)`` a zero matrix of the features' (``"x"``), the
+        weights' (``"w"``) or the residual's (``"r"``) layout."""
         rows = self.blocks * self.grid_rows
         layouts = {
             "x": ((rows, self.cols), "none"),
             "w": ((self.classes, self.cols), "vertical"),
             "r": ((rows, self.classes), "horizontal"),
         }
-
-        def zeros(kind: str, level: int | None = None) -> EncodedMatrix:
-            # through the encoding module: a dry run's operands are no
-            # party's encodes
-            shape, tiling = layouts[kind]
-            return encoding.encode(ctx, np.zeros(shape), tiling, level=level)
-
-        try:
-            out = step(zeros)
-        except DepthExhausted:
-            return None
-        counts = ctx.ledger.counts()
-        return tuple(counts[kind] for kind in OP_KINDS), out
+        return dry_run(
+            self.slots, self.grid_rows, self.max_level,
+            lambda zeros: step(lambda kind, level=None: zeros(*layouts[kind], level)),
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,10 +242,9 @@ def _edges(geo: _Geometry, levels: tuple[int, int]):
         # W and V must stay where diag_abt can read them
         if not (update and all(_logits_run(geo, lv) for lv in update[1])):
             continue
-        counts = [softmax.counts[kind] * geo.blocks for kind in OP_KINDS]
-        for piece in (logits, resid, grad, update):
-            counts = map(operator.add, counts, piece[0])
-        edges.append((plan, tuple(counts), update[1]))
+        softmax_counts = [n * geo.blocks for n in softmax.counts]
+        pieces = (logits[0], resid[0], grad[0], update[0], softmax_counts)
+        edges.append((plan, tuple(map(sum, zip(*pieces))), update[1]))
     return tuple(edges)
 
 
@@ -276,23 +257,16 @@ def _choices(top: int):
     return (StepPlan(need, pack) for pack in (False, True) for need in range(4, top + 1))
 
 
-_BOOTSTRAPS = OP_KINDS.index("Bootstrap")
-_price = OpLedger().estimate_ms
-
-
 def plan_steps(
     state: TrainState, batch_rows: Sequence[int], cfg: SoftmaxConfig = DEFAULTS
 ) -> tuple[StepPlan, ...]:
     """The refresh plans of the steps ahead of ``state``, one per entry of
     ``batch_rows``, each step's batch size.
 
-    A finite-horizon dynamic program over the levels of W and V between
-    steps: each step's plans are priced and their levels predicted by
-    :func:`_edges`, and the run takes the fewest bootstraps, then the least
-    emulated ms, such that every step leaves W and V readable by
-    ``diag_abt``.  Of equal-cost plans a step takes the first in
-    :func:`_choices`'s order, so the plan is deterministic.  Planning runs no
-    op on the state's context.  Where no plan keeps a step going, raises
+    The cheapest chain (:func:`~hefit.approx.cheapest`) over the levels of
+    W and V between steps, one stage per step, whose moves are
+    :func:`_edges`, in :func:`_choices`' order.  Planning runs no op on
+    the state's context.  Where no plan keeps a step going, raises
     :class:`~hefit.errors.DepthExhausted`.
     """
     geo = _Geometry.of(state.weights, 1, cfg)
@@ -304,43 +278,13 @@ def plan_steps(
 def _plan(geo: _Geometry, blocks: tuple[int, ...], start: tuple[int, int]):
     """:func:`plan_steps` of steps of ``geo`` with ``blocks`` block rows
     each from W and V at ``start``."""
-    if not blocks:
-        return ()
-    geos = [replace(geo, blocks=b) for b in blocks]
-    frontiers = [{start}]
-    for step_geo in geos[:-1]:
-        frontiers.append({nxt for lv in frontiers[-1] for _, _, nxt in _edges(step_geo, lv)})
-    # steps[t][levels]: (total counts, plan, levels after) of the cheapest
-    # way from step t on; past the last step every level costs nothing
-    steps: list[dict] = [{}] * len(geos)
-    rest = None
-    for t in range(len(geos) - 1, -1, -1):
-        here = {}
-        for lv in frontiers[t]:
-            options = []
-            for plan, counts, nxt in _edges(geos[t], lv):
-                if rest is None:
-                    options.append((counts, plan, nxt))
-                elif nxt in rest:
-                    options.append((tuple(map(operator.add, counts, rest[nxt][0])), plan, nxt))
-            if options:
-                # the fewest bootstraps, then the least ms: price only the former
-                fewest = min(total[_BOOTSTRAPS] for total, _, _ in options)
-                here[lv] = min(
-                    (option for option in options if option[0][_BOOTSTRAPS] == fewest),
-                    key=lambda option: _price(dict(zip(OP_KINDS, option[0]))),
-                )
-        steps[t] = rest = here
-    if start not in rest:
+    chain = cheapest(start, [functools.partial(_edges, replace(geo, blocks=b)) for b in blocks])
+    if chain is None:
         raise DepthExhausted(
             f"no refresh plan keeps W and V readable by diag_abt on a budget of "
             f"{geo.max_level} levels"
         )
-    plans, lv = [], start
-    for here in steps:
-        _, plan, lv = here[lv]
-        plans.append(plan)
-    return tuple(plans)
+    return chain[0]
 
 
 class Client:

@@ -54,7 +54,7 @@ from hefit.approx import (
     softmax_plan,
     theorem_beta,
 )
-from hefit.emulator import EmulatorContext, log2
+from hefit.emulator import OP_KINDS, EmulatorContext, OpLedger, log2
 from hefit.encoding import decode, encode, next_pow2, padded_array
 from hefit.errors import DepthExhausted, ShapeMismatch
 from hefit.plainref import exact_softmax
@@ -611,10 +611,11 @@ def test_softmax_refresh_plan_covers_every_entry_level(rng, max_level, classes, 
 
 
 def test_budget_below_the_deepest_piece_is_refused(rng):
-    # a 3-level budget cannot hold the 4-level pieces: the planner's dry run
-    # exhausts its depth, and the encrypted softmax refuses before any op,
+    # a 3-level budget cannot hold the 4-level pieces: every chain of the
+    # planner's dry runs exhausts its depth, so the planner names the
+    # budget, and the encrypted softmax refuses before any op,
     # whether or not the context would refresh a level-0 operand itself
-    with pytest.raises(DepthExhausted):
+    with pytest.raises(DepthExhausted, match="budget of 3 levels: its deepest pieces need 4"):
         softmax_plan(3, 3, 3, DEFAULTS)
     logits = rng.uniform(-30, 30, size=(8, 3))
     for auto in (False, True):
@@ -709,7 +710,7 @@ def test_softmax_plan_counts_are_one_blocks_ledger(slots, grid_rows, rows, class
         out, delta = _encrypted_softmax(ctx, logits, level, need)
         plan = softmax_plan(level, max_level, classes, DEFAULTS, need)
         blocks = out.grid[0] * out.grid[1]
-        assert delta == {kind: n * blocks for kind, n in plan.counts.items()}
+        assert delta == {kind: n * blocks for kind, n in zip(OP_KINDS, plan.counts)}
         assert out.level == plan.level
 
 
@@ -727,6 +728,42 @@ def test_softmax_plan_spares_the_paper_step_a_refresh():
     assert (ref_delta["Bootstrap"], ref.level) == (7, 0)
     assert _with_consumer(out, delta, 4) < _with_consumer(ref, ref_delta, 4)
     assert softmax_plan(9, 12, 10, DEFAULTS, 4).pairs[0] == 3
+
+
+@pytest.mark.parametrize("classes", [2, 3, 5, 7])
+def test_softmax_plan_is_the_first_cheapest_pack_sequence(classes):
+    # an oracle over every pack sequence, budgets 4 to 24, every entry level
+    # and need None or 4: the plan is the cheapest by its key (bootstraps
+    # with the consumer's refresh, then the level handed on, then ms), and
+    # of equally cheap sequences the lexicographically first in
+    # _ROUND_PACKS' order (approx.cheapest's tie-break)
+    boot = OP_KINDS.index("Bootstrap")
+    for max_level in range(4, 25):
+        for level in range(max_level + 1):
+            chains = []
+            for pairs in itertools.product(approx._ROUND_PACKS, repeat=log2(next_pow2(classes))):
+                pieces, best = [], level
+                for pack in pairs:
+                    cost, best = approx._round_run(best, max_level, pack)
+                    pieces.append(cost)
+                norm_cost, norm = approx._norm_run(best, level, max_level, classes)
+                tail_cost, out = approx._tail_run(norm, max_level, DEFAULTS, classes)
+                counts = tuple(map(sum, zip(*pieces, norm_cost, tail_cost)))
+                chains.append((pairs, counts, out))
+            for need in (None, 4):
+
+                def key(chain):
+                    _, counts, out = chain
+                    refreshed = need is not None and out < min(need, max_level)
+                    ms = OpLedger().estimate_ms(dict(zip(OP_KINDS, counts)))
+                    handed = 0 if need is None else max_level if refreshed else out
+                    return counts[boot] + refreshed, -handed, ms
+
+                plan = softmax_plan(level, max_level, classes, DEFAULTS, need)
+                assert (plan.pairs, plan.counts, plan.level) == min(chains, key=key), (
+                    max_level, level, need)
+                ms = OpLedger().estimate_ms(dict(zip(OP_KINDS, plan.counts)))
+                assert approx.rank(plan.counts) == (plan.bootstraps, ms)
 
 
 def _plan_table_digest() -> str:
@@ -756,7 +793,7 @@ def test_plan_table_is_pinned():
     A new digest changes plans: CHANGES.md says which and why.
     """
     assert _plan_table_digest() == (
-        "2964ada4b7a8c10374fc652dc3cd940a8df3b4ac70cea8763c963099c3055193"
+        "b432e7ac9d3c7b6d029d4f56af1a6b08b08125e3267be360b8211588f628bb0e"
     )
 
 

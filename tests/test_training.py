@@ -1,6 +1,7 @@
 """Momentum schedule, stepping, early stopping, and the two-party loop."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -378,6 +379,30 @@ def test_plan_never_costs_more_than_the_fixed_rule(classes):
         planned = _run_cost(geo, lambda edges: next(plans), 8)
         fixed = _run_cost(geo, _fixed_rule, 8)
         assert planned[0] <= fixed[0] and planned[1] <= fixed[1], (max_level, planned, fixed)
+
+
+@pytest.mark.parametrize("max_level", range(5, 10))
+def test_plan_is_the_first_cheapest_plan_sequence(max_level):
+    # an oracle over every plan sequence of 3 steps: the planned run has the
+    # fewest bootstraps, then the least ms, and of equally cheap runs it is
+    # the lexicographically first in _choices' order (approx.cheapest's
+    # tie-break); a run of no steps has no plans
+    state = encode_state(make_ctx(max_level=max_level), init_weights(3, 6, 0))
+    geo = training._Geometry.of(state.weights, 16, DEFAULTS)
+    runs = []
+    for plans in itertools.product(training._choices(max_level), repeat=3):
+        levels, total = (max_level, max_level), (0,) * len(OP_KINDS)
+        for plan in plans:
+            edges = {p: (counts, nxt) for p, counts, nxt in training._edges(geo, levels)}
+            if plan not in edges:
+                break
+            counts, levels = edges[plan]
+            total = tuple(map(sum, zip(total, counts)))
+        else:
+            ranked = dict(zip(OP_KINDS, total))
+            runs.append(((ranked["Bootstrap"], OpLedger().estimate_ms(ranked)), plans))
+    assert training.plan_steps(state, [16] * 3) == min(runs, key=lambda run: run[0])[1]
+    assert training.plan_steps(state, []) == ()
 
 
 def test_budget_5_fit_keeps_w_and_v_readable(monkeypatch):
