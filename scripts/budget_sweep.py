@@ -8,10 +8,13 @@ fallback off, as everywhere in the package (the refresh planner's dry
 runs, ``approx.dry_run``, included), and prints the ledger's bootstraps
 and estimated milliseconds per step, then the bootstraps per step of each
 stage that places them: the softmax (``sm``), the residual refresh before
-``diag_atb`` (``res``) and the packed W/V refresh (``wv``).  The last two
+``diag_atb`` (``res``) and the packed W/V refresh (``wv``).  The next two
 columns are shares of ``sm``, so they are not added to the step total
 again: ``amax``, spent in the softmax's tournament ``a_max``, and
-``inv``, in its reciprocal ``a_inv``.  The scales:
+``inv``, in its reciprocal ``a_inv``.  The last, ``early``, counts the
+refreshes per step that the softmax's plan takes although the level
+suffices for the piece ahead (``approx.SoftmaxPlan.tail``), where its
+planning leaves greedy refreshing.  The scales:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
@@ -62,7 +65,8 @@ STAGES = {
 
 
 def sweep_point(scale: str, max_level: int) -> tuple[float, float, dict[str, float]]:
-    """(bootstraps, estimated ms, bootstraps by stage) per step at one budget."""
+    """(bootstraps, estimated ms, bootstraps by stage and early refreshes)
+    per step at one budget."""
     slots, grid_rows, features, classes, batch = SCALES[scale]
     x, y = make_gaussian_mixture(1024, classes, features + 1, 3, mean_scale=0.1)
     x[:, features] = 1.0  # bias column
@@ -78,10 +82,21 @@ def sweep_point(scale: str, max_level: int) -> tuple[float, float, dict[str, flo
 
         return run
 
+    def planned(*args, **kwargs):
+        # the plan of an executed softmax: each early flag of its tail is a
+        # refresh, since the planner keeps no flag that lifts no level
+        plan = softmax_plan(*args, **kwargs)
+        flags = [f for point in plan.tail for f in (point if isinstance(point, tuple) else (point,))]
+        stage_boots["early"] += sum(flags)
+        return plan
+
+    softmax_plan = approx.softmax_plan
+    stage_boots["early"] = 0
     with ExitStack() as stack:
         for label, (module, name) in STAGES.items():
             stage = counted(label, getattr(module, name))
             stack.enter_context(mock.patch.object(module, name, stage))
+        stack.enter_context(mock.patch.object(approx, "softmax_plan", planned))
         run_steps(x, y, classes, STEPS, ctx=ctx, lr=0.1, batch_size=batch)
     per_stage = {label: n / STEPS for label, n in stage_boots.items()}
     return ctx.ledger.counts()["Bootstrap"] / STEPS, ctx.ledger.estimated_ms / STEPS, per_stage
@@ -91,14 +106,14 @@ def main() -> None:
     header = "max_level"
     for scale in SCALES:
         header += f"  {scale + ' boots':>12}  {scale + ' ms':>12}"
-        header += "".join(f"  {label:>6}" for label in STAGES)
+        header += "".join(f"  {label:>6}" for label in (*STAGES, "early"))
     print(header)
     for max_level in BUDGETS:
         line = f"{max_level:>9}"
         for scale in SCALES:
             boots, ms, per_stage = sweep_point(scale, max_level)
             line += f"  {boots:>12.3f}  {ms:>12.3f}"
-            line += "".join(f"  {per_stage[label]:>6.3f}" for label in STAGES)
+            line += "".join(f"  {per_stage[label]:>6.3f}" for label in (*STAGES, "early"))
         print(line, flush=True)
 
 

@@ -7,9 +7,9 @@ for each stage and for the whole step, two rows per scale: ``ms``, the
 median in milliseconds over the steps in which the stage ran (``-`` if it
 never ran), and ``n``, the number of the ``STEPS`` steps it ran in.  Some
 stages run in few steps: at budget 12 the packed W/V refresh
-(``boot_tiled``) runs in 2 of the 16 steps at both scales, and
-``diag_atb``'s partial-rotation branch (``prot_up``) in 7, so a median
-over all steps would read 0 for them.  A stage's time includes everything it calls, so the
+(``boot_tiled``) runs in 2 of the 16 paper-scale steps (11 at test
+scale), and ``diag_atb``'s partial-rotation branch (``prot_up``) in 7 (13
+at test scale), so a median over all steps would read 0 for them.  A stage's time includes everything it calls, so the
 softmax pieces and ``col_sums`` (the softmax's row totals) are inside
 ``a_softmax``, and ``passes`` is inside both kernels: once per call of
 ``diag_abt`` and once per block column of ``diag_atb``, whose ``prot_up``

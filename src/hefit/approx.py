@@ -29,11 +29,11 @@ Constant scalings spend no level of their own: the comparison's
 (u + 1) / 2, the tournament's 1/(2 max_range) and the exp's 1/EXP_RANGE
 live in polynomial coefficients, and the reciprocal's 1/INV_RANGE in the
 mask that keeps the classes.  The pipeline is still far deeper than one
-level budget (79 levels at 10 classes), so it places its own bootstraps:
+level budget (78 levels at 10 classes), so it places its own bootstraps:
 before each piece of known depth it calls :func:`_refresh`, which
-bootstraps an encrypted input only when its level is below what the piece
-consumes.  Each piece's depth is a named constant next to its evaluator:
-each pass of the comparison chain ``COMP_PASSES`` (``ODD_POLY_DEPTH``, 3
+bootstraps an encrypted input when its level is below what the piece
+consumes, or where the plan says so.  Each piece's depth is a named
+constant next to its evaluator: each pass of the comparison chain ``COMP_PASSES`` (``ODD_POLY_DEPTH``, 3
 levels, factored), the tournament's ``best`` before the roll (the
 same need, so its rival inherits the fresh level), each contraction step
 (``CONTRACTION_DEPTH``, 2), the compensation (``COMPENSATION_DEPTH``, 4),
@@ -41,9 +41,10 @@ the baby-step/giant-step exp fit (``EXP_FIT_DEPTH``, 4) and the squarings
 after it (``log2(EXP_RANGE)``), the Goldschmidt pair (refreshed together,
 one complex-packed bootstrap for both: :func:`_refresh_pair`), and the
 one-level glue products.  Each ciphertext is refreshed at most once per
-piece, a budget that already suffices never refreshes, and the array path
-passes through unchanged.  The deepest pieces need 4 levels, so any
-budget of at least 4 runs the whole pipeline on its own refreshes, and
+piece, a plan takes no early refresh on a budget that already suffices,
+and the array path passes through unchanged.  The deepest pieces need 4
+levels, so any budget of at least 4 runs the whole pipeline on its own
+refreshes, and
 :func:`softmax_plan` refuses a smaller one with
 :class:`~hefit.errors.DepthExhausted`.
 
@@ -51,13 +52,18 @@ The tournament is the one place with two live values: the running maximum
 ``best`` and its comparison chain.  The chain refreshes alone, except at
 most at one point per round, its pack point, where it refreshes together
 with ``best`` as one complex-packed ciphertext, which also lifts ``best``
-and so every piece after it.  :func:`softmax_plan` picks the pack points
-with the package's one refresh planner, :func:`cheapest` over moves priced
-by :func:`dry_run`, on the pipeline's own code (:func:`_round`,
-:func:`_tail`), so the refresh rule and the depths live in the pipeline
-alone.  The pieces after the tournament, a chain of one value each, keep
-:func:`_refresh`.  Every bootstrap is value-exact, so a plan moves levels
-and the ledger, never a slot.
+and so every piece after it.  After the tournament, at each refresh point
+of :func:`_tail` (each contraction step, the compensation, the exp fit,
+its squarings, the two glue refreshes of the exps, the row total, each
+Goldschmidt iteration's pair and both operands of the final product) the
+value may also refresh early, although its level suffices, where that
+lifts the pieces after it for less than it costs.  :func:`softmax_plan`
+picks the pack points and the early refreshes with the package's one
+refresh planner, :func:`cheapest` over moves priced by :func:`dry_run`, on
+the pipeline's own code (:func:`_round`, :func:`_tail`'s pieces), and
+ranks plans by :func:`rank`, the estimated ms first, so the refresh rule
+and the depths live in the pipeline alone.  Every bootstrap is
+value-exact, so a plan moves levels and the ledger, never a slot.
 
 Only two knobs are configurable (:class:`SoftmaxConfig`): the number of
 extension steps and the compensation.  The exp and reciprocal parameters
@@ -67,6 +73,7 @@ and the contraction base are module constants.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -190,7 +197,7 @@ class _Carrier:
         out[:, : self.classes] = x
         return out
 
-    def keep_classes_mask(self, value: float = 1.0):
+    def keep_classes_mask(self, value: float):
         """``value`` on the class columns of every period copy, 0 on the
         padded ones; an array has no padded columns, so there it is the
         scalar ``value``."""
@@ -242,24 +249,29 @@ class _Carrier:
 # -- refresh points -------------------------------------------------------------
 
 
-def _refresh(x, need: int):
+def _refresh(x, need: int, early: bool = False):
     """Bootstrap an encrypted matrix whose level is below ``need``.
 
     ``need`` is the depth of the piece about to consume ``x``, capped at the
     context's ``max_level``.  A matrix that already has it, a plaintext
     matrix and a numpy array come back unchanged, so both carriers run the
-    same pipeline code and a deep enough budget never refreshes.
+    same pipeline code and a deep enough budget never refreshes.  ``early``
+    (a refresh plan's choice, :attr:`SoftmaxPlan.tail`) raises the need to
+    ``max_level``: refresh now, although the level suffices.
     """
-    return x.bootstrap() if _below(x, need) else x
+    return x.bootstrap() if _below(x, math.inf if early else need) else x
 
 
-def _refresh_pair(a, b, need: int):
+def _refresh_pair(a, b, need: int, early: bool = False):
     """:func:`_refresh` for two real matrices consumed together.
 
-    If either is an encrypted matrix below ``need``, both are refreshed
-    through one complex-packed bootstrap (:func:`bootstrap_pair`), which
-    returns them at ``max_level - 1``; otherwise both come back unchanged.
+    If either is an encrypted matrix below ``need`` (``max_level`` if
+    ``early``), both are refreshed through one complex-packed bootstrap
+    (:func:`bootstrap_pair`), which returns them at ``max_level - 1``;
+    otherwise both come back unchanged.
     """
+    if early:
+        need = math.inf
     return bootstrap_pair(a, b) if _below(a, need) or _below(b, need) else (a, b)
 
 
@@ -388,26 +400,33 @@ def _round(car: _Carrier, best, t: int, first, pack: int | None):
 CONTRACTION_DEPTH = 2
 
 
-def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS):
+def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS, early=()):
     """Contract [-max_range, max_range] into [-BASE_RANGE, BASE_RANGE].
 
-    Applies the cubic x - delta_i x^3 from the widest scale inward; each
-    iteration costs one CMult and two Mults (two levels).
+    Applies the cubic x - delta_i x^3 from the widest scale inward
+    (:func:`_contract`); each step costs one CMult and two Mults (two
+    levels).  ``early`` yields each step's refresh choice (none by default).
     """
+    early = iter(early)
     for i in range(cfg.extension_steps - 1, -1, -1):
-        delta_i = DEP_DELTA * EXTENSION_BASE ** (-2 * i)
-        M = _refresh(M, CONTRACTION_DEPTH)
-        square = M * M
-        scaled = M * delta_i
-        M = M - square * scaled
+        M = _contract(M, DEP_DELTA * EXTENSION_BASE ** (-2 * i), next(early, False))
     return M
+
+
+def _contract(M, delta: float, early: bool = False):
+    """One contraction step of :func:`domain_extend`, x - delta x^3, in
+    CONTRACTION_DEPTH levels."""
+    M = _refresh(M, CONTRACTION_DEPTH, early)
+    square = M * M
+    scaled = M * delta
+    return M - square * scaled
 
 
 # Levels the contraction-bias compensation consumes.
 COMPENSATION_DEPTH = 4
 
 
-def _dep_compensation(M, cfg: SoftmaxConfig):
+def _dep_compensation(M, cfg: SoftmaxConfig, early: bool = False):
     """Degree-5 correction approximating the inverse of the contraction.
 
     ``x + (4/27) K (x^3/R^2 - x^5/R^4)`` with K the closed-form sum of the
@@ -420,7 +439,7 @@ def _dep_compensation(M, cfg: SoftmaxConfig):
     R = BASE_RANGE
     c3 = (4.0 / 27.0) * K / R**2
     c5 = (4.0 / 27.0) * K / R**4
-    M = _refresh(M, COMPENSATION_DEPTH)
+    M = _refresh(M, COMPENSATION_DEPTH, early)
     square = M * M
     cube = square * M
     fifth = cube * square
@@ -431,7 +450,7 @@ def _dep_compensation(M, cfg: SoftmaxConfig):
 EXP_FIT_DEPTH = 4
 
 
-def _exp_fit(z, c):
+def _exp_fit(z, c, early: bool = False):
     """Degree-12 polynomial of coefficients c (c[k] of z^k) at z in
     EXP_FIT_DEPTH levels (6 Mult + 10 CMult).
 
@@ -440,7 +459,7 @@ def _exp_fit(z, c):
     (Paterson-Stockmeyer), so the fit costs four levels instead of Horner's
     twelve.
     """
-    z = _refresh(z, EXP_FIT_DEPTH)
+    z = _refresh(z, EXP_FIT_DEPTH, early)
     z2 = z * z
     z3 = z2 * z
     z4 = z2 * z2
@@ -453,24 +472,29 @@ def _exp_fit(z, c):
     return chunk(0) + z4 * chunk(4) + top
 
 
-def a_exp(M):
+def a_exp(M, early=()):
     """exp on [-EXP_RANGE, EXP_RANGE]: fitted polynomial at x/B, squared log2(B) times.
 
     The 1/B lives in the coefficients (:data:`EXP_POLY_UNSCALED`), so the
     fit reads x itself and a_exp costs EXP_FIT_DEPTH + log2(B) levels, bit
     for bit the value of EXP_POLY at x/B.  The degree-12 fit carries ~3e-13
     of error on [-1, 1]; squaring preserves the relative error, so accuracy
-    is near machine precision across the whole base range.
+    is near machine precision across the whole base range.  ``early``
+    yields the refresh choices of the fit and of the squarings.
     """
-    B = EXP_RANGE
-    acc = _exp_fit(M, EXP_POLY_UNSCALED)
-    acc = _refresh(acc, log2(B))
-    for _ in range(log2(B)):
+    early = iter(early)
+    return _squarings(_exp_fit(M, EXP_POLY_UNSCALED, next(early, False)), next(early, False))
+
+
+def _squarings(acc, early: bool = False):
+    """acc^EXP_RANGE, by log2(EXP_RANGE) squarings: a_exp after its fit."""
+    acc = _refresh(acc, log2(EXP_RANGE), early)
+    for _ in range(log2(EXP_RANGE)):
         acc = acc * acc
     return acc
 
 
-def a_inv(y):
+def a_inv(y, early=()):
     """Goldschmidt reciprocal 1/y of an input already divided by INV_RANGE.
 
     Relative error after k iterations is (1 - y)^(2^(k+1)), degrading as y
@@ -491,16 +515,28 @@ def a_inv(y):
     level the square would have cost after a plain bootstrap.  The levels
     stay in lockstep, so the pair refreshes where two separate refreshes of
     ``a`` and ``b`` would, lands at the same levels, and pays 1 bootstrap
-    instead of 2.  ``y`` is refreshed for the first square.
+    instead of 2.  ``y`` is refreshed for the first square.  ``early``
+    yields the refresh choices of ``y`` and of each iteration's pair.
     """
-    y = _refresh(y, 1)
-    a = 2.0 - y
-    b = 1.0 - y
+    early = iter(early)
+    a, b = _inv_pair(y, next(early, False))
     for _ in range(INV_ITERS):
-        b = b * b
-        a, b = _refresh_pair(a, b, 1)
-        a = a * (b + 1.0)
+        a, b = _goldschmidt(a, b, next(early, False))
     return a
+
+
+def _inv_pair(y, early: bool = False):
+    """:func:`a_inv`'s starting pair ``(2 - y, 1 - y)``, ``y`` refreshed
+    for the first square."""
+    y = _refresh(y, 1, early)
+    return 2.0 - y, 1.0 - y
+
+
+def _goldschmidt(a, b, early: bool = False):
+    """One iteration of :func:`a_inv` on the pair ``(a, b)``."""
+    b = b * b
+    a, b = _refresh_pair(a, b, 1, early)
+    return a * (b + 1.0), b
 
 
 # -- refresh plan ---------------------------------------------------------------
@@ -510,11 +546,13 @@ _BOOTSTRAPS = OP_KINDS.index("Bootstrap")
 _WEIGHTS = tuple(DEFAULT_OP_WEIGHTS_MS[kind] for kind in OP_KINDS)
 
 
-def rank(counts: tuple[int, ...]) -> tuple[int, float]:
-    """The order of refresh plans by their op counts: the fewest bootstraps,
-    then the least :meth:`~hefit.emulator.OpLedger.estimate_ms` (the same
-    sum, term by term), so equal counts tie exactly."""
-    return counts[_BOOTSTRAPS], float(sum(map(operator.mul, counts, _WEIGHTS)))
+def rank(counts: tuple[int, ...]) -> tuple[float, int]:
+    """The order of refresh plans by their op counts: the least
+    :meth:`~hefit.emulator.OpLedger.estimate_ms` (the same sum, term by
+    term, so equal counts tie exactly), then the fewest bootstraps.  A
+    bootstrap is priced in the ms already, so a plan takes one more where
+    it saves more than its price in other ops."""
+    return float(sum(map(operator.mul, counts, _WEIGHTS))), counts[_BOOTSTRAPS]
 
 
 def dry_run(slots: int, grid_rows: int, max_level: int, step):
@@ -533,7 +571,7 @@ def dry_run(slots: int, grid_rows: int, max_level: int, step):
     return tuple(counts[kind] for kind in OP_KINDS), out
 
 
-def cheapest(start, stages, key=lambda counts, end: rank(counts)):
+def cheapest(start, stages, key=lambda counts, end: rank(counts), memo=None):
     """The cheapest chain of moves through ``stages`` from ``start``:
     ``(choices, counts, end)``, one choice per stage, the summed op counts
     and the end state; None where no chain gets through.
@@ -546,28 +584,38 @@ def cheapest(start, stages, key=lambda counts, end: rank(counts)):
     key the first, so of equally cheap chains the plan is the
     lexicographically first in each stage's move order.  This is the one
     tie-break rule of every refresh plan in the package.
+
+    ``memo``, one dict per stage and one past the last, keeps those rests
+    for a caller that plans the same stages under the same key from many
+    starts, so each call plans only the states no earlier call met.  The
+    keys in use add up a chain's counts and then look at its end alone, so
+    the cheapest rest from a state does not depend on how it was reached.
     """
-    frontiers = [{start}]
-    for stage in stages:
-        frontiers.append({nxt for state in frontiers[-1] for _, _, nxt in stage(state)})
-    # rest[state]: (key, counts, end, choices) of the cheapest rest of the
-    # chain from ``state``, choices as nested (choice, rest) pairs; past the
-    # last stage, every state is free
-    rest = {state: (None, (0,) * len(OP_KINDS), state, ()) for state in frontiers.pop()}
-    for stage, states in zip(reversed(stages), reversed(frontiers)):
-        here = {}
-        for state in states:
-            for choice, counts, nxt in stage(state):
+    if memo is None:
+        memo = [{} for _ in range(len(stages) + 1)]
+    # layers[t][state]: stage t's moves from each state it can be entered
+    # in and whose rest is not known yet
+    layers, states = [], {start} - memo[0].keys()
+    for stage, known in zip(stages, memo[1:]):
+        layers.append({state: tuple(stage(state)) for state in states})
+        states = {nxt for moves in layers[-1].values() for _, _, nxt in moves} - known.keys()
+    # memo[t][state]: (key, counts, end, choices) of the cheapest rest of
+    # the chain from ``state`` at stage t, choices as nested (choice, rest)
+    # pairs; past the last stage, every state is free
+    memo[-1].update((state, (None, (0,) * len(OP_KINDS), state, ())) for state in states)
+    for t in reversed(range(len(layers))):
+        rest, here = memo[t + 1], memo[t]
+        for state, moves in layers[t].items():
+            for choice, counts, nxt in moves:
                 if nxt in rest:
                     _, after, end, choices = rest[nxt]
                     counts = tuple(map(operator.add, counts, after))
                     k = key(counts, end)
                     if state not in here or k < here[state][0]:
                         here[state] = (k, counts, end, (choice, choices))
-        rest = here
-    if start not in rest:
+    if start not in memo[0]:
         return None
-    _, counts, end, link = rest[start]
+    _, counts, end, link = memo[0][start]
     choices = []
     while link:
         choice, link = link
@@ -582,13 +630,17 @@ class SoftmaxPlan:
     ``pairs`` holds :func:`a_max`'s choices, one pack point per tournament
     round (:func:`_round`): where the comparison chain refreshes together
     with ``best`` (one packed bootstrap), or None where every refresh is the
-    chain's alone.  ``counts`` (op counts per block, in
+    chain's alone.  ``tail`` holds :func:`_tail`'s, one per refresh point
+    in its order (:func:`_tail_points`): True where the value refreshes
+    although its level suffices for the piece ahead; the final product's
+    is a pair, one per operand.  ``counts`` (op counts per block, in
     :data:`~hefit.emulator.OP_KINDS` order) and ``level`` are what the
     softmax executes and hands on, on any budget of at least 4 levels;
     ``bootstraps`` is the count of bootstraps among them.
     """
 
     pairs: tuple[int | None, ...]
+    tail: tuple
     counts: tuple[int, ...]
     level: int
 
@@ -607,9 +659,14 @@ _ROUND_PACKS = (None, *range(1, len(COMP_PASSES) + 1))
 def _period_run(top: int, classes: int, step, *levels: int):
     """:func:`dry_run` of ``step`` on carriers of ``(1, classes)`` zeros at
     ``levels`` whose one row is one period, so its counts are one block's
-    ledger of any tiled input; the result is the output's level."""
-    return dry_run(next_pow2(classes), 1, top, lambda zeros: step(
-        *(_Carrier(zeros((1, classes), "horizontal", lv)) for lv in levels)).level)
+    ledger of any tiled input; the result is the output's level, or a
+    tuple of levels where ``step`` returns a tuple."""
+
+    def run(zeros):
+        out = step(*(_Carrier(zeros((1, classes), "horizontal", lv)) for lv in levels))
+        return tuple(v.level for v in out) if isinstance(out, tuple) else out.level
+
+    return dry_run(next_pow2(classes), 1, top, run)
 
 
 @functools.lru_cache(maxsize=None)
@@ -630,19 +687,104 @@ def _normalize(x: _Carrier, best):
 
 @functools.lru_cache(maxsize=None)
 def _norm_run(best: int, entry: int, top: int, classes: int):
-    """:func:`_normalize` of logits at ``entry`` by a winner at ``best``, dry."""
-    return _period_run(top, classes, lambda x, car: _normalize(x, car.matrix), entry, best)
-
-
-@functools.lru_cache(maxsize=None)
-def _tail_run(norm: int, top: int, cfg: SoftmaxConfig, classes: int):
-    """:func:`_tail` from the normalized logits' level, dry."""
-    return _period_run(top, classes, lambda car: _tail(car, car.matrix, cfg), norm)
+    """:func:`_normalize` of logits at ``entry`` by a winner at ``best``,
+    dry; the result is the tail's state, the normalized logits' level."""
+    return _period_run(top, classes, lambda x, car: (_normalize(x, car.matrix),), entry, best)
 
 
 def _move(choice, run):
     """A stage's move ``choice``, priced by the dry run ``run``; none where it ran out."""
     return ((choice, *run),) if run else ()
+
+
+_FLAG = (False, True)
+
+# :func:`_tail`'s refresh points, as ``piece(car, *live, early)``: the
+# pipeline's own code from one point to the next, on the values it reads.
+# The contraction's and the fits' ledgers depend on no coefficient.
+_CONTRACT = lambda car, x, early: _contract(x, DEP_DELTA, early)
+_COMPENSATE = lambda car, x, early: _dep_compensation(x, DEFAULTS, early)
+_FIT = lambda car, x, early: _exp_fit(x, EXP_POLY_UNSCALED, early)
+_SQUARE = lambda car, x, early: _squarings(x, early)
+_INV_PAIR = lambda car, y, early: _inv_pair(y, early)
+_GOLDSCHMIDT = lambda car, a, b, early: _goldschmidt(a, b, early)
+_PRODUCT = lambda car, expd, a, b, early: _product(expd, a, early)
+
+
+def _tail_points(cfg: SoftmaxConfig):
+    """:func:`_tail`'s refresh points in its order, each ``(piece, first,
+    choices)``: the piece reads the live values from index ``first`` of the
+    state, the levels of the values alive there (``expd`` waits through
+    :func:`a_inv` beside its pair), and ``choices`` are its early flags in
+    move order, no refresh first."""
+    return (
+        [(_CONTRACT, 0, _FLAG)] * cfg.extension_steps
+        + [(_COMPENSATE, 0, _FLAG)] * cfg.precise
+        + [(_FIT, 0, _FLAG), (_SQUARE, 0, _FLAG), (_scaled_exps, 0, _FLAG),
+           (_row_total, 0, _FLAG), (_INV_PAIR, 1, _FLAG)]
+        + [(_GOLDSCHMIDT, 1, _FLAG)] * INV_ITERS
+        + [(_PRODUCT, 0, tuple(itertools.product(_FLAG, repeat=2)))]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _piece_run(piece, levels: tuple[int, ...], top: int, classes: int, early):
+    """A refresh point's ``piece`` from values at ``levels``, dry; the
+    result is the levels of the values it hands on."""
+
+    def step(*cars):
+        out = piece(cars[0], *(car.matrix for car in cars), early)
+        return out if isinstance(out, tuple) else (out,)
+
+    return _period_run(top, classes, step, *levels)
+
+
+def _plan_key(top: int, need: int | None):
+    """The order of softmax plans on a budget of ``top`` levels for a
+    consumer that needs ``need`` levels (:func:`softmax_plan`)."""
+
+    def key(counts, out):
+        if need is None:
+            return rank(counts)
+        (level,) = out
+        if level >= min(need, top):
+            return (*rank(counts), -level)
+        # the consumer's refresh, counted as one more bootstrap, so that it
+        # ties exactly with a bootstrap of the softmax's own
+        consumer = tuple(n + (kind == _BOOTSTRAPS) for kind, n in enumerate(counts))
+        return (*rank(consumer), -top)
+
+    return key
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_planner(top: int, cfg: SoftmaxConfig, classes: int, need: int | None):
+    """:func:`_tail`'s chain from the normalized logits' levels, as
+    ``plan(norm) -> (choices, counts, end)`` or None: the tail of every
+    softmax plan of this budget, config, width and need, whatever its
+    entry level, planned through one :func:`cheapest` memo."""
+    stages = [_tail_stage(*point, top, classes) for point in _tail_points(cfg)]
+    key = _plan_key(top, need)
+    memo = [{} for _ in range(len(stages) + 1)]
+    return functools.cache(lambda norm: cheapest(norm, stages, key, memo))
+
+
+def _tail_stage(piece, first: int, choices, top: int, classes: int):
+    """The stage of one refresh point: a move per choice that gets through
+    and reaches a state no earlier choice reaches, since an early refresh
+    that lifts no level only adds a bootstrap."""
+
+    def moves(state):
+        head, live = state[:first], state[first:]
+        out, reached = [], set()
+        for early in choices:
+            run = _piece_run(piece, live, top, classes, early)
+            if run and run[1] not in reached:
+                reached.add(run[1])
+                out.append((early, run[0], head + run[1]))
+        return out
+
+    return moves
 
 
 @functools.lru_cache(maxsize=1024)
@@ -653,41 +795,44 @@ def softmax_plan(
     """The refresh plan of one encrypted softmax entering at ``entry_level``.
 
     The cheapest chain (:func:`cheapest`) through one stage per tournament
-    round, whose moves are :data:`_ROUND_PACKS`, then the normalization and
-    :func:`_tail`, each move a dry run of the pipeline's own code.  ``need``
-    is the levels the output's consumer will need (the trainer's residual,
+    round, whose moves are :data:`_ROUND_PACKS`, then the normalization,
+    then :func:`_tail`, whose chain through one stage per refresh point
+    (:func:`_tail_points`) refreshes as the piece ahead needs or refreshes
+    early; each move is a dry run of the pipeline's own code.  The tail's
+    chain from each level is planned once per budget, config, width and
+    need (:func:`_tail_planner`).  ``need`` is the levels
+    the output's consumer will need (the trainer's residual,
     :func:`hefit.training.plan_steps`): an output below it counts the
-    consumer's refresh, then the plan hands on the highest level
-    (``max_level`` where the consumer refreshes), then the least ms.
-    Without it, the fewest bootstraps, then the least ms, so it never costs
-    more than refreshing every chain alone.  Cached per key.  A budget
-    below the deepest pieces' ``EXP_FIT_DEPTH`` levels leaves no chain and
-    raises :class:`~hefit.errors.DepthExhausted`.
+    consumer's refresh, a bootstrap, in the :func:`rank`, then the plan
+    hands on the highest level (``max_level`` where the consumer
+    refreshes).  Cached per key.  A budget below the deepest pieces'
+    ``EXP_FIT_DEPTH`` levels leaves no chain and raises
+    :class:`~hefit.errors.DepthExhausted`.
     """
     top = max_level
 
     def rounds(best):
         return [m for pack in _ROUND_PACKS for m in _move(pack, _round_run(best, top, pack))]
 
-    def key(counts, out):
-        bootstraps, ms = rank(counts)
-        if need is None:
-            return bootstraps, ms
-        refreshed = out < min(need, top)
-        return bootstraps + refreshed, -(top if refreshed else out), ms
+    def tail(norm):
+        chain = tails(norm)
+        return (chain,) if chain else ()
 
-    stages = [rounds] * log2(next_pow2(classes)) + [
+    tails = _tail_planner(top, cfg, classes, need)
+
+    n_rounds = log2(next_pow2(classes))
+    stages = [rounds] * n_rounds + [
         lambda best: _move(None, _norm_run(best, entry_level, top, classes)),
-        lambda norm: _move(None, _tail_run(norm, top, cfg, classes)),
+        tail,
     ]
-    chain = cheapest(entry_level, stages, key)
+    chain = cheapest(entry_level, stages, _plan_key(top, need))
     if chain is None:
         raise DepthExhausted(
             f"the softmax cannot run on a budget of {max_level} levels: its deepest "
             f"pieces need {EXP_FIT_DEPTH}"
         )
-    choices, counts, level = chain
-    return SoftmaxPlan(choices[:-2], counts, level)
+    choices, counts, (level,) = chain
+    return SoftmaxPlan(choices[:n_rounds], choices[-1], counts, level)
 
 
 def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
@@ -717,28 +862,55 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
 def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
     """One unblocked pass of :func:`a_softmax` over all rows of M."""
     car = _Carrier(M)
-    pairs = None
+    pairs, tail = None, ()
     if car.encrypted and M.encrypted:
-        pairs = softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need).pairs
-    out = _tail(car, car.matrix - a_max(car, cfg, pairs), cfg)
+        plan = softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need)
+        pairs, tail = plan.pairs, plan.tail
+    out = _tail(car, car.matrix - a_max(car, cfg, pairs), cfg, tail)
     if car.encrypted:
         return out.with_meta(shape=(M.shape[0], car.classes), tiling="horizontal")
     return out
 
 
-def _tail(car: _Carrier, norm, cfg: SoftmaxConfig):
+def _tail(car: _Carrier, norm, cfg: SoftmaxConfig, early=()):
     """The softmax after the tournament, from the normalized logits
-    ``norm`` = x - max: padded columns masked, contracted, compensated,
-    exponentiated, and multiplied by the reciprocal of the row total."""
-    norm = _refresh(norm, 1) * car.keep_classes_mask()
-    norm = domain_extend(norm, cfg)
+    ``norm`` = x - max: contracted, compensated, exponentiated, masked to
+    the class columns, and multiplied by the reciprocal of the row total.
+
+    ``early`` yields the refresh choice of each refresh point in turn
+    (:attr:`SoftmaxPlan.tail`; none by default).  The padded columns need
+    no mask of their own before the exps: every piece up to the exps works
+    slot by slot, their -max lies in the contraction's domain, and the mask
+    that scales the exps zeroes them before the row total.
+    """
+    early = iter(early)
+    norm = domain_extend(norm, cfg, early)
     if cfg.precise:
-        norm = _dep_compensation(norm, cfg)
-    # exps / INV_RANGE: their row total is a_inv's normalized input
-    keep_scaled = car.keep_classes_mask(1.0 / INV_RANGE)
-    expd = _refresh(_refresh(a_exp(norm), 1) * keep_scaled, 1)
-    recip = a_inv(car.row_total(expd))
-    return expd * _refresh(recip, 1)
+        norm = _dep_compensation(norm, cfg, next(early, False))
+    exps = _scaled_exps(car, a_exp(norm, early), next(early, False))
+    expd, total = _row_total(car, exps, next(early, False))
+    recip = a_inv(total, early)
+    return _product(expd, recip, next(early, (False, False)))
+
+
+def _scaled_exps(car: _Carrier, exps, early: bool = False):
+    """The exps divided by INV_RANGE on the class columns, zero on the
+    padded ones, so that their row total is :func:`a_inv`'s normalized
+    input."""
+    return _refresh(exps, 1, early) * car.keep_classes_mask(1.0 / INV_RANGE)
+
+
+def _row_total(car: _Carrier, expd, early: bool = False):
+    """``expd`` refreshed for its two one-level consumers, the row total
+    and the final product, and its row total."""
+    expd = _refresh(expd, 1, early)
+    return expd, car.row_total(expd)
+
+
+def _product(expd, recip, early=(False, False)):
+    """The softmax, ``expd`` times the reciprocal of its row total, each
+    refreshed for the product as its choice in ``early`` says."""
+    return _refresh(expd, 1, early[0]) * _refresh(recip, 1, early[1])
 
 
 # -- bounds and measured constants ----------------------------------------------

@@ -44,9 +44,11 @@ refresh.  :func:`plan_steps` takes them for a whole run before its first
 step (the server plans from the batch sizes of the client's schedule,
 :meth:`Server.plan_steps`), as the cheapest chain of steps
 (:func:`~hefit.approx.cheapest`) that leaves W and V where ``diag_abt``
-can read them after every step.  Each step is priced by dry runs of its
-own code, the softmax by its own plan.  Every bootstrap is value-exact,
-so the plan moves levels and the ledger, never a slot.
+can read them after every step, ranked by :func:`~hefit.approx.rank`:
+the least estimated ms, then the fewest bootstraps.  Each step is priced
+by dry runs of its own code, the softmax by its own plan, which places the
+refreshes after its tournament too.  Every bootstrap is value-exact, so
+the plan moves levels and the ledger, never a slot.
 """
 
 from __future__ import annotations
@@ -278,7 +280,8 @@ def plan_steps(
 def _plan(geo: _Geometry, blocks: tuple[int, ...], start: tuple[int, int]):
     """:func:`plan_steps` of steps of ``geo`` with ``blocks`` block rows
     each from W and V at ``start``."""
-    chain = cheapest(start, [functools.partial(_edges, replace(geo, blocks=b)) for b in blocks])
+    stages = [functools.partial(_edges, replace(geo, blocks=b)) for b in blocks]
+    chain = cheapest(start, stages)
     if chain is None:
         raise DepthExhausted(
             f"no refresh plan keeps W and V readable by diag_abt on a budget of "

@@ -213,9 +213,9 @@ def test_row_total_fed_to_a_inv_is_at_least_one(classes, cfg, data):
     logits = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
     totals = []
 
-    def recording_inv(total):
+    def recording_inv(total, *plan):
         totals.append(total)
-        return a_inv(total)
+        return a_inv(total, *plan)
 
     with mock.patch.object(approx, "a_inv", recording_inv):
         a_softmax(logits, cfg)
@@ -233,9 +233,9 @@ def test_searched_row_stays_in_the_reciprocal_domain():
     logits = np.array([SEARCHED_ROW])
     totals = []
 
-    def recording_inv(total):
+    def recording_inv(total, *plan):
         totals.append(total)
-        return a_inv(total)
+        return a_inv(total, *plan)
 
     with mock.patch.object(approx, "a_inv", recording_inv):
         want = a_softmax(logits, DEFAULTS)
@@ -521,7 +521,7 @@ def test_encrypted_softmax_ledger_is_unchanged(rng):
     a_softmax(enc, DEFAULTS)
     # the explicit refresh points bootstrap each ciphertext once per piece
     assert ctx.ledger.delta(before) == {
-        "Add": 86, "CMult": 41, "Mult": 89, "Rot": 12, "Conj": 1, "Bootstrap": 6,
+        "Add": 86, "CMult": 40, "Mult": 89, "Rot": 12, "Conj": 1, "Bootstrap": 6,
     }
 
 
@@ -625,7 +625,7 @@ def test_budget_below_the_deepest_piece_is_refused(rng):
         assert not any(ctx.ledger.counts().values())
 
 
-@pytest.mark.parametrize("classes,depth", [(10, 79), (3, 59)])
+@pytest.mark.parametrize("classes,depth", [(10, 78), (3, 58)])
 def test_deep_budget_never_refreshes(rng, classes, depth):
     ctx = EmulatorContext(4096, 64, max_level=10**6)
     out, delta = _encrypted_softmax(ctx, rng.uniform(-8, 8, size=(64, classes)))
@@ -648,7 +648,7 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
         _, delta = _encrypted_softmax(ctx, logits, level=max_level - 3)
         counts[max_level] = delta["Bootstrap"]
     assert counts == {
-        4: 24, 5: 22, 6: 15, 7: 13, 8: 11, 9: 10, 10: 8,
+        4: 24, 5: 22, 6: 15, 7: 12, 8: 11, 9: 10, 10: 8,
         11: 8, 12: 7, 13: 6, 14: 6, 15: 5, 16: 5,
     }
 
@@ -730,40 +730,116 @@ def test_softmax_plan_spares_the_paper_step_a_refresh():
     assert softmax_plan(9, 12, 10, DEFAULTS, 4).pairs[0] == 3
 
 
+def _oracle_key(max_level, need):
+    """The order of softmax plans by their ``(choices, counts, out)``,
+    written out: the least ms, then the fewest bootstraps, each counting
+    the consumer's refresh of an output below ``need`` as one bootstrap
+    more, then the highest level handed on."""
+    boot = OP_KINDS.index("Bootstrap")
+
+    def key(chain):
+        _, counts, out = chain
+        refreshed = need is not None and out < min(need, max_level)
+        ops = dict(zip(OP_KINDS, counts))
+        ops["Bootstrap"] += refreshed
+        handed = 0 if need is None else max_level if refreshed else out
+        return OpLedger().estimate_ms(ops), counts[boot] + refreshed, -handed
+
+    return key
+
+
 @pytest.mark.parametrize("classes", [2, 3, 5, 7])
 def test_softmax_plan_is_the_first_cheapest_pack_sequence(classes):
     # an oracle over every pack sequence, budgets 4 to 24, every entry level
-    # and need None or 4: the plan is the cheapest by its key (bootstraps
-    # with the consumer's refresh, then the level handed on, then ms), and
-    # of equally cheap sequences the lexicographically first in
-    # _ROUND_PACKS' order (approx.cheapest's tie-break)
-    boot = OP_KINDS.index("Bootstrap")
+    # and need None or 4: the plan is the cheapest by its key (ms, then
+    # bootstraps, each with the consumer's refresh, then the level handed
+    # on), and of equally cheap sequences the lexicographically first in
+    # _ROUND_PACKS' order (approx.cheapest's tie-break); the tail after
+    # each sequence is the tail planner's, whose own oracle is below
     for max_level in range(4, 25):
-        for level in range(max_level + 1):
-            chains = []
-            for pairs in itertools.product(approx._ROUND_PACKS, repeat=log2(next_pow2(classes))):
-                pieces, best = [], level
-                for pack in pairs:
-                    cost, best = approx._round_run(best, max_level, pack)
-                    pieces.append(cost)
-                norm_cost, norm = approx._norm_run(best, level, max_level, classes)
-                tail_cost, out = approx._tail_run(norm, max_level, DEFAULTS, classes)
-                counts = tuple(map(sum, zip(*pieces, norm_cost, tail_cost)))
-                chains.append((pairs, counts, out))
-            for need in (None, 4):
-
-                def key(chain):
-                    _, counts, out = chain
-                    refreshed = need is not None and out < min(need, max_level)
-                    ms = OpLedger().estimate_ms(dict(zip(OP_KINDS, counts)))
-                    handed = 0 if need is None else max_level if refreshed else out
-                    return counts[boot] + refreshed, -handed, ms
-
+        for need in (None, 4):
+            tails = approx._tail_planner(max_level, DEFAULTS, classes, need)
+            key = _oracle_key(max_level, need)
+            for level in range(max_level + 1):
+                chains = []
+                for pairs in itertools.product(approx._ROUND_PACKS, repeat=log2(next_pow2(classes))):
+                    pieces, best = [], level
+                    for pack in pairs:
+                        cost, best = approx._round_run(best, max_level, pack)
+                        pieces.append(cost)
+                    norm_cost, norm = approx._norm_run(best, level, max_level, classes)
+                    _, tail_cost, (out,) = tails(norm)
+                    counts = tuple(map(sum, zip(*pieces, norm_cost, tail_cost)))
+                    chains.append((pairs, counts, out))
                 plan = softmax_plan(level, max_level, classes, DEFAULTS, need)
                 assert (plan.pairs, plan.counts, plan.level) == min(chains, key=key), (
                     max_level, level, need)
                 ms = OpLedger().estimate_ms(dict(zip(OP_KINDS, plan.counts)))
-                assert approx.rank(plan.counts) == (plan.bootstraps, ms)
+                assert approx.rank(plan.counts) == (ms, plan.bootstraps)
+
+
+@pytest.mark.parametrize("iters", [2, 3])
+def test_tail_plan_is_the_first_cheapest_refresh_sequence(iters):
+    # an oracle over every refresh-move sequence of a shortened tail (one
+    # contraction, no compensation, 2 or 3 Goldschmidt iterations), at
+    # budgets 4 to 9, every level of the normalized logits and need None or
+    # 4: the tail's plan is the cheapest by the plan key, and of equally
+    # cheap sequences the lexicographically first, no refresh before an
+    # early one.  Each sequence is priced piece by piece; every 16th is
+    # also run through _tail itself, which must charge the same
+    cfg = SoftmaxConfig(extension_steps=1, precise=False)
+    classes = 3
+
+    def priced(seq, norm, max_level):
+        state, counts = (norm,), (0,) * len(OP_KINDS)
+        for (piece, first, _), early in zip(points, seq):
+            run = approx._piece_run(piece, state[first:], max_level, classes, early)
+            if run is None:
+                return None
+            counts = tuple(map(sum, zip(counts, run[0])))
+            state = state[:first] + run[1]
+        return counts, state[0]
+
+    with mock.patch.object(approx, "INV_ITERS", iters):
+        approx._tail_planner.cache_clear()
+        try:
+            points = approx._tail_points(cfg)
+            assert len(points) == 1 + 5 + iters + 1
+            seqs = list(itertools.product(*(choices for _, _, choices in points)))
+            for max_level in range(4, 10):
+                for norm in range(max_level + 1):
+                    chains = []
+                    for i, seq in enumerate(seqs):
+                        run = priced(seq, norm, max_level)
+                        if i % 16 == 0:
+                            assert run == approx._period_run(
+                                max_level, classes,
+                                lambda car: approx._tail(car, car.matrix, cfg, seq), norm)
+                        if run:
+                            chains.append((seq, *run))
+                    for need in (None, 4):
+                        plan = approx._tail_planner(max_level, cfg, classes, need)((norm,))
+                        best = min(chains, key=_oracle_key(max_level, need), default=None)
+                        assert (plan and (plan[0], plan[1], plan[2][0])) == best, (
+                            max_level, norm, need)
+        finally:
+            approx._tail_planner.cache_clear()
+
+
+@pytest.mark.parametrize("classes", range(2, 11))
+def test_one_more_budget_level_never_ranks_worse(classes):
+    # at every entry level and every need, a budget one level larger never
+    # makes the plan cost more ms, nor more bootstraps at equal ms, with
+    # the consumer's refresh counted: budgets 4 to 16
+    def cost(level, max_level, need):
+        plan = softmax_plan(level, max_level, classes, DEFAULTS, need)
+        return approx._plan_key(max_level, need)(plan.counts, (plan.level,))[:2]
+
+    for max_level in range(4, 16):
+        for need in (None, *range(4, max_level + 1)):
+            for level in range(max_level + 1):
+                assert cost(level, max_level + 1, need) <= cost(level, max_level, need), (
+                    max_level, need, level)
 
 
 def _plan_table_digest() -> str:
@@ -793,7 +869,7 @@ def test_plan_table_is_pinned():
     A new digest changes plans: CHANGES.md says which and why.
     """
     assert _plan_table_digest() == (
-        "b432e7ac9d3c7b6d029d4f56af1a6b08b08125e3267be360b8211588f628bb0e"
+        "3f020511089cec5a1e1c9d0a9f89f42dd9da5997361997bffc696570a7e9d527"
     )
 
 

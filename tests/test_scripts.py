@@ -24,18 +24,21 @@ def _load(name: str):
 
 
 def test_budget_sweep_point_is_pinned():
-    # bootstraps and emulated ms per test-scale step at budget 12, and the
-    # bootstraps of each stage that places them (ROADMAP's open items)
+    # bootstraps and emulated ms per test-scale step at budget 12, the
+    # bootstraps of each stage that places them (ROADMAP's open items) and
+    # the softmax's early refreshes per step
     boots, ms, per_stage = _load("budget_sweep").sweep_point("test", 12)
-    assert boots == 6.125
-    assert ms == pytest.approx(1218.650625, rel=1e-12)
-    assert per_stage == {"sm": 5.375, "res": 0.625, "wv": 0.125, "amax": 2.0, "inv": 1.0}
+    assert boots == 6.0
+    assert ms == pytest.approx(1201.741875, rel=1e-12)
+    assert per_stage == {
+        "sm": 5.25, "res": 0.375, "wv": 0.375, "amax": 2.0, "inv": 1.0, "early": 0.0,
+    }
 
 
 def test_stage_times_sees_every_stage():
     # host times vary; which stages ran in how many steps does not.  At
-    # budget 12 the packed W/V refresh runs in 2 of the 16 steps and
-    # diag_atb's partial-rotation branch in 7, every other stage in all of
+    # budget 12 the packed W/V refresh runs in 11 of the 16 steps and
+    # diag_atb's partial-rotation branch in 13, every other stage in all of
     # them: the kernels' masked totals ("passes") and the softmax's
     # col_sums too.  Planning, before the first step, is not counted
     stage_times = _load("stage_times")
@@ -45,7 +48,7 @@ def test_stage_times_sees_every_stage():
         "diag_atb", "passes", "col_sums", "prot_up", "boot_tiled",
     ]
     ran = {label: n for label, (_, n) in times.items()}
-    sparse = {"boot_tiled": 2, "prot_up": 7}
+    sparse = {"boot_tiled": 11, "prot_up": 13}
     assert ran == {label: sparse.get(label, stage_times.STEPS) for label in times}
 
 

@@ -139,15 +139,17 @@ def test_test_scale_fit_needs_no_fallback_bootstrap():
 
 
 def final_weights_by_budget(slots, grid_rows, features, classes, batch, budgets, steps):
-    """Final weights and bootstraps per step of ``steps`` steps at each budget."""
+    """Final weights, bootstraps and estimated ms per step of ``steps``
+    steps at each budget."""
     x, y = make_gaussian_mixture(1024, classes, features, 3, mean_scale=0.1)
     x = np.hstack([x, np.ones((x.shape[0], 1))])
-    final, boots = {}, {}
+    final, boots, ms = {}, {}, {}
     for max_level in budgets:
         ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
         final[max_level] = run_steps(x, y, classes, steps, ctx=ctx, lr=0.1, batch_size=batch)[-1]
         boots[max_level] = ctx.ledger.counts()["Bootstrap"] / steps
-    return final, boots
+        ms[max_level] = ctx.ledger.estimated_ms / steps
+    return final, boots, ms
 
 
 # Bootstraps per test-scale step with every tournament value refreshed alone.
@@ -164,16 +166,17 @@ def test_test_scale_steps_complete_at_every_accepted_budget():
     # refresh, which keeps copy 0 only, loses nothing: the weights agree bit
     # for bit though budgets refresh at different steps.  The softmax's
     # refresh plan never costs a step more than refreshing every tournament
-    # value alone
-    final, boots = final_weights_by_budget(4096, 64, 16, 3, 64, range(5, 25), 8)
+    # value alone, and a larger budget never costs a step more ms
+    final, boots, ms = final_weights_by_budget(4096, 64, 16, 3, 64, range(5, 25), 8)
     for w in final.values():
         np.testing.assert_array_equal(w, final[24])
     assert boots == {
-        5: 18, 6: 13.875, 7: 12, 8: 9.5, 9: 9, 10: 7.875, 11: 7, 12: 6.125, 13: 6.125, 14: 5,
-        15: 5, 16: 4.75, 17: 4.375, 18: 4.125, 19: 4, 20: 3.875, 21: 3.5, 22: 3.375, 23: 3,
-        24: 3.125,
+        5: 18, 6: 13.875, 7: 11, 8: 9.5, 9: 9, 10: 7.75, 11: 7, 12: 6, 13: 5.875, 14: 5,
+        15: 4.875, 16: 4.75, 17: 4.25, 18: 4.125, 19: 4, 20: 3.875, 21: 3.5, 22: 3.25, 23: 3,
+        24: 3,
     }
     assert all(boots[b] <= GREEDY_STEP_BOOTSTRAPS[b] for b in boots)
+    assert all(ms[b + 1] <= ms[b] for b in range(5, 24))
 
 
 @pytest.mark.parametrize(
@@ -209,7 +212,7 @@ def test_paper_scale_steps_complete_at_accepted_budgets():
     # branches round apart in columns 249-255 (mod 256) only.  After step 1
     # budgets 5 and 12 differ in just those columns, by 1.7e-18; the later
     # steps spread the gap
-    final, _ = final_weights_by_budget(32768, 128, 768, 10, 128, (5, 12, 21), 3)
+    final, _, _ = final_weights_by_budget(32768, 128, 768, 10, 128, (5, 12, 21), 3)
     for w in final.values():
         np.testing.assert_allclose(w, final[21], rtol=0, atol=1e-15)
 
@@ -217,7 +220,9 @@ def test_paper_scale_steps_complete_at_accepted_budgets():
 def test_paper_scale_step_bootstraps_at_budget_12():
     # train-paper's 16 steps and plan.  Step 1 asks for 9 levels: the
     # softmax's 7 refreshes hand the residual none, so it is refreshed, and
-    # W keeps level 8 (a need of 4 leaves W at 5).  Then W and V fall one
+    # W keeps level 8 (a need of 4 leaves W at 5).  Steps 2 and 3 ask for 9
+    # and step 7 for 5 where a need of 4 costs the same bootstraps and more
+    # ms.  Then W and V fall one
     # level a step down to (4, 3), the lowest diag_abt reads, and the sixth
     # step refreshes both in one packed ciphertext (their eight blocks hold
     # 16 x 256 distinct slots each, one 32768-slot block together),
@@ -243,7 +248,8 @@ def test_paper_scale_step_bootstraps_at_budget_12():
         assert (tuple(delta[k] for k in OP_KINDS), state.weights.level, state.momentum.level) \
             == (counts, *levels)
         steps.append((delta["Bootstrap"], *levels))
-    assert plans[:6] == (StepPlan(9, False), *[StepPlan(4, False)] * 4, StepPlan(4, True))
+    assert plans[:7] == (*[StepPlan(9, False)] * 3, *[StepPlan(4, False)] * 2,
+                         StepPlan(4, True), StepPlan(5, False))
     cycle = [(8, 8, 7), (8, 7, 6), (8, 6, 5), (8, 5, 4), (8, 4, 3), (9, 11, 11)]
     assert steps == (cycle * 3)[:16]
 
@@ -296,7 +302,7 @@ def test_run_steps_digest_is_pinned():
     A new digest moves numbers: CHANGES.md says which and why.
     """
     assert _run_steps_digest() == (
-        "61032fb3b233b55a3a0bfd716373e6110517e69aade8407912066de74855452d"
+        "efefb3f0dca7754e3f7ca9b83eb9d8cb46c146f00c0e6e286a0ba018414f0ee3"
     )
 
 
