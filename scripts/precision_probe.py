@@ -16,7 +16,9 @@ slots (see ``hefit.emulator``).  Two models, each at ``DELTA`` = 2^-40:
   and bootstrap (``bootstrap``), and to every closed-form ladder's result
   (``_ladder``) at the deviation its rotations reach there in aggregate.
   Noise is real on float64 slots, which hold values real by construction,
-  and complex on complex128 slots.
+  and complex on complex128 slots.  The softmax computes one period copy
+  of each row and tiles its output once, so inside it noise is drawn once
+  per copy's slots, not once per slot of the tiled row.
 
 ``exact`` turns both off and is the plain emulator bit for bit.  For the
 class counts 3 and 10 the probe runs each softmax piece on one

@@ -15,10 +15,12 @@ softmax pieces and ``col_sums`` (the softmax's row totals) are inside
 ``diag_abt`` and once per block column of ``diag_atb``, whose ``prot_up``
 runs once per block column and pass.  ``passes`` is the kernels' masked
 totals (``encoding.place_passes``), which the emulator computes on one
-period of the result (``EmulatorContext.place_passes``); ``col_sums``
-totals each period copy of the softmax's tiled exps with the closed form
-of ladders that stay inside one period (``EmulatorContext.totals`` with
-the period as its segment width), and the re-tiling inside ``boot_tiled``
+period of the result (``EmulatorContext.place_passes``); the softmax
+runs on the first period copy of each row of its tiled input and tiles
+its output once (``EmulatorContext.row_width``), so ``col_sums`` totals
+that copy's exps with the closed form of ladders that stay inside one
+period (``EmulatorContext.totals`` with the period as its segment width),
+and the re-tiling inside ``boot_tiled``
 runs that of a masked copy (``EmulatorContext.spread``).  The two scales
 are the test and paper scales of ``scripts/budget_sweep.py``:
 

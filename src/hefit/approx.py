@@ -11,15 +11,18 @@ Every routine here accepts either an :class:`~hefit.encoding.EncodedMatrix`
 The polynomial steps are written once, as ``+``/``-``/``*`` arithmetic that
 both carriers implement; only the layout-dependent steps (masks, the
 tournament's operand pairs, column sums, broadcasts) live in ``_Carrier``.
-The encrypted carrier runs every step on every period copy of its tiled
-input, with ladders that stay inside one period: the tournament's partners
-from a period's first column lie in that period, and the max broadcast and
-the row total each span one period, so every copy ends equal to the first,
-byte for byte, and nothing re-tiles the output.  The array carrier runs the
-same arithmetic, in the same order, on every slot the encrypted path reads
-of one copy, and only on those: the tournament keeps only the columns a
-later round reads, the tail runs on the class columns, and the row total
-and the reciprocal on one column per row.  So the array path is a
+The encrypted carrier's ladders stay inside one period: the tournament's
+partners from a period's first column lie in that period, and the max
+broadcast and the row total each span one period.  So each period copy of
+its horizontally tiled input would compute the first copy's numbers, byte
+for byte, and :func:`a_softmax` computes the first copy of each row alone,
+in a scope where the context's rows are one period wide
+(:meth:`_Carrier.one_period`), then tiles the result across the row once.
+The ledger counts blocks, not slots, so it is the full width's.  The array
+carrier runs the same arithmetic, in the same order, on every slot the
+encrypted path reads of one copy, and only on those: the tournament keeps
+only the columns a later round reads, the tail runs on the class columns,
+and the row total and the reciprocal on one column per row.  So the array path is a
 bit-faithful mirror of the encrypted one, cheap enough for million-sample
 error measurement.  :func:`a_softmax` evaluates array inputs in
 cache-sized row blocks (``_BLOCK_SLOTS``); every step works within a row,
@@ -72,6 +75,7 @@ and the contraction base are module constants.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -81,11 +85,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._constants import COMP_ROUND_ERR, EXP_POLY
-from .emulator import DEFAULT_OP_WEIGHTS_MS, OP_KINDS, EmulatorContext, log2, tree_sum
+from .emulator import (
+    DEFAULT_OP_WEIGHTS_MS, OP_KINDS, CipherBlock, EmulatorContext, log2, tree_sum,
+)
 from .encoding import (
     EncodedMatrix, bootstrap_pair, col_sums, encode, next_pow2, pattern_matrix,
 )
-from .errors import DepthExhausted, ShapeMismatch
+from .errors import DepthExhausted, ShapeMismatch, TilingError
 from .plainref import exact_softmax
 
 # Odd degree-7 pair composed as step(x) ~ sign(x): two passes of the sharp
@@ -159,13 +165,15 @@ def _array_layout(M):
 class _Carrier:
     """Layout facts and layout-dependent steps for one input matrix.
 
-    The encrypted carrier works on whole slot grids, each period copy of
-    the horizontally tiled input alike: its masks repeat with the period
-    and its ladders stay inside one.  The array carrier holds the unpadded
-    ``(rows, classes)`` logits and computes only the slots the encrypted
-    path reads: its masks are scalars, the tournament keeps only the
-    columns a later round reads, and the row total leaves one ``(rows, 1)``
-    column, which numpy broadcasts over the row.  Padding exists only
+    The encrypted carrier works on whole slot grids: its masks repeat with
+    the period and its ladders stay inside one, so each period copy of the
+    horizontally tiled input computes alike.  :meth:`one_period` narrows it
+    to the first copy of each row for a scope, and :meth:`tiled` copies a
+    result computed there back across the row.  The array carrier holds
+    the unpadded ``(rows, classes)`` logits and computes only the slots
+    the encrypted path reads: its masks are scalars, the tournament keeps
+    only the columns a later round reads, and the row total leaves one
+    ``(rows, 1)`` column, which numpy broadcasts over the row.  Padding exists only
     inside the tournament and the row total.
     """
 
@@ -184,6 +192,39 @@ class _Carrier:
             self.matrix, self.classes, self.period = _array_layout(M)
             self.ctx = None
             self.encrypted = False
+
+    @contextlib.contextmanager
+    def one_period(self):
+        """An encrypted carrier on the first period copy of each row, for
+        the scope: ``matrix`` holds ``grid_rows x period`` slots per block
+        and the context's rows are one period wide
+        (:meth:`~hefit.emulator.EmulatorContext.row_width`).
+
+        Every copy computes the first copy's numbers, so the first alone
+        stands for all; an input whose copies are not all equal to the
+        first is malformed and raises :class:`~hefit.errors.TilingError`.
+        """
+        M, ctx, p = self.matrix, self.ctx, self.period
+        copies = M.block.slots.reshape(M.grid[0], ctx.grid_rows, ctx.grid_cols // p, p)
+        if not (copies == copies[:, :, :1]).all():
+            raise TilingError("softmax input: a period copy differs from the row's first")
+        first = copies[:, :, 0].reshape(M.grid[0], 1, ctx.grid_rows * p)
+        self.matrix = M._with(CipherBlock(first, M.level, M.encrypted))
+        try:
+            with ctx.row_width(p):
+                yield
+        finally:
+            self.matrix = M
+
+    def tiled(self, out: EncodedMatrix) -> EncodedMatrix:
+        """A result computed in :meth:`one_period`, copied across each row,
+        in the input's layout."""
+        ctx, p, M = self.ctx, self.period, self.matrix
+        rows = out.block.slots.reshape(out.grid[0], 1, ctx.grid_rows, 1, p)
+        wide = np.broadcast_to(rows, (*rows.shape[:3], ctx.grid_cols // p, p))
+        slots = wide.reshape(*rows.shape[:2], ctx.slot_count)
+        block = CipherBlock(slots, out.level, out.encrypted)
+        return EncodedMatrix(ctx, block, (M.shape[0], self.classes), "horizontal")
 
     def _pattern(self, row_fn) -> EncodedMatrix:
         """Mask whose value depends only on the column index."""
@@ -839,8 +880,11 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
     """Row-wise approximate softmax.
 
     Encrypted in: one-block-column, horizontally tiled logits (the product
-    layout); out: the same layout, padded columns zero, every period copy
-    computed alike and so equal to the first byte for byte, refreshed by
+    layout), every period copy equal to the first (else
+    :class:`~hefit.errors.TilingError`); out: the same layout, padded
+    columns zero.  The whole pipeline, every planned refresh included,
+    runs on the first period copy of each row, then the result is tiled
+    across the row (:meth:`_Carrier.one_period`).  It is refreshed by
     :func:`softmax_plan` for a consumer that needs ``need`` levels of the
     output (none by default; a training step passes the need its step plan
     chose, :class:`hefit.training.StepPlan`).  Array in: (rows, classes)
@@ -862,14 +906,15 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
 def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
     """One unblocked pass of :func:`a_softmax` over all rows of M."""
     car = _Carrier(M)
-    pairs, tail = None, ()
-    if car.encrypted and M.encrypted:
-        plan = softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need)
-        pairs, tail = plan.pairs, plan.tail
-    out = _tail(car, car.matrix - a_max(car, cfg, pairs), cfg, tail)
-    if car.encrypted:
-        return out.with_meta(shape=(M.shape[0], car.classes), tiling="horizontal")
-    return out
+    if not car.encrypted:
+        return _tail(car, car.matrix - a_max(car, cfg), cfg)
+    with car.one_period():
+        pairs, tail = None, ()
+        if M.encrypted:
+            plan = softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need)
+            pairs, tail = plan.pairs, plan.tail
+        out = _tail(car, car.matrix - a_max(car, cfg, pairs), cfg, tail)
+    return car.tiled(out)
 
 
 def _tail(car: _Carrier, norm, cfg: SoftmaxConfig, early=()):

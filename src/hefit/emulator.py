@@ -30,7 +30,11 @@ and a broadcast, bit for bit); and
 :meth:`EmulatorContext.place_passes` is a diagonal matrix product's passes,
 each pass's totals times its diagonal mask, summed over the passes,
 computed on one period of the result and tiled.  All of them ledger what the
-composition would, op for op.  Each op kind has one seam, a method that
+composition would, op for op.  :meth:`EmulatorContext.row_width` narrows
+the rows to a given width for a scope and restores them on exit: the
+softmax computes one period copy of its horizontally tiled input there and
+tiles the result once, and since every op ledgers per block, not per slot,
+the ledger is the full width's.  Each op kind has one seam, a method that
 ledgers it (when encrypted) and computes its slots: ``_product`` (Mult,
 CMult and the fallback Bootstrap), ``_sum`` (Add), ``_ladder`` (a ladder's
 Adds and Rots), ``_conjugated`` (Conj), ``lrot`` (Rot) and ``bootstrap``
@@ -59,6 +63,7 @@ its own reference implementation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from dataclasses import dataclass
@@ -235,6 +240,23 @@ class EmulatorContext:
         self.ledger = OpLedger()
         # (role, tag) pairs recorded for every decode of encrypted data.
         self.decode_events: list[tuple[str, str | None]] = []
+
+    @contextlib.contextmanager
+    def row_width(self, width: int):
+        """Rows of ``width`` slots, a power of two dividing ``grid_cols``,
+        within the scope, restored on exit, also when the scope raises.
+        Ops ledger per block at any width; :func:`hefit.approx.a_softmax`
+        computes one period copy of each row here."""
+        if not (is_pow2(width) and self.grid_cols % width == 0):
+            raise SlotCountMismatch(
+                f"row width {width} does not split a {self.grid_cols}-slot row"
+            )
+        saved = self.grid_cols, self.slot_count
+        self.grid_cols, self.slot_count = width, self.grid_rows * width
+        try:
+            yield
+        finally:
+            self.grid_cols, self.slot_count = saved
 
     # -- block construction -------------------------------------------------
 

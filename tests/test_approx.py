@@ -54,9 +54,9 @@ from hefit.approx import (
     softmax_plan,
     theorem_beta,
 )
-from hefit.emulator import OP_KINDS, EmulatorContext, OpLedger, log2
-from hefit.encoding import decode, encode, next_pow2, padded_array
-from hefit.errors import DepthExhausted, ShapeMismatch
+from hefit.emulator import OP_KINDS, CipherBlock, EmulatorContext, OpLedger, log2
+from hefit.encoding import EncodedMatrix, decode, encode, next_pow2, padded_array
+from hefit.errors import DepthExhausted, ShapeMismatch, TilingError
 from hefit.plainref import exact_softmax
 
 
@@ -551,6 +551,82 @@ def test_every_period_copy_runs_its_own_period_local_softmax(slots, grid_rows, r
     rerolls = sum(pack is not None for pack in plan.pairs)
     blocks = out.grid[0] * out.grid[1]
     assert delta["Rot"] == blocks * (log2(p) + 3 * log2(p) + rerolls)
+
+
+class _WidthContext(EmulatorContext):
+    """A context that records the most slots one seam computes at once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.widest = 0
+
+    def _saw(self, slots):
+        self.widest = max(self.widest, np.size(slots))
+        return slots
+
+    def _product(self, x, y, k=None, same=False):
+        out, level = super()._product(x, y, k, same)
+        return self._saw(out), level
+
+    def _sum(self, *args, **kwargs):
+        return self._saw(super()._sum(*args, **kwargs))
+
+    def _ladder(self, *args, **kwargs):
+        return self._saw(super()._ladder(*args, **kwargs))
+
+    def _conjugated(self, *args, **kwargs):
+        return self._saw(super()._conjugated(*args, **kwargs))
+
+    def lrot(self, x, r):
+        out = super().lrot(x, r)
+        self._saw(out.slots)
+        return out
+
+    def bootstrap(self, x):
+        out = super().bootstrap(x)
+        self._saw(out.slots)
+        return out
+
+
+@pytest.mark.parametrize("slots,grid_rows,classes", [(4096, 64, 3), (32768, 128, 10)])
+def test_encrypted_softmax_computes_one_period_copy_per_row(slots, grid_rows, classes):
+    # no seam inside the softmax computes more than one period of each row
+    # of each block; two block rows, tiled 16 copies wide
+    ctx = _WidthContext(slots, grid_rows, max_level=12)
+    logits = np.random.default_rng(classes).uniform(-30, 30, size=(2 * grid_rows - 3, classes))
+    out, delta = _encrypted_softmax(ctx, logits, level=9)
+    blocks, p = out.grid[0], out.period
+    assert 0 < ctx.widest <= blocks * grid_rows * p
+    assert delta["Bootstrap"] > 0
+    np.testing.assert_array_equal(decode(out), a_softmax(logits, DEFAULTS))
+    # a softmax that raises inside the narrowed scope restores the geometry
+    ctx = _WidthContext(slots, grid_rows, max_level=3)
+    widths, plan = [], approx.softmax_plan
+
+    def planning(*args, **kwargs):
+        widths.append(ctx.grid_cols)
+        return plan(*args, **kwargs)
+
+    with mock.patch.object(approx, "softmax_plan", planning), pytest.raises(DepthExhausted):
+        _encrypted_softmax(ctx, logits, level=3)
+    assert widths == [p]
+    assert (ctx.grid_cols, ctx.slot_count) == (slots // grid_rows, slots)
+    full = encode(ctx, logits, tiling="horizontal", level=3)
+    assert (full * full).level == 2 and len(full.block) == slots
+
+
+def test_softmax_refuses_period_copies_that_differ(rng):
+    # the softmax computes the first period copy of each row alone, so an
+    # input whose copies differ is malformed, refused before any op
+    ctx = EmulatorContext(256, 16, max_level=12)
+    enc = encode(ctx, rng.uniform(-30, 30, size=(8, 3)), tiling="horizontal")
+    slots = np.array(enc.block.slots)
+    slots[..., 16 + 4] += 1.0  # row 1, first column of the second copy
+    bad = EncodedMatrix(ctx, CipherBlock(slots, enc.level), enc.shape, "horizontal")
+    with pytest.raises(TilingError, match="period copy differs"):
+        a_softmax(bad, DEFAULTS)
+    assert not any(ctx.ledger.counts().values())
+    assert (ctx.grid_cols, ctx.slot_count) == (16, 256)
 
 
 # -- refresh plan ---------------------------------------------------------------------

@@ -244,6 +244,20 @@ def test_foreign_width_blocks_rejected():
         wide.add(narrow, narrow)
 
 
+def test_row_width_narrows_blocks_for_its_scope_only():
+    ctx = EmulatorContext(64, 4)
+    with ctx.row_width(4):
+        assert (ctx.grid_cols, ctx.slot_count) == (4, 16)
+        assert len(ctx.add(ctx.encrypt(np.ones(16)), 1.0)) == 16
+        with pytest.raises(SlotCountMismatch):
+            ctx.add(ctx.encrypt(np.ones(16)), np.ones(64))
+    assert (ctx.grid_cols, ctx.slot_count) == (16, 64)
+    for width in (3, 32):
+        with pytest.raises(SlotCountMismatch, match="does not split"), ctx.row_width(width):
+            pass
+    assert (ctx.grid_cols, ctx.slot_count) == (16, 64)
+
+
 def test_cmult_rejects_ciphertext_multiplier():
     ctx = fresh()
     a = ctx.encrypt(np.ones(16))
