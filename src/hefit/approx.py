@@ -61,9 +61,11 @@ its squarings, the two glue refreshes of the exps, the row total, each
 Goldschmidt iteration's pair and both operands of the final product) the
 value may also refresh early, although its level suffices, where that
 lifts the pieces after it for less than it costs.  :func:`softmax_plan`
-picks the pack points and the early refreshes with the package's one
-refresh planner, :func:`cheapest` over moves priced by :func:`dry_run`, on
-the pipeline's own code (:func:`_round`, :func:`_tail`'s pieces), and
+picks the pack points and the early refreshes as one chain of refresh
+points (:func:`_softmax_points`: the push-down of the padded columns,
+each round, the normalization, then each point of the tail) with the
+package's one refresh planner, :func:`cheapest` over moves priced by
+:func:`dry_run` on the pipeline's own code (:func:`_piece_run`), and
 ranks plans by :func:`rank`, the estimated ms first, so the refresh rule
 and the depths live in the pipeline alone.  Every bootstrap is
 value-exact, so a plan moves levels and the ledger, never a slot.
@@ -668,16 +670,19 @@ def cheapest(start, stages, key=lambda counts, end: rank(counts), memo=None):
 class SoftmaxPlan:
     """Where one encrypted softmax refreshes, and what that predicts.
 
-    ``pairs`` holds :func:`a_max`'s choices, one pack point per tournament
-    round (:func:`_round`): where the comparison chain refreshes together
-    with ``best`` (one packed bootstrap), or None where every refresh is the
-    chain's alone.  ``tail`` holds :func:`_tail`'s, one per refresh point
-    in its order (:func:`_tail_points`): True where the value refreshes
-    although its level suffices for the piece ahead; the final product's
-    is a pair, one per operand.  ``counts`` (op counts per block, in
-    :data:`~hefit.emulator.OP_KINDS` order) and ``level`` are what the
-    softmax executes and hands on, on any budget of at least 4 levels;
-    ``bootstraps`` is the count of bootstraps among them.
+    The choices of the plan's chain (:func:`_softmax_points`), less those
+    of its two points that have one move, the push-down and the
+    normalization.  ``pairs`` holds :func:`a_max`'s, one pack point per
+    tournament round (:func:`_round`): where the comparison chain
+    refreshes together with ``best`` (one packed bootstrap), or None where
+    every refresh is the chain's alone.  ``tail`` holds :func:`_tail`'s,
+    one per refresh point in its order (:func:`_tail_points`): True where
+    the value refreshes although its level suffices for the piece ahead;
+    the final product's is a pair, one per operand.  ``counts`` (op
+    counts per block, in :data:`~hefit.emulator.OP_KINDS` order) and
+    ``level`` are what the softmax executes and hands on, on any budget of
+    at least 4 levels; ``bootstraps`` is the count of bootstraps among
+    them.
     """
 
     pairs: tuple[int | None, ...]
@@ -710,39 +715,17 @@ def _period_run(top: int, classes: int, step, *levels: int):
     return dry_run(next_pow2(classes), 1, top, run)
 
 
-@functools.lru_cache(maxsize=None)
-def _round_run(best: int, top: int, pack: int | None):
-    """:func:`_round` from ``best``'s level, dry; its ledger depends on
-    neither the round's index, nor its coefficients, nor the period."""
-    first = COMP_PASSES[0]
-    return _period_run(top, 2, lambda car: _round(car, car.matrix, 0, first, pack), best)
-
-
-def _normalize(x: _Carrier, best):
-    """The logits less the tournament's broadcast winner ``best``, after
-    :func:`a_max`'s Sub that pushes the padded columns down: every op of
-    the softmax outside its tournament rounds and its tail."""
-    x.pushed_down(1.0)
-    return x.matrix - x.broadcast_col0(best)
-
-
-@functools.lru_cache(maxsize=None)
-def _norm_run(best: int, entry: int, top: int, classes: int):
-    """:func:`_normalize` of logits at ``entry`` by a winner at ``best``,
-    dry; the result is the tail's state, the normalized logits' level."""
-    return _period_run(top, classes, lambda x, car: (_normalize(x, car.matrix),), entry, best)
-
-
-def _move(choice, run):
-    """A stage's move ``choice``, priced by the dry run ``run``; none where it ran out."""
-    return ((choice, *run),) if run else ()
-
-
+_NONE = (None,)
 _FLAG = (False, True)
 
-# :func:`_tail`'s refresh points, as ``piece(car, *live, early)``: the
+# The softmax's refresh points, as ``piece(car, *live, choice)``: the
 # pipeline's own code from one point to the next, on the values it reads.
-# The contraction's and the fits' ledgers depend on no coefficient.
+# No piece takes a coefficient, since no ledger depends on one: a round is
+# priced as the first with the first comparison pass, and a contraction
+# as the widest.  The push-down's coefficient is any nonzero shift.
+_PUSH = lambda car, x, choice: (x, car.pushed_down(1.0))
+_ROUND = lambda car, best, pack: _round(car, best, 0, COMP_PASSES[0], pack)
+_NORM = lambda car, x, best, choice: x - car.broadcast_col0(best)
 _CONTRACT = lambda car, x, early: _contract(x, DEP_DELTA, early)
 _COMPENSATE = lambda car, x, early: _dep_compensation(x, DEFAULTS, early)
 _FIT = lambda car, x, early: _exp_fit(x, EXP_POLY_UNSCALED, early)
@@ -750,6 +733,20 @@ _SQUARE = lambda car, x, early: _squarings(x, early)
 _INV_PAIR = lambda car, y, early: _inv_pair(y, early)
 _GOLDSCHMIDT = lambda car, a, b, early: _goldschmidt(a, b, early)
 _PRODUCT = lambda car, expd, a, b, early: _product(expd, a, early)
+
+
+def _softmax_points(cfg: SoftmaxConfig, classes: int):
+    """The encrypted softmax's refresh points in its order, each ``(piece,
+    first, choices)``: :func:`a_max`'s push-down of the padded columns,
+    one :func:`_round` per tournament round, the normalization, then
+    :func:`_tail_points`.  The state is the levels of the values alive: the
+    logits, and after the push-down ``best`` beside them."""
+    return (
+        [(_PUSH, 0, _NONE)]
+        + [(_ROUND, 1, _ROUND_PACKS)] * log2(next_pow2(classes))
+        + [(_NORM, 0, _NONE)]
+        + _tail_points(cfg)
+    )
 
 
 def _tail_points(cfg: SoftmaxConfig):
@@ -769,15 +766,32 @@ def _tail_points(cfg: SoftmaxConfig):
 
 
 @functools.lru_cache(maxsize=None)
-def _piece_run(piece, levels: tuple[int, ...], top: int, classes: int, early):
-    """A refresh point's ``piece`` from values at ``levels``, dry; the
-    result is the levels of the values it hands on."""
+def _piece_run(piece, levels: tuple[int, ...], top: int, classes: int, choice):
+    """A refresh point's ``piece`` from values at ``levels`` with its
+    ``choice``, dry; the result is the levels of the values it hands on.
+    Every softmax plan prices its moves here, so each is run once per
+    levels, budget, width and choice."""
 
     def step(*cars):
-        out = piece(cars[0], *(car.matrix for car in cars), early)
+        out = piece(cars[0], *(car.matrix for car in cars), choice)
         return out if isinstance(out, tuple) else (out,)
 
     return _period_run(top, classes, step, *levels)
+
+
+def _stage(piece, first: int, choices, top: int, classes: int):
+    """The stage of one refresh point: a move per choice that gets through.
+    An early refresh that lifts no level costs no less than no refresh,
+    which comes first in move order, so no plan takes it."""
+
+    def moves(state):
+        head, live = state[:first], state[first:]
+        for choice in choices:
+            run = _piece_run(piece, live, top, classes, choice)
+            if run:
+                yield choice, run[0], head + run[1]
+
+    return moves
 
 
 def _plan_key(top: int, need: int | None):
@@ -799,33 +813,17 @@ def _plan_key(top: int, need: int | None):
 
 
 @functools.lru_cache(maxsize=None)
-def _tail_planner(top: int, cfg: SoftmaxConfig, classes: int, need: int | None):
-    """:func:`_tail`'s chain from the normalized logits' levels, as
-    ``plan(norm) -> (choices, counts, end)`` or None: the tail of every
-    softmax plan of this budget, config, width and need, whatever its
-    entry level, planned through one :func:`cheapest` memo."""
-    stages = [_tail_stage(*point, top, classes) for point in _tail_points(cfg)]
-    key = _plan_key(top, need)
-    memo = [{} for _ in range(len(stages) + 1)]
-    return functools.cache(lambda norm: cheapest(norm, stages, key, memo))
-
-
-def _tail_stage(piece, first: int, choices, top: int, classes: int):
-    """The stage of one refresh point: a move per choice that gets through
-    and reaches a state no earlier choice reaches, since an early refresh
-    that lifts no level only adds a bootstrap."""
-
-    def moves(state):
-        head, live = state[:first], state[first:]
-        out, reached = [], set()
-        for early in choices:
-            run = _piece_run(piece, live, top, classes, early)
-            if run and run[1] not in reached:
-                reached.add(run[1])
-                out.append((early, run[0], head + run[1]))
-        return out
-
-    return moves
+def _chain(top: int, cfg: SoftmaxConfig, classes: int, need: int | None):
+    """The stages of :func:`_softmax_points` on a budget of ``top`` levels,
+    their order for ``need`` and the one :func:`cheapest` memo that every
+    softmax plan of this budget, config, width and need shares, whatever
+    its entry level.  A round's ledger and levels depend on no width, so
+    every width shares its rounds' dry runs, priced at two classes."""
+    stages = [
+        _stage(piece, first, choices, top, 2 if piece is _ROUND else classes)
+        for piece, first, choices in _softmax_points(cfg, classes)
+    ]
+    return stages, _plan_key(top, need), [{} for _ in range(len(stages) + 1)]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -835,14 +833,13 @@ def softmax_plan(
 ) -> SoftmaxPlan:
     """The refresh plan of one encrypted softmax entering at ``entry_level``.
 
-    The cheapest chain (:func:`cheapest`) through one stage per tournament
-    round, whose moves are :data:`_ROUND_PACKS`, then the normalization,
-    then :func:`_tail`, whose chain through one stage per refresh point
-    (:func:`_tail_points`) refreshes as the piece ahead needs or refreshes
-    early; each move is a dry run of the pipeline's own code.  The tail's
-    chain from each level is planned once per budget, config, width and
-    need (:func:`_tail_planner`).  ``need`` is the levels
-    the output's consumer will need (the trainer's residual,
+    The cheapest chain (:func:`cheapest`) through one stage per refresh
+    point (:func:`_softmax_points`): each tournament round's moves are
+    :data:`_ROUND_PACKS`, each point of :func:`_tail` refreshes as the
+    piece ahead needs or refreshes early, and each move is a dry run of the
+    pipeline's own code (:func:`_piece_run`).  Every plan of one budget,
+    config, width and need shares one memo (:func:`_chain`).  ``need`` is
+    the levels the output's consumer will need (the trainer's residual,
     :func:`hefit.training.plan_steps`): an output below it counts the
     consumer's refresh, a bootstrap, in the :func:`rank`, then the plan
     hands on the highest level (``max_level`` where the consumer
@@ -850,30 +847,15 @@ def softmax_plan(
     ``EXP_FIT_DEPTH`` levels leaves no chain and raises
     :class:`~hefit.errors.DepthExhausted`.
     """
-    top = max_level
-
-    def rounds(best):
-        return [m for pack in _ROUND_PACKS for m in _move(pack, _round_run(best, top, pack))]
-
-    def tail(norm):
-        chain = tails(norm)
-        return (chain,) if chain else ()
-
-    tails = _tail_planner(top, cfg, classes, need)
-
-    n_rounds = log2(next_pow2(classes))
-    stages = [rounds] * n_rounds + [
-        lambda best: _move(None, _norm_run(best, entry_level, top, classes)),
-        tail,
-    ]
-    chain = cheapest(entry_level, stages, _plan_key(top, need))
+    chain = cheapest((entry_level,), *_chain(max_level, cfg, classes, need))
     if chain is None:
         raise DepthExhausted(
             f"the softmax cannot run on a budget of {max_level} levels: its deepest "
             f"pieces need {EXP_FIT_DEPTH}"
         )
     choices, counts, (level,) = chain
-    return SoftmaxPlan(choices[:n_rounds], choices[-1], counts, level)
+    rounds = log2(next_pow2(classes))
+    return SoftmaxPlan(choices[1 : rounds + 1], choices[rounds + 2 :], counts, level)
 
 
 def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):

@@ -465,18 +465,17 @@ def rot_left(E: EncodedMatrix, k: int) -> EncodedMatrix:
     return head + (a1 - head).rrot(s1)
 
 
-def prot_up(E: EncodedMatrix, k: int, head_mask: EncodedMatrix | None = None) -> EncodedMatrix:
+def prot_up(E: EncodedMatrix, k: int) -> EncodedMatrix:
     """Partial row rotation: columns j >= s1-k come from the next row up.
 
     The masked tail is shifted one full row (1 CMult + 1 Rot per block, one
-    level); the head stays put.  ``head_mask``, the ``col_range_mask`` of
-    ``s1 - k``, may come from a caller that rotates several matrices by k.
+    level); the head stays put.
     """
     s1 = E.ctx.grid_cols
     k = int(k) % s1
     if k == 0:
         return E
-    head = E * (col_range_mask(E.ctx, s1 - k) if head_mask is None else head_mask)
+    head = E * col_range_mask(E.ctx, s1 - k)
     return head + (E - head).lrot(s1)
 
 

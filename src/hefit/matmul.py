@@ -129,13 +129,10 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     passes = range(max(c // 2, 1))
     aligned = [packed.lrot(k) if use_partial else rot_left(packed, k) for k in passes]
     tiles = [make_mask(ctx, -k, c, complexified=c > 1, scale=scale) for k in passes]
-    # the partial rotations' head masks, one per pass width, serve every
-    # block column of B
-    heads = {k: col_range_mask(ctx, ctx.grid_cols - k) for k in passes if k and use_partial}
     cols = []
     for q in range(B.grid[1]):
         col = B.block_column(q)
-        prods = (aligned[k] * (prot_up(col, k, heads.get(k)) if use_partial else col) for k in passes)
+        prods = (aligned[k] * (prot_up(col, k) if use_partial else col) for k in passes)
         acc = place_passes(ctx, prods, tiles, axis=0)
         cols.append(acc if c == 1 else acc.conj_add())
     return join_columns(cols).with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")

@@ -4,6 +4,7 @@ Expected values are frozen from direct dense-grid measurements; everything
 here is deterministic (fixed seeds), so the pins are tight.
 """
 
+import functools
 import hashlib
 import itertools
 import runpy
@@ -632,10 +633,10 @@ def test_softmax_refuses_period_copies_that_differ(rng):
 # -- refresh plan ---------------------------------------------------------------------
 
 
-def _encrypted_softmax(ctx, logits, level=None, need=None):
+def _encrypted_softmax(ctx, logits, level=None, need=None, cfg=DEFAULTS):
     enc = encode(ctx, logits, tiling="horizontal", level=level)
     before = ctx.ledger.snapshot()
-    out = a_softmax(enc, DEFAULTS, need)
+    out = a_softmax(enc, cfg, need)
     return out, ctx.ledger.delta(before)
 
 
@@ -773,21 +774,66 @@ def test_softmax_plan_predicts_the_ledger_and_never_costs_more(classes, need):
             assert _with_consumer(out, delta, need) <= _with_consumer(ref, ref_delta, need)
 
 
-@pytest.mark.parametrize(
-    "slots,grid_rows,rows,classes",
-    [(256, 16, 29, 5), (4096, 64, 64, 3), (16, 4, 6, 3), (256, 16, 16, 16), (4096, 64, 128, 7)],
-)
-def test_softmax_plan_counts_are_one_blocks_ledger(slots, grid_rows, rows, classes):
+class _Counted:
+    """An iterator over a plan's choices that counts the choices read and
+    the reads past the last, which get the reader's default."""
+
+    def __init__(self, choices):
+        self.choices, self.read, self.past = tuple(choices), 0, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.read == len(self.choices):
+            self.past += 1
+            raise StopIteration
+        self.read += 1
+        return self.choices[self.read - 1]
+
+
+def _ledger_cases():
+    """Each shape at the default config, named by the shape alone, then at
+    four other configs."""
+    shapes = [(256, 16, 29, 5), (4096, 64, 64, 3), (16, 4, 6, 3), (256, 16, 16, 16),
+              (4096, 64, 128, 7)]
+    cfgs = [SoftmaxConfig(0, False), SoftmaxConfig(1, True), SoftmaxConfig(3, True),
+            SoftmaxConfig(5, False)]
+    name = lambda shape: "-".join(map(str, shape))
+    return [pytest.param(*shape, DEFAULTS, id=name(shape)) for shape in shapes] + [
+        pytest.param(*shape, cfg, id=f"{name(shape)}-ext{cfg.extension_steps}"
+                     f"-{'prec' if cfg.precise else 'fast'}")
+        for cfg in cfgs for shape in shapes
+    ]
+
+
+@pytest.mark.parametrize("slots,grid_rows,rows,classes,cfg", _ledger_cases())
+def test_softmax_plan_counts_are_one_blocks_ledger(slots, grid_rows, rows, classes, cfg):
     # the plan's op counts, kind by kind, times the blocks of the input are
-    # what the encrypted softmax charges, at any period and block count
-    logits = np.random.default_rng(rows).uniform(-30, 30, size=(rows, classes))
+    # what the encrypted softmax charges, at any period, block count and
+    # config; the executor reads one tail choice per refresh point the
+    # planner prices, and the tournament one pack point per round.  The
+    # logits stay inside the config's input range, where a_inv converges
+    r = min(30, cfg.max_range)
+    logits = np.random.default_rng(rows).uniform(-r, r, size=(rows, classes))
+    tail, reads = approx._tail, []
+
+    def counting_tail(car, norm, cfg, early=()):
+        reads.append(_Counted(early))
+        return tail(car, norm, cfg, reads[-1])
+
     for max_level, level, need in [(12, 9, 4), (12, 3, 9), (7, 7, None), (21, 18, 12)]:
         ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
-        out, delta = _encrypted_softmax(ctx, logits, level, need)
-        plan = softmax_plan(level, max_level, classes, DEFAULTS, need)
+        with mock.patch.object(approx, "_tail", counting_tail):
+            out, delta = _encrypted_softmax(ctx, logits, level, need, cfg)
+        plan = softmax_plan(level, max_level, classes, cfg, need)
         blocks = out.grid[0] * out.grid[1]
         assert delta == {kind: n * blocks for kind, n in zip(OP_KINDS, plan.counts)}
         assert out.level == plan.level
+        counted = reads.pop()
+        assert (counted.read, counted.past) == (len(plan.tail), 0)
+        assert len(plan.tail) == len(approx._tail_points(cfg))
+        assert len(plan.pairs) == log2(next_pow2(classes))
 
 
 def test_softmax_plan_spares_the_paper_step_a_refresh():
@@ -804,6 +850,16 @@ def test_softmax_plan_spares_the_paper_step_a_refresh():
     assert (ref_delta["Bootstrap"], ref.level) == (7, 0)
     assert _with_consumer(out, delta, 4) < _with_consumer(ref, ref_delta, 4)
     assert softmax_plan(9, 12, 10, DEFAULTS, 4).pairs[0] == 3
+
+
+def _tail_chains(max_level, cfg, classes, need):
+    """The tail's plan from the normalized logits' levels, cached: the
+    cheapest chain through the stages of :func:`approx._tail_points`, with
+    one memo for every start."""
+    stages = [approx._stage(*point, max_level, classes) for point in approx._tail_points(cfg)]
+    memo = [{} for _ in range(len(stages) + 1)]
+    key = approx._plan_key(max_level, need)
+    return functools.cache(lambda norm: approx.cheapest(norm, stages, key, memo))
 
 
 def _oracle_key(max_level, need):
@@ -831,19 +887,26 @@ def test_softmax_plan_is_the_first_cheapest_pack_sequence(classes):
     # bootstraps, each with the consumer's refresh, then the level handed
     # on), and of equally cheap sequences the lexicographically first in
     # _ROUND_PACKS' order (approx.cheapest's tie-break); the tail after
-    # each sequence is the tail planner's, whose own oracle is below
+    # each sequence is the tail's cheapest chain, whose own oracle is below.
+    # Rounds are priced at two classes, as the planner prices them: the
+    # ledger tests check that pricing against the executor at every width
     for max_level in range(4, 25):
         for need in (None, 4):
-            tails = approx._tail_planner(max_level, DEFAULTS, classes, need)
+            tails = _tail_chains(max_level, DEFAULTS, classes, need)
             key = _oracle_key(max_level, need)
+
+            def run(piece, levels, choice=None, width=classes):
+                return approx._piece_run(piece, levels, max_level, width, choice)
+
             for level in range(max_level + 1):
                 chains = []
                 for pairs in itertools.product(approx._ROUND_PACKS, repeat=log2(next_pow2(classes))):
-                    pieces, best = [], level
+                    push_cost, (x, best) = run(approx._PUSH, (level,))
+                    pieces = [push_cost]
                     for pack in pairs:
-                        cost, best = approx._round_run(best, max_level, pack)
+                        cost, (best,) = run(approx._ROUND, (best,), pack, width=2)
                         pieces.append(cost)
-                    norm_cost, norm = approx._norm_run(best, level, max_level, classes)
+                    norm_cost, norm = run(approx._NORM, (x, best))
                     _, tail_cost, (out,) = tails(norm)
                     counts = tuple(map(sum, zip(*pieces, norm_cost, tail_cost)))
                     chains.append((pairs, counts, out))
@@ -876,30 +939,31 @@ def test_tail_plan_is_the_first_cheapest_refresh_sequence(iters):
             state = state[:first] + run[1]
         return counts, state[0]
 
+    # the tail planner here is the test's own, and a cached dry run prices
+    # one piece, which reads no INV_ITERS: so no cache keeps an entry that
+    # depends on the patched INV_ITERS, and the plan caches go untouched
+    cached = approx._chain.cache_info(), softmax_plan.cache_info()
     with mock.patch.object(approx, "INV_ITERS", iters):
-        approx._tail_planner.cache_clear()
-        try:
-            points = approx._tail_points(cfg)
-            assert len(points) == 1 + 5 + iters + 1
-            seqs = list(itertools.product(*(choices for _, _, choices in points)))
-            for max_level in range(4, 10):
-                for norm in range(max_level + 1):
-                    chains = []
-                    for i, seq in enumerate(seqs):
-                        run = priced(seq, norm, max_level)
-                        if i % 16 == 0:
-                            assert run == approx._period_run(
-                                max_level, classes,
-                                lambda car: approx._tail(car, car.matrix, cfg, seq), norm)
-                        if run:
-                            chains.append((seq, *run))
-                    for need in (None, 4):
-                        plan = approx._tail_planner(max_level, cfg, classes, need)((norm,))
-                        best = min(chains, key=_oracle_key(max_level, need), default=None)
-                        assert (plan and (plan[0], plan[1], plan[2][0])) == best, (
-                            max_level, norm, need)
-        finally:
-            approx._tail_planner.cache_clear()
+        points = approx._tail_points(cfg)
+        assert len(points) == 1 + 5 + iters + 1
+        seqs = list(itertools.product(*(choices for _, _, choices in points)))
+        for max_level in range(4, 10):
+            for norm in range(max_level + 1):
+                chains = []
+                for i, seq in enumerate(seqs):
+                    run = priced(seq, norm, max_level)
+                    if i % 16 == 0:
+                        assert run == approx._period_run(
+                            max_level, classes,
+                            lambda car: approx._tail(car, car.matrix, cfg, seq), norm)
+                    if run:
+                        chains.append((seq, *run))
+                for need in (None, 4):
+                    plan = _tail_chains(max_level, cfg, classes, need)((norm,))
+                    best = min(chains, key=_oracle_key(max_level, need), default=None)
+                    assert (plan and (plan[0], plan[1], plan[2][0])) == best, (
+                        max_level, norm, need)
+    assert (approx._chain.cache_info(), softmax_plan.cache_info()) == cached
 
 
 @pytest.mark.parametrize("classes", range(2, 11))
