@@ -9,20 +9,22 @@ never ran), and ``n``, the number of the ``STEPS`` steps it ran in.  Some
 stages run in few steps: at budget 12 the packed W/V refresh
 (``boot_tiled``) runs in 2 of the 16 paper-scale steps (11 at test
 scale), and ``diag_atb``'s partial-rotation branch (``prot_up``) in 7 (13
-at test scale), so a median over all steps would read 0 for them.  A stage's time includes everything it calls, so the
-softmax pieces and ``col_sums`` (the softmax's row totals) are inside
-``a_softmax``, and ``passes`` is inside both kernels: once per call of
-``diag_abt`` and once per block column of ``diag_atb``, whose ``prot_up``
-runs once per block column and pass.  ``passes`` is the kernels' masked
-totals (``encoding.place_passes``), which the emulator computes on one
-period of the result (``EmulatorContext.place_passes``); the softmax
-runs on the first period copy of each row of its tiled input and tiles
-its output once (``EmulatorContext.row_width``), so ``col_sums`` totals
-that copy's exps with the closed form of ladders that stay inside one
-period (``EmulatorContext.totals`` with the period as its segment width),
-and the re-tiling inside ``boot_tiled``
-runs that of a masked copy (``EmulatorContext.spread``).  The two scales
-are the test and paper scales of ``scripts/budget_sweep.py``:
+at test scale), so a median over all steps would read 0 for them.  A
+stage's time includes everything it calls, so the softmax pieces and
+``col_sums`` (the softmax's row totals) are inside ``a_softmax``, and
+``passes`` is inside both kernels, once per call.  ``passes`` is the
+kernels' passes in closed form (``EmulatorContext.place_passes``): each
+pass's product formed from one period of the tiled operand, its masked
+totals, and their sum on one period of the result.  ``prot_up`` is the
+features' partial row rotation inside it (``EmulatorContext._rows_up``),
+in every pass but pass 0: whole in pass 1, one column in each later one.
+The softmax runs on the first period copy of each row of its tiled input
+and tiles its output once (``EmulatorContext.narrowed``), so ``col_sums``
+totals that copy's exps with the closed form of ladders that stay inside
+one period (``EmulatorContext.totals`` with the period as its segment
+width), and the re-tiling inside ``boot_tiled`` runs that of a masked
+copy (``EmulatorContext.spread``).  The two scales are the test and paper
+scales of ``scripts/budget_sweep.py``:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
@@ -68,7 +70,7 @@ SCALES = {
     "test": (4096, 64, 16, 3, 64),
     "paper": (32768, 128, 768, 10, 128),
 }
-# column label: (module, function)
+# column label: (module, function or Class.method)
 STAGES = {
     "diag_abt": ("hefit.matmul", "diag_abt"),
     "a_softmax": ("hefit.approx", "a_softmax"),
@@ -78,9 +80,9 @@ STAGES = {
     "a_exp": ("hefit.approx", "a_exp"),
     "a_inv": ("hefit.approx", "a_inv"),
     "diag_atb": ("hefit.matmul", "diag_atb"),
-    "passes": ("hefit.encoding", "place_passes"),
+    "passes": ("hefit.emulator", "EmulatorContext.place_passes"),
     "col_sums": ("hefit.encoding", "col_sums"),
-    "prot_up": ("hefit.encoding", "prot_up"),
+    "prot_up": ("hefit.emulator", "EmulatorContext._rows_up"),
     "boot_tiled": ("hefit.encoding", "bootstrap_tiled"),
 }
 # the array rows: softmax-mc's chunk shape
@@ -117,8 +119,13 @@ def timed_stages(stack: ExitStack, steps: list[dict[str, float]]):
         return run
 
     for label, (mod_name, name) in STAGES.items():
-        original = getattr(sys.modules[mod_name], name)
-        rebind_everywhere(stack, original, timed(label, original))
+        owner, _, name = name.rpartition(".")
+        if owner:  # a method, rebound on its class
+            cls = getattr(sys.modules[mod_name], owner)
+            stack.enter_context(mock.patch.object(cls, name, timed(label, getattr(cls, name))))
+        else:
+            original = getattr(sys.modules[mod_name], name)
+            rebind_everywhere(stack, original, timed(label, original))
     return timed
 
 

@@ -91,9 +91,9 @@ from .emulator import (
     DEFAULT_OP_WEIGHTS_MS, OP_KINDS, CipherBlock, EmulatorContext, log2, tree_sum,
 )
 from .encoding import (
-    EncodedMatrix, bootstrap_pair, col_sums, encode, next_pow2, pattern_matrix,
+    EncodedMatrix, bootstrap_pair, col_sums, encode, leading_copies, next_pow2, pattern_matrix,
 )
-from .errors import DepthExhausted, ShapeMismatch, TilingError
+from .errors import DepthExhausted, ShapeMismatch
 from .plainref import exact_softmax
 
 # Odd degree-7 pair composed as step(x) ~ sign(x): two passes of the sharp
@@ -200,20 +200,17 @@ class _Carrier:
         """An encrypted carrier on the first period copy of each row, for
         the scope: ``matrix`` holds ``grid_rows x period`` slots per block
         and the context's rows are one period wide
-        (:meth:`~hefit.emulator.EmulatorContext.row_width`).
+        (:meth:`~hefit.emulator.EmulatorContext.narrowed`).
 
         Every copy computes the first copy's numbers, so the first alone
-        stands for all; an input whose copies are not all equal to the
-        first is malformed and raises :class:`~hefit.errors.TilingError`.
+        stands for all; an input whose copies are not all the first, bit
+        for bit, is malformed and raises :class:`~hefit.errors.TilingError`
+        (:func:`~hefit.encoding.leading_copies`).
         """
-        M, ctx, p = self.matrix, self.ctx, self.period
-        copies = M.block.slots.reshape(M.grid[0], ctx.grid_rows, ctx.grid_cols // p, p)
-        if not (copies == copies[:, :, :1]).all():
-            raise TilingError("softmax input: a period copy differs from the row's first")
-        first = copies[:, :, 0].reshape(M.grid[0], 1, ctx.grid_rows * p)
-        self.matrix = M._with(CipherBlock(first, M.level, M.encrypted))
+        M = self.matrix
+        self.matrix = leading_copies(M)
         try:
-            with ctx.row_width(p):
+            with self.ctx.narrowed(cols=self.period):
                 yield
         finally:
             self.matrix = M

@@ -27,18 +27,20 @@ the segment (a window mask, then a broadcast ladder);
 its first row, up to rounding in the others) or the total of each row, or
 of each segment of a row, to every slot it sums (a fold, a first-slot mask
 and a broadcast, bit for bit); and
-:meth:`EmulatorContext.place_passes` is a diagonal matrix product's passes,
-each pass's totals times its diagonal mask, summed over the passes,
-computed on one period of the result and tiled.  All of them ledger what the
-composition would, op for op.  :meth:`EmulatorContext.row_width` narrows
-the rows to a given width for a scope and restores them on exit: the
+:meth:`EmulatorContext.place_passes` is a diagonal matrix product's passes
+from the distinct slots of its tiled operand: each pass aligns that one
+period, forms its product against the other operand with the period laid
+over its copies, and takes its totals; the totals times the diagonal masks
+are summed on one period of the result and tiled.  All of them ledger what
+the composition would, op for op.  :meth:`EmulatorContext.narrowed` makes
+blocks of fewer rows or columns for a scope and restores them on exit: the
 softmax computes one period copy of its horizontally tiled input there and
-tiles the result once, and since every op ledgers per block, not per slot,
-the ledger is the full width's.  Each op kind has one seam, a method that
-ledgers it (when encrypted) and computes its slots: ``_product`` (Mult,
-CMult and the fallback Bootstrap), ``_sum`` (Add), ``_ladder`` (a ladder's
-Adds and Rots), ``_conjugated`` (Conj), ``lrot`` (Rot) and ``bootstrap``
-(Bootstrap).  The primitives and the closed forms compute their slots only
+tiles the result once, and ``place_passes`` aligns its period there; since
+every op ledgers per block, not per slot, the ledger is the full blocks'.
+Each op kind has one seam, a method that ledgers it (when encrypted) and
+computes its slots: ``_product`` (Mult, CMult and the fallback Bootstrap),
+``_sum`` (Add), ``_ladder`` (a ladder's Adds and Rots), ``_conjugated``
+(Conj), ``lrot`` (Rot) and ``bootstrap`` (Bootstrap).  The primitives and the closed forms compute their slots only
 through the seams, on the arrays they reduce, and ``_charge`` is the one
 caller of :meth:`OpLedger.record`, so a subclass overriding the seams sees
 every op.  Slot arithmetic is exact IEEE double precision — the library
@@ -242,21 +244,27 @@ class EmulatorContext:
         self.decode_events: list[tuple[str, str | None]] = []
 
     @contextlib.contextmanager
-    def row_width(self, width: int):
-        """Rows of ``width`` slots, a power of two dividing ``grid_cols``,
-        within the scope, restored on exit, also when the scope raises.
-        Ops ledger per block at any width; :func:`hefit.approx.a_softmax`
-        computes one period copy of each row here."""
-        if not (is_pow2(width) and self.grid_cols % width == 0):
-            raise SlotCountMismatch(
-                f"row width {width} does not split a {self.grid_cols}-slot row"
-            )
-        saved = self.grid_cols, self.slot_count
-        self.grid_cols, self.slot_count = width, self.grid_rows * width
+    def narrowed(self, rows: int | None = None, cols: int | None = None):
+        """Blocks of ``rows x cols`` slots within the scope, each a power of
+        two dividing the context's own (kept where None), restored on exit,
+        also when the scope raises.  Ops ledger per block at any size:
+        :func:`hefit.approx.a_softmax` computes one period copy of each row
+        here, and the diagonal kernels the period of their tiled operand
+        (:meth:`place_passes`)."""
+        rows = self.grid_rows if rows is None else rows
+        cols = self.grid_cols if cols is None else cols
+        for n, full in ((rows, self.grid_rows), (cols, self.grid_cols)):
+            if not (is_pow2(n) and full % n == 0):
+                raise SlotCountMismatch(
+                    f"{rows} x {cols} blocks do not split "
+                    f"{self.grid_rows} x {self.grid_cols} ones"
+                )
+        saved = self.grid_rows, self.grid_cols, self.slot_count
+        self.grid_rows, self.grid_cols, self.slot_count = rows, cols, rows * cols
         try:
             yield
         finally:
-            self.grid_cols, self.slot_count = saved
+            self.grid_rows, self.grid_cols, self.slot_count = saved
 
     # -- block construction -------------------------------------------------
 
@@ -527,66 +535,178 @@ class EmulatorContext:
         sums, level = self._product((sums, ex, lx), (1.0, False, PLAINTEXT_LEVEL), k)
         return self._ladder(sums, k, steps, ex), level
 
-    def place_passes(self, products, tiles, axis: int) -> CipherBlock:
-        """``sum_k mult(R(x_k), M_k)`` over the passes of a diagonal matrix
-        product, in closed form.
+    def place_passes(self, x, period, tiles, axis: int, partial: bool = False) -> CipherBlock:
+        """The passes of a diagonal matrix product, ``sum_k mult(R(p_k),
+        M_k)``, in closed form from one period of its tiled operand.
 
-        ``products`` yields the pass products ``x_k`` on one grid; ``tiles``
-        is a sequence of the ``c x c`` tiles their plaintext masks repeat over
-        the block, ``M_k[i, j] = tiles[k][i mod c, j mod c]``
-        (:func:`~hefit.encoding.make_mask`).  ``R`` is ``totals(x, axis)``:
-        each column's total in every row for ``axis=0``, each row's total in
-        every column for ``axis=1``.  Along that axis the mask, and so the
-        sum, repeats with period ``c``.  This reduces each product to its
-        totals as it arrives, as :meth:`totals` does (it holds one product
-        at a time), runs the mask products and the accumulating adds on one
-        period (``c`` rows, or ``c`` columns of every row) with the
-        composition's numpy ops in its order, and tiles that period: the
-        composition's slots bit for bit.
+        ``x`` is the untiled operand, a grid of ``(grid rows, grid columns,
+        slot_count)`` slots, and ``period`` the distinct slots of the tiled
+        one, packed (below).  Pass k's product ``p_k`` multiplies ``x`` by
+        the tiled operand aligned by k; ``R`` adds the product's blocks along
+        grid ``axis`` in order and takes :meth:`totals` along ``axis``;
+        ``M_k[i, j] = tiles[k][i mod c, j mod c]`` is the pass's plaintext
+        mask (:func:`~hefit.encoding.make_mask`), one ``c x c`` tile per pass
+        and at most ``c/2`` passes (one at ``c = 1``), as the kernels run.
 
-        Ledgers the composition op for op, pass by pass: R's ladders (for
-        ``axis=1`` also its column-0 CMult), the mask's CMult, and one Add
-        per block of the sum for each pass after the first.  Each product
-        costs a level; an encrypted operand with none left raises
-        :class:`~hefit.errors.DepthExhausted` once the ops before it are
-        charged.  A bad axis, no tiles, tiles of other shapes or a count of
-        products other than of tiles raise ``ValueError``.
+        * ``axis=1`` (``diag_abt``): ``period`` holds the first ``c`` rows of
+          each block of a vertically tiled operand with one block row.  Pass
+          k rotates its rows up by k (``rot_up``), and ``R`` is ``col_sums``.
+        * ``axis=0`` (``diag_atb``): ``period`` holds the first ``w = min(2c,
+          grid_cols)`` columns of each row of a horizontally tiled operand
+          with one block column: the row's first copy and its last.  Pass k
+          rotates each row left by k (``rot_left``); with ``partial`` it
+          rotates the flat slots left by k instead and multiplies by the
+          partial row rotation of ``x`` (``prot_up``), whose last k columns
+          come from the next row.  ``R`` is ``row_sums``.  A row's copies
+          compute alike but for the last, which reads the next row at the
+          row's end: so every copy but the last is the first.  The last
+          copy may differ from the first only in its last ``c/2`` columns,
+          as the packing's rotation leaves it.
+
+        Each pass aligns the period in blocks of its own size
+        (:meth:`narrowed`), forms its product from the aligned period laid
+        over its copies against the whole of ``x``, and reduces it to its
+        totals (:meth:`totals`); the masks, the accumulating adds and the
+        result then run on one period (``c`` rows, or ``c`` columns of every
+        row) and are tiled.  Every op is the composition's numpy op on the
+        same slots, so this is the composition bit for bit, signed zeros
+        included.  It holds one pass's product at a time.
+
+        Ledgers the composition op for op, pass by pass, in its order: the
+        alignment (``partial``: and x's row rotation, whose mask, subtraction,
+        rotation and add run on the whole grid in pass 1 and, since from one
+        pass to the next only column ``grid_cols - k`` moves, on that column
+        alone after it, charged for the whole grid), the product, the adds
+        of its blocks, R's ladders (for ``axis=1`` also its column-0 CMult),
+        the mask's CMult and one Add per block of the sum for each pass after
+        the first.  An encrypted operand with no level left for a product
+        raises :class:`~hefit.errors.DepthExhausted` once the ops before it
+        are charged.  A bad axis (``partial`` with ``axis=1`` among them), no
+        tiles, tiles of other shapes, more passes than ``c/2`` or a period of
+        another shape raise ``ValueError``.
         """
         s0, s1 = self.grid_rows, self.grid_cols
-        if axis not in (0, 1):
-            raise ValueError(f"place_passes: axis must be 0 or 1, got {axis}")
+        if axis not in (0, 1) or (partial and axis):
+            raise ValueError(f"place_passes: axis must be 0, or 1 without partial, got {axis}")
         c = len(tiles[0]) if len(tiles) else 0
         if not c or s0 % c or s1 % c or any(np.shape(t) != (c, c) for t in tiles):
             raise ValueError(f"place_passes: tiles must be c x c, c dividing {s0} and {s1}")
-        acc, done, encrypted, acc_level = None, 0, False, PLAINTEXT_LEVEL
-        # a plain loop: zip would hold the last product while the next is made
-        for x in products:
-            if done == len(tiles):
-                raise ValueError(f"place_passes: more products than the {len(tiles)} tiles")
-            tile, done = tiles[done], done + 1
-            vx, ex, lx = self._operand(x)
-            lead, k = vx.shape[:-1], self._blocks(vx)
-            sums, lx = self._totals(vx, ex, lx, axis, s1)
+        if len(tiles) > max(c // 2, 1):
+            raise ValueError(f"place_passes: {len(tiles)} passes for a period of {c}")
+        vx, ex, lx = self._operand(x)
+        if vx.ndim != 3:
+            raise ValueError(f"place_passes: x must be one grid, got slots {vx.shape}")
+        gr, gc = vx.shape[:2]
+        want = (1, gc, c * s1) if axis else (gr, 1, s0 * min(2 * c, s1))
+        if not isinstance(period, CipherBlock) or period.slots.shape != want:
+            raise ValueError(f"place_passes: a {gr} x {gc} grid takes a period of shape {want}")
+        acc, encrypted, acc_level = None, False, PLAINTEXT_LEVEL
+        moved = vx, ex, lx  # x, with partial rotated for the pass
+        for k, tile in enumerate(tiles):
+            if axis:
+                prod, e, lp = self._row_pass(vx, ex, lx, period, c, k)
+            else:
+                if partial and k:
+                    moved = self._rows_up(vx, ex, lx, moved[0], k)
+                prod, e, lp = self._column_pass(period, c, k, partial, moved)
+            lead, k_blocks = prod.shape[:-1], self._blocks(prod)
+            sums, lp = self._totals(prod, e, lp, axis, s1)
+            del prod  # let the next product reuse the memory
             if axis == 0:
                 totals = sums.reshape(*lead, 1, s1 // c, c)
                 period_of = tile[:, None, :]  # -> (..., c rows, s1 / c, c)
             else:
                 totals = sums.reshape(*lead, s0 // c, c, 1)
                 period_of = tile  # -> (..., s0 / c, c, c columns)
-            term, level = self._product((totals, ex, lx), (period_of, False, PLAINTEXT_LEVEL), k)
-            del x, vx, sums, totals  # let the next product reuse the memory
-            if acc is not None and acc.shape != term.shape:  # products on other grids
-                k = math.prod(np.broadcast_shapes(acc.shape, term.shape)[:-3])
-            acc = term if acc is None else self._sum(acc, term, encrypted or ex, k)
-            encrypted, acc_level = encrypted or ex, min(acc_level, level)
-        if done < len(tiles):
-            raise ValueError(f"place_passes: {done} products for {len(tiles)} tiles")
-        lead = acc.shape[:-3]
+            term, level = self._product((totals, e, lp), (period_of, False, PLAINTEXT_LEVEL), k_blocks)
+            acc = term if acc is None else self._sum(acc, term, encrypted or e, k_blocks)
+            encrypted, acc_level = encrypted or e, min(acc_level, level)
         if axis == 0:
             out = np.broadcast_to(acc.reshape(*lead, 1, c, s1), (*lead, s0 // c, c, s1))
         else:
             out = np.broadcast_to(acc.reshape(*lead, s0, 1, c), (*lead, s0, s1 // c, c))
         return CipherBlock(out.reshape(*lead, self.slot_count), acc_level, encrypted)
+
+    def _row_pass(self, vx, ex, lx, period, c, k):
+        """Pass k of :meth:`place_passes` along axis 1: x times the period's
+        rows rotated up by k, its block columns added left to right."""
+        s0, s1 = self.grid_rows, self.grid_cols
+        gr, gc = vx.shape[:2]
+        with self.narrowed(rows=c):
+            rolled = self.lrot(period, k * s1)
+        # the rolled rows broadcast over the block's copies of them; whole
+        # blocks, so that the seam counts their blocks
+        copies = (gr, gc, s0 // c, c * s1)
+        tiled = np.broadcast_to(rolled.slots.reshape(1, gc, 1, c * s1), (1, *copies[1:]))
+        prod, level = self._product((vx.reshape(copies), ex, lx), (tiled, rolled.encrypted, rolled.level))
+        e = ex or rolled.encrypted
+        return self._add_grid(prod.reshape(vx.shape), 1, e), e, level
+
+    def _column_pass(self, period, c, k, partial, x):
+        """Pass k of :meth:`place_passes` along axis 0: the period's rows
+        rotated left by k (``partial``: its flat slots), laid over the row,
+        times x; the product's block rows added top to bottom."""
+        s0, s1 = self.grid_rows, self.grid_cols
+        vx, ex, lx = x
+        gr = vx.shape[0]
+        w = period.slots.shape[-1] // s0
+        with self.narrowed(cols=w):
+            if not k:
+                aligned = period
+            elif partial:
+                aligned = self.lrot(period, k)
+            else:
+                aligned = self._rot_left(period, k)
+        copies = aligned.slots.reshape(gr, 1, s0, w)
+        row = np.empty((gr, 1, s0, s1), copies.dtype)
+        row.reshape(gr, 1, s0, s1 // c, c)[..., :-1, :] = copies[..., None, :c]
+        row[..., s1 - c :] = copies[..., w - c :]
+        prod, level = self._product(
+            (row.reshape(gr, 1, self.slot_count), aligned.encrypted, aligned.level), (vx, ex, lx)
+        )
+        e = ex or aligned.encrypted
+        return self._add_grid(prod, 0, e), e, level
+
+    def _add_grid(self, slots, axis: int, encrypted: bool) -> np.ndarray:
+        """A grid's blocks added along grid ``axis`` in order, one Add per
+        block of each sum, as ``col_sums`` (axis 1) and ``row_sums`` (axis 0)
+        add them: one block on that axis."""
+        head = (slice(None),) * axis
+        acc = slots[(*head, slice(0, 1))]
+        for q in range(1, slots.shape[axis]):
+            acc = self._sum(acc, slots[(*head, slice(q, q + 1))], encrypted)
+        return acc
+
+    def _rot_left(self, x, k: int) -> CipherBlock:
+        """Each row's slots rotated left by k on this geometry, as
+        :func:`~hefit.encoding.rot_left` composes it: a flat rotation, a
+        mask on the row's head, and its tail moved back from the next row."""
+        s1 = self.grid_cols
+        a1 = self.lrot(x, k)
+        head = self.mult(a1, np.tile(np.arange(s1) < s1 - k, self.grid_rows).astype(np.float64))
+        return self.add(head, self.rrot(self.sub(a1, head), s1))
+
+    def _rows_up(self, vx, ex, lx, moved, k: int):
+        """x's partial row rotation for pass k >= 1 of :meth:`place_passes`,
+        as :func:`~hefit.encoding.prot_up` composes it: a mask keeping the
+        first ``grid_cols - k`` columns, the rest moved one row up by a
+        subtraction, a rotation and an add.  Pass 1 computes the whole grid;
+        pass k computes column ``grid_cols - k`` alone, as blocks of one
+        column, and writes it into the previous pass's ``moved``."""
+        s0, s1 = self.grid_rows, self.grid_cols
+        if k == 1:
+            slots, keep, cols = vx, np.tile(np.arange(s1) < s1 - 1, s0).astype(np.float64), s1
+        else:
+            slots, keep, cols = vx.reshape(*vx.shape[:-1], s0, s1)[..., s1 - k], np.zeros(s0), 1
+        with self.narrowed(cols=cols):
+            head, level = self._product((slots, ex, lx), (keep, False, PLAINTEXT_LEVEL))
+            level = min(level, lx)  # of the subtraction from x, refreshed or not
+            up = self.lrot(CipherBlock(self._sum(slots, head, ex, sign=-1), level, ex), cols)
+            out = self._sum(head, up.slots, ex)
+        if k == 1:
+            return np.require(out, requirements="WO"), ex, level
+        moved.reshape(*moved.shape[:-1], s0, s1)[..., s1 - k] = out
+        return moved, ex, level
 
     def conj(self, x: CipherBlock) -> CipherBlock:
         vx, ex, lx = self._operand(x)

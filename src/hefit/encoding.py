@@ -130,10 +130,6 @@ class EncodedMatrix:
         (:meth:`~hefit.emulator.EmulatorContext.spread`)."""
         return self._with(self.ctx.spread(self.block, step, copies, window))
 
-    def block_column(self, q: int) -> "EncodedMatrix":
-        """Block column ``q`` as a one-column grid, with this matrix's metadata."""
-        return self._with(self.block[:, q : q + 1])
-
     def conj(self) -> "EncodedMatrix":
         return self._with(self.ctx.conj(self.block))
 
@@ -256,6 +252,36 @@ def decode(E: EncodedMatrix, role: str = "observer", tag: str | None = None) -> 
                 f"imaginary residue {worst:.3e} in decoded {E.shape} matrix"
             )
     return np.array(logical.real, dtype=np.float64)
+
+
+def leading_copies(E: EncodedMatrix, copies: int = 1) -> EncodedMatrix:
+    """The first ``copies`` period copies of each block of a tiled matrix:
+    its first ``copies * period`` rows if vertically tiled, the first
+    ``copies * period`` columns of every row if horizontally tiled.
+
+    The result keeps E's metadata, and its blocks hold that many rows or
+    columns: ops run on it in :meth:`~hefit.emulator.EmulatorContext.narrowed`
+    blocks of its size.  A copy stands for every copy only if each is the
+    first bit for bit, so one that differs (as any slot, a zero's sign or a
+    NaN's payload) raises :class:`~hefit.errors.TilingError`.
+    """
+    ctx, p = E.ctx, E.period
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
+    slots = E.block.slots
+    # per tiled axis: (number of copies, slots of one copy within the
+    # block) and the slots' bits, as many words per slot as the dtype has
+    if E.tiling == "vertical":
+        lead, copy = (s0 // p,), p * s1
+    elif E.tiling == "horizontal":
+        lead, copy = (s0, s1 // p), p
+    else:
+        raise TilingError(f"leading_copies needs a tiled matrix, got {E.tiling!r}")
+    bits = np.ascontiguousarray(slots).view(np.uint64)
+    tiles = bits.reshape(*E.grid, *lead, bits.shape[-1] // ctx.slot_count * copy)
+    if not (tiles == tiles[..., :1, :]).all():
+        raise TilingError(f"{E.tiling}ly tiled matrix: a period copy differs from the first")
+    first = slots.reshape(*E.grid, *lead, copy)[..., :copies, :]
+    return E._with(CipherBlock(first.reshape(*E.grid, -1), E.level, E.encrypted))
 
 
 # -- packed refresh of vertically tiled matrices ------------------------------
@@ -494,8 +520,9 @@ def col_sums(E: EncodedMatrix) -> EncodedMatrix:
     segment's total by the fold's halving tree, written to every column of
     the segment.  Costs ``2*log2(w)`` Rot + 1 CMult per surviving block and
     one level.  The softmax's row totals run this on its tiled exps, so
-    every period copy takes its own total; :func:`place_passes` runs the
-    whole-row reduction inside ``diag_abt``.
+    every period copy takes its own total;
+    :meth:`~hefit.emulator.EmulatorContext.place_passes` runs the whole-row
+    reduction inside ``diag_abt``.
     """
     ctx = E.ctx
     width = E.period if E.tiling == "horizontal" else None
@@ -537,36 +564,9 @@ def row_sums(E: EncodedMatrix) -> EncodedMatrix:
     column's total once, written to every row, so all rows are equal (the
     ladder's row 0 bit for bit; its other rows differ by rounding).  Costs ``log2(s0)``
     Rot per surviving block.  ``row_major_atb`` runs this;
-    :func:`place_passes` runs the same reduction inside ``diag_atb``.
+    :meth:`~hefit.emulator.EmulatorContext.place_passes` runs the same
+    reduction inside ``diag_atb``.
     """
     ctx = E.ctx
     acc = ctx.totals(_add_blocks(E, 0), axis=0)
     return EncodedMatrix(ctx, acc, (ctx.grid_rows, E.shape[1]))
-
-
-def place_passes(ctx: EmulatorContext, products, tiles, axis: int) -> EncodedMatrix:
-    """The masked totals of a diagonal kernel's passes, summed.
-
-    Each product's blocks along grid ``axis`` are added in order, as
-    :func:`row_sums` (``axis=0``) or :func:`col_sums` (``axis=1``) adds
-    them, and :meth:`~hefit.emulator.EmulatorContext.place_passes` computes
-    ``sum_k row_sums(x_k) * M_k`` (or ``col_sums``) in closed form, where
-    ``M_k`` repeats ``tiles[k]`` over the block.  Products are taken from
-    the iterable one at a time.  The result is an untiled matrix the shape
-    of its padded grid; the kernels set their own metadata.
-    """
-    blocks = map(lambda m: _add_blocks(m, axis), products)  # holds no finished product
-    acc = ctx.place_passes(blocks, tiles, axis)
-    gr, gc = acc.slots.shape[:2]
-    return EncodedMatrix(ctx, acc, (gr * ctx.grid_rows, gc * ctx.grid_cols))
-
-
-def join_columns(cols: list[EncodedMatrix]) -> EncodedMatrix:
-    """One grid of one-block-column matrices, left to right, at the lowest
-    of their levels; it keeps the first one's metadata."""
-    block = CipherBlock(
-        np.concatenate([m.block.slots for m in cols], axis=1),
-        min(m.level for m in cols),
-        cols[0].encrypted,
-    )
-    return cols[0]._with(block)

@@ -8,10 +8,11 @@ Four routines, two packings each of ``A B^T`` (shapes ``(a,b) x (c,b)``) and
   (``x + conj(x)``, :meth:`~hefit.encoding.EncodedMatrix.conj_add`), which
   returns the real product as real slots.  Each pass's product is reduced
   to row totals (``col_sums``) or column totals (``row_sums``) and masked
-  to the pass's diagonals; :func:`~hefit.encoding.place_passes` computes
-  that sum over the passes in closed form, from one ``c x c`` mask tile per
-  pass (:func:`~hefit.encoding.make_mask`), taking the products one at a
-  time.
+  to the pass's diagonals.  The kernels build the packed tiled operand on
+  its distinct slots (:func:`~hefit.encoding.leading_copies`) and one
+  ``c x c`` mask tile per pass (:func:`~hefit.encoding.make_mask`);
+  :meth:`~hefit.emulator.EmulatorContext.place_passes` runs the passes in
+  closed form from them, one pass's product at a time.
 * :func:`col_major_abt` / :func:`row_major_atb` — one mask-replicate-reduce
   pass per row/column of the small dimension; simpler, rotation-heavier.
 
@@ -28,9 +29,6 @@ tolerance.
 
 from __future__ import annotations
 
-import functools
-import operator
-
 import numpy as np
 
 from .emulator import log2
@@ -38,12 +36,10 @@ from .encoding import (
     EncodedMatrix,
     col_range_mask,
     fold_columns,
-    join_columns,
+    leading_copies,
     make_mask,
     next_pow2,
     pattern_matrix,
-    place_passes,
-    prot_up,
     rot_left,
     rot_up,
     row_sums,
@@ -69,11 +65,13 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
 
     The tiled B is complex-packed (rows k and k+c/2 share a slot), so only
     c/2 rotated copies are needed; each pass multiplies, sums each row
-    (``col_sums``), and masks the pair of diagonals it contributes, in
-    closed form (:func:`~hefit.encoding.place_passes`).  A final
-    conjugation doubles the real part; at c = 1 the one diagonal needs
-    neither packing nor conjugation.  Output: (a x c) horizontally tiled, period c; consumes 3
-    levels.
+    (``col_sums``), and masks the pair of diagonals it contributes.  B's
+    blocks repeat its first c rows, so B is packed on those rows alone
+    (:func:`~hefit.encoding.leading_copies`), and the passes run in closed
+    form from them (:meth:`~hefit.emulator.EmulatorContext.place_passes`).
+    A final conjugation doubles the real part; at c = 1 the one diagonal
+    needs neither packing nor conjugation.  Output: (a x c) horizontally
+    tiled, period c; consumes 3 levels.
     """
     _check_pair(A, B, "none", "vertical", "diag_abt")
     if A.shape[1] != B.shape[1]:
@@ -84,17 +82,11 @@ def diag_abt(A: EncodedMatrix, B: EncodedMatrix) -> EncodedMatrix:
         raise ShapeMismatch(f"diag_abt: period {c} exceeds block columns {ctx.grid_cols}")
 
     # B has one block row, which multiplies every block row of A
-    packed = B if c == 1 else B + rot_up(B, c // 2).mul_i()
-    passes = range(max(c // 2, 1))
-
-    def fold(k):
-        # the pass's product, one block column at a time, added into the
-        # fold left to right as col_sums would add its block columns
-        prods = (A.block_column(q) * rot_up(packed.block_column(q), k) for q in range(A.grid[1]))
-        return functools.reduce(operator.add, prods)
-
-    tiles = [make_mask(ctx, k, c, complexified=c > 1) for k in passes]
-    acc = place_passes(ctx, (fold(k) for k in passes), tiles, axis=1)
+    period = leading_copies(B)
+    with ctx.narrowed(rows=c):
+        packed = period if c == 1 else period + rot_up(period, c // 2).mul_i()
+    tiles = [make_mask(ctx, k, c, complexified=c > 1) for k in range(max(c // 2, 1))]
+    acc = A._with(ctx.place_passes(A.block, packed.block, tiles, axis=1))
     out = acc if c == 1 else acc.conj_add()
     return out.with_meta(shape=(A.shape[0], B.shape[0]), tiling="horizontal")
 
@@ -108,8 +100,12 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     operands either by rotating A cleanly (costs a level per pass) or, when
     A sits at the lower level, by flat-rotating A and partially row-rotating
     B instead (the rotation-heavy branch saves A's budget), multiplies,
-    sums each column (``row_sums``) and masks its diagonals, in closed form
-    (:func:`~hefit.encoding.place_passes`).  As in
+    sums each column (``row_sums``) and masks its diagonals.  A's rows
+    repeat its first c columns, but the last copy of a row reads the next
+    row where a rotation wraps, so A is packed on its first two copies
+    (:func:`~hefit.encoding.leading_copies`), the first standing for all but
+    the last, and the passes run in closed form from them
+    (:meth:`~hefit.emulator.EmulatorContext.place_passes`).  As in
     :func:`diag_abt`, c = 1 skips the packing and the conjugation.  Output:
     (c x b) vertically tiled, period c.
     """
@@ -121,21 +117,15 @@ def diag_atb(A: EncodedMatrix, B: EncodedMatrix, scale: float = 1.0) -> EncodedM
     if c > ctx.grid_rows:
         raise ShapeMismatch(f"diag_atb: period {c} exceeds block rows {ctx.grid_rows}")
 
-    # A has one block column, which multiplies every block column of B: its
-    # aligned copy and the mask tile of each pass are built once, then B is
-    # taken one block column at a time through every pass
-    use_partial = A.level < B.level
-    packed = A if c == 1 else A + rot_left(A, c // 2).mul_i()
-    passes = range(max(c // 2, 1))
-    aligned = [packed.lrot(k) if use_partial else rot_left(packed, k) for k in passes]
-    tiles = [make_mask(ctx, -k, c, complexified=c > 1, scale=scale) for k in passes]
-    cols = []
-    for q in range(B.grid[1]):
-        col = B.block_column(q)
-        prods = (aligned[k] * (prot_up(col, k) if use_partial else col) for k in passes)
-        acc = place_passes(ctx, prods, tiles, axis=0)
-        cols.append(acc if c == 1 else acc.conj_add())
-    return join_columns(cols).with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")
+    # A has one block column, which multiplies every block column of B
+    width = min(2 * c, ctx.grid_cols)
+    period = leading_copies(A, width // c)
+    with ctx.narrowed(cols=width):
+        packed = period if c == 1 else period + rot_left(period, c // 2).mul_i()
+    tiles = [make_mask(ctx, -k, c, complexified=c > 1, scale=scale) for k in range(max(c // 2, 1))]
+    acc = B._with(ctx.place_passes(B.block, packed.block, tiles, axis=0, partial=A.level < B.level))
+    out = acc if c == 1 else acc.conj_add()
+    return out.with_meta(shape=(A.shape[1], B.shape[1]), tiling="vertical")
 
 
 # -- mask-replicate-reduce pair -------------------------------------------------

@@ -33,8 +33,8 @@ its first period rides the momentum multipliers, so the refresh spends no
 level of V, and W and V come back at ``max_level - 1``.  Re-tiling copies
 the first period over the others.  The copies a step leaves behind are
 equal (``diag_atb`` computes one period of its output and tiles it,
-:func:`~hefit.encoding.place_passes`), so the packed refresh returns the
-slots an unpacked one would, bit for bit.
+:meth:`~hefit.emulator.EmulatorContext.place_passes`), so the packed
+refresh returns the slots an unpacked one would, bit for bit.
 
 Each step takes two refresh decisions (:class:`StepPlan`): the levels
 ``need`` the residual P - Y is handed on with (the softmax plans for it,

@@ -21,7 +21,17 @@ from hefit.emulator import (
     OpLedger,
     log2,
 )
-from hefit.encoding import EncodedMatrix, decode, encode, make_mask
+from hefit.encoding import (
+    EncodedMatrix,
+    col_sums,
+    decode,
+    encode,
+    make_mask,
+    prot_up,
+    rot_left,
+    rot_up,
+    row_sums,
+)
 from hefit.errors import DepthExhausted, HefitError, LevelError, SlotCountMismatch
 from hefit.training import run_steps
 
@@ -244,18 +254,20 @@ def test_foreign_width_blocks_rejected():
         wide.add(narrow, narrow)
 
 
-def test_row_width_narrows_blocks_for_its_scope_only():
+def test_narrowed_shrinks_blocks_for_its_scope_only():
     ctx = EmulatorContext(64, 4)
-    with ctx.row_width(4):
-        assert (ctx.grid_cols, ctx.slot_count) == (4, 16)
-        assert len(ctx.add(ctx.encrypt(np.ones(16)), 1.0)) == 16
-        with pytest.raises(SlotCountMismatch):
-            ctx.add(ctx.encrypt(np.ones(16)), np.ones(64))
-    assert (ctx.grid_cols, ctx.slot_count) == (16, 64)
-    for width in (3, 32):
-        with pytest.raises(SlotCountMismatch, match="does not split"), ctx.row_width(width):
+    for narrowed, shape in (({"cols": 4}, (4, 4)), ({"rows": 2}, (2, 16)), ({"rows": 1, "cols": 2}, (1, 2))):
+        with ctx.narrowed(**narrowed):
+            slots = shape[0] * shape[1]
+            assert (ctx.grid_rows, ctx.grid_cols, ctx.slot_count) == (*shape, slots)
+            assert len(ctx.add(ctx.encrypt(np.ones(slots)), 1.0)) == slots
+            with pytest.raises(SlotCountMismatch):
+                ctx.add(ctx.encrypt(np.ones(slots)), np.ones(64))
+        assert (ctx.grid_rows, ctx.grid_cols, ctx.slot_count) == (4, 16, 64)
+    for narrowed in ({"cols": 3}, {"cols": 32}, {"rows": 8}, {"rows": 3, "cols": 4}):
+        with pytest.raises(SlotCountMismatch, match="do not split"), ctx.narrowed(**narrowed):
             pass
-    assert (ctx.grid_cols, ctx.slot_count) == (16, 64)
+    assert (ctx.grid_rows, ctx.grid_cols, ctx.slot_count) == (4, 16, 64)
 
 
 def test_cmult_rejects_ciphertext_multiplier():
@@ -455,67 +467,106 @@ def test_totals_checks_the_slot_count_and_the_axis():
     assert sum(ctx.ledger.counts().values()) == 0
 
 
-def _place_passes_composition(ctx, products, tiles, axis):
-    """What place_passes computes in closed form: each pass's totals, times
-    its mask over the whole block, accumulated left to right."""
-    s0, s1 = ctx.grid_rows, ctx.grid_cols
+def _place_passes_composition(ctx, x, period, tiles, axis, partial):
+    """What place_passes computes in closed form: the tiled operand laid out
+    whole (axis 0: every copy of a row but the last is the period's first,
+    the last its last), each pass aligned and multiplied over the whole
+    grid, reduced, times its mask over the whole block, accumulated left
+    to right."""
+    s0, s1, c = ctx.grid_rows, ctx.grid_cols, len(tiles[0])
+    gr, gc = x.slots.shape[:2]
+    if axis:
+        whole = np.tile(period.slots, s0 // c)
+    else:
+        rows = period.slots.reshape(gr, 1, s0, -1)
+        copies = [np.tile(rows[..., :c], s1 // c - 1), rows[..., -c:]]
+        whole = np.concatenate(copies, axis=-1).reshape(gr, 1, ctx.slot_count)
+    T = EncodedMatrix(ctx, CipherBlock(whole, period.level, period.encrypted), (gr * s0, s1))
+    X = EncodedMatrix(ctx, x, (gr * s0, gc * s1))
     acc = None
-    for x, tile in zip(products, tiles):
-        totals = ctx.totals(x, axis)
-        mask = np.tile(tile, (s0 // len(tile), s1 // len(tile))).reshape(ctx.slot_count)
-        term = ctx.mult(totals, mask)
-        acc = term if acc is None else ctx.add(acc, term)
-    return acc
+    for k, tile in enumerate(tiles):
+        if axis:
+            totals = col_sums(X * rot_up(T, k))
+        elif partial:
+            totals = row_sums(T.lrot(k) * prot_up(X, k))
+        else:
+            totals = row_sums(rot_left(T, k) * X)
+        term = totals * np.tile(tile, (s0 // c, s1 // c)).reshape(ctx.slot_count)
+        acc = term if acc is None else acc + term
+    return acc.block
+
+
+def _passes_operands(rng, ctx, axis, c, grid, complex_slots):
+    """x on ``grid`` and a period for it, zeros of both signs mixed in; on
+    axis 0 the period's last copy differs from its first in the last c/2
+    columns, where a row's rotation wraps, as a packing leaves it."""
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
+
+    def values(shape):
+        v = _real_values(rng, shape)
+        return v + 1j * _real_values(rng, shape) if complex_slots else v
+
+    x = values((*grid, ctx.slot_count))
+    if axis:
+        return x, values((1, grid[1], c * s1))
+    w = min(2 * c, s1)
+    first = values((grid[0], 1, s0, c))
+    last = first.copy()
+    last[..., c - c // 2 :] = values((grid[0], 1, s0, c // 2))
+    period = np.concatenate([first] * (w // c - 1) + [last], axis=-1)
+    return x, period.reshape(grid[0], 1, s0 * w)
 
 
 @given(
     axis=st.sampled_from([0, 1]),
+    partial=st.booleans(),
     geometry=st.sampled_from([(16, 4), (256, 16), (256, 4), (512, 32)]),
-    c=st.sampled_from([1, 2, 4]),
-    shape=st.sampled_from([(), (1, 1), (2, 1), (1, 3)]),
+    c=st.sampled_from([1, 2, 4, 8]),
+    grid=st.sampled_from([(1, 1), (2, 1), (1, 3), (2, 3)]),
     complex_slots=st.booleans(),
-    encrypted=st.booleans(),
+    x_encrypted=st.booleans(),
+    period_encrypted=st.booleans(),
     level=st.integers(0, 3),
     scale=st.sampled_from([1.0, -0.5, 0.0, 0.01]),
     seed=st.integers(0, 2**16),
     seams=st.booleans(),
-    mixed=st.booleans(),
+    auto=st.booleans(),
 )
-@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=1, scale=1.0, seed=0, seams=False, mixed=False)
-@example(axis=1, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=True, encrypted=True, level=2, scale=1.0, seed=0, seams=True, mixed=False)
-@example(axis=0, geometry=(256, 16), c=4, shape=(1, 1), complex_slots=True, encrypted=True, level=0, scale=1.0, seed=0, seams=False, mixed=False)
-@example(axis=0, geometry=(256, 16), c=4, shape=(2, 1), complex_slots=False, encrypted=True, level=3, scale=1.0, seed=0, seams=False, mixed=True)
+@example(axis=1, partial=False, geometry=(256, 16), c=4, grid=(2, 1), complex_slots=True, x_encrypted=True, period_encrypted=True, level=1, scale=1.0, seed=0, seams=False, auto=False)
+@example(axis=1, partial=False, geometry=(256, 16), c=4, grid=(2, 3), complex_slots=True, x_encrypted=True, period_encrypted=False, level=2, scale=1.0, seed=0, seams=True, auto=False)
+@example(axis=0, partial=True, geometry=(256, 16), c=8, grid=(2, 3), complex_slots=True, x_encrypted=True, period_encrypted=True, level=1, scale=1.0, seed=0, seams=False, auto=False)
+@example(axis=0, partial=True, geometry=(256, 16), c=8, grid=(2, 3), complex_slots=True, x_encrypted=True, period_encrypted=True, level=0, scale=1.0, seed=0, seams=False, auto=True)
+@example(axis=0, partial=True, geometry=(512, 32), c=8, grid=(2, 3), complex_slots=False, x_encrypted=True, period_encrypted=True, level=3, scale=-0.5, seed=1, seams=True, auto=False)
+@example(axis=0, partial=False, geometry=(256, 16), c=8, grid=(2, 3), complex_slots=True, x_encrypted=False, period_encrypted=True, level=0, scale=1.0, seed=0, seams=False, auto=False)
 def test_place_passes_is_the_composition_bit_for_bit(
-    axis, geometry, c, shape, complex_slots, encrypted, level, scale, seed, seams, mixed
+    axis, partial, geometry, c, grid, complex_slots, x_encrypted, period_encrypted, level, scale, seed, seams, auto
 ):
-    ctx = (SeamContext if seams else EmulatorContext)(*geometry)
+    # with auto, operands at level 0 take the fallback refresh, charged
+    # per block of each operand as the composition charges it
+    ctx = (SeamContext if seams else EmulatorContext)(*geometry, max_level=12, auto_bootstrap=auto)
     c = min(c, ctx.grid_rows, ctx.grid_cols)
+    partial = partial and axis == 0
     rng = np.random.default_rng(seed)
-    full = (*shape, ctx.slot_count)
-    passes = max(c // 2, 1)
-    # mixed: the later products on a one-block grid, broadcast over the first
-    fulls = [full] + [(*(1 for _ in shape), ctx.slot_count) if mixed else full] * (passes - 1)
-    values = [_real_values(rng, f) for f in fulls]
-    if complex_slots:
-        values = [v + 1j * _real_values(rng, f) for v, f in zip(values, fulls)]
-    products = [ctx.encrypt(v, level) if encrypted else ctx.pack(v) for v in values]
+    xv, pv = _passes_operands(rng, ctx, axis, c, grid, complex_slots)
+    x = ctx.encrypt(xv, level) if x_encrypted else ctx.pack(xv)
+    period = CipherBlock(pv, level, True) if period_encrypted else CipherBlock(pv, math.inf, False)
     tiles = [
         make_mask(ctx, (-k if axis == 0 else k), c, complexified=c > 1, scale=scale)
-        for k in range(passes)
+        for k in range(max(c // 2, 1))
     ]
 
     results = []
-    closed_form = lambda ctx, products, tiles, axis: ctx.place_passes(iter(products), tiles, axis)
+    closed_form = lambda ctx, *args: ctx.place_passes(*args)
     for run in (_place_passes_composition, closed_form):
         before = ctx.ledger.snapshot()
         try:
-            results.append(run(ctx, products, tiles, axis))
-        except DepthExhausted:  # at level 0 (and 1 for axis 1), after the same ops
+            results.append(run(ctx, x, period, tiles, axis, partial))
+        except DepthExhausted:  # where a level runs out, after the same ops
             results.append(None)
         results.append(ctx.ledger.delta(before))
     want, want_ops, got, got_ops = results
     assert got_ops == want_ops
-    assert (got is None) == (want is None) == (encrypted and level < 2 - (axis == 0))
+    assert (got is None) == (want is None)
     if got is None:
         return
     assert got.slots.astype(np.complex128).tobytes() == want.slots.astype(np.complex128).tobytes()
@@ -526,21 +577,53 @@ def test_place_passes_is_the_composition_bit_for_bit(
 
 def test_place_passes_checks_its_arguments():
     ctx = EmulatorContext(256, 16)
-    x = ctx.encrypt(np.ones(256))
+    x = ctx.encrypt(np.ones((1, 2, 256)))
+    # periods of c = 4 on that grid: 4 rows of each block column for axis 1,
+    # two copies of 4 columns in every row for axis 0
+    rows, cols = CipherBlock(np.ones((1, 2, 64)), 12), CipherBlock(np.ones((1, 1, 128)), 12)
     eye = np.eye(4)
     with pytest.raises(SlotCountMismatch):
-        ctx.place_passes([np.ones(32)], [eye], 0)
-    for products, tiles, axis in (
-        ([x], [eye], 2),  # no such axis
-        ([x], [np.eye(3)], 0),  # 3 does not divide 16
-        ([x], [np.ones((4, 2))], 1),  # not square
-        ([x, x], [eye, np.eye(2)], 0),  # two periods
-        ([], [], 0),  # no passes
-        ([x, x], [eye], 0),  # more products than tiles
-        ([x], [eye, eye], 1),  # fewer
+        ctx.place_passes(np.ones((1, 2, 32)), rows, [eye], 1)
+    for x_, period, tiles, axis, partial in (
+        (x, rows, [eye], 2, False),  # no such axis
+        (x, rows, [eye], 1, True),  # the partial rotation is axis 0's
+        (x, rows, [np.eye(3)], 1, False),  # 3 does not divide 16
+        (x, rows, [np.ones((4, 2))], 1, False),  # not square
+        (x, rows, [eye, np.eye(2)], 1, False),  # two periods
+        (x, rows, [], 1, False),  # no passes
+        (x, rows, [eye] * 3, 1, False),  # more passes than c/2
+        (x, cols, [eye], 1, False),  # a period of axis 0
+        (x, rows, [eye], 0, False),  # and one of axis 1
+        (x[0], rows, [eye], 1, False),  # x not a grid
     ):
         with pytest.raises(ValueError):
-            ctx.place_passes(products, tiles, axis)
+            ctx.place_passes(x_, period, tiles, axis, partial)
+    assert sum(ctx.ledger.counts().values()) == 0
+
+
+@pytest.mark.parametrize("complex_slots", [False, True])
+def test_partial_row_rotation_is_prot_up_pass_by_pass(complex_slots):
+    # place_passes' partial branch computes prot_up whole in pass 1 and one
+    # column per pass after it: each pass's operand is prot_up's bit for bit
+    # (its zeros' signs set by the mask arithmetic, which a product's totals
+    # rarely show), charging the same ops
+    ctx = EmulatorContext(256, 16, max_level=12)
+    rng = np.random.default_rng(3)
+    values = _real_values(rng, (2, 3, 256))
+    if complex_slots:
+        values = values + 1j * _real_values(rng, (2, 3, 256))
+    x = ctx.encrypt(values, 5)
+    X = EncodedMatrix(ctx, x, (32, 48))
+    moved = None
+    for k in range(1, 8):
+        before = ctx.ledger.snapshot()
+        want = prot_up(X, k).block
+        want_ops = ctx.ledger.delta(before)
+        before = ctx.ledger.snapshot()
+        moved, encrypted, level = ctx._rows_up(x.slots, True, 5, moved, k)
+        assert ctx.ledger.delta(before) == want_ops
+        assert moved.tobytes() == want.slots.tobytes()
+        assert (moved.dtype, level, encrypted) == (want.slots.dtype, want.level, want.encrypted)
 
 
 # -- real and complex slots ------------------------------------------------------
@@ -552,6 +635,16 @@ def _real_values(rng, shape):
     v[rng.random(shape) < 0.2] = 0.0
     v[rng.random(shape) < 0.2] = -0.0
     return v
+
+
+def _passes(ctx, x, y, tiles, axis, partial=False):
+    """place_passes on x as a grid, y's slots repeated into its period."""
+    x = x if x.slots.ndim == 3 else x[None, None]
+    (gr, gc), c = x.slots.shape[:2], len(tiles[0])
+    s0, s1 = ctx.grid_rows, ctx.grid_cols
+    shape = (1, gc, c * s1) if axis else (gr, 1, s0 * min(2 * c, s1))
+    period = CipherBlock(np.resize(y.slots, shape), y.level, y.encrypted)
+    return ctx.place_passes(x, period, tiles, axis, partial)
 
 
 # op(ctx, x, y, s): x and y blocks, s a scalar
@@ -572,8 +665,9 @@ REAL_OPS = {
     "totals_0": lambda ctx, x, y, s: ctx.totals(x, 0),
     "totals_1": lambda ctx, x, y, s: ctx.totals(x, 1),
     "totals_1_segments": lambda ctx, x, y, s: ctx.totals(x, 1, 2),
-    "place_passes_0": lambda ctx, x, y, s: ctx.place_passes([x, y], [np.eye(2), -np.eye(2)[::-1]], 0),
-    "place_passes_1": lambda ctx, x, y, s: ctx.place_passes([x, y], [np.eye(2), np.ones((2, 2))], 1),
+    "place_passes_0": lambda ctx, x, y, s: _passes(ctx, x, y, [np.eye(4), -np.eye(4)[::-1]], 0),
+    "place_passes_0_partial": lambda ctx, x, y, s: _passes(ctx, x, y, [np.eye(4), np.ones((4, 4))], 0, True),
+    "place_passes_1": lambda ctx, x, y, s: _passes(ctx, x, y, [np.eye(4), np.ones((4, 4))], 1),
     "conj": lambda ctx, x, y, s: ctx.conj(x),
     "bootstrap": lambda ctx, x, y, s: ctx.bootstrap(x),
 }
@@ -803,8 +897,6 @@ def _shift_every_ledgered_call(ctx: SeamContext) -> collections.Counter:
         def call(*args, **kwargs):
             if ctx.shift:  # inside a second run
                 return run(*args, **kwargs)
-            if name == "place_passes":  # run twice: keep the products
-                args = (list(args[0]), *args[1:])
             before = ctx.ledger.snapshot()
             out = run(*args, **kwargs)
             ops = ctx.ledger.delta(before)

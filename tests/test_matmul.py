@@ -300,6 +300,37 @@ def test_block_column_kernels_equal_their_grid_wide_form(rng, c):
         assert {k: ops[k] for k in ("CMult", "Mult", "Rot")} == count_formula(branch, (a, b, c), 16, 16)
 
 
+@pytest.mark.parametrize("batch", [128, 256])
+@pytest.mark.parametrize("c", [1, 3, 10])
+def test_block_column_kernels_equal_their_grid_wide_form_at_paper_scale(c, batch):
+    # the benchmark's geometry: 128 x 256 blocks, 769 columns on 4 block
+    # columns, 1 or 2 block rows; a period of 16 columns repeats 16 times
+    # per row and one of 16 rows 8 times per block.  Zeros of both signs
+    # mixed in
+    ctx = EmulatorContext(32768, 128, max_level=12)
+    rng = np.random.default_rng(c * batch)
+
+    def values(shape):
+        v = rng.normal(size=shape)
+        v[rng.random(shape) < 0.05] = 0.0
+        v[rng.random(shape) < 0.05] = -0.0
+        return v
+
+    b = 769
+    A = encode(ctx, values((batch, b)))
+    B = encode(ctx, values((c, b)), tiling="vertical", level=11)
+    assert A.grid == (batch // 128, 4)
+    ops = _same_product(ctx, lambda: diag_abt(A, B), lambda: _grid_diag_abt(A, B))
+    assert {k: ops[k] for k in ("CMult", "Mult", "Rot")} == count_formula("diag_abt", (batch, b, c), 128, 256)
+
+    for branch, level in (("diag_atb_rl", 12), ("diag_atb_pru", 11)):
+        At = encode(ctx, values((batch, c)), tiling="horizontal", level=level)
+        ops = _same_product(
+            ctx, lambda: diag_atb(At, A, scale=0.1 / 128), lambda: _grid_diag_atb(At, A, scale=0.1 / 128)
+        )
+        assert {k: ops[k] for k in ("CMult", "Mult", "Rot")} == count_formula(branch, (batch, b, c), 128, 256)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     c=st.integers(1, 16),
