@@ -13,8 +13,9 @@ columns are shares of ``sm``, so they are not added to the step total
 again: ``amax``, spent in the softmax's tournament ``a_max``, and
 ``inv``, in its reciprocal ``a_inv``.  The last, ``early``, counts the
 refreshes per step that the softmax's plan takes although the level
-suffices for the piece ahead (``approx.SoftmaxPlan.tail``), where its
-planning leaves greedy refreshing.  The scales:
+suffices for the piece ahead (the True moves of
+``approx.SoftmaxPlan.moves``), where its planning leaves greedy
+refreshing.  The scales:
 
 * test scale: 4096 slots (64 x 64 blocks), 3 classes, 16 features plus a
   bias column, batch 64;
@@ -83,11 +84,10 @@ def sweep_point(scale: str, max_level: int) -> tuple[float, float, dict[str, flo
         return run
 
     def planned(*args, **kwargs):
-        # the plan of an executed softmax: each early flag of its tail is a
-        # refresh, since the planner keeps no flag that lifts no level
+        # the plan of an executed softmax: each early move is a refresh,
+        # since the planner keeps no early move that lifts no level
         plan = softmax_plan(*args, **kwargs)
-        flags = [f for point in plan.tail for f in (point if isinstance(point, tuple) else (point,))]
-        stage_boots["early"] += sum(flags)
+        stage_boots["early"] += sum(move is True for move in plan.moves)
         return plan
 
     softmax_plan = approx.softmax_plan

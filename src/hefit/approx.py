@@ -36,39 +36,36 @@ level budget (78 levels at 10 classes), so it places its own bootstraps:
 before each piece of known depth it calls :func:`_refresh`, which
 bootstraps an encrypted input when its level is below what the piece
 consumes, or where the plan says so.  Each piece's depth is a named
-constant next to its evaluator: each pass of the comparison chain ``COMP_PASSES`` (``ODD_POLY_DEPTH``, 3
-levels, factored), the tournament's ``best`` before the roll (the
-same need, so its rival inherits the fresh level), each contraction step
-(``CONTRACTION_DEPTH``, 2), the compensation (``COMPENSATION_DEPTH``, 4),
-the baby-step/giant-step exp fit (``EXP_FIT_DEPTH``, 4) and the squarings
-after it (``log2(EXP_RANGE)``), the Goldschmidt pair (refreshed together,
-one complex-packed bootstrap for both: :func:`_refresh_pair`), and the
+constant next to its evaluator: each pass of the comparison chain
+``COMP_PASSES`` (``ODD_POLY_DEPTH``, 3 levels, factored), the
+tournament's ``best`` before the roll (the same need, so its rival
+inherits the fresh level), each contraction step (``CONTRACTION_DEPTH``,
+2), the compensation (``COMPENSATION_DEPTH``, 4), the baby-step/giant-step
+exp fit (``EXP_FIT_DEPTH``, 4) and the squarings after it
+(``log2(EXP_RANGE)``), the Goldschmidt pair (refreshed together, one
+complex-packed bootstrap for both: :func:`_refresh_pair`), and the
 one-level glue products.  Each ciphertext is refreshed at most once per
 piece, a plan takes no early refresh on a budget that already suffices,
 and the array path passes through unchanged.  The deepest pieces need 4
 levels, so any budget of at least 4 runs the whole pipeline on its own
-refreshes, and
-:func:`softmax_plan` refuses a smaller one with
+refreshes, and :func:`softmax_plan` refuses a smaller one with
 :class:`~hefit.errors.DepthExhausted`.
 
-The tournament is the one place with two live values: the running maximum
-``best`` and its comparison chain.  The chain refreshes alone, except at
-most at one point per round, its pack point, where it refreshes together
-with ``best`` as one complex-packed ciphertext, which also lifts ``best``
-and so every piece after it.  After the tournament, at each refresh point
-of :func:`_tail` (each contraction step, the compensation, the exp fit,
-its squarings, the two glue refreshes of the exps, the row total, each
-Goldschmidt iteration's pair and both operands of the final product) the
-value may also refresh early, although its level suffices, where that
-lifts the pieces after it for less than it costs.  :func:`softmax_plan`
-picks the pack points and the early refreshes as one chain of refresh
-points (:func:`_softmax_points`: the push-down of the padded columns,
-each round, the normalization, then each point of the tail) with the
-package's one refresh planner, :func:`cheapest` over moves priced by
-:func:`dry_run` on the pipeline's own code (:func:`_piece_run`), and
-ranks plans by :func:`rank`, the estimated ms first, so the refresh rule
-and the depths live in the pipeline alone.  Every bootstrap is
-value-exact, so a plan moves levels and the ledger, never a slot.
+The softmax is stated once, as one list of refresh points
+(:func:`_softmax_points`), each a piece of the pipeline's own code and its
+moves.  A tournament round's moves are its pack points: the comparison
+chain refreshes alone, or at most at one point per round together with
+the running maximum ``best``, as one complex-packed ciphertext, which also
+lifts ``best`` and so every piece after it.  After the tournament a value
+may also refresh early, although its level suffices, where that lifts the
+pieces after it for less than it costs.  The executor walks the list
+(:func:`_walk`), each stage function its own slice, with the plan's moves
+or, without a plan, each point's first.  :func:`softmax_plan` picks the
+moves with the package's one refresh planner, :func:`cheapest` over moves
+priced by :func:`dry_run` of each piece (:func:`_piece_run`), and ranks
+plans by :func:`rank`, the estimated ms first, so the refresh rule and the
+depths live in the pipeline alone.  Every bootstrap is value-exact, so a
+plan moves levels and the ledger, never a slot.
 
 Only two knobs are configurable (:class:`SoftmaxConfig`): the number of
 extension steps and the compensation.  The exp and reciprocal parameters
@@ -79,7 +76,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -159,8 +155,8 @@ _BLOCK_SLOTS = 65_536
 def _array_layout(M):
     """(float64 array, classes, period) of an array carrier, validated."""
     arr = np.asarray(M, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"softmax expects a 2D array, got shape {arr.shape}")
+    if arr.ndim != 2 or not arr.shape[1]:
+        raise ShapeMismatch(f"softmax expects a 2D array of 1 or more classes, got shape {arr.shape}")
     return arr, arr.shape[1], next_pow2(arr.shape[1])
 
 
@@ -296,7 +292,7 @@ def _refresh(x, need: int, early: bool = False):
     context's ``max_level``.  A matrix that already has it, a plaintext
     matrix and a numpy array come back unchanged, so both carriers run the
     same pipeline code and a deep enough budget never refreshes.  ``early``
-    (a refresh plan's choice, :attr:`SoftmaxPlan.tail`) raises the need to
+    (a refresh point's move, :attr:`SoftmaxPlan.moves`) raises the need to
     ``max_level``: refresh now, although the level suffices.
     """
     return x.bootstrap() if _below(x, math.inf if early else need) else x
@@ -319,6 +315,28 @@ def _below(x, need: int) -> bool:
     """Whether x is an encrypted matrix whose level is below ``need``,
     capped at the context's ``max_level``."""
     return isinstance(x, EncodedMatrix) and x.level < min(need, x.ctx.max_level)
+
+
+# A refresh point's moves: its one, or no early refresh, then an early one.
+_NONE = (None,)
+_FLAG = (False, True)
+
+
+def _walk(car, points, live, moves=None):
+    """Run the refresh points ``points`` (:func:`_softmax_points`) from the
+    values ``live``; returns the values alive after the last.
+
+    At each ``(piece, first, choices, coeffs)``, ``piece(car,
+    *live[first:], move, **coeffs)`` hands on the values after
+    ``live[:first]``; ``first`` counts from the end, so a stage's slice
+    runs alone as within the whole list.  ``move`` is the next of
+    ``moves``, the plan's (:attr:`SoftmaxPlan.moves`), which the stages of
+    one softmax share, or without a plan the point's first choice.
+    """
+    for piece, first, choices, coeffs in points:
+        out = piece(car, *live[first:], choices[0] if moves is None else next(moves), **coeffs)
+        live = live[:first] + (out if isinstance(out, tuple) else (out,))
+    return live
 
 
 # -- polynomial pieces ----------------------------------------------------------
@@ -371,7 +389,7 @@ def a_comp(x, y):
     return _comp(x - y, COMP_PASSES[0])[0]
 
 
-def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
+def a_max(M, cfg: SoftmaxConfig = DEFAULTS, moves=None):
     """Row-wise approximate maximum, broadcast into every slot of the row.
 
     The comparison sees each difference scaled into [-1, 1] by 1/(2R),
@@ -386,10 +404,9 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     and broadcast across that period.  The result never exceeds the true
     maximum (the blends are convex), and it equals, bit for bit, a
     tournament on inputs scaled by 1/(2R) whose winner is scaled back by
-    2R.  ``pairs`` holds
-    one pack point per round (:func:`_round`, :attr:`SoftmaxPlan.pairs`);
-    without it every refresh is the comparison chain's own, and an array
-    ignores it.
+    2R.  ``moves`` yields a plan's move at each of :func:`_max_points`
+    (:func:`_walk`); without it every refresh is the comparison chain's
+    own.
 
     An array carrier evaluates each round only on the columns a later round
     reads (:meth:`_Carrier.knockout_pair`), 2^k - 1 column evaluations for
@@ -398,37 +415,54 @@ def a_max(M, cfg: SoftmaxConfig = DEFAULTS, pairs=None):
     ``(rows, 1)`` column its tail reads.
     """
     car = M if isinstance(M, _Carrier) else _Carrier(M)
-    r = cfg.max_range
-    first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_PASSES[0]))
-    if pairs is None or not car.encrypted:
-        pairs = (None,) * log2(car.period)
-    best = car.pushed_down(r)
-    for t, pack in enumerate(pairs):
-        best = _round(car, best, t, first, pack)
-    best = car.broadcast_col0(best)
+    _, best = _walk(car, _max_points(cfg, car.classes), (car.matrix,), moves)
     if car.encrypted or M is car:
         return best
     return np.repeat(best, car.period, axis=1)
 
 
-def _round(car: _Carrier, best, t: int, first, pack: int | None):
+@functools.cache
+def _max_points(cfg: SoftmaxConfig, classes: int):
+    """:func:`a_max`'s refresh points, on the logits and, after the first,
+    ``best`` beside them: the push-down of the padded columns, one
+    :func:`_round` per tournament round and the winner's broadcast."""
+    r = cfg.max_range
+    first_pass = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_PASSES[0]))
+    rounds = ((_round, -1, _ROUND_PACKS, {"t": t, "first_pass": first_pass})
+              for t in range(log2(next_pow2(classes))))
+    return ((_push, -1, _NONE, {"r": r}), *rounds, (_broadcast, -1, _NONE, {}))
+
+
+def _push(car: _Carrier, x, move, r: float = 1.0):
+    """The logits x, and ``best``: x with its padded columns lowered by r."""
+    return x, car.pushed_down(r)
+
+
+# A round's pack points, None first: of equal-cost moves the plan keeps the
+# first, so a pack that changes nothing is not made.  Two packs in one round
+# are never cheaper: at budgets 1 to 24, from every level of ``best``, one of
+# these reaches as high a level for no more bootstraps and no more ms.
+_ROUND_PACKS = (None, *range(1, len(COMP_PASSES) + 1))
+
+
+def _round(car: _Carrier, best, pack: int | None, t: int = 0, first_pass=COMP_PASSES[0]):
     """Knockout round t of :func:`a_max`, its first comparison pass through
-    ``first``.
+    ``first_pass``.
 
     ``best`` is refreshed for the first comparison polynomial before the
     roll, so ``rival`` inherits the fresh level.  ``best`` then loses one
     level, at the blend, and the chain ``best - rival`` one ``ODD_POLY_DEPTH``
-    per pass (:func:`_comp`).  At ``pack`` (i before pass i + 1,
-    ``len(COMP_PASSES)`` before the blend, None nowhere) the chain refreshes
-    together with ``best`` as one complex-packed ciphertext, not alone, and
-    ``rival`` is re-rolled from the fresh ``best`` (one Rot).  A pack before
-    pass 1 would never fire: the chain starts at ``best``'s fresh level.
-    Bootstraps are value-exact, so ``pack`` moves levels and the ledger,
-    never a slot; an array has no levels.
+    per pass (:func:`_comp`).  At ``pack``, the round's move (i before pass
+    i + 1, ``len(COMP_PASSES)`` before the blend, None nowhere), the chain
+    refreshes together with ``best`` as one complex-packed ciphertext, not
+    alone, and ``rival`` is re-rolled from the fresh ``best`` (one Rot).  A
+    pack before pass 1 would never fire: the chain starts at ``best``'s
+    fresh level.  ``pack`` moves levels and the ledger, never a slot; the
+    array path takes none.
     """
     best = _refresh(best, ODD_POLY_DEPTH)
     best, rival = car.knockout_pair(best, t)
-    w, best = _comp(best - rival, first, pack, best)
+    w, best = _comp(best - rival, first_pass, pack, best)
     blend_pack = pack == len(COMP_PASSES)
     w, best = _refresh_pair(w, best, 1) if blend_pack else (_refresh(w, 1), best)
     if pack is not None:
@@ -436,24 +470,33 @@ def _round(car: _Carrier, best, t: int, first, pack: int | None):
     return best * w + rival * (1.0 - w)
 
 
+def _broadcast(car: _Carrier, best, move):
+    """The winner in every column of its period copy."""
+    return car.broadcast_col0(best)
+
+
 # Levels one contraction step consumes.
 CONTRACTION_DEPTH = 2
 
 
-def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS, early=()):
+def domain_extend(M, cfg: SoftmaxConfig = DEFAULTS, moves=None):
     """Contract [-max_range, max_range] into [-BASE_RANGE, BASE_RANGE].
 
     Applies the cubic x - delta_i x^3 from the widest scale inward
     (:func:`_contract`); each step costs one CMult and two Mults (two
-    levels).  ``early`` yields each step's refresh choice (none by default).
+    levels).  ``moves`` as :func:`a_max`'s, at :func:`_extend_points`.
     """
-    early = iter(early)
-    for i in range(cfg.extension_steps - 1, -1, -1):
-        M = _contract(M, DEP_DELTA * EXTENSION_BASE ** (-2 * i), next(early, False))
-    return M
+    return _walk(None, _extend_points(cfg), (M,), moves)[0]
 
 
-def _contract(M, delta: float, early: bool = False):
+@functools.cache
+def _extend_points(cfg: SoftmaxConfig):
+    """:func:`domain_extend`'s refresh points, the widest scale first."""
+    return tuple((_contract, -1, _FLAG, {"delta": DEP_DELTA * EXTENSION_BASE ** (-2 * i)})
+                 for i in reversed(range(cfg.extension_steps)))
+
+
+def _contract(car, M, early: bool, delta: float = DEP_DELTA):
     """One contraction step of :func:`domain_extend`, x - delta x^3, in
     CONTRACTION_DEPTH levels."""
     M = _refresh(M, CONTRACTION_DEPTH, early)
@@ -466,13 +509,21 @@ def _contract(M, delta: float, early: bool = False):
 COMPENSATION_DEPTH = 4
 
 
-def _dep_compensation(M, cfg: SoftmaxConfig, early: bool = False):
-    """Degree-5 correction approximating the inverse of the contraction.
+def _dep_compensation(M, cfg: SoftmaxConfig, moves=None):
+    """Degree-5 correction approximating the inverse of the contraction
+    (:func:`_compensate`); ``moves`` as :func:`a_max`'s."""
+    return _walk(None, _compensation_points(cfg), (M,), moves)[0]
 
-    ``x + (4/27) K (x^3/R^2 - x^5/R^4)`` with K the closed-form sum of the
-    per-step contraction strengths; adds back the cubic shrinkage and trims
-    the fifth-order overshoot.
-    """
+
+def _compensation_points(cfg: SoftmaxConfig):
+    """:func:`_dep_compensation`'s one refresh point."""
+    return ((_compensate, -1, _FLAG, {"cfg": cfg}),)
+
+
+def _compensate(car, M, early: bool, cfg: SoftmaxConfig = DEFAULTS):
+    """``x + (4/27) K (x^3/R^2 - x^5/R^4)`` with K the closed-form sum of
+    the per-step contraction strengths; adds back the cubic shrinkage and
+    trims the fifth-order overshoot."""
     L2 = EXTENSION_BASE**2
     Ln = L2**cfg.extension_steps
     K = L2 * (Ln - 1.0) / (Ln * (L2 - 1.0))
@@ -490,7 +541,7 @@ def _dep_compensation(M, cfg: SoftmaxConfig, early: bool = False):
 EXP_FIT_DEPTH = 4
 
 
-def _exp_fit(z, c, early: bool = False):
+def _exp_fit(car, z, early: bool, c=EXP_POLY_UNSCALED):
     """Degree-12 polynomial of coefficients c (c[k] of z^k) at z in
     EXP_FIT_DEPTH levels (6 Mult + 10 CMult).
 
@@ -512,21 +563,20 @@ def _exp_fit(z, c, early: bool = False):
     return chunk(0) + z4 * chunk(4) + top
 
 
-def a_exp(M, early=()):
+def a_exp(M, moves=None):
     """exp on [-EXP_RANGE, EXP_RANGE]: fitted polynomial at x/B, squared log2(B) times.
 
     The 1/B lives in the coefficients (:data:`EXP_POLY_UNSCALED`), so the
     fit reads x itself and a_exp costs EXP_FIT_DEPTH + log2(B) levels, bit
     for bit the value of EXP_POLY at x/B.  The degree-12 fit carries ~3e-13
     of error on [-1, 1]; squaring preserves the relative error, so accuracy
-    is near machine precision across the whole base range.  ``early``
-    yields the refresh choices of the fit and of the squarings.
+    is near machine precision across the whole base range.  ``moves`` as
+    :func:`a_max`'s, at the fit and the squarings (:data:`_EXP_POINTS`).
     """
-    early = iter(early)
-    return _squarings(_exp_fit(M, EXP_POLY_UNSCALED, next(early, False)), next(early, False))
+    return _walk(None, _EXP_POINTS, (M,), moves)[0]
 
 
-def _squarings(acc, early: bool = False):
+def _squarings(car, acc, early: bool):
     """acc^EXP_RANGE, by log2(EXP_RANGE) squarings: a_exp after its fit."""
     acc = _refresh(acc, log2(EXP_RANGE), early)
     for _ in range(log2(EXP_RANGE)):
@@ -534,7 +584,10 @@ def _squarings(acc, early: bool = False):
     return acc
 
 
-def a_inv(y, early=()):
+_EXP_POINTS = ((_exp_fit, -1, _FLAG, {}), (_squarings, -1, _FLAG, {}))
+
+
+def a_inv(y, moves=None):
     """Goldschmidt reciprocal 1/y of an input already divided by INV_RANGE.
 
     Relative error after k iterations is (1 - y)^(2^(k+1)), degrading as y
@@ -555,28 +608,36 @@ def a_inv(y, early=()):
     level the square would have cost after a plain bootstrap.  The levels
     stay in lockstep, so the pair refreshes where two separate refreshes of
     ``a`` and ``b`` would, lands at the same levels, and pays 1 bootstrap
-    instead of 2.  ``y`` is refreshed for the first square.  ``early``
-    yields the refresh choices of ``y`` and of each iteration's pair.
+    instead of 2.  ``y`` is refreshed for the first square.  ``moves`` as
+    :func:`a_max`'s, at :func:`_inv_points`.
     """
-    early = iter(early)
-    a, b = _inv_pair(y, next(early, False))
-    for _ in range(INV_ITERS):
-        a, b = _goldschmidt(a, b, next(early, False))
-    return a
+    return _walk(None, _inv_points(), (y,), moves)[0]
 
 
-def _inv_pair(y, early: bool = False):
+def _inv_points():
+    """:func:`a_inv`'s refresh points: ``y`` for the first square, then
+    each iteration's pair; the last hands on ``a`` alone."""
+    iters = ((_goldschmidt, -2, _FLAG, {}),) * (INV_ITERS - 1)
+    return ((_inv_pair, -1, _FLAG, {}), *iters, (_last_goldschmidt, -2, _FLAG, {}))
+
+
+def _inv_pair(car, y, early: bool):
     """:func:`a_inv`'s starting pair ``(2 - y, 1 - y)``, ``y`` refreshed
     for the first square."""
     y = _refresh(y, 1, early)
     return 2.0 - y, 1.0 - y
 
 
-def _goldschmidt(a, b, early: bool = False):
+def _goldschmidt(car, a, b, early: bool):
     """One iteration of :func:`a_inv` on the pair ``(a, b)``."""
     b = b * b
     a, b = _refresh_pair(a, b, 1, early)
     return a * (b + 1.0), b
+
+
+def _last_goldschmidt(car, a, b, early: bool):
+    """:func:`a_inv`'s last iteration, whose ``b`` nothing reads."""
+    return _goldschmidt(car, a, b, early)[0]
 
 
 # -- refresh plan ---------------------------------------------------------------
@@ -667,23 +728,17 @@ def cheapest(start, stages, key=lambda counts, end: rank(counts), memo=None):
 class SoftmaxPlan:
     """Where one encrypted softmax refreshes, and what that predicts.
 
-    The choices of the plan's chain (:func:`_softmax_points`), less those
-    of its two points that have one move, the push-down and the
-    normalization.  ``pairs`` holds :func:`a_max`'s, one pack point per
-    tournament round (:func:`_round`): where the comparison chain
-    refreshes together with ``best`` (one packed bootstrap), or None where
-    every refresh is the chain's alone.  ``tail`` holds :func:`_tail`'s,
-    one per refresh point in its order (:func:`_tail_points`): True where
-    the value refreshes although its level suffices for the piece ahead;
-    the final product's is a pair, one per operand.  ``counts`` (op
-    counts per block, in :data:`~hefit.emulator.OP_KINDS` order) and
-    ``level`` are what the softmax executes and hands on, on any budget of
-    at least 4 levels; ``bootstraps`` is the count of bootstraps among
-    them.
+    ``moves`` holds one move per refresh point (:func:`_softmax_points`):
+    a tournament round's pack point (:func:`_round`), or None where every
+    refresh is the comparison chain's alone; after the tournament, True
+    where the value refreshes although its level suffices for the piece
+    ahead; None at the points of one move.  ``counts`` (op counts per
+    block, in :data:`~hefit.emulator.OP_KINDS` order) and ``level`` are
+    what the softmax executes and hands on, on any budget of at least 4
+    levels; ``bootstraps`` is the count of bootstraps among them.
     """
 
-    pairs: tuple[int | None, ...]
-    tail: tuple
+    moves: tuple
     counts: tuple[int, ...]
     level: int
 
@@ -692,88 +747,30 @@ class SoftmaxPlan:
         return self.counts[_BOOTSTRAPS]
 
 
-# A round's pack points, None first: of equal-cost moves the plan keeps the
-# first, so a pack that changes nothing is not made.  Two packs in one round
-# are never cheaper: at budgets 1 to 24, from every level of ``best``, one of
-# these reaches as high a level for no more bootstraps and no more ms.
-_ROUND_PACKS = (None, *range(1, len(COMP_PASSES) + 1))
-
-
-def _period_run(top: int, classes: int, step, *levels: int):
-    """:func:`dry_run` of ``step`` on carriers of ``(1, classes)`` zeros at
-    ``levels`` whose one row is one period, so its counts are one block's
-    ledger of any tiled input; the result is the output's level, or a
-    tuple of levels where ``step`` returns a tuple."""
-
-    def run(zeros):
-        out = step(*(_Carrier(zeros((1, classes), "horizontal", lv)) for lv in levels))
-        return tuple(v.level for v in out) if isinstance(out, tuple) else out.level
-
-    return dry_run(next_pow2(classes), 1, top, run)
-
-
-_NONE = (None,)
-_FLAG = (False, True)
-
-# The softmax's refresh points, as ``piece(car, *live, choice)``: the
-# pipeline's own code from one point to the next, on the values it reads.
-# No piece takes a coefficient, since no ledger depends on one: a round is
-# priced as the first with the first comparison pass, and a contraction
-# as the widest.  The push-down's coefficient is any nonzero shift.
-_PUSH = lambda car, x, choice: (x, car.pushed_down(1.0))
-_ROUND = lambda car, best, pack: _round(car, best, 0, COMP_PASSES[0], pack)
-_NORM = lambda car, x, best, choice: x - car.broadcast_col0(best)
-_CONTRACT = lambda car, x, early: _contract(x, DEP_DELTA, early)
-_COMPENSATE = lambda car, x, early: _dep_compensation(x, DEFAULTS, early)
-_FIT = lambda car, x, early: _exp_fit(x, EXP_POLY_UNSCALED, early)
-_SQUARE = lambda car, x, early: _squarings(x, early)
-_INV_PAIR = lambda car, y, early: _inv_pair(y, early)
-_GOLDSCHMIDT = lambda car, a, b, early: _goldschmidt(a, b, early)
-_PRODUCT = lambda car, expd, a, b, early: _product(expd, a, early)
-
-
 def _softmax_points(cfg: SoftmaxConfig, classes: int):
-    """The encrypted softmax's refresh points in its order, each ``(piece,
-    first, choices)``: :func:`a_max`'s push-down of the padded columns,
-    one :func:`_round` per tournament round, the normalization, then
-    :func:`_tail_points`.  The state is the levels of the values alive: the
-    logits, and after the push-down ``best`` beside them."""
-    return (
-        [(_PUSH, 0, _NONE)]
-        + [(_ROUND, 1, _ROUND_PACKS)] * log2(next_pow2(classes))
-        + [(_NORM, 0, _NONE)]
-        + _tail_points(cfg)
-    )
-
-
-def _tail_points(cfg: SoftmaxConfig):
-    """:func:`_tail`'s refresh points in its order, each ``(piece, first,
-    choices)``: the piece reads the live values from index ``first`` of the
-    state, the levels of the values alive there (``expd`` waits through
-    :func:`a_inv` beside its pair), and ``choices`` are its early flags in
-    move order, no refresh first."""
-    return (
-        [(_CONTRACT, 0, _FLAG)] * cfg.extension_steps
-        + [(_COMPENSATE, 0, _FLAG)] * cfg.precise
-        + [(_FIT, 0, _FLAG), (_SQUARE, 0, _FLAG), (_scaled_exps, 0, _FLAG),
-           (_row_total, 0, _FLAG), (_INV_PAIR, 1, _FLAG)]
-        + [(_GOLDSCHMIDT, 1, _FLAG)] * INV_ITERS
-        + [(_PRODUCT, 0, tuple(itertools.product(_FLAG, repeat=2)))]
-    )
+    """The encrypted softmax's refresh points in its order (:func:`_walk`),
+    ``choices`` in tie-break order: each stage function's slice as
+    :func:`_softmax` enters it, and the softmax's own points between them.
+    :func:`softmax_plan` prices them."""
+    compensation = _compensation_points(cfg) * cfg.precise
+    return (_max_points(cfg, classes) + _NORM + _extend_points(cfg) + compensation
+            + _EXP_POINTS + _TOTAL + _inv_points() + _PRODUCT)
 
 
 @functools.lru_cache(maxsize=None)
-def _piece_run(piece, levels: tuple[int, ...], top: int, classes: int, choice):
-    """A refresh point's ``piece`` from values at ``levels`` with its
-    ``choice``, dry; the result is the levels of the values it hands on.
-    Every softmax plan prices its moves here, so each is run once per
-    levels, budget, width and choice."""
+def _piece_run(piece, levels: tuple[int, ...], top: int, classes: int, move):
+    """:func:`dry_run` of a refresh point's ``piece`` with ``move`` and its
+    default coefficients, since no ledger depends on one (a round is priced
+    as the first, a contraction as the widest), from ``(1, classes)`` zeros
+    at ``levels`` whose one row is one period: its counts are one block's
+    ledger of any tiled input, its result the levels it hands on.  Cached,
+    so every softmax plan shares each dry run."""
 
-    def step(*cars):
-        out = piece(cars[0], *(car.matrix for car in cars), choice)
-        return out if isinstance(out, tuple) else (out,)
+    def run(zeros):
+        live = tuple(zeros((1, classes), "horizontal", level) for level in levels)
+        return tuple(v.level for v in _walk(_Carrier(live[0]), ((piece, 0, (move,), {}),), live))
 
-    return _period_run(top, classes, step, *levels)
+    return dry_run(next_pow2(classes), 1, top, run)
 
 
 def _stage(piece, first: int, choices, top: int, classes: int):
@@ -817,8 +814,8 @@ def _chain(top: int, cfg: SoftmaxConfig, classes: int, need: int | None):
     its entry level.  A round's ledger and levels depend on no width, so
     every width shares its rounds' dry runs, priced at two classes."""
     stages = [
-        _stage(piece, first, choices, top, 2 if piece is _ROUND else classes)
-        for piece, first, choices in _softmax_points(cfg, classes)
+        _stage(piece, first, choices, top, 2 if piece is _round else classes)
+        for piece, first, choices, _ in _softmax_points(cfg, classes)
     ]
     return stages, _plan_key(top, need), [{} for _ in range(len(stages) + 1)]
 
@@ -832,7 +829,7 @@ def softmax_plan(
 
     The cheapest chain (:func:`cheapest`) through one stage per refresh
     point (:func:`_softmax_points`): each tournament round's moves are
-    :data:`_ROUND_PACKS`, each point of :func:`_tail` refreshes as the
+    :data:`_ROUND_PACKS`, each point after the tournament refreshes as the
     piece ahead needs or refreshes early, and each move is a dry run of the
     pipeline's own code (:func:`_piece_run`).  Every plan of one budget,
     config, width and need shares one memo (:func:`_chain`).  ``need`` is
@@ -850,9 +847,8 @@ def softmax_plan(
             f"the softmax cannot run on a budget of {max_level} levels: its deepest "
             f"pieces need {EXP_FIT_DEPTH}"
         )
-    choices, counts, (level,) = chain
-    rounds = log2(next_pow2(classes))
-    return SoftmaxPlan(choices[1 : rounds + 1], choices[rounds + 2 :], counts, level)
+    moves, counts, (level,) = chain
+    return SoftmaxPlan(moves, counts, level)
 
 
 def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
@@ -883,58 +879,58 @@ def a_softmax(M, cfg: SoftmaxConfig = DEFAULTS, need: int | None = None):
 
 
 def _softmax(M, cfg: SoftmaxConfig, need: int | None = None):
-    """One unblocked pass of :func:`a_softmax` over all rows of M."""
-    car = _Carrier(M)
-    if not car.encrypted:
-        return _tail(car, car.matrix - a_max(car, cfg), cfg)
-    with car.one_period():
-        pairs, tail = None, ()
-        if M.encrypted:
-            plan = softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need)
-            pairs, tail = plan.pairs, plan.tail
-        out = _tail(car, car.matrix - a_max(car, cfg, pairs), cfg, tail)
-    return car.tiled(out)
-
-
-def _tail(car: _Carrier, norm, cfg: SoftmaxConfig, early=()):
-    """The softmax after the tournament, from the normalized logits
-    ``norm`` = x - max: contracted, compensated, exponentiated, masked to
-    the class columns, and multiplied by the reciprocal of the row total.
-
-    ``early`` yields the refresh choice of each refresh point in turn
-    (:attr:`SoftmaxPlan.tail`; none by default).  The padded columns need
-    no mask of their own before the exps: every piece up to the exps works
+    """One unblocked pass of :func:`a_softmax` over all rows of M: the
+    stages in :func:`_softmax_points`' order, each entered by its module
+    name and walking its own refresh points.  The padded columns need no
+    mask of their own before the exps: every piece up to the exps works
     slot by slot, their -max lies in the contraction's domain, and the mask
     that scales the exps zeroes them before the row total.
     """
-    early = iter(early)
-    norm = domain_extend(norm, cfg, early)
-    if cfg.precise:
-        norm = _dep_compensation(norm, cfg, next(early, False))
-    exps = _scaled_exps(car, a_exp(norm, early), next(early, False))
-    expd, total = _row_total(car, exps, next(early, False))
-    recip = a_inv(total, early)
-    return _product(expd, recip, next(early, (False, False)))
+    car, moves = _Carrier(M), None
+    with car.one_period() if car.encrypted else contextlib.nullcontext():
+        if car.encrypted and M.encrypted:
+            moves = iter(softmax_plan(M.level, car.ctx.max_level, car.classes, cfg, need).moves)
+        (norm,) = _walk(car, _NORM, (car.matrix, a_max(car, cfg, moves)), moves)
+        norm = domain_extend(norm, cfg, moves)
+        if cfg.precise:
+            norm = _dep_compensation(norm, cfg, moves)
+        expd, total = _walk(car, _TOTAL, (a_exp(norm, moves),), moves)
+        (out,) = _walk(car, _PRODUCT, (expd, a_inv(total, moves)), moves)
+    return car.tiled(out) if car.encrypted else out
 
 
-def _scaled_exps(car: _Carrier, exps, early: bool = False):
+def _normalize(car: _Carrier, x, best, move):
+    """The logits less their row's approximate maximum."""
+    return x - best
+
+
+def _scaled_exps(car: _Carrier, exps, early: bool):
     """The exps divided by INV_RANGE on the class columns, zero on the
     padded ones, so that their row total is :func:`a_inv`'s normalized
     input."""
     return _refresh(exps, 1, early) * car.keep_classes_mask(1.0 / INV_RANGE)
 
 
-def _row_total(car: _Carrier, expd, early: bool = False):
+def _row_total(car: _Carrier, expd, early: bool):
     """``expd`` refreshed for its two one-level consumers, the row total
     and the final product, and its row total."""
     expd = _refresh(expd, 1, early)
     return expd, car.row_total(expd)
 
 
-def _product(expd, recip, early=(False, False)):
-    """The softmax, ``expd`` times the reciprocal of its row total, each
-    refreshed for the product as its choice in ``early`` says."""
-    return _refresh(expd, 1, early[0]) * _refresh(recip, 1, early[1])
+def _product_operand(car: _Carrier, expd, recip, early: bool):
+    """``expd`` refreshed for the final product as the move says."""
+    return _refresh(expd, 1, early), recip
+
+
+def _product(car: _Carrier, expd, recip, early: bool):
+    """The softmax: ``expd`` times ``recip``, refreshed as the move says."""
+    return expd * _refresh(recip, 1, early)
+
+
+_NORM = ((_normalize, -2, _NONE, {}),)
+_TOTAL = ((_scaled_exps, -1, _FLAG, {}), (_row_total, -1, _FLAG, {}))
+_PRODUCT = ((_product_operand, -2, _FLAG, {}), (_product, -2, _FLAG, {}))
 
 
 # -- bounds and measured constants ----------------------------------------------

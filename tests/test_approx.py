@@ -4,6 +4,7 @@ Expected values are frozen from direct dense-grid measurements; everything
 here is deterministic (fixed seeds), so the pins are tight.
 """
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -305,7 +306,7 @@ def test_factored_odd_poly_equals_its_power_form(coeffs, tol):
 
 def test_exp_fit_equals_horner_of_the_fit():
     x = np.linspace(-1.0, 1.0, 200001)
-    assert np.abs(_exp_fit(x, EXP_POLY) - _polyval(x, EXP_POLY)).max() <= 1e-14
+    assert np.abs(_exp_fit(None, x, False, EXP_POLY) - _polyval(x, EXP_POLY)).max() <= 1e-14
 
 
 # The pipeline with every constant scaling as a separate op, in the order the
@@ -335,7 +336,7 @@ def _explicit_max(m, cfg):
 
 
 def _explicit_exp(m):
-    acc = _exp_fit(m * (1.0 / EXP_RANGE), EXP_POLY)
+    acc = _exp_fit(None, m * (1.0 / EXP_RANGE), False, EXP_POLY)
     for _ in range(log2(EXP_RANGE)):
         acc = acc * acc
     return acc
@@ -394,7 +395,7 @@ def test_named_depths_are_what_the_pieces_consume():
         "odd poly": (_odd_poly(x, COMP_G), ODD_POLY_DEPTH),
         "comparison": (a_comp(x, 0.125), 3 * ODD_POLY_DEPTH),
         "exp": (a_exp(x), EXP_FIT_DEPTH + log2(EXP_RANGE)),
-        "exp fit": (_exp_fit(x, EXP_POLY), EXP_FIT_DEPTH),
+        "exp fit": (_exp_fit(None, x, False, EXP_POLY), EXP_FIT_DEPTH),
         "contraction": (domain_extend(x, SoftmaxConfig(extension_steps=1)), CONTRACTION_DEPTH),
         "compensation": (_dep_compensation(x, DEFAULTS), COMPENSATION_DEPTH),
     }
@@ -479,6 +480,14 @@ def test_softmax_carrier_rejects_wrong_layout(rng):
         a_softmax(encode(ctx, m, tiling="vertical"), DEFAULTS)
 
 
+@pytest.mark.parametrize("stage", [a_softmax, a_max])
+@pytest.mark.parametrize("shape", [(3, 0), (0, 0), (4,)])
+def test_array_without_class_columns_is_refused(stage, shape):
+    # no class column has no period: a typed error, not next_pow2's
+    with pytest.raises(ShapeMismatch, match="2D array of 1 or more classes"):
+        stage(np.zeros(shape))
+
+
 # -- row blocking of the array path ---------------------------------------------------
 
 
@@ -549,9 +558,57 @@ def test_every_period_copy_runs_its_own_period_local_softmax(slots, grid_rows, r
     # tournament round, log2(period) each for the max broadcast and the
     # row total's fold and broadcast, and one per re-roll at a pack point
     plan = softmax_plan(level, 12, classes, DEFAULTS)
-    rerolls = sum(pack is not None for pack in plan.pairs)
+    rerolls = sum(pack is not None for pack in _pairs(plan, classes))
     blocks = out.grid[0] * out.grid[1]
     assert delta["Rot"] == blocks * (log2(p) + 3 * log2(p) + rerolls)
+
+
+# The stage functions that timers and counters rebind by module name.
+_REBOUND_STAGES = ("a_max", "domain_extend", "_dep_compensation", "a_exp", "a_inv")
+
+
+@pytest.mark.parametrize("encrypted", [True, False], ids=["encrypted", "array"])
+def test_softmax_enters_each_rebound_stage_once(encrypted):
+    # the benchmark's tracer and the measuring scripts rebind these
+    # functions in the module, the softmax's own name for them: one softmax
+    # call, planned from cold caches, enters each once, through that name,
+    # and each charges the ops it charged before the executor walked one
+    # list of refresh points.  Pinned at train-paper's softmax: 32768
+    # slots, 128 x 10 logits entering at level 9 of 12, the residual
+    # needing 4
+    ctx = EmulatorContext(32768, 128, max_level=12)
+    logits = np.random.default_rng(9).uniform(-30, 30, size=(128, 10))
+    M = encode(ctx, logits, tiling="horizontal", level=9) if encrypted else logits
+    entered, charged = dict.fromkeys(_REBOUND_STAGES, 0), {}
+
+    def rebound(name, stage):
+        def run(*args, **kwargs):
+            entered[name] += 1
+            before = ctx.ledger.snapshot()
+            out = stage(*args, **kwargs)
+            charged[name] = ctx.ledger.delta(before)
+            return out
+
+        return run
+
+    for cache in (softmax_plan, approx._chain, approx._piece_run):
+        cache.cache_clear()
+    stages = {name: rebound(name, getattr(approx, name)) for name in _REBOUND_STAGES}
+    before = ctx.ledger.snapshot()
+    with mock.patch.multiple(approx, **stages):
+        a_softmax(M, DEFAULTS, 4)
+    assert entered == dict.fromkeys(_REBOUND_STAGES, 1)
+    if not encrypted:
+        return
+    ops = lambda *counts: dict(zip(OP_KINDS, counts))
+    assert charged == {
+        "a_max": ops(60, 27, 56, 9, 1, 3),
+        "domain_extend": ops(5, 5, 10, 0, 0, 1),
+        "_dep_compensation": ops(2, 2, 3, 0, 0, 1),
+        "a_exp": ops(12, 10, 9, 0, 0, 0),
+        "a_inv": ops(17, 2, 24, 0, 1, 1),
+    }
+    assert ctx.ledger.delta(before) == ops(105, 48, 103, 17, 2, 7)
 
 
 class _WidthContext(EmulatorContext):
@@ -638,6 +695,12 @@ def _encrypted_softmax(ctx, logits, level=None, need=None, cfg=DEFAULTS):
     before = ctx.ledger.snapshot()
     out = a_softmax(enc, cfg, need)
     return out, ctx.ledger.delta(before)
+
+
+def _pairs(plan, classes):
+    """A plan's pack point per tournament round: its moves after the
+    push-down, one per round."""
+    return plan.moves[1 : 1 + log2(next_pow2(classes))]
 
 
 def test_paper_shaped_softmax_needs_no_fallback_bootstrap(rng):
@@ -730,12 +793,16 @@ def test_refresh_plan_bootstraps_are_pinned_across_budgets(rng):
     }
 
 
-def _greedy_a_max(car, cfg, pairs=None):
+def _greedy_a_max(car, cfg, moves=None):
     """a_max refreshing every value alone, for its own next piece: ``best``
     before the roll, the comparison chain before each pass (inside
     ``_odd_poly``) and ``w`` before the blend, as a plan of pack point None
-    in every round would.  ``pairs``, the plan's pack points, is ignored;
-    the softmax passes its own carrier."""
+    in every round would.  Of ``moves``, the plan's, it skips a_max's
+    (one per point of ``approx._max_points``) unread, so the stages after
+    it read theirs; the softmax passes its own carrier."""
+    if moves is not None:
+        for _ in approx._max_points(cfg, car.classes):
+            next(moves)
     r = cfg.max_range
     first = tuple(a / (2 * r) ** (2 * k + 1) for k, a in enumerate(COMP_G))
     best = car.pushed_down(r)
@@ -775,8 +842,8 @@ def test_softmax_plan_predicts_the_ledger_and_never_costs_more(classes, need):
 
 
 class _Counted:
-    """An iterator over a plan's choices that counts the choices read and
-    the reads past the last, which get the reader's default."""
+    """An iterator over a plan's moves that counts the moves read and the
+    reads past the last."""
 
     def __init__(self, choices):
         self.choices, self.read, self.past = tuple(choices), 0, 0
@@ -811,29 +878,31 @@ def _ledger_cases():
 def test_softmax_plan_counts_are_one_blocks_ledger(slots, grid_rows, rows, classes, cfg):
     # the plan's op counts, kind by kind, times the blocks of the input are
     # what the encrypted softmax charges, at any period, block count and
-    # config; the executor reads one tail choice per refresh point the
-    # planner prices, and the tournament one pack point per round.  The
-    # logits stay inside the config's input range, where a_inv converges
+    # config; the executor walks the points the planner prices, all of
+    # them, in their order, and reads one move per point, none past the
+    # plan's last.  The logits stay inside the config's input range, where
+    # a_inv converges
     r = min(30, cfg.max_range)
     logits = np.random.default_rng(rows).uniform(-r, r, size=(rows, classes))
-    tail, reads = approx._tail, []
+    walk, walked = approx._walk, []
 
-    def counting_tail(car, norm, cfg, early=()):
-        reads.append(_Counted(early))
-        return tail(car, norm, cfg, reads[-1])
+    def recording_walk(car, points, live, moves=None):
+        walked.extend(points)
+        return walk(car, points, live, moves)
 
     for max_level, level, need in [(12, 9, 4), (12, 3, 9), (7, 7, None), (21, 18, 12)]:
-        ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
-        with mock.patch.object(approx, "_tail", counting_tail):
-            out, delta = _encrypted_softmax(ctx, logits, level, need, cfg)
         plan = softmax_plan(level, max_level, classes, cfg, need)
+        counted = _Counted(plan.moves)
+        ctx = EmulatorContext(slots, grid_rows, max_level=max_level)
+        with mock.patch.object(approx, "softmax_plan", lambda *args: dataclasses.replace(plan, moves=counted)), \
+                mock.patch.object(approx, "_walk", recording_walk):
+            out, delta = _encrypted_softmax(ctx, logits, level, need, cfg)
         blocks = out.grid[0] * out.grid[1]
         assert delta == {kind: n * blocks for kind, n in zip(OP_KINDS, plan.counts)}
         assert out.level == plan.level
-        counted = reads.pop()
-        assert (counted.read, counted.past) == (len(plan.tail), 0)
-        assert len(plan.tail) == len(approx._tail_points(cfg))
-        assert len(plan.pairs) == log2(next_pow2(classes))
+        assert tuple(walked) == approx._softmax_points(cfg, classes)
+        assert (counted.read, counted.past) == (len(plan.moves), 0)
+        walked.clear()
 
 
 def test_softmax_plan_spares_the_paper_step_a_refresh():
@@ -849,14 +918,21 @@ def test_softmax_plan_spares_the_paper_step_a_refresh():
     assert (delta["Bootstrap"], out.level) == (7, 8)
     assert (ref_delta["Bootstrap"], ref.level) == (7, 0)
     assert _with_consumer(out, delta, 4) < _with_consumer(ref, ref_delta, 4)
-    assert softmax_plan(9, 12, 10, DEFAULTS, 4).pairs[0] == 3
+    assert _pairs(softmax_plan(9, 12, 10, DEFAULTS, 4), 10)[0] == 3
+
+
+def _tail_points(cfg, classes):
+    """The softmax's refresh points after the normalization, each as
+    ``(piece, first, choices)``."""
+    rounds = log2(next_pow2(classes))
+    return [point[:3] for point in approx._softmax_points(cfg, classes)[rounds + 3 :]]
 
 
 def _tail_chains(max_level, cfg, classes, need):
     """The tail's plan from the normalized logits' levels, cached: the
-    cheapest chain through the stages of :func:`approx._tail_points`, with
-    one memo for every start."""
-    stages = [approx._stage(*point, max_level, classes) for point in approx._tail_points(cfg)]
+    cheapest chain through the stages of :func:`_tail_points`, with one
+    memo for every start."""
+    stages = [approx._stage(*point, max_level, classes) for point in _tail_points(cfg, classes)]
     memo = [{} for _ in range(len(stages) + 1)]
     key = approx._plan_key(max_level, need)
     return functools.cache(lambda norm: approx.cheapest(norm, stages, key, memo))
@@ -901,17 +977,18 @@ def test_softmax_plan_is_the_first_cheapest_pack_sequence(classes):
             for level in range(max_level + 1):
                 chains = []
                 for pairs in itertools.product(approx._ROUND_PACKS, repeat=log2(next_pow2(classes))):
-                    push_cost, (x, best) = run(approx._PUSH, (level,))
+                    push_cost, (x, best) = run(approx._push, (level,))
                     pieces = [push_cost]
                     for pack in pairs:
-                        cost, (best,) = run(approx._ROUND, (best,), pack, width=2)
+                        cost, (best,) = run(approx._round, (best,), pack, width=2)
                         pieces.append(cost)
-                    norm_cost, norm = run(approx._NORM, (x, best))
+                    broadcast_cost, (best,) = run(approx._broadcast, (best,))
+                    norm_cost, norm = run(approx._normalize, (x, best))
                     _, tail_cost, (out,) = tails(norm)
-                    counts = tuple(map(sum, zip(*pieces, norm_cost, tail_cost)))
+                    counts = tuple(map(sum, zip(*pieces, broadcast_cost, norm_cost, tail_cost)))
                     chains.append((pairs, counts, out))
                 plan = softmax_plan(level, max_level, classes, DEFAULTS, need)
-                assert (plan.pairs, plan.counts, plan.level) == min(chains, key=key), (
+                assert (_pairs(plan, classes), plan.counts, plan.level) == min(chains, key=key), (
                     max_level, level, need)
                 ms = OpLedger().estimate_ms(dict(zip(OP_KINDS, plan.counts)))
                 assert approx.rank(plan.counts) == (ms, plan.bootstraps)
@@ -925,7 +1002,8 @@ def test_tail_plan_is_the_first_cheapest_refresh_sequence(iters):
     # 4: the tail's plan is the cheapest by the plan key, and of equally
     # cheap sequences the lexicographically first, no refresh before an
     # early one.  Each sequence is priced piece by piece; every 16th is
-    # also run through _tail itself, which must charge the same
+    # also walked in one dry run, as the executor walks it, which must
+    # charge the same
     cfg = SoftmaxConfig(extension_steps=1, precise=False)
     classes = 3
 
@@ -939,13 +1017,19 @@ def test_tail_plan_is_the_first_cheapest_refresh_sequence(iters):
             state = state[:first] + run[1]
         return counts, state[0]
 
+    def walked(seq, norm, zeros):
+        x = zeros((1, classes), "horizontal", norm)
+        tail = approx._softmax_points(cfg, classes)[-len(points) :]
+        (out,) = approx._walk(approx._Carrier(x), tail, (x,), iter(seq))
+        return out.level
+
     # the tail planner here is the test's own, and a cached dry run prices
     # one piece, which reads no INV_ITERS: so no cache keeps an entry that
     # depends on the patched INV_ITERS, and the plan caches go untouched
     cached = approx._chain.cache_info(), softmax_plan.cache_info()
     with mock.patch.object(approx, "INV_ITERS", iters):
-        points = approx._tail_points(cfg)
-        assert len(points) == 1 + 5 + iters + 1
+        points = _tail_points(cfg, classes)
+        assert len(points) == 1 + 5 + iters + 2
         seqs = list(itertools.product(*(choices for _, _, choices in points)))
         for max_level in range(4, 10):
             for norm in range(max_level + 1):
@@ -953,9 +1037,8 @@ def test_tail_plan_is_the_first_cheapest_refresh_sequence(iters):
                 for i, seq in enumerate(seqs):
                     run = priced(seq, norm, max_level)
                     if i % 16 == 0:
-                        assert run == approx._period_run(
-                            max_level, classes,
-                            lambda car: approx._tail(car, car.matrix, cfg, seq), norm)
+                        assert run == approx.dry_run(
+                            next_pow2(classes), 1, max_level, functools.partial(walked, seq, norm))
                     if run:
                         chains.append((seq, *run))
                 for need in (None, 4):
@@ -985,9 +1068,9 @@ def test_one_more_budget_level_never_ranks_worse(classes):
 def _plan_table_digest() -> str:
     """sha256 of every plan's ``(pairs, bootstraps, level)`` at 2, 3, 5, 7,
     10 and 16 classes, budgets 4 to 24, every entry level and ``need`` in
-    (None, 4), under the default config."""
+    (None, 4), under the default config; ``pairs`` are its pack points."""
     table = [
-        (plan.pairs, plan.bootstraps, plan.level)
+        (_pairs(plan, classes), plan.bootstraps, plan.level)
         for classes in (2, 3, 5, 7, 10, 16)
         for max_level in range(4, 25)
         for level in range(max_level + 1)

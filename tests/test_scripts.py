@@ -33,6 +33,13 @@ def test_budget_sweep_point_is_pinned():
     assert per_stage == {
         "sm": 5.25, "res": 0.375, "wv": 0.375, "amax": 2.0, "inv": 1.0, "early": 0.0,
     }
+    # budget 13, where the softmax's plan refreshes early in 5 of 8 steps
+    boots, ms, per_stage = _load("budget_sweep").sweep_point("test", 13)
+    assert boots == 5.875
+    assert ms == pytest.approx(1175.923125, rel=1e-12)
+    assert per_stage == {
+        "sm": 5.375, "res": 0.375, "wv": 0.125, "amax": 1.75, "inv": 1.0, "early": 0.625,
+    }
 
 
 def test_stage_times_sees_every_stage():
